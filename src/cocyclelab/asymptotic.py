@@ -27,14 +27,8 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-from cocyclelab.cocycle import CocycleFamily, compose
-from cocyclelab.driving import (
-    BERNOULLI,
-    DrivingSystem,
-    EnvPoint,
-    advance,
-    point,
-)
+from cocyclelab.cocycle import CocycleFamily, compose, orbit
+from cocyclelab.driving import BERNOULLI, DrivingSystem, EnvPoint, point
 from cocyclelab.exactness import exactness_report
 from cocyclelab.measure import (
     Density,
@@ -52,23 +46,6 @@ def burn_in_steps(n_cells: int, horizon: int) -> int:
     """Default burn-in: twice the dyadic depth of the grid, capped at half
     the horizon, at least one step."""
     return max(1, min(2 * math.ceil(math.log2(max(n_cells, 2))), horizon // 2))
-
-
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, a: int) -> int:
-        p = self.parent
-        while p[a] != a:
-            p[a] = p[p[a]]
-            a = p[a]
-        return a
-
-    def union(self, a: int, b: int):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
 
 
 @dataclasses.dataclass(frozen=True)
@@ -123,28 +100,30 @@ def detect_periodicity(c: CocycleFamily, omega: EnvPoint, horizon: int,
         M = M.toarray()
     M = np.asarray(M)
 
-    uf = _UnionFind(n)
-    hit = np.zeros(n, dtype=bool)
-    for j in range(n):
-        cells = np.flatnonzero(M[j] > support_floor)
-        hit[cells] = True
-        for cell in cells[1:]:
-            uf.union(int(cells[0]), int(cell))
-    roots = {}
-    for cell in np.flatnonzero(hit):
-        roots.setdefault(uf.find(int(cell)), []).append(int(cell))
-    supports = sorted((np.array(sorted(v)) for v in roots.values()),
-                      key=lambda s: s[0])
-    r = len(supports)
+    # imported here: csgraph pulls in scipy.sparse.linalg, which would add
+    # about 0.1 s to every import of the package
+    from scipy.sparse.csgraph import connected_components
+
+    # cells are linked when one row reaches both: the components of the
+    # bipartite row-cell graph, numbered by their smallest cell
+    reach = M > support_floor
+    links = sp.csr_matrix(reach)
+    _, label = connected_components(sp.bmat([[None, links], [links.T, None]]),
+                                    directed=False)
+    hit = np.flatnonzero(reach.any(axis=0))
+    _, first, comp = np.unique(label[n + hit], return_index=True,
+                               return_inverse=True)
+    comp = np.argsort(np.argsort(first))[comp]
+    r = first.size
     if r > r_max:
         return _not_found(r, burn, float("nan"),
                           f"{r} components exceed the cap r_max={r_max}")
+    supports = [hit[comp == i] for i in range(r)]
 
     # every row's support sits inside exactly one component; rows of one
     # component must share a single unit-mass profile
     comp_of_cell = np.full(n, -1)
-    for i, s in enumerate(supports):
-        comp_of_cell[s] = i
+    comp_of_cell[hit] = comp
     profiles = []
     within_residual = 0.0
     row_comp = comp_of_cell[np.argmax(M, axis=1)]
@@ -159,7 +138,8 @@ def detect_periodicity(c: CocycleFamily, omega: EnvPoint, horizon: int,
         profiles.append(profile)
 
     # read the permutation off one more step
-    step_kernel = c.operator_at(advance(c.driving, omega, burn)).kernel
+    *burn_orbit, (_, step_op) = orbit(c, omega, burn)
+    step_kernel = step_op.kernel
     rho = np.full(r, -1)
     push_residual = 0.0
     pushed_profiles = [mass_apply(p, step_kernel) for p in profiles]
@@ -183,8 +163,8 @@ def detect_periodicity(c: CocycleFamily, omega: EnvPoint, horizon: int,
     if f0 is None:
         f0 = Density.uniform(space)
     mass = f0.mass
-    for k in range(burn):
-        mass = mass_apply(mass, c.operator_at(advance(c.driving, omega, k)).kernel)
+    for _, P in burn_orbit:
+        mass = mass_apply(mass, P.kernel)
     lambdas = np.array([float(mass[s].sum()) for s in supports])
 
     if residual > tol:
@@ -304,14 +284,15 @@ def quasi_constrictive_probe(c: CocycleFamily, omega: EnvPoint, horizon: int,
     eps_values = np.sort(np.asarray(eps_values, dtype=float))
     if eps_values.size == 0 or eps_values[0] <= 0:
         raise PreconditionError("eps grid must be positive")
+    if horizon < 1:
+        raise PreconditionError("the probe reads late times: need horizon >= 1")
     n = c.n
     w = c.space.weights
     burn = max(horizon // 2, 1)
 
     mass = np.eye(n)  # rows: pushed cell indicators (unit mass each)
-    pt = omega
     best: list[QCWitness | None] = [None] * eps_values.size
-    for step in range(horizon + 1):
+    for step, (_, P) in enumerate(orbit(c, omega, horizon)):
         if step >= burn:
             order = np.argsort(-mass, axis=1)
             for j in range(n):
@@ -332,8 +313,7 @@ def quasi_constrictive_probe(c: CocycleFamily, omega: EnvPoint, horizon: int,
                                                n=step, cells=tuple(chosen),
                                                captured=captured)
         if step < horizon:
-            mass = mass_apply(mass, c.operator_at(pt).kernel)
-            pt = advance(c.driving, pt, 1)
+            mass = mass_apply(mass, P.kernel)
 
     deltas = np.array([1.0 - b.captured for b in best])
     return QCReport(eps_values=eps_values, deltas=deltas, witnesses=best,

@@ -96,18 +96,30 @@ def cycle_notation(perm) -> str:
     return "".join(parts)
 
 
+def _horizon_tol(args, scenario):
+    """The --horizon and --tol overrides, or the scenario's values where a
+    flag is absent; a zero horizon is a valid override."""
+    a = scenario.analysis
+    horizon = a.horizon if args.horizon is None else args.horizon
+    tol = a.tol if args.tol is None else args.tol
+    if horizon < 0:
+        raise PreconditionError(f"horizon must be >= 0, got {horizon}")
+    if not tol > 0:
+        raise PreconditionError(f"tolerance must be > 0, got {tol}")
+    return horizon, tol
+
+
 # -- subcommands ----------------------------------------------------------------
 
 
 def cmd_run_mixing(args) -> int:
     sc = load_scenario(args.scenario)
-    horizon = args.horizon or sc.analysis.horizon
-    tol = args.tol or sc.analysis.tol
+    horizon, tol = _horizon_tol(args, sc)
     omegas = _env_points(sc, args.seed_override)
     f_basis, g_obs = _bases(sc)
     g_basis = _g_basis_for(sc, args.notion, g_obs)
     rep = estimate_mixing(sc.cocycle, args.notion, f_basis, g_basis, omegas,
-                          horizon, tol, workers=args.workers)
+                          horizon, tol)
     rows = []
     for w in range(len(omegas)):
         for i in range(len(f_basis)):
@@ -123,8 +135,7 @@ def cmd_run_mixing(args) -> int:
 
 def cmd_run_exactness(args) -> int:
     sc = load_scenario(args.scenario)
-    horizon = args.horizon or sc.analysis.horizon
-    tol = args.tol or sc.analysis.tol
+    horizon, tol = _horizon_tol(args, sc)
     omegas = _env_points(sc, args.seed_override,
                          count=min(REPORT_HEAVY_OMEGAS,
                                    sc.analysis.env_samples))
@@ -149,7 +160,7 @@ def cmd_run_exactness(args) -> int:
 
 def cmd_run_asymp(args) -> int:
     sc = load_scenario(args.scenario)
-    horizon = args.horizon or sc.analysis.horizon
+    horizon, _ = _horizon_tol(args, sc)
     rmax = args.rmax or sc.analysis.rmax
     omegas = _env_points(sc, args.seed_override,
                          count=min(REPORT_HEAVY_OMEGAS,
@@ -171,7 +182,7 @@ def cmd_run_asymp(args) -> int:
 
 def cmd_run_qc(args) -> int:
     sc = load_scenario(args.scenario)
-    horizon = args.horizon or sc.analysis.horizon
+    horizon, _ = _horizon_tol(args, sc)
     eps_values = tuple(float(v) for v in args.eps.split(",")) if args.eps \
         else sc.analysis.eps
     omegas = _env_points(sc, args.seed_override,
@@ -192,8 +203,7 @@ def cmd_run_qc(args) -> int:
 
 def cmd_run_skew(args) -> int:
     sc = load_scenario(args.scenario)
-    horizon = args.horizon or sc.analysis.horizon
-    tol = args.tol or sc.analysis.tol
+    horizon, tol = _horizon_tol(args, sc)
     pairs = load_product_sets(args.sets, sc.space.n)
     nc = NormalizedCocycle(cocycle=sc.cocycle,
                            h=build_invariant_density_map(sc.cocycle))
@@ -220,6 +230,9 @@ def cmd_run_skew(args) -> int:
 
 
 def cmd_run_counterexample(args) -> int:
+    if args.horizon is not None and args.horizon < 1:
+        raise PreconditionError(
+            f"run-counterexample records n = 1..horizon; got horizon {args.horizon}")
     rep = counterexample_run(args.k, horizon=args.horizon)
     rows = [(n, rep.inhom_values[n]) for n in range(1, rep.horizon + 1)]
     _write_csv(args.out, ("n", "value"), rows)
@@ -233,8 +246,7 @@ def cmd_run_counterexample(args) -> int:
 
 def cmd_report(args) -> int:
     sc = load_scenario(args.scenario)
-    horizon = args.horizon or sc.analysis.horizon
-    tol = args.tol or sc.analysis.tol
+    horizon, tol = _horizon_tol(args, sc)
     failures = []
     lines = []
 
@@ -259,7 +271,7 @@ def cmd_report(args) -> int:
     for notion in NOTIONS:
         g_basis = _g_basis_for(sc, notion, g_obs)
         rep = estimate_mixing(sc.cocycle, notion, f_basis, g_basis, omegas,
-                              horizon, tol, workers=args.workers)
+                              horizon, tol)
         verdicts[notion] = rep.decayed
     agree = len(set(verdicts.values())) == 1
     check("mixing-notions-equivalent", "all", agree,
@@ -340,8 +352,6 @@ def _add_common(p, out_required=True):
                    help="override the scenario tolerance")
     p.add_argument("--seed-override", type=int, default=None,
                    help="replace the environment-sampling seed")
-    p.add_argument("--workers", type=int, default=1,
-                   help="thread count for per-point work")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -18,6 +18,7 @@ certified by the L1 Cauchy increment between consecutive pullback depths.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 
 import numpy as np
 import scipy.sparse as sp
@@ -96,15 +97,25 @@ def _identity_kernel(c: CocycleFamily):
     return np.eye(c.n)
 
 
+def orbit(c: CocycleFamily, omega: EnvPoint, n: int):
+    """The orbit pairs (sigma^t omega, P(sigma^t omega)) for t = 0, 1, ..., n,
+    or t = 0, -1, ..., n when n < 0 (the driving is invertible).
+
+    The walk advances one step at a time, and only when the next pair is
+    asked for, so a caller that stops early pays for no further steps.
+    """
+    c.check_point(omega)
+    step = 1 if n >= 0 else -1
+    pt = omega
+    for _ in range(abs(n)):
+        yield pt, c.operator_at(pt)
+        pt = advance(c.driving, pt, step)
+    yield pt, c.operator_at(pt)
+
+
 def orbit_kernels(c: CocycleFamily, omega: EnvPoint, n: int):
     """The per-step kernels K(sigma^t omega) for t = 0..n-1."""
-    c.check_point(omega)
-    out = []
-    pt = omega
-    for _ in range(n):
-        out.append(c.operator_at(pt).kernel)
-        pt = advance(c.driving, pt, 1)
-    return out
+    return [P.kernel for _, P in orbit(c, omega, max(n, 0))][:-1]
 
 
 def compose(c: CocycleFamily, omega: EnvPoint, n: int) -> MarkovMatrix:
@@ -160,9 +171,9 @@ def invariant_density_pullback(c: CocycleFamily, omega: EnvPoint, k_max: int,
     bracket = _identity_kernel(c)
     prev = base
     steps, inc = 0, np.inf
-    for k in range(1, k_max + 1):
-        back = advance(c.driving, omega, -k)
-        bracket = kernel_matmul(c.operator_at(back).kernel, bracket)
+    backward = itertools.islice(orbit(c, omega, -k_max), 1, None)
+    for k, (_, back_op) in zip(range(1, k_max + 1), backward):
+        bracket = kernel_matmul(back_op.kernel, bracket)
         cur = mass_apply(base, bracket)
         inc = float(np.abs(cur - prev).sum())
         prev, steps = cur, k

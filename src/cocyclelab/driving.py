@@ -75,7 +75,8 @@ class DrivingSystem:
 
     def __post_init__(self):
         p = np.array(self.probs, dtype=float)
-        if p.ndim != 1 or p.size == 0 or np.any(p < 0) or abs(p.sum() - 1.0) > 1e-12:
+        if (p.ndim != 1 or p.size == 0 or not np.all(np.isfinite(p))
+                or np.any(p < 0) or abs(p.sum() - 1.0) > 1e-12):
             raise DrivingError("probs must be a probability vector summing to 1")
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)

@@ -27,12 +27,18 @@ flag the caller can assert.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 
 import numpy as np
 
-from cocyclelab.cocycle import CocycleFamily, _identity_kernel, orbit_kernels
+from cocyclelab.cocycle import (
+    CocycleFamily,
+    _identity_kernel,
+    orbit,
+    orbit_kernels,
+)
 from cocyclelab.curves import curve_decayed, fit_geometric_rate
-from cocyclelab.driving import EnvPoint, advance
+from cocyclelab.driving import EnvPoint
 from cocyclelab.measure import (
     MarkovMatrix,
     PreconditionError,
@@ -126,8 +132,8 @@ def tail_partition(c: CocycleFamily, omega: EnvPoint,
     assumed), and triviality means a single atom by the horizon.
     """
     c.check_point(omega)
-    step_dests = [cell_map_destinations(P) for P in
-                  (c.operator_at(pt) for pt in _orbit_points(c, omega, horizon))]
+    step_dests = [cell_map_destinations(P) for _, P in
+                  itertools.islice(orbit(c, omega, horizon), horizon)]
     dest = np.arange(c.n, dtype=np.int64)
     counts = np.empty(horizon + 1, dtype=np.int64)
     counts[0] = c.n
@@ -139,13 +145,6 @@ def tail_partition(c: CocycleFamily, omega: EnvPoint,
     return TailPartitionReport(atom_counts=counts,
                                trivial=bool(counts[-1] == 1),
                                horizon=horizon)
-
-
-def _orbit_points(c: CocycleFamily, omega: EnvPoint, n: int):
-    pt = omega
-    for _ in range(n):
-        yield pt
-        pt = advance(c.driving, pt, 1)
 
 
 @dataclasses.dataclass(eq=False)

@@ -54,6 +54,8 @@ class FiniteMeasureSpace:
         w = _readonly(self.weights)
         if w.ndim != 1 or w.size == 0:
             raise ValueError("weights must be a nonempty 1-d array")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("invariant violation: cell weights must be finite")
         if np.any(w <= 0):
             raise ValueError("invariant violation: cell weights must be strictly positive")
         if abs(w.sum() - 1.0) > ROW_SUM_ATOL:
@@ -183,12 +185,6 @@ def kernel_matmul(a, b):
 def mass_apply(mass: np.ndarray, kernel) -> np.ndarray:
     """Push a mass (row) vector or stacked rows through a kernel."""
     return np.asarray(mass @ kernel)
-
-
-def kernel_column_values(kernel, j: int) -> np.ndarray:
-    if sp.issparse(kernel):
-        return np.asarray(kernel[:, [j]].todense()).ravel()
-    return np.asarray(kernel[:, j]).ravel()
 
 
 @dataclasses.dataclass(frozen=True)

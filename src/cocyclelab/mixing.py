@@ -34,9 +34,9 @@ import dataclasses
 
 import numpy as np
 
-from cocyclelab.cocycle import CocycleFamily, orbit_kernels
+from cocyclelab.cocycle import CocycleFamily, orbit, orbit_kernels
 from cocyclelab.curves import fit_geometric_rates, tail_start
-from cocyclelab.driving import EnvPoint, advance, feature, finite_rotation
+from cocyclelab.driving import EnvPoint, feature, finite_rotation
 from cocyclelab.measure import (
     Density,
     FiniteMeasureSpace,
@@ -128,13 +128,14 @@ def correlation_inhom(c: CocycleFamily, omega: EnvPoint, f: Density,
                       g: ObservableMap, n: int) -> float:
     """integral P^(n)(omega) f * g(sigma^n omega) dm for a travelling g."""
     _require_zero_mean(f)
+    mass = f.mass
+    for t, (pt, P) in enumerate(orbit(c, omega, n)):
+        if t < n:
+            mass = mass_apply(mass, P.kernel)
     if g.mode == "orbit":
         g_obs = g.at_orbit(omega, n)
     else:
-        g_obs = g.at_feature(feature(c.driving, advance(c.driving, omega, n)))
-    mass = f.mass
-    for kernel in orbit_kernels(c, omega, n):
-        mass = mass_apply(mass, kernel)
+        g_obs = g.at_feature(feature(c.driving, pt))
     return float(np.dot(mass, g_obs.values))
 
 
@@ -208,7 +209,7 @@ class MixingReport:
 
 def estimate_mixing(c: CocycleFamily, notion: str, f_basis, g_basis,
                     omega_samples, horizon: int, tol: float,
-                    tail_fraction: float = 0.1, workers: int = 1) -> MixingReport:
+                    tail_fraction: float = 0.1) -> MixingReport:
     """Correlation curves over the sampled environment points and bases,
     with the decay verdict in the requested quantifier order.
 
@@ -231,8 +232,6 @@ def estimate_mixing(c: CocycleFamily, notion: str, f_basis, g_basis,
             if not isinstance(g, Observable):
                 raise PreconditionError("homogeneous notions take fixed observables")
 
-    for omega in omega_samples:
-        c.check_point(omega)
     n_w, n_f, n_g = len(omega_samples), len(f_basis), len(g_basis)
     fmass = np.stack([f.mass for f in f_basis])
     values = np.empty((n_w, n_f, n_g, horizon + 1))
@@ -240,11 +239,9 @@ def estimate_mixing(c: CocycleFamily, notion: str, f_basis, g_basis,
     if not inhom:
         gvals = np.stack([g.values for g in g_basis], axis=1)
 
-    def run_one(w_id):
-        omega = omega_samples[w_id]
+    for w_id, omega in enumerate(omega_samples):
         cur = fmass
-        pt = omega
-        for n in range(horizon + 1):
+        for n, (pt, P) in enumerate(orbit(c, omega, horizon)):
             if inhom:
                 g_now = np.stack(
                     [g.at_feature(feature(c.driving, pt)).values
@@ -253,10 +250,7 @@ def estimate_mixing(c: CocycleFamily, notion: str, f_basis, g_basis,
             else:
                 values[w_id, :, :, n] = cur @ gvals
             if n < horizon:
-                cur = mass_apply(cur, c.operator_at(pt).kernel)
-                pt = advance(c.driving, pt, 1)
-
-    _parallel_indexed(run_one, n_w, workers)
+                cur = mass_apply(cur, P.kernel)
 
     ts = tail_start(horizon + 1, tail_fraction)
     decayed_matrix = np.abs(values[..., ts:]).max(axis=-1) < tol
@@ -293,18 +287,6 @@ def estimate_mixing(c: CocycleFamily, notion: str, f_basis, g_basis,
                         posterior_decayed=posterior_verdict,
                         prior_thresholds=prior_thresholds,
                         posterior_thresholds=posterior_thresholds, rates=rates)
-
-
-def _parallel_indexed(fn, count: int, workers: int):
-    """Run fn(0..count-1), optionally on a thread pool; results land in
-    index-addressed slots so the output is identical either way."""
-    if workers <= 1 or count <= 1:
-        for i in range(count):
-            fn(i)
-        return
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(fn, range(count)))
 
 
 # -- the travelling-observable counterexample ---------------------------------

@@ -29,7 +29,7 @@ import dataclasses
 
 import numpy as np
 
-from cocyclelab.cocycle import NormalizedCocycle
+from cocyclelab.cocycle import NormalizedCocycle, orbit
 from cocyclelab.curves import curve_decayed
 from cocyclelab.driving import (
     BERNOULLI,
@@ -231,19 +231,15 @@ def _skew_finite(nc, a, b, horizon, tol, tail_fraction):
     nu_b = float(sum(d.probs[p] * h_mass[p, b.cells].sum()
                      for p in np.flatnonzero(mask_b)))
 
-    state = np.zeros_like(h_mass)
-    state[:, b.cells] = h_mass[:, b.cells]  # mass of 1_{F_B} h_omega
-    pos = np.arange(d.n_points)
     joint = np.zeros(horizon + 1)
-    for n in range(horizon + 1):
-        for p in range(d.n_points):
-            if mask_b[p] and mask_a[pos[p]]:
-                joint[n] += d.probs[p] * state[p, a.cells].sum()
-        if n < horizon:
-            for p in range(d.n_points):
-                state[p] = mass_apply(state[p],
-                                      c.table[int(pos[p])].kernel)
-            pos = d.sigma[pos]
+    for p in np.flatnonzero(mask_b):
+        state = np.zeros(c.n)
+        state[b.cells] = h_mass[p, b.cells]  # mass of 1_{F_B} h_omega
+        for n, (pt, P) in enumerate(orbit(c, point(d, int(p)), horizon)):
+            if mask_a[pt.index]:
+                joint[n] += d.probs[p] * state[a.cells].sum()
+            if n < horizon:
+                state = mass_apply(state, P.kernel)
     product = nu_a * nu_b
     disc = joint - product
     return SkewMixingReport(
@@ -318,13 +314,11 @@ def _skew_monte_carlo(nc, a, b, horizon, tol, tail_fraction, mc_samples, seed):
         state = np.zeros(c.n)
         state[b.cells] = h_mass[b.cells]
         if in_b:
-            pt = w
-            for n in range(horizon + 1):
+            for n, (pt, P) in enumerate(orbit(c, w, horizon)):
                 if constraints_satisfied(pt, a.env_constraints):
                     per[i, n] = state[a.cells].sum()
                 if n < horizon:
-                    state = mass_apply(state, c.operator_at(pt).kernel)
-                    pt = advance(d, pt, 1)
+                    state = mass_apply(state, P.kernel)
     joint = per.mean(axis=0)
     stderr = per.std(axis=0, ddof=1) / np.sqrt(mc_samples)
     product = float(nu_a_terms.mean() * nu_b_terms.mean())
@@ -361,15 +355,12 @@ def set_picture_joint(nc: NormalizedCocycle, a: ProductSet, b: ProductSet,
                 continue
             h_mass = nc.h.at(point(d, int(p))).mass
             dest = np.arange(c.n)
-            pos = p
-            for n in range(horizon + 1):
-                if mask_a[pos]:
+            for n, (pt, P) in enumerate(orbit(c, point(d, p), horizon)):
+                if mask_a[pt.index]:
                     fiber_cells = in_b & in_a[dest]
                     joint[n] += d.probs[p] * h_mass[fiber_cells].sum()
                 if n < horizon:
-                    step = cell_map_destinations(c.table[int(pos)])
-                    dest = step[dest]
-                    pos = int(d.sigma[pos])
+                    dest = cell_map_destinations(P)[dest]
         return joint
 
     if not c.is_constant:

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cocyclelab.asymptotic import (
+    SUPPORT_FLOOR,
     PeriodicDecomposition,
     QCReport,
     block_cycle_kernel,
@@ -23,7 +24,7 @@ from cocyclelab.asymptotic import (
     restricted_power_cocycle,
     stability_check,
 )
-from cocyclelab.cocycle import CocycleFamily
+from cocyclelab.cocycle import CocycleFamily, compose
 from cocyclelab.driving import bernoulli_shift, finite_rotation, point
 from cocyclelab.exactness import exactness_norms
 from cocyclelab.measure import (
@@ -274,6 +275,8 @@ def test_qc_probe_rejects_bad_grid():
         quasi_constrictive_probe(c, point(c.driving, 0), 4, [])
     with pytest.raises(PreconditionError):
         quasi_constrictive_probe(c, point(c.driving, 0), 4, [0.0, 0.5])
+    with pytest.raises(PreconditionError):
+        quasi_constrictive_probe(c, point(c.driving, 0), 0, [0.5])
 
 
 # -- properties ------------------------------------------------------------------
@@ -295,3 +298,29 @@ def test_planted_cycles_recovered_for_all_small_sizes(r, block):
     assert dec.rho.tolist() == [(i + 1) % r for i in range(r)]
     assert dec.residual <= 1e-14
     assert dec.lambdas.tolist() == pytest.approx([1 / r] * r, abs=1e-12)
+
+
+def merged_row_supports(M, floor):
+    """Reference components: merge every row's support with each group it
+    touches, one row at a time, then order the groups by smallest cell."""
+    groups = []
+    for row in M:
+        cells = set(np.flatnonzero(row > floor).tolist())
+        touching = [g for g in groups if g & cells]
+        groups = [g for g in groups if not g & cells] + [cells.union(*touching)]
+    return sorted((sorted(g) for g in groups), key=lambda g: g[0])
+
+
+@given(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=3),
+       st.integers(0, 2**20))
+def test_components_match_a_merge_loop_on_relabelled_cells(r, block, seed):
+    # relabelling the cells makes components non-contiguous, so the
+    # smallest-cell ordering is exercised
+    n = r * block
+    perm = np.random.default_rng(seed).permutation(n)
+    c = constant_cocycle(block_cycle_kernel(n, r)[np.ix_(perm, perm)])
+    dec = detect(c, horizon=12, r_max=n)
+    M = np.asarray(compose(c, point(c.driving, 0), dec.burn_in).kernel)
+    assert dec.found and dec.r == r
+    assert [s.tolist() for s in dec.supports] == merged_row_supports(
+        M, SUPPORT_FLOOR)

@@ -12,9 +12,18 @@ from cocyclelab.cocycle import (
     invariant_density_pullback,
     mu_integral,
     normalized_apply,
+    orbit,
+    orbit_kernels,
     support_defect,
 )
-from cocyclelab.driving import advance, bernoulli_shift, finite_rotation, point, sample_env
+from cocyclelab.driving import (
+    advance,
+    bernoulli_shift,
+    finite_permutation,
+    finite_rotation,
+    point,
+    sample_env,
+)
 from cocyclelab.measure import Density, FiniteMeasureSpace, MarkovMatrix, apply
 from cocyclelab.transfer import MapSpec, pf_exact
 
@@ -94,6 +103,42 @@ def test_compose_over_bernoulli_uses_symbol_table():
     for t in range(n):
         expected = expected @ np.asarray(table[w.symbol(t)].kernel)
     assert np.allclose(np.asarray(compose(c, w, n).kernel), expected, atol=1e-15)
+
+
+def two_operator_cocycle(kind):
+    space = make_space()
+    P0 = MarkovMatrix(space, SWAP)
+    P1 = pf_exact(MapSpec("doubling"), space)
+    if kind == "finite":
+        d = finite_permutation([2, 0, 1])
+        c = CocycleFamily(driving=d, table={0: P0, 1: P1, 2: P1})
+        return c, point(d, 1)
+    d = bernoulli_shift([0.5, 0.5], window=1)
+    c = CocycleFamily(driving=d, table={0: P0, 1: P1})
+    return c, sample_env(d, 1, seed=5)[0]
+
+
+@pytest.mark.parametrize("kind", ["finite", "bernoulli"])
+@pytest.mark.parametrize("n", [0, 7, -7])
+def test_orbit_walks_the_driving_both_ways(kind, n):
+    c, w = two_operator_cocycle(kind)
+    walk = list(orbit(c, w, n))
+    assert len(walk) == abs(n) + 1
+    step = 1 if n >= 0 else -1
+    for k, (pt, P) in enumerate(walk):
+        expected = advance(c.driving, w, step * k)
+        assert pt == expected
+        assert P is c.operator_at(expected)
+
+
+@pytest.mark.parametrize("kind", ["finite", "bernoulli"])
+def test_orbit_kernels_are_the_first_n_orbit_operators(kind):
+    c, w = two_operator_cocycle(kind)
+    for n in (0, 1, 6):
+        got = orbit_kernels(c, w, n)
+        assert len(got) == n
+        for t, kernel in enumerate(got):
+            assert kernel is c.operator_at(advance(c.driving, w, t)).kernel
 
 
 def test_table_must_cover_all_features():

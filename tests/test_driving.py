@@ -40,6 +40,14 @@ def test_invariance_validation_rejects_nonconstant_probs_on_orbit():
     finite_permutation([1, 0, 2], probs=[0.25, 0.25, 0.5])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_probabilities_must_be_finite(bad):
+    with pytest.raises(DrivingError, match="probability vector"):
+        bernoulli_shift([bad, 1.0])
+    with pytest.raises(DrivingError, match="probability vector"):
+        finite_rotation(2, probs=[bad, 1.0])
+
+
 def test_sigma_must_be_permutation():
     with pytest.raises(DrivingError, match="permutation"):
         finite_permutation([0, 0, 1])

@@ -50,6 +50,12 @@ def test_space_rejects_bad_weights():
         FiniteMeasureSpace(np.array([1.0, 0.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_space_rejects_non_finite_weights(bad):
+    with pytest.raises(ValueError, match="finite"):
+        FiniteMeasureSpace(np.array([bad, 1.0]))
+
+
 def test_integrate_uniform_against_one(space4):
     f = Density.uniform(space4)
     g = Observable.constant(space4, 1.0)

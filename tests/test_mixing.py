@@ -284,20 +284,6 @@ def test_estimator_rejects_bad_inputs():
                             "post-inhom"}
 
 
-def test_estimator_thread_pool_matches_serial():
-    space = FiniteMeasureSpace.uniform(4)
-    P = MarkovMatrix(space, DOUBLING4)
-    Q = MarkovMatrix(space, UNIFORMIZER4)
-    c = CocycleFamily(driving=finite_rotation(4),
-                      table={0: P, 1: Q, 2: P, 3: Q})
-    args = (c, "post-hom", zero_mean_basis(space), indicator_basis(space),
-            points(c.driving))
-    serial = estimate_mixing(*args, horizon=10, tol=1e-8, workers=1)
-    pooled = estimate_mixing(*args, horizon=10, tol=1e-8, workers=3)
-    assert np.array_equal(serial.values, pooled.values)
-    assert serial.decayed == pooled.decayed
-
-
 def test_estimator_report_matches_scalar_curve_helpers():
     # the report computes verdicts/thresholds/fits over the whole curve
     # array at once; they must coincide with the per-curve helpers

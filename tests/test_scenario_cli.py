@@ -181,6 +181,14 @@ def test_cli_counterexample_csv(tmp_path):
     assert [r["n"] for r in rows] == [str(n) for n in range(1, 17)]
 
 
+@pytest.mark.parametrize("horizon", ["0", "-1"])
+def test_cli_counterexample_needs_a_step(tmp_path, capsys, horizon):
+    rc = main(["run-counterexample", "--k", "2", "--horizon", horizon,
+               "--out", str(tmp_path / "ce.csv")])
+    assert rc == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_cli_report_doubling_exit_zero(capsys):
     rc = main(["report", "--scenario", str(SCENARIOS / "doubling_exact.yaml")])
     assert rc == 0
@@ -301,3 +309,28 @@ def test_cli_usage_error_exit_two():
     with pytest.raises(SystemExit) as exc:
         main(["run-mixing", "--notion", "sideways"])
     assert exc.value.code == 2
+
+
+def test_cli_zero_horizon_is_an_override(tmp_path):
+    out = tmp_path / "mx.csv"
+    rc = main(["run-mixing", "--scenario", str(SCENARIOS / "blockswap.yaml"),
+               "--notion", "prior-hom", "--horizon", "0", "--out", str(out)])
+    assert rc == 0
+    rows = rows_of(out)
+    assert rows and {r["n"] for r in rows} == {"0"}
+
+
+@pytest.mark.parametrize("command, flags", [
+    (["run-mixing", "--notion", "prior-hom"], ["--horizon", "-1"]),
+    (["run-mixing", "--notion", "prior-hom"], ["--tol", "0"]),
+    (["run-exactness"], ["--tol=-1e-6"]),
+    (["run-qc"], ["--horizon", "-1"]),
+    (["report"], ["--horizon", "-1"]),
+])
+def test_cli_bad_horizon_or_tol_exit_two(tmp_path, capsys, command, flags):
+    rc = main(command + ["--scenario", str(SCENARIOS / "blockswap.yaml"),
+                         "--out", str(tmp_path / "x.csv")] + flags)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not (tmp_path / "x.csv").exists()
