@@ -161,7 +161,9 @@ def cmd_run_exactness(args) -> int:
 def cmd_run_asymp(args) -> int:
     sc = load_scenario(args.scenario)
     horizon, _ = _horizon_tol(args, sc)
-    rmax = args.rmax or sc.analysis.rmax
+    rmax = sc.analysis.rmax if args.rmax is None else args.rmax
+    if rmax < 0:
+        raise PreconditionError(f"--rmax must be >= 0, got {rmax}")
     omegas = _env_points(sc, args.seed_override,
                          count=min(REPORT_HEAVY_OMEGAS,
                                    sc.analysis.env_samples))
@@ -209,7 +211,7 @@ def cmd_run_skew(args) -> int:
                            h=build_invariant_density_map(sc.cocycle))
     seed = sc.analysis.env_seed if args.seed_override is None \
         else args.seed_override
-    mc = args.mc_samples or sc.analysis.env_samples
+    mc = sc.analysis.env_samples if args.mc_samples is None else args.mc_samples
     rows = []
     for pair_id, a, b in pairs:
         rep = skew_mixing_curve(nc, a, b, horizon, tol,

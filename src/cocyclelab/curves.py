@@ -4,6 +4,8 @@ tail windows, suffix envelopes, decay verdicts, and geometric rate fits."""
 from __future__ import annotations
 
 import dataclasses
+import itertools
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -47,18 +49,57 @@ class RateFit:
     n_points: int
 
 
-def fit_geometric_rates(values, floor: float = 1e-14) -> list[RateFit]:
+@dataclasses.dataclass(frozen=True, eq=False)
+class RateFits(Mapping):
+    """Rate fits for an array of curves: four read-only arrays, each shaped
+    like the curves' leading axes.  Reads as a mapping from index tuples to
+    ``RateFit``; a ``RateFit`` is built only when one is read."""
+
+    rate: np.ndarray
+    log_c: np.ndarray
+    r_squared: np.ndarray
+    n_points: np.ndarray
+
+    def __post_init__(self):
+        for arr in (self.rate, self.log_c, self.r_squared, self.n_points):
+            arr.flags.writeable = False
+
+    def __getitem__(self, key) -> RateFit:
+        shape = self.rate.shape
+        if (not isinstance(key, tuple) or len(key) != len(shape)
+                or not all(isinstance(k, (int, np.integer)) and 0 <= k < s
+                           for k, s in zip(key, shape))):
+            raise KeyError(key)
+        return RateFit(rate=float(self.rate[key]), log_c=float(self.log_c[key]),
+                       r_squared=float(self.r_squared[key]),
+                       n_points=int(self.n_points[key]))
+
+    def __iter__(self):
+        return itertools.product(*map(range, self.rate.shape))
+
+    def __len__(self) -> int:
+        return self.rate.size
+
+    def take(self, index) -> RateFits:
+        """The fits re-indexed along the first axis (``a[index]`` for each
+        array)."""
+        return RateFits(self.rate[index], self.log_c[index],
+                        self.r_squared[index], self.n_points[index])
+
+
+def fit_geometric_rates(values, floor: float = 1e-14) -> RateFits:
     """``fit_geometric_rate`` along the last axis of a curve array, batched.
 
-    Returns one fit per curve in C order of the leading axes.  Rows are
-    processed in chunks so the masked least-squares scratch arrays stay
+    Returns the fits keyed by the index tuples of the leading axes.  Rows
+    are processed in chunks so the masked least-squares scratch arrays stay
     bounded regardless of how many curves are fitted at once.
     """
     v = np.abs(np.asarray(values, dtype=float))
     flat = v.reshape(-1, v.shape[-1])
     m, length = flat.shape
     x = np.arange(length, dtype=float)
-    fits: list[RateFit] = []
+    rate, log_c = np.empty(m), np.empty(m)
+    r_squared, n_points = np.empty(m), np.empty(m, dtype=np.int64)
     for start in range(0, m, 65536):
         rows = flat[start:start + 65536]
         env = np.maximum.accumulate(rows[:, ::-1], axis=1)[:, ::-1]
@@ -88,11 +129,12 @@ def fit_geometric_rates(values, floor: float = 1e-14) -> list[RateFit]:
             ss_tot = (dev * dev).sum(axis=1)
             r2[u] = np.where(ss_tot == 0.0, 1.0,
                              1.0 - ss_res / np.where(ss_tot == 0.0, 1.0, ss_tot))
-        rate = np.where(usable, np.exp(np.where(usable, slope, 0.0)), 0.0)
-        fits.extend(RateFit(rate=float(rate[i]), log_c=float(intercept[i]),
-                            r_squared=float(r2[i]), n_points=int(k[i]))
-                    for i in range(rows.shape[0]))
-    return fits
+        chunk = slice(start, start + rows.shape[0])
+        rate[chunk] = np.where(usable, np.exp(np.where(usable, slope, 0.0)), 0.0)
+        log_c[chunk], r_squared[chunk], n_points[chunk] = intercept, r2, k
+    lead = v.shape[:-1]
+    return RateFits(rate.reshape(lead), log_c.reshape(lead),
+                    r_squared.reshape(lead), n_points.reshape(lead))
 
 
 def fit_geometric_rate(values, floor: float = 1e-14) -> RateFit:
@@ -100,5 +142,5 @@ def fit_geometric_rate(values, floor: float = 1e-14) -> RateFit:
     indices up to the last point where the suffix envelope still exceeds the
     floor, skipping exact-zero crossings.  Curves that die instantly (fewer
     than two usable points) report rate 0."""
-    v = np.asarray(values, dtype=float)
-    return fit_geometric_rates(v[None, :], floor=floor)[0]
+    return fit_geometric_rates(np.asarray(values, dtype=float)[None, :],
+                               floor=floor)[(0,)]

@@ -37,7 +37,7 @@ from cocyclelab.cocycle import (
     orbit,
     orbit_kernels,
 )
-from cocyclelab.curves import curve_decayed, fit_geometric_rate
+from cocyclelab.curves import RateFits, curve_decayed, fit_geometric_rates
 from cocyclelab.driving import EnvPoint
 from cocyclelab.measure import (
     MarkovMatrix,
@@ -160,7 +160,7 @@ class ExactnessReport:
     routes_agree: bool
     exact_verdict: bool
     sgn_witness_gap: float
-    norm_rates: list
+    norm_rates: RateFits
     tail: TailPartitionReport | None
 
 
@@ -182,7 +182,6 @@ def exactness_report(c: CocycleFamily, omega: EnvPoint, f_basis, g_basis,
     tail = None
     if all(P.is_cell_map(atol=CELL_MAP_ATOL) for P in c.table.values()):
         tail = tail_partition(c, omega, horizon)
-    rates = [fit_geometric_rate(row) for row in norms.values]
     return ExactnessReport(
         horizon=horizon, tol=tol, tail_fraction=tail_fraction,
         norm_curves=norms.values, flatness_curves=dual.flatness,
@@ -191,4 +190,4 @@ def exactness_report(c: CocycleFamily, omega: EnvPoint, f_basis, g_basis,
         routes_agree=norms_decayed == dual_decayed,
         exact_verdict=norms_decayed,
         sgn_witness_gap=norms.sgn_witness_gap,
-        norm_rates=rates, tail=tail)
+        norm_rates=fit_geometric_rates(norms.values), tail=tail)

@@ -31,11 +31,12 @@ that period and the report says when the horizon was capped.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 
 import numpy as np
 
 from cocyclelab.cocycle import CocycleFamily, orbit, orbit_kernels
-from cocyclelab.curves import fit_geometric_rates, tail_start
+from cocyclelab.curves import RateFits, fit_geometric_rates, tail_start
 from cocyclelab.driving import EnvPoint, feature, finite_rotation
 from cocyclelab.measure import (
     Density,
@@ -201,7 +202,9 @@ class MixingReport:
     prior_thresholds: list      # per omega: first n from which every curve
                                 # of that omega stays below tol (None: never)
     posterior_thresholds: dict  # (f_id, g_id) -> worst such n over omega
-    rates: dict                 # (omega_id, f_id, g_id) -> RateFit
+    rates: RateFits             # (omega_id, f_id, g_id) -> RateFit: one
+                                # array-backed mapping, fitted once per
+                                # distinct omega
 
     def curve(self, omega_id: int, f_id: int, g_id: int) -> np.ndarray:
         return self.values[omega_id, f_id, g_id]
@@ -232,54 +235,69 @@ def estimate_mixing(c: CocycleFamily, notion: str, f_basis, g_basis,
             if not isinstance(g, Observable):
                 raise PreconditionError("homogeneous notions take fixed observables")
 
-    n_w, n_f, n_g = len(omega_samples), len(f_basis), len(g_basis)
-    fmass = np.stack([f.mass for f in f_basis])
-    values = np.empty((n_w, n_f, n_g, horizon + 1))
+    if 0 in (len(omega_samples), len(f_basis), len(g_basis)):
+        raise PreconditionError(
+            "mixing estimates need at least one environment point, one "
+            "density and one observable")
+    if horizon < 0:
+        raise PreconditionError(f"horizon must be >= 0, got {horizon}")
 
-    if not inhom:
+    # equal points have equal orbits: push each distinct point once and
+    # spread the results back over the samples through ``inverse``
+    distinct = list(dict.fromkeys(omega_samples))
+    slot = {pt: u for u, pt in enumerate(distinct)}
+    inverse = np.array([slot[pt] for pt in omega_samples], dtype=np.intp)
+
+    fmass = np.stack([f.mass for f in f_basis])
+    uvalues = np.empty((len(distinct), len(f_basis), len(g_basis), horizon + 1))
+
+    if inhom:
+        stacked = {}  # feature -> (N, n_g) matrix of the step maps there
+
+        def g_at(pt):
+            feat = feature(c.driving, pt)
+            if feat not in stacked:
+                stacked[feat] = np.stack(
+                    [g.at_feature(feat).values for g in g_basis], axis=1)
+            return stacked[feat]
+    else:
         gvals = np.stack([g.values for g in g_basis], axis=1)
 
-    for w_id, omega in enumerate(omega_samples):
+    for u, omega in enumerate(distinct):
         cur = fmass
         for n, (pt, P) in enumerate(orbit(c, omega, horizon)):
-            if inhom:
-                g_now = np.stack(
-                    [g.at_feature(feature(c.driving, pt)).values
-                     for g in g_basis], axis=1)
-                values[w_id, :, :, n] = cur @ g_now
-            else:
-                values[w_id, :, :, n] = cur @ gvals
+            uvalues[u, :, :, n] = cur @ (g_at(pt) if inhom else gvals)
             if n < horizon:
                 cur = mass_apply(cur, P.kernel)
 
     ts = tail_start(horizon + 1, tail_fraction)
-    decayed_matrix = np.abs(values[..., ts:]).max(axis=-1) < tol
+    decayed_matrix = np.abs(uvalues[..., ts:]).max(axis=-1) < tol
     # the two quantifier orders group the same curves differently; on a
     # finite sample they must agree, and we check that rather than assume it
-    prior_verdict = bool(all(decayed_matrix[w].all() for w in range(n_w)))
-    posterior_verdict = bool(all(decayed_matrix[:, i, j].all()
-                                 for i in range(n_f) for j in range(n_g)))
+    prior_verdict = bool(decayed_matrix.all(axis=(1, 2)).all())
+    posterior_verdict = bool(decayed_matrix.all(axis=0).all())
     if prior_verdict != posterior_verdict:
         raise AssertionError(
             "quantifier-order groupings disagree on a finite curve set")
     verdict = prior_verdict if notion.startswith("prior") else posterior_verdict
 
     # first index from which each curve's suffix envelope stays below tol
-    env = np.maximum.accumulate(np.abs(values[..., ::-1]), axis=-1)[..., ::-1]
+    env = np.maximum.accumulate(np.abs(uvalues[..., ::-1]), axis=-1)[..., ::-1]
     below = env < tol
     ever = below.any(axis=-1)
     first = below.argmax(axis=-1)
 
-    prior_thresholds = [
-        int(first[w].max()) if ever[w].all() else None for w in range(n_w)]
+    per_point = [t if ok else None for t, ok in zip(
+        first.max(axis=(1, 2)).tolist(), ever.all(axis=(1, 2)).tolist())]
+    prior_thresholds = [per_point[u] for u in inverse.tolist()]
     posterior_thresholds = {
-        (i, j): int(first[:, i, j].max()) if ever[:, i, j].all() else None
-        for i in range(n_f) for j in range(n_g)}
+        key: t if ok else None for key, t, ok in zip(
+            itertools.product(range(len(f_basis)), range(len(g_basis))),
+            first.max(axis=0).ravel().tolist(),
+            ever.all(axis=0).ravel().tolist())}
 
-    fits = fit_geometric_rates(values)
-    keys = ((w, i, j) for w in range(n_w) for i in range(n_f)
-            for j in range(n_g))
-    rates = dict(zip(keys, fits))
+    values = uvalues[inverse]
+    rates = fit_geometric_rates(uvalues).take(inverse)
 
     return MixingReport(notion=notion, horizon=horizon, tol=tol,
                         tail_fraction=tail_fraction, values=values,

@@ -218,7 +218,7 @@ def test_report_rate_fit_on_lazy_kernel():
     c = constant_cocycle(MarkovMatrix(FiniteMeasureSpace.uniform(3), kernel))
     rep = full_report(c, horizon=25, tol=1e-6)
     assert rep.exact_verdict
-    for fit in rep.norm_rates:
+    for fit in rep.norm_rates.values():
         assert fit.rate == pytest.approx(0.25, rel=1e-6)
 
 

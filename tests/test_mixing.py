@@ -11,16 +11,23 @@ permutation is [0, 2, 1, 3]; pushing 1_{cells 0,1} once gives mass
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
-from cocyclelab.cocycle import CocycleFamily, compose
-from cocyclelab.curves import fit_geometric_rate, fit_geometric_rates, first_below
+from cocyclelab.cocycle import CocycleFamily, compose, orbit
+from cocyclelab.curves import (
+    curve_decayed,
+    fit_geometric_rate,
+    fit_geometric_rates,
+    first_below,
+)
 from cocyclelab.driving import (
     EnvPoint,
     bernoulli_shift,
+    feature,
     finite_rotation,
     point,
     points,
+    sample_env,
 )
 from cocyclelab.measure import (
     Density,
@@ -30,6 +37,7 @@ from cocyclelab.measure import (
     PreconditionError,
     dual_apply,
     integrate,
+    mass_apply,
 )
 from cocyclelab.mixing import (
     NOTIONS,
@@ -159,6 +167,9 @@ def small_cocycle_case(draw):
     raw_mass = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n,
                                       max_size=n)))
     mass = raw_mass - raw_mass.mean()
+    # a near-constant draw centres to pure rounding error, which is not a
+    # zero-mean density (its total mass is comparable to its L1 norm)
+    assume(np.abs(mass).sum() > 1e-3)
     f = Density.from_mass(space, mass)
     g = Observable(space, np.array(draw(st.lists(st.floats(-1.0, 1.0),
                                                  min_size=n, max_size=n))))
@@ -314,6 +325,117 @@ def test_estimator_report_matches_scalar_curve_helpers():
                  for w in range(n_w)])
 
 
+@pytest.mark.parametrize("drop", ["omegas", "f_basis", "g_basis", "horizon"])
+def test_estimator_rejects_empty_inputs_and_negative_horizon(drop):
+    c = constant_cocycle(DOUBLING4)
+    args = {"omegas": points(c.driving), "f_basis": zero_mean_basis(c.space),
+            "g_basis": indicator_basis(c.space), "horizon": 4}
+    args[drop] = -1 if drop == "horizon" else []
+    with pytest.raises(PreconditionError):
+        estimate_mixing(c, "prior-hom", args["f_basis"], args["g_basis"],
+                        args["omegas"], args["horizon"], 1e-6)
+
+
+def reference_estimate(c, notion, f_basis, g_basis, omega_samples, horizon,
+                       tol, tail_fraction=0.1):
+    """The estimator written out plainly: one orbit per sample, the
+    observables stacked afresh at every step, one RateFit per curve."""
+    inhom = notion.endswith("inhom")
+    n_w, n_f, n_g = len(omega_samples), len(f_basis), len(g_basis)
+    fmass = np.stack([f.mass for f in f_basis])
+    values = np.empty((n_w, n_f, n_g, horizon + 1))
+    for w, omega in enumerate(omega_samples):
+        cur = fmass
+        for n, (pt, P) in enumerate(orbit(c, omega, horizon)):
+            if inhom:
+                g_now = np.stack([g.at_feature(feature(c.driving, pt)).values
+                                  for g in g_basis], axis=1)
+            else:
+                g_now = np.stack([g.values for g in g_basis], axis=1)
+            values[w, :, :, n] = cur @ g_now
+            if n < horizon:
+                cur = mass_apply(cur, P.kernel)
+
+    def group(curves):
+        firsts = [first_below(v, tol) for v in curves]
+        return None if None in firsts else max(firsts)
+
+    pairs = [(i, j) for i in range(n_f) for j in range(n_g)]
+    decayed = {(w, i, j): curve_decayed(values[w, i, j], tol, tail_fraction)
+               for w in range(n_w) for i, j in pairs}
+    return {
+        "values": values,
+        "decayed": all(decayed.values()),
+        "prior_thresholds": [group(values[w, i, j] for i, j in pairs)
+                             for w in range(n_w)],
+        "posterior_thresholds": {(i, j): group(values[w, i, j]
+                                               for w in range(n_w))
+                                 for i, j in pairs},
+        "rates": {key: fit_geometric_rate(values[key]) for key in decayed},
+    }
+
+
+@st.composite
+def repeated_omega_case(draw):
+    """A random stochastic table over a small rotation or a two-symbol
+    Bernoulli shift, with environment samples that repeat points."""
+    n = draw(st.integers(min_value=2, max_value=4))
+    space = FiniteMeasureSpace.uniform(n)
+
+    def stochastic():
+        raw = np.array([draw(st.lists(st.floats(0.0, 1.0), min_size=n,
+                                      max_size=n)) for _ in range(n)]) + 0.05
+        return MarkovMatrix(space, raw / raw.sum(axis=1, keepdims=True))
+
+    if draw(st.booleans()):
+        q = draw(st.integers(min_value=1, max_value=3))
+        c = CocycleFamily(driving=finite_rotation(q),
+                          table={i: stochastic() for i in range(q)})
+        omegas = [point(c.driving, i) for i in draw(st.lists(
+            st.integers(0, q - 1), min_size=1, max_size=6))]
+    else:
+        c = CocycleFamily(driving=bernoulli_shift([0.5, 0.5]),
+                          table={0: stochastic(), 1: stochastic()})
+        pts = sample_env(c.driving, draw(st.integers(1, 3)),
+                         draw(st.integers(0, 2**16)))
+        omegas = pts + [pts[draw(st.integers(0, len(pts) - 1))]]
+        omegas = draw(st.permutations(omegas))
+    notion = draw(st.sampled_from(NOTIONS))
+    horizon = draw(st.integers(min_value=0, max_value=6))
+    tol = draw(st.sampled_from([1e-12, 1e-4, 1e-2, 0.2]))
+    return c, notion, omegas, horizon, tol
+
+
+@given(repeated_omega_case())
+def test_estimator_fast_paths_match_reference_loop(case):
+    c, notion, omegas, horizon, tol = case
+    space = c.space
+    f_basis = zero_mean_basis(space)
+    g_obs = indicator_basis(space)
+    g_basis = g_obs
+    if notion.endswith("inhom"):
+        # the last map reads a different observable at features 0 and 1
+        g_basis = step_map_basis(c, g_obs) + [step_map(space, {
+            0: g_obs[0], 1: Observable(space, np.linspace(-1.0, 1.0, space.n))})]
+    rep = estimate_mixing(c, notion, f_basis, g_basis, omegas, horizon, tol)
+    ref = reference_estimate(c, notion, f_basis, g_basis, omegas, horizon, tol)
+    assert rep.values.shape == ref["values"].shape
+    assert rep.values.tobytes() == ref["values"].tobytes()
+    assert rep.decayed == ref["decayed"]
+    assert rep.prior_thresholds == ref["prior_thresholds"]
+    assert rep.posterior_thresholds == ref["posterior_thresholds"]
+    assert len(rep.rates) == len(ref["rates"])
+    for key, fit in ref["rates"].items():
+        assert rep.rates[key] == fit
+    if notion.endswith("inhom"):
+        j = len(g_basis) - 1
+        for w, omega in enumerate(omegas):
+            for i, f in enumerate(f_basis):
+                want = [correlation_inhom(c, omega, f, g_basis[j], n)
+                        for n in range(horizon + 1)]
+                assert rep.values[w, i, j] == pytest.approx(want, abs=1e-14)
+
+
 @given(st.lists(
     st.lists(st.floats(min_value=-4.0, max_value=4.0, allow_nan=False),
              min_size=1, max_size=20),
@@ -322,8 +444,8 @@ def test_batched_rate_fits_match_scalar_fits(rows):
     length = max(len(r) for r in rows)
     curves = np.array([[x * 10.0 ** -abs(x) for x in r] + [0.0] * (length - len(r))
                        for r in rows])
-    assert fit_geometric_rates(curves) == [fit_geometric_rate(row)
-                                           for row in curves]
+    assert list(fit_geometric_rates(curves).values()) == [
+        fit_geometric_rate(row) for row in curves]
 
 
 def test_estimator_rate_fit_on_geometric_curve():

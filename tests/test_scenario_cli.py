@@ -272,6 +272,55 @@ def test_cli_asymp_none_found(tmp_path):
     assert "r_max" in rows[0]["rho"]
 
 
+def test_cli_asymp_zero_rmax_is_an_override(tmp_path, capsys):
+    out = tmp_path / "as.csv"
+    rc = main(["run-asymp", "--scenario", str(SCENARIOS / "block3cycle.yaml"),
+               "--rmax", "0", "--out", str(out)])
+    assert rc == 0
+    rows = rows_of(out)
+    assert rows[0]["r"] == "none"
+    assert "exceed the cap r_max=0" in capsys.readouterr().out
+
+
+def test_cli_asymp_negative_rmax_exit_two(tmp_path, capsys):
+    rc = main(["run-asymp", "--scenario", str(SCENARIOS / "block3cycle.yaml"),
+               "--rmax", "-1", "--out", str(tmp_path / "as.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not (tmp_path / "as.csv").exists()
+
+
+BERNOULLI_TABLE = """
+space: {N: 8}
+driving: {kind: bernoulli, p: [0.5, 0.5], seed: 3, samples: 4}
+operators:
+  P0:
+    map: {kind: doubling}
+  U: {synthetic: uniform}
+cocycle:
+  table: {0: P0, 1: U}
+"""
+
+HALVES8 = """
+sets:
+  - id: halves
+    a: {cells: {range: [0, 4]}}
+    b: {cells: {range: [4, 8]}}
+"""
+
+
+def test_cli_skew_zero_mc_samples_exit_two(tmp_path, capsys):
+    rc = main(["run-skew", "--scenario", write(tmp_path, BERNOULLI_TABLE),
+               "--sets", write(tmp_path, HALVES8, "sets.yaml"),
+               "--horizon", "4", "--mc-samples", "0",
+               "--out", str(tmp_path / "sk.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "mc_samples" in err
+
+
 def test_cli_qc_csv(tmp_path):
     out = tmp_path / "qc.csv"
     rc = main(["run-qc", "--scenario", str(SCENARIOS / "doubling_exact.yaml"),
