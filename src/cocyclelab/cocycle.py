@@ -85,7 +85,7 @@ class CocycleFamily:
         return self.table[feature(self.driving, omega)]
 
     def check_point(self, omega: EnvPoint):
-        if omega.system.kind != self.driving.kind or (
+        if omega.system is not self.driving or (
                 omega.index is not None
                 and omega.index >= self.driving.n_points):
             raise DrivingError("point does not belong to this cocycle's driving")

@@ -158,7 +158,7 @@ class EnvPoint:
     def __eq__(self, other):
         if not isinstance(other, EnvPoint):
             return NotImplemented
-        if self.system.kind != other.system.kind:
+        if self.system is not other.system:
             return False
         if self.index is not None:
             return self.index == other.index

@@ -9,10 +9,11 @@ Three routes, kept separate and cross-checked:
 
 * dual route: the adjoint orbit of an observable is the composed kernel
   applied to it, and exactness means every such orbit flattens to a constant.
-  We track the composed kernel incrementally (one kernel multiply per step,
-  sparse kernels stay sparse) and record per-observable flatness: the value
-  spread max - min, plus the distance from the measure-weighted mean as a
-  second constant-reference reading.
+  We never form the composed kernel: the observables are pulled through one
+  step kernel at a time, one pulled stack per start within one period of the
+  kernel sequence (a constant table has period one), and we record
+  per-observable flatness: the value spread max - min, plus the distance from
+  the measure-weighted mean as a second constant-reference reading.
 
 * tail-partition route, for kernels that move whole cells (every entry 0 or
   1): the n-step composition is then itself a cell map, its preimage classes
@@ -31,22 +32,22 @@ import itertools
 
 import numpy as np
 
-from cocyclelab.cocycle import (
-    CocycleFamily,
-    _identity_kernel,
-    orbit,
-    orbit_kernels,
-)
+from cocyclelab.cocycle import CocycleFamily, orbit, orbit_kernels
 from cocyclelab.curves import RateFits, curve_decayed, fit_geometric_rates
 from cocyclelab.driving import EnvPoint
-from cocyclelab.measure import (
-    MarkovMatrix,
-    PreconditionError,
-    kernel_matmul,
-    mass_apply,
-)
+from cocyclelab.measure import MarkovMatrix, PreconditionError, mass_apply
 
 CELL_MAP_ATOL = 1e-9
+
+
+def _require_horizon(horizon: int):
+    if horizon < 0:
+        raise PreconditionError(f"horizon must be >= 0, got {horizon}")
+
+
+def _require_basis(basis, what: str):
+    if len(basis) == 0:
+        raise PreconditionError(f"exactness curves need at least one {what}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -63,6 +64,8 @@ def exactness_norms(c: CocycleFamily, omega: EnvPoint, f_basis,
     density's own sign observable; the worst gap between the two readings is
     reported (it is zero in exact arithmetic).
     """
+    _require_basis(f_basis, "density")
+    _require_horizon(horizon)
     for f in f_basis:
         if abs(f.total_mass) > 1e-9 * max(f.l1_norm, 1e-300):
             raise PreconditionError(
@@ -87,22 +90,47 @@ class DualFlatnessCurves:
     mean_distance: np.ndarray   # (n_g, horizon + 1) max |value - weighted mean|
 
 
+def _kernel_period(kernels) -> int:
+    """Smallest p with ``kernels[t] is kernels[t - p]`` for every t >= p,
+    compared by object identity: 1 for a constant table, the orbit period on
+    finite driving, len(kernels) when the sequence has no shorter period."""
+    h = len(kernels)
+    return next((p for p in range(1, h)
+                 if all(kernels[t] is kernels[t - p] for t in range(p, h))),
+                max(h, 1))
+
+
 def lin_dual_flatness(c: CocycleFamily, omega: EnvPoint, g_basis,
                       horizon: int) -> DualFlatnessCurves:
-    """Flattening of adjoint orbits: the composed kernel applied to each
-    observable, tracked incrementally by appending one step kernel per n."""
+    """Flattening of adjoint orbits K^(n)(omega) g, pulled one step kernel
+    at a time without composing kernels.
+
+    ``pulled[j]`` holds K_j K_{j+1} ... K_{j+n-1} g for the starts j within one
+    period p of the kernel sequence, so that pulled[0] is K^(n)(omega) g and
+    the next step is pulled[j] <- K_j pulled[(j + 1) % p]; the wrap is sound
+    because every start holds g at n = 0.  Only starts that a later step
+    still reads are pulled, so an aperiodic sequence costs at most about
+    horizon^2 / 2 pulls.
+    """
+    _require_basis(g_basis, "observable")
+    _require_horizon(horizon)
     g_mat = np.stack([g.values for g in g_basis], axis=1)
     w = c.space.weights
     flat = np.empty((len(g_basis), horizon + 1))
     dist = np.empty((len(g_basis), horizon + 1))
     kernels = orbit_kernels(c, omega, horizon)
-    composed = _identity_kernel(c)
+    p = _kernel_period(kernels)
+    pulled = [g_mat] * p
     for n in range(horizon + 1):
-        v = np.asarray(composed @ g_mat)
-        flat[:, n] = v.max(axis=0) - v.min(axis=0)
-        dist[:, n] = np.abs(v - w @ v).max(axis=0)
-        if n < horizon:
-            composed = kernel_matmul(composed, kernels[n])
+        v = pulled[0]
+        # max |v - mean| is reached at the max or at the min of v: rounding
+        # is monotone and symmetric, so this equals abs(v - mean).max()
+        hi, lo, mean = v.max(axis=0), v.min(axis=0), w @ v
+        flat[:, n] = hi - lo
+        dist[:, n] = np.maximum(hi - mean, mean - lo)
+        # step n + 1 reads the starts j <= horizon - n - 1
+        pulled = [np.asarray(kernels[j] @ pulled[(j + 1) % p])
+                  for j in range(min(p, horizon - n))]
     return DualFlatnessCurves(flatness=flat, mean_distance=dist)
 
 
@@ -131,6 +159,7 @@ def tail_partition(c: CocycleFamily, omega: EnvPoint,
     maps; its preimage classes coarsen monotonically (that is checked, not
     assumed), and triviality means a single atom by the horizon.
     """
+    _require_horizon(horizon)
     c.check_point(omega)
     step_dests = [cell_map_destinations(P) for _, P in
                   itertools.islice(orbit(c, omega, horizon), horizon)]
@@ -139,7 +168,7 @@ def tail_partition(c: CocycleFamily, omega: EnvPoint,
     counts[0] = c.n
     for n, d_next in enumerate(step_dests, start=1):
         dest = d_next[dest]
-        counts[n] = np.unique(dest).size
+        counts[n] = np.count_nonzero(np.bincount(dest, minlength=c.n))
         if counts[n] > counts[n - 1]:
             raise AssertionError("preimage partition refined instead of coarsening")
     return TailPartitionReport(atom_counts=counts,
@@ -173,6 +202,8 @@ def exactness_report(c: CocycleFamily, omega: EnvPoint, f_basis, g_basis,
     ``exact_verdict`` follows the norm route; ``routes_agree`` records
     whether the dual route reached the same conclusion on its basis.
     """
+    if not tol > 0:
+        raise PreconditionError(f"tol must be > 0, got {tol}")
     norms = exactness_norms(c, omega, f_basis, horizon)
     dual = lin_dual_flatness(c, omega, g_basis, horizon)
     norms_decayed = all(curve_decayed(row, tol, tail_fraction)

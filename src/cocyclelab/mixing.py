@@ -241,12 +241,6 @@ def estimate_mixing(c: CocycleFamily, notion: str, f_basis, g_basis,
             "density and one observable")
     if horizon < 0:
         raise PreconditionError(f"horizon must be >= 0, got {horizon}")
-    # points merge by EnvPoint equality, which does not see the driving's
-    # parameters, so a point of another driving could borrow a curve
-    if any(omega.system is not c.driving for omega in omega_samples):
-        raise PreconditionError(
-            "environment samples must be points of this cocycle's driving")
-
     # equal points have equal orbits: push each distinct point once and
     # spread the results back over the samples through ``inverse``
     slot = {}

@@ -17,6 +17,7 @@ from cocyclelab.cocycle import (
     support_defect,
 )
 from cocyclelab.driving import (
+    DrivingError,
     advance,
     bernoulli_shift,
     finite_permutation,
@@ -275,3 +276,16 @@ def test_support_defect_half_support_plant():
                              & ~(hh > 1e-9 * hh.max())].sum()
     assert support_defect(c, h, w, 5) == pytest.approx(expect)
     assert expect == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("other", [finite_rotation(3), finite_rotation(2)])
+def test_points_of_another_driving_are_rejected(other):
+    # a point of another rotation, even one with the same number of points,
+    # does not belong to this cocycle's driving
+    space = make_space()
+    c = constant_cocycle(MarkovMatrix(space, SWAP), q=2)
+    omega = point(other, 1)
+    with pytest.raises(DrivingError):
+        compose(c, omega, 3)
+    with pytest.raises(DrivingError):
+        invariant_density_pullback(c, omega, k_max=4)

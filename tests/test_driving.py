@@ -129,3 +129,15 @@ def test_prop_advance_additive_bernoulli(a, b, seed):
     (w,) = sample_env(d, 1, seed=seed)
     assert advance(d, advance(d, w, a), b) == advance(d, w, a + b)
     assert advance(d, w, a).symbol(0) == w.symbol(a)
+
+
+def test_points_of_another_driving_are_not_equal():
+    assert point(finite_rotation(3), 1) != point(finite_rotation(2), 1)
+    assert point(finite_rotation(2), 1) != point(finite_rotation(2), 1)
+    d = finite_rotation(2)
+    assert point(d, 1) == point(d, 1)
+    assert hash(point(d, 1)) == hash(point(d, 1))
+    # Bernoulli points with one seed and origin: equal only on one driving
+    fair, biased = bernoulli_shift([0.5, 0.5]), bernoulli_shift([0.9, 0.1])
+    assert sample_env(fair, 1, 5) == sample_env(fair, 1, 5)
+    assert sample_env(fair, 1, 5) != sample_env(biased, 1, 5)

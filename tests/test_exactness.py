@@ -13,8 +13,21 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, strategies as st
 
-from cocyclelab.cocycle import CocycleFamily, compose
-from cocyclelab.driving import finite_rotation, point
+from cocyclelab.cocycle import (
+    CocycleFamily,
+    _identity_kernel,
+    compose,
+    orbit,
+    orbit_kernels,
+)
+from cocyclelab.driving import (
+    DrivingError,
+    bernoulli_shift,
+    finite_permutation,
+    finite_rotation,
+    point,
+    sample_env,
+)
 from cocyclelab.exactness import (
     ExactnessReport,
     cell_map_destinations,
@@ -29,6 +42,7 @@ from cocyclelab.measure import (
     MarkovMatrix,
     Observable,
     PreconditionError,
+    kernel_matmul,
 )
 from cocyclelab.mixing import correlation_hom, indicator_basis, zero_mean_basis
 from cocyclelab.transfer import MapSpec, pf_exact
@@ -267,3 +281,163 @@ def test_correlations_bounded_by_norm_times_sup(c, n):
     res = exactness_norms(c, omega, [f], horizon=n)
     corr = correlation_hom(c, omega, f, g, n)
     assert abs(corr) <= res.values[0, n] * g.sup_norm + 1e-12
+
+
+# -- the dual pull against the composed-kernel loop ------------------------------
+
+
+def composed_dual_reference(c, omega, g_basis, horizon):
+    """The dual route written with composed kernels: append one step kernel
+    to the n-step kernel at every n and apply it to the observables."""
+    g_mat = np.stack([g.values for g in g_basis], axis=1)
+    w = c.space.weights
+    flat = np.empty((len(g_basis), horizon + 1))
+    dist = np.empty((len(g_basis), horizon + 1))
+    kernels = orbit_kernels(c, omega, horizon)
+    composed = _identity_kernel(c)
+    for n in range(horizon + 1):
+        v = np.asarray(composed @ g_mat)
+        flat[:, n] = v.max(axis=0) - v.min(axis=0)
+        dist[:, n] = np.abs(v - w @ v).max(axis=0)
+        if n < horizon:
+            composed = kernel_matmul(composed, kernels[n])
+    return flat, dist
+
+
+def random_kernel(space, rng):
+    raw = rng.random((space.n, space.n)) + 0.05
+    return MarkovMatrix(space, raw / raw.sum(axis=1, keepdims=True))
+
+
+@st.composite
+def dual_case(draw):
+    """A cocycle, a start point and observables: random tables over a
+    rotation, a table over a permutation with a 2-cycle and a 3-cycle started
+    on the 3-cycle, and point-dependent or constant tables over a Bernoulli
+    shift."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    space = FiniteMeasureSpace.uniform(draw(st.integers(2, 5)))
+    kind = draw(st.sampled_from(["rotation", "permutation",
+                                 "bernoulli", "bernoulli-constant"]))
+    if kind == "rotation":
+        d = finite_rotation(draw(st.integers(1, 3)))
+        table = {i: random_kernel(space, rng) for i in range(d.n_points)}
+        omega = point(d, draw(st.integers(0, d.n_points - 1)))
+    elif kind == "permutation":
+        d = finite_permutation([1, 0, 3, 4, 2])
+        table = {i: random_kernel(space, rng) for i in range(5)}
+        omega = point(d, draw(st.integers(2, 4)))
+    else:
+        d = bernoulli_shift([0.5, 0.5])
+        P = random_kernel(space, rng)
+        Q = random_kernel(space, rng) if kind == "bernoulli" else P
+        table = {0: P, 1: Q}
+        (omega,) = sample_env(d, 1, draw(st.integers(0, 2**20)))
+    c = CocycleFamily(driving=d, table=table)
+    g_basis = [Observable(space, rng.normal(size=space.n)),
+               Observable.indicator(space, [0])]
+    return c, omega, g_basis
+
+
+@given(dual_case(), st.integers(0, 17))
+def test_dual_pull_matches_composed_kernels(case, horizon):
+    c, omega, g_basis = case
+    flat, dist = composed_dual_reference(c, omega, g_basis, horizon)
+    res = lin_dual_flatness(c, omega, g_basis, horizon)
+    np.testing.assert_allclose(res.flatness, flat, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(res.mean_distance, dist, rtol=0, atol=1e-12)
+
+
+@given(st.sampled_from(["doubling", "baker_cyclic"]), st.sampled_from([2, 4, 6]),
+       st.integers(1, 2), st.integers(0, 17))
+def test_dual_pull_is_bit_identical_on_dyadic_kernels(kind, bits, q, horizon):
+    space = FiniteMeasureSpace.uniform(1 << bits)
+    spec = MapSpec(kind, bits=bits) if kind == "baker_cyclic" else MapSpec(kind)
+    c = constant_cocycle(pf_exact(spec, space), q)
+    omega = point(c.driving, 0)
+    g_basis = indicator_basis(space) + [
+        Observable(space, np.arange(space.n) / space.n)]
+    flat, dist = composed_dual_reference(c, omega, g_basis, horizon)
+    res = lin_dual_flatness(c, omega, g_basis, horizon)
+    assert res.flatness.tobytes() == flat.tobytes()
+    assert res.mean_distance.tobytes() == dist.tobytes()
+
+
+# -- the tail count against np.unique --------------------------------------------
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(2, 7), st.integers(1, 3),
+       st.integers(0, 12))
+def test_atom_counts_match_unique_reference(seed, n, q, horizon):
+    rng = np.random.default_rng(seed)
+    space = FiniteMeasureSpace.uniform(n)
+    # the first table entry skips cells n - 1 and up: its image misses them
+    dests = [rng.integers(0, max(n - 1 - i, 1), size=n) if i == 0
+             else rng.integers(0, n, size=n) for i in range(q)]
+    table = {}
+    for i, dest in enumerate(dests):
+        kernel = np.zeros((n, n))
+        kernel[np.arange(n), dest] = 1.0
+        table[i] = MarkovMatrix(space, kernel)
+    c = CocycleFamily(driving=finite_rotation(q), table=table)
+    omega = point(c.driving, int(rng.integers(q)))
+    dest = np.arange(n)
+    expected = [n]
+    for pt, _ in list(orbit(c, omega, horizon))[:-1]:
+        dest = dests[pt.index][dest]
+        expected.append(np.unique(dest).size)
+    rep = tail_partition(c, omega, horizon)
+    assert rep.atom_counts.tolist() == expected
+
+
+# -- inputs the routes reject ----------------------------------------------------
+
+
+def run_route(route, c, f_basis, g_basis, horizon):
+    omega = point(c.driving, 0)
+    if route == "report":
+        return exactness_report(c, omega, f_basis, g_basis, horizon, 1e-9)
+    if route == "norms":
+        return exactness_norms(c, omega, f_basis, horizon)
+    return lin_dual_flatness(c, omega, g_basis, horizon)
+
+
+@pytest.mark.parametrize("route, empty", [("report", "f"), ("report", "g"),
+                                          ("norms", "f"), ("dual", "g")])
+def test_routes_reject_an_empty_basis(route, empty):
+    c = doubling_cocycle(4)
+    f_basis = [] if empty == "f" else zero_mean_basis(c.space)
+    g_basis = [] if empty == "g" else indicator_basis(c.space)
+    with pytest.raises(PreconditionError, match="at least one"):
+        run_route(route, c, f_basis, g_basis, 3)
+
+
+@pytest.mark.parametrize("horizon", [-1, -3])
+@pytest.mark.parametrize("route", ["report", "norms", "dual"])
+def test_routes_reject_a_negative_horizon(route, horizon):
+    c = doubling_cocycle(4)
+    with pytest.raises(PreconditionError, match="horizon"):
+        run_route(route, c, zero_mean_basis(c.space), indicator_basis(c.space),
+                  horizon)
+
+
+def test_tail_partition_rejects_a_negative_horizon():
+    c = cell_map_cocycle([1, 2, 3, 0])
+    with pytest.raises(PreconditionError, match="horizon"):
+        tail_partition(c, point(c.driving, 0), -1)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan")])
+def test_report_rejects_a_tol_that_is_not_positive(tol):
+    with pytest.raises(PreconditionError, match="tol"):
+        full_report(doubling_cocycle(4), tol=tol)
+
+
+def test_report_rejects_a_point_of_another_driving():
+    space = FiniteMeasureSpace.uniform(4)
+    P = pf_exact(MapSpec("doubling"), space)
+    c = CocycleFamily(driving=finite_rotation(2), table={0: P, 1: P})
+    for other in (finite_rotation(3), finite_rotation(2)):
+        with pytest.raises(DrivingError):
+            exactness_report(c, point(other, 1), zero_mean_basis(space),
+                             indicator_basis(space), 3, 1e-9)

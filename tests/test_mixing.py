@@ -21,6 +21,7 @@ from cocyclelab.curves import (
     first_below,
 )
 from cocyclelab.driving import (
+    DrivingError,
     EnvPoint,
     bernoulli_shift,
     feature,
@@ -338,14 +339,14 @@ def test_estimator_rejects_empty_inputs_and_negative_horizon(drop):
 
 
 def test_estimator_rejects_a_point_of_another_driving():
-    # Bernoulli points compare by seed and origin only, so a point of a
-    # driving with other probabilities equals a point of this one
+    # same seed and origin, other probabilities: the points differ, so the
+    # foreign one cannot merge with a native one and its own walk rejects it
     P = constant_cocycle(DOUBLING4).table[0]
     c = CocycleFamily(driving=bernoulli_shift([0.5, 0.5]), table={0: P, 1: P})
     other = bernoulli_shift([0.9, 0.1])
     omegas = sample_env(c.driving, 2, 5) + sample_env(other, 1, 5)
-    assert omegas[2] == omegas[0]
-    with pytest.raises(PreconditionError):
+    assert omegas[2] != omegas[0]
+    with pytest.raises(DrivingError):
         estimate_mixing(c, "prior-hom", zero_mean_basis(c.space),
                         indicator_basis(c.space), omegas, 4, 1e-6)
 

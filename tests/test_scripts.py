@@ -1,6 +1,7 @@
 """Smoke tests for the command-line scripts under ``scripts/``."""
 
 import importlib.util
+import math
 import shutil
 from pathlib import Path
 
@@ -26,3 +27,30 @@ def test_decay_rates_table(tmp_path, capsys):
     assert decayed == "True" and 0.0 <= float(rate) < 1.0
     name, decayed, rate, r2, curves = rows["identity"]
     assert decayed == "False" and rate == "-" and r2 == "-"
+
+
+def test_ulam_refinement_table(capsys):
+    assert load_script("ulam_refinement").main(
+        ["--sizes", "16,32", "--samples", "200"]) == 0
+    tables = {}
+    for line in capsys.readouterr().out.splitlines():
+        words = line.split()
+        if line.endswith("seed 42"):
+            kind = words[0]
+            tables[kind] = []
+        elif words and words[0].isdigit():
+            tables[kind].append((int(words[0]), float(words[1]), float(words[2])))
+    assert set(tables) == {"doubling", "tent"}
+    for rows in tables.values():
+        assert [n for n, _, _ in rows] == [16, 32]
+        for _, residual, lam in rows:
+            assert math.isfinite(residual)
+            assert 0.0 <= lam <= 1.0
+
+
+def test_counterexample_demo_travelling_column(capsys):
+    assert load_script("counterexample_demo").main(["--k-values", "1,2"]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:3]]
+    assert [row[0] for row in rows] == ["1", "2"]
+    for row in rows:
+        assert row[3].startswith("0.5±") and float(row[3][4:]) <= 1e-12
