@@ -93,6 +93,10 @@ def detect_periodicity(c: CocycleFamily, omega: EnvPoint, horizon: int,
     meant for moderate cell counts.  Components are labeled canonically by
     their smallest cell index.
     """
+    if not tol > 0:
+        raise PreconditionError(f"structure tolerance must be > 0, got {tol}")
+    if r_max < 0:
+        raise PreconditionError(f"r_max must be >= 0, got {r_max}")
     n = c.n
     burn = burn_in_steps(n, horizon)
     M = compose(c, omega, burn).kernel

@@ -18,14 +18,13 @@ certified by the L1 Cauchy increment between consecutive pullback depths.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 
 import numpy as np
 import scipy.sparse as sp
 
 from cocyclelab.driving import (
-    BERNOULLI,
-    FINITE_KINDS,
     DrivingError,
     DrivingSystem,
     EnvPoint,
@@ -61,11 +60,8 @@ class CocycleFamily:
             if not same_space(space, s):
                 raise ValueError("all cocycle operators must share one space")
         object.__setattr__(self, "space", space)
-        if self.driving.kind in FINITE_KINDS:
-            needed = range(self.driving.n_points)
-        else:
-            needed = range(self.driving.n_symbols)
-        missing = [k for k in needed if k not in self.table]
+        missing = [k for k in range(self.driving.n_features)
+                   if k not in self.table]
         if missing:
             raise ValueError(f"operator table missing features {missing}")
 
@@ -146,6 +142,11 @@ def invariant_density_pullback(c: CocycleFamily, omega: EnvPoint, k_max: int,
     """Push f0 forward from sigma^{-k} omega for growing k until the L1
     increment between consecutive depths falls below tol (or k hits k_max).
 
+    With B_j = K(sigma^{-j} omega), depth k pushes the seed row through
+    B_k, ..., B_1; no kernels are multiplied.  A constant table has period 1,
+    so depth k is depth k-1 pushed once more; any other table starts each
+    depth again from the seed.  The backward walk stops at convergence.
+
     Failure to converge is reported through the certificate, never hidden.
     """
     c.check_point(omega)
@@ -154,27 +155,19 @@ def invariant_density_pullback(c: CocycleFamily, omega: EnvPoint, k_max: int,
     if f0.total_mass <= 0:
         raise PreconditionError("pullback seed must carry positive mass")
     base = f0.mass
-    if c.is_constant:
-        kernel = next(iter(c.table.values())).kernel
-        cur = base
-        steps, inc = 0, np.inf
-        for k in range(1, k_max + 1):
-            nxt = mass_apply(cur, kernel)
-            inc = float(np.abs(nxt - cur).sum())
-            cur, steps = nxt, k
-            if inc <= tol:
-                break
-        return PullbackResult(Density.from_mass(c.space, cur), inc, steps,
-                              inc <= tol, tol)
-    # omega-dependent table: prepend kernels along the backward orbit, so the
-    # depth-k pullback is base @ K(sigma^-k) @ ... @ K(sigma^-1)
-    bracket = _identity_kernel(c)
+    constant = c.is_constant
+    if constant:
+        backward = itertools.repeat(next(iter(c.table.values())).kernel)
+    else:
+        backward = (P.kernel for _, P in
+                    itertools.islice(orbit(c, omega, -k_max), 1, None))
+    kernels = []  # B_1, ..., B_k as the walk reaches them
     prev = base
     steps, inc = 0, np.inf
-    backward = itertools.islice(orbit(c, omega, -k_max), 1, None)
-    for k, (_, back_op) in zip(range(1, k_max + 1), backward):
-        bracket = kernel_matmul(back_op.kernel, bracket)
-        cur = mass_apply(base, bracket)
+    for k, kernel in zip(range(1, k_max + 1), backward):
+        kernels.append(kernel)
+        cur = (mass_apply(prev, kernel) if constant
+               else functools.reduce(mass_apply, reversed(kernels), base))
         inc = float(np.abs(cur - prev).sum())
         prev, steps = cur, k
         if inc <= tol:

@@ -9,12 +9,17 @@ from collections.abc import Mapping
 
 import numpy as np
 
+from cocyclelab.measure import PreconditionError
+
 
 def tail_start(length: int, tail_fraction: float = 0.1) -> int:
     """Index where the verdict window begins: the last ceil(length * frac)
     entries of the curve."""
     if length < 1:
         raise ValueError("curves must have at least one entry")
+    if not 0 < tail_fraction <= 1:
+        raise PreconditionError(
+            f"tail_fraction must lie in (0, 1], got {tail_fraction}")
     width = max(1, int(np.ceil(length * tail_fraction)))
     return length - width
 

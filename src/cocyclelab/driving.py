@@ -105,16 +105,16 @@ class DrivingSystem:
             raise DrivingError(f"unknown driving kind {self.kind!r}")
 
     @property
+    def n_features(self) -> int:
+        """Table entries needed: one per point, or one per bernoulli symbol."""
+        return self.probs.size
+
+    @property
     def n_points(self) -> int:
         if self.kind not in FINITE_KINDS:
             raise DrivingError("n_points is defined for finite driving only")
         return self.probs.size
 
-    @property
-    def n_symbols(self) -> int:
-        if self.kind != BERNOULLI:
-            raise DrivingError("n_symbols is defined for bernoulli driving only")
-        return self.probs.size
 
 
 def finite_permutation(sigma, probs=None) -> DrivingSystem:
@@ -187,7 +187,7 @@ def points(d: DrivingSystem) -> list[EnvPoint]:
 
 def advance(d: DrivingSystem, omega: EnvPoint, n: int) -> EnvPoint:
     """sigma^n of a point; n may be negative (driving is invertible)."""
-    if omega.system is not d and omega.system.kind != d.kind:
+    if omega.system is not d:
         raise DrivingError("point does not belong to this driving system")
     if d.kind in FINITE_KINDS:
         idx = omega.index
@@ -230,19 +230,13 @@ def sample_env(d: DrivingSystem, count: int, seed: int) -> list[EnvPoint]:
     return out
 
 
-def point_probability(d: DrivingSystem, omega: EnvPoint) -> float:
-    if d.kind not in FINITE_KINDS:
-        raise DrivingError("point_probability is defined for finite driving only")
-    return float(d.probs[omega.index])
-
-
 def cylinder_probability(d: DrivingSystem, constraints: dict[int, int]) -> float:
     """Exact measure of a cylinder {omega : omega_k = s for (k, s) given}."""
     if d.kind != BERNOULLI:
         raise DrivingError("cylinders are defined for bernoulli driving only")
     out = 1.0
     for k, s in constraints.items():
-        if not 0 <= s < d.n_symbols:
+        if not 0 <= s < d.n_features:
             raise DrivingError(f"symbol {s} out of range at coordinate {k}")
         out *= float(d.probs[s])
     return out

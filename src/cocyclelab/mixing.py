@@ -142,6 +142,15 @@ def correlation_inhom(c: CocycleFamily, omega: EnvPoint, f: Density,
 
 # -- bases -------------------------------------------------------------------
 
+def _evenly_spaced(size: int, count: int | None) -> np.ndarray:
+    """``count`` evenly spaced indices of range(size), or all of them."""
+    if count is not None and count < 1:
+        raise PreconditionError(f"basis count must be >= 1, got {count}")
+    if count is None or count >= size:
+        return np.arange(size)
+    return np.unique(np.linspace(0, size - 1, count).round().astype(int))
+
+
 def zero_mean_basis(space: FiniteMeasureSpace, count: int | None = None):
     """Normalized differences of consecutive cell indicators (masses +1/2 and
     -1/2), spanning the zero-mean densities on the grid; ``count`` keeps an
@@ -149,11 +158,8 @@ def zero_mean_basis(space: FiniteMeasureSpace, count: int | None = None):
     n = space.n
     if n < 2:
         raise PreconditionError("zero-mean basis needs at least two cells")
-    idx = np.arange(n - 1)
-    if count is not None and count < idx.size:
-        idx = np.unique(np.linspace(0, n - 2, count).round().astype(int))
     out = []
-    for j in idx:
+    for j in _evenly_spaced(n - 1, count):
         mass = np.zeros(n)
         mass[j], mass[j + 1] = 0.5, -0.5
         out.append(Density.from_mass(space, mass))
@@ -161,21 +167,16 @@ def zero_mean_basis(space: FiniteMeasureSpace, count: int | None = None):
 
 
 def indicator_basis(space: FiniteMeasureSpace, count: int | None = None):
-    idx = np.arange(space.n)
-    if count is not None and count < idx.size:
-        idx = np.unique(np.linspace(0, space.n - 1, count).round().astype(int))
-    return [Observable.indicator(space, [j]) for j in idx]
+    return [Observable.indicator(space, [j])
+            for j in _evenly_spaced(space.n, count)]
 
 
 def step_map_basis(c: CocycleFamily, g_observables) -> list[ObservableMap]:
     """One step map per (feature, observable): g at that feature, zero
     elsewhere.  Spans the simple environment-indexed families the travelling
     notions quantify over."""
-    if c.driving.kind == "bernoulli_shift":
-        feats = range(c.driving.n_symbols)
-    else:
-        feats = range(c.driving.n_points)
-    return [step_map(c.space, {p: g}) for p in feats for g in g_observables]
+    return [step_map(c.space, {p: g}) for p in range(c.driving.n_features)
+            for g in g_observables]
 
 
 # -- estimator ----------------------------------------------------------------

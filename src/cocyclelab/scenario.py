@@ -36,7 +36,6 @@ import yaml
 
 from .cocycle import CocycleFamily
 from .driving import (
-    BERNOULLI,
     DrivingSystem,
     bernoulli_shift,
     finite_permutation,
@@ -205,13 +204,9 @@ def _build_operator(name: str, node, space: FiniteMeasureSpace) -> MarkovMatrix:
         raise ScenarioError(f"invariant violation in operator {name!r}: {exc}")
 
 
-def _n_features(d: DrivingSystem) -> int:
-    return d.n_symbols if d.kind == BERNOULLI else d.n_points
-
-
 def _build_cocycle(node, d: DrivingSystem, operators: dict) -> CocycleFamily:
     node = _require_mapping(node, "cocycle block")
-    features = _n_features(d)
+    features = d.n_features
 
     def resolve(name) -> MarkovMatrix:
         if name not in operators:
@@ -252,17 +247,34 @@ def _build_analysis(node, driving_node) -> AnalysisConfig:
     if not isinstance(eps, (list, tuple)):
         eps = [eps]
     basis = node.get("basis_count", base.basis_count)
-    return AnalysisConfig(
-        horizon=int(node.get("horizon", base.horizon)),
-        tol=float(node.get("tol", base.tol)),
-        rmax=int(node.get("rmax", base.rmax)),
-        eps=tuple(float(v) for v in eps),
-        tail_fraction=float(node.get("tail_fraction", base.tail_fraction)),
-        basis_count=None if basis is None else int(basis),
-        env_samples=int(driving_node.get("samples", base.env_samples)),
-        env_seed=int(driving_node.get("seed", base.env_seed)),
-        asymp_tol=float(node.get("asymp_tol", base.asymp_tol)),
+    try:
+        cfg = AnalysisConfig(
+            horizon=int(node.get("horizon", base.horizon)),
+            tol=float(node.get("tol", base.tol)),
+            rmax=int(node.get("rmax", base.rmax)),
+            eps=tuple(float(v) for v in eps),
+            tail_fraction=float(node.get("tail_fraction", base.tail_fraction)),
+            basis_count=None if basis is None else int(basis),
+            env_samples=int(driving_node.get("samples", base.env_samples)),
+            env_seed=int(driving_node.get("seed", base.env_seed)),
+            asymp_tol=float(node.get("asymp_tol", base.asymp_tol)),
+        )
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ScenarioError(f"bad analysis value: {exc}")
+    # the comparisons are written so that NaN fails them
+    checks = (
+        (0 < cfg.tail_fraction <= 1, "analysis.tail_fraction", "lie in (0, 1]",
+         cfg.tail_fraction),
+        (cfg.basis_count is None or cfg.basis_count >= 1,
+         "analysis.basis_count", "be >= 1", cfg.basis_count),
+        (cfg.asymp_tol > 0, "analysis.asymp_tol", "be > 0", cfg.asymp_tol),
+        (cfg.rmax >= 0, "analysis.rmax", "be >= 0", cfg.rmax),
+        (cfg.env_samples >= 1, "driving.samples", "be >= 1", cfg.env_samples),
     )
+    for ok, key, rule, value in checks:
+        if not ok:
+            raise ScenarioError(f"{key} must {rule}, got {value}")
+    return cfg
 
 
 def load_scenario(path: str) -> Scenario:

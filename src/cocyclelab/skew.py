@@ -39,6 +39,7 @@ from cocyclelab.driving import (
     cylinder_probability,
     intersect_constraints,
     point,
+    points,
     sample_env,
     shifted_constraints,
 )
@@ -111,6 +112,24 @@ def _h_probe_point(nc: NormalizedCocycle, seed: int = 0) -> EnvPoint:
     return point(d, 0)
 
 
+def _fibre_masses(nc: NormalizedCocycle, omegas) -> tuple[np.ndarray, bool]:
+    """The fibre masses h(omega) stacked in the order of the given points,
+    and whether every one of their pullbacks converged."""
+    results = [nc.h.result_at(w) for w in omegas]
+    masses = np.array([r.density.mass for r in results])
+    return masses.reshape(-1, nc.cocycle.n), all(r.converged for r in results)
+
+
+def _mc_points(d: DrivingSystem, mc_samples: int, seed: int, minimum: int,
+               what: str) -> list[EnvPoint]:
+    """The Monte-Carlo sample; ``what`` names the caller in the error."""
+    if mc_samples < minimum:
+        raise PreconditionError(
+            f"{what} over bernoulli driving with a point-dependent table "
+            f"needs mc_samples > {minimum - 1}")
+    return sample_env(d, mc_samples, seed)
+
+
 @dataclasses.dataclass(frozen=True)
 class NuResult:
     value: float
@@ -132,35 +151,27 @@ def nu_measure(nc: NormalizedCocycle, pset: ProductSet,
     d = c.driving
     _check_cells(c.n, pset)
     if d.kind != BERNOULLI:
-        mask = _env_mask_finite(d, pset)
+        in_e = np.flatnonzero(_env_mask_finite(d, pset))
+        h_mass, converged = _fibre_masses(nc, [point(d, int(p)) for p in in_e])
         value = 0.0
-        converged = True
-        for p in np.flatnonzero(mask):
-            res = nc.h.result_at(point(d, int(p)))
-            converged &= res.converged
-            value += float(d.probs[p]) * float(res.density.mass[pset.cells].sum())
+        for p, mass in zip(in_e, h_mass):
+            value += float(d.probs[p]) * float(mass[pset.cells].sum())
         return NuResult(value=value, exact=True, stderr=None,
                         method="finite-sum", h_converged=converged)
     if pset.env_indices is not None:
         raise PreconditionError("bernoulli driving takes cylinder constraints")
     if c.is_constant:
-        res = nc.h.result_at(_h_probe_point(nc, seed))
+        h_mass, converged = _fibre_masses(nc, [_h_probe_point(nc, seed)])
         env = cylinder_probability(d, pset.env_constraints or {})
-        return NuResult(value=env * float(res.density.mass[pset.cells].sum()),
+        return NuResult(value=env * float(h_mass[0, pset.cells].sum()),
                         exact=True, stderr=None, method="cylinder-product",
-                        h_converged=res.converged)
-    if mc_samples <= 0:
-        raise PreconditionError(
-            "nu over bernoulli driving with a point-dependent table needs "
-            "mc_samples > 0")
-    samples = sample_env(d, mc_samples, seed)
+                        h_converged=converged)
+    samples = _mc_points(d, mc_samples, seed, 1, "nu")
+    h_mass, converged = _fibre_masses(nc, samples)
     vals = np.empty(mc_samples)
-    converged = True
     for i, w in enumerate(samples):
-        res = nc.h.result_at(w)
-        converged &= res.converged
         ind = 1.0 if constraints_satisfied(w, pset.env_constraints) else 0.0
-        vals[i] = ind * float(res.density.mass[pset.cells].sum())
+        vals[i] = ind * float(h_mass[i, pset.cells].sum())
     stderr = float(vals.std(ddof=1) / np.sqrt(mc_samples)) if mc_samples > 1 else None
     return NuResult(value=float(vals.mean()), exact=False, stderr=stderr,
                     method="monte-carlo", h_converged=converged)
@@ -218,13 +229,7 @@ def _skew_finite(nc, a, b, horizon, tol, tail_fraction):
     d = c.driving
     mask_a = _env_mask_finite(d, a)
     mask_b = _env_mask_finite(d, b)
-    converged = True
-    h_mass = []
-    for p in range(d.n_points):
-        res = nc.h.result_at(point(d, int(p)))
-        converged &= res.converged
-        h_mass.append(res.density.mass)
-    h_mass = np.stack(h_mass)
+    h_mass, converged = _fibre_masses(nc, points(d))
 
     nu_a = float(sum(d.probs[p] * h_mass[p, a.cells].sum()
                      for p in np.flatnonzero(mask_a)))
@@ -254,8 +259,8 @@ def _skew_finite(nc, a, b, horizon, tol, tail_fraction):
 def _skew_cylinder(nc, a, b, horizon, tol, tail_fraction, seed):
     c = nc.cocycle
     d = c.driving
-    res = nc.h.result_at(_h_probe_point(nc, seed))
-    h = res.density
+    h_mass, converged = _fibre_masses(nc, [_h_probe_point(nc, seed)])
+    h_mass = h_mass[0]
     kernel = next(iter(c.table.values())).kernel
 
     cons_a = a.env_constraints or {}
@@ -271,16 +276,16 @@ def _skew_cylinder(nc, a, b, horizon, tol, tail_fraction, seed):
     else:
         factor_from = 0
 
-    mu_a = float(h.mass[a.cells].sum())
+    mu_a = float(h_mass[a.cells].sum())
     state = np.zeros(c.n)
-    state[b.cells] = h.mass[b.cells]
+    state[b.cells] = h_mass[b.cells]
     fiber = np.empty(horizon + 1)
     for n in range(horizon + 1):
         fiber[n] = state[a.cells].sum()
         if n < horizon:
             state = mass_apply(state, kernel)
     joint = env * fiber
-    product = prob_a * mu_a * prob_b * float(h.mass[b.cells].sum())
+    product = prob_a * mu_a * prob_b * float(h_mass[b.cells].sum())
     disc = joint - product
     return SkewMixingReport(
         horizon=horizon, tol=tol, joint=joint, product=product,
@@ -288,25 +293,18 @@ def _skew_cylinder(nc, a, b, horizon, tol, tail_fraction, seed):
         decayed=bool(curve_decayed(np.abs(disc), tol, tail_fraction)),
         driving_not_mixing=False, method="cylinder-product",
         env_factor=env, factorizes_from=factor_from, stderr=None,
-        h_converged=res.converged)
+        h_converged=converged)
 
 
 def _skew_monte_carlo(nc, a, b, horizon, tol, tail_fraction, mc_samples, seed):
     c = nc.cocycle
     d = c.driving
-    if mc_samples <= 1:
-        raise PreconditionError(
-            "skew mixing over bernoulli driving with a point-dependent table "
-            "needs mc_samples > 1")
-    samples = sample_env(d, mc_samples, seed)
+    samples = _mc_points(d, mc_samples, seed, 2, "skew mixing")
+    fibres, converged = _fibre_masses(nc, samples)
     per = np.zeros((mc_samples, horizon + 1))
-    converged = True
     nu_a_terms = np.empty(mc_samples)
     nu_b_terms = np.empty(mc_samples)
-    for i, w in enumerate(samples):
-        res = nc.h.result_at(w)
-        converged &= res.converged
-        h_mass = res.density.mass
+    for i, (w, h_mass) in enumerate(zip(samples, fibres)):
         in_b = constraints_satisfied(w, b.env_constraints)
         nu_a_terms[i] = (h_mass[a.cells].sum()
                          if constraints_satisfied(w, a.env_constraints) else 0.0)
@@ -402,52 +400,43 @@ def theta_invariance(nc: NormalizedCocycle, psets,
     c = nc.cocycle
     d = c.driving
     gaps = []
-    converged = True
     stderr = None
     if d.kind != BERNOULLI:
+        h_mass, converged = _fibre_masses(nc, points(d))
         for pset in psets:
             _check_cells(c.n, pset)
             mask = _env_mask_finite(d, pset)
             direct = 0.0
             pulled = 0.0
             for p in range(d.n_points):
-                res = nc.h.result_at(point(d, int(p)))
-                converged &= res.converged
                 if mask[p]:
-                    direct += d.probs[p] * res.density.mass[pset.cells].sum()
+                    direct += d.probs[p] * h_mass[p, pset.cells].sum()
                 if mask[int(d.sigma[p])]:
-                    pushed = mass_apply(res.density.mass,
-                                        c.table[p].kernel)
+                    pushed = mass_apply(h_mass[p], c.table[p].kernel)
                     pulled += d.probs[p] * pushed[pset.cells].sum()
             gaps.append(abs(direct - pulled))
         exact = True
     elif c.is_constant:
-        res = nc.h.result_at(_h_probe_point(nc, seed))
-        converged &= res.converged
+        h_mass, converged = _fibre_masses(nc, [_h_probe_point(nc, seed)])
         kernel = next(iter(c.table.values())).kernel
-        pushed = mass_apply(res.density.mass, kernel)
+        pushed = mass_apply(h_mass[0], kernel)
         for pset in psets:
             _check_cells(c.n, pset)
             env = cylinder_probability(d, pset.env_constraints or {})
-            direct = env * res.density.mass[pset.cells].sum()
+            direct = env * h_mass[0, pset.cells].sum()
             pulled = env * pushed[pset.cells].sum()
             gaps.append(abs(direct - pulled))
         exact = True
     else:
-        if mc_samples <= 1:
-            raise PreconditionError(
-                "invariance over bernoulli driving with a point-dependent "
-                "table needs mc_samples > 1")
-        samples = sample_env(d, mc_samples, seed)
+        samples = _mc_points(d, mc_samples, seed, 2, "invariance")
+        h_mass, converged = _fibre_masses(nc, samples)
         diffs = np.zeros((len(psets), mc_samples))
         for i, w in enumerate(samples):
-            res = nc.h.result_at(w)
-            converged &= res.converged
-            pushed = mass_apply(res.density.mass, c.operator_at(w).kernel)
+            pushed = mass_apply(h_mass[i], c.operator_at(w).kernel)
             w_next = advance(d, w, 1)
             for s_id, pset in enumerate(psets):
                 _check_cells(c.n, pset)
-                direct = (res.density.mass[pset.cells].sum()
+                direct = (h_mass[i, pset.cells].sum()
                           if constraints_satisfied(w, pset.env_constraints)
                           else 0.0)
                 pulled = (pushed[pset.cells].sum()

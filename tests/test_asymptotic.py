@@ -55,6 +55,14 @@ def detect(c, horizon=16, r_max=16, tol=1e-10):
 # -- detection -----------------------------------------------------------------
 
 
+@pytest.mark.parametrize("kw", [{"tol": float("nan")}, {"tol": 0.0},
+                                {"tol": -1e-10}, {"r_max": -1}])
+def test_detector_rejects_a_bad_tolerance_or_cap(kw):
+    c = constant_cocycle(block_cycle_kernel(6, 3))
+    with pytest.raises(PreconditionError):
+        detect(c, **kw)
+
+
 def test_burn_in_depth():
     assert burn_in_steps(8, 40) == 6
     assert burn_in_steps(8, 6) == 3

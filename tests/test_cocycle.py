@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import cocyclelab.cocycle
 from cocyclelab.cocycle import (
     CocycleFamily,
     InvariantDensityMap,
     NormalizedCocycle,
+    _identity_kernel,
     build_invariant_density_map,
     compose,
     invariant_density_pullback,
@@ -25,7 +27,15 @@ from cocyclelab.driving import (
     point,
     sample_env,
 )
-from cocyclelab.measure import Density, FiniteMeasureSpace, MarkovMatrix, apply
+from cocyclelab.measure import (
+    Density,
+    FiniteMeasureSpace,
+    MarkovMatrix,
+    apply,
+    kernel_matmul,
+    mass_apply,
+)
+from cocyclelab.skew import ProductSet, nu_measure
 from cocyclelab.transfer import MapSpec, pf_exact
 
 
@@ -178,6 +188,110 @@ def test_pullback_nonconvergence_is_reported():
     res = invariant_density_pullback(c, point(c.driving, 0), k_max=9, f0=f0)
     assert not res.converged
     assert res.increment == pytest.approx(1.2)  # |0.7-0.1| swap, twice
+
+
+# -- the row-by-row pullback against the bracket loop ----------------------------
+
+
+def bracket_pullback_reference(c, omega, k_max, f0, tol):
+    """The pullback written with an N x N bracket: prepend K(sigma^-k omega)
+    to the bracket at every depth and push the seed through it once; a
+    constant table pushes the previous depth once more."""
+    base = f0.mass
+    prev, steps, inc = base, 0, np.inf
+    bracket = _identity_kernel(c)
+    for k in range(1, k_max + 1):
+        if c.is_constant:
+            cur = mass_apply(prev, next(iter(c.table.values())).kernel)
+        else:
+            back = c.operator_at(advance(c.driving, omega, -k)).kernel
+            bracket = kernel_matmul(back, bracket)
+            cur = mass_apply(base, bracket)
+        inc = float(np.abs(cur - prev).sum())
+        prev, steps = cur, k
+        if inc <= tol:
+            break
+    return Density.from_mass(c.space, prev), steps, inc <= tol
+
+
+def random_kernel(space, rng, laziness):
+    raw = rng.random((space.n, space.n)) + 0.5
+    k = raw / raw.sum(axis=1, keepdims=True)
+    return MarkovMatrix(space, laziness * np.eye(space.n) + (1 - laziness) * k)
+
+
+@st.composite
+def pullback_case(draw):
+    """A cocycle, a start point, a seed and a tolerance: random tables over a
+    rotation, a table over a permutation with a 2-cycle and a 3-cycle started
+    on the 3-cycle, point-dependent and constant tables over a Bernoulli
+    shift, and constant tables over a rotation.
+
+    With tol = 0 a depth converges only on an increment of exactly zero,
+    which rounding decides, so those cases draw lazy kernels (weight >= 3/4
+    on the identity): each push shrinks a zero-mass difference by at most a
+    half, and every increment up to depth 20 stays far above rounding.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tol = draw(st.sampled_from([0.0, 1e-10]))
+    laziness = draw(st.floats(0.75, 0.95)) if tol == 0 else 0.0
+    space = FiniteMeasureSpace.uniform(draw(st.integers(2, 5)))
+    kind = draw(st.sampled_from(["rotation", "permutation", "bernoulli",
+                                 "bernoulli-constant", "rotation-constant"]))
+
+    def kernel():
+        return random_kernel(space, rng, laziness)
+
+    P = kernel()
+    if kind.startswith("rotation"):
+        d = finite_rotation(draw(st.integers(1, 3)))
+        table = {i: P if kind == "rotation-constant" else kernel()
+                 for i in range(d.n_points)}
+        omega = point(d, draw(st.integers(0, d.n_points - 1)))
+    elif kind == "permutation":
+        d = finite_permutation([1, 0, 3, 4, 2])
+        table = {i: kernel() for i in range(5)}
+        omega = point(d, draw(st.integers(2, 4)))
+    else:
+        d = bernoulli_shift([0.5, 0.5])
+        table = {0: P, 1: kernel() if kind == "bernoulli" else P}
+        (omega,) = sample_env(d, 1, draw(st.integers(0, 2**20)))
+    f0 = Density.from_mass(space, rng.random(space.n) + 0.1)
+    return CocycleFamily(driving=d, table=table), omega, f0, tol
+
+
+@given(pullback_case(), st.integers(0, 20))
+def test_pullback_matches_the_bracket_loop(case, k_max):
+    c, omega, f0, tol = case
+    res = invariant_density_pullback(c, omega, k_max, f0, tol)
+    ref, steps, converged = bracket_pullback_reference(c, omega, k_max, f0,
+                                                       tol)
+    assert (res.steps, res.converged) == (steps, converged)
+    if c.is_constant:
+        assert res.density.mass.tobytes() == ref.mass.tobytes()
+    else:
+        np.testing.assert_allclose(res.density.mass, ref.mass, rtol=0,
+                                   atol=1e-15)
+
+
+def test_nu_over_a_proper_part_pulls_back_only_its_points(monkeypatch):
+    space = make_space()
+    d = finite_rotation(3)
+    c = CocycleFamily(driving=d, table={
+        0: MarkovMatrix(space, SWAP), 1: MarkovMatrix(space, np.eye(4)),
+        2: MarkovMatrix(space, np.full((4, 4), 0.25))})
+    pulled = []
+    real = cocyclelab.cocycle.invariant_density_pullback
+
+    def counting(c, omega, *args, **kwargs):
+        pulled.append(omega.index)
+        return real(c, omega, *args, **kwargs)
+
+    monkeypatch.setattr(cocyclelab.cocycle, "invariant_density_pullback",
+                        counting)
+    nc = NormalizedCocycle(cocycle=c, h=build_invariant_density_map(c))
+    nu_measure(nc, ProductSet(cells=[0, 1], env_indices=(0, 2)))
+    assert pulled == [0, 2]
 
 
 def test_invariant_map_equivariance_two_operator_rotation():

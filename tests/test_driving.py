@@ -141,3 +141,15 @@ def test_points_of_another_driving_are_not_equal():
     fair, biased = bernoulli_shift([0.5, 0.5]), bernoulli_shift([0.9, 0.1])
     assert sample_env(fair, 1, 5) == sample_env(fair, 1, 5)
     assert sample_env(fair, 1, 5) != sample_env(biased, 1, 5)
+
+
+def test_advance_rejects_a_point_of_another_driving_of_the_same_kind():
+    # a larger rotation's point index is out of range on the smaller one
+    with pytest.raises(DrivingError):
+        advance(finite_rotation(2), point(finite_rotation(3), 2), 1)
+    # a biased Bernoulli point would keep its own symbol thresholds
+    fair, biased = bernoulli_shift([0.5, 0.5]), bernoulli_shift([0.9, 0.1])
+    (w,) = sample_env(biased, 1, seed=4)
+    with pytest.raises(DrivingError):
+        advance(fair, w, 1)
+    assert advance(biased, w, 1).system is biased

@@ -19,6 +19,7 @@ from cocyclelab.curves import (
     fit_geometric_rate,
     fit_geometric_rates,
     first_below,
+    tail_start,
 )
 from cocyclelab.driving import (
     DrivingError,
@@ -212,6 +213,20 @@ def test_indicator_basis_subsetting():
     sub = indicator_basis(space, count=4)
     assert len(sub) == 4
     assert all(g.values.sum() == 1.0 for g in sub)
+
+
+@pytest.mark.parametrize("basis", [zero_mean_basis, indicator_basis])
+@pytest.mark.parametrize("count", [0, -1])
+def test_bases_reject_a_count_below_one(basis, count):
+    with pytest.raises(PreconditionError, match="count"):
+        basis(FiniteMeasureSpace.uniform(6), count=count)
+
+
+@pytest.mark.parametrize("frac", [float("nan"), -0.5, 0.0, 1.5])
+def test_tail_start_rejects_a_fraction_outside_the_unit_interval(frac):
+    with pytest.raises(PreconditionError, match="tail_fraction"):
+        tail_start(10, frac)
+    assert tail_start(10, 1.0) == 0 and tail_start(10, 0.1) == 9
 
 
 def test_step_map_basis_enumerates_feature_observable_pairs():

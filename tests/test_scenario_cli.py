@@ -5,9 +5,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
-from cocyclelab.cli import cycle_notation, main
+from cocyclelab.cli import (
+    _bases,
+    _env_points,
+    _g_basis_for,
+    cycle_notation,
+    main,
+)
 from cocyclelab.driving import BERNOULLI
+from cocyclelab.mixing import estimate_mixing
 from cocyclelab.scenario import (
     AnalysisConfig,
     ScenarioError,
@@ -383,3 +391,79 @@ def test_cli_bad_horizon_or_tol_exit_two(tmp_path, capsys, command, flags):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_prior_and_posterior_reports_of_one_kind_are_identical(tmp_path):
+    # `report` runs the estimator once per kind and reads both quantifier
+    # orders off that run; this holds only while the estimator reads the
+    # notion for its kind alone
+    for path in (str(SCENARIOS / "rotation_two_ops.yaml"),
+                 write(tmp_path, BERNOULLI_TABLE)):
+        sc = load_scenario(path)
+        omegas = _env_points(sc)
+        f_basis, g_obs = _bases(sc)
+        for kind in ("hom", "inhom"):
+            g_basis = _g_basis_for(sc, kind, g_obs)
+            prior, post = (estimate_mixing(sc.cocycle, f"{order}-{kind}",
+                                           f_basis, g_basis, omegas, 12, 1e-6)
+                           for order in ("prior", "post"))
+            assert prior.values.tobytes() == post.values.tobytes()
+            assert (prior.decayed, prior.prior_decayed, prior.posterior_decayed) \
+                == (post.decayed, post.prior_decayed, post.posterior_decayed)
+            assert prior.prior_thresholds == post.prior_thresholds
+            assert prior.posterior_thresholds == post.posterior_thresholds
+            for field in ("rate", "log_c", "r_squared", "n_points"):
+                assert getattr(prior.rates, field).tobytes() \
+                    == getattr(post.rates, field).tobytes()
+
+
+# -- analysis values checked at load -------------------------------------------
+
+NAN = float("nan")
+BAD_VALUES = {  # id -> (scenario, block, key, value)
+    "tail-nan": ("block3cycle.yaml", "analysis", "tail_fraction", NAN),
+    "tail-negative": ("block3cycle.yaml", "analysis", "tail_fraction", -0.5),
+    "basis-negative": ("block3cycle.yaml", "analysis", "basis_count", -1),
+    "asymp-tol-nan": ("block3cycle.yaml", "analysis", "asymp_tol", NAN),
+    "rmax-negative": ("block3cycle.yaml", "analysis", "rmax", -1),
+    "samples-negative": ("bernoulli_doubling.yaml", "driving", "samples", -1),
+    "samples-zero": ("bernoulli_doubling.yaml", "driving", "samples", 0),
+}
+# each value with a command that used to crash on it or run with it
+BAD_RUNS = [("tail-nan", "report"), ("tail-nan", "run-exactness"),
+            ("tail-negative", "report"), ("basis-negative", "report"),
+            ("asymp-tol-nan", "run-asymp"), ("rmax-negative", "report"),
+            ("samples-negative", "report"), ("samples-zero", "run-exactness")]
+
+
+def with_value(tmp_path, scenario, block, key, value):
+    doc = yaml.safe_load((SCENARIOS / scenario).read_text())
+    doc[block][key] = value
+    return write(tmp_path, yaml.safe_dump(doc))
+
+
+@pytest.mark.parametrize("case", BAD_VALUES)
+def test_bad_analysis_value_is_a_scenario_error(tmp_path, case):
+    scenario, block, key, value = BAD_VALUES[case]
+    with pytest.raises(ScenarioError, match=f"{block}.{key}"):
+        load_scenario(with_value(tmp_path, scenario, block, key, value))
+
+
+@pytest.mark.parametrize("case, command", BAD_RUNS)
+def test_cli_bad_analysis_value_exit_two(tmp_path, capsys, case, command):
+    scenario, block, key, value = BAD_VALUES[case]
+    out = tmp_path / "x.csv"
+    rc = main([command, "--scenario",
+               with_value(tmp_path, scenario, block, key, value),
+               "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert f"{block}.{key}" in err
+    assert not out.exists()
+
+
+def test_unreadable_analysis_value_is_a_scenario_error(tmp_path):
+    path = with_value(tmp_path, "block3cycle.yaml", "analysis", "rmax", NAN)
+    with pytest.raises(ScenarioError, match="analysis value"):
+        load_scenario(path)
