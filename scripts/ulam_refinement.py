@@ -20,13 +20,12 @@ from cocyclelab.measure import Density, FiniteMeasureSpace, Observable
 from cocyclelab.transfer import MapSpec, duality_residual, pf_ulam
 
 
-def second_eigenvalue(kernel: np.ndarray, iters: int = 2000,
-                      tail: int = 500) -> float:
-    """Modulus of the second-largest eigenvalue via deflated power iteration
-    (the leading pair is (1, stationary)).  Single-step growth factors
-    oscillate when the dominant deflated mode is a complex pair on a
-    non-normal matrix, so the estimate averages log-growth over the final
-    iterations instead of reading one step."""
+def second_eigenvalue(kernel, iters: int = 2000, tail: int = 500) -> float:
+    """Modulus of the second-largest eigenvalue of a dense or CSR kernel via
+    deflated power iteration (the leading pair is (1, stationary)).
+    Single-step growth factors oscillate when the dominant deflated mode is
+    a complex pair on a non-normal matrix, so the estimate averages
+    log-growth over the final iterations instead of reading one step."""
     n = kernel.shape[0]
     v = np.cos(np.linspace(0.0, np.pi, n))
     v -= v.mean()
@@ -72,7 +71,7 @@ def main(argv=None) -> int:
             P = pf_ulam(spec, space, args.samples, args.seed)
             f, g = smooth_pair(space)
             res = duality_residual(P, spec, f, g, refinement=8)
-            lam = second_eigenvalue(np.asarray(P.kernel))
+            lam = second_eigenvalue(P.kernel)
             print(f"{n:6d} {res:17.3e} {lam:9.4f}")
     return 0
 

@@ -89,9 +89,9 @@ def detect_periodicity(c: CocycleFamily, omega: EnvPoint, horizon: int,
                        support_floor: float = SUPPORT_FLOOR) -> PeriodicDecomposition:
     """Detect an asymptotic periodic decomposition along the orbit of omega.
 
-    The composed burn-in kernel is materialized densely, so this detector is
-    meant for moderate cell counts.  Components are labeled canonically by
-    their smallest cell index.
+    ``compose`` keeps the burn-in product as CSR while N >= 512 and nnz <=
+    N^2 / 32; the detector reads it densely, so it is meant for moderate cell
+    counts.  Components are labeled canonically by their smallest cell index.
     """
     if not tol > 0:
         raise PreconditionError(f"structure tolerance must be > 0, got {tol}")
@@ -100,9 +100,7 @@ def detect_periodicity(c: CocycleFamily, omega: EnvPoint, horizon: int,
     n = c.n
     burn = burn_in_steps(n, horizon)
     M = compose(c, omega, burn).kernel
-    if sp.issparse(M):
-        M = M.toarray()
-    M = np.asarray(M)
+    M = M.toarray() if sp.issparse(M) else M
 
     # imported here: csgraph pulls in scipy.sparse.linalg, which would add
     # about 0.1 s to every import of the package
@@ -243,9 +241,7 @@ def restricted_power_cocycle(c: CocycleFamily, dec: PeriodicDecomposition,
     table = {}
     for p in range(c.driving.n_points):
         M = compose(c, point(c.driving, p), k).kernel
-        if sp.issparse(M):
-            M = M.toarray()
-        block = np.asarray(M)[np.ix_(cells, cells)]
+        block = (M.toarray() if sp.issparse(M) else M)[np.ix_(cells, cells)]
         leak = float(np.abs(block.sum(axis=1) - 1.0).max())
         if leak > 1e-9:
             raise PreconditionError(
@@ -286,8 +282,8 @@ def quasi_constrictive_probe(c: CocycleFamily, omega: EnvPoint, horizon: int,
     at small eps means mass keeps concentrating (as for a cell permutation).
     """
     eps_values = np.sort(np.asarray(eps_values, dtype=float))
-    if eps_values.size == 0 or eps_values[0] <= 0:
-        raise PreconditionError("eps grid must be positive")
+    if not (eps_values.size and np.isfinite(eps_values).all() and eps_values[0] > 0):
+        raise PreconditionError(f"eps grid must be finite and > 0: {eps_values}")
     if horizon < 1:
         raise PreconditionError("the probe reads late times: need horizon >= 1")
     n = c.n

@@ -183,8 +183,11 @@ def cmd_run_asymp(args) -> int:
 def cmd_run_qc(args) -> int:
     sc = load_scenario(args.scenario)
     horizon, _ = _horizon_tol(args, sc)
-    eps_values = tuple(float(v) for v in args.eps.split(",")) if args.eps \
-        else sc.analysis.eps
+    try:
+        eps_values = tuple(float(v) for v in args.eps.split(",")) \
+            if args.eps else sc.analysis.eps
+    except ValueError:
+        raise PreconditionError(f"--eps takes numbers: {args.eps!r}") from None
     omegas = _env_points(sc, args.seed_override,
                          count=min(REPORT_HEAVY_OMEGAS,
                                    sc.analysis.env_samples))

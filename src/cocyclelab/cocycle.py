@@ -40,6 +40,7 @@ from cocyclelab.measure import (
     kernel_matmul,
     mass_apply,
     same_space,
+    stored_kernel,
 )
 
 
@@ -87,12 +88,6 @@ class CocycleFamily:
             raise DrivingError("point does not belong to this cocycle's driving")
 
 
-def _identity_kernel(c: CocycleFamily):
-    if all(sp.issparse(P.kernel) for P in c.table.values()):
-        return sp.identity(c.n, format="csr")
-    return np.eye(c.n)
-
-
 def orbit(c: CocycleFamily, omega: EnvPoint, n: int):
     """The orbit pairs (sigma^t omega, P(sigma^t omega)) for t = 0, 1, ..., n,
     or t = 0, -1, ..., n when n < 0 (the driving is invertible).
@@ -118,7 +113,7 @@ def compose(c: CocycleFamily, omega: EnvPoint, n: int) -> MarkovMatrix:
     """The n-step operator from omega; n = 0 gives the identity."""
     if n < 0:
         raise PreconditionError("cocycle steps run forward only (n >= 0)")
-    kernel = _identity_kernel(c)
+    kernel = stored_kernel(sp.eye_array(c.n, format="csr"))
     for step in orbit_kernels(c, omega, n):
         kernel = kernel_matmul(kernel, step)
     return MarkovMatrix(c.space, kernel, exact=c.all_exact)

@@ -7,6 +7,9 @@ j, so mass vectors evolve by right multiplication and the L1 contraction /
 conservation properties hold entrywise.  Densities carry cell-averaged values
 (mass = value * weight); observables carry plain cell values and pair with
 densities through ``integrate``.
+
+Kernels are stored by one rule (``stored_kernel``, in ``MarkovMatrix`` and
+``kernel_matmul``): CSR when N >= 512 and nnz <= N^2 / 32, dense otherwise.
 """
 
 from __future__ import annotations
@@ -18,6 +21,13 @@ import scipy.sparse as sp
 
 ROW_SUM_ATOL = 1e-12
 ENTRY_ATOL = 1e-12
+
+# Kernel storage rule.  A one-row push through a kernel with 2 nonzeros per
+# row took, dense vs CSR: N = 256 15-22 vs 38-44 us, N = 512 66 vs 27-36 us,
+# N = 1024 200 vs 48 us.  With N^2 / 32 nonzeros CSR took 0.45-0.7x the
+# dense time at N = 512-2048 (float64, one core of a 2-core Xeon VM).
+SPARSE_MIN_CELLS = 512
+SPARSE_FILL_DIVISOR = 32
 
 
 class SpaceMismatchError(ValueError):
@@ -166,20 +176,20 @@ class Observable:
 
 # -- kernel helpers (dense ndarray or scipy.sparse, same call sites) --------
 
-def kernel_row_sums(kernel) -> np.ndarray:
-    return np.asarray(kernel.sum(axis=1)).ravel()
-
-
-def kernel_min_entry(kernel) -> float:
-    # sparse .min() accounts for implicit zeros when the matrix is not full
-    return float(kernel.min())
+def stored_kernel(kernel):
+    """The kernel as a ``csr_array`` when N >= SPARSE_MIN_CELLS and nnz <=
+    N^2 / SPARSE_FILL_DIVISOR, else as an ndarray (read-only if converted)."""
+    n = kernel.shape[0]
+    if n >= SPARSE_MIN_CELLS and SPARSE_FILL_DIVISOR * (
+            kernel.count_nonzero() if sp.issparse(kernel)
+            else np.count_nonzero(kernel)) <= n * n:
+        return sp.csr_array(kernel, dtype=float)
+    return _readonly(kernel.toarray()) if sp.issparse(kernel) else kernel
 
 
 def kernel_matmul(a, b):
-    out = a @ b
-    if sp.issparse(out):
-        out = out.tocsr()
-    return out
+    """The product a @ b, stored by the kernel storage rule."""
+    return stored_kernel(a @ b)
 
 
 def mass_apply(mass: np.ndarray, kernel) -> np.ndarray:
@@ -198,9 +208,9 @@ class MarkovCheckReport:
 def markov_check(kernel, row_sum_atol: float = ROW_SUM_ATOL,
                  entry_atol: float = ENTRY_ATOL) -> MarkovCheckReport:
     """Verify row-stochasticity: rows sum to 1 within tolerance, entries >= 0."""
-    sums = kernel_row_sums(kernel)
+    sums = np.asarray(kernel.sum(axis=1)).ravel()
     max_err = float(np.abs(sums - 1.0).max())
-    min_entry = kernel_min_entry(kernel)
+    min_entry = float(kernel.min())  # counts a sparse kernel's implicit zeros
     ok = max_err <= row_sum_atol and min_entry >= -entry_atol
     return MarkovCheckReport(n=sums.size, max_row_sum_error=max_err,
                              min_entry=min_entry, ok=ok)
@@ -212,8 +222,8 @@ class MarkovMatrix:
 
     ``exact`` distinguishes map-derived / hand-entered kernels from
     Monte-Carlo (Ulam) approximations; several tests are only meaningful for
-    exact kernels.  The kernel may be a dense ndarray or a scipy.sparse
-    matrix (permutation kernels at large N stay sparse).
+    exact kernels.  The kernel may be given dense or as any scipy.sparse
+    matrix; ``stored_kernel`` picks its storage (dense ones are read-only).
     """
 
     space: FiniteMeasureSpace
@@ -221,14 +231,11 @@ class MarkovMatrix:
     exact: bool = True
 
     def __post_init__(self):
-        k = self.kernel
-        if sp.issparse(k):
-            k = k.tocsr()
-        else:
-            k = _readonly(k)
+        k = self.kernel if sp.issparse(self.kernel) else _readonly(self.kernel)
         if k.shape != (self.space.n, self.space.n):
             raise SpaceMismatchError(
                 f"kernel shape {k.shape} does not match {self.space.n} cells")
+        k = stored_kernel(k)
         report = markov_check(k)
         if not report.ok:
             raise StochasticityError(
@@ -243,10 +250,7 @@ class MarkovMatrix:
     def is_cell_map(self, atol: float = 1e-9) -> bool:
         """True when every entry is 0 or 1, i.e. the kernel permutes/collapses
         whole cells and the Koopman dual maps indicators to indicator functions."""
-        if sp.issparse(self.kernel):
-            data = self.kernel.data
-            return bool(np.all(np.minimum(np.abs(data), np.abs(data - 1.0)) <= atol))
-        k = self.kernel
+        k = self.kernel.data if sp.issparse(self.kernel) else self.kernel
         return bool(np.all(np.minimum(np.abs(k), np.abs(k - 1.0)) <= atol))
 
 

@@ -269,6 +269,8 @@ def _build_analysis(node, driving_node) -> AnalysisConfig:
          "analysis.basis_count", "be >= 1", cfg.basis_count),
         (cfg.asymp_tol > 0, "analysis.asymp_tol", "be > 0", cfg.asymp_tol),
         (cfg.rmax >= 0, "analysis.rmax", "be >= 0", cfg.rmax),
+        (bool(cfg.eps) and all(0 < v < np.inf for v in cfg.eps),
+         "analysis.eps", "be nonempty, finite and > 0", list(cfg.eps)),
         (cfg.env_samples >= 1, "driving.samples", "be >= 1", cfg.env_samples),
     )
     for ok, key, rule, value in checks:

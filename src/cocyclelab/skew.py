@@ -399,12 +399,15 @@ def theta_invariance(nc: NormalizedCocycle, psets,
     """
     c = nc.cocycle
     d = c.driving
+    if not psets:
+        raise PreconditionError("theta invariance needs at least one product set")
+    for pset in psets:
+        _check_cells(c.n, pset)
     gaps = []
     stderr = None
     if d.kind != BERNOULLI:
         h_mass, converged = _fibre_masses(nc, points(d))
         for pset in psets:
-            _check_cells(c.n, pset)
             mask = _env_mask_finite(d, pset)
             direct = 0.0
             pulled = 0.0
@@ -421,7 +424,6 @@ def theta_invariance(nc: NormalizedCocycle, psets,
         kernel = next(iter(c.table.values())).kernel
         pushed = mass_apply(h_mass[0], kernel)
         for pset in psets:
-            _check_cells(c.n, pset)
             env = cylinder_probability(d, pset.env_constraints or {})
             direct = env * h_mass[0, pset.cells].sum()
             pulled = env * pushed[pset.cells].sum()
@@ -435,7 +437,6 @@ def theta_invariance(nc: NormalizedCocycle, psets,
             pushed = mass_apply(h_mass[i], c.operator_at(w).kernel)
             w_next = advance(d, w, 1)
             for s_id, pset in enumerate(psets):
-                _check_cells(c.n, pset)
                 direct = (h_mass[i, pset.cells].sum()
                           if constraints_satisfied(w, pset.env_constraints)
                           else 0.0)

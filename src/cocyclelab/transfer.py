@@ -4,7 +4,8 @@
 partition is dyadically aligned (doubling, cyclic bit-shift baker).
 ``pf_ulam`` estimates the kernel for any pointwise map by seeded Monte-Carlo:
 uniform draws inside each cell (stratified by cell, one independent derived
-seed per row), counting which target cell the mapped point lands in.
+seed per row), counting which target cell the mapped point lands in.  Both
+build index arrays, stored as CSR when N >= 512 and nnz <= N^2 / 32, else dense.
 ``duality_residual`` checks the discrete kernel against the
 underlying map through the adjoint pairing, using midpoint quadrature on a
 refined partition.
@@ -131,29 +132,27 @@ def pf_exact(spec: MapSpec, space: FiniteMeasureSpace) -> MarkovMatrix:
 
     doubling: N = 2^p uniform cells, cell i splits evenly onto cells
     2i mod N and 2i+1 mod N.  baker_cyclic: N = 2^bits uniform cells, the
-    kernel is the bit-shift permutation (kept sparse: it stays a permutation
-    under composition and N reaches 2^16).
+    kernel is the bit-shift permutation.  Both are built from index arrays
+    and stored as CSR from N = 512 cells on (the storage rule), dense below.
     """
     n = space.n
+    if spec.kind not in ("doubling", "baker_cyclic"):
+        raise PreconditionError(
+            f"no exact kernel for map kind {spec.kind!r}; use pf_ulam")
+    _require_uniform(space, f"pf_exact({spec.kind})")
     if spec.kind == "doubling":
-        _require_uniform(space, "pf_exact(doubling)")
         if n & (n - 1):
             raise PreconditionError("doubling exact kernel needs N = 2^p cells")
-        k = np.zeros((n, n))
-        rows = np.arange(n)
-        k[rows, (2 * rows) % n] = 0.5
-        k[rows, (2 * rows + 1) % n] = 0.5
-        return MarkovMatrix(space, k, exact=True)
-    if spec.kind == "baker_cyclic":
-        _require_uniform(space, "pf_exact(baker_cyclic)")
+        cols, value = (2 * np.arange(n)[:, None] + np.arange(2)) % n, 0.5
+    else:
         if n != 1 << spec.bits:
             raise PreconditionError(
                 f"baker_cyclic with {spec.bits} bits needs N = {1 << spec.bits}")
-        perm = bit_shift_permutation(spec.bits)
-        k = sp.csr_array((np.ones(n), (np.arange(n), perm)), shape=(n, n))
-        return MarkovMatrix(space, k, exact=True)
-    raise PreconditionError(
-        f"no exact kernel for map kind {spec.kind!r}; use pf_ulam")
+        cols, value = bit_shift_permutation(spec.bits)[:, None], 1.0
+    rows = np.repeat(np.arange(n), cols.shape[1])
+    k = sp.csr_array((np.full(rows.size, value), (rows, cols.ravel())),
+                     shape=(n, n))
+    return MarkovMatrix(space, k, exact=True)
 
 
 def _cell_edges(space: FiniteMeasureSpace) -> np.ndarray:
@@ -169,35 +168,36 @@ def pf_ulam(spec: MapSpec, space: FiniteMeasureSpace, samples_per_cell: int,
             seed: int) -> MarkovMatrix:
     """Monte-Carlo Ulam kernel: row i estimates the split of cell i's mass
     over target cells from independent uniform draws inside cell i (one
-    derived seed per row), rows renormalized to sum exactly to 1."""
+    derived seed per row), counted in blocks of about 2^14 draws into a
+    COO -> CSR build that never visits the N^2 zero entries."""
     if samples_per_cell < 1:
         raise PreconditionError("need at least one sample per cell")
-    n = space.n
-    children = np.random.SeedSequence(seed).spawn(n)
-    kernel = np.zeros((n, n))
-    s = samples_per_cell
-    if spec.dimension == 1:
-        edges = _cell_edges(space)
-        for i in range(n):
-            rng = np.random.default_rng(children[i])
-            x = edges[i] + rng.random(s) * (edges[i + 1] - edges[i])
-            j = _locate(edges, map_point(spec, x))
-            kernel[i] = np.bincount(j, minlength=n)
-    else:
+    n, s, dim = space.n, samples_per_cell, spec.dimension
+    edges = _cell_edges(space)
+    if dim == 2:
         _require_uniform(space, "pf_ulam on the unit square")
         g = math.isqrt(n)
         if g * g != n:
             raise PreconditionError("planar maps need N = g^2 grid cells")
-        for i in range(n):
-            rng = np.random.default_rng(children[i])
-            ix, iy = i % g, i // g
-            x = (ix + rng.random(s)) / g
-            y = (iy + rng.random(s)) / g
-            x2, y2 = map_point(spec, x, y)
+    children = np.random.SeedSequence(seed).spawn(n)
+    block = max(1, (1 << 14) // s)
+    found = []  # (keys row * n + col, their counts) per block
+    for start in range(0, n, block):
+        rows = np.arange(start, min(start + block, n))
+        u = np.stack([np.random.default_rng(children[i]).random((dim, s))
+                      for i in rows])
+        if dim == 1:
+            x = edges[rows, None] + u[:, 0] * (edges[rows + 1]
+                                               - edges[rows])[:, None]
+            j = _locate(edges, map_point(spec, x))
+        else:
+            x2, y2 = map_point(spec, ((rows % g)[:, None] + u[:, 0]) / g,
+                               ((rows // g)[:, None] + u[:, 1]) / g)
             j = np.minimum((x2 * g).astype(int), g - 1) \
                 + g * np.minimum((y2 * g).astype(int), g - 1)
-            kernel[i] = np.bincount(j, minlength=n)
-    kernel /= kernel.sum(axis=1, keepdims=True)
+        found.append(np.unique(rows[:, None] * n + j, return_counts=True))
+    key, count = map(np.concatenate, zip(*found))
+    kernel = sp.csr_array((count / s, (key // n, key % n)), shape=(n, n))
     return MarkovMatrix(space, kernel, exact=False)
 
 
@@ -216,10 +216,10 @@ def duality_residual(P: MarkovMatrix, spec: MapSpec, f: Density,
     space = f.space
     lhs = integrate(apply(P, f), g)
     r = refinement
+    sub = (np.arange(r) + 0.5) / r
     if spec.dimension == 1:
         edges = _cell_edges(space)
         widths = space.weights
-        sub = (np.arange(r) + 0.5) / r
         x = (edges[:-1, None] + widths[:, None] * sub[None, :]).ravel()
         fx = np.repeat(f.values, r)
         quad_w = np.repeat(widths / r, r)
@@ -230,7 +230,6 @@ def duality_residual(P: MarkovMatrix, spec: MapSpec, f: Density,
         gsz = math.isqrt(space.n)
         if gsz * gsz != space.n:
             raise PreconditionError("planar maps need N = g^2 grid cells")
-        sub = (np.arange(r) + 0.5) / r
         axis = np.arange(gsz)
         xs = ((axis[:, None] + sub[None, :]) / gsz).ravel()  # per-axis midpoints
         X, Y = np.meshgrid(xs, xs, indexing="ij")

@@ -281,8 +281,9 @@ def test_qc_probe_rejects_bad_grid():
     c = constant_cocycle(np.eye(4))
     with pytest.raises(PreconditionError):
         quasi_constrictive_probe(c, point(c.driving, 0), 4, [])
-    with pytest.raises(PreconditionError):
-        quasi_constrictive_probe(c, point(c.driving, 0), 4, [0.0, 0.5])
+    for grid in ([0.0, 0.5], [np.nan], [0.25, np.nan], [0.25, np.inf]):
+        with pytest.raises(PreconditionError, match="eps grid"):
+            quasi_constrictive_probe(c, point(c.driving, 0), 4, grid)
     with pytest.raises(PreconditionError):
         quasi_constrictive_probe(c, point(c.driving, 0), 0, [0.5])
 

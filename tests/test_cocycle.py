@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -8,7 +9,6 @@ from cocyclelab.cocycle import (
     CocycleFamily,
     InvariantDensityMap,
     NormalizedCocycle,
-    _identity_kernel,
     build_invariant_density_map,
     compose,
     invariant_density_pullback,
@@ -36,7 +36,7 @@ from cocyclelab.measure import (
     mass_apply,
 )
 from cocyclelab.skew import ProductSet, nu_measure
-from cocyclelab.transfer import MapSpec, pf_exact
+from cocyclelab.transfer import MapSpec, bit_shift_permutation, pf_exact
 
 
 def make_space(n=4):
@@ -101,6 +101,38 @@ def test_prop_cocycle_law(n, m, seed):
     rhs = np.asarray(compose(c, w, m).kernel) @ np.asarray(
         compose(c, advance(d, w, m), n).kernel)
     assert np.allclose(lhs, rhs, atol=1e-10)
+
+
+def test_compose_switches_to_dense_past_the_fill_in_bound(monkeypatch):
+    space = make_space(1024)
+    c = constant_cocycle(pf_exact(MapSpec("doubling"), space))
+    w = point(c.driving, 0)
+    # doubling^k spreads each row over 2^k cells: CSR up to 32 = 1024 / 32
+    # per row, dense from 64 on
+    assert isinstance(compose(c, w, 0).kernel, sp.csr_array)
+    assert isinstance(compose(c, w, 5).kernel, sp.csr_array)
+    assert isinstance(compose(c, w, 6).kernel, np.ndarray)
+    # the running product follows the same rule between steps
+    running_sparse = []
+
+    def recording(a, b):
+        running_sparse.append(sp.issparse(a))
+        return kernel_matmul(a, b)
+
+    monkeypatch.setattr(cocyclelab.cocycle, "kernel_matmul", recording)
+    K12 = compose(c, w, 12).kernel
+    assert running_sparse == [True] * 6 + [False] * 6
+    assert isinstance(K12, np.ndarray)
+    assert np.all(K12 == 1.0 / 1024)
+    # the 2^10-cell baker permutation composed 12 times stays a permutation
+    baker = constant_cocycle(pf_exact(MapSpec("baker_cyclic", bits=10), space))
+    P12 = compose(baker, point(baker.driving, 0), 12).kernel
+    assert isinstance(P12, sp.csr_array) and P12.nnz == 1024
+    perm = np.arange(1024)
+    for _ in range(12):
+        perm = bit_shift_permutation(10)[perm]
+    assert np.array_equal(P12.indices, perm)
+    assert np.array_equal(P12.data, np.ones(1024))
 
 
 def test_compose_over_bernoulli_uses_symbol_table():
@@ -199,7 +231,7 @@ def bracket_pullback_reference(c, omega, k_max, f0, tol):
     constant table pushes the previous depth once more."""
     base = f0.mass
     prev, steps, inc = base, 0, np.inf
-    bracket = _identity_kernel(c)
+    bracket = np.eye(c.n)
     for k in range(1, k_max + 1):
         if c.is_constant:
             cur = mass_apply(prev, next(iter(c.table.values())).kernel)

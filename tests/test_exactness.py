@@ -15,7 +15,6 @@ from hypothesis import given, strategies as st
 
 from cocyclelab.cocycle import (
     CocycleFamily,
-    _identity_kernel,
     compose,
     orbit,
     orbit_kernels,
@@ -129,13 +128,15 @@ def test_dual_flatness_matches_composed_operator():
 
 
 def test_dual_flatness_sparse_permutation_stays_flat_at_one():
-    space = FiniteMeasureSpace.uniform(16)
-    P = pf_exact(MapSpec("baker_cyclic", bits=4), space)
-    assert sp.issparse(P.kernel)
-    c = constant_cocycle(P)
-    res = lin_dual_flatness(c, point(c.driving, 0),
-                            indicator_basis(space, count=4), horizon=8)
-    assert np.all(res.flatness == 1.0)
+    for bits in (4, 10):
+        space = FiniteMeasureSpace.uniform(1 << bits)
+        P = pf_exact(MapSpec("baker_cyclic", bits=bits), space)
+        # the storage rule keeps the 1024-cell permutation sparse
+        assert sp.issparse(P.kernel) == (bits == 10)
+        c = constant_cocycle(P)
+        res = lin_dual_flatness(c, point(c.driving, 0),
+                                indicator_basis(space, count=4), horizon=8)
+        assert np.all(res.flatness == 1.0)
 
 
 # -- tail partition route ------------------------------------------------------
@@ -294,7 +295,7 @@ def composed_dual_reference(c, omega, g_basis, horizon):
     flat = np.empty((len(g_basis), horizon + 1))
     dist = np.empty((len(g_basis), horizon + 1))
     kernels = orbit_kernels(c, omega, horizon)
-    composed = _identity_kernel(c)
+    composed = np.eye(c.n)
     for n in range(horizon + 1):
         v = np.asarray(composed @ g_mat)
         flat[:, n] = v.max(axis=0) - v.min(axis=0)

@@ -5,6 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cocyclelab.measure import (
+    SPARSE_FILL_DIVISOR,
+    SPARSE_MIN_CELLS,
     Density,
     FiniteMeasureSpace,
     MarkovMatrix,
@@ -129,16 +131,61 @@ def test_space_mismatch_raises(doubling4):
         apply(doubling4, Density.uniform(weighted))
 
 
-def test_sparse_kernel_matches_dense(space4):
-    dense = MarkovMatrix(space4, DOUBLING4)
-    sparse = MarkovMatrix(space4, sp.csr_array(DOUBLING4))
+def test_sparse_kernel_matches_dense():
+    # 1024-cell doubling kernel: CSR under the storage rule, compared with
+    # the same entries applied as a dense array
+    n = 1024
+    space = FiniteMeasureSpace.uniform(n)
+    rows = np.arange(n)
+    dense = np.zeros((n, n))
+    dense[rows, 2 * rows % n] = dense[rows, (2 * rows + 1) % n] = 0.5
+    sparse = MarkovMatrix(space, dense)
+    assert isinstance(sparse.kernel, sp.csr_array)
     rng = np.random.default_rng(2)
-    f = Density(space4, rng.normal(size=4))
-    g = Observable(space4, rng.normal(size=4))
-    assert np.allclose(apply(dense, f).values, apply(sparse, f).values, atol=1e-15)
-    assert np.allclose(dual_apply(dense, g).values, dual_apply(sparse, g).values,
+    f = Density(space, rng.normal(size=n))
+    g = Observable(space, rng.normal(size=n))
+    assert np.allclose(apply(sparse, f).mass, f.mass @ dense, rtol=0, atol=1e-15)
+    assert np.allclose(dual_apply(sparse, g).values, dense @ g.values, rtol=0,
                        atol=1e-15)
     assert sparse.is_cell_map() is False
+
+
+def spread_kernel(n, per_row):
+    """Row i spreads evenly over the per_row cells i, i+1, ... (mod n)."""
+    k = np.zeros((n, n))
+    for shift in range(per_row):
+        k[np.arange(n), (np.arange(n) + shift) % n] = 1.0 / per_row
+    return k
+
+
+@pytest.mark.parametrize("n, per_row, stored_sparse", [
+    (SPARSE_MIN_CELLS - 1, 2, False),             # small: dense
+    (SPARSE_MIN_CELLS, 2, True),                  # large and sparse: CSR
+    (SPARSE_MIN_CELLS, SPARSE_MIN_CELLS // SPARSE_FILL_DIVISOR, True),
+    (SPARSE_MIN_CELLS, SPARSE_MIN_CELLS // SPARSE_FILL_DIVISOR + 1, False),
+    (1024, 1024, False),                          # large and full: dense
+])
+def test_storage_rule(n, per_row, stored_sparse):
+    space = FiniteMeasureSpace.uniform(n)
+    entries = spread_kernel(n, per_row)
+    rng = np.random.default_rng(n + per_row)
+    f = Density(space, rng.normal(size=n))
+    g = Observable(space, rng.normal(size=n))
+    for given_as in (entries, sp.csr_array(entries), sp.coo_array(entries)):
+        P = MarkovMatrix(space, given_as)
+        assert sp.issparse(P.kernel) == stored_sparse
+        if stored_sparse:
+            assert isinstance(P.kernel, sp.csr_array)
+            assert np.array_equal(P.kernel.toarray(), entries)
+        else:
+            assert isinstance(P.kernel, np.ndarray)
+            assert not P.kernel.flags.writeable
+            assert np.array_equal(P.kernel, entries)
+        # both storages push and pull the same numbers
+        assert np.allclose(apply(P, f).mass, f.mass @ entries, rtol=0,
+                           atol=1e-15)
+        assert np.allclose(dual_apply(P, g).values, entries @ g.values, rtol=0,
+                           atol=1e-15)
 
 
 def test_is_cell_map_detects_permutations(space4):

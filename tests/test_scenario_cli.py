@@ -339,6 +339,18 @@ def test_cli_qc_csv(tmp_path):
     assert [float(r["delta"]) for r in rows] == [0.875, 0.75]
 
 
+@pytest.mark.parametrize("eps", ["nan", "0.25,inf", "-0.5", "abc", "0.25,"])
+def test_cli_qc_bad_eps_exit_two(tmp_path, capsys, eps):
+    out = tmp_path / "qc.csv"
+    rc = main(["run-qc", "--scenario", str(SCENARIOS / "doubling_exact.yaml"),
+               "--eps", eps, "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "eps" in err
+    assert not out.exists()
+
+
 def test_cli_skew_csv_deterministic(tmp_path):
     args = ["run-skew", "--scenario", str(SCENARIOS / "bernoulli_doubling.yaml"),
             "--sets", str(SCENARIOS / "sets_halves.yaml"), "--horizon", "8"]
@@ -428,12 +440,18 @@ BAD_VALUES = {  # id -> (scenario, block, key, value)
     "rmax-negative": ("block3cycle.yaml", "analysis", "rmax", -1),
     "samples-negative": ("bernoulli_doubling.yaml", "driving", "samples", -1),
     "samples-zero": ("bernoulli_doubling.yaml", "driving", "samples", 0),
+    "eps-nan": ("block3cycle.yaml", "analysis", "eps", [NAN]),
+    "eps-inf": ("block3cycle.yaml", "analysis", "eps", [0.25, float("inf")]),
+    "eps-negative": ("block3cycle.yaml", "analysis", "eps", [-0.5]),
+    "eps-empty": ("block3cycle.yaml", "analysis", "eps", []),
 }
 # each value with a command that used to crash on it or run with it
 BAD_RUNS = [("tail-nan", "report"), ("tail-nan", "run-exactness"),
             ("tail-negative", "report"), ("basis-negative", "report"),
             ("asymp-tol-nan", "run-asymp"), ("rmax-negative", "report"),
-            ("samples-negative", "report"), ("samples-zero", "run-exactness")]
+            ("samples-negative", "report"), ("samples-zero", "run-exactness"),
+            ("eps-nan", "run-qc"), ("eps-inf", "run-qc"),
+            ("eps-negative", "report")]
 
 
 def with_value(tmp_path, scenario, block, key, value):

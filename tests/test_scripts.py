@@ -30,8 +30,9 @@ def test_decay_rates_table(tmp_path, capsys):
 
 
 def test_ulam_refinement_table(capsys):
+    # 512 cells: the kernel is stored as CSR
     assert load_script("ulam_refinement").main(
-        ["--sizes", "16,32", "--samples", "200"]) == 0
+        ["--sizes", "16,32,512", "--samples", "200"]) == 0
     tables = {}
     for line in capsys.readouterr().out.splitlines():
         words = line.split()
@@ -42,7 +43,7 @@ def test_ulam_refinement_table(capsys):
             tables[kind].append((int(words[0]), float(words[1]), float(words[2])))
     assert set(tables) == {"doubling", "tent"}
     for rows in tables.values():
-        assert [n for n, _, _ in rows] == [16, 32]
+        assert [n for n, _, _ in rows] == [16, 32, 512]
         for _, residual, lam in rows:
             assert math.isfinite(residual)
             assert 0.0 <= lam <= 1.0

@@ -10,6 +10,7 @@ factor reads 0, 1/4, 1/4, ... and factorizes exactly from n = 1 on.
 import numpy as np
 import pytest
 
+import cocyclelab.cocycle
 from cocyclelab.cocycle import (
     CocycleFamily,
     NormalizedCocycle,
@@ -227,8 +228,7 @@ def test_set_picture_matches_operator_route_finite():
 def test_set_picture_matches_cylinder_route():
     space = FiniteMeasureSpace.uniform(4)
     perm = pf_exact(MapSpec("baker_cyclic", bits=2), space)
-    dense = perm.kernel.toarray()
-    nc = bernoulli_nc([dense, dense])
+    nc = bernoulli_nc([perm.kernel, perm.kernel])
     a = ProductSet(cells=[0, 1], env_constraints={0: 0})
     b = ProductSet(cells=[1, 3], env_constraints={1: 1})
     rep = skew_mixing_curve(nc, a, b, horizon=8, tol=1e-9)
@@ -266,6 +266,21 @@ def test_theta_invariance_two_operator_rotation():
                                            ProductSet(cells=[1])])
     assert rep.exact
     assert rep.residual <= 1e-10
+
+
+def test_theta_invariance_rejects_an_empty_set_list(monkeypatch):
+    space = FiniteMeasureSpace.uniform(4)
+    P = pf_exact(MapSpec("doubling"), space)
+    nc = normalized(CocycleFamily(driving=finite_rotation(2),
+                                  table={0: P, 1: P}))
+
+    def no_pullback(*args, **kwargs):
+        raise AssertionError("pulled back a fibre density")
+
+    monkeypatch.setattr(cocyclelab.cocycle, "invariant_density_pullback",
+                        no_pullback)
+    with pytest.raises(PreconditionError, match="at least one product set"):
+        theta_invariance(nc, [])
 
 
 def test_theta_invariance_cylinder_and_monte_carlo():

@@ -1,6 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cocyclelab.measure import (
     Density,
@@ -74,17 +78,26 @@ def test_pf_exact_doubling_matches_hand_kernel():
     P = pf_exact(MapSpec("doubling"), space)
     assert P.exact
     assert np.allclose(P.kernel, DOUBLING4, atol=0)
+    # one cell: both halves land on it
+    one = pf_exact(MapSpec("doubling"), FiniteMeasureSpace.uniform(1))
+    assert np.array_equal(one.kernel, [[1.0]])
 
 
 def test_pf_exact_baker_is_sparse_permutation():
     space = FiniteMeasureSpace.uniform(4)
     P = pf_exact(MapSpec("baker_cyclic", bits=2), space)
-    assert sp.issparse(P.kernel)
     assert P.is_cell_map()
-    dense = P.kernel.toarray()
     expect = np.zeros((4, 4))
     expect[np.arange(4), [0, 2, 1, 3]] = 1.0
-    assert np.array_equal(dense, expect)
+    assert np.array_equal(P.kernel, expect)
+    # from 512 cells on, the permutation is stored as CSR: one 1 per row
+    big = pf_exact(MapSpec("baker_cyclic", bits=10),
+                   FiniteMeasureSpace.uniform(1024))
+    assert isinstance(big.kernel, sp.csr_array)
+    assert big.is_cell_map()
+    assert np.array_equal(big.kernel.indptr, np.arange(1025))
+    assert np.array_equal(big.kernel.indices, bit_shift_permutation(10))
+    assert np.array_equal(big.kernel.data, np.ones(1024))
 
 
 def test_pf_exact_preconditions():
@@ -121,6 +134,79 @@ def test_pf_ulam_identity_on_nonuniform_space():
     space = FiniteMeasureSpace(w)
     P = pf_ulam(IDENTITY_MAP, space, samples_per_cell=100, seed=1)
     assert np.array_equal(P.kernel, np.eye(4))
+
+
+def dense_ulam_reference(spec, space, s, seed):
+    """pf_ulam written as one dense row per cell: draw the row's samples
+    with its own derived seed, map them, bincount the target cells over all
+    N cells and divide by the row sum."""
+    n = space.n
+    children = np.random.SeedSequence(seed).spawn(n)
+    kernel = np.zeros((n, n))
+    if spec.dimension == 1:
+        edges = np.concatenate([[0.0], np.cumsum(space.weights)])
+        for i in range(n):
+            rng = np.random.default_rng(children[i])
+            x = edges[i] + rng.random(s) * (edges[i + 1] - edges[i])
+            j = np.clip(np.searchsorted(edges, map_point(spec, x), side="right")
+                        - 1, 0, n - 1)
+            kernel[i] = np.bincount(j, minlength=n)
+    else:
+        g = math.isqrt(n)
+        for i in range(n):
+            rng = np.random.default_rng(children[i])
+            x = (i % g + rng.random(s)) / g
+            y = (i // g + rng.random(s)) / g
+            x2, y2 = map_point(spec, x, y)
+            j = np.minimum((x2 * g).astype(int), g - 1) \
+                + g * np.minimum((y2 * g).astype(int), g - 1)
+            kernel[i] = np.bincount(j, minlength=n)
+    return kernel / kernel.sum(axis=1, keepdims=True)
+
+
+@st.composite
+def ulam_case(draw):
+    """A map, a partition on either side of 512 cells, a sample count (from
+    17 up, pf_ulam splits 1024 rows into more than one block) and a seed."""
+    kind = draw(st.sampled_from(["doubling", "tent", "piecewise_linear",
+                                 "baker_planar"]))
+    if kind == "baker_planar":
+        side = draw(st.sampled_from([4, 16, 22, 23, 32]))
+        space = FiniteMeasureSpace.uniform(side * side)
+    else:
+        n = draw(st.sampled_from([3, 64, 256, 511, 512, 700, 1024]))
+        if draw(st.booleans()):
+            space = FiniteMeasureSpace.uniform(n)
+        else:
+            rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+            w = rng.random(n) + 0.1
+            space = FiniteMeasureSpace(w / w.sum())
+    if kind == "piecewise_linear":
+        pieces = draw(st.integers(1, 4))
+        inner = sorted(draw(st.lists(st.floats(0.05, 0.95), unique=True,
+                                     min_size=pieces - 1, max_size=pieces - 1)))
+        spec = MapSpec(kind, breakpoints=[0.0, *inner, 1.0],
+                       slopes=draw(st.lists(st.floats(-6, 6), min_size=pieces,
+                                            max_size=pieces)),
+                       intercepts=draw(st.lists(st.floats(0, 1, exclude_max=True),
+                                                min_size=pieces, max_size=pieces)))
+    else:
+        spec = MapSpec(kind)
+    return (spec, space, draw(st.integers(1, 300)),
+            draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(ulam_case())
+def test_pf_ulam_matches_dense_row_loop(case):
+    spec, space, s, seed = case
+    P = pf_ulam(spec, space, s, seed)
+    expect = dense_ulam_reference(spec, space, s, seed)
+    n = space.n
+    assert sp.issparse(P.kernel) == (n >= 512 and 32 * np.count_nonzero(expect)
+                                     <= n * n)
+    got = P.kernel.toarray() if sp.issparse(P.kernel) else P.kernel
+    assert got.tobytes() == expect.tobytes()
 
 
 def test_pf_ulam_doubling_close_to_exact():
