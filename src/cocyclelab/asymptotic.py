@@ -269,6 +269,31 @@ class QCReport:
     quasi_constrictive: bool    # positive escape at the smallest probed eps
 
 
+def _greedy_packs(ms: np.ndarray, ws: np.ndarray, eps_values: np.ndarray,
+                  support_floor: float):
+    """Greedy packs of the sorted rows ``ms`` per eps: take cells heaviest
+    first, stop at the first mass <= support_floor, skip a cell whose weight
+    ``ws`` (in the rows' order, or one vector when uniform) would lift the
+    union above eps.  Uniform packs are prefixes.  Returns the captures
+    (rows, eps), summed in take order, and the taken (positions, rows, eps)."""
+    limit = eps_values + 1e-15
+    alive = np.logical_and.accumulate(~(ms <= support_floor), axis=1).T
+    if ws.ndim == 1:
+        fit = np.searchsorted(np.cumsum(ws), limit, side="right")
+        count = np.minimum(alive.sum(axis=0)[:, None], fit)
+        sums = np.cumsum(np.hstack([np.zeros((len(ms), 1)), ms]), axis=1)
+        return (np.take_along_axis(sums, count, axis=1),
+                np.arange(ws.size)[:, None, None] < count)
+    taken = np.zeros(alive.shape + limit.shape, dtype=bool)
+    total = np.zeros(taken.shape[1:])
+    captured = np.zeros(taken.shape[1:])
+    for pos, w in enumerate(ws.T[:, :, None]):
+        taken[pos] = alive[pos, :, None] & ~(total + w > limit)
+        total = np.where(taken[pos], total + w, total)
+        captured = np.where(taken[pos], captured + ms[:, pos, None], captured)
+    return captured, taken
+
+
 def quasi_constrictive_probe(c: CocycleFamily, omega: EnvPoint, horizon: int,
                              eps_values,
                              support_floor: float = SUPPORT_FLOOR) -> QCReport:
@@ -280,6 +305,7 @@ def quasi_constrictive_probe(c: CocycleFamily, omega: EnvPoint, horizon: int,
     union's measure staying at or below eps.  delta(eps) = 1 - capture;
     deltas bounded away from zero are constrictivity evidence, a zero delta
     at small eps means mass keeps concentrating (as for a cell permutation).
+    The witness per eps is the first maximum in (step, row) order.
     """
     eps_values = np.sort(np.asarray(eps_values, dtype=float))
     if not (eps_values.size and np.isfinite(eps_values).all() and eps_values[0] > 0):
@@ -288,6 +314,7 @@ def quasi_constrictive_probe(c: CocycleFamily, omega: EnvPoint, horizon: int,
         raise PreconditionError("the probe reads late times: need horizon >= 1")
     n = c.n
     w = c.space.weights
+    uniform = bool(np.all(w == w[0]))
     burn = max(horizon // 2, 1)
 
     mass = np.eye(n)  # rows: pushed cell indicators (unit mass each)
@@ -295,23 +322,16 @@ def quasi_constrictive_probe(c: CocycleFamily, omega: EnvPoint, horizon: int,
     for step, (_, P) in enumerate(orbit(c, omega, horizon)):
         if step >= burn:
             order = np.argsort(-mass, axis=1)
-            for j in range(n):
-                for e_id, eps in enumerate(eps_values):
-                    total_w = 0.0
-                    captured = 0.0
-                    chosen = []
-                    for cell in order[j]:
-                        if mass[j, cell] <= support_floor:
-                            break
-                        if total_w + w[cell] > eps + 1e-15:
-                            continue
-                        total_w += w[cell]
-                        captured += mass[j, cell]
-                        chosen.append(int(cell))
-                    if best[e_id] is None or captured > best[e_id].captured:
-                        best[e_id] = QCWitness(eps=float(eps), source_cell=j,
-                                               n=step, cells=tuple(chosen),
-                                               captured=captured)
+            captured, taken = _greedy_packs(
+                np.take_along_axis(mass, order, axis=1),
+                w if uniform else w[order], eps_values, support_floor)
+            for e_id, eps in enumerate(eps_values):
+                j = int(captured[:, e_id].argmax())
+                if best[e_id] is None or captured[j, e_id] > best[e_id].captured:
+                    cells = order[j][taken[:, j, e_id]]
+                    best[e_id] = QCWitness(eps=float(eps), source_cell=j,
+                                           n=step, cells=tuple(cells.tolist()),
+                                           captured=float(captured[j, e_id]))
         if step < horizon:
             mass = mass_apply(mass, P.kernel)
 

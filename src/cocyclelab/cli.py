@@ -120,12 +120,8 @@ def cmd_run_mixing(args) -> int:
     g_basis = _g_basis_for(sc, args.notion, g_obs)
     rep = estimate_mixing(sc.cocycle, args.notion, f_basis, g_basis, omegas,
                           horizon, tol)
-    rows = []
-    for w in range(len(omegas)):
-        for i in range(len(f_basis)):
-            for j in range(len(g_basis)):
-                for n in range(horizon + 1):
-                    rows.append((args.notion, w, i, j, n, rep.values[w, i, j, n]))
+    rows = [(args.notion, w, i, j, n, rep.values[w, i, j, n])
+            for w, i, j, n in np.ndindex(rep.values.shape)]
     _write_csv(args.out, ("notion", "omega_id", "f_id", "g_id", "n", "value"),
                rows)
     print(f"{sc.name}: {args.notion} decayed={rep.decayed} "
@@ -185,7 +181,7 @@ def cmd_run_qc(args) -> int:
     horizon, _ = _horizon_tol(args, sc)
     try:
         eps_values = tuple(float(v) for v in args.eps.split(",")) \
-            if args.eps else sc.analysis.eps
+            if args.eps is not None else sc.analysis.eps
     except ValueError:
         raise PreconditionError(f"--eps takes numbers: {args.eps!r}") from None
     omegas = _env_points(sc, args.seed_override,
@@ -220,7 +216,10 @@ def cmd_run_skew(args) -> int:
         for n in range(horizon + 1):
             rows.append((pair_id, n, rep.joint[n], rep.product,
                          rep.discrepancy[n]))
-        flags = f"method={rep.method} decayed={rep.decayed}"
+        flags = (f"method={rep.method} decayed={rep.decayed} "
+                 f"h_converged={rep.h_converged}")
+        if rep.stderr is not None:
+            flags += f" max_stderr={float(rep.stderr.max()):.3g}"
         if rep.driving_not_mixing:
             flags += " driving-not-mixing (theorem hypotheses unmet)"
         if rep.factorizes_from is not None:

@@ -18,7 +18,6 @@ certified by the L1 Cauchy increment between consecutive pullback depths.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import itertools
 
 import numpy as np
@@ -131,6 +130,34 @@ class PullbackResult:
     tol: float
 
 
+# pullback depths pushed together: at N = 256 one stacked push costs about
+# 4 us per row for 8 rows against 14-18 us for a single row, and OpenBLAS
+# keeps a product of fewer than 16 rows on one thread
+PULLBACK_BLOCK = 8
+
+
+def _pullback_depths(c: CocycleFamily, omega: EnvPoint, k_max: int,
+                     base: np.ndarray):
+    """The pullback masses of depths 1, 2, ..., k_max, lazily, in order."""
+    if c.is_constant:
+        kernel = next(iter(c.table.values())).kernel
+        for _ in range(k_max):
+            base = mass_apply(base, kernel)  # depth k is depth k-1 pushed once
+            yield base
+        return
+    backward = (P.kernel for _, P in itertools.islice(orbit(c, omega, -k_max), 1, None))
+    kernels = []  # B_1, ..., B_k as the walk reaches them
+    while len(kernels) < k_max:
+        lo = len(kernels)
+        kernels.extend(itertools.islice(backward, PULLBACK_BLOCK))
+        stack = np.empty((0, base.size))  # depths, deepest first
+        for j in range(len(kernels), 0, -1):
+            if j > lo:
+                stack = np.vstack([stack, base])
+            stack = mass_apply(stack, kernels[j - 1])
+        yield from stack[::-1]
+
+
 def invariant_density_pullback(c: CocycleFamily, omega: EnvPoint, k_max: int,
                                f0: Density | None = None,
                                tol: float = 1e-10) -> PullbackResult:
@@ -139,8 +166,11 @@ def invariant_density_pullback(c: CocycleFamily, omega: EnvPoint, k_max: int,
 
     With B_j = K(sigma^{-j} omega), depth k pushes the seed row through
     B_k, ..., B_1; no kernels are multiplied.  A constant table has period 1,
-    so depth k is depth k-1 pushed once more; any other table starts each
-    depth again from the seed.  The backward walk stops at convergence.
+    so depth k is depth k-1 pushed once more.  Any other table walks the
+    backward orbit in blocks of PULLBACK_BLOCK = 8 kernels and pushes the
+    seed rows of a block's depths as one stack, each row joining just before
+    its own B_j.  The increments are read in depth order, so the walk stops
+    at the same depth but may overshoot it by up to 7 backward steps.
 
     Failure to converge is reported through the certificate, never hidden.
     """
@@ -149,20 +179,9 @@ def invariant_density_pullback(c: CocycleFamily, omega: EnvPoint, k_max: int,
         f0 = Density.uniform(c.space)
     if f0.total_mass <= 0:
         raise PreconditionError("pullback seed must carry positive mass")
-    base = f0.mass
-    constant = c.is_constant
-    if constant:
-        backward = itertools.repeat(next(iter(c.table.values())).kernel)
-    else:
-        backward = (P.kernel for _, P in
-                    itertools.islice(orbit(c, omega, -k_max), 1, None))
-    kernels = []  # B_1, ..., B_k as the walk reaches them
-    prev = base
+    prev = f0.mass
     steps, inc = 0, np.inf
-    for k, kernel in zip(range(1, k_max + 1), backward):
-        kernels.append(kernel)
-        cur = (mass_apply(prev, kernel) if constant
-               else functools.reduce(mass_apply, reversed(kernels), base))
+    for k, cur in enumerate(_pullback_depths(c, omega, k_max, prev), 1):
         inc = float(np.abs(cur - prev).sum())
         prev, steps = cur, k
         if inc <= tol:

@@ -8,7 +8,9 @@ resolved lazily and deterministically from a per-point seed).
 Bernoulli symbols are addressed by a counter-based generator, so the symbol
 at any coordinate is a pure function of (point seed, coordinate): extending
 a window or revisiting a coordinate can never change an already-resolved
-symbol, and shifting is re-indexing.
+symbol, and shifting is re-indexing.  Coordinate k takes the first uniform
+of Philox counter zigzag(k); a cache miss resolves the aligned block of
+SYMBOL_BLOCK counters around it at once, bit for bit the same symbols.
 """
 
 from __future__ import annotations
@@ -23,6 +25,9 @@ BERNOULLI = "bernoulli_shift"
 
 class DrivingError(ValueError):
     """Malformed driving system or misuse of its points."""
+
+
+SYMBOL_BLOCK = 64  # block 0 spans coordinates -32..31 around the origin
 
 
 def _zigzag(k: int) -> int:
@@ -42,11 +47,16 @@ class _SymbolStream:
     def symbol(self, k: int) -> int:
         s = self.cache.get(k)
         if s is None:
+            # Philox draws four words per counter and random() takes one, so
+            # every fourth draw after advance(z0) opens counter z0, z0 + 1, ...
+            z = np.arange(SYMBOL_BLOCK) + _zigzag(k) // SYMBOL_BLOCK * SYMBOL_BLOCK
             bg = np.random.Philox(key=self.seed)
-            bg.advance(_zigzag(k))
-            u = np.random.Generator(bg).random()
-            s = int(np.searchsorted(self.cum, u, side="right"))
-            self.cache[k] = s
+            bg.advance(int(z[0]))
+            u = np.random.Generator(bg).random(4 * SYMBOL_BLOCK)[::4]
+            coords = np.where(z % 2 == 0, z // 2, -(z + 1) // 2)
+            syms = np.searchsorted(self.cum, u, side="right")
+            self.cache.update(zip(coords.tolist(), syms.tolist()))
+            s = self.cache[k]
         return s
 
 
@@ -196,8 +206,7 @@ def advance(d: DrivingSystem, omega: EnvPoint, n: int) -> EnvPoint:
             idx = int(table[idx])
         return EnvPoint(system=d, index=idx)
     new = EnvPoint(system=d, stream=omega.stream, origin=omega.origin + n)
-    for k in range(-d.window, d.window + 1):
-        new.symbol(k)  # eager window; resolution is order-independent
+    new.window_symbols(-d.window, d.window)  # eager; order-independent
     return new
 
 
@@ -215,18 +224,17 @@ def sample_env(d: DrivingSystem, count: int, seed: int) -> list[EnvPoint]:
     Deterministic given the seed; bernoulli points get independent derived
     stream seeds and an eagerly resolved window [-window, window].
     """
+    if count < 0:
+        raise DrivingError(f"sample count must be nonnegative, got {count}")
     if d.kind in FINITE_KINDS:
         rng = np.random.default_rng(seed)
         idx = rng.choice(d.n_points, size=count, p=d.probs)
         return [EnvPoint(system=d, index=int(i)) for i in idx]
-    children = np.random.SeedSequence(seed).spawn(count)
-    out = []
-    for child in children:
-        stream_seed = int(child.generate_state(1, np.uint64)[0])
-        pt = EnvPoint(system=d, stream=_SymbolStream(stream_seed, d._cum))
-        for k in range(-d.window, d.window + 1):
-            pt.symbol(k)
-        out.append(pt)
+    out = [EnvPoint(system=d, stream=_SymbolStream(
+        int(child.generate_state(1, np.uint64)[0]), d._cum))
+        for child in np.random.SeedSequence(seed).spawn(count)]
+    for pt in out:
+        pt.window_symbols(-d.window, d.window)
     return out
 
 

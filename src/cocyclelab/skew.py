@@ -105,6 +105,13 @@ def constraints_satisfied(omega: EnvPoint, constraints: dict | None) -> bool:
     return all(omega.symbol(k) == s for k, s in constraints.items())
 
 
+def _masses_in(pset: ProductSet, omegas, masses: np.ndarray) -> np.ndarray:
+    """Per bernoulli point, its fibre mass row summed over the cell part, or
+    0 when the point is outside the environment part."""
+    inside = [constraints_satisfied(w, pset.env_constraints) for w in omegas]
+    return np.where(inside, masses[:, pset.cells].sum(axis=1), 0.0)
+
+
 def _h_probe_point(nc: NormalizedCocycle, seed: int = 0) -> EnvPoint:
     d = nc.cocycle.driving
     if d.kind == BERNOULLI:
@@ -153,9 +160,8 @@ def nu_measure(nc: NormalizedCocycle, pset: ProductSet,
     if d.kind != BERNOULLI:
         in_e = np.flatnonzero(_env_mask_finite(d, pset))
         h_mass, converged = _fibre_masses(nc, [point(d, int(p)) for p in in_e])
-        value = 0.0
-        for p, mass in zip(in_e, h_mass):
-            value += float(d.probs[p]) * float(mass[pset.cells].sum())
+        value = sum((float(d.probs[p]) * float(mass[pset.cells].sum())
+                     for p, mass in zip(in_e, h_mass)), 0.0)
         return NuResult(value=value, exact=True, stderr=None,
                         method="finite-sum", h_converged=converged)
     if pset.env_indices is not None:
@@ -168,10 +174,7 @@ def nu_measure(nc: NormalizedCocycle, pset: ProductSet,
                         h_converged=converged)
     samples = _mc_points(d, mc_samples, seed, 1, "nu")
     h_mass, converged = _fibre_masses(nc, samples)
-    vals = np.empty(mc_samples)
-    for i, w in enumerate(samples):
-        ind = 1.0 if constraints_satisfied(w, pset.env_constraints) else 0.0
-        vals[i] = ind * float(h_mass[i, pset.cells].sum())
+    vals = _masses_in(pset, samples, h_mass)
     stderr = float(vals.std(ddof=1) / np.sqrt(mc_samples)) if mc_samples > 1 else None
     return NuResult(value=float(vals.mean()), exact=False, stderr=stderr,
                     method="monte-carlo", h_converged=converged)
@@ -185,13 +188,12 @@ class SkewMixingReport:
     product: float               # nu(A) nu(B)
     discrepancy: np.ndarray      # joint - product
     decayed: bool
-    driving_not_mixing: bool     # finite driving with a proper env part can
-                                 # never mix the environment factor
     method: str
-    env_factor: np.ndarray | None        # exact cylinder route only
-    factorizes_from: int | None          # n with exact env factorization onward
-    stderr: np.ndarray | None
     h_converged: bool
+    driving_not_mixing: bool = False     # a proper finite env part never mixes
+    env_factor: np.ndarray | None = None     # exact cylinder route only
+    factorizes_from: int | None = None   # n with exact env factorization onward
+    stderr: np.ndarray | None = None     # Monte-Carlo route only
 
 
 def skew_mixing_curve(nc: NormalizedCocycle, a: ProductSet, b: ProductSet,
@@ -207,13 +209,21 @@ def skew_mixing_curve(nc: NormalizedCocycle, a: ProductSet, b: ProductSet,
     d = c.driving
     _check_cells(c.n, a)
     _check_cells(c.n, b)
+    if horizon < 0:
+        raise PreconditionError(f"horizon must be >= 0, got {horizon}")
+    if not tol > 0:
+        raise PreconditionError(f"tol must be > 0, got {tol}")
 
     if d.kind != BERNOULLI:
-        return _skew_finite(nc, a, b, horizon, tol, tail_fraction)
-    if c.is_constant:
-        return _skew_cylinder(nc, a, b, horizon, tol, tail_fraction, seed)
-    return _skew_monte_carlo(nc, a, b, horizon, tol, tail_fraction,
-                             mc_samples, seed)
+        route = _skew_finite(nc, a, b, horizon)
+    elif c.is_constant:
+        route = _skew_cylinder(nc, a, b, horizon, seed)
+    else:
+        route = _skew_monte_carlo(nc, a, b, horizon, mc_samples, seed)
+    disc = route["joint"] - route["product"]
+    return SkewMixingReport(
+        horizon=horizon, tol=tol, discrepancy=disc,
+        decayed=bool(curve_decayed(np.abs(disc), tol, tail_fraction)), **route)
 
 
 def _not_mixing_flag(d: DrivingSystem, a: ProductSet, b: ProductSet) -> bool:
@@ -224,7 +234,7 @@ def _not_mixing_flag(d: DrivingSystem, a: ProductSet, b: ProductSet) -> bool:
     return proper_a or proper_b
 
 
-def _skew_finite(nc, a, b, horizon, tol, tail_fraction):
+def _skew_finite(nc, a, b, horizon):
     c = nc.cocycle
     d = c.driving
     mask_a = _env_mask_finite(d, a)
@@ -245,18 +255,12 @@ def _skew_finite(nc, a, b, horizon, tol, tail_fraction):
                 joint[n] += d.probs[p] * state[a.cells].sum()
             if n < horizon:
                 state = mass_apply(state, P.kernel)
-    product = nu_a * nu_b
-    disc = joint - product
-    return SkewMixingReport(
-        horizon=horizon, tol=tol, joint=joint, product=product,
-        discrepancy=disc,
-        decayed=bool(curve_decayed(np.abs(disc), tol, tail_fraction)),
-        driving_not_mixing=_not_mixing_flag(d, a, b),
-        method="finite-sum", env_factor=None, factorizes_from=None,
-        stderr=None, h_converged=converged)
+    return dict(joint=joint, product=nu_a * nu_b, method="finite-sum",
+                h_converged=converged,
+                driving_not_mixing=_not_mixing_flag(d, a, b))
 
 
-def _skew_cylinder(nc, a, b, horizon, tol, tail_fraction, seed):
+def _skew_cylinder(nc, a, b, horizon, seed):
     c = nc.cocycle
     d = c.driving
     h_mass, converged = _fibre_masses(nc, [_h_probe_point(nc, seed)])
@@ -284,49 +288,40 @@ def _skew_cylinder(nc, a, b, horizon, tol, tail_fraction, seed):
         fiber[n] = state[a.cells].sum()
         if n < horizon:
             state = mass_apply(state, kernel)
-    joint = env * fiber
-    product = prob_a * mu_a * prob_b * float(h_mass[b.cells].sum())
-    disc = joint - product
-    return SkewMixingReport(
-        horizon=horizon, tol=tol, joint=joint, product=product,
-        discrepancy=disc,
-        decayed=bool(curve_decayed(np.abs(disc), tol, tail_fraction)),
-        driving_not_mixing=False, method="cylinder-product",
-        env_factor=env, factorizes_from=factor_from, stderr=None,
-        h_converged=converged)
+    return dict(joint=env * fiber,
+                product=prob_a * mu_a * prob_b * float(h_mass[b.cells].sum()),
+                method="cylinder-product", h_converged=converged,
+                env_factor=env, factorizes_from=factor_from)
 
 
-def _skew_monte_carlo(nc, a, b, horizon, tol, tail_fraction, mc_samples, seed):
+def _skew_monte_carlo(nc, a, b, horizon, mc_samples, seed):
     c = nc.cocycle
     d = c.driving
     samples = _mc_points(d, mc_samples, seed, 2, "skew mixing")
     fibres, converged = _fibre_masses(nc, samples)
+    nu_a_terms = _masses_in(a, samples, fibres)
+    nu_b_terms = _masses_in(b, samples, fibres)
+    # the orbits of the samples in B walk in lockstep; their fibre states
+    # are the rows of one stack, pushed together per distinct step kernel
+    rows = np.flatnonzero([constraints_satisfied(w, b.env_constraints)
+                           for w in samples])
+    walks = [orbit(c, samples[i], horizon) for i in rows]
+    states = np.zeros((rows.size, c.n))
+    states[:, b.cells] = fibres[rows][:, b.cells]
     per = np.zeros((mc_samples, horizon + 1))
-    nu_a_terms = np.empty(mc_samples)
-    nu_b_terms = np.empty(mc_samples)
-    for i, (w, h_mass) in enumerate(zip(samples, fibres)):
-        in_b = constraints_satisfied(w, b.env_constraints)
-        nu_a_terms[i] = (h_mass[a.cells].sum()
-                         if constraints_satisfied(w, a.env_constraints) else 0.0)
-        nu_b_terms[i] = h_mass[b.cells].sum() if in_b else 0.0
-        state = np.zeros(c.n)
-        state[b.cells] = h_mass[b.cells]
-        if in_b:
-            for n, (pt, P) in enumerate(orbit(c, w, horizon)):
-                if constraints_satisfied(pt, a.env_constraints):
-                    per[i, n] = state[a.cells].sum()
-                if n < horizon:
-                    state = mass_apply(state, P.kernel)
-    joint = per.mean(axis=0)
-    stderr = per.std(axis=0, ddof=1) / np.sqrt(mc_samples)
-    product = float(nu_a_terms.mean() * nu_b_terms.mean())
-    disc = joint - product
-    return SkewMixingReport(
-        horizon=horizon, tol=tol, joint=joint, product=product,
-        discrepancy=disc,
-        decayed=bool(curve_decayed(np.abs(disc), tol, tail_fraction)),
-        driving_not_mixing=False, method="monte-carlo", env_factor=None,
-        factorizes_from=None, stderr=stderr, h_converged=converged)
+    for n in range(horizon + 1):
+        steps = [next(walk) for walk in walks]
+        per[rows, n] = _masses_in(a, [pt for pt, _ in steps], states)
+        if n < horizon:
+            groups = {}
+            for r, (_, P) in enumerate(steps):
+                groups.setdefault(id(P), (P, []))[1].append(r)
+            for P, members in groups.values():
+                states[members] = mass_apply(states[members], P.kernel)
+    return dict(joint=per.mean(axis=0),
+                product=float(nu_a_terms.mean() * nu_b_terms.mean()),
+                method="monte-carlo", h_converged=converged,
+                stderr=per.std(axis=0, ddof=1) / np.sqrt(mc_samples))
 
 
 def set_picture_joint(nc: NormalizedCocycle, a: ProductSet, b: ProductSet,
@@ -348,9 +343,7 @@ def set_picture_joint(nc: NormalizedCocycle, a: ProductSet, b: ProductSet,
         mask_a = _env_mask_finite(d, a)
         mask_b = _env_mask_finite(d, b)
         joint = np.zeros(horizon + 1)
-        for p in range(d.n_points):
-            if not mask_b[p]:
-                continue
+        for p in np.flatnonzero(mask_b):
             h_mass = nc.h.at(point(d, int(p))).mass
             dest = np.arange(c.n)
             for n, (pt, P) in enumerate(orbit(c, point(d, p), horizon)):
@@ -407,16 +400,13 @@ def theta_invariance(nc: NormalizedCocycle, psets,
     stderr = None
     if d.kind != BERNOULLI:
         h_mass, converged = _fibre_masses(nc, points(d))
+        pushed = [mass_apply(h, c.table[p].kernel) for p, h in enumerate(h_mass)]
         for pset in psets:
             mask = _env_mask_finite(d, pset)
-            direct = 0.0
-            pulled = 0.0
-            for p in range(d.n_points):
-                if mask[p]:
-                    direct += d.probs[p] * h_mass[p, pset.cells].sum()
-                if mask[int(d.sigma[p])]:
-                    pushed = mass_apply(h_mass[p], c.table[p].kernel)
-                    pulled += d.probs[p] * pushed[pset.cells].sum()
+            direct = sum((d.probs[p] * h_mass[p, pset.cells].sum()
+                          for p in np.flatnonzero(mask)), 0.0)
+            pulled = sum((d.probs[p] * pushed[p][pset.cells].sum()
+                          for p in np.flatnonzero(mask[d.sigma])), 0.0)
             gaps.append(abs(direct - pulled))
         exact = True
     elif c.is_constant:
@@ -432,18 +422,11 @@ def theta_invariance(nc: NormalizedCocycle, psets,
     else:
         samples = _mc_points(d, mc_samples, seed, 2, "invariance")
         h_mass, converged = _fibre_masses(nc, samples)
-        diffs = np.zeros((len(psets), mc_samples))
-        for i, w in enumerate(samples):
-            pushed = mass_apply(h_mass[i], c.operator_at(w).kernel)
-            w_next = advance(d, w, 1)
-            for s_id, pset in enumerate(psets):
-                direct = (h_mass[i, pset.cells].sum()
-                          if constraints_satisfied(w, pset.env_constraints)
-                          else 0.0)
-                pulled = (pushed[pset.cells].sum()
-                          if constraints_satisfied(w_next, pset.env_constraints)
-                          else 0.0)
-                diffs[s_id, i] = pulled - direct
+        pushed = np.array([mass_apply(h, c.operator_at(w).kernel)
+                           for h, w in zip(h_mass, samples)])
+        nexts = [advance(d, w, 1) for w in samples]
+        diffs = np.array([_masses_in(pset, nexts, pushed)
+                          - _masses_in(pset, samples, h_mass) for pset in psets])
         gaps = np.abs(diffs.mean(axis=1)).tolist()
         stderr = float((diffs.std(axis=1, ddof=1) / np.sqrt(mc_samples)).max())
         exact = False

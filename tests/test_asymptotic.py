@@ -333,3 +333,58 @@ def test_components_match_a_merge_loop_on_relabelled_cells(r, block, seed):
     assert dec.found and dec.r == r
     assert [s.tolist() for s in dec.supports] == merged_row_supports(
         M, SUPPORT_FLOOR)
+
+
+def qc_probe_loop(c, omega, horizon, eps_values, support_floor=SUPPORT_FLOOR):
+    """Reference probe: the greedy pack row by row, eps by eps, cell by
+    cell, keeping the first maximum in (step, row) order."""
+    eps_values = np.sort(np.asarray(eps_values, dtype=float))
+    w = c.space.weights
+    burn = max(horizon // 2, 1)
+    mass = np.eye(c.n)
+    best = [None] * eps_values.size
+    for step in range(horizon + 1):
+        if step >= burn:
+            order = np.argsort(-mass, axis=1)
+            for j in range(c.n):
+                for e_id, eps in enumerate(eps_values):
+                    total_w = 0.0
+                    captured = 0.0
+                    chosen = []
+                    for cell in order[j]:
+                        if mass[j, cell] <= support_floor:
+                            break
+                        if total_w + w[cell] > eps + 1e-15:
+                            continue
+                        total_w += w[cell]
+                        captured += mass[j, cell]
+                        chosen.append(int(cell))
+                    if best[e_id] is None or captured > best[e_id][4]:
+                        best[e_id] = (float(eps), j, step, tuple(chosen),
+                                      captured)
+        if step < horizon:
+            mass = mass_apply(mass, c.operator_at(omega).kernel)
+    return best
+
+
+@given(st.integers(min_value=2, max_value=9), st.booleans(),
+       st.integers(0, 2**20), st.integers(min_value=1, max_value=6),
+       st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=3))
+def test_qc_probe_matches_the_greedy_loop(n, uniform, seed, horizon, eps_ninths):
+    rng = np.random.default_rng(seed)
+    # entries on a coarse grid, with zeros, so sorted masses tie and the
+    # support floor cuts rows short
+    kernel = rng.integers(0, 4, size=(n, n)).astype(float)
+    kernel[np.arange(n), rng.integers(0, n, size=n)] += 1.0
+    kernel /= kernel.sum(axis=1, keepdims=True)
+    weights = (np.full(n, 1.0 / n) if uniform
+               else rng.integers(1, 5, size=n) / 1.0)
+    space = FiniteMeasureSpace(weights / weights.sum())
+    c = constant_cocycle(MarkovMatrix(space, kernel))
+    # eps on multiples of 1/9 meets running weight sums exactly
+    eps = [k / 9 for k in eps_ninths]
+    rep = quasi_constrictive_probe(c, point(c.driving, 0), horizon, eps)
+    ref = qc_probe_loop(c, point(c.driving, 0), horizon, eps)
+    assert rep.deltas.tolist() == [1.0 - b[4] for b in ref]
+    assert [(wit.eps, wit.source_cell, wit.n, wit.cells, wit.captured)
+            for wit in rep.witnesses] == ref

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from cocyclelab.driving import (
     DrivingError,
+    _SymbolStream,
+    _zigzag,
     advance,
     bernoulli_shift,
     cylinder_probability,
@@ -105,6 +107,42 @@ def test_cylinder_probability_and_shift():
     # shift invariance of the product measure on cylinders
     assert cylinder_probability(d, shifted_constraints({0: 1, 2: 0}, 9)) == \
         cylinder_probability(d, {0: 1, 2: 0})
+
+
+@pytest.mark.parametrize("d", [finite_rotation(3), bernoulli_shift([0.5, 0.5])])
+def test_sample_env_rejects_a_negative_count(d):
+    with pytest.raises(DrivingError, match="count"):
+        sample_env(d, -1, seed=0)
+
+
+def philox_symbol(seed, cum, k):
+    """Reference: one generator advanced to coordinate k's own block."""
+    bg = np.random.Philox(key=seed)
+    bg.advance(_zigzag(k))
+    u = np.random.Generator(bg).random()
+    return int(np.searchsorted(cum, u, side="right"))
+
+
+# coordinates on both sides of the 64-wide zigzag block edges
+BLOCK_EDGES = [-129, -128, -65, -64, -33, -32, -1, 0, 31, 32, 63, 64, 127, 128]
+
+
+@given(st.integers(0, 2**64 - 1),
+       st.lists(st.integers(1, 5), min_size=1, max_size=4),
+       st.lists(st.one_of(st.integers(-150, 150), st.sampled_from(BLOCK_EDGES),
+                          st.integers(-10**9, 10**9)),
+                min_size=1, max_size=12))
+def test_block_resolution_matches_one_coordinate_generators(seed, weights,
+                                                            coords):
+    cum = np.cumsum(np.array(weights) / sum(weights))
+    stream = _SymbolStream(seed, cum)
+    # the list order is the access order, repeats included
+    assert [stream.symbol(k) for k in coords] \
+        == [philox_symbol(seed, cum, k) for k in coords]
+    # symbols resolved ahead of use are the ones each coordinate would get
+    ahead = sorted(stream.cache)[::16]
+    assert [stream.cache[k] for k in ahead] \
+        == [philox_symbol(seed, cum, k) for k in ahead]
 
 
 def test_points_enumeration():

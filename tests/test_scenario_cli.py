@@ -1,6 +1,7 @@
 """Tests for scenario ingestion and the command-line runners."""
 
 import csv
+import re
 from pathlib import Path
 
 import numpy as np
@@ -329,6 +330,29 @@ def test_cli_skew_zero_mc_samples_exit_two(tmp_path, capsys):
     assert "mc_samples" in err
 
 
+def test_cli_skew_prints_its_certificates(tmp_path, capsys):
+    # the cylinder part of b leaves some samples out, so the estimate varies
+    sets = write(tmp_path, HALVES8.replace("b: {cells: {range: [4, 8]}}",
+                                           "b: {cells: {range: [4, 8]}, "
+                                           "env_constraints: {0: 1}}"),
+                 "sets.yaml")
+    rc = main(["run-skew", "--scenario", write(tmp_path, BERNOULLI_TABLE),
+               "--sets", sets, "--horizon", "4", "--mc-samples", "16",
+               "--out", str(tmp_path / "mc.csv")])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "method=monte-carlo" in out and "h_converged=True" in out
+    stderr = float(re.search(r"max_stderr=(\S+)", out).group(1))
+    assert stderr > 0
+    rc = main(["run-skew", "--scenario",
+               str(SCENARIOS / "bernoulli_doubling.yaml"),
+               "--sets", str(SCENARIOS / "sets_halves.yaml"), "--horizon", "4",
+               "--out", str(tmp_path / "cyl.csv")])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert out.count("h_converged=True") == 3 and "max_stderr" not in out
+
+
 def test_cli_qc_csv(tmp_path):
     out = tmp_path / "qc.csv"
     rc = main(["run-qc", "--scenario", str(SCENARIOS / "doubling_exact.yaml"),
@@ -339,7 +363,7 @@ def test_cli_qc_csv(tmp_path):
     assert [float(r["delta"]) for r in rows] == [0.875, 0.75]
 
 
-@pytest.mark.parametrize("eps", ["nan", "0.25,inf", "-0.5", "abc", "0.25,"])
+@pytest.mark.parametrize("eps", ["nan", "0.25,inf", "-0.5", "abc", "0.25,", ""])
 def test_cli_qc_bad_eps_exit_two(tmp_path, capsys, eps):
     out = tmp_path / "qc.csv"
     rc = main(["run-qc", "--scenario", str(SCENARIOS / "doubling_exact.yaml"),

@@ -9,23 +9,28 @@ factor reads 0, 1/4, 1/4, ... and factorizes exactly from n = 1 on.
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import cocyclelab.cocycle
 from cocyclelab.cocycle import (
     CocycleFamily,
     NormalizedCocycle,
     build_invariant_density_map,
+    orbit,
 )
-from cocyclelab.driving import bernoulli_shift, finite_rotation
+from cocyclelab.driving import bernoulli_shift, finite_rotation, sample_env
 from cocyclelab.measure import (
     FiniteMeasureSpace,
     MarkovMatrix,
     PreconditionError,
+    mass_apply,
 )
 from cocyclelab.skew import (
     InvarianceReport,
     NuResult,
     ProductSet,
+    constraints_satisfied,
     env_probability,
     nu_measure,
     set_picture_joint,
@@ -204,6 +209,74 @@ def test_skew_curve_monte_carlo_matches_nu_at_zero():
     assert rep.joint[0] == pytest.approx(nu0.value, abs=1e-15)
     with pytest.raises(PreconditionError):
         skew_mixing_curve(nc, a, b, horizon=5, tol=1e-3)
+
+
+def monte_carlo_loop(nc, a, b, horizon, mc_samples, seed):
+    """Reference Monte-Carlo curve: one sample at a time, one fibre state
+    pushed one step kernel at a time."""
+    c = nc.cocycle
+    per = np.zeros((mc_samples, horizon + 1))
+    for i, w in enumerate(sample_env(c.driving, mc_samples, seed)):
+        if not constraints_satisfied(w, b.env_constraints):
+            continue
+        state = np.zeros(c.n)
+        state[b.cells] = nc.h.at(w).mass[b.cells]
+        for n, (pt, P) in enumerate(orbit(c, w, horizon)):
+            if constraints_satisfied(pt, a.env_constraints):
+                per[i, n] = state[a.cells].sum()
+            if n < horizon:
+                state = mass_apply(state, P.kernel)
+    return per.mean(axis=0), per.std(axis=0, ddof=1) / np.sqrt(mc_samples)
+
+
+@st.composite
+def product_set(draw, n):
+    cells = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
+    cons = draw(st.dictionaries(st.integers(-2, 3), st.integers(0, 1),
+                                max_size=2))
+    return ProductSet(cells=cells, env_constraints=cons or None)
+
+
+@given(st.integers(2, 8).flatmap(
+           lambda n: st.tuples(st.just(n), product_set(n), product_set(n))),
+       st.integers(0, 2**32 - 1), st.integers(0, 12), st.integers(2, 24),
+       st.integers(0, 2**20))
+def test_monte_carlo_curve_matches_the_per_sample_loop(sets, kernel_seed,
+                                                       horizon, mc_samples,
+                                                       seed):
+    n, a, b = sets
+    rng = np.random.default_rng(kernel_seed)
+    raw = rng.random((2, n, n)) * (rng.random((2, n, n)) < 0.6) + np.eye(n)
+    nc = bernoulli_nc([k / k.sum(axis=1, keepdims=True) for k in raw])
+    rep = skew_mixing_curve(nc, a, b, horizon, 1e-3, mc_samples=mc_samples,
+                            seed=seed)
+    joint, stderr = monte_carlo_loop(nc, a, b, horizon, mc_samples, seed)
+    assert rep.method == "monte-carlo"
+    np.testing.assert_allclose(rep.joint, joint, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(rep.stderr, stderr, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("route", ["finite-sum", "cylinder-product",
+                                   "monte-carlo"])
+@pytest.mark.parametrize("horizon, tol", [(-1, 1e-3), (5, float("nan")),
+                                          (5, 0.0), (5, -1e-3)])
+def test_skew_curve_rejects_a_bad_horizon_or_tol(monkeypatch, route, horizon,
+                                                 tol):
+    space = FiniteMeasureSpace.uniform(4)
+    P = pf_exact(MapSpec("doubling"), space)
+    nc = {"finite-sum": lambda: doubling_nc(4, q=2),
+          "cylinder-product": lambda: bernoulli_nc([P.kernel, P.kernel]),
+          "monte-carlo": lambda: bernoulli_nc([P.kernel, UNIFORMIZER4])}[route]()
+
+    def no_pullback(*args, **kwargs):
+        raise AssertionError("pulled back a fibre density")
+
+    monkeypatch.setattr(cocyclelab.cocycle, "invariant_density_pullback",
+                        no_pullback)
+    s = ProductSet(cells=[0, 1])
+    with pytest.raises(PreconditionError, match="horizon" if horizon < 0
+                       else "tol"):
+        skew_mixing_curve(nc, s, s, horizon, tol, mc_samples=8, seed=1)
 
 
 # -- set picture -----------------------------------------------------------------
