@@ -273,17 +273,11 @@ def _greedy_packs(ms: np.ndarray, ws: np.ndarray, eps_values: np.ndarray,
                   support_floor: float):
     """Greedy packs of the sorted rows ``ms`` per eps: take cells heaviest
     first, stop at the first mass <= support_floor, skip a cell whose weight
-    ``ws`` (in the rows' order, or one vector when uniform) would lift the
-    union above eps.  Uniform packs are prefixes.  Returns the captures
-    (rows, eps), summed in take order, and the taken (positions, rows, eps)."""
+    ``ws`` (in the rows' order) would lift the union above eps.  One pass per
+    sorted position adds in take order.  Returns the captures (rows, eps)
+    and the taken (positions, rows, eps)."""
     limit = eps_values + 1e-15
     alive = np.logical_and.accumulate(~(ms <= support_floor), axis=1).T
-    if ws.ndim == 1:
-        fit = np.searchsorted(np.cumsum(ws), limit, side="right")
-        count = np.minimum(alive.sum(axis=0)[:, None], fit)
-        sums = np.cumsum(np.hstack([np.zeros((len(ms), 1)), ms]), axis=1)
-        return (np.take_along_axis(sums, count, axis=1),
-                np.arange(ws.size)[:, None, None] < count)
     taken = np.zeros(alive.shape + limit.shape, dtype=bool)
     total = np.zeros(taken.shape[1:])
     captured = np.zeros(taken.shape[1:])
@@ -314,7 +308,6 @@ def quasi_constrictive_probe(c: CocycleFamily, omega: EnvPoint, horizon: int,
         raise PreconditionError("the probe reads late times: need horizon >= 1")
     n = c.n
     w = c.space.weights
-    uniform = bool(np.all(w == w[0]))
     burn = max(horizon // 2, 1)
 
     mass = np.eye(n)  # rows: pushed cell indicators (unit mass each)
@@ -324,7 +317,7 @@ def quasi_constrictive_probe(c: CocycleFamily, omega: EnvPoint, horizon: int,
             order = np.argsort(-mass, axis=1)
             captured, taken = _greedy_packs(
                 np.take_along_axis(mass, order, axis=1),
-                w if uniform else w[order], eps_values, support_floor)
+                w[order], eps_values, support_floor)
             for e_id, eps in enumerate(eps_values):
                 j = int(captured[:, e_id].argmax())
                 if best[e_id] is None or captured[j, e_id] > best[e_id].captured:

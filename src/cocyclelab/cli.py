@@ -120,8 +120,12 @@ def cmd_run_mixing(args) -> int:
     g_basis = _g_basis_for(sc, args.notion, g_obs)
     rep = estimate_mixing(sc.cocycle, args.notion, f_basis, g_basis, omegas,
                           horizon, tol)
-    rows = [(args.notion, w, i, j, n, rep.values[w, i, j, n])
-            for w, i, j, n in np.ndindex(rep.values.shape)]
+    rows = []
+    for w in range(len(omegas)):
+        for i in range(len(f_basis)):
+            for j in range(len(g_basis)):
+                for n in range(horizon + 1):
+                    rows.append((args.notion, w, i, j, n, rep.values[w, i, j, n]))
     _write_csv(args.out, ("notion", "omega_id", "f_id", "g_id", "n", "value"),
                rows)
     print(f"{sc.name}: {args.notion} decayed={rep.decayed} "

@@ -131,8 +131,7 @@ class PullbackResult:
 
 
 # pullback depths pushed together: at N = 256 one stacked push costs about
-# 4 us per row for 8 rows against 14-18 us for a single row, and OpenBLAS
-# keeps a product of fewer than 16 rows on one thread
+# 4 us per row for 8 rows against 14-18 us for a single row
 PULLBACK_BLOCK = 8
 
 

@@ -230,11 +230,13 @@ def sample_env(d: DrivingSystem, count: int, seed: int) -> list[EnvPoint]:
         rng = np.random.default_rng(seed)
         idx = rng.choice(d.n_points, size=count, p=d.probs)
         return [EnvPoint(system=d, index=int(i)) for i in idx]
-    out = [EnvPoint(system=d, stream=_SymbolStream(
-        int(child.generate_state(1, np.uint64)[0]), d._cum))
-        for child in np.random.SeedSequence(seed).spawn(count)]
-    for pt in out:
+    children = np.random.SeedSequence(seed).spawn(count)
+    out = []
+    for child in children:
+        stream_seed = int(child.generate_state(1, np.uint64)[0])
+        pt = EnvPoint(system=d, stream=_SymbolStream(stream_seed, d._cum))
         pt.window_symbols(-d.window, d.window)
+        out.append(pt)
     return out
 
 

@@ -160,8 +160,9 @@ def nu_measure(nc: NormalizedCocycle, pset: ProductSet,
     if d.kind != BERNOULLI:
         in_e = np.flatnonzero(_env_mask_finite(d, pset))
         h_mass, converged = _fibre_masses(nc, [point(d, int(p)) for p in in_e])
-        value = sum((float(d.probs[p]) * float(mass[pset.cells].sum())
-                     for p, mass in zip(in_e, h_mass)), 0.0)
+        value = 0.0
+        for p, mass in zip(in_e, h_mass):
+            value += float(d.probs[p]) * float(mass[pset.cells].sum())
         return NuResult(value=value, exact=True, stderr=None,
                         method="finite-sum", h_converged=converged)
     if pset.env_indices is not None:
@@ -188,12 +189,13 @@ class SkewMixingReport:
     product: float               # nu(A) nu(B)
     discrepancy: np.ndarray      # joint - product
     decayed: bool
+    driving_not_mixing: bool     # finite driving with a proper env part can
+                                 # never mix the environment factor
     method: str
+    env_factor: np.ndarray | None        # exact cylinder route only
+    factorizes_from: int | None          # n with exact env factorization onward
+    stderr: np.ndarray | None
     h_converged: bool
-    driving_not_mixing: bool = False     # a proper finite env part never mixes
-    env_factor: np.ndarray | None = None     # exact cylinder route only
-    factorizes_from: int | None = None   # n with exact env factorization onward
-    stderr: np.ndarray | None = None     # Monte-Carlo route only
 
 
 def skew_mixing_curve(nc: NormalizedCocycle, a: ProductSet, b: ProductSet,
@@ -215,15 +217,11 @@ def skew_mixing_curve(nc: NormalizedCocycle, a: ProductSet, b: ProductSet,
         raise PreconditionError(f"tol must be > 0, got {tol}")
 
     if d.kind != BERNOULLI:
-        route = _skew_finite(nc, a, b, horizon)
-    elif c.is_constant:
-        route = _skew_cylinder(nc, a, b, horizon, seed)
-    else:
-        route = _skew_monte_carlo(nc, a, b, horizon, mc_samples, seed)
-    disc = route["joint"] - route["product"]
-    return SkewMixingReport(
-        horizon=horizon, tol=tol, discrepancy=disc,
-        decayed=bool(curve_decayed(np.abs(disc), tol, tail_fraction)), **route)
+        return _skew_finite(nc, a, b, horizon, tol, tail_fraction)
+    if c.is_constant:
+        return _skew_cylinder(nc, a, b, horizon, tol, tail_fraction, seed)
+    return _skew_monte_carlo(nc, a, b, horizon, tol, tail_fraction,
+                             mc_samples, seed)
 
 
 def _not_mixing_flag(d: DrivingSystem, a: ProductSet, b: ProductSet) -> bool:
@@ -234,7 +232,7 @@ def _not_mixing_flag(d: DrivingSystem, a: ProductSet, b: ProductSet) -> bool:
     return proper_a or proper_b
 
 
-def _skew_finite(nc, a, b, horizon):
+def _skew_finite(nc, a, b, horizon, tol, tail_fraction):
     c = nc.cocycle
     d = c.driving
     mask_a = _env_mask_finite(d, a)
@@ -255,12 +253,18 @@ def _skew_finite(nc, a, b, horizon):
                 joint[n] += d.probs[p] * state[a.cells].sum()
             if n < horizon:
                 state = mass_apply(state, P.kernel)
-    return dict(joint=joint, product=nu_a * nu_b, method="finite-sum",
-                h_converged=converged,
-                driving_not_mixing=_not_mixing_flag(d, a, b))
+    product = nu_a * nu_b
+    disc = joint - product
+    return SkewMixingReport(
+        horizon=horizon, tol=tol, joint=joint, product=product,
+        discrepancy=disc,
+        decayed=bool(curve_decayed(np.abs(disc), tol, tail_fraction)),
+        driving_not_mixing=_not_mixing_flag(d, a, b),
+        method="finite-sum", env_factor=None, factorizes_from=None,
+        stderr=None, h_converged=converged)
 
 
-def _skew_cylinder(nc, a, b, horizon, seed):
+def _skew_cylinder(nc, a, b, horizon, tol, tail_fraction, seed):
     c = nc.cocycle
     d = c.driving
     h_mass, converged = _fibre_masses(nc, [_h_probe_point(nc, seed)])
@@ -288,13 +292,19 @@ def _skew_cylinder(nc, a, b, horizon, seed):
         fiber[n] = state[a.cells].sum()
         if n < horizon:
             state = mass_apply(state, kernel)
-    return dict(joint=env * fiber,
-                product=prob_a * mu_a * prob_b * float(h_mass[b.cells].sum()),
-                method="cylinder-product", h_converged=converged,
-                env_factor=env, factorizes_from=factor_from)
+    joint = env * fiber
+    product = prob_a * mu_a * prob_b * float(h_mass[b.cells].sum())
+    disc = joint - product
+    return SkewMixingReport(
+        horizon=horizon, tol=tol, joint=joint, product=product,
+        discrepancy=disc,
+        decayed=bool(curve_decayed(np.abs(disc), tol, tail_fraction)),
+        driving_not_mixing=False, method="cylinder-product",
+        env_factor=env, factorizes_from=factor_from, stderr=None,
+        h_converged=converged)
 
 
-def _skew_monte_carlo(nc, a, b, horizon, mc_samples, seed):
+def _skew_monte_carlo(nc, a, b, horizon, tol, tail_fraction, mc_samples, seed):
     c = nc.cocycle
     d = c.driving
     samples = _mc_points(d, mc_samples, seed, 2, "skew mixing")
@@ -318,10 +328,16 @@ def _skew_monte_carlo(nc, a, b, horizon, mc_samples, seed):
                 groups.setdefault(id(P), (P, []))[1].append(r)
             for P, members in groups.values():
                 states[members] = mass_apply(states[members], P.kernel)
-    return dict(joint=per.mean(axis=0),
-                product=float(nu_a_terms.mean() * nu_b_terms.mean()),
-                method="monte-carlo", h_converged=converged,
-                stderr=per.std(axis=0, ddof=1) / np.sqrt(mc_samples))
+    joint = per.mean(axis=0)
+    stderr = per.std(axis=0, ddof=1) / np.sqrt(mc_samples)
+    product = float(nu_a_terms.mean() * nu_b_terms.mean())
+    disc = joint - product
+    return SkewMixingReport(
+        horizon=horizon, tol=tol, joint=joint, product=product,
+        discrepancy=disc,
+        decayed=bool(curve_decayed(np.abs(disc), tol, tail_fraction)),
+        driving_not_mixing=False, method="monte-carlo", env_factor=None,
+        factorizes_from=None, stderr=stderr, h_converged=converged)
 
 
 def set_picture_joint(nc: NormalizedCocycle, a: ProductSet, b: ProductSet,
@@ -343,7 +359,9 @@ def set_picture_joint(nc: NormalizedCocycle, a: ProductSet, b: ProductSet,
         mask_a = _env_mask_finite(d, a)
         mask_b = _env_mask_finite(d, b)
         joint = np.zeros(horizon + 1)
-        for p in np.flatnonzero(mask_b):
+        for p in range(d.n_points):
+            if not mask_b[p]:
+                continue
             h_mass = nc.h.at(point(d, int(p))).mass
             dest = np.arange(c.n)
             for n, (pt, P) in enumerate(orbit(c, point(d, p), horizon)):
@@ -400,13 +418,16 @@ def theta_invariance(nc: NormalizedCocycle, psets,
     stderr = None
     if d.kind != BERNOULLI:
         h_mass, converged = _fibre_masses(nc, points(d))
-        pushed = [mass_apply(h, c.table[p].kernel) for p, h in enumerate(h_mass)]
         for pset in psets:
             mask = _env_mask_finite(d, pset)
-            direct = sum((d.probs[p] * h_mass[p, pset.cells].sum()
-                          for p in np.flatnonzero(mask)), 0.0)
-            pulled = sum((d.probs[p] * pushed[p][pset.cells].sum()
-                          for p in np.flatnonzero(mask[d.sigma])), 0.0)
+            direct = 0.0
+            pulled = 0.0
+            for p in range(d.n_points):
+                if mask[p]:
+                    direct += d.probs[p] * h_mass[p, pset.cells].sum()
+                if mask[int(d.sigma[p])]:
+                    pushed = mass_apply(h_mass[p], c.table[p].kernel)
+                    pulled += d.probs[p] * pushed[pset.cells].sum()
             gaps.append(abs(direct - pulled))
         exact = True
     elif c.is_constant:
