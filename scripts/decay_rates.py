@@ -10,6 +10,7 @@ import argparse
 import glob
 import os
 
+from cocyclelab.curves import fit_geometric_rates
 from cocyclelab.driving import BERNOULLI, points, sample_env
 from cocyclelab.mixing import estimate_mixing, indicator_basis, zero_mean_basis
 from cocyclelab.scenario import load_scenario
@@ -45,7 +46,8 @@ def main(argv=None) -> int:
         rep = estimate_mixing(sc.cocycle, "prior-hom", f_basis, g_obs,
                               env_points(sc), args.horizon, args.tol)
         n_curves = rep.values.shape[0] * rep.values.shape[1] * rep.values.shape[2]
-        fits = [f for f in rep.rates.values() if f.n_points >= 2]
+        fits = [f for f in fit_geometric_rates(rep.values).values()
+                if f.n_points >= 2]
         if rep.decayed and fits:
             # slowest surviving mode dominates the long-run decay
             best = max(fits, key=lambda f: f.rate)

@@ -1,4 +1,4 @@
-"""Asymptotic periodicity: detection, stability, and restricted powers.
+"""Asymptotic periodicity: detection, invariant mixtures, restricted powers.
 
 After a burn-in, an asymptotically periodic operator sends every cell's
 indicator onto one of r disjoint density profiles g_1..g_r that a further
@@ -29,7 +29,6 @@ import scipy.sparse as sp
 
 from cocyclelab.cocycle import CocycleFamily, compose, orbit
 from cocyclelab.driving import BERNOULLI, DrivingSystem, EnvPoint, point
-from cocyclelab.exactness import exactness_report
 from cocyclelab.measure import (
     Density,
     FiniteMeasureSpace,
@@ -37,7 +36,6 @@ from cocyclelab.measure import (
     PreconditionError,
     mass_apply,
 )
-from cocyclelab.mixing import indicator_basis, zero_mean_basis
 
 SUPPORT_FLOOR = 1e-12
 
@@ -186,29 +184,6 @@ def invariant_density_from_decomposition(dec: PeriodicDecomposition) -> Density:
     space = dec.densities[0].space
     mass = np.mean([d.mass for d in dec.densities], axis=0)
     return Density.from_mass(space, mass)
-
-
-@dataclasses.dataclass(frozen=True)
-class StabilityReport:
-    decomposition: PeriodicDecomposition
-    exact_verdict: bool
-    routes_agree: bool
-    consistent: bool | None   # (r == 1) vs exactness; None when nothing found
-
-
-def stability_check(c: CocycleFamily, omega: EnvPoint, horizon: int,
-                    r_max: int, tol: float = 1e-10,
-                    decay_tol: float = 1e-8) -> StabilityReport:
-    """Cross-check the decomposition against the exactness routes: a single
-    periodic profile is the same thing as exactness."""
-    dec = detect_periodicity(c, omega, horizon, r_max, tol)
-    rep = exactness_report(c, omega, zero_mean_basis(c.space),
-                           indicator_basis(c.space), horizon, decay_tol)
-    consistent = None
-    if dec.found:
-        consistent = (dec.r == 1) == rep.exact_verdict
-    return StabilityReport(decomposition=dec, exact_verdict=rep.exact_verdict,
-                           routes_agree=rep.routes_agree, consistent=consistent)
 
 
 def restricted_power_cocycle(c: CocycleFamily, dec: PeriodicDecomposition,

@@ -119,7 +119,8 @@ def cmd_run_mixing(args) -> int:
     f_basis, g_obs = _bases(sc)
     g_basis = _g_basis_for(sc, args.notion, g_obs)
     rep = estimate_mixing(sc.cocycle, args.notion, f_basis, g_basis, omegas,
-                          horizon, tol)
+                          horizon, tol,
+                          tail_fraction=sc.analysis.tail_fraction)
     rows = []
     for w in range(len(omegas)):
         for i in range(len(f_basis)):
@@ -216,6 +217,7 @@ def cmd_run_skew(args) -> int:
     rows = []
     for pair_id, a, b in pairs:
         rep = skew_mixing_curve(nc, a, b, horizon, tol,
+                                tail_fraction=sc.analysis.tail_fraction,
                                 mc_samples=mc, seed=seed)
         for n in range(horizon + 1):
             rows.append((pair_id, n, rep.joint[n], rep.product,
@@ -278,7 +280,7 @@ def cmd_report(args) -> int:
     for kind in ("hom", "inhom"):
         rep = estimate_mixing(sc.cocycle, f"prior-{kind}", f_basis,
                               _g_basis_for(sc, kind, g_obs), omegas, horizon,
-                              tol)
+                              tol, tail_fraction=sc.analysis.tail_fraction)
         verdicts[f"prior-{kind}"] = rep.prior_decayed
         verdicts[f"post-{kind}"] = rep.posterior_decayed
     agree = len(set(verdicts.values())) == 1
@@ -326,8 +328,9 @@ def cmd_report(args) -> int:
                 sub, cells = restricted_power_cocycle(sc.cocycle, dec, i)
                 sub_f = zero_mean_basis(sub.table[0].space)
                 sub_g = indicator_basis(sub.table[0].space)
-                sub_rep = exactness_report(sub, point(sub.driving, 0), sub_f,
-                                           sub_g, horizon, tol)
+                sub_rep = exactness_report(
+                    sub, point(sub.driving, 0), sub_f, sub_g, horizon, tol,
+                    tail_fraction=sc.analysis.tail_fraction)
                 check("restricted-power-exact", w, sub_rep.exact_verdict,
                       f"component={i} cells={int(cells[0])}..{int(cells[-1])} "
                       f"({len(cells)})")

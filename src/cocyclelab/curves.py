@@ -1,5 +1,6 @@
-"""Decay-curve bookkeeping shared by the mixing and exactness reports:
-tail windows, suffix envelopes, decay verdicts, and geometric rate fits."""
+"""Decay-curve reading shared by the mixing, exactness and skew reports:
+tail windows, suffix envelopes and decay verdicts, each along the last axis
+of a curve array, plus geometric rate fits for callers that want them."""
 
 from __future__ import annotations
 
@@ -25,17 +26,20 @@ def tail_start(length: int, tail_fraction: float = 0.1) -> int:
 
 
 def suffix_envelope(values) -> np.ndarray:
-    """env[i] = max_{j >= i} |values[j]|; non-increasing by construction."""
+    """env[..., i] = max_{j >= i} |values[..., j]| along the last axis;
+    non-increasing by construction."""
     v = np.abs(np.asarray(values, dtype=float))
-    return np.maximum.accumulate(v[::-1])[::-1]
+    return np.maximum.accumulate(v[..., ::-1], axis=-1)[..., ::-1]
 
 
-def tail_max(values, tail_fraction: float = 0.1) -> float:
+def tail_max(values, tail_fraction: float = 0.1):
+    """max |value| over each curve's verdict window (last axis)."""
     v = np.asarray(values, dtype=float)
-    return float(np.abs(v[tail_start(v.size, tail_fraction):]).max())
+    return np.abs(v[..., tail_start(v.shape[-1], tail_fraction):]).max(axis=-1)
 
 
-def curve_decayed(values, tol: float, tail_fraction: float = 0.1) -> bool:
+def curve_decayed(values, tol: float, tail_fraction: float = 0.1):
+    """Per curve (last axis): does the verdict window stay below tol?"""
     return tail_max(values, tail_fraction) < tol
 
 
@@ -85,12 +89,6 @@ class RateFits(Mapping):
     def __len__(self) -> int:
         return self.rate.size
 
-    def take(self, index) -> RateFits:
-        """The fits re-indexed along the first axis (``a[index]`` for each
-        array)."""
-        return RateFits(self.rate[index], self.log_c[index],
-                        self.r_squared[index], self.n_points[index])
-
 
 def fit_geometric_rates(values, floor: float = 1e-14) -> RateFits:
     """``fit_geometric_rate`` along the last axis of a curve array, batched.
@@ -107,7 +105,7 @@ def fit_geometric_rates(values, floor: float = 1e-14) -> RateFits:
     r_squared, n_points = np.empty(m), np.empty(m, dtype=np.int64)
     for start in range(0, m, 65536):
         rows = flat[start:start + 65536]
-        env = np.maximum.accumulate(rows[:, ::-1], axis=1)[:, ::-1]
+        env = suffix_envelope(rows)
         last = np.sum(env > floor, axis=1) - 1  # -1 when nothing clears floor
         mask = (rows > floor) & (x[None, :] <= last[:, None])
         k = mask.sum(axis=1)

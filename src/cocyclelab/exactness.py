@@ -33,7 +33,7 @@ import itertools
 import numpy as np
 
 from cocyclelab.cocycle import CocycleFamily, orbit, orbit_kernels
-from cocyclelab.curves import RateFits, curve_decayed, fit_geometric_rates
+from cocyclelab.curves import curve_decayed
 from cocyclelab.driving import EnvPoint
 from cocyclelab.measure import MarkovMatrix, PreconditionError, mass_apply
 
@@ -178,6 +178,10 @@ def tail_partition(c: CocycleFamily, omega: EnvPoint,
 
 @dataclasses.dataclass(eq=False)
 class ExactnessReport:
+    """The norm, dual and (for cell maps) tail-route curves with their
+    verdicts.  The report fits no rates; a caller that wants them calls
+    ``fit_geometric_rates(report.norm_curves)``."""
+
     horizon: int
     tol: float
     tail_fraction: float
@@ -189,7 +193,6 @@ class ExactnessReport:
     routes_agree: bool
     exact_verdict: bool
     sgn_witness_gap: float
-    norm_rates: RateFits
     tail: TailPartitionReport | None
 
 
@@ -206,10 +209,8 @@ def exactness_report(c: CocycleFamily, omega: EnvPoint, f_basis, g_basis,
         raise PreconditionError(f"tol must be > 0, got {tol}")
     norms = exactness_norms(c, omega, f_basis, horizon)
     dual = lin_dual_flatness(c, omega, g_basis, horizon)
-    norms_decayed = all(curve_decayed(row, tol, tail_fraction)
-                        for row in norms.values)
-    dual_decayed = all(curve_decayed(row, tol, tail_fraction)
-                       for row in dual.flatness)
+    norms_decayed = bool(curve_decayed(norms.values, tol, tail_fraction).all())
+    dual_decayed = bool(curve_decayed(dual.flatness, tol, tail_fraction).all())
     tail = None
     if all(P.is_cell_map(atol=CELL_MAP_ATOL) for P in c.table.values()):
         tail = tail_partition(c, omega, horizon)
@@ -220,5 +221,4 @@ def exactness_report(c: CocycleFamily, omega: EnvPoint, f_basis, g_basis,
         norms_decayed=norms_decayed, dual_decayed=dual_decayed,
         routes_agree=norms_decayed == dual_decayed,
         exact_verdict=norms_decayed,
-        sgn_witness_gap=norms.sgn_witness_gap,
-        norm_rates=fit_geometric_rates(norms.values), tail=tail)
+        sgn_witness_gap=norms.sgn_witness_gap, tail=tail)

@@ -36,7 +36,7 @@ import itertools
 import numpy as np
 
 from cocyclelab.cocycle import CocycleFamily, orbit, orbit_kernels
-from cocyclelab.curves import RateFits, fit_geometric_rates, tail_start
+from cocyclelab.curves import curve_decayed, suffix_envelope
 from cocyclelab.driving import EnvPoint, feature, finite_rotation
 from cocyclelab.measure import (
     Density,
@@ -187,7 +187,8 @@ class MixingReport:
 
     values[w, i, j, n] is the curve for omega_samples[w], f_basis[i] and the
     j-th observable (fixed observables for the homogeneous notions, step maps
-    for the travelling ones).
+    for the travelling ones).  The report fits no rates; a caller that wants
+    them calls ``fit_geometric_rates(report.values)``.
     """
 
     notion: str
@@ -203,9 +204,6 @@ class MixingReport:
     prior_thresholds: list      # per omega: first n from which every curve
                                 # of that omega stays below tol (None: never)
     posterior_thresholds: dict  # (f_id, g_id) -> worst such n over omega
-    rates: RateFits             # (omega_id, f_id, g_id) -> RateFit: one
-                                # array-backed mapping, fitted once per
-                                # distinct omega
 
     def curve(self, omega_id: int, f_id: int, g_id: int) -> np.ndarray:
         return self.values[omega_id, f_id, g_id]
@@ -271,16 +269,13 @@ def estimate_mixing(c: CocycleFamily, notion: str, f_basis, g_basis,
             if n < horizon:
                 cur = mass_apply(cur, P.kernel)
 
-    ts = tail_start(horizon + 1, tail_fraction)
-    decayed_matrix = np.abs(uvalues[..., ts:]).max(axis=-1) < tol
     # the two quantifier orders group the same curves differently, but on a
     # finite sample "every point, every pair" and "every pair, every point"
     # are one conjunction, so prior and posterior verdicts coincide
-    verdict = bool(decayed_matrix.all())
+    verdict = bool(curve_decayed(uvalues, tol, tail_fraction).all())
 
     # first index from which each curve's suffix envelope stays below tol
-    env = np.maximum.accumulate(np.abs(uvalues[..., ::-1]), axis=-1)[..., ::-1]
-    below = env < tol
+    below = suffix_envelope(uvalues) < tol
     ever = below.any(axis=-1)
     first = below.argmax(axis=-1)
 
@@ -293,15 +288,12 @@ def estimate_mixing(c: CocycleFamily, notion: str, f_basis, g_basis,
             first.max(axis=0).ravel().tolist(),
             ever.all(axis=0).ravel().tolist())}
 
-    values = uvalues[inverse]
-    rates = fit_geometric_rates(uvalues).take(inverse)
-
     return MixingReport(notion=notion, horizon=horizon, tol=tol,
-                        tail_fraction=tail_fraction, values=values,
+                        tail_fraction=tail_fraction, values=uvalues[inverse],
                         decayed=verdict, prior_decayed=verdict,
                         posterior_decayed=verdict,
                         prior_thresholds=prior_thresholds,
-                        posterior_thresholds=posterior_thresholds, rates=rates)
+                        posterior_thresholds=posterior_thresholds)
 
 
 # -- the travelling-observable counterexample ---------------------------------

@@ -14,7 +14,6 @@ Layout (keys in parentheses are optional)::
                  synthetic: identity | uniform | {block_cycle: r}
     cocycle:   table: {feature -> operator name}  or  constant: name
     analysis:  (horizon) (tol) (rmax) (eps) (tail_fraction) (basis_count)
-    output:    (dir)
 
 Operators are built once per name and shared by reference, so a table whose
 entries all point at one name is recognized as a constant family.  All
@@ -84,7 +83,6 @@ class Scenario:
     operators: dict = field(repr=False)
     cocycle: CocycleFamily = field(repr=False)
     analysis: AnalysisConfig = AnalysisConfig()
-    out_dir: str | None = None
 
 
 def _require_mapping(node, what: str) -> dict:
@@ -289,11 +287,9 @@ def load_scenario(path: str) -> Scenario:
                  for name, node in op_nodes.items()}
     cocycle = _build_cocycle(_get(doc, "cocycle", path), driving, operators)
     analysis = _build_analysis(doc.get("analysis"), doc.get("driving"))
-    out_node = doc.get("output") or {}
     name = str(doc.get("name") or path.rsplit("/", 1)[-1].rsplit(".", 1)[0])
     return Scenario(name=name, space=space, driving=driving,
-                    operators=operators, cocycle=cocycle, analysis=analysis,
-                    out_dir=out_node.get("dir"))
+                    operators=operators, cocycle=cocycle, analysis=analysis)
 
 
 # -- product-set files for the skew runner -----------------------------------

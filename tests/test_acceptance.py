@@ -24,6 +24,7 @@ from cocyclelab.cocycle import (
     NormalizedCocycle,
     build_invariant_density_map,
 )
+from cocyclelab.curves import fit_geometric_rates
 from cocyclelab.driving import BERNOULLI, finite_rotation, point
 from cocyclelab.exactness import exactness_report
 from cocyclelab.measure import (
@@ -303,8 +304,8 @@ def test_ulam_refinement_residual_shrinks_and_rate_bounded():
                               indicator_basis(space, count=12),
                               [w], horizon=40, tol=1e-6)
         assert rep.decayed
-        fitted = max(fit.rate for fit in rep.rates.values()
-                     if fit.n_points >= 2)
+        fits = fit_geometric_rates(rep.values)
+        fitted = max(fit.rate for fit in fits.values() if fit.n_points >= 2)
         assert fitted <= 0.6, f"fitted mixing rate {fitted:.4f}"
         assert abs(fitted - lam[256]) <= 0.15, (
             f"fitted rate {fitted:.4f} far from eigenvalue oracle "

@@ -22,11 +22,10 @@ from cocyclelab.asymptotic import (
     invariant_density_from_decomposition,
     quasi_constrictive_probe,
     restricted_power_cocycle,
-    stability_check,
 )
 from cocyclelab.cocycle import CocycleFamily, compose
 from cocyclelab.driving import bernoulli_shift, finite_rotation, point
-from cocyclelab.exactness import exactness_norms
+from cocyclelab.exactness import exactness_norms, exactness_report
 from cocyclelab.measure import (
     Density,
     FiniteMeasureSpace,
@@ -34,7 +33,7 @@ from cocyclelab.measure import (
     PreconditionError,
     mass_apply,
 )
-from cocyclelab.mixing import zero_mean_basis
+from cocyclelab.mixing import indicator_basis, zero_mean_basis
 from cocyclelab.transfer import MapSpec, pf_exact
 
 
@@ -161,27 +160,40 @@ def test_detected_profiles_are_fixed_by_period_steps():
 # -- stability and the invariant mixture ---------------------------------------
 
 
+def periodicity_vs_exactness(c, horizon, r_max):
+    """The decomposition and the exactness report at the base point, on the
+    full bases with decay tolerance 1e-8.  ``consistent`` says whether a
+    single periodic profile coincides with exactness; None when nothing was
+    found."""
+    omega = point(c.driving, 0)
+    dec = detect_periodicity(c, omega, horizon, r_max, 1e-10)
+    rep = exactness_report(c, omega, zero_mean_basis(c.space),
+                           indicator_basis(c.space), horizon, 1e-8)
+    consistent = (dec.r == 1) == rep.exact_verdict if dec.found else None
+    return dec, rep, consistent
+
+
 def test_stability_doubling_single_profile_iff_exact():
     space = FiniteMeasureSpace.uniform(8)
     c = constant_cocycle(pf_exact(MapSpec("doubling"), space))
-    rep = stability_check(c, point(c.driving, 0), horizon=16, r_max=8)
-    assert rep.decomposition.found and rep.decomposition.r == 1
-    assert rep.exact_verdict and rep.consistent
+    dec, rep, consistent = periodicity_vs_exactness(c, horizon=16, r_max=8)
+    assert dec.found and dec.r == 1
+    assert rep.exact_verdict and consistent
 
 
 def test_stability_block_swap_consistent_non_exact():
     c = constant_cocycle(block_cycle_kernel(4, 2))
-    rep = stability_check(c, point(c.driving, 0), horizon=16, r_max=8)
-    assert rep.decomposition.r == 2
+    dec, rep, consistent = periodicity_vs_exactness(c, horizon=16, r_max=8)
+    assert dec.r == 2
     assert not rep.exact_verdict
-    assert rep.consistent
+    assert consistent
 
 
 def test_stability_none_found_is_inconclusive():
     c = constant_cocycle(np.eye(8))
-    rep = stability_check(c, point(c.driving, 0), horizon=16, r_max=4)
-    assert not rep.decomposition.found
-    assert rep.consistent is None
+    dec, rep, consistent = periodicity_vs_exactness(c, horizon=16, r_max=4)
+    assert not dec.found
+    assert consistent is None
 
 
 def test_invariant_mixture_is_fixed_density():

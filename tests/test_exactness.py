@@ -19,6 +19,7 @@ from cocyclelab.cocycle import (
     orbit,
     orbit_kernels,
 )
+from cocyclelab.curves import fit_geometric_rates
 from cocyclelab.driving import (
     DrivingError,
     bernoulli_shift,
@@ -233,7 +234,7 @@ def test_report_rate_fit_on_lazy_kernel():
     c = constant_cocycle(MarkovMatrix(FiniteMeasureSpace.uniform(3), kernel))
     rep = full_report(c, horizon=25, tol=1e-6)
     assert rep.exact_verdict
-    for fit in rep.norm_rates.values():
+    for fit in fit_geometric_rates(rep.norm_curves).values():
         assert fit.rate == pytest.approx(0.25, rel=1e-6)
 
 

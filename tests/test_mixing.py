@@ -19,6 +19,8 @@ from cocyclelab.curves import (
     fit_geometric_rate,
     fit_geometric_rates,
     first_below,
+    suffix_envelope,
+    tail_max,
     tail_start,
 )
 from cocyclelab.driving import (
@@ -313,7 +315,7 @@ def test_estimator_rejects_bad_inputs():
 
 
 def test_estimator_report_matches_scalar_curve_helpers():
-    # the report computes verdicts/thresholds/fits over the whole curve
+    # the report computes verdicts and thresholds over the whole curve
     # array at once; they must coincide with the per-curve helpers
     space = FiniteMeasureSpace.uniform(4)
     P = MarkovMatrix(space, DOUBLING4)
@@ -328,10 +330,6 @@ def test_estimator_report_matches_scalar_curve_helpers():
         return None if any(fb is None for fb in fbs) else max(fbs)
 
     for w in range(n_w):
-        for i in range(n_f):
-            for j in range(n_g):
-                assert rep.rates[(w, i, j)] == fit_geometric_rate(
-                    rep.values[w, i, j])
         assert rep.prior_thresholds[w] == group_threshold(
             [first_below(rep.values[w, i, j], rep.tol)
              for i in range(n_f) for j in range(n_g)])
@@ -369,7 +367,7 @@ def test_estimator_rejects_a_point_of_another_driving():
 def reference_estimate(c, notion, f_basis, g_basis, omega_samples, horizon,
                        tol, tail_fraction=0.1):
     """The estimator written out plainly: one orbit per sample, the
-    observables stacked afresh at every step, one RateFit per curve."""
+    observables stacked afresh at every step."""
     inhom = notion.endswith("inhom")
     n_w, n_f, n_g = len(omega_samples), len(f_basis), len(g_basis)
     fmass = np.stack([f.mass for f in f_basis])
@@ -401,7 +399,6 @@ def reference_estimate(c, notion, f_basis, g_basis, omega_samples, horizon,
         "posterior_thresholds": {(i, j): group(values[w, i, j]
                                                for w in range(n_w))
                                  for i, j in pairs},
-        "rates": {key: fit_geometric_rate(values[key]) for key in decayed},
     }
 
 
@@ -454,9 +451,6 @@ def test_estimator_fast_paths_match_reference_loop(case):
     assert rep.decayed == ref["decayed"]
     assert rep.prior_thresholds == ref["prior_thresholds"]
     assert rep.posterior_thresholds == ref["posterior_thresholds"]
-    assert len(rep.rates) == len(ref["rates"])
-    for key, fit in ref["rates"].items():
-        assert rep.rates[key] == fit
     if notion.endswith("inhom"):
         j = len(g_basis) - 1
         for w, omega in enumerate(omegas):
@@ -478,6 +472,53 @@ def test_batched_rate_fits_match_scalar_fits(rows):
         fit_geometric_rate(row) for row in curves]
 
 
+def reference_envelope(values):
+    """The one-curve suffix envelope, written for 1-D input only."""
+    v = np.abs(np.asarray(values, dtype=float))
+    return np.maximum.accumulate(v[::-1])[::-1]
+
+
+def reference_tail_max(values, tail_fraction):
+    """The one-curve tail maximum, written for 1-D input only."""
+    v = np.asarray(values, dtype=float)
+    return float(np.abs(v[tail_start(v.size, tail_fraction):]).max())
+
+
+@st.composite
+def curve_stack(draw):
+    """0-3 leading axes over curves of length 1-20 with exact zeros, sign
+    changes and magnitudes spread over several decades."""
+    shape = tuple(draw(st.lists(st.integers(1, 3), max_size=3))) \
+        + (draw(st.integers(1, 20)),)
+    entry = st.one_of(st.just(0.0),
+                      st.builds(lambda x, k: x * 10.0 ** -k,
+                                st.floats(-4.0, 4.0, allow_nan=False),
+                                st.integers(0, 12)))
+    flat = draw(st.lists(entry, min_size=int(np.prod(shape)),
+                         max_size=int(np.prod(shape))))
+    return np.array(flat).reshape(shape)
+
+
+@given(curve_stack(),
+       st.floats(0.0, 1.0, exclude_min=True),
+       st.sampled_from([1e-12, 1e-6, 1e-3, 0.5, 2.0]))
+def test_curve_helpers_read_the_last_axis_like_the_one_curve_code(
+        values, tail_fraction, tol):
+    env = suffix_envelope(values)
+    tails = tail_max(values, tail_fraction)
+    verdicts = curve_decayed(values, tol, tail_fraction)
+    assert env.shape == values.shape
+    assert np.shape(tails) == np.shape(verdicts) == values.shape[:-1]
+    for idx in np.ndindex(values.shape[:-1]):
+        assert env[idx].tobytes() == reference_envelope(values[idx]).tobytes()
+        assert tails[idx] == reference_tail_max(values[idx], tail_fraction)
+        assert verdicts[idx] == (
+            reference_tail_max(values[idx], tail_fraction) < tol)
+    if values.ndim == 1:
+        assert isinstance(tails, np.floating)
+        assert isinstance(verdicts, np.bool_)
+
+
 def test_estimator_rate_fit_on_geometric_curve():
     # three-cell kernel with uniform invariant law and spectral gap 1/2
     kernel = np.array([
@@ -490,7 +531,7 @@ def test_estimator_rate_fit_on_geometric_curve():
     rep = estimate_mixing(c, "post-hom", [f], indicator_basis(c.space),
                           points(c.driving), horizon=25, tol=1e-6)
     assert rep.decayed
-    fit = rep.rates[(0, 0, 0)]
+    fit = fit_geometric_rates(rep.values)[(0, 0, 0)]
     assert fit.rate == pytest.approx(0.25, rel=1e-6)
     assert fit.r_squared == pytest.approx(1.0, abs=1e-9)
 

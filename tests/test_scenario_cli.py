@@ -448,9 +448,6 @@ def test_prior_and_posterior_reports_of_one_kind_are_identical(tmp_path):
                 == (post.decayed, post.prior_decayed, post.posterior_decayed)
             assert prior.prior_thresholds == post.prior_thresholds
             assert prior.posterior_thresholds == post.posterior_thresholds
-            for field in ("rate", "log_c", "r_squared", "n_points"):
-                assert getattr(prior.rates, field).tobytes() \
-                    == getattr(post.rates, field).tobytes()
 
 
 # -- analysis values checked at load -------------------------------------------
@@ -503,6 +500,39 @@ def test_cli_bad_analysis_value_exit_two(tmp_path, capsys, case, command):
     assert err.startswith("error:") and "Traceback" not in err
     assert f"{block}.{key}" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("output", ["results", "{dir: x}"])
+def test_output_block_is_ignored(tmp_path, capsys, output):
+    path = write(tmp_path, MINIMAL + f"output: {output}\n")
+    assert load_scenario(path).space.n == 64
+    assert main(["run-asymp", "--scenario", path,
+                 "--out", str(tmp_path / "a.csv")]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_cli_mixing_reads_the_scenario_tail_fraction(tmp_path, capsys):
+    # the whole curve is the verdict window, and n = 0 sits above tol
+    path = with_value(tmp_path, "doubling_exact.yaml", "analysis",
+                      "tail_fraction", 1.0)
+    assert main(["run-mixing", "--scenario", path, "--notion", "prior-hom",
+                 "--out", str(tmp_path / "m.csv")]) == 0
+    assert "decayed=False" in capsys.readouterr().out
+    assert main(["run-exactness", "--scenario", path,
+                 "--out", str(tmp_path / "e.csv")]) == 0
+    assert "exact=False" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("tail_fraction, decayed", [(0.1, True), (1.0, False)])
+def test_cli_skew_reads_the_scenario_tail_fraction(tmp_path, capsys,
+                                                   tail_fraction, decayed):
+    path = with_value(tmp_path, "bernoulli_doubling.yaml", "analysis",
+                      "tail_fraction", tail_fraction)
+    assert main(["run-skew", "--scenario", path,
+                 "--sets", str(SCENARIOS / "sets_halves.yaml"),
+                 "--out", str(tmp_path / "s.csv")]) == 0
+    out = capsys.readouterr().out
+    assert out.count(f"decayed={decayed}") == 3
 
 
 def test_unreadable_analysis_value_is_a_scenario_error(tmp_path):

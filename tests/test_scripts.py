@@ -23,8 +23,10 @@ def test_decay_rates_table(tmp_path, capsys):
     rows = {line.split()[0]: line.split()
             for line in capsys.readouterr().out.splitlines()[1:]}
     assert set(rows) == {"doubling_exact", "identity"}
+    # the exact doubling kernel halves the mass that a cell difference sends
+    # to any one cell at each step
     name, decayed, rate, r2, curves = rows["doubling_exact"]
-    assert decayed == "True" and 0.0 <= float(rate) < 1.0
+    assert decayed == "True" and rate == "0.5000" and r2 == "1.000"
     name, decayed, rate, r2, curves = rows["identity"]
     assert decayed == "False" and rate == "-" and r2 == "-"
 
