@@ -1,8 +1,10 @@
 """Command-line dispatch for scenario runs.
 
 Subcommands write RFC-4180-style CSV ('.' decimal separator, '\\n' line
-endings) so output is diffable and bit-identical across runs with the same
-scenario and seeds.
+endings, floats as format(x, '.17g'), labels quoted by the csv module) so
+output is diffable and bit-identical across runs with the same scenario and
+seeds.  Curve tables put the leading indices outer and n innermost, and are
+written a block of rows at a time, byte for byte as row by row.
 
 Exit codes: 0 = run completed (consistent negative verdicts included),
 1 = `report` found a cross-check violation, 2 = usage or config error.
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import sys
 
 import numpy as np
@@ -39,20 +42,39 @@ from .skew import skew_mixing_curve
 REPORT_HEAVY_OMEGAS = 4
 
 
-def _fmt(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
-    if isinstance(v, (float, np.floating)):
-        return format(float(v), ".17g")
-    return str(v)
+def _record(fields) -> str:
+    """One CSV line as the csv module quotes it, newline included."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(fields)
+    return buf.getvalue()
 
 
-def _write_csv(path: str, header, rows):
+def _cells(column) -> list:
+    """A numeric column's CSV cells: floats as '.17g', integers by str."""
+    a = np.asarray(column)
+    spec = ".17g" if a.dtype.kind == "f" else ""
+    return [format(v, spec) for v in a.ravel().tolist()]
+
+
+def _write_csv(path: str, header, blocks):
+    """Write `header`, then each block `(labels, columns)` as one string.
+    Row (k, m) is labels[k] + c[m] for each 1-D column c and + c[k, m] for
+    each 2-D one, k outer and m inner; a block without columns is its
+    labels.  The bytes equal the csv module's, written row by row."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        fh.write(_record(header))
+        for labels, columns in blocks:
+            if not columns:
+                fh.write("".join(map(_record, labels)))
+                continue
+            # the empty last field gives each quoted label its ',' separator
+            heads = [_record((*lab, ""))[:-1] if lab else "" for lab in labels]
+            width = np.shape(columns[0])[-1]
+            cells = [_cells(c) * (len(heads) if np.ndim(c) == 1 else 1)
+                     for c in columns]
+            fh.write("".join([
+                h + ",".join(row) + "\n" for h, row in
+                zip([h for h in heads for _ in range(width)], zip(*cells))]))
 
 
 def _env_points(scenario, seed_override=None, count=None):
@@ -121,14 +143,12 @@ def cmd_run_mixing(args) -> int:
     rep = estimate_mixing(sc.cocycle, args.notion, f_basis, g_basis, omegas,
                           horizon, tol,
                           tail_fraction=sc.analysis.tail_fraction)
-    rows = []
-    for w in range(len(omegas)):
-        for i in range(len(f_basis)):
-            for j in range(len(g_basis)):
-                for n in range(horizon + 1):
-                    rows.append((args.notion, w, i, j, n, rep.values[w, i, j, n]))
+    ns = np.arange(horizon + 1)
+    blocks = (([(args.notion, w, i, j) for j in range(len(g_basis))],
+               (ns, rep.values[w, i]))
+              for w in range(len(omegas)) for i in range(len(f_basis)))
     _write_csv(args.out, ("notion", "omega_id", "f_id", "g_id", "n", "value"),
-               rows)
+               blocks)
     print(f"{sc.name}: {args.notion} decayed={rep.decayed} "
           f"(tol={tol}, horizon={horizon}) -> {args.out}")
     return 0
@@ -141,21 +161,19 @@ def cmd_run_exactness(args) -> int:
                          count=min(REPORT_HEAVY_OMEGAS,
                                    sc.analysis.env_samples))
     f_basis, g_obs = _bases(sc)
-    rows = []
+    ns, blocks = np.arange(horizon + 1), []
     for w, omega in enumerate(omegas):
         rep = exactness_report(sc.cocycle, omega, f_basis, g_obs, horizon, tol,
                                tail_fraction=sc.analysis.tail_fraction)
-        for n in range(horizon + 1):
-            rows.append((w, "norm", n, rep.norm_curves[:, n].max()))
-        for n in range(horizon + 1):
-            rows.append((w, "lin", n, rep.flatness_curves[:, n].max()))
+        blocks += [([(w, "norm")], (ns, rep.norm_curves.max(axis=0))),
+                   ([(w, "lin")], (ns, rep.flatness_curves.max(axis=0)))]
         if rep.tail is not None:
-            for n, count in enumerate(rep.tail.atom_counts):
-                rows.append((w, "tail", n, int(count)))
+            counts = rep.tail.atom_counts
+            blocks.append(([(w, "tail")], (np.arange(len(counts)), counts)))
         print(f"{sc.name} omega_{w}: exact={rep.exact_verdict} "
               f"dual={rep.dual_decayed} routes_agree={rep.routes_agree}"
               + (f" tail_trivial={rep.tail.trivial}" if rep.tail else ""))
-    _write_csv(args.out, ("omega_id", "test", "n", "value_or_flag"), rows)
+    _write_csv(args.out, ("omega_id", "test", "n", "value_or_flag"), blocks)
     return 0
 
 
@@ -166,18 +184,19 @@ def cmd_run_asymp(args) -> int:
     omegas = _env_points(sc, args.seed_override,
                          count=min(REPORT_HEAVY_OMEGAS,
                                    sc.analysis.env_samples))
-    rows = []
+    blocks = []
     for w, omega in enumerate(omegas):
         dec = detect_periodicity(sc.cocycle, omega, horizon, rmax,
                                  tol=sc.analysis.asymp_tol)
         if dec.found:
-            rows.append((w, dec.r, cycle_notation(dec.rho), dec.residual))
+            label = (w, dec.r, cycle_notation(dec.rho))
             print(f"{sc.name} omega_{w}: r={dec.r} rho={cycle_notation(dec.rho)} "
                   f"period={dec.period} residual={dec.residual:.3g}")
         else:
-            rows.append((w, "none", dec.reason, dec.residual))
+            label = (w, "none", dec.reason)
             print(f"{sc.name} omega_{w}: none found ({dec.reason})")
-    _write_csv(args.out, ("omega_id", "r", "rho", "residual"), rows)
+        blocks.append(([label], ([dec.residual],)))
+    _write_csv(args.out, ("omega_id", "r", "rho", "residual"), blocks)
     return 0
 
 
@@ -198,7 +217,7 @@ def cmd_run_qc(args) -> int:
     for omega in omegas:
         rep = quasi_constrictive_probe(sc.cocycle, omega, horizon, eps_sorted)
         worst = np.maximum(worst, rep.deltas)
-    _write_csv(args.out, ("eps", "delta"), list(zip(eps_sorted, worst)))
+    _write_csv(args.out, ("eps", "delta"), [([()], (eps_sorted, worst))])
     verdict = worst[0] > 0.0
     print(f"{sc.name}: quasi-constrictive={verdict} "
           f"deltas={[float(v) for v in worst]} -> {args.out}")
@@ -214,14 +233,13 @@ def cmd_run_skew(args) -> int:
     seed = sc.analysis.env_seed if args.seed_override is None \
         else args.seed_override
     mc = sc.analysis.env_samples if args.mc_samples is None else args.mc_samples
-    rows = []
+    ns, blocks = np.arange(horizon + 1), []
     for pair_id, a, b in pairs:
         rep = skew_mixing_curve(nc, a, b, horizon, tol,
                                 tail_fraction=sc.analysis.tail_fraction,
                                 mc_samples=mc, seed=seed)
-        for n in range(horizon + 1):
-            rows.append((pair_id, n, rep.joint[n], rep.product,
-                         rep.discrepancy[n]))
+        product = np.full(ns.size, rep.product)
+        blocks.append(([(pair_id,)], (ns, rep.joint, product, rep.discrepancy)))
         flags = (f"method={rep.method} decayed={rep.decayed} "
                  f"h_converged={rep.h_converged}")
         if rep.stderr is not None:
@@ -233,7 +251,7 @@ def cmd_run_skew(args) -> int:
         print(f"{sc.name} {pair_id}: {flags}")
     _write_csv(args.out,
                ("set_pair_id", "n", "nu_joint", "nu_product", "discrepancy"),
-               rows)
+               blocks)
     return 0
 
 
@@ -242,9 +260,9 @@ def cmd_run_counterexample(args) -> int:
         raise PreconditionError(
             f"run-counterexample records n = 1..horizon; got horizon {args.horizon}")
     rep = counterexample_run(args.k, horizon=args.horizon)
-    rows = [(n, rep.inhom_values[n]) for n in range(1, rep.horizon + 1)]
-    _write_csv(args.out, ("n", "value"), rows)
-    print(f"counterexample k={args.k}: {len(rows)} rows, "
+    ns = np.arange(1, rep.horizon + 1)
+    _write_csv(args.out, ("n", "value"), [([()], (ns, rep.inhom_values[ns]))])
+    print(f"counterexample k={args.k}: {rep.horizon} rows, "
           f"travelling correlation stays at {rep.inhom_values[1]:.3g}, "
           f"disjointness max {max(rep.disjoint_overlaps):.3g}, "
           f"passes={rep.passes}" + (" (horizon capped at the cell period)"
@@ -255,15 +273,12 @@ def cmd_run_counterexample(args) -> int:
 def cmd_report(args) -> int:
     sc = load_scenario(args.scenario)
     horizon, tol = _horizon_tol(args, sc)
-    failures = []
     lines = []
 
     def check(name, omega_id, ok, detail=""):
         status = "PASS" if ok else "FAIL"
         lines.append((name, omega_id, status, detail))
         print(f"[{status}] {name} @ omega_{omega_id} {detail}")
-        if not ok:
-            failures.append(name)
 
     def skip(name, omega_id, detail):
         lines.append((name, omega_id, "SKIP", detail))
@@ -340,9 +355,11 @@ def cmd_report(args) -> int:
             skip("restricted-power-exact", w, "finite driving only")
 
     if args.out:
-        _write_csv(args.out, ("check", "omega_id", "status", "detail"), lines)
+        _write_csv(args.out, ("check", "omega_id", "status", "detail"),
+                   [(lines, ())])
+    failures = sum(status == "FAIL" for _, _, status, _ in lines)
     if failures:
-        print(f"{sc.name}: {len(failures)} consistency check(s) failed")
+        print(f"{sc.name}: {failures} consistency check(s) failed")
         return 1
     print(f"{sc.name}: all consistency checks passed")
     return 0
@@ -351,66 +368,52 @@ def cmd_report(args) -> int:
 # -- argument parsing -----------------------------------------------------------
 
 
-def _add_common(p, out_required=True):
-    p.add_argument("--scenario", required=True, help="scenario YAML file")
-    if out_required:
-        p.add_argument("--out", required=True, help="output CSV path")
-    else:
-        p.add_argument("--out", default=None, help="optional output CSV path")
-    p.add_argument("--horizon", type=int, default=None,
-                   help="override the scenario horizon")
-    p.add_argument("--tol", type=float, default=None,
-                   help="override the scenario tolerance")
-    p.add_argument("--seed-override", type=int, default=None,
-                   help="replace the environment-sampling seed")
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="cocyclelab",
         description="Markov operator cocycle laboratory: scenario runners")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("run-mixing", help="correlation curves for one notion")
-    _add_common(p)
+    def command(name, fn, summary, common=True, out_required=True):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(fn=fn)
+        if common:
+            p.add_argument("--scenario", required=True,
+                           help="scenario YAML file")
+            p.add_argument("--out", required=out_required,
+                           help="output CSV path")
+            p.add_argument("--horizon", type=int, default=None,
+                           help="override the scenario horizon")
+            p.add_argument("--tol", type=float, default=None,
+                           help="override the scenario tolerance")
+            p.add_argument("--seed-override", type=int, default=None,
+                           help="replace the environment-sampling seed")
+        return p
+
+    p = command("run-mixing", cmd_run_mixing,
+                "correlation curves for one notion")
     p.add_argument("--notion", required=True, choices=NOTIONS)
-    p.set_defaults(fn=cmd_run_mixing)
-
-    p = sub.add_parser("run-exactness", help="norm/dual/tail exactness curves")
-    _add_common(p)
-    p.set_defaults(fn=cmd_run_exactness)
-
-    p = sub.add_parser("run-asymp", help="asymptotic periodicity detection")
-    _add_common(p)
+    command("run-exactness", cmd_run_exactness,
+            "norm/dual/tail exactness curves")
+    p = command("run-asymp", cmd_run_asymp, "asymptotic periodicity detection")
     p.add_argument("--rmax", type=int, default=None,
                    help="override the component-count cap")
-    p.set_defaults(fn=cmd_run_asymp)
-
-    p = sub.add_parser("run-qc", help="quasi-constrictivity probe")
-    _add_common(p)
+    p = command("run-qc", cmd_run_qc, "quasi-constrictivity probe")
     p.add_argument("--eps", default=None,
                    help="comma-separated capture thresholds, e.g. 0.1,0.01")
-    p.set_defaults(fn=cmd_run_qc)
-
-    p = sub.add_parser("run-skew", help="skew-product joint measure curves")
-    _add_common(p)
+    p = command("run-skew", cmd_run_skew, "skew-product joint measure curves")
     p.add_argument("--sets", required=True, help="product-set YAML file")
     p.add_argument("--mc-samples", type=int, default=None,
                    help="Monte-Carlo sample count for non-constant tables")
-    p.set_defaults(fn=cmd_run_skew)
-
-    p = sub.add_parser("run-counterexample",
-                       help="travelling-observable non-decay demonstration")
+    p = command("run-counterexample", cmd_run_counterexample,
+                "travelling-observable non-decay demonstration", common=False)
     p.add_argument("--k", type=int, required=True,
                    help="half bit count; the model has 2^(2k) cells")
     p.add_argument("--horizon", type=int, default=None,
                    help="steps to record (capped at the cell period 2k)")
     p.add_argument("--out", required=True, help="output CSV path")
-    p.set_defaults(fn=cmd_run_counterexample)
-
-    p = sub.add_parser("report", help="aggregate cross-check consistency suite")
-    _add_common(p, out_required=False)
-    p.set_defaults(fn=cmd_report)
+    command("report", cmd_report, "aggregate cross-check consistency suite",
+            out_required=False)
     return ap
 
 
@@ -418,10 +421,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ScenarioError, PreconditionError, DrivingError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ScenarioError, PreconditionError, DrivingError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -34,6 +34,7 @@ import numpy as np
 import yaml
 
 from .cocycle import CocycleFamily
+from .curves import tail_start
 from .driving import (
     DrivingSystem,
     bernoulli_shift,
@@ -274,6 +275,13 @@ def _build_analysis(node, driving_node) -> AnalysisConfig:
     for ok, key, rule, value in checks:
         if not ok:
             raise ScenarioError(f"{key} must {rule}, got {value}")
+    # a verdict window holding n = 0 reads every curve before it can decay;
+    # at horizon 0 there is no other entry, as with the CLI override
+    h = cfg.horizon
+    if h >= 1 and tail_start(h + 1, cfg.tail_fraction) == 0:
+        raise ScenarioError(
+            f"analysis.tail_fraction {cfg.tail_fraction} puts n = 0 in the "
+            f"verdict window at horizon {h}; it must be at most {h}/{h + 1}")
     return cfg
 
 

@@ -1,21 +1,28 @@
 """Tests for scenario ingestion and the command-line runners."""
 
 import csv
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, strategies as st
 
 from cocyclelab.cli import (
     _bases,
     _env_points,
     _g_basis_for,
+    _write_csv,
     cycle_notation,
     main,
 )
+from cocyclelab.cocycle import NormalizedCocycle, build_invariant_density_map
 from cocyclelab.driving import BERNOULLI
+from cocyclelab.exactness import exactness_report
 from cocyclelab.mixing import estimate_mixing
 from cocyclelab.scenario import (
     AnalysisConfig,
@@ -24,6 +31,7 @@ from cocyclelab.scenario import (
     load_product_sets,
     load_scenario,
 )
+from cocyclelab.skew import skew_mixing_curve
 
 REPO = Path(__file__).resolve().parents[1]
 SCENARIOS = REPO / "scenarios"
@@ -512,9 +520,10 @@ def test_output_block_is_ignored(tmp_path, capsys, output):
 
 
 def test_cli_mixing_reads_the_scenario_tail_fraction(tmp_path, capsys):
-    # the whole curve is the verdict window, and n = 0 sits above tol
+    # the verdict window starts at n = 4, before the 64-cell exact doubling
+    # kernel has flattened every curve (it needs six steps)
     path = with_value(tmp_path, "doubling_exact.yaml", "analysis",
-                      "tail_fraction", 1.0)
+                      "tail_fraction", 0.9)
     assert main(["run-mixing", "--scenario", path, "--notion", "prior-hom",
                  "--out", str(tmp_path / "m.csv")]) == 0
     assert "decayed=False" in capsys.readouterr().out
@@ -523,7 +532,7 @@ def test_cli_mixing_reads_the_scenario_tail_fraction(tmp_path, capsys):
     assert "exact=False" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("tail_fraction, decayed", [(0.1, True), (1.0, False)])
+@pytest.mark.parametrize("tail_fraction, decayed", [(0.1, True), (0.9, False)])
 def test_cli_skew_reads_the_scenario_tail_fraction(tmp_path, capsys,
                                                    tail_fraction, decayed):
     path = with_value(tmp_path, "bernoulli_doubling.yaml", "analysis",
@@ -539,3 +548,222 @@ def test_unreadable_analysis_value_is_a_scenario_error(tmp_path):
     path = with_value(tmp_path, "block3cycle.yaml", "analysis", "rmax", NAN)
     with pytest.raises(ScenarioError, match="analysis value"):
         load_scenario(path)
+
+
+@pytest.mark.parametrize("tail_fraction", [1.0, 0.99])
+def test_tail_window_holding_n_zero_is_rejected(tmp_path, capsys,
+                                                tail_fraction):
+    # ceil(41 * fraction) > 40 puts n = 0 in every verdict window, so
+    # `report` would fail its cross-checks on an exact cocycle
+    path = with_value(tmp_path, "doubling_exact.yaml", "analysis",
+                      "tail_fraction", tail_fraction)
+    with pytest.raises(ScenarioError,
+                       match=r"analysis\.tail_fraction .* horizon 40"):
+        load_scenario(path)
+    assert main(["report", "--scenario", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    # the largest fraction that leaves n = 0 out still loads
+    largest = with_value(tmp_path, "doubling_exact.yaml", "analysis",
+                         "tail_fraction", 40 / 41)
+    assert load_scenario(largest).analysis.tail_fraction == 40 / 41
+
+
+def test_cli_report_failures_exit_one(tmp_path, capsys):
+    # a window starting at n = 4 reads the exact doubling curves before they
+    # flatten, so the verdicts disagree with the detected r = 1
+    path = with_value(tmp_path, "doubling_exact.yaml", "analysis",
+                      "tail_fraction", 0.9)
+    out = tmp_path / "report.csv"
+    assert main(["report", "--scenario", path, "--out", str(out)]) == 1
+    fails = [r for r in rows_of(out) if r["status"] == "FAIL"]
+    assert fails
+    assert (f"{len(fails)} consistency check(s) failed"
+            in capsys.readouterr().out)
+
+
+# -- the CSV writer against the row-by-row writer it replaced ---------------------
+
+
+def _fmt(v) -> str:
+    if isinstance(v, (bool, np.bool_)):
+        return "true" if v else "false"
+    if isinstance(v, (float, np.floating)):
+        return format(float(v), ".17g")
+    return str(v)
+
+
+def reference_csv(path, header, rows):
+    """One csv.writer row per table row, each cell formatted on its own."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_fmt(v) for v in row])
+
+
+def block_rows(blocks):
+    """The rows a list of `_write_csv` blocks stands for, label by label."""
+    rows = []
+    for labels, columns in blocks:
+        if not columns:
+            rows += [tuple(lab) for lab in labels]
+            continue
+        width = np.shape(columns[0])[-1]
+        for k, lab in enumerate(labels):
+            for m in range(width):
+                rows.append((*lab, *(np.asarray(c)[m] if np.ndim(c) == 1
+                                     else np.asarray(c)[k, m]
+                                     for c in columns)))
+    return rows
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+               2.225073858507201e-308, 1e-5, 9.9999999999999991e-06,
+               1.0000000000000001e-05, 1e16, 9999999999999998.0,
+               1.0000000000000002e16, 1e17, 0.1, 1 / 3, -1.5,
+               float("inf"), -float("inf"), float("nan")]
+LABEL_TEXT = st.text(alphabet=[",", '"', "\n", "\r", " ", "a", "é", "0"],
+                     max_size=6)
+
+
+@st.composite
+def csv_tables(draw):
+    blocks = []
+    for _ in range(draw(st.integers(1, 3))):
+        arity = draw(st.integers(0, 3))
+        count = draw(st.integers(1, 3))
+        field = st.one_of(LABEL_TEXT, st.integers(-10**6, 10**6),
+                          st.integers(-2**63, 2**63 - 1).map(np.int64))
+        labels = [tuple(draw(field) for _ in range(arity))
+                  for _ in range(count)]
+        width = draw(st.integers(0, 4))
+        columns = []
+        for _ in range(draw(st.integers(0 if arity else 1, 3))):
+            shape = (width,) if draw(st.booleans()) else (count, width)
+            if draw(st.booleans()):
+                values = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
+                dtype = float
+            else:
+                values, dtype = st.integers(-2**63, 2**63 - 1), np.int64
+            cells = draw(st.lists(values, min_size=int(np.prod(shape)),
+                                  max_size=int(np.prod(shape))))
+            columns.append(np.array(cells, dtype=dtype).reshape(shape))
+        blocks.append((labels, tuple(columns)))
+    return blocks
+
+
+@given(blocks=csv_tables(), header=st.lists(LABEL_TEXT, min_size=1,
+                                            max_size=4))
+def test_block_writer_matches_the_row_writer(tmp_path_factory, blocks,
+                                             header):
+    d = tmp_path_factory.mktemp("csv")
+    _write_csv(str(d / "new.csv"), header, blocks)
+    reference_csv(str(d / "old.csv"), header, block_rows(blocks))
+    assert (d / "new.csv").read_bytes() == (d / "old.csv").read_bytes()
+
+
+@pytest.mark.parametrize("notion", ["prior-hom", "post-hom", "prior-inhom",
+                                    "post-inhom"])
+@pytest.mark.parametrize("scenario", ["blockswap", "rotation_two_ops"])
+def test_cli_mixing_csv_bytes(tmp_path, scenario, notion):
+    # rotation_two_ops has two environment points, so omega_id 1 follows 0
+    path = str(SCENARIOS / f"{scenario}.yaml")
+    out = tmp_path / "mx.csv"
+    assert main(["run-mixing", "--scenario", path, "--notion", notion,
+                 "--horizon", "6", "--out", str(out)]) == 0
+    sc = load_scenario(path)
+    omegas = _env_points(sc)
+    f_basis, g_obs = _bases(sc)
+    g_basis = _g_basis_for(sc, notion, g_obs)
+    rep = estimate_mixing(sc.cocycle, notion, f_basis, g_basis, omegas, 6,
+                          sc.analysis.tol,
+                          tail_fraction=sc.analysis.tail_fraction)
+    rows = [(notion, w, i, j, n, rep.values[w, i, j, n])
+            for w in range(len(omegas)) for i in range(len(f_basis))
+            for j in range(len(g_basis)) for n in range(7)]
+    reference_csv(tmp_path / "ref.csv",
+                  ("notion", "omega_id", "f_id", "g_id", "n", "value"), rows)
+    assert out.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("scenario", ["baker_cyclic", "doubling_exact"])
+def test_cli_exactness_csv_bytes(tmp_path, scenario):
+    path = str(SCENARIOS / f"{scenario}.yaml")
+    out = tmp_path / "ex.csv"
+    assert main(["run-exactness", "--scenario", path, "--horizon", "12",
+                 "--out", str(out)]) == 0
+    sc = load_scenario(path)
+    f_basis, g_obs = _bases(sc)
+    rows = []
+    for w, omega in enumerate(_env_points(sc)):
+        rep = exactness_report(sc.cocycle, omega, f_basis, g_obs, 12,
+                               sc.analysis.tol,
+                               tail_fraction=sc.analysis.tail_fraction)
+        rows += [(w, "norm", n, rep.norm_curves[:, n].max())
+                 for n in range(13)]
+        rows += [(w, "lin", n, rep.flatness_curves[:, n].max())
+                 for n in range(13)]
+        if rep.tail is not None:
+            rows += [(w, "tail", n, int(c))
+                     for n, c in enumerate(rep.tail.atom_counts)]
+    reference_csv(tmp_path / "ref.csv",
+                  ("omega_id", "test", "n", "value_or_flag"), rows)
+    assert out.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_cli_skew_csv_bytes_with_a_quoted_pair_id(tmp_path):
+    doc = yaml.safe_load((SCENARIOS / "sets_halves.yaml").read_text())
+    doc["sets"][1]["id"] = 'a,"b"'
+    sets = write(tmp_path, yaml.safe_dump(doc), name="sets.yaml")
+    path = str(SCENARIOS / "bernoulli_doubling.yaml")
+    out = tmp_path / "sk.csv"
+    assert main(["run-skew", "--scenario", path, "--sets", sets,
+                 "--horizon", "8", "--out", str(out)]) == 0
+    sc = load_scenario(path)
+    nc = NormalizedCocycle(cocycle=sc.cocycle,
+                           h=build_invariant_density_map(sc.cocycle))
+    rows = []
+    for pair_id, a, b in load_product_sets(sets, sc.space.n):
+        rep = skew_mixing_curve(nc, a, b, 8, sc.analysis.tol,
+                                tail_fraction=sc.analysis.tail_fraction,
+                                mc_samples=sc.analysis.env_samples,
+                                seed=sc.analysis.env_seed)
+        rows += [(pair_id, n, rep.joint[n], rep.product, rep.discrepancy[n])
+                 for n in range(9)]
+    reference_csv(tmp_path / "ref.csv", ("set_pair_id", "n", "nu_joint",
+                                         "nu_product", "discrepancy"), rows)
+    assert out.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert b'"a,""b""",0,' in out.read_bytes()
+
+
+# -- python -m cocyclelab in a real process ----------------------------------------
+
+
+def run_module(*argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
+                               else []))
+    return subprocess.run([sys.executable, "-m", "cocyclelab", *argv],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+def test_module_entry_point_exit_codes(tmp_path):
+    out = tmp_path / "ce.csv"
+    ok = run_module("run-counterexample", "--k", "2", "--out", str(out))
+    assert ok.returncode == 0, ok.stderr
+    assert out.read_text().startswith("n,value\n1,0.5\n")
+    bad = run_module("run-exactness", "--scenario",
+                     with_value(tmp_path, "block3cycle.yaml", "analysis",
+                                "tail_fraction", NAN),
+                     "--out", str(tmp_path / "x.csv"))
+    assert bad.returncode == 2
+    assert "analysis.tail_fraction" in bad.stderr
+    assert "Traceback" not in bad.stderr
+    unwritable = run_module("run-counterexample", "--k", "2", "--out",
+                            str(tmp_path / "no-such-dir" / "ce.csv"))
+    assert unwritable.returncode == 2
+    assert unwritable.stderr.startswith("error:")
+    assert "Traceback" not in unwritable.stderr
