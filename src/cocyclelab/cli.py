@@ -33,7 +33,8 @@ from .mixing import (
     step_map_basis,
     zero_mean_basis,
 )
-from .scenario import ScenarioError, load_product_sets, load_scenario
+from .scenario import (ScenarioError, _require_verdict_window,
+                       load_product_sets, load_scenario)
 from .skew import skew_mixing_curve
 
 # caps for the aggregate `report` command on sampled (bernoulli) driving,
@@ -120,12 +121,14 @@ def cycle_notation(perm) -> str:
 
 def _horizon_tol(args, scenario):
     """The --horizon and --tol overrides, or the scenario's values where a
-    flag is absent; a zero horizon is a valid override."""
+    flag is absent; a zero horizon is a valid override, one whose verdict
+    window holds n = 0 is not."""
     a = scenario.analysis
     horizon = a.horizon if args.horizon is None else args.horizon
     tol = a.tol if args.tol is None else args.tol
     if horizon < 0:
         raise PreconditionError(f"horizon must be >= 0, got {horizon}")
+    _require_verdict_window(horizon, a.tail_fraction)
     if not tol > 0:
         raise PreconditionError(f"tolerance must be > 0, got {tol}")
     return horizon, tol

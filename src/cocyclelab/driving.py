@@ -73,15 +73,11 @@ class DrivingSystem:
     probs : ndarray
         Invariant probabilities on points (finite kinds) or i.i.d. symbol
         probabilities (bernoulli).
-    window : int
-        Half-width of the symbol window resolved eagerly on sampling
-        (bernoulli only).
     """
 
     kind: str
     probs: np.ndarray
     sigma: np.ndarray | None = None
-    window: int = 2
 
     def __post_init__(self):
         p = np.array(self.probs, dtype=float)
@@ -106,8 +102,6 @@ class DrivingSystem:
         elif self.kind == BERNOULLI:
             if self.sigma is not None:
                 raise DrivingError("bernoulli driving takes no permutation table")
-            if self.window < 0:
-                raise DrivingError("window must be nonnegative")
             cum = np.cumsum(p)
             cum.setflags(write=False)
             object.__setattr__(self, "_cum", cum)
@@ -141,9 +135,8 @@ def finite_rotation(q: int, probs=None) -> DrivingSystem:
     return DrivingSystem(kind="finite_rotation", probs=probs, sigma=sigma)
 
 
-def bernoulli_shift(probs, window: int = 2) -> DrivingSystem:
-    return DrivingSystem(kind=BERNOULLI, probs=np.asarray(probs, dtype=float),
-                         window=window)
+def bernoulli_shift(probs) -> DrivingSystem:
+    return DrivingSystem(kind=BERNOULLI, probs=np.asarray(probs, dtype=float))
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -205,9 +198,7 @@ def advance(d: DrivingSystem, omega: EnvPoint, n: int) -> EnvPoint:
         for _ in range(abs(n)):
             idx = int(table[idx])
         return EnvPoint(system=d, index=idx)
-    new = EnvPoint(system=d, stream=omega.stream, origin=omega.origin + n)
-    new.window_symbols(-d.window, d.window)  # eager; order-independent
-    return new
+    return EnvPoint(system=d, stream=omega.stream, origin=omega.origin + n)
 
 
 def feature(d: DrivingSystem, omega: EnvPoint) -> int:
@@ -222,7 +213,7 @@ def sample_env(d: DrivingSystem, count: int, seed: int) -> list[EnvPoint]:
     """i.i.d. sample of environment points from the invariant measure.
 
     Deterministic given the seed; bernoulli points get independent derived
-    stream seeds and an eagerly resolved window [-window, window].
+    stream seeds, and their symbols are resolved when first read.
     """
     if count < 0:
         raise DrivingError(f"sample count must be nonnegative, got {count}")
@@ -230,14 +221,9 @@ def sample_env(d: DrivingSystem, count: int, seed: int) -> list[EnvPoint]:
         rng = np.random.default_rng(seed)
         idx = rng.choice(d.n_points, size=count, p=d.probs)
         return [EnvPoint(system=d, index=int(i)) for i in idx]
-    children = np.random.SeedSequence(seed).spawn(count)
-    out = []
-    for child in children:
-        stream_seed = int(child.generate_state(1, np.uint64)[0])
-        pt = EnvPoint(system=d, stream=_SymbolStream(stream_seed, d._cum))
-        pt.window_symbols(-d.window, d.window)
-        out.append(pt)
-    return out
+    seeds = [int(child.generate_state(1, np.uint64)[0])
+             for child in np.random.SeedSequence(seed).spawn(count)]
+    return [EnvPoint(system=d, stream=_SymbolStream(s, d._cum)) for s in seeds]
 
 
 def cylinder_probability(d: DrivingSystem, constraints: dict[int, int]) -> float:

@@ -22,8 +22,11 @@ validity, probability normalization) are checked eagerly at load time.
 
 Product-set files for the skew runner hold a ``sets`` list; each entry has
 an ``id`` and two sides ``a``/``b`` with ``cells`` (an explicit list or
-``{range: [start, stop]}``) and optionally ``env_indices`` or
-``env_constraints``.
+``{range: [start, stop]}``) and optionally ``env_indices`` (point indices in
+0..q-1, finite driving only) or ``env_constraints`` (coordinate -> symbol,
+symbols in the alphabet, bernoulli driving only).  The skew functions check
+the environment part against the scenario's driving; any other raises
+``PreconditionError``, exit code 2 in the CLI.
 """
 
 from __future__ import annotations
@@ -275,14 +278,19 @@ def _build_analysis(node, driving_node) -> AnalysisConfig:
     for ok, key, rule, value in checks:
         if not ok:
             raise ScenarioError(f"{key} must {rule}, got {value}")
-    # a verdict window holding n = 0 reads every curve before it can decay;
-    # at horizon 0 there is no other entry, as with the CLI override
-    h = cfg.horizon
-    if h >= 1 and tail_start(h + 1, cfg.tail_fraction) == 0:
-        raise ScenarioError(
-            f"analysis.tail_fraction {cfg.tail_fraction} puts n = 0 in the "
-            f"verdict window at horizon {h}; it must be at most {h}/{h + 1}")
+    _require_verdict_window(cfg.horizon, cfg.tail_fraction)
     return cfg
+
+
+def _require_verdict_window(horizon: int, tail_fraction: float):
+    """Reject a tail fraction that puts n = 0 in the verdict window at this
+    horizon: such a window reads every curve before it can decay.  Horizon 0
+    has no other entry and is exempt."""
+    if horizon >= 1 and tail_start(horizon + 1, tail_fraction) == 0:
+        raise ScenarioError(
+            f"analysis.tail_fraction {tail_fraction} puts n = 0 in the verdict "
+            f"window at horizon {horizon}; it must be at most "
+            f"{horizon}/{horizon + 1}")
 
 
 def load_scenario(path: str) -> Scenario:

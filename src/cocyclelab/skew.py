@@ -7,6 +7,13 @@ environment part times a cell union), computes the joint-vs-product mixing
 curves nu(Theta^-n A and B) - nu(A) nu(B), and checks Theta-invariance of
 the measure.
 
+The environment part E is what an observer sees of the driving: point
+indices in 0..q-1 under finite driving, cylinder constraints whose symbols
+lie in the alphabet under bernoulli driving, or nothing for the whole
+environment.  Every public function reads E through one reader, which checks
+it against the driving and the cell part against the fiber; any other
+environment part raises ``PreconditionError``.
+
 Routes, chosen by the driving and operator table and reported in ``method``:
 
 * finite driving: exact sums over the environment points;
@@ -51,9 +58,11 @@ from cocyclelab.measure import PreconditionError, mass_apply
 class ProductSet:
     """E x F: an environment part times a union of cells.
 
-    The environment part is a tuple of point indices (finite driving), a
-    cylinder constraint dict {coordinate: symbol} (bernoulli driving), or
-    neither, meaning the whole environment.
+    The environment part is a tuple of point indices in 0..q-1 (finite
+    driving), a cylinder constraint dict {coordinate: symbol} with symbols in
+    the alphabet (bernoulli driving), or neither, meaning the whole
+    environment.  The skew functions reject any other with
+    ``PreconditionError``.
     """
 
     cells: np.ndarray
@@ -73,30 +82,40 @@ class ProductSet:
                                tuple(sorted(set(int(i) for i in self.env_indices))))
 
 
-def _check_cells(space_n: int, pset: ProductSet):
-    if pset.cells[0] < 0 or pset.cells[-1] >= space_n:
-        raise PreconditionError(f"cell indices out of range for {space_n} cells")
+def _env_part(d: DrivingSystem, pset: ProductSet, n_cells: int | None = None):
+    """The environment part of a product set, checked against the driving:
+    a boolean mask over the points (finite driving) or a constraint dict
+    (bernoulli driving).  The cell part is checked too when n_cells is given."""
+    if n_cells is not None and (pset.cells[0] < 0 or pset.cells[-1] >= n_cells):
+        raise PreconditionError(f"cell indices out of range for {n_cells} cells")
+    if d.kind == BERNOULLI:
+        if pset.env_indices is not None:
+            raise PreconditionError("bernoulli driving takes cylinder constraints")
+        cons = pset.env_constraints or {}
+        outside = sorted({s for s in cons.values() if not 0 <= s < d.n_features})
+        if outside:
+            raise PreconditionError(
+                f"cylinder symbols {outside} lie outside the alphabet "
+                f"0..{d.n_features - 1}")
+        return cons
+    if pset.env_constraints is not None:
+        raise PreconditionError("finite driving takes point indices")
+    idx = pset.env_indices
+    if idx and (idx[0] < 0 or idx[-1] >= d.n_points):
+        raise PreconditionError(
+            f"point indices {list(idx)} do not all lie in 0..{d.n_points - 1}")
+    mask = np.full(d.n_points, idx is None)
+    if idx:
+        mask[list(idx)] = True
+    return mask
 
 
 def env_probability(d: DrivingSystem, pset: ProductSet) -> float:
     """Exact invariant probability of the environment part."""
+    env = _env_part(d, pset)
     if d.kind == BERNOULLI:
-        if pset.env_indices is not None:
-            raise PreconditionError("bernoulli driving takes cylinder constraints")
-        return cylinder_probability(d, pset.env_constraints or {})
-    if pset.env_constraints is not None:
-        raise PreconditionError("finite driving takes point indices")
-    if pset.env_indices is None:
-        return 1.0
-    return float(d.probs[list(pset.env_indices)].sum())
-
-
-def _env_mask_finite(d: DrivingSystem, pset: ProductSet) -> np.ndarray:
-    mask = np.ones(d.n_points, dtype=bool)
-    if pset.env_indices is not None:
-        mask[:] = False
-        mask[list(pset.env_indices)] = True
-    return mask
+        return cylinder_probability(d, env)
+    return 1.0 if env.all() else float(d.probs[env].sum())
 
 
 def constraints_satisfied(omega: EnvPoint, constraints: dict | None) -> bool:
@@ -105,11 +124,11 @@ def constraints_satisfied(omega: EnvPoint, constraints: dict | None) -> bool:
     return all(omega.symbol(k) == s for k, s in constraints.items())
 
 
-def _masses_in(pset: ProductSet, omegas, masses: np.ndarray) -> np.ndarray:
-    """Per bernoulli point, its fibre mass row summed over the cell part, or
-    0 when the point is outside the environment part."""
-    inside = [constraints_satisfied(w, pset.env_constraints) for w in omegas]
-    return np.where(inside, masses[:, pset.cells].sum(axis=1), 0.0)
+def _masses_in(cons: dict, cells, omegas, masses: np.ndarray) -> np.ndarray:
+    """Per bernoulli point, its fibre mass row summed over the cells, or 0
+    when the point does not satisfy the constraints."""
+    inside = [constraints_satisfied(w, cons) for w in omegas]
+    return np.where(inside, masses[:, cells].sum(axis=1), 0.0)
 
 
 def _h_probe_point(nc: NormalizedCocycle, seed: int = 0) -> EnvPoint:
@@ -156,26 +175,24 @@ def nu_measure(nc: NormalizedCocycle, pset: ProductSet,
     """
     c = nc.cocycle
     d = c.driving
-    _check_cells(c.n, pset)
+    env = _env_part(d, pset, c.n)
     if d.kind != BERNOULLI:
-        in_e = np.flatnonzero(_env_mask_finite(d, pset))
+        in_e = np.flatnonzero(env)
         h_mass, converged = _fibre_masses(nc, [point(d, int(p)) for p in in_e])
         value = 0.0
         for p, mass in zip(in_e, h_mass):
             value += float(d.probs[p]) * float(mass[pset.cells].sum())
         return NuResult(value=value, exact=True, stderr=None,
                         method="finite-sum", h_converged=converged)
-    if pset.env_indices is not None:
-        raise PreconditionError("bernoulli driving takes cylinder constraints")
     if c.is_constant:
         h_mass, converged = _fibre_masses(nc, [_h_probe_point(nc, seed)])
-        env = cylinder_probability(d, pset.env_constraints or {})
-        return NuResult(value=env * float(h_mass[0, pset.cells].sum()),
+        return NuResult(value=cylinder_probability(d, env)
+                        * float(h_mass[0, pset.cells].sum()),
                         exact=True, stderr=None, method="cylinder-product",
                         h_converged=converged)
     samples = _mc_points(d, mc_samples, seed, 1, "nu")
     h_mass, converged = _fibre_masses(nc, samples)
-    vals = _masses_in(pset, samples, h_mass)
+    vals = _masses_in(env, pset.cells, samples, h_mass)
     stderr = float(vals.std(ddof=1) / np.sqrt(mc_samples)) if mc_samples > 1 else None
     return NuResult(value=float(vals.mean()), exact=False, stderr=stderr,
                     method="monte-carlo", h_converged=converged)
@@ -189,13 +206,13 @@ class SkewMixingReport:
     product: float               # nu(A) nu(B)
     discrepancy: np.ndarray      # joint - product
     decayed: bool
-    driving_not_mixing: bool     # finite driving with a proper env part can
-                                 # never mix the environment factor
     method: str
-    env_factor: np.ndarray | None        # exact cylinder route only
-    factorizes_from: int | None          # n with exact env factorization onward
-    stderr: np.ndarray | None
     h_converged: bool
+    driving_not_mixing: bool = False     # finite driving with a proper env
+                                         # part can never mix the env factor
+    env_factor: np.ndarray | None = None  # exact cylinder route only
+    factorizes_from: int | None = None    # n with exact env factorization onward
+    stderr: np.ndarray | None = None      # Monte-Carlo route only
 
 
 def skew_mixing_curve(nc: NormalizedCocycle, a: ProductSet, b: ProductSet,
@@ -208,41 +225,36 @@ def skew_mixing_curve(nc: NormalizedCocycle, a: ProductSet, b: ProductSet,
     environment part asks for sigma^n omega in E_A with omega in E_B.
     """
     c = nc.cocycle
-    d = c.driving
-    _check_cells(c.n, a)
-    _check_cells(c.n, b)
+    env_a, env_b = (_env_part(c.driving, s, c.n) for s in (a, b))
     if horizon < 0:
         raise PreconditionError(f"horizon must be >= 0, got {horizon}")
     if not tol > 0:
         raise PreconditionError(f"tol must be > 0, got {tol}")
 
-    if d.kind != BERNOULLI:
-        return _skew_finite(nc, a, b, horizon, tol, tail_fraction)
-    if c.is_constant:
-        return _skew_cylinder(nc, a, b, horizon, tol, tail_fraction, seed)
-    return _skew_monte_carlo(nc, a, b, horizon, tol, tail_fraction,
-                             mc_samples, seed)
+    if c.driving.kind != BERNOULLI:
+        route = _skew_finite(nc, a, b, env_a, env_b, horizon)
+    elif c.is_constant:
+        route = _skew_cylinder(nc, a, b, env_a, env_b, horizon, seed)
+    else:
+        route = _skew_monte_carlo(nc, a, b, env_a, env_b, horizon,
+                                  mc_samples, seed)
+    joint, product, fields = route
+    disc = joint - product
+    return SkewMixingReport(
+        horizon=horizon, tol=tol, joint=joint, product=product,
+        discrepancy=disc,
+        decayed=bool(curve_decayed(np.abs(disc), tol, tail_fraction)),
+        **fields)
 
 
-def _not_mixing_flag(d: DrivingSystem, a: ProductSet, b: ProductSet) -> bool:
-    if d.kind == BERNOULLI:
-        return False
-    proper_a = a.env_indices is not None and len(a.env_indices) < d.n_points
-    proper_b = b.env_indices is not None and len(b.env_indices) < d.n_points
-    return proper_a or proper_b
-
-
-def _skew_finite(nc, a, b, horizon, tol, tail_fraction):
+def _skew_finite(nc, a, b, mask_a, mask_b, horizon):
     c = nc.cocycle
     d = c.driving
-    mask_a = _env_mask_finite(d, a)
-    mask_b = _env_mask_finite(d, b)
     h_mass, converged = _fibre_masses(nc, points(d))
 
-    nu_a = float(sum(d.probs[p] * h_mass[p, a.cells].sum()
-                     for p in np.flatnonzero(mask_a)))
-    nu_b = float(sum(d.probs[p] * h_mass[p, b.cells].sum()
-                     for p in np.flatnonzero(mask_b)))
+    nu_a, nu_b = (float(sum(d.probs[p] * h_mass[p, s.cells].sum()
+                            for p in np.flatnonzero(mask)))
+                  for s, mask in ((a, mask_a), (b, mask_b)))
 
     joint = np.zeros(horizon + 1)
     for p in np.flatnonzero(mask_b):
@@ -253,26 +265,18 @@ def _skew_finite(nc, a, b, horizon, tol, tail_fraction):
                 joint[n] += d.probs[p] * state[a.cells].sum()
             if n < horizon:
                 state = mass_apply(state, P.kernel)
-    product = nu_a * nu_b
-    disc = joint - product
-    return SkewMixingReport(
-        horizon=horizon, tol=tol, joint=joint, product=product,
-        discrepancy=disc,
-        decayed=bool(curve_decayed(np.abs(disc), tol, tail_fraction)),
-        driving_not_mixing=_not_mixing_flag(d, a, b),
-        method="finite-sum", env_factor=None, factorizes_from=None,
-        stderr=None, h_converged=converged)
+    return joint, nu_a * nu_b, dict(
+        method="finite-sum", h_converged=converged,
+        driving_not_mixing=not (mask_a.all() and mask_b.all()))
 
 
-def _skew_cylinder(nc, a, b, horizon, tol, tail_fraction, seed):
+def _skew_cylinder(nc, a, b, cons_a, cons_b, horizon, seed):
     c = nc.cocycle
     d = c.driving
     h_mass, converged = _fibre_masses(nc, [_h_probe_point(nc, seed)])
     h_mass = h_mass[0]
     kernel = next(iter(c.table.values())).kernel
 
-    cons_a = a.env_constraints or {}
-    cons_b = b.env_constraints or {}
     prob_a = cylinder_probability(d, cons_a)
     prob_b = cylinder_probability(d, cons_b)
     env = np.empty(horizon + 1)
@@ -292,52 +296,40 @@ def _skew_cylinder(nc, a, b, horizon, tol, tail_fraction, seed):
         fiber[n] = state[a.cells].sum()
         if n < horizon:
             state = mass_apply(state, kernel)
-    joint = env * fiber
     product = prob_a * mu_a * prob_b * float(h_mass[b.cells].sum())
-    disc = joint - product
-    return SkewMixingReport(
-        horizon=horizon, tol=tol, joint=joint, product=product,
-        discrepancy=disc,
-        decayed=bool(curve_decayed(np.abs(disc), tol, tail_fraction)),
-        driving_not_mixing=False, method="cylinder-product",
-        env_factor=env, factorizes_from=factor_from, stderr=None,
-        h_converged=converged)
+    return env * fiber, product, dict(
+        method="cylinder-product", h_converged=converged, env_factor=env,
+        factorizes_from=factor_from)
 
 
-def _skew_monte_carlo(nc, a, b, horizon, tol, tail_fraction, mc_samples, seed):
+def _skew_monte_carlo(nc, a, b, cons_a, cons_b, horizon, mc_samples, seed):
     c = nc.cocycle
     d = c.driving
     samples = _mc_points(d, mc_samples, seed, 2, "skew mixing")
     fibres, converged = _fibre_masses(nc, samples)
-    nu_a_terms = _masses_in(a, samples, fibres)
-    nu_b_terms = _masses_in(b, samples, fibres)
+    nu_a_terms = _masses_in(cons_a, a.cells, samples, fibres)
+    nu_b_terms = _masses_in(cons_b, b.cells, samples, fibres)
     # the orbits of the samples in B walk in lockstep; their fibre states
     # are the rows of one stack, pushed together per distinct step kernel
-    rows = np.flatnonzero([constraints_satisfied(w, b.env_constraints)
-                           for w in samples])
+    rows = np.flatnonzero([constraints_satisfied(w, cons_b) for w in samples])
     walks = [orbit(c, samples[i], horizon) for i in rows]
     states = np.zeros((rows.size, c.n))
     states[:, b.cells] = fibres[rows][:, b.cells]
     per = np.zeros((mc_samples, horizon + 1))
     for n in range(horizon + 1):
         steps = [next(walk) for walk in walks]
-        per[rows, n] = _masses_in(a, [pt for pt, _ in steps], states)
+        per[rows, n] = _masses_in(cons_a, a.cells, [pt for pt, _ in steps],
+                                  states)
         if n < horizon:
             groups = {}
             for r, (_, P) in enumerate(steps):
                 groups.setdefault(id(P), (P, []))[1].append(r)
             for P, members in groups.values():
                 states[members] = mass_apply(states[members], P.kernel)
-    joint = per.mean(axis=0)
     stderr = per.std(axis=0, ddof=1) / np.sqrt(mc_samples)
     product = float(nu_a_terms.mean() * nu_b_terms.mean())
-    disc = joint - product
-    return SkewMixingReport(
-        horizon=horizon, tol=tol, joint=joint, product=product,
-        discrepancy=disc,
-        decayed=bool(curve_decayed(np.abs(disc), tol, tail_fraction)),
-        driving_not_mixing=False, method="monte-carlo", env_factor=None,
-        factorizes_from=None, stderr=stderr, h_converged=converged)
+    return per.mean(axis=0), product, dict(
+        method="monte-carlo", h_converged=converged, stderr=stderr)
 
 
 def set_picture_joint(nc: NormalizedCocycle, a: ProductSet, b: ProductSet,
@@ -348,24 +340,19 @@ def set_picture_joint(nc: NormalizedCocycle, a: ProductSet, b: ProductSet,
     driving and for constant tables over bernoulli driving."""
     c = nc.cocycle
     d = c.driving
-    _check_cells(c.n, a)
-    _check_cells(c.n, b)
+    env_a, env_b = (_env_part(d, s, c.n) for s in (a, b))
     in_a = np.zeros(c.n, dtype=bool)
     in_a[a.cells] = True
     in_b = np.zeros(c.n, dtype=bool)
     in_b[b.cells] = True
 
     if d.kind != BERNOULLI:
-        mask_a = _env_mask_finite(d, a)
-        mask_b = _env_mask_finite(d, b)
         joint = np.zeros(horizon + 1)
-        for p in range(d.n_points):
-            if not mask_b[p]:
-                continue
+        for p in np.flatnonzero(env_b):
             h_mass = nc.h.at(point(d, int(p))).mass
             dest = np.arange(c.n)
-            for n, (pt, P) in enumerate(orbit(c, point(d, p), horizon)):
-                if mask_a[pt.index]:
+            for n, (pt, P) in enumerate(orbit(c, point(d, int(p)), horizon)):
+                if env_a[pt.index]:
                     fiber_cells = in_b & in_a[dest]
                     joint[n] += d.probs[p] * h_mass[fiber_cells].sum()
                 if n < horizon:
@@ -378,12 +365,10 @@ def set_picture_joint(nc: NormalizedCocycle, a: ProductSet, b: ProductSet,
             "constant operator tables only")
     h_mass = nc.h.at(_h_probe_point(nc)).mass
     step = cell_map_destinations(next(iter(c.table.values())))
-    cons_a = a.env_constraints or {}
-    cons_b = b.env_constraints or {}
     dest = np.arange(c.n)
     joint = np.empty(horizon + 1)
     for n in range(horizon + 1):
-        merged = intersect_constraints(shifted_constraints(cons_a, n), cons_b)
+        merged = intersect_constraints(shifted_constraints(env_a, n), env_b)
         env = 0.0 if merged is None else cylinder_probability(d, merged)
         joint[n] = env * h_mass[in_b & in_a[dest]].sum()
         if n < horizon:
@@ -412,30 +397,28 @@ def theta_invariance(nc: NormalizedCocycle, psets,
     d = c.driving
     if not psets:
         raise PreconditionError("theta invariance needs at least one product set")
-    for pset in psets:
-        _check_cells(c.n, pset)
+    envs = [_env_part(d, pset, c.n) for pset in psets]
     gaps = []
     stderr = None
     if d.kind != BERNOULLI:
         h_mass, converged = _fibre_masses(nc, points(d))
-        for pset in psets:
-            mask = _env_mask_finite(d, pset)
+        pushed = [mass_apply(h, c.table[p].kernel) for p, h in enumerate(h_mass)]
+        for pset, mask in zip(psets, envs):
             direct = 0.0
             pulled = 0.0
             for p in range(d.n_points):
                 if mask[p]:
                     direct += d.probs[p] * h_mass[p, pset.cells].sum()
                 if mask[int(d.sigma[p])]:
-                    pushed = mass_apply(h_mass[p], c.table[p].kernel)
-                    pulled += d.probs[p] * pushed[pset.cells].sum()
+                    pulled += d.probs[p] * pushed[p][pset.cells].sum()
             gaps.append(abs(direct - pulled))
         exact = True
     elif c.is_constant:
         h_mass, converged = _fibre_masses(nc, [_h_probe_point(nc, seed)])
         kernel = next(iter(c.table.values())).kernel
         pushed = mass_apply(h_mass[0], kernel)
-        for pset in psets:
-            env = cylinder_probability(d, pset.env_constraints or {})
+        for pset, cons in zip(psets, envs):
+            env = cylinder_probability(d, cons)
             direct = env * h_mass[0, pset.cells].sum()
             pulled = env * pushed[pset.cells].sum()
             gaps.append(abs(direct - pulled))
@@ -446,8 +429,9 @@ def theta_invariance(nc: NormalizedCocycle, psets,
         pushed = np.array([mass_apply(h, c.operator_at(w).kernel)
                            for h, w in zip(h_mass, samples)])
         nexts = [advance(d, w, 1) for w in samples]
-        diffs = np.array([_masses_in(pset, nexts, pushed)
-                          - _masses_in(pset, samples, h_mass) for pset in psets])
+        diffs = np.array([_masses_in(cons, pset.cells, nexts, pushed)
+                          - _masses_in(cons, pset.cells, samples, h_mass)
+                          for pset, cons in zip(psets, envs)])
         gaps = np.abs(diffs.mean(axis=1)).tolist()
         stderr = float((diffs.std(axis=1, ddof=1) / np.sqrt(mc_samples)).max())
         exact = False

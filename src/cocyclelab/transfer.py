@@ -30,7 +30,7 @@ from cocyclelab.measure import (
 )
 
 MAP_KINDS = ("doubling", "tent", "piecewise_linear", "baker_cyclic",
-             "baker_planar", "custom")
+             "baker_planar")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -47,7 +47,6 @@ class MapSpec:
       baker_cyclic      cyclic left bit-shift on 2^bits dyadic cells
                         (piecewise translation realizing the permutation)
       baker_planar      (x, y) -> (2x mod 1, (y + [x >= 1/2]) / 2)
-      custom            user callable on coordinate arrays
     """
 
     kind: str
@@ -55,7 +54,6 @@ class MapSpec:
     breakpoints: np.ndarray | None = None
     slopes: np.ndarray | None = None
     intercepts: np.ndarray | None = None
-    func: object | None = None
 
     def __post_init__(self):
         if self.kind not in MAP_KINDS:
@@ -75,8 +73,6 @@ class MapSpec:
             object.__setattr__(self, "breakpoints", b)
             object.__setattr__(self, "slopes", s)
             object.__setattr__(self, "intercepts", c)
-        if self.kind == "custom" and self.func is None:
-            raise ValueError("custom maps need a callable")
 
     @property
     def dimension(self) -> int:
@@ -115,8 +111,6 @@ def map_point(spec: MapSpec, x, y=None):
         cell = np.minimum((x * n).astype(int), n - 1)
         perm = bit_shift_permutation(spec.bits)
         out = perm[cell] / n + (x - cell / n)
-    elif spec.kind == "custom":
-        out = np.asarray(spec.func(x), dtype=float)
     else:  # pragma: no cover
         raise ValueError(spec.kind)
     return np.clip(out, 0.0, _TOP)

@@ -137,7 +137,7 @@ def test_compose_switches_to_dense_past_the_fill_in_bound(monkeypatch):
 
 def test_compose_over_bernoulli_uses_symbol_table():
     space = make_space()
-    d = bernoulli_shift([0.5, 0.5], window=3)
+    d = bernoulli_shift([0.5, 0.5])
     table = {0: MarkovMatrix(space, SWAP), 1: pf_exact(MapSpec("doubling"), space)}
     c = CocycleFamily(driving=d, table=table)
     (w,) = sample_env(d, 1, seed=9)
@@ -156,7 +156,7 @@ def two_operator_cocycle(kind):
         d = finite_permutation([2, 0, 1])
         c = CocycleFamily(driving=d, table={0: P0, 1: P1, 2: P1})
         return c, point(d, 1)
-    d = bernoulli_shift([0.5, 0.5], window=1)
+    d = bernoulli_shift([0.5, 0.5])
     c = CocycleFamily(driving=d, table={0: P0, 1: P1})
     return c, sample_env(d, 1, seed=5)[0]
 
@@ -349,7 +349,7 @@ def test_invariant_map_over_bernoulli_driving():
     P0 = pf_exact(MapSpec("doubling"), space)
     k1 = np.tile(np.full(8, 1.0 / 8), (8, 1))
     P1 = MarkovMatrix(space, k1)
-    d = bernoulli_shift([0.5, 0.5], window=2)
+    d = bernoulli_shift([0.5, 0.5])
     c = CocycleFamily(driving=d, table={0: P0, 1: P1})
     h = build_invariant_density_map(c, k_max=24, tol=1e-12)
     pts = sample_env(d, 4, seed=21)

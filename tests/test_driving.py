@@ -68,7 +68,7 @@ def test_sample_env_finite_deterministic():
 
 
 def test_bernoulli_sample_deterministic_and_stable():
-    d = bernoulli_shift([0.5, 0.5], window=3)
+    d = bernoulli_shift([0.5, 0.5])
     (a,) = sample_env(d, 1, seed=7)
     (b,) = sample_env(d, 1, seed=7)
     assert a.window_symbols(-3, 3) == b.window_symbols(-3, 3)
@@ -79,7 +79,7 @@ def test_bernoulli_sample_deterministic_and_stable():
 
 
 def test_bernoulli_shift_is_reindexing():
-    d = bernoulli_shift([0.5, 0.5], window=2)
+    d = bernoulli_shift([0.5, 0.5])
     (w,) = sample_env(d, 1, seed=3)
     w1 = advance(d, w, 1)
     w2a = advance(d, w1, 1)
@@ -92,7 +92,7 @@ def test_bernoulli_shift_is_reindexing():
 
 
 def test_bernoulli_symbols_follow_probs():
-    d = bernoulli_shift([0.9, 0.1], window=0)
+    d = bernoulli_shift([0.9, 0.1])
     pts = sample_env(d, 500, seed=0)
     frac = np.mean([p.symbol(0) for p in pts])
     assert frac == pytest.approx(0.1, abs=0.05)
@@ -163,7 +163,7 @@ def test_prop_advance_additive_finite(a, b, q, seed):
 
 @given(st.integers(-15, 15), st.integers(-15, 15), st.integers(0, 2**20))
 def test_prop_advance_additive_bernoulli(a, b, seed):
-    d = bernoulli_shift([0.25, 0.75], window=1)
+    d = bernoulli_shift([0.25, 0.75])
     (w,) = sample_env(d, 1, seed=seed)
     assert advance(d, advance(d, w, a), b) == advance(d, w, a + b)
     assert advance(d, w, a).symbol(0) == w.symbol(a)

@@ -582,6 +582,46 @@ def test_cli_report_failures_exit_one(tmp_path, capsys):
             in capsys.readouterr().out)
 
 
+UNIFORM8 = """
+space: {N: 8}
+driving: {kind: finite_rotation, q: 1}
+operators:
+  U: {synthetic: uniform}
+cocycle: {constant: U}
+analysis: {tail_fraction: 0.6}
+"""
+
+
+@pytest.mark.parametrize("command, horizon, code", [
+    ("run-mixing", 0, 0), ("run-mixing", 1, 2), ("run-mixing", 2, 0),
+    ("report", 1, 2), ("report", 2, 0)])
+def test_horizon_override_is_held_to_the_verdict_window_rule(
+        tmp_path, capsys, command, horizon, code):
+    # tail_fraction 0.6 loads at horizon 40, but at horizon 1 the verdict
+    # window is ceil(2 * 0.6) = 2 entries long and so holds n = 0; the
+    # uniform kernel is exact after one step, which horizon 2 shows
+    out = tmp_path / "x.csv"
+    argv = [command, "--scenario", write(tmp_path, UNIFORM8),
+            "--horizon", str(horizon), "--out", str(out)]
+    if command == "run-mixing":
+        argv += ["--notion", "prior-hom"]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == 2:
+        assert re.search(r"analysis\.tail_fraction 0\.6 .* horizon 1", err)
+        assert not out.exists()
+
+
+def test_custom_map_kind_is_unknown(tmp_path, capsys):
+    path = write(tmp_path, MINIMAL.replace("kind: doubling", "kind: custom"))
+    with pytest.raises(ScenarioError, match="unknown map kind 'custom'"):
+        load_scenario(path)
+    assert main(["run-asymp", "--scenario", path,
+                 "--out", str(tmp_path / "a.csv")]) == 2
+    assert "unknown map kind" in capsys.readouterr().err
+
+
 # -- the CSV writer against the row-by-row writer it replaced ---------------------
 
 

@@ -7,12 +7,15 @@ cylinder parts {0: 0} and {0: 1} on a fair two-symbol shift, the environment
 factor reads 0, 1/4, 1/4, ... and factorizes exactly from n = 1 on.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import cocyclelab.cocycle
+from cocyclelab.cli import main
 from cocyclelab.cocycle import (
     CocycleFamily,
     NormalizedCocycle,
@@ -376,3 +379,108 @@ def test_theta_invariance_cylinder_and_monte_carlo():
     full = theta_invariance(varying, [ProductSet(cells=[0, 1])],
                             mc_samples=32, seed=7)
     assert full.residual <= 1e-12
+
+
+# -- environment parts checked against the driving ---------------------------------
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+
+# case -> (routes it reaches, environment part, words of the error)
+BAD_ENV_PARTS = {
+    "indices-on-bernoulli": (("cylinder-product", "monte-carlo"),
+                             {"env_indices": (0,)}, "cylinder constraints"),
+    "constraints-on-finite": (("finite-sum",), {"env_constraints": {0: 1}},
+                              "point indices"),
+    "index-past-the-end": (("finite-sum",), {"env_indices": (5,)},
+                           r"point indices \[5\] do not all lie in 0\.\.1"),
+    "negative-index": (("finite-sum",), {"env_indices": (-1,)},
+                       r"point indices \[-1\] do not all lie in 0\.\.1"),
+    "symbol-outside-alphabet": (("cylinder-product", "monte-carlo"),
+                                {"env_constraints": {0: 1, 3: 2}},
+                                r"symbols \[2\] lie outside the alphabet 0\.\.1"),
+}
+
+GOOD_SET = ProductSet(cells=[0, 1])
+
+# public function -> call with the bad set; each takes it on every route
+BAD_SET_CALLERS = {
+    "env_probability": lambda nc, s: env_probability(nc.cocycle.driving, s),
+    "nu_measure": lambda nc, s: nu_measure(nc, s, mc_samples=8, seed=1),
+    "skew_mixing_curve-a": lambda nc, s: skew_mixing_curve(
+        nc, s, GOOD_SET, 3, 1e-3, mc_samples=8, seed=1),
+    "skew_mixing_curve-b": lambda nc, s: skew_mixing_curve(
+        nc, GOOD_SET, s, 3, 1e-3, mc_samples=8, seed=1),
+    "set_picture_joint-a": lambda nc, s: set_picture_joint(nc, s, GOOD_SET, 3),
+    "set_picture_joint-b": lambda nc, s: set_picture_joint(nc, GOOD_SET, s, 3),
+    "theta_invariance": lambda nc, s: theta_invariance(
+        nc, [GOOD_SET, s], mc_samples=8, seed=1),
+}
+
+
+def route_nc(route):
+    """A 4-cell doubling cocycle on the given route: a two-point rotation,
+    or a fair two-symbol shift with a constant or point-dependent table."""
+    P = pf_exact(MapSpec("doubling"), FiniteMeasureSpace.uniform(4))
+    if route == "finite-sum":
+        return doubling_nc(4, q=2)
+    if route == "cylinder-product":
+        return bernoulli_nc([P.kernel, P.kernel])
+    return bernoulli_nc([P.kernel, UNIFORMIZER4])
+
+
+@pytest.mark.parametrize("caller", BAD_SET_CALLERS)
+@pytest.mark.parametrize("case, route", [
+    (case, route) for case, (routes, _, _) in BAD_ENV_PARTS.items()
+    for route in routes])
+def test_bad_environment_part_is_rejected_before_any_work(monkeypatch, case,
+                                                          route, caller):
+    _, env, words = BAD_ENV_PARTS[case]
+    nc = route_nc(route)
+
+    def no_pullback(*args, **kwargs):
+        raise AssertionError("pulled back a fibre density")
+
+    monkeypatch.setattr(cocyclelab.cocycle, "invariant_density_pullback",
+                        no_pullback)
+    with pytest.raises(PreconditionError, match=words):
+        BAD_SET_CALLERS[caller](nc, ProductSet(cells=[0, 1], **env))
+
+
+def test_full_and_proper_environment_parts_on_a_rotation():
+    nc = doubling_nc(4, q=2)
+    whole = ProductSet(cells=[0, 1], env_indices=(0, 1))
+    assert env_probability(nc.cocycle.driving, whole) == 1.0
+    rep = skew_mixing_curve(nc, whole, whole, horizon=4, tol=1e-9)
+    assert not rep.driving_not_mixing
+    assert rep.joint.tolist() == skew_mixing_curve(
+        nc, GOOD_SET, GOOD_SET, horizon=4, tol=1e-9).joint.tolist()
+    nobody = ProductSet(cells=[0, 1], env_indices=())
+    rep = skew_mixing_curve(nc, nobody, whole, horizon=4, tol=1e-9)
+    assert rep.driving_not_mixing and rep.joint.tolist() == [0.0] * 5
+    assert nu_measure(nc, nobody).value == 0.0
+
+
+@pytest.mark.parametrize("scenario, env, words", [
+    ("bernoulli_doubling.yaml", "env_indices: [0]", "cylinder constraints"),
+    ("bernoulli_doubling.yaml", "env_constraints: {0: 2}", "alphabet 0..1"),
+    ("rotation_two_ops.yaml", "env_constraints: {0: 1}", "point indices"),
+    ("rotation_two_ops.yaml", "env_indices: [5]", "[5] do not all lie in 0..1"),
+    ("rotation_two_ops.yaml", "env_indices: [-1]", "[-1] do not all lie"),
+])
+def test_cli_skew_bad_environment_part_exits_two(tmp_path, capsys, scenario,
+                                                 env, words):
+    # the bad part is the second pair's, so the first pair's curve has been
+    # computed when the error comes
+    sets = tmp_path / "sets.yaml"
+    sets.write_text("sets:\n"
+                    "  - {id: ok, a: {cells: [0]}, b: {cells: [1]}}\n"
+                    f"  - {{id: bad, a: {{cells: [0], {env}}},\n"
+                    "      b: {cells: [1]}}\n")
+    out = tmp_path / "skew.csv"
+    assert main(["run-skew", "--scenario", str(SCENARIOS / scenario),
+                 "--sets", str(sets), "--horizon", "4",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert words in err
+    assert not out.exists()
