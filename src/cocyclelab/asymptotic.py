@@ -27,7 +27,7 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-from cocyclelab.cocycle import CocycleFamily, compose, orbit
+from cocyclelab.cocycle import CocycleFamily, compose, push_orbit
 from cocyclelab.driving import BERNOULLI, DrivingSystem, EnvPoint, point
 from cocyclelab.measure import (
     Density,
@@ -137,9 +137,15 @@ def detect_periodicity(c: CocycleFamily, omega: EnvPoint, horizon: int,
                               float(np.abs(rows - profile).sum(axis=1).max()))
         profiles.append(profile)
 
-    # read the permutation off one more step
-    *burn_orbit, (_, step_op) = orbit(c, omega, burn)
-    step_kernel = step_op.kernel
+    # the burn-in mass of f0 on each component; its push ends at
+    # sigma^burn omega, whose kernel is the one more step that the
+    # permutation is read off
+    if f0 is None:
+        f0 = Density.uniform(c.space)
+    for end, mass in push_orbit(c, omega, f0.mass, burn):
+        pass
+    lambdas = np.array([float(mass[s].sum()) for s in supports])
+    step_kernel = c.operator_at(end).kernel
     rho = np.full(r, -1)
     push_residual = 0.0
     pushed_profiles = [mass_apply(p, step_kernel) for p in profiles]
@@ -160,12 +166,6 @@ def detect_periodicity(c: CocycleFamily, omega: EnvPoint, horizon: int,
     residual = max(within_residual, push_residual)
     space = c.space
     densities = [Density.from_mass(space, p) for p in profiles]
-    if f0 is None:
-        f0 = Density.uniform(space)
-    mass = f0.mass
-    for _, P in burn_orbit:
-        mass = mass_apply(mass, P.kernel)
-    lambdas = np.array([float(mass[s].sum()) for s in supports])
 
     if residual > tol:
         return _not_found(r, burn, residual,
@@ -285,9 +285,9 @@ def quasi_constrictive_probe(c: CocycleFamily, omega: EnvPoint, horizon: int,
     w = c.space.weights
     burn = max(horizon // 2, 1)
 
-    mass = np.eye(n)  # rows: pushed cell indicators (unit mass each)
     best: list[QCWitness | None] = [None] * eps_values.size
-    for step, (_, P) in enumerate(orbit(c, omega, horizon)):
+    # rows: pushed cell indicators (unit mass each)
+    for step, (_, mass) in enumerate(push_orbit(c, omega, np.eye(n), horizon)):
         if step >= burn:
             order = np.argsort(-mass, axis=1)
             captured, taken = _greedy_packs(
@@ -300,8 +300,6 @@ def quasi_constrictive_probe(c: CocycleFamily, omega: EnvPoint, horizon: int,
                     best[e_id] = QCWitness(eps=float(eps), source_cell=j,
                                            n=step, cells=tuple(cells.tolist()),
                                            captured=float(captured[j, e_id]))
-        if step < horizon:
-            mass = mass_apply(mass, P.kernel)
 
     deltas = np.array([1.0 - b.captured for b in best])
     return QCReport(eps_values=eps_values, deltas=deltas, witnesses=best,

@@ -22,6 +22,7 @@ import numpy as np
 from .asymptotic import detect_periodicity, quasi_constrictive_probe, \
     restricted_power_cocycle
 from .cocycle import NormalizedCocycle, build_invariant_density_map
+from .curves import tail_start
 from .driving import BERNOULLI, DrivingError, point, points, sample_env
 from .exactness import exactness_report
 from .measure import PreconditionError
@@ -88,6 +89,14 @@ def _env_points(scenario, seed_override=None, count=None):
     return points(d)
 
 
+def _probed_points(scenario, seed_override=None):
+    """The points that the per-point routes probe: every point of finite
+    driving, the first REPORT_HEAVY_OMEGAS samples of bernoulli driving."""
+    return _env_points(scenario, seed_override,
+                       count=min(REPORT_HEAVY_OMEGAS,
+                                 scenario.analysis.env_samples))
+
+
 def _bases(scenario):
     count = scenario.analysis.basis_count
     f_basis = zero_mean_basis(scenario.space, count=count)
@@ -129,8 +138,8 @@ def _horizon_tol(args, scenario):
     if horizon < 0:
         raise PreconditionError(f"horizon must be >= 0, got {horizon}")
     _require_verdict_window(horizon, a.tail_fraction)
-    if not tol > 0:
-        raise PreconditionError(f"tolerance must be > 0, got {tol}")
+    if not 0 < tol < np.inf:
+        raise PreconditionError(f"tolerance must be finite and > 0, got {tol}")
     return horizon, tol
 
 
@@ -160,9 +169,7 @@ def cmd_run_mixing(args) -> int:
 def cmd_run_exactness(args) -> int:
     sc = load_scenario(args.scenario)
     horizon, tol = _horizon_tol(args, sc)
-    omegas = _env_points(sc, args.seed_override,
-                         count=min(REPORT_HEAVY_OMEGAS,
-                                   sc.analysis.env_samples))
+    omegas = _probed_points(sc, args.seed_override)
     f_basis, g_obs = _bases(sc)
     ns, blocks = np.arange(horizon + 1), []
     for w, omega in enumerate(omegas):
@@ -184,9 +191,7 @@ def cmd_run_asymp(args) -> int:
     sc = load_scenario(args.scenario)
     horizon, _ = _horizon_tol(args, sc)
     rmax = sc.analysis.rmax if args.rmax is None else args.rmax
-    omegas = _env_points(sc, args.seed_override,
-                         count=min(REPORT_HEAVY_OMEGAS,
-                                   sc.analysis.env_samples))
+    omegas = _probed_points(sc, args.seed_override)
     blocks = []
     for w, omega in enumerate(omegas):
         dec = detect_periodicity(sc.cocycle, omega, horizon, rmax,
@@ -211,9 +216,7 @@ def cmd_run_qc(args) -> int:
             if args.eps is not None else sc.analysis.eps
     except ValueError:
         raise PreconditionError(f"--eps takes numbers: {args.eps!r}") from None
-    omegas = _env_points(sc, args.seed_override,
-                         count=min(REPORT_HEAVY_OMEGAS,
-                                   sc.analysis.env_samples))
+    omegas = _probed_points(sc, args.seed_override)
     # delta per eps is the worst (largest) leftover over the probed points
     eps_sorted = sorted(set(eps_values))
     worst = np.zeros(len(eps_sorted))
@@ -288,8 +291,7 @@ def cmd_report(args) -> int:
         print(f"[SKIP] {name} @ omega_{omega_id} {detail}")
 
     omegas = _env_points(sc, args.seed_override)
-    heavy = omegas[:REPORT_HEAVY_OMEGAS] if sc.driving.kind == BERNOULLI \
-        else omegas
+    heavy = _probed_points(sc, args.seed_override)
     f_basis, g_obs = _bases(sc)
 
     # mixing notions: the four verdicts must coincide; the estimator reads a
@@ -320,13 +322,24 @@ def cmd_report(args) -> int:
         else:
             skip("tail-partition-matches", w, "operators are not cell maps")
 
-    # asymptotic periodicity against exactness and the mixing verdicts
+    # asymptotic periodicity against exactness and the mixing verdicts; the
+    # detector reads the orbit after its burn-in, so a verdict window that
+    # starts earlier reads curves the detector does not see
     finite = sc.driving.kind != BERNOULLI
+    window = tail_start(horizon + 1, sc.analysis.tail_fraction)
     for w, omega in enumerate(heavy):
         dec = detect_periodicity(sc.cocycle, omega, horizon,
                                  sc.analysis.rmax, tol=sc.analysis.asymp_tol)
         if not dec.found:
             skip("periodicity-vs-exactness", w, f"none found: {dec.reason}")
+            continue
+        if window < dec.burn_in:
+            for name in ("periodicity-vs-exactness",
+                         "periodicity-vs-travelling-mixing",
+                         "periodicity-vs-hom-mixing",
+                         "restricted-power-exact"):
+                skip(name, w, f"verdict window starts at n = {window}, before "
+                              f"the detector's burn-in of {dec.burn_in} steps")
             continue
         r_one = dec.r == 1
         check("periodicity-vs-exactness", w, r_one == exact_by_omega[w],

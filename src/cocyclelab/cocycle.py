@@ -108,6 +108,22 @@ def orbit_kernels(c: CocycleFamily, omega: EnvPoint, n: int):
     return [P.kernel for _, P in orbit(c, omega, max(n, 0))][:-1]
 
 
+def push_orbit(c: CocycleFamily, omega: EnvPoint, mass: np.ndarray, n: int):
+    """The pairs (sigma^t omega, P^(t)(omega) mass) for t = 0, 1, ..., n:
+    ``mass``, one row or a stack of rows, pushed t steps along the orbit
+    through ``mass_apply``.
+
+    Each push runs only when the next pair is asked for, so a caller that
+    stops after the pair of step t has made exactly t pushes.
+    """
+    if n < 0:
+        raise PreconditionError(f"cocycle steps run forward only, got n = {n}")
+    for t, (pt, P) in enumerate(orbit(c, omega, n)):
+        yield pt, mass
+        if t < n:
+            mass = mass_apply(mass, P.kernel)
+
+
 def compose(c: CocycleFamily, omega: EnvPoint, n: int) -> MarkovMatrix:
     """The n-step operator from omega; n = 0 gives the identity."""
     if n < 0:
@@ -233,62 +249,11 @@ def build_invariant_density_map(c: CocycleFamily, k_max: int = 64,
     return InvariantDensityMap(cocycle=c, k_max=k_max, tol=tol, f0=f0)
 
 
-@dataclasses.dataclass(frozen=True)
-class NormalizedApplyResult:
-    density: Density
-    excluded_cells: np.ndarray   # cells dropped because h(sigma omega) ~ 0
-    excluded_mass: float         # mass the drop discarded (float dust when
-                                 # the invariant map is consistent)
-
-
 @dataclasses.dataclass(eq=False)
 class NormalizedCocycle:
-    """Cocycle renormalized by an invariant density map:
-    Phat(omega) f = P(omega)(f h(omega)) / h(sigma omega) on the support of
-    h(sigma omega), and 0 outside it.  Densities here are taken w.r.t. the
-    measures mu(omega) = h(omega) m, and Phat maps the constant 1 on the
-    support of h(omega) to the constant 1 on the support of h(sigma omega).
-    """
+    """A cocycle paired with an invariant density map omega -> h(omega): the
+    fibre measures mu(omega) = h(omega) m that the skew-product routes
+    integrate against."""
 
     cocycle: CocycleFamily
     h: InvariantDensityMap
-    support_floor_rel: float = 1e-9
-
-    def support_mask(self, omega: EnvPoint) -> np.ndarray:
-        hv = self.h.at(omega).values
-        return hv > self.support_floor_rel * float(np.abs(hv).max())
-
-
-def normalized_apply(nc: NormalizedCocycle, omega: EnvPoint,
-                     f: Density) -> NormalizedApplyResult:
-    c = nc.cocycle
-    c.check_point(omega)
-    h_here = nc.h.at(omega)
-    h_next = nc.h.at(advance(c.driving, omega, 1))
-    product = Density(c.space, f.values * h_here.values)
-    pushed = apply(c.operator_at(omega), product)
-    mask = nc.support_mask(advance(c.driving, omega, 1))
-    values = np.zeros(c.n)
-    values[mask] = pushed.values[mask] / h_next.values[mask]
-    excluded = np.flatnonzero(~mask)
-    excluded_mass = float(np.abs(pushed.mass[~mask]).sum())
-    return NormalizedApplyResult(Density(c.space, values), excluded,
-                                 excluded_mass)
-
-
-def mu_integral(nc: NormalizedCocycle, omega: EnvPoint, f: Density) -> float:
-    """integral of f with respect to mu(omega) = h(omega) m."""
-    return float(np.sum(f.values * nc.h.at(omega).mass))
-
-
-def support_defect(c: CocycleFamily, h: InvariantDensityMap, omega: EnvPoint,
-                   n: int, floor_rel: float = 1e-9) -> float:
-    """m-measure of supp P^(n) 1 minus supp P^(n) h(omega): the soft-support
-    mismatch between iterating full mass and iterating the invariant density."""
-    kernel = compose(c, omega, n).kernel
-    one_mass = mass_apply(Density.uniform(c.space).mass, kernel)
-    h_mass = mass_apply(h.at(omega).mass, kernel)
-    sup_one = np.abs(one_mass) > floor_rel * float(np.abs(one_mass).max())
-    hmax = float(np.abs(h_mass).max())
-    sup_h = np.abs(h_mass) > (floor_rel * hmax if hmax > 0 else 0.0)
-    return float(c.space.weights[sup_one & ~sup_h].sum())

@@ -32,10 +32,11 @@ import itertools
 
 import numpy as np
 
-from cocyclelab.cocycle import CocycleFamily, orbit, orbit_kernels
+from cocyclelab.cocycle import CocycleFamily, orbit, orbit_kernels, push_orbit
 from cocyclelab.curves import curve_decayed
 from cocyclelab.driving import EnvPoint
-from cocyclelab.measure import MarkovMatrix, PreconditionError, mass_apply
+from cocyclelab.measure import (MarkovMatrix, PreconditionError,
+                                require_zero_mean)
 
 CELL_MAP_ATOL = 1e-9
 
@@ -67,20 +68,15 @@ def exactness_norms(c: CocycleFamily, omega: EnvPoint, f_basis,
     _require_basis(f_basis, "density")
     _require_horizon(horizon)
     for f in f_basis:
-        if abs(f.total_mass) > 1e-9 * max(f.l1_norm, 1e-300):
-            raise PreconditionError(
-                "exactness norm curves are posed for zero-mean densities")
-    mass = np.stack([f.mass for f in f_basis])
+        require_zero_mean(f, "an exactness norm curve")
     curves = np.empty((len(f_basis), horizon + 1))
     gap = 0.0
-    kernels = orbit_kernels(c, omega, horizon)
-    for n in range(horizon + 1):
+    pushes = push_orbit(c, omega, np.stack([f.mass for f in f_basis]), horizon)
+    for n, (_, mass) in enumerate(pushes):
         norms = np.abs(mass).sum(axis=1)
         witness = np.einsum("ij,ij->i", mass, np.sign(mass))
         gap = max(gap, float(np.abs(norms - witness).max()))
         curves[:, n] = norms
-        if n < horizon:
-            mass = mass_apply(mass, kernels[n])
     return NormCurves(values=curves, sgn_witness_gap=gap)
 
 

@@ -197,6 +197,15 @@ def mass_apply(mass: np.ndarray, kernel) -> np.ndarray:
     return np.asarray(mass @ kernel)
 
 
+def require_zero_mean(f: Density, what: str):
+    """Reject a density whose total mass is not zero relative to its L1 norm
+    (a NaN mass fails the comparison too)."""
+    if not abs(f.total_mass) <= 1e-9 * max(f.l1_norm, 1e-300):
+        raise PreconditionError(
+            f"{what} is posed for zero-mean densities; "
+            f"total mass is {f.total_mass!r}")
+
+
 @dataclasses.dataclass(frozen=True)
 class MarkovCheckReport:
     n: int

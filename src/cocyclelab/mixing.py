@@ -35,7 +35,7 @@ import itertools
 
 import numpy as np
 
-from cocyclelab.cocycle import CocycleFamily, orbit, orbit_kernels
+from cocyclelab.cocycle import CocycleFamily, push_orbit
 from cocyclelab.curves import curve_decayed, suffix_envelope
 from cocyclelab.driving import EnvPoint, feature, finite_rotation
 from cocyclelab.measure import (
@@ -44,6 +44,7 @@ from cocyclelab.measure import (
     Observable,
     PreconditionError,
     mass_apply,
+    require_zero_mean,
 )
 from cocyclelab.transfer import MapSpec, pf_exact
 
@@ -108,31 +109,21 @@ def orbit_schedule_map(space: FiniteMeasureSpace, base: EnvPoint,
                          schedule=tuple(schedule))
 
 
-def _require_zero_mean(f: Density):
-    if abs(f.total_mass) > 1e-9 * max(f.l1_norm, 1e-300):
-        raise PreconditionError(
-            f"correlation decay is posed for zero-mean densities; "
-            f"total mass is {f.total_mass!r}")
-
-
 def correlation_hom(c: CocycleFamily, omega: EnvPoint, f: Density,
                     g: Observable, n: int) -> float:
     """integral P^(n)(omega) f * g dm for a fixed observable g."""
-    _require_zero_mean(f)
-    mass = f.mass
-    for kernel in orbit_kernels(c, omega, n):
-        mass = mass_apply(mass, kernel)
+    require_zero_mean(f, "correlation decay")
+    for _, mass in push_orbit(c, omega, f.mass, n):
+        pass
     return float(np.dot(mass, g.values))
 
 
 def correlation_inhom(c: CocycleFamily, omega: EnvPoint, f: Density,
                       g: ObservableMap, n: int) -> float:
     """integral P^(n)(omega) f * g(sigma^n omega) dm for a travelling g."""
-    _require_zero_mean(f)
-    mass = f.mass
-    for t, (pt, P) in enumerate(orbit(c, omega, n)):
-        if t < n:
-            mass = mass_apply(mass, P.kernel)
+    require_zero_mean(f, "correlation decay")
+    for pt, mass in push_orbit(c, omega, f.mass, n):
+        pass
     if g.mode == "orbit":
         g_obs = g.at_orbit(omega, n)
     else:
@@ -223,7 +214,7 @@ def estimate_mixing(c: CocycleFamily, notion: str, f_basis, g_basis,
                                 f"expected one of {NOTIONS}")
     inhom = notion.endswith("inhom")
     for f in f_basis:
-        _require_zero_mean(f)
+        require_zero_mean(f, "correlation decay")
     if inhom:
         for g in g_basis:
             if not isinstance(g, ObservableMap) or g.mode != "step":
@@ -263,11 +254,8 @@ def estimate_mixing(c: CocycleFamily, notion: str, f_basis, g_basis,
         gvals = np.stack([g.values for g in g_basis], axis=1)
 
     for u, omega in enumerate(distinct):
-        cur = fmass
-        for n, (pt, P) in enumerate(orbit(c, omega, horizon)):
+        for n, (pt, cur) in enumerate(push_orbit(c, omega, fmass, horizon)):
             uvalues[u, :, :, n] = cur @ (g_at(pt) if inhom else gvals)
-            if n < horizon:
-                cur = mass_apply(cur, P.kernel)
 
     # the two quantifier orders group the same curves differently, but on a
     # finite sample "every point, every pair" and "every pair, every point"
@@ -297,6 +285,11 @@ def estimate_mixing(c: CocycleFamily, notion: str, f_basis, g_basis,
 
 
 # -- the travelling-observable counterexample ---------------------------------
+
+# the largest half bit count: 2^20 cells, where the orbit schedule of 21
+# observables already holds 176 MB
+COUNTEREXAMPLE_MAX_K = 10
+
 
 @dataclasses.dataclass(frozen=True)
 class CounterexampleReport:
@@ -328,8 +321,10 @@ def counterexample_run(k: int, horizon: int | None = None) -> CounterexampleRepo
     exactly disjoint supports.  The model is periodic with period 2k, so
     horizons beyond 2k are capped (reported via horizon_capped).
     """
-    if k < 1:
-        raise PreconditionError("need k >= 1")
+    if not 1 <= k <= COUNTEREXAMPLE_MAX_K:
+        raise PreconditionError(
+            f"k must lie in 1..{COUNTEREXAMPLE_MAX_K} (the model has 4^k "
+            f"cells), got {k}")
     bits = 2 * k
     period = bits
     capped = horizon is not None and horizon > period

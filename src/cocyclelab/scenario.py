@@ -269,7 +269,9 @@ def _build_analysis(node, driving_node) -> AnalysisConfig:
          cfg.tail_fraction),
         (cfg.basis_count is None or cfg.basis_count >= 1,
          "analysis.basis_count", "be >= 1", cfg.basis_count),
-        (cfg.asymp_tol > 0, "analysis.asymp_tol", "be > 0", cfg.asymp_tol),
+        (0 < cfg.tol < np.inf, "analysis.tol", "be finite and > 0", cfg.tol),
+        (0 < cfg.asymp_tol < np.inf, "analysis.asymp_tol",
+         "be finite and > 0", cfg.asymp_tol),
         (cfg.rmax >= 0, "analysis.rmax", "be >= 0", cfg.rmax),
         (bool(cfg.eps) and all(0 < v < np.inf for v in cfg.eps),
          "analysis.eps", "be nonempty, finite and > 0", list(cfg.eps)),

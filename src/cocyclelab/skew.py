@@ -36,7 +36,7 @@ import dataclasses
 
 import numpy as np
 
-from cocyclelab.cocycle import NormalizedCocycle, orbit
+from cocyclelab.cocycle import NormalizedCocycle, orbit, push_orbit
 from cocyclelab.curves import curve_decayed
 from cocyclelab.driving import (
     BERNOULLI,
@@ -258,13 +258,12 @@ def _skew_finite(nc, a, b, mask_a, mask_b, horizon):
 
     joint = np.zeros(horizon + 1)
     for p in np.flatnonzero(mask_b):
-        state = np.zeros(c.n)
-        state[b.cells] = h_mass[p, b.cells]  # mass of 1_{F_B} h_omega
-        for n, (pt, P) in enumerate(orbit(c, point(d, int(p)), horizon)):
+        start = np.zeros(c.n)
+        start[b.cells] = h_mass[p, b.cells]  # mass of 1_{F_B} h_omega
+        pushes = push_orbit(c, point(d, int(p)), start, horizon)
+        for n, (pt, state) in enumerate(pushes):
             if mask_a[pt.index]:
                 joint[n] += d.probs[p] * state[a.cells].sum()
-            if n < horizon:
-                state = mass_apply(state, P.kernel)
     return joint, nu_a * nu_b, dict(
         method="finite-sum", h_converged=converged,
         driving_not_mixing=not (mask_a.all() and mask_b.all()))
@@ -273,9 +272,9 @@ def _skew_finite(nc, a, b, mask_a, mask_b, horizon):
 def _skew_cylinder(nc, a, b, cons_a, cons_b, horizon, seed):
     c = nc.cocycle
     d = c.driving
-    h_mass, converged = _fibre_masses(nc, [_h_probe_point(nc, seed)])
+    probe = _h_probe_point(nc, seed)
+    h_mass, converged = _fibre_masses(nc, [probe])
     h_mass = h_mass[0]
-    kernel = next(iter(c.table.values())).kernel
 
     prob_a = cylinder_probability(d, cons_a)
     prob_b = cylinder_probability(d, cons_b)
@@ -289,13 +288,10 @@ def _skew_cylinder(nc, a, b, cons_a, cons_b, horizon, seed):
         factor_from = 0
 
     mu_a = float(h_mass[a.cells].sum())
-    state = np.zeros(c.n)
-    state[b.cells] = h_mass[b.cells]
-    fiber = np.empty(horizon + 1)
-    for n in range(horizon + 1):
-        fiber[n] = state[a.cells].sum()
-        if n < horizon:
-            state = mass_apply(state, kernel)
+    start = np.zeros(c.n)
+    start[b.cells] = h_mass[b.cells]
+    fiber = np.array([state[a.cells].sum() for _, state in
+                      push_orbit(c, probe, start, horizon)])
     product = prob_a * mu_a * prob_b * float(h_mass[b.cells].sum())
     return env * fiber, product, dict(
         method="cylinder-product", h_converged=converged, env_factor=env,

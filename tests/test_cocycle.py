@@ -12,11 +12,9 @@ from cocyclelab.cocycle import (
     build_invariant_density_map,
     compose,
     invariant_density_pullback,
-    mu_integral,
-    normalized_apply,
     orbit,
     orbit_kernels,
-    support_defect,
+    push_orbit,
 )
 from cocyclelab.driving import (
     DrivingError,
@@ -31,6 +29,7 @@ from cocyclelab.measure import (
     Density,
     FiniteMeasureSpace,
     MarkovMatrix,
+    PreconditionError,
     apply,
     kernel_matmul,
     mass_apply,
@@ -182,6 +181,63 @@ def test_orbit_kernels_are_the_first_n_orbit_operators(kind):
         assert len(got) == n
         for t, kernel in enumerate(got):
             assert kernel is c.operator_at(advance(c.driving, w, t)).kernel
+
+
+@st.composite
+def push_case(draw):
+    """A random table over a rotation or a Bernoulli shift, a start point,
+    one mass row or a stack of rows, and a step count."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    space = FiniteMeasureSpace.uniform(draw(st.integers(2, 6)))
+    table = {}
+    if draw(st.sampled_from(["rotation", "bernoulli"])) == "rotation":
+        d = finite_rotation(draw(st.integers(1, 4)))
+        omega = point(d, draw(st.integers(0, d.n_points - 1)))
+    else:
+        d = bernoulli_shift([0.5, 0.5])
+        (omega,) = sample_env(d, 1, draw(st.integers(0, 2**20)))
+    for i in range(d.n_features):
+        table[i] = random_kernel(space, rng, 0.0)
+    rows = draw(st.sampled_from([None, 1, 3]))
+    shape = (space.n,) if rows is None else (rows, space.n)
+    mass = rng.standard_normal(shape)
+    return (CocycleFamily(driving=d, table=table), omega, mass,
+            draw(st.integers(0, 12)))
+
+
+@given(push_case())
+def test_prop_push_orbit_is_t_explicit_pushes(case):
+    c, omega, mass, n = case
+    pairs = list(push_orbit(c, omega, mass, n))
+    assert len(pairs) == n + 1
+    expected = mass
+    for t, (pt, pushed) in enumerate(pairs):
+        assert pt == advance(c.driving, omega, t)
+        assert pushed.tobytes() == expected.tobytes()
+        expected = mass_apply(expected, c.operator_at(pt).kernel)
+
+
+@pytest.mark.parametrize("kind", ["finite", "bernoulli"])
+@pytest.mark.parametrize("stop", [0, 1, 4])
+def test_push_orbit_pushes_only_when_asked(monkeypatch, kind, stop):
+    c, w = two_operator_cocycle(kind)
+    calls = []
+
+    def counting(mass, kernel):
+        calls.append(kernel)
+        return mass_apply(mass, kernel)
+
+    monkeypatch.setattr(cocyclelab.cocycle, "mass_apply", counting)
+    pushes = push_orbit(c, w, Density.uniform(c.space).mass, 10)
+    for _ in range(stop + 1):
+        next(pushes)
+    assert len(calls) == stop
+
+
+def test_push_orbit_runs_forward_only():
+    c, w = two_operator_cocycle("finite")
+    with pytest.raises(PreconditionError, match="forward only"):
+        next(push_orbit(c, w, Density.uniform(c.space).mass, -1))
 
 
 def test_table_must_cover_all_features():
@@ -365,68 +421,8 @@ def test_normalized_cocycle_planted_fixed_density():
     h = build_invariant_density_map(c, k_max=8, tol=1e-12)
     nc = NormalizedCocycle(cocycle=c, h=h)
     w = point(c.driving, 0)
-    out = normalized_apply(nc, w, Density.uniform(space))
-    assert np.allclose(out.density.values, 1.0, atol=1e-12)
-    assert out.excluded_cells.size == 0 and out.excluded_mass == 0.0
-
-
-def test_normalized_apply_preserves_mu_mass():
-    space = make_space()
-    c = constant_cocycle(MarkovMatrix(space, SWAP))
-    h = build_invariant_density_map(c, k_max=8)
-    nc = NormalizedCocycle(cocycle=c, h=h)
-    w = point(c.driving, 0)
-    rng = np.random.default_rng(3)
-    f = Density(space, rng.uniform(0.0, 2.0, size=4))
-    out = normalized_apply(nc, w, f)
-    before = mu_integral(nc, w, f)
-    after = mu_integral(nc, advance(c.driving, w, 1), out.density)
-    assert after == pytest.approx(before, abs=1e-10)
-
-
-def half_space_cocycle():
-    # support of h is {0,1}; mass started outside leaks everywhere forever
-    space = make_space()
-    k = np.array([
-        [0.5, 0.5, 0.0, 0.0],
-        [0.5, 0.5, 0.0, 0.0],
-        [0.25, 0.25, 0.25, 0.25],
-        [0.25, 0.25, 0.25, 0.25],
-    ])
-    return constant_cocycle(MarkovMatrix(space, k))
-
-
-def test_normalized_apply_maps_support_indicator_to_support_indicator():
-    c = half_space_cocycle()
-    space = c.space
-    h = build_invariant_density_map(
-        c, k_max=8, tol=1e-12,
-        f0=Density.from_mass(space, [0.5, 0.5, 0.0, 0.0]))
-    nc = NormalizedCocycle(cocycle=c, h=h)
-    w = point(c.driving, 0)
-    mask = nc.support_mask(w)
-    assert mask.tolist() == [True, True, False, False]
-    one_supp = Density(space, mask.astype(float))
-    out = normalized_apply(nc, w, one_supp)
-    assert np.allclose(out.density.values, mask.astype(float), atol=1e-10)
-    assert out.excluded_mass <= 1e-12
-
-
-def test_support_defect_half_support_plant():
-    c = half_space_cocycle()
-    h = build_invariant_density_map(
-        c, k_max=8, tol=1e-12,
-        f0=Density.from_mass(c.space, [0.5, 0.5, 0.0, 0.0]))
-    w = point(c.driving, 0)
-    assert support_defect(c, h, w, 0) == pytest.approx(0.5)
-    # oracle: enumerate supports of both iterates directly
-    kern = np.asarray(compose(c, w, 5).kernel)
-    one = np.full(4, 0.25) @ kern
-    hh = np.array([0.5, 0.5, 0, 0]) @ kern
-    expect = c.space.weights[(one > 1e-9 * one.max())
-                             & ~(hh > 1e-9 * hh.max())].sum()
-    assert support_defect(c, h, w, 5) == pytest.approx(expect)
-    assert expect == pytest.approx(0.5)
+    assert nc.h.result_at(w).converged
+    assert np.allclose(nc.h.at(w).mass, u_mass, atol=1e-12)
 
 
 @pytest.mark.parametrize("other", [finite_rotation(3), finite_rotation(2)])

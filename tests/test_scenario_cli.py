@@ -23,7 +23,7 @@ from cocyclelab.cli import (
 from cocyclelab.cocycle import NormalizedCocycle, build_invariant_density_map
 from cocyclelab.driving import BERNOULLI
 from cocyclelab.exactness import exactness_report
-from cocyclelab.mixing import estimate_mixing
+from cocyclelab.mixing import COUNTEREXAMPLE_MAX_K, estimate_mixing
 from cocyclelab.scenario import (
     AnalysisConfig,
     ScenarioError,
@@ -196,6 +196,18 @@ def test_cli_counterexample_csv(tmp_path):
     assert len(rows) == 16
     assert all(r["value"] == "0.5" for r in rows)
     assert [r["n"] for r in rows] == [str(n) for n in range(1, 17)]
+
+
+@pytest.mark.parametrize("k", ["0", "11", "40"])
+def test_cli_counterexample_k_outside_the_bound_exit_two(tmp_path, capsys, k):
+    # k = 40 asks for 4^40 cells, which used to end in a numpy traceback
+    out = tmp_path / "ce.csv"
+    rc = main(["run-counterexample", "--k", k, "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert f"1..{COUNTEREXAMPLE_MAX_K}" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("horizon", ["0", "-1"])
@@ -427,6 +439,8 @@ def test_cli_zero_horizon_is_an_override(tmp_path):
     (["run-exactness"], ["--tol=-1e-6"]),
     (["run-qc"], ["--horizon", "-1"]),
     (["report"], ["--horizon", "-1"]),
+    (["report"], ["--tol", "inf"]),
+    (["run-exactness"], ["--tol", "nan"]),
 ])
 def test_cli_bad_horizon_or_tol_exit_two(tmp_path, capsys, command, flags):
     rc = main(command + ["--scenario", str(SCENARIOS / "blockswap.yaml"),
@@ -461,16 +475,21 @@ def test_prior_and_posterior_reports_of_one_kind_are_identical(tmp_path):
 # -- analysis values checked at load -------------------------------------------
 
 NAN = float("nan")
+INF = float("inf")
 BAD_VALUES = {  # id -> (scenario, block, key, value)
     "tail-nan": ("block3cycle.yaml", "analysis", "tail_fraction", NAN),
     "tail-negative": ("block3cycle.yaml", "analysis", "tail_fraction", -0.5),
     "basis-negative": ("block3cycle.yaml", "analysis", "basis_count", -1),
     "asymp-tol-nan": ("block3cycle.yaml", "analysis", "asymp_tol", NAN),
+    "asymp-tol-inf": ("block3cycle.yaml", "analysis", "asymp_tol", INF),
+    "tol-inf": ("block3cycle.yaml", "analysis", "tol", INF),
+    "tol-nan": ("block3cycle.yaml", "analysis", "tol", NAN),
+    "tol-zero": ("block3cycle.yaml", "analysis", "tol", 0.0),
     "rmax-negative": ("block3cycle.yaml", "analysis", "rmax", -1),
     "samples-negative": ("bernoulli_doubling.yaml", "driving", "samples", -1),
     "samples-zero": ("bernoulli_doubling.yaml", "driving", "samples", 0),
     "eps-nan": ("block3cycle.yaml", "analysis", "eps", [NAN]),
-    "eps-inf": ("block3cycle.yaml", "analysis", "eps", [0.25, float("inf")]),
+    "eps-inf": ("block3cycle.yaml", "analysis", "eps", [0.25, INF]),
     "eps-negative": ("block3cycle.yaml", "analysis", "eps", [-0.5]),
     "eps-empty": ("block3cycle.yaml", "analysis", "eps", []),
 }
@@ -480,7 +499,9 @@ BAD_RUNS = [("tail-nan", "report"), ("tail-nan", "run-exactness"),
             ("asymp-tol-nan", "run-asymp"), ("rmax-negative", "report"),
             ("samples-negative", "report"), ("samples-zero", "run-exactness"),
             ("eps-nan", "run-qc"), ("eps-inf", "run-qc"),
-            ("eps-negative", "report")]
+            ("eps-negative", "report"), ("asymp-tol-inf", "report"),
+            ("tol-inf", "report"), ("tol-nan", "run-exactness"),
+            ("tol-zero", "run-qc")]
 
 
 def with_value(tmp_path, scenario, block, key, value):
@@ -569,17 +590,43 @@ def test_tail_window_holding_n_zero_is_rejected(tmp_path, capsys,
     assert load_scenario(largest).analysis.tail_fraction == 40 / 41
 
 
+PERIODICITY_CHECKS = ["periodicity-vs-exactness",
+                      "periodicity-vs-travelling-mixing",
+                      "periodicity-vs-hom-mixing", "restricted-power-exact"]
+
+
 def test_cli_report_failures_exit_one(tmp_path, capsys):
-    # a window starting at n = 4 reads the exact doubling curves before they
-    # flatten, so the verdicts disagree with the detected r = 1
+    # no Ulam curve falls below 1e-30, so with the window (from n = 36) after
+    # the detector's burn-in (12 steps) the r = 1 reading disagrees with
+    # every decay verdict
+    out = tmp_path / "report.csv"
+    assert main(["report", "--scenario", str(SCENARIOS / "doubling_ulam.yaml"),
+                 "--tol", "1e-30", "--out", str(out)]) == 1
+    fails = [r["check"] for r in rows_of(out) if r["status"] == "FAIL"]
+    assert fails == PERIODICITY_CHECKS
+    assert "4 consistency check(s) failed" in capsys.readouterr().out
+
+
+def assert_window_skips(path, window, burn_in):
+    rows = rows_of(path)
+    skipped = [r for r in rows if r["check"] in PERIODICITY_CHECKS]
+    assert [r["check"] for r in skipped] == PERIODICITY_CHECKS
+    for r in skipped:
+        assert r["status"] == "SKIP"
+        assert f"n = {window}," in r["detail"]
+        assert f"burn-in of {burn_in} steps" in r["detail"]
+    assert not any(r["status"] == "FAIL" for r in rows)
+
+
+def test_report_skips_periodicity_checks_before_the_burn_in(tmp_path, capsys):
+    # a window from n = 4 reads the 64-cell exact doubling curves before they
+    # flatten (six steps), and before the detector's burn-in of 12 steps
     path = with_value(tmp_path, "doubling_exact.yaml", "analysis",
                       "tail_fraction", 0.9)
     out = tmp_path / "report.csv"
-    assert main(["report", "--scenario", path, "--out", str(out)]) == 1
-    fails = [r for r in rows_of(out) if r["status"] == "FAIL"]
-    assert fails
-    assert (f"{len(fails)} consistency check(s) failed"
-            in capsys.readouterr().out)
+    assert main(["report", "--scenario", path, "--out", str(out)]) == 0
+    assert "all consistency checks passed" in capsys.readouterr().out
+    assert_window_skips(out, 4, 12)
 
 
 UNIFORM8 = """
@@ -611,6 +658,16 @@ def test_horizon_override_is_held_to_the_verdict_window_rule(
     if code == 2:
         assert re.search(r"analysis\.tail_fraction 0\.6 .* horizon 1", err)
         assert not out.exists()
+
+
+def test_report_at_horizon_zero_skips_periodicity_checks(tmp_path, capsys):
+    # at horizon 0 every verdict window is n = 0, before the burn-in of one
+    # step after which the detector finds r = 1
+    out = tmp_path / "report.csv"
+    assert main(["report", "--scenario", write(tmp_path, UNIFORM8),
+                 "--horizon", "0", "--out", str(out)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert_window_skips(out, 0, 1)
 
 
 def test_custom_map_kind_is_unknown(tmp_path, capsys):
