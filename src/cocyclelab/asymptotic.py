@@ -25,7 +25,6 @@ import dataclasses
 import math
 
 import numpy as np
-import scipy.sparse as sp
 
 from cocyclelab.cocycle import CocycleFamily, compose, push_orbit
 from cocyclelab.driving import BERNOULLI, DrivingSystem, EnvPoint, point
@@ -34,6 +33,7 @@ from cocyclelab.measure import (
     FiniteMeasureSpace,
     MarkovMatrix,
     PreconditionError,
+    issparse,
     mass_apply,
 )
 
@@ -98,10 +98,11 @@ def detect_periodicity(c: CocycleFamily, omega: EnvPoint, horizon: int,
     n = c.n
     burn = burn_in_steps(n, horizon)
     M = compose(c, omega, burn).kernel
-    M = M.toarray() if sp.issparse(M) else M
+    M = M.toarray() if issparse(M) else M
 
-    # imported here: csgraph pulls in scipy.sparse.linalg, which would add
-    # about 0.1 s to every import of the package
+    # imported here: scipy.sparse and csgraph (which pulls in
+    # scipy.sparse.linalg) would add about 0.3 s to every import of the package
+    import scipy.sparse as sp
     from scipy.sparse.csgraph import connected_components
 
     # cells are linked when one row reaches both: the components of the
@@ -216,7 +217,7 @@ def restricted_power_cocycle(c: CocycleFamily, dec: PeriodicDecomposition,
     table = {}
     for p in range(c.driving.n_points):
         M = compose(c, point(c.driving, p), k).kernel
-        block = (M.toarray() if sp.issparse(M) else M)[np.ix_(cells, cells)]
+        block = (M.toarray() if issparse(M) else M)[np.ix_(cells, cells)]
         leak = float(np.abs(block.sum(axis=1) - 1.0).max())
         if leak > 1e-9:
             raise PreconditionError(

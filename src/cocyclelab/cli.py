@@ -34,7 +34,7 @@ from .mixing import (
     step_map_basis,
     zero_mean_basis,
 )
-from .scenario import (ScenarioError, _require_verdict_window,
+from .scenario import (MAX_HORIZON, ScenarioError, _require_verdict_window,
                        load_product_sets, load_scenario)
 from .skew import skew_mixing_curve
 
@@ -79,11 +79,20 @@ def _write_csv(path: str, header, blocks):
                 zip([h for h in heads for _ in range(width)], zip(*cells))]))
 
 
+def _env_seed(scenario, seed_override=None) -> int:
+    """The --seed-override, or the scenario's seed where it is absent."""
+    if seed_override is None:
+        return scenario.analysis.env_seed
+    if seed_override < 0:
+        raise PreconditionError(
+            f"--seed-override must be >= 0, got {seed_override}")
+    return seed_override
+
+
 def _env_points(scenario, seed_override=None, count=None):
     d = scenario.driving
+    seed = _env_seed(scenario, seed_override)
     if d.kind == BERNOULLI:
-        seed = scenario.analysis.env_seed if seed_override is None \
-            else seed_override
         n = count if count is not None else scenario.analysis.env_samples
         return sample_env(d, n, seed)
     return points(d)
@@ -135,8 +144,9 @@ def _horizon_tol(args, scenario):
     a = scenario.analysis
     horizon = a.horizon if args.horizon is None else args.horizon
     tol = a.tol if args.tol is None else args.tol
-    if horizon < 0:
-        raise PreconditionError(f"horizon must be >= 0, got {horizon}")
+    if not 0 <= horizon <= MAX_HORIZON:
+        raise PreconditionError(
+            f"horizon must lie in [0, {MAX_HORIZON}], got {horizon}")
     _require_verdict_window(horizon, a.tail_fraction)
     if not 0 < tol < np.inf:
         raise PreconditionError(f"tolerance must be finite and > 0, got {tol}")
@@ -236,8 +246,7 @@ def cmd_run_skew(args) -> int:
     pairs = load_product_sets(args.sets, sc.space.n)
     nc = NormalizedCocycle(cocycle=sc.cocycle,
                            h=build_invariant_density_map(sc.cocycle))
-    seed = sc.analysis.env_seed if args.seed_override is None \
-        else args.seed_override
+    seed = _env_seed(sc, args.seed_override)
     mc = sc.analysis.env_samples if args.mc_samples is None else args.mc_samples
     ns, blocks = np.arange(horizon + 1), []
     for pair_id, a, b in pairs:

@@ -21,7 +21,6 @@ import dataclasses
 import itertools
 
 import numpy as np
-import scipy.sparse as sp
 
 from cocyclelab.driving import (
     DrivingError,
@@ -36,10 +35,10 @@ from cocyclelab.measure import (
     MarkovMatrix,
     PreconditionError,
     apply,
+    kernel_from_entries,
     kernel_matmul,
     mass_apply,
     same_space,
-    stored_kernel,
 )
 
 
@@ -128,7 +127,9 @@ def compose(c: CocycleFamily, omega: EnvPoint, n: int) -> MarkovMatrix:
     """The n-step operator from omega; n = 0 gives the identity."""
     if n < 0:
         raise PreconditionError("cocycle steps run forward only (n >= 0)")
-    kernel = stored_kernel(sp.eye_array(c.n, format="csr"))
+    # int32 cells: from 512 cells on, the CSR arrays of scipy's eye_array
+    cells = np.arange(c.n, dtype=np.int32)
+    kernel = kernel_from_entries(c.n, cells, cells, np.ones(c.n))
     for step in orbit_kernels(c, omega, n):
         kernel = kernel_matmul(kernel, step)
     return MarkovMatrix(c.space, kernel, exact=c.all_exact)

@@ -10,14 +10,15 @@ densities through ``integrate``.
 
 Kernels are stored by one rule (``stored_kernel``, in ``MarkovMatrix`` and
 ``kernel_matmul``): CSR when N >= 512 and nnz <= N^2 / 32, dense otherwise.
+scipy.sparse, 0.21 s of a cold start, is imported only to build CSR kernels.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import sys
 
 import numpy as np
-import scipy.sparse as sp
 
 ROW_SUM_ATOL = 1e-12
 ENTRY_ATOL = 1e-12
@@ -176,15 +177,33 @@ class Observable:
 
 # -- kernel helpers (dense ndarray or scipy.sparse, same call sites) --------
 
+def issparse(kernel) -> bool:
+    """True for a scipy.sparse kernel; never imports scipy.sparse, since
+    nothing can be one before it is loaded."""
+    sp = sys.modules.get("scipy.sparse")
+    return sp is not None and sp.issparse(kernel)
+
+
 def stored_kernel(kernel):
     """The kernel as a ``csr_array`` when N >= SPARSE_MIN_CELLS and nnz <=
     N^2 / SPARSE_FILL_DIVISOR, else as an ndarray (read-only if converted)."""
     n = kernel.shape[0]
     if n >= SPARSE_MIN_CELLS and SPARSE_FILL_DIVISOR * (
-            kernel.count_nonzero() if sp.issparse(kernel)
+            kernel.count_nonzero() if issparse(kernel)
             else np.count_nonzero(kernel)) <= n * n:
+        import scipy.sparse as sp
         return sp.csr_array(kernel, dtype=float)
-    return _readonly(kernel.toarray()) if sp.issparse(kernel) else kernel
+    return _readonly(kernel.toarray()) if issparse(kernel) else kernel
+
+
+def kernel_from_entries(n: int, rows, cols, values):
+    """The n x n kernel with ``values`` summed at (``rows``, ``cols``), by the
+    storage rule; below SPARSE_MIN_CELLS dense, as the CSR build's toarray()."""
+    if n < SPARSE_MIN_CELLS:
+        return np.bincount(rows * n + cols, weights=values,
+                           minlength=n * n).reshape(n, n)
+    import scipy.sparse as sp
+    return stored_kernel(sp.csr_array((values, (rows, cols)), shape=(n, n)))
 
 
 def kernel_matmul(a, b):
@@ -240,7 +259,7 @@ class MarkovMatrix:
     exact: bool = True
 
     def __post_init__(self):
-        k = self.kernel if sp.issparse(self.kernel) else _readonly(self.kernel)
+        k = self.kernel if issparse(self.kernel) else _readonly(self.kernel)
         if k.shape != (self.space.n, self.space.n):
             raise SpaceMismatchError(
                 f"kernel shape {k.shape} does not match {self.space.n} cells")
@@ -259,7 +278,7 @@ class MarkovMatrix:
     def is_cell_map(self, atol: float = 1e-9) -> bool:
         """True when every entry is 0 or 1, i.e. the kernel permutes/collapses
         whole cells and the Koopman dual maps indicators to indicator functions."""
-        k = self.kernel.data if sp.issparse(self.kernel) else self.kernel
+        k = self.kernel.data if issparse(self.kernel) else self.kernel
         return bool(np.all(np.minimum(np.abs(k), np.abs(k - 1.0)) <= atol))
 
 

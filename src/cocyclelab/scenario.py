@@ -61,6 +61,13 @@ class UnresolvedReferenceError(ScenarioError):
 DRIVING_KINDS = ("finite_rotation", "finite_permutation", "bernoulli")
 SYNTHETIC_KINDS = ("identity", "uniform", "block_cycle")
 
+# The longest horizon a scenario or a --horizon flag may ask for.  A curve
+# that decays by a factor 0.965 or less per step is below double rounding
+# (1e-16) by n = 1000, so longer curves read rounding noise; the shipped
+# scenarios use 40 steps, and at 1000 steps the largest shipped curve array
+# (bernoulli_doubling: 64 points x 12 x 12 curves) holds 74 MB.
+MAX_HORIZON = 1000
+
 
 @dataclass(frozen=True)
 class AnalysisConfig:
@@ -276,6 +283,9 @@ def _build_analysis(node, driving_node) -> AnalysisConfig:
         (bool(cfg.eps) and all(0 < v < np.inf for v in cfg.eps),
          "analysis.eps", "be nonempty, finite and > 0", list(cfg.eps)),
         (cfg.env_samples >= 1, "driving.samples", "be >= 1", cfg.env_samples),
+        (cfg.env_seed >= 0, "driving.seed", "be >= 0", cfg.env_seed),
+        (0 <= cfg.horizon <= MAX_HORIZON, "analysis.horizon",
+         f"lie in [0, {MAX_HORIZON}]", cfg.horizon),
     )
     for ok, key, rule, value in checks:
         if not ok:

@@ -5,7 +5,8 @@ partition is dyadically aligned (doubling, cyclic bit-shift baker).
 ``pf_ulam`` estimates the kernel for any pointwise map by seeded Monte-Carlo:
 uniform draws inside each cell (stratified by cell, one independent derived
 seed per row), counting which target cell the mapped point lands in.  Both
-build index arrays, stored as CSR when N >= 512 and nnz <= N^2 / 32, else dense.
+build index arrays through ``measure.kernel_from_entries``: CSR when N >= 512
+and nnz <= N^2 / 32, else dense, filled without importing scipy.sparse.
 ``duality_residual`` checks the discrete kernel against the
 underlying map through the adjoint pairing, using midpoint quadrature on a
 refined partition.
@@ -17,7 +18,6 @@ import dataclasses
 import math
 
 import numpy as np
-import scipy.sparse as sp
 
 from cocyclelab.measure import (
     Density,
@@ -27,6 +27,7 @@ from cocyclelab.measure import (
     PreconditionError,
     apply,
     integrate,
+    kernel_from_entries,
 )
 
 MAP_KINDS = ("doubling", "tent", "piecewise_linear", "baker_cyclic",
@@ -144,8 +145,7 @@ def pf_exact(spec: MapSpec, space: FiniteMeasureSpace) -> MarkovMatrix:
                 f"baker_cyclic with {spec.bits} bits needs N = {1 << spec.bits}")
         cols, value = bit_shift_permutation(spec.bits)[:, None], 1.0
     rows = np.repeat(np.arange(n), cols.shape[1])
-    k = sp.csr_array((np.full(rows.size, value), (rows, cols.ravel())),
-                     shape=(n, n))
+    k = kernel_from_entries(n, rows, cols.ravel(), np.full(rows.size, value))
     return MarkovMatrix(space, k, exact=True)
 
 
@@ -162,8 +162,8 @@ def pf_ulam(spec: MapSpec, space: FiniteMeasureSpace, samples_per_cell: int,
             seed: int) -> MarkovMatrix:
     """Monte-Carlo Ulam kernel: row i estimates the split of cell i's mass
     over target cells from independent uniform draws inside cell i (one
-    derived seed per row), counted in blocks of about 2^14 draws into a
-    COO -> CSR build that never visits the N^2 zero entries."""
+    derived seed per row), counted in blocks of about 2^14 draws into index
+    arrays that a CSR kernel is built from without visiting its N^2 zeros."""
     if samples_per_cell < 1:
         raise PreconditionError("need at least one sample per cell")
     n, s, dim = space.n, samples_per_cell, spec.dimension
@@ -191,7 +191,7 @@ def pf_ulam(spec: MapSpec, space: FiniteMeasureSpace, samples_per_cell: int,
                 + g * np.minimum((y2 * g).astype(int), g - 1)
         found.append(np.unique(rows[:, None] * n + j, return_counts=True))
     key, count = map(np.concatenate, zip(*found))
-    kernel = sp.csr_array((count / s, (key // n, key % n)), shape=(n, n))
+    kernel = kernel_from_entries(n, key // n, key % n, count / s)
     return MarkovMatrix(space, kernel, exact=False)
 
 

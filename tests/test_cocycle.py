@@ -33,6 +33,7 @@ from cocyclelab.measure import (
     apply,
     kernel_matmul,
     mass_apply,
+    stored_kernel,
 )
 from cocyclelab.skew import ProductSet, nu_measure
 from cocyclelab.transfer import MapSpec, bit_shift_permutation, pf_exact
@@ -436,3 +437,18 @@ def test_points_of_another_driving_are_rejected(other):
         compose(c, omega, 3)
     with pytest.raises(DrivingError):
         invariant_density_pullback(c, omega, k_max=4)
+
+
+def test_compose_identity_is_the_stored_eye():
+    for n in (8, 1024):
+        c = constant_cocycle(pf_exact(MapSpec("doubling"), make_space(n)))
+        got = compose(c, point(c.driving, 0), 0).kernel
+        ref = stored_kernel(sp.eye_array(n, format="csr"))
+        # below 512 cells dense, from there on the CSR arrays of sp.eye_array
+        assert type(got) is type(ref)
+        if sp.issparse(ref):
+            assert all(getattr(got, a).tobytes() == getattr(ref, a).tobytes()
+                       and getattr(got, a).dtype == getattr(ref, a).dtype
+                       for a in ("indptr", "indices", "data"))
+        else:
+            assert got.tobytes() == ref.tobytes()

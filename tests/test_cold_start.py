@@ -1,0 +1,53 @@
+"""Cold start: scipy.sparse is imported only where a CSR kernel is built or
+the periodicity detector runs, so importing the package and running a
+small-scenario command leave it unloaded.  Each check runs in a fresh
+interpreter, since any earlier test may have loaded it."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+REPO = Path(__file__).resolve().parents[1]
+SCENARIOS = REPO / "scenarios"
+
+# runs the CLI in-process and reports whether scipy.sparse got loaded
+RUN_CLI = """
+import sys
+from cocyclelab.cli import main
+code = main(sys.argv[1:])
+print("scipy.sparse" in sys.modules, code)
+"""
+
+
+def fresh_python(*argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
+                               else []))
+    proc = subprocess.run([sys.executable, *argv], env=env, cwd=REPO,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+def test_importing_the_cli_leaves_scipy_sparse_unloaded():
+    out = fresh_python("-c", "import sys, cocyclelab.cli; "
+                             "print('scipy.sparse' in sys.modules)")
+    assert out == ["False"]
+
+
+@pytest.mark.parametrize("command, loaded", [
+    (["run-exactness", "--scenario", "scenarios/doubling_exact.yaml"], False),
+    (["run-mixing", "--scenario", "scenarios/blockswap.yaml",
+      "--notion", "prior-hom"], False),
+    (["report", "--scenario", "scenarios/doubling_exact.yaml"], True),
+    (["run-asymp", "--scenario", "scenarios/block3cycle.yaml"], True),
+])
+def test_scipy_sparse_is_loaded_only_where_it_runs(tmp_path, command, loaded):
+    # the detector (report, run-asymp) builds its row-cell graph as CSR
+    out = fresh_python("-c", RUN_CLI, *command,
+                       "--out", str(tmp_path / "out.csv"))
+    assert out[-2:] == [str(loaded), "0"]

@@ -25,6 +25,7 @@ from cocyclelab.driving import BERNOULLI
 from cocyclelab.exactness import exactness_report
 from cocyclelab.mixing import COUNTEREXAMPLE_MAX_K, estimate_mixing
 from cocyclelab.scenario import (
+    MAX_HORIZON,
     AnalysisConfig,
     ScenarioError,
     UnresolvedReferenceError,
@@ -441,6 +442,9 @@ def test_cli_zero_horizon_is_an_override(tmp_path):
     (["report"], ["--horizon", "-1"]),
     (["report"], ["--tol", "inf"]),
     (["run-exactness"], ["--tol", "nan"]),
+    (["run-mixing", "--notion", "prior-hom"],
+     ["--horizon", "100000000000000000000"]),
+    (["run-qc"], ["--horizon", str(MAX_HORIZON + 1)]),
 ])
 def test_cli_bad_horizon_or_tol_exit_two(tmp_path, capsys, command, flags):
     rc = main(command + ["--scenario", str(SCENARIOS / "blockswap.yaml"),
@@ -448,6 +452,31 @@ def test_cli_bad_horizon_or_tol_exit_two(tmp_path, capsys, command, flags):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_cli_horizon_at_the_cap_is_valid(tmp_path):
+    out = tmp_path / "mx.csv"
+    rc = main(["run-mixing", "--scenario", str(SCENARIOS / "blockswap.yaml"),
+               "--notion", "prior-hom", "--horizon", str(MAX_HORIZON),
+               "--out", str(out)])
+    assert rc == 0
+    assert rows_of(out)[-1]["n"] == str(MAX_HORIZON)
+
+
+@pytest.mark.parametrize("command", [
+    ["run-mixing", "--notion", "prior-hom"],
+    ["report"],
+    ["run-skew", "--sets", str(SCENARIOS / "sets_halves.yaml")],
+])
+def test_cli_negative_seed_override_exit_two(tmp_path, capsys, command):
+    rc = main(command + ["--scenario", str(SCENARIOS / "bernoulli_doubling.yaml"),
+                         "--seed-override", "-1", "--horizon", "4",
+                         "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "--seed-override" in err
     assert not (tmp_path / "x.csv").exists()
 
 
@@ -492,6 +521,11 @@ BAD_VALUES = {  # id -> (scenario, block, key, value)
     "eps-inf": ("block3cycle.yaml", "analysis", "eps", [0.25, INF]),
     "eps-negative": ("block3cycle.yaml", "analysis", "eps", [-0.5]),
     "eps-empty": ("block3cycle.yaml", "analysis", "eps", []),
+    "seed-negative": ("bernoulli_doubling.yaml", "driving", "seed", -1),
+    "horizon-huge": ("blockswap.yaml", "analysis", "horizon", 10**20),
+    "horizon-above-cap": ("blockswap.yaml", "analysis", "horizon",
+                          MAX_HORIZON + 1),
+    "horizon-negative": ("blockswap.yaml", "analysis", "horizon", -1),
 }
 # each value with a command that used to crash on it or run with it
 BAD_RUNS = [("tail-nan", "report"), ("tail-nan", "run-exactness"),
@@ -501,7 +535,9 @@ BAD_RUNS = [("tail-nan", "report"), ("tail-nan", "run-exactness"),
             ("eps-nan", "run-qc"), ("eps-inf", "run-qc"),
             ("eps-negative", "report"), ("asymp-tol-inf", "report"),
             ("tol-inf", "report"), ("tol-nan", "run-exactness"),
-            ("tol-zero", "run-qc")]
+            ("tol-zero", "run-qc"), ("seed-negative", "report"),
+            ("seed-negative", "run-exactness"), ("horizon-huge", "run-exactness"),
+            ("horizon-above-cap", "report")]
 
 
 def with_value(tmp_path, scenario, block, key, value):

@@ -6,12 +6,16 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cocyclelab.transfer
 from cocyclelab.measure import (
+    SPARSE_MIN_CELLS,
     Density,
     FiniteMeasureSpace,
     Observable,
     PreconditionError,
+    kernel_from_entries,
     markov_check,
+    stored_kernel,
 )
 from cocyclelab.transfer import (
     MapSpec,
@@ -295,3 +299,59 @@ def test_duality_residual_rejects_bad_refinement():
     with pytest.raises(PreconditionError):
         duality_residual(P, MapSpec("doubling"), Density.uniform(space),
                          Observable.constant(space), refinement=0)
+
+
+# -- the dense build below the storage rule ------------------------------------
+
+
+def csr_then_stored(n, rows, cols, values):
+    """Reference build: COO -> CSR, then the storage rule (as MarkovMatrix
+    applies it), for every N."""
+    return stored_kernel(sp.csr_array((values, (rows, cols)), shape=(n, n)))
+
+
+def same_stored_kernel(got, ref):
+    assert type(got) is type(ref)
+    if sp.issparse(ref):
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(ref, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    else:
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+
+
+STORAGE_SIZES = [2, 64, 256, 511, 512, 1024]
+EXACT_CASES = ([("doubling", None, n) for n in [1] + STORAGE_SIZES if not n & (n - 1)]
+               + [("baker_cyclic", bits, 1 << bits) for bits in (2, 6, 8, 10)])
+
+
+@pytest.mark.parametrize("kind, bits, n", EXACT_CASES)
+def test_pf_exact_kernel_bytes_equal_the_csr_build(monkeypatch, kind, bits, n):
+    spec, space = MapSpec(kind, bits=bits), FiniteMeasureSpace.uniform(n)
+    got = pf_exact(spec, space).kernel
+    monkeypatch.setattr(cocyclelab.transfer, "kernel_from_entries",
+                        csr_then_stored)
+    ref = pf_exact(spec, space).kernel
+    assert isinstance(ref, sp.csr_array if n >= SPARSE_MIN_CELLS else np.ndarray)
+    same_stored_kernel(got, ref)
+
+
+@pytest.mark.parametrize("n", STORAGE_SIZES)
+@pytest.mark.parametrize("kind, samples", [("doubling", 16), ("tent", 3)])
+def test_pf_ulam_kernel_bytes_equal_the_csr_build(monkeypatch, n, kind, samples):
+    spec, space = MapSpec(kind), FiniteMeasureSpace.uniform(n)
+    got = pf_ulam(spec, space, samples, seed=n)
+    monkeypatch.setattr(cocyclelab.transfer, "kernel_from_entries",
+                        csr_then_stored)
+    same_stored_kernel(got.kernel, pf_ulam(spec, space, samples, seed=n).kernel)
+
+
+@pytest.mark.parametrize("n", [3, 511, 512])
+def test_kernel_from_entries_sums_repeated_positions(n):
+    rows = np.array([0, 0, 1, 1, 1] + list(range(2, n)))
+    cols = np.array([1, 1, 0, 2, 2] + list(range(2, n)))
+    values = np.array([0.25, 0.75, 0.5, 0.25, 0.25] + [1.0] * (n - 2))
+    same_stored_kernel(kernel_from_entries(n, rows, cols, values),
+                       csr_then_stored(n, rows, cols, values))
+
