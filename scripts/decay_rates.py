@@ -3,37 +3,27 @@
 shipped scenarios and print a per-scenario summary table.
 
 Usage:
-    python3 scripts/decay_rates.py [--scenario-dir scenarios] [--horizon 40]
+    python3 scripts/decay_rates.py [--scenario-dir DIR] [--horizon N] [--tol T]
+
+--horizon and --tol replace each scenario's values, checked by its rules.
 """
 
 import argparse
 import glob
 import os
+import sys
 
+from cocyclelab.cli import _bases, _env_points
 from cocyclelab.curves import fit_geometric_rates
-from cocyclelab.driving import BERNOULLI, points, sample_env
-from cocyclelab.mixing import estimate_mixing, indicator_basis, zero_mean_basis
-from cocyclelab.scenario import load_scenario
-
-
-def env_points(sc):
-    if sc.driving.kind == BERNOULLI:
-        return sample_env(sc.driving, sc.analysis.env_samples,
-                          sc.analysis.env_seed)
-    return points(sc.driving)
-
-
-def bases(sc):
-    count = sc.analysis.basis_count
-    return (zero_mean_basis(sc.space, count=count),
-            indicator_basis(sc.space, count=count))
+from cocyclelab.mixing import estimate_mixing
+from cocyclelab.scenario import ScenarioError, load_scenario
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--scenario-dir", default="scenarios")
-    ap.add_argument("--horizon", type=int, default=40)
-    ap.add_argument("--tol", type=float, default=1e-6)
+    ap.add_argument("--horizon", type=int, default=None)
+    ap.add_argument("--tol", type=float, default=None)
     args = ap.parse_args(argv)
 
     files = sorted(glob.glob(os.path.join(args.scenario_dir, "*.yaml")))
@@ -41,21 +31,28 @@ def main(argv=None) -> int:
     for path in files:
         if os.path.basename(path).startswith("sets_"):
             continue
-        sc = load_scenario(path)
-        f_basis, g_obs = bases(sc)
+        try:
+            sc = load_scenario(path, vars(args))
+        except ScenarioError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        a = sc.analysis
+        f_basis, g_obs = _bases(sc)
         rep = estimate_mixing(sc.cocycle, "prior-hom", f_basis, g_obs,
-                              env_points(sc), args.horizon, args.tol)
-        n_curves = rep.values.shape[0] * rep.values.shape[1] * rep.values.shape[2]
-        fits = [f for f in fit_geometric_rates(rep.values).values()
-                if f.n_points >= 2]
-        if rep.decayed and fits:
-            # slowest surviving mode dominates the long-run decay
-            best = max(fits, key=lambda f: f.rate)
-            print(f"{sc.name:22s} {str(rep.decayed):8s} {best.rate:8.4f} "
-                  f"{best.r_squared:6.3f} {n_curves}")
+                              _env_points(sc), a.horizon, a.tol,
+                              tail_fraction=a.tail_fraction)
+        fits = fit_geometric_rates(rep.values)
+        usable = fits.n_points >= 2
+        if rep.decayed and usable.any():
+            # slowest surviving mode dominates the long-run decay; the mask
+            # reads row-major and argmax takes the first maximum
+            best = fits.rate[usable].argmax()
+            print(f"{sc.name:22s} {str(rep.decayed):8s} "
+                  f"{fits.rate[usable][best]:8.4f} "
+                  f"{fits.r_squared[usable][best]:6.3f} {len(fits)}")
         else:
             print(f"{sc.name:22s} {str(rep.decayed):8s} {'-':>8s} {'-':>6s} "
-                  f"{n_curves}")
+                  f"{len(fits)}")
     return 0
 
 

@@ -34,8 +34,7 @@ from .mixing import (
     step_map_basis,
     zero_mean_basis,
 )
-from .scenario import (MAX_HORIZON, ScenarioError, _require_verdict_window,
-                       load_product_sets, load_scenario)
+from .scenario import ScenarioError, load_product_sets, load_scenario
 from .skew import skew_mixing_curve
 
 # caps for the aggregate `report` command on sampled (bernoulli) driving,
@@ -79,31 +78,19 @@ def _write_csv(path: str, header, blocks):
                 zip([h for h in heads for _ in range(width)], zip(*cells))]))
 
 
-def _env_seed(scenario, seed_override=None) -> int:
-    """The --seed-override, or the scenario's seed where it is absent."""
-    if seed_override is None:
-        return scenario.analysis.env_seed
-    if seed_override < 0:
-        raise PreconditionError(
-            f"--seed-override must be >= 0, got {seed_override}")
-    return seed_override
-
-
-def _env_points(scenario, seed_override=None, count=None):
-    d = scenario.driving
-    seed = _env_seed(scenario, seed_override)
+def _env_points(scenario, count=None):
+    d, a = scenario.driving, scenario.analysis
     if d.kind == BERNOULLI:
-        n = count if count is not None else scenario.analysis.env_samples
-        return sample_env(d, n, seed)
+        return sample_env(d, a.env_samples if count is None else count,
+                          a.env_seed)
     return points(d)
 
 
-def _probed_points(scenario, seed_override=None):
+def _probed_points(scenario):
     """The points that the per-point routes probe: every point of finite
     driving, the first REPORT_HEAVY_OMEGAS samples of bernoulli driving."""
-    return _env_points(scenario, seed_override,
-                       count=min(REPORT_HEAVY_OMEGAS,
-                                 scenario.analysis.env_samples))
+    return _env_points(scenario, count=min(REPORT_HEAVY_OMEGAS,
+                                           scenario.analysis.env_samples))
 
 
 def _bases(scenario):
@@ -137,54 +124,36 @@ def cycle_notation(perm) -> str:
     return "".join(parts)
 
 
-def _horizon_tol(args, scenario):
-    """The --horizon and --tol overrides, or the scenario's values where a
-    flag is absent; a zero horizon is a valid override, one whose verdict
-    window holds n = 0 is not."""
-    a = scenario.analysis
-    horizon = a.horizon if args.horizon is None else args.horizon
-    tol = a.tol if args.tol is None else args.tol
-    if not 0 <= horizon <= MAX_HORIZON:
-        raise PreconditionError(
-            f"horizon must lie in [0, {MAX_HORIZON}], got {horizon}")
-    _require_verdict_window(horizon, a.tail_fraction)
-    if not 0 < tol < np.inf:
-        raise PreconditionError(f"tolerance must be finite and > 0, got {tol}")
-    return horizon, tol
-
-
 # -- subcommands ----------------------------------------------------------------
 
 
 def cmd_run_mixing(args) -> int:
-    sc = load_scenario(args.scenario)
-    horizon, tol = _horizon_tol(args, sc)
-    omegas = _env_points(sc, args.seed_override)
+    sc = load_scenario(args.scenario, vars(args))
+    a = sc.analysis
+    omegas = _env_points(sc)
     f_basis, g_obs = _bases(sc)
     g_basis = _g_basis_for(sc, args.notion, g_obs)
     rep = estimate_mixing(sc.cocycle, args.notion, f_basis, g_basis, omegas,
-                          horizon, tol,
-                          tail_fraction=sc.analysis.tail_fraction)
-    ns = np.arange(horizon + 1)
+                          a.horizon, a.tol, tail_fraction=a.tail_fraction)
+    ns = np.arange(a.horizon + 1)
     blocks = (([(args.notion, w, i, j) for j in range(len(g_basis))],
                (ns, rep.values[w, i]))
               for w in range(len(omegas)) for i in range(len(f_basis)))
     _write_csv(args.out, ("notion", "omega_id", "f_id", "g_id", "n", "value"),
                blocks)
     print(f"{sc.name}: {args.notion} decayed={rep.decayed} "
-          f"(tol={tol}, horizon={horizon}) -> {args.out}")
+          f"(tol={a.tol}, horizon={a.horizon}) -> {args.out}")
     return 0
 
 
 def cmd_run_exactness(args) -> int:
-    sc = load_scenario(args.scenario)
-    horizon, tol = _horizon_tol(args, sc)
-    omegas = _probed_points(sc, args.seed_override)
+    sc = load_scenario(args.scenario, vars(args))
+    a = sc.analysis
     f_basis, g_obs = _bases(sc)
-    ns, blocks = np.arange(horizon + 1), []
-    for w, omega in enumerate(omegas):
-        rep = exactness_report(sc.cocycle, omega, f_basis, g_obs, horizon, tol,
-                               tail_fraction=sc.analysis.tail_fraction)
+    ns, blocks = np.arange(a.horizon + 1), []
+    for w, omega in enumerate(_probed_points(sc)):
+        rep = exactness_report(sc.cocycle, omega, f_basis, g_obs, a.horizon,
+                               a.tol, tail_fraction=a.tail_fraction)
         blocks += [([(w, "norm")], (ns, rep.norm_curves.max(axis=0))),
                    ([(w, "lin")], (ns, rep.flatness_curves.max(axis=0)))]
         if rep.tail is not None:
@@ -198,14 +167,12 @@ def cmd_run_exactness(args) -> int:
 
 
 def cmd_run_asymp(args) -> int:
-    sc = load_scenario(args.scenario)
-    horizon, _ = _horizon_tol(args, sc)
-    rmax = sc.analysis.rmax if args.rmax is None else args.rmax
-    omegas = _probed_points(sc, args.seed_override)
+    sc = load_scenario(args.scenario, vars(args))
+    a = sc.analysis
     blocks = []
-    for w, omega in enumerate(omegas):
-        dec = detect_periodicity(sc.cocycle, omega, horizon, rmax,
-                                 tol=sc.analysis.asymp_tol)
+    for w, omega in enumerate(_probed_points(sc)):
+        dec = detect_periodicity(sc.cocycle, omega, a.horizon, a.rmax,
+                                 tol=a.asymp_tol)
         if dec.found:
             label = (w, dec.r, cycle_notation(dec.rho))
             print(f"{sc.name} omega_{w}: r={dec.r} rho={cycle_notation(dec.rho)} "
@@ -219,19 +186,13 @@ def cmd_run_asymp(args) -> int:
 
 
 def cmd_run_qc(args) -> int:
-    sc = load_scenario(args.scenario)
-    horizon, _ = _horizon_tol(args, sc)
-    try:
-        eps_values = tuple(float(v) for v in args.eps.split(",")) \
-            if args.eps is not None else sc.analysis.eps
-    except ValueError:
-        raise PreconditionError(f"--eps takes numbers: {args.eps!r}") from None
-    omegas = _probed_points(sc, args.seed_override)
+    sc = load_scenario(args.scenario, vars(args))
     # delta per eps is the worst (largest) leftover over the probed points
-    eps_sorted = sorted(set(eps_values))
+    eps_sorted = sorted(set(sc.analysis.eps))
     worst = np.zeros(len(eps_sorted))
-    for omega in omegas:
-        rep = quasi_constrictive_probe(sc.cocycle, omega, horizon, eps_sorted)
+    for omega in _probed_points(sc):
+        rep = quasi_constrictive_probe(sc.cocycle, omega, sc.analysis.horizon,
+                                       eps_sorted)
         worst = np.maximum(worst, rep.deltas)
     _write_csv(args.out, ("eps", "delta"), [([()], (eps_sorted, worst))])
     verdict = worst[0] > 0.0
@@ -241,18 +202,16 @@ def cmd_run_qc(args) -> int:
 
 
 def cmd_run_skew(args) -> int:
-    sc = load_scenario(args.scenario)
-    horizon, tol = _horizon_tol(args, sc)
+    sc = load_scenario(args.scenario, vars(args))
+    an = sc.analysis
     pairs = load_product_sets(args.sets, sc.space.n)
     nc = NormalizedCocycle(cocycle=sc.cocycle,
                            h=build_invariant_density_map(sc.cocycle))
-    seed = _env_seed(sc, args.seed_override)
-    mc = sc.analysis.env_samples if args.mc_samples is None else args.mc_samples
-    ns, blocks = np.arange(horizon + 1), []
+    ns, blocks = np.arange(an.horizon + 1), []
     for pair_id, a, b in pairs:
-        rep = skew_mixing_curve(nc, a, b, horizon, tol,
-                                tail_fraction=sc.analysis.tail_fraction,
-                                mc_samples=mc, seed=seed)
+        rep = skew_mixing_curve(nc, a, b, an.horizon, an.tol,
+                                tail_fraction=an.tail_fraction,
+                                mc_samples=an.env_samples, seed=an.env_seed)
         product = np.full(ns.size, rep.product)
         blocks.append(([(pair_id,)], (ns, rep.joint, product, rep.discrepancy)))
         flags = (f"method={rep.method} decayed={rep.decayed} "
@@ -286,8 +245,8 @@ def cmd_run_counterexample(args) -> int:
 
 
 def cmd_report(args) -> int:
-    sc = load_scenario(args.scenario)
-    horizon, tol = _horizon_tol(args, sc)
+    sc = load_scenario(args.scenario, vars(args))
+    a = sc.analysis
     lines = []
 
     def check(name, omega_id, ok, detail=""):
@@ -299,8 +258,8 @@ def cmd_report(args) -> int:
         lines.append((name, omega_id, "SKIP", detail))
         print(f"[SKIP] {name} @ omega_{omega_id} {detail}")
 
-    omegas = _env_points(sc, args.seed_override)
-    heavy = _probed_points(sc, args.seed_override)
+    omegas = _env_points(sc)
+    heavy = _probed_points(sc)
     f_basis, g_obs = _bases(sc)
 
     # mixing notions: the four verdicts must coincide; the estimator reads a
@@ -308,8 +267,8 @@ def cmd_report(args) -> int:
     verdicts = {}
     for kind in ("hom", "inhom"):
         rep = estimate_mixing(sc.cocycle, f"prior-{kind}", f_basis,
-                              _g_basis_for(sc, kind, g_obs), omegas, horizon,
-                              tol, tail_fraction=sc.analysis.tail_fraction)
+                              _g_basis_for(sc, kind, g_obs), omegas,
+                              a.horizon, a.tol, tail_fraction=a.tail_fraction)
         verdicts[f"prior-{kind}"] = rep.prior_decayed
         verdicts[f"post-{kind}"] = rep.posterior_decayed
     agree = len(set(verdicts.values())) == 1
@@ -319,8 +278,8 @@ def cmd_report(args) -> int:
     # exactness route agreement per probed point, tail route where defined
     exact_by_omega = {}
     for w, omega in enumerate(heavy):
-        rep = exactness_report(sc.cocycle, omega, f_basis, g_obs, horizon, tol,
-                               tail_fraction=sc.analysis.tail_fraction)
+        rep = exactness_report(sc.cocycle, omega, f_basis, g_obs, a.horizon,
+                               a.tol, tail_fraction=a.tail_fraction)
         exact_by_omega[w] = rep.exact_verdict
         check("exactness-routes-agree", w, rep.routes_agree,
               f"norm={rep.norms_decayed} dual={rep.dual_decayed}")
@@ -335,10 +294,10 @@ def cmd_report(args) -> int:
     # detector reads the orbit after its burn-in, so a verdict window that
     # starts earlier reads curves the detector does not see
     finite = sc.driving.kind != BERNOULLI
-    window = tail_start(horizon + 1, sc.analysis.tail_fraction)
+    window = tail_start(a.horizon + 1, a.tail_fraction)
     for w, omega in enumerate(heavy):
-        dec = detect_periodicity(sc.cocycle, omega, horizon,
-                                 sc.analysis.rmax, tol=sc.analysis.asymp_tol)
+        dec = detect_periodicity(sc.cocycle, omega, a.horizon, a.rmax,
+                                 tol=a.asymp_tol)
         if not dec.found:
             skip("periodicity-vs-exactness", w, f"none found: {dec.reason}")
             continue
@@ -369,8 +328,8 @@ def cmd_report(args) -> int:
                 sub_f = zero_mean_basis(sub.table[0].space)
                 sub_g = indicator_basis(sub.table[0].space)
                 sub_rep = exactness_report(
-                    sub, point(sub.driving, 0), sub_f, sub_g, horizon, tol,
-                    tail_fraction=sc.analysis.tail_fraction)
+                    sub, point(sub.driving, 0), sub_f, sub_g, a.horizon,
+                    a.tol, tail_fraction=a.tail_fraction)
                 check("restricted-power-exact", w, sub_rep.exact_verdict,
                       f"component={i} cells={int(cells[0])}..{int(cells[-1])} "
                       f"({len(cells)})")
@@ -408,11 +367,11 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--out", required=out_required,
                            help="output CSV path")
             p.add_argument("--horizon", type=int, default=None,
-                           help="override the scenario horizon")
+                           help="replace analysis.horizon")
             p.add_argument("--tol", type=float, default=None,
-                           help="override the scenario tolerance")
+                           help="replace analysis.tol")
             p.add_argument("--seed-override", type=int, default=None,
-                           help="replace the environment-sampling seed")
+                           help="replace driving.seed")
         return p
 
     p = command("run-mixing", cmd_run_mixing,
@@ -422,14 +381,16 @@ def build_parser() -> argparse.ArgumentParser:
             "norm/dual/tail exactness curves")
     p = command("run-asymp", cmd_run_asymp, "asymptotic periodicity detection")
     p.add_argument("--rmax", type=int, default=None,
-                   help="override the component-count cap")
+                   help="replace analysis.rmax")
     p = command("run-qc", cmd_run_qc, "quasi-constrictivity probe")
     p.add_argument("--eps", default=None,
-                   help="comma-separated capture thresholds, e.g. 0.1,0.01")
+                   help="replace analysis.eps: comma-separated, "
+                        "e.g. 0.1,0.01")
     p = command("run-skew", cmd_run_skew, "skew-product joint measure curves")
     p.add_argument("--sets", required=True, help="product-set YAML file")
     p.add_argument("--mc-samples", type=int, default=None,
-                   help="Monte-Carlo sample count for non-constant tables")
+                   help="replace driving.samples, the Monte-Carlo "
+                        "sample count for non-constant tables")
     p = command("run-counterexample", cmd_run_counterexample,
                 "travelling-observable non-decay demonstration", common=False)
     p.add_argument("--k", type=int, required=True,

@@ -5,8 +5,6 @@ of a curve array, plus geometric rate fits for callers that want them."""
 from __future__ import annotations
 
 import dataclasses
-import itertools
-from collections.abc import Mapping
 
 import numpy as np
 
@@ -17,7 +15,7 @@ def tail_start(length: int, tail_fraction: float = 0.1) -> int:
     """Index where the verdict window begins: the last ceil(length * frac)
     entries of the curve."""
     if length < 1:
-        raise ValueError("curves must have at least one entry")
+        raise PreconditionError("curves must have at least one entry")
     if not 0 < tail_fraction <= 1:
         raise PreconditionError(
             f"tail_fraction must lie in (0, 1], got {tail_fraction}")
@@ -43,26 +41,11 @@ def curve_decayed(values, tol: float, tail_fraction: float = 0.1):
     return tail_max(values, tail_fraction) < tol
 
 
-def first_below(values, tol: float) -> int | None:
-    """First index from which the suffix envelope stays below tol."""
-    env = suffix_envelope(values)
-    hits = np.flatnonzero(env < tol)
-    return int(hits[0]) if hits.size else None
-
-
-@dataclasses.dataclass(frozen=True)
-class RateFit:
-    rate: float      # fitted lambda in |value_n| ~ C * lambda^n
-    log_c: float
-    r_squared: float
-    n_points: int
-
-
 @dataclasses.dataclass(frozen=True, eq=False)
-class RateFits(Mapping):
-    """Rate fits for an array of curves: four read-only arrays, each shaped
-    like the curves' leading axes.  Reads as a mapping from index tuples to
-    ``RateFit``; a ``RateFit`` is built only when one is read."""
+class RateFit:
+    """Geometric rate fits |value_n| ~ C * rate^n for an array of curves:
+    four read-only arrays shaped like the curves' leading axes (0-d for one
+    curve).  ``len`` is the number of curves fitted."""
 
     rate: np.ndarray
     log_c: np.ndarray
@@ -73,31 +56,23 @@ class RateFits(Mapping):
         for arr in (self.rate, self.log_c, self.r_squared, self.n_points):
             arr.flags.writeable = False
 
-    def __getitem__(self, key) -> RateFit:
-        shape = self.rate.shape
-        if (not isinstance(key, tuple) or len(key) != len(shape)
-                or not all(isinstance(k, (int, np.integer)) and 0 <= k < s
-                           for k, s in zip(key, shape))):
-            raise KeyError(key)
-        return RateFit(rate=float(self.rate[key]), log_c=float(self.log_c[key]),
-                       r_squared=float(self.r_squared[key]),
-                       n_points=int(self.n_points[key]))
-
-    def __iter__(self):
-        return itertools.product(*map(range, self.rate.shape))
-
     def __len__(self) -> int:
         return self.rate.size
 
 
-def fit_geometric_rates(values, floor: float = 1e-14) -> RateFits:
-    """``fit_geometric_rate`` along the last axis of a curve array, batched.
+def fit_geometric_rates(values, floor: float = 1e-14) -> RateFit:
+    """Least squares of log|value| against n along the last axis of a curve
+    array, over each curve's decaying segment: the indices up to the last
+    point where the suffix envelope still exceeds the floor, skipping
+    exact-zero crossings.  Curves that die instantly (fewer than two usable
+    points) report rate 0.
 
-    Returns the fits keyed by the index tuples of the leading axes.  Rows
-    are processed in chunks so the masked least-squares scratch arrays stay
-    bounded regardless of how many curves are fitted at once.
+    Rows are processed in chunks so the masked least-squares scratch arrays
+    stay bounded regardless of how many curves are fitted at once.
     """
     v = np.abs(np.asarray(values, dtype=float))
+    if v.ndim == 0 or v.shape[-1] == 0:
+        raise PreconditionError("curves must have at least one entry")
     flat = v.reshape(-1, v.shape[-1])
     m, length = flat.shape
     x = np.arange(length, dtype=float)
@@ -136,14 +111,5 @@ def fit_geometric_rates(values, floor: float = 1e-14) -> RateFits:
         rate[chunk] = np.where(usable, np.exp(np.where(usable, slope, 0.0)), 0.0)
         log_c[chunk], r_squared[chunk], n_points[chunk] = intercept, r2, k
     lead = v.shape[:-1]
-    return RateFits(rate.reshape(lead), log_c.reshape(lead),
-                    r_squared.reshape(lead), n_points.reshape(lead))
-
-
-def fit_geometric_rate(values, floor: float = 1e-14) -> RateFit:
-    """Least squares of log|value| against n over the decaying segment: the
-    indices up to the last point where the suffix envelope still exceeds the
-    floor, skipping exact-zero crossings.  Curves that die instantly (fewer
-    than two usable points) report rate 0."""
-    return fit_geometric_rates(np.asarray(values, dtype=float)[None, :],
-                               floor=floor)[(0,)]
+    return RateFit(rate.reshape(lead), log_c.reshape(lead),
+                   r_squared.reshape(lead), n_points.reshape(lead))

@@ -217,6 +217,8 @@ def sample_env(d: DrivingSystem, count: int, seed: int) -> list[EnvPoint]:
     """
     if count < 0:
         raise DrivingError(f"sample count must be nonnegative, got {count}")
+    if seed < 0:
+        raise DrivingError(f"sample seed must be nonnegative, got {seed}")
     if d.kind in FINITE_KINDS:
         rng = np.random.default_rng(seed)
         idx = rng.choice(d.n_points, size=count, p=d.probs)

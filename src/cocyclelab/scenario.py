@@ -14,6 +14,11 @@ Layout (keys in parentheses are optional)::
                  synthetic: identity | uniform | {block_cycle: r}
     cocycle:   table: {feature -> operator name}  or  constant: name
     analysis:  (horizon) (tol) (rmax) (eps) (tail_fraction) (basis_count)
+               (asymp_tol)
+
+One rule table checks the analysis values, ``driving.samples`` and
+``driving.seed`` included, at load.  A CLI flag that replaces one of them
+(``ANALYSIS_KEYS``) goes through the same table, and an error names it.
 
 Operators are built once per name and shared by reference, so a table whose
 entries all point at one name is recognized as a constant family.  All
@@ -31,7 +36,7 @@ the environment part against the scenario's driving; any other raises
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import yaml
@@ -71,7 +76,7 @@ MAX_HORIZON = 1000
 
 @dataclass(frozen=True)
 class AnalysisConfig:
-    """Per-scenario analysis knobs; CLI flags override individual fields."""
+    """Per-scenario analysis knobs; CLI flags replace individual fields."""
 
     horizon: int = 40
     tol: float = 1e-6
@@ -84,6 +89,21 @@ class AnalysisConfig:
     # structure residual accepted by the periodicity detector; Monte-Carlo
     # kernels need a looser value than the exact-model default
     asymp_tol: float = 1e-10
+
+
+# Each analysis field: the scenario key that sets it, and the command-line
+# flag that replaces it (None where no flag does).
+ANALYSIS_KEYS = {
+    "horizon": ("analysis.horizon", "--horizon"),
+    "tol": ("analysis.tol", "--tol"),
+    "rmax": ("analysis.rmax", "--rmax"),
+    "eps": ("analysis.eps", "--eps"),
+    "tail_fraction": ("analysis.tail_fraction", None),
+    "basis_count": ("analysis.basis_count", None),
+    "env_samples": ("driving.samples", "--mc-samples"),
+    "env_seed": ("driving.seed", "--seed-override"),
+    "asymp_tol": ("analysis.asymp_tol", None),
+}
 
 
 @dataclass(frozen=True)
@@ -248,73 +268,87 @@ def _build_cocycle(node, d: DrivingSystem, operators: dict) -> CocycleFamily:
         raise ScenarioError(f"invariant violation in cocycle: {exc}")
 
 
-def _build_analysis(node, driving_node) -> AnalysisConfig:
-    node = _require_mapping(node, "analysis block") if node else {}
-    driving_node = driving_node or {}
-    base = AnalysisConfig()
-    eps = node.get("eps", base.eps)
-    if not isinstance(eps, (list, tuple)):
-        eps = [eps]
-    basis = node.get("basis_count", base.basis_count)
-    try:
-        cfg = AnalysisConfig(
-            horizon=int(node.get("horizon", base.horizon)),
-            tol=float(node.get("tol", base.tol)),
-            rmax=int(node.get("rmax", base.rmax)),
-            eps=tuple(float(v) for v in eps),
-            tail_fraction=float(node.get("tail_fraction", base.tail_fraction)),
-            basis_count=None if basis is None else int(basis),
-            env_samples=int(driving_node.get("samples", base.env_samples)),
-            env_seed=int(driving_node.get("seed", base.env_seed)),
-            asymp_tol=float(node.get("asymp_tol", base.asymp_tol)),
-        )
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ScenarioError(f"bad analysis value: {exc}")
-    # the comparisons are written so that NaN fails them
-    checks = (
-        (0 < cfg.tail_fraction <= 1, "analysis.tail_fraction", "lie in (0, 1]",
-         cfg.tail_fraction),
-        (cfg.basis_count is None or cfg.basis_count >= 1,
-         "analysis.basis_count", "be >= 1", cfg.basis_count),
-        (0 < cfg.tol < np.inf, "analysis.tol", "be finite and > 0", cfg.tol),
-        (0 < cfg.asymp_tol < np.inf, "analysis.asymp_tol",
-         "be finite and > 0", cfg.asymp_tol),
-        (cfg.rmax >= 0, "analysis.rmax", "be >= 0", cfg.rmax),
-        (bool(cfg.eps) and all(0 < v < np.inf for v in cfg.eps),
-         "analysis.eps", "be nonempty, finite and > 0", list(cfg.eps)),
-        (cfg.env_samples >= 1, "driving.samples", "be >= 1", cfg.env_samples),
-        (cfg.env_seed >= 0, "driving.seed", "be >= 0", cfg.env_seed),
-        (0 <= cfg.horizon <= MAX_HORIZON, "analysis.horizon",
-         f"lie in [0, {MAX_HORIZON}]", cfg.horizon),
-    )
-    for ok, key, rule, value in checks:
-        if not ok:
-            raise ScenarioError(f"{key} must {rule}, got {value}")
-    _require_verdict_window(cfg.horizon, cfg.tail_fraction)
+def _build_analysis(doc: dict, flags: dict) -> AnalysisConfig:
+    """Each analysis field from its flag where `flags` (argparse dests to
+    values, None for an absent flag) gives one, else from its scenario key,
+    else the default; then one rule table checks them all."""
+    blocks = {"analysis": _require_mapping(doc.get("analysis") or {},
+                                           "analysis block"),
+              "driving": doc["driving"]}
+    base, values, names = AnalysisConfig(), {}, {}
+    for name, (key, flag) in ANALYSIS_KEYS.items():
+        block, k = key.split(".")
+        dest = flag and flag[2:].replace("-", "_")
+        names[name] = key
+        if dest and flags.get(dest) is not None:
+            names[name], value = flag, flags[dest]
+        elif k in blocks[block]:
+            value = blocks[block][k]
+        else:
+            continue
+        try:
+            if name == "eps":  # a list, one number, or the flag's "0.1,0.01"
+                items = value.split(",") if isinstance(value, str) else value
+                value = tuple(map(float, items if isinstance(items, (list, tuple))
+                                  else [items]))
+            elif isinstance(getattr(base, name), float):
+                value = float(value)
+            elif value is not None:  # basis_count may be null
+                value = int(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ScenarioError(
+                f"bad analysis value for {names[name]}: {exc}") from None
+        values[name] = value
+    cfg = replace(base, **values)
+    _check_analysis(cfg, names)
     return cfg
 
 
-def _require_verdict_window(horizon: int, tail_fraction: float):
-    """Reject a tail fraction that puts n = 0 in the verdict window at this
-    horizon: such a window reads every curve before it can decay.  Horizon 0
-    has no other entry and is exempt."""
-    if horizon >= 1 and tail_start(horizon + 1, tail_fraction) == 0:
+def _check_analysis(cfg: AnalysisConfig, names: dict):
+    """The rules every analysis value obeys, whether a scenario key or a flag
+    set it; an error names the value as `names` does."""
+    # the comparisons are written so that NaN fails them
+    checks = (
+        (0 < cfg.tail_fraction <= 1, "tail_fraction", "lie in (0, 1]"),
+        (cfg.basis_count is None or cfg.basis_count >= 1, "basis_count",
+         "be >= 1"),
+        (0 < cfg.tol < np.inf, "tol", "be finite and > 0"),
+        (0 < cfg.asymp_tol < np.inf, "asymp_tol", "be finite and > 0"),
+        (cfg.rmax >= 0, "rmax", "be >= 0"),
+        (bool(cfg.eps) and all(0 < v < np.inf for v in cfg.eps), "eps",
+         "be nonempty, finite and > 0"),
+        (cfg.env_samples >= 1, "env_samples", "be >= 1"),
+        (cfg.env_seed >= 0, "env_seed", "be >= 0"),
+        (0 <= cfg.horizon <= MAX_HORIZON, "horizon",
+         f"lie in [0, {MAX_HORIZON}]"),
+    )
+    for ok, name, rule in checks:
+        if not ok:
+            value = getattr(cfg, name)
+            raise ScenarioError(f"{names[name]} must {rule}, got "
+                                f"{list(value) if name == 'eps' else value}")
+    # a window that holds n = 0 reads every curve before it can decay;
+    # horizon 0 has no other entry and is exempt
+    h = cfg.horizon
+    if h >= 1 and tail_start(h + 1, cfg.tail_fraction) == 0:
         raise ScenarioError(
-            f"analysis.tail_fraction {tail_fraction} puts n = 0 in the verdict "
-            f"window at horizon {horizon}; it must be at most "
-            f"{horizon}/{horizon + 1}")
+            f"{names['tail_fraction']} {cfg.tail_fraction} puts n = 0 in the "
+            f"verdict window at horizon {h}; it must be at most "
+            f"{h}/{h + 1}")
 
 
-def load_scenario(path: str) -> Scenario:
-    """Parse and eagerly validate a scenario file."""
+def load_scenario(path: str, flags: dict | None = None) -> Scenario:
+    """Parse and eagerly validate a scenario file.  `flags` maps argparse
+    dests to command-line values; each that is not None replaces the
+    analysis field of ANALYSIS_KEYS that its flag names."""
     doc = _load_yaml(path)
     space = _build_space(_get(doc, "space", path))
     driving = _build_driving(_get(doc, "driving", path))
+    analysis = _build_analysis(doc, flags or {})
     op_nodes = _require_mapping(_get(doc, "operators", path), "operators block")
     operators = {str(name): _build_operator(str(name), node, space)
                  for name, node in op_nodes.items()}
     cocycle = _build_cocycle(_get(doc, "cocycle", path), driving, operators)
-    analysis = _build_analysis(doc.get("analysis"), doc.get("driving"))
     name = str(doc.get("name") or path.rsplit("/", 1)[-1].rsplit(".", 1)[0])
     return Scenario(name=name, space=space, driving=driving,
                     operators=operators, cocycle=cocycle, analysis=analysis)

@@ -305,7 +305,7 @@ def test_ulam_refinement_residual_shrinks_and_rate_bounded():
                               [w], horizon=40, tol=1e-6)
         assert rep.decayed
         fits = fit_geometric_rates(rep.values)
-        fitted = max(fit.rate for fit in fits.values() if fit.n_points >= 2)
+        fitted = fits.rate[fits.n_points >= 2].max()
         assert fitted <= 0.6, f"fitted mixing rate {fitted:.4f}"
         assert abs(fitted - lam[256]) <= 0.15, (
             f"fitted rate {fitted:.4f} far from eigenvalue oracle "

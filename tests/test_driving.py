@@ -115,6 +115,12 @@ def test_sample_env_rejects_a_negative_count(d):
         sample_env(d, -1, seed=0)
 
 
+@pytest.mark.parametrize("d", [finite_rotation(3), bernoulli_shift([0.5, 0.5])])
+def test_sample_env_rejects_a_negative_seed(d):
+    with pytest.raises(DrivingError, match="seed"):
+        sample_env(d, 2, -1)
+
+
 def philox_symbol(seed, cum, k):
     """Reference: one generator advanced to coordinate k's own block."""
     bg = np.random.Philox(key=seed)

@@ -234,8 +234,9 @@ def test_report_rate_fit_on_lazy_kernel():
     c = constant_cocycle(MarkovMatrix(FiniteMeasureSpace.uniform(3), kernel))
     rep = full_report(c, horizon=25, tol=1e-6)
     assert rep.exact_verdict
-    for fit in fit_geometric_rates(rep.norm_curves).values():
-        assert fit.rate == pytest.approx(0.25, rel=1e-6)
+    rates = fit_geometric_rates(rep.norm_curves).rate
+    assert rates.size == len(rep.norm_curves)
+    assert rates.tolist() == pytest.approx([0.25] * rates.size, rel=1e-6)
 
 
 # -- properties ----------------------------------------------------------------

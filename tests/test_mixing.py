@@ -16,9 +16,7 @@ from hypothesis import assume, given, strategies as st
 from cocyclelab.cocycle import CocycleFamily, compose, orbit
 from cocyclelab.curves import (
     curve_decayed,
-    fit_geometric_rate,
     fit_geometric_rates,
-    first_below,
     suffix_envelope,
     tail_max,
     tail_start,
@@ -74,6 +72,13 @@ def constant_cocycle(kernel, q=1):
     P = MarkovMatrix(space, kernel)
     driving = finite_rotation(q)
     return CocycleFamily(driving=driving, table={i: P for i in range(q)})
+
+
+def first_below(values, tol):
+    """Reference threshold: the first index from which the suffix envelope
+    of one curve stays below tol, or None."""
+    hits = np.flatnonzero(suffix_envelope(values) < tol)
+    return int(hits[0]) if hits.size else None
 
 
 # -- plain correlations --------------------------------------------------------
@@ -468,8 +473,22 @@ def test_batched_rate_fits_match_scalar_fits(rows):
     length = max(len(r) for r in rows)
     curves = np.array([[x * 10.0 ** -abs(x) for x in r] + [0.0] * (length - len(r))
                        for r in rows])
-    assert list(fit_geometric_rates(curves).values()) == [
-        fit_geometric_rate(row) for row in curves]
+    whole = fit_geometric_rates(curves)
+    assert len(whole) == len(curves)
+    for k, row in enumerate(curves):
+        own = fit_geometric_rates(row)
+        for name in ("rate", "log_c", "r_squared", "n_points"):
+            assert getattr(own, name).shape == ()
+            assert getattr(whole, name)[k].tobytes() \
+                == getattr(own, name).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(2, 0), (0,)])
+def test_curve_readers_need_a_curve_entry(shape):
+    with pytest.raises(PreconditionError, match="at least one entry"):
+        fit_geometric_rates(np.zeros(shape))
+    with pytest.raises(PreconditionError, match="at least one entry"):
+        curve_decayed(np.zeros(shape), 1e-6)
 
 
 def reference_envelope(values):
@@ -531,9 +550,9 @@ def test_estimator_rate_fit_on_geometric_curve():
     rep = estimate_mixing(c, "post-hom", [f], indicator_basis(c.space),
                           points(c.driving), horizon=25, tol=1e-6)
     assert rep.decayed
-    fit = fit_geometric_rates(rep.values)[(0, 0, 0)]
-    assert fit.rate == pytest.approx(0.25, rel=1e-6)
-    assert fit.r_squared == pytest.approx(1.0, abs=1e-9)
+    fit = fit_geometric_rates(rep.values)
+    assert fit.rate[0, 0, 0] == pytest.approx(0.25, rel=1e-6)
+    assert fit.r_squared[0, 0, 0] == pytest.approx(1.0, abs=1e-9)
 
 
 # -- counterexample ------------------------------------------------------------

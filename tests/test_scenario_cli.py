@@ -1,5 +1,6 @@
 """Tests for scenario ingestion and the command-line runners."""
 
+import argparse
 import csv
 import os
 import re
@@ -17,6 +18,7 @@ from cocyclelab.cli import (
     _env_points,
     _g_basis_for,
     _write_csv,
+    build_parser,
     cycle_notation,
     main,
 )
@@ -25,6 +27,7 @@ from cocyclelab.driving import BERNOULLI
 from cocyclelab.exactness import exactness_report
 from cocyclelab.mixing import COUNTEREXAMPLE_MAX_K, estimate_mixing
 from cocyclelab.scenario import (
+    ANALYSIS_KEYS,
     MAX_HORIZON,
     AnalysisConfig,
     ScenarioError,
@@ -318,6 +321,7 @@ def test_cli_asymp_negative_rmax_exit_two(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+    assert "--rmax" in err
     assert not (tmp_path / "as.csv").exists()
 
 
@@ -348,7 +352,7 @@ def test_cli_skew_zero_mc_samples_exit_two(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
-    assert "mc_samples" in err
+    assert "--mc-samples" in err
 
 
 def test_cli_skew_prints_its_certificates(tmp_path, capsys):
@@ -392,7 +396,7 @@ def test_cli_qc_bad_eps_exit_two(tmp_path, capsys, eps):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
-    assert "eps" in err
+    assert "--eps" in err
     assert not out.exists()
 
 
@@ -452,6 +456,7 @@ def test_cli_bad_horizon_or_tol_exit_two(tmp_path, capsys, command, flags):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+    assert flags[0].split("=")[0] in err
     assert not (tmp_path / "x.csv").exists()
 
 
@@ -464,20 +469,67 @@ def test_cli_horizon_at_the_cap_is_valid(tmp_path):
     assert rows_of(out)[-1]["n"] == str(MAX_HORIZON)
 
 
-@pytest.mark.parametrize("command", [
-    ["run-mixing", "--notion", "prior-hom"],
-    ["report"],
-    ["run-skew", "--sets", str(SCENARIOS / "sets_halves.yaml")],
+SKEW_HALVES = ["run-skew", "--sets", str(SCENARIOS / "sets_halves.yaml")]
+
+
+@pytest.mark.parametrize("command, flags", [
+    (["run-mixing", "--notion", "prior-hom"], ["--seed-override", "-1"]),
+    (["report"], ["--seed-override", "-1"]),
+    (SKEW_HALVES, ["--seed-override", "-1"]),
+    (["run-exactness"], ["--seed-override", "-1"]),
+    (["run-asymp"], ["--seed-override", "-1"]),
+    (["run-qc"], ["--seed-override", "-1"]),
+    # bernoulli_doubling has a constant table, which reads no Monte-Carlo
+    # sample, so only the load-time check can reject these
+    (SKEW_HALVES, ["--mc-samples", "-1"]),
+    (SKEW_HALVES, ["--mc-samples", "0"]),
 ])
-def test_cli_negative_seed_override_exit_two(tmp_path, capsys, command):
+def test_cli_bad_sampling_override_exit_two(tmp_path, capsys, command, flags):
     rc = main(command + ["--scenario", str(SCENARIOS / "bernoulli_doubling.yaml"),
-                         "--seed-override", "-1", "--horizon", "4",
-                         "--out", str(tmp_path / "x.csv")])
+                         "--horizon", "4", "--out", str(tmp_path / "x.csv")]
+              + flags)
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
-    assert "--seed-override" in err
+    assert flags[0] in err
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_every_scenario_flag_goes_through_the_analysis_rules(tmp_path,
+                                                              capsys):
+    # a flag of a scenario command either names one of its inputs or
+    # replaces an analysis field; a bad value of each of the latter is
+    # rejected at load, named, and writes no CSV
+    overrides = {flag for _, flag in ANALYSIS_KEYS.values() if flag}
+    bad = {"--horizon": "-1", "--tol": "nan", "--seed-override": "-1",
+           "--rmax": "-1", "--eps": "nan", "--mc-samples": "0"}
+    assert set(bad) == overrides
+    inputs = {"--sets": str(SCENARIOS / "sets_halves.yaml"),
+              "--notion": "prior-hom"}
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    checked = 0
+    for name, parser in sub.choices.items():
+        flags = {s for a in parser._actions for s in a.option_strings
+                 if s.startswith("--") and s != "--help"}
+        if "--scenario" not in flags:
+            continue
+        assert flags - {"--scenario", "--out", *inputs} <= overrides, name
+        for flag in sorted(flags & overrides):
+            out = tmp_path / f"{name}{flag}.csv"
+            argv = [name, "--scenario",
+                    str(SCENARIOS / "bernoulli_doubling.yaml"),
+                    "--out", str(out), flag, bad[flag]]
+            for f in sorted(flags & set(inputs)):
+                argv += [f, inputs[f]]
+            assert main(argv) == 2, (name, flag)
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {flag} ") and "Traceback" not in err
+            assert not out.exists()
+            checked += 1
+    # six scenario commands with three common flags each, plus --rmax,
+    # --eps and --mc-samples
+    assert checked == 6 * 3 + 3
 
 
 def test_prior_and_posterior_reports_of_one_kind_are_identical(tmp_path):

@@ -5,6 +5,8 @@ import math
 import shutil
 from pathlib import Path
 
+import pytest
+
 REPO = Path(__file__).resolve().parents[1]
 
 
@@ -29,6 +31,14 @@ def test_decay_rates_table(tmp_path, capsys):
     assert decayed == "True" and rate == "0.5000" and r2 == "1.000"
     name, decayed, rate, r2, curves = rows["identity"]
     assert decayed == "False" and rate == "-" and r2 == "-"
+
+
+@pytest.mark.parametrize("flags", [["--tol", "nan"], ["--horizon", "-3"]])
+def test_decay_rates_bad_flag_exit_two(capsys, flags):
+    assert load_script("decay_rates").main(
+        ["--scenario-dir", str(REPO / "scenarios")] + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flags[0]} ") and "Traceback" not in err
 
 
 def test_ulam_refinement_table(capsys):
