@@ -33,7 +33,8 @@ def suffix_envelope(values) -> np.ndarray:
 def tail_max(values, tail_fraction: float = 0.1):
     """max |value| over each curve's verdict window (last axis)."""
     v = np.asarray(values, dtype=float)
-    return np.abs(v[..., tail_start(v.shape[-1], tail_fraction):]).max(axis=-1)
+    length = v.shape[-1] if v.ndim else 0  # a 0-d value holds no curve entry
+    return np.abs(v[..., tail_start(length, tail_fraction):]).max(axis=-1)
 
 
 def curve_decayed(values, tol: float, tail_fraction: float = 0.1):

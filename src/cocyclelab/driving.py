@@ -129,6 +129,8 @@ def finite_permutation(sigma, probs=None) -> DrivingSystem:
 
 
 def finite_rotation(q: int, probs=None) -> DrivingSystem:
+    if q < 1:
+        raise DrivingError(f"a finite rotation needs q >= 1 points, got {q}")
     sigma = (np.arange(q) + 1) % q
     if probs is None:
         probs = np.full(q, 1.0 / q)

@@ -16,6 +16,7 @@ Layout (keys in parentheses are optional)::
     analysis:  (horizon) (tol) (rmax) (eps) (tail_fraction) (basis_count)
                (asymp_tol)
 
+Every number goes through one strict reader, and an error names its key.
 One rule table checks the analysis values, ``driving.samples`` and
 ``driving.seed`` included, at load.  A CLI flag that replaces one of them
 (``ANALYSIS_KEYS``) goes through the same table, and an error names it.
@@ -128,6 +129,30 @@ def _get(node: dict, key: str, what: str):
     return node[key]
 
 
+def _number(value, key: str, integer: bool = False):
+    """The number a scenario key or flag holds: with `integer` an int or an
+    integral float, else a real or a numeric string (YAML reads 1e-6 as one).
+    Anything else, a bool included, is a ScenarioError naming the key."""
+    try:
+        if not isinstance(value, bool) and not (integer and isinstance(value, str)):
+            if integer and isinstance(value, (int, np.integer)):
+                return int(value)
+            x = float(value)
+            if not integer or x.is_integer():
+                return int(x) if integer else x
+    except (TypeError, ValueError, OverflowError):
+        pass
+    kind = "an integer" if integer else "a number"
+    raise ScenarioError(f"{key} must be {kind}, got {value!r}")
+
+
+def _numbers(node, key: str, integer: bool = False) -> list:
+    """A list of numbers, each read by ``_number`` under key[i]."""
+    if not isinstance(node, (list, tuple)):
+        raise ScenarioError(f"{key} must be a list, got {node!r}")
+    return [_number(v, f"{key}[{i}]", integer) for i, v in enumerate(node)]
+
+
 def _load_yaml(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -141,13 +166,13 @@ def _load_yaml(path: str) -> dict:
 
 def _build_space(node) -> FiniteMeasureSpace:
     node = _require_mapping(node, "space block")
-    n = int(_get(node, "N", "space block"))
+    n = _number(_get(node, "N", "space block"), "space.N", integer=True)
     if n < 1:
         raise ScenarioError("space.N must be a positive integer")
     weights = node.get("weights")
     if weights is None:
         return FiniteMeasureSpace.uniform(n)
-    w = np.asarray([float(v) for v in weights], dtype=float)
+    w = np.asarray(_numbers(weights, "space.weights"), dtype=float)
     if w.shape != (n,):
         raise ScenarioError(f"space.weights must list {n} values, got {w.size}")
     try:
@@ -164,31 +189,35 @@ def _build_driving(node) -> DrivingSystem:
             f"driving.kind must be one of {DRIVING_KINDS}, got {kind!r}")
     try:
         if kind == "finite_rotation":
-            return finite_rotation(int(_get(node, "q", "finite_rotation driving")))
+            q = _get(node, "q", "finite_rotation driving")
+            return finite_rotation(_number(q, "driving.q", integer=True))
         if kind == "finite_permutation":
             sigma = _get(node, "sigma", "finite_permutation driving")
-            return finite_permutation([int(v) for v in sigma])
+            return finite_permutation(_numbers(sigma, "driving.sigma", integer=True))
         probs = _get(node, "p", "bernoulli driving")
-        return bernoulli_shift([float(v) for v in probs])
+        return bernoulli_shift(_numbers(probs, "driving.p"))
     except ScenarioError:
         raise
     except ValueError as exc:
         raise ScenarioError(f"invariant violation in driving: {exc}")
 
 
-def _build_map_spec(node) -> MapSpec:
+def _build_map_spec(node, key: str) -> MapSpec:
     node = _require_mapping(node, "operator map block")
     kind = _get(node, "kind", "map block")
-    params = dict(node.get("params") or {})
-    extra = {k: v for k, v in node.items() if k not in ("kind", "params")}
-    params.update(extra)
+    params = dict(_require_mapping(node.get("params") or {}, f"{key}.params"))
+    params.update({k: v for k, v in node.items() if k not in ("kind", "params")})
+    for k, v in params.items():
+        if k in ("bits", "breakpoints", "slopes", "intercepts"):
+            read = _number if k == "bits" else _numbers
+            params[k] = read(v, f"{key}.{k}", integer=k == "bits")
     try:
         return MapSpec(kind, **params)
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"bad map spec ({kind!r}): {exc}")
 
 
-def _synthetic_kernel(node, n: int) -> np.ndarray:
+def _synthetic_kernel(node, n: int, key: str) -> np.ndarray:
     from .asymptotic import block_cycle_kernel
 
     if isinstance(node, str):
@@ -203,30 +232,34 @@ def _synthetic_kernel(node, n: int) -> np.ndarray:
     if kind == "uniform":
         return np.full((n, n), 1.0 / n)
     if kind == "block_cycle":
-        return block_cycle_kernel(n, int(arg))
+        return block_cycle_kernel(n, _number(arg, f"{key}.block_cycle", integer=True))
     raise ScenarioError(
         f"synthetic operator kind must be one of {SYNTHETIC_KINDS}, got {kind!r}")
 
 
 def _build_operator(name: str, node, space: FiniteMeasureSpace) -> MarkovMatrix:
     node = _require_mapping(node, f"operator {name!r}")
+    key = f"operators.{name}"
     sources = [k for k in ("map", "kernel", "synthetic") if k in node]
     if len(sources) != 1:
         raise ScenarioError(
             f"operator {name!r} needs exactly one of map/kernel/synthetic")
     try:
         if sources[0] == "map":
-            spec = _build_map_spec(node["map"])
+            spec = _build_map_spec(node["map"], f"{key}.map")
             if "ulam" in node:
                 ulam = _require_mapping(node["ulam"], f"operator {name!r} ulam")
-                return pf_ulam(spec, space,
-                               int(_get(ulam, "samples", "ulam block")),
-                               int(_get(ulam, "seed", "ulam block")))
+                return pf_ulam(spec, space, *(
+                    _number(_get(ulam, k, "ulam block"), f"{key}.ulam.{k}",
+                            integer=True) for k in ("samples", "seed")))
             return pf_exact(spec, space)
         if sources[0] == "kernel":
-            k = np.asarray(node["kernel"], dtype=float)
-            return MarkovMatrix(space, k)
-        return MarkovMatrix(space, _synthetic_kernel(node["synthetic"], space.n))
+            rows = node["kernel"]  # a non-list kernel fails as its row 0
+            rows = rows if isinstance(rows, list) else [rows]
+            return MarkovMatrix(space, np.array(
+                [_numbers(r, f"{key}.kernel[{i}]") for i, r in enumerate(rows)]))
+        return MarkovMatrix(space, _synthetic_kernel(node["synthetic"], space.n,
+                                                     f"{key}.synthetic"))
     except ScenarioError:
         raise
     except ValueError as exc:
@@ -252,7 +285,7 @@ def _build_cocycle(node, d: DrivingSystem, operators: dict) -> CocycleFamily:
                                "cocycle table")
         table = {}
         for key, name in raw.items():
-            f = int(key)
+            f = _number(key, "cocycle.table feature", integer=True)
             if not 0 <= f < features:
                 raise ScenarioError(
                     f"cocycle table feature {f} is out of range "
@@ -286,18 +319,13 @@ def _build_analysis(doc: dict, flags: dict) -> AnalysisConfig:
             value = blocks[block][k]
         else:
             continue
-        try:
-            if name == "eps":  # a list, one number, or the flag's "0.1,0.01"
-                items = value.split(",") if isinstance(value, str) else value
-                value = tuple(map(float, items if isinstance(items, (list, tuple))
-                                  else [items]))
-            elif isinstance(getattr(base, name), float):
-                value = float(value)
-            elif value is not None:  # basis_count may be null
-                value = int(value)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ScenarioError(
-                f"bad analysis value for {names[name]}: {exc}") from None
+        if name == "eps":  # a list, one number, or the flag's "0.1,0.01"
+            items = value.split(",") if isinstance(value, str) else value
+            value = tuple(_numbers(items if isinstance(items, (list, tuple))
+                                   else [items], names[name]))
+        elif value is not None or name != "basis_count":  # it may be null
+            value = _number(value, names[name],
+                            integer=not isinstance(getattr(base, name), float))
         values[name] = value
     cfg = replace(base, **values)
     _check_analysis(cfg, names)
@@ -357,14 +385,14 @@ def load_scenario(path: str, flags: dict | None = None) -> Scenario:
 # -- product-set files for the skew runner -----------------------------------
 
 
-def _parse_cells(node, n: int) -> np.ndarray:
+def _parse_cells(node, n: int, key: str) -> np.ndarray:
     if isinstance(node, dict) and set(node) == {"range"}:
-        start, stop = (int(v) for v in node["range"])
-        if not 0 <= start < stop <= n:
-            raise ScenarioError(
-                f"cell range [{start}, {stop}) does not fit in {n} cells")
-        return np.arange(start, stop)
-    return np.asarray([int(v) for v in node], dtype=np.int64)
+        bounds = _numbers(node["range"], f"{key}.range", integer=True)
+        if len(bounds) != 2 or not 0 <= bounds[0] < bounds[1] <= n:
+            raise ScenarioError(f"{key}.range {bounds} does not fit in {n} "
+                                "cells as [start, stop)")
+        return np.arange(*bounds)
+    return np.asarray(_numbers(node, key, integer=True), dtype=np.int64)
 
 
 def _parse_product_set(node, n: int, what: str) -> ProductSet:
@@ -372,12 +400,17 @@ def _parse_product_set(node, n: int, what: str) -> ProductSet:
     unknown = set(node) - {"cells", "env_indices", "env_constraints"}
     if unknown:
         raise ScenarioError(f"{what} has unknown keys {sorted(unknown)}")
-    kwargs = {"cells": _parse_cells(_get(node, "cells", what), n)}
+    kwargs = {"cells": _parse_cells(_get(node, "cells", what), n,
+                                    f"{what} cells")}
     if "env_indices" in node:
-        kwargs["env_indices"] = tuple(int(v) for v in node["env_indices"])
+        kwargs["env_indices"] = tuple(_numbers(
+            node["env_indices"], f"{what} env_indices", integer=True))
     if "env_constraints" in node:
-        cons = _require_mapping(node["env_constraints"], f"{what} constraints")
-        kwargs["env_constraints"] = {int(k): int(v) for k, v in cons.items()}
+        key = f"{what} env_constraints"
+        cons = _require_mapping(node["env_constraints"], key)
+        kwargs["env_constraints"] = {
+            _number(k, f"{key} coordinate", integer=True):
+            _number(v, f"{key}[{k!r}]", integer=True) for k, v in cons.items()}
     try:
         return ProductSet(**kwargs)
     except ValueError as exc:

@@ -14,7 +14,8 @@ environment.  Every public function reads E through one reader, which checks
 it against the driving and the cell part against the fiber; any other
 environment part raises ``PreconditionError``.
 
-Routes, chosen by the driving and operator table and reported in ``method``:
+The operator picture chooses its route once per call, by the driving and
+the operator table, and reports it in ``method``:
 
 * finite driving: exact sums over the environment points;
 * bernoulli driving with a constant operator table: exact — the environment
@@ -23,6 +24,12 @@ Routes, chosen by the driving and operator table and reported in ``method``:
   kernel-power correlation;
 * otherwise: Monte Carlo over sampled environment points, with a standard
   error attached.
+
+Every route then takes one walk: the points of E_B pull back their fibre
+densities and push 1_{F_B} h along their orbits, one stack per step kernel,
+reading the mass on each E_A x F_A asked for at every n.  nu(A) reads the
+walk from A at n = 0; the invariance check reads the walk from the whole
+space at n = 0 and 1.
 
 For operator tables that move whole cells there is a second, set-theoretic
 route: pull the target cell set back through composed destination maps and
@@ -33,16 +40,16 @@ and is kept separate so the agreement stays checkable.
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Callable
 
 import numpy as np
 
-from cocyclelab.cocycle import NormalizedCocycle, orbit, push_orbit
+from cocyclelab.cocycle import NormalizedCocycle, orbit
 from cocyclelab.curves import curve_decayed
 from cocyclelab.driving import (
     BERNOULLI,
     DrivingSystem,
     EnvPoint,
-    advance,
     cylinder_probability,
     intersect_constraints,
     point,
@@ -124,13 +131,6 @@ def constraints_satisfied(omega: EnvPoint, constraints: dict | None) -> bool:
     return all(omega.symbol(k) == s for k, s in constraints.items())
 
 
-def _masses_in(cons: dict, cells, omegas, masses: np.ndarray) -> np.ndarray:
-    """Per bernoulli point, its fibre mass row summed over the cells, or 0
-    when the point does not satisfy the constraints."""
-    inside = [constraints_satisfied(w, cons) for w in omegas]
-    return np.where(inside, masses[:, cells].sum(axis=1), 0.0)
-
-
 def _h_probe_point(nc: NormalizedCocycle, seed: int = 0) -> EnvPoint:
     d = nc.cocycle.driving
     if d.kind == BERNOULLI:
@@ -138,22 +138,108 @@ def _h_probe_point(nc: NormalizedCocycle, seed: int = 0) -> EnvPoint:
     return point(d, 0)
 
 
-def _fibre_masses(nc: NormalizedCocycle, omegas) -> tuple[np.ndarray, bool]:
-    """The fibre masses h(omega) stacked in the order of the given points,
-    and whether every one of their pullbacks converged."""
-    results = [nc.h.result_at(w) for w in omegas]
-    masses = np.array([r.density.mass for r in results])
-    return masses.reshape(-1, nc.cocycle.n), all(r.converged for r in results)
+@dataclasses.dataclass(frozen=True)
+class _Route:
+    """How the operator picture integrates over the environment: the points
+    a walk may start from, whether a point lies in an environment part, and
+    the weights of the per-point terms (None: their mean, with a standard
+    error).  ``factor`` gives the exact environment factor of the joint
+    measure per n, and ``extra`` the route's own report fields."""
+
+    method: str
+    points: list
+    inside: Callable
+    weights: np.ndarray | None
+    factor: Callable = lambda env_a, env_b, horizon: np.ones(horizon + 1)
+    extra: Callable = lambda env_a, env_b, factor: {}
+
+    @property
+    def exact(self) -> bool:
+        return self.weights is not None
+
+    def integral(self, terms: np.ndarray):
+        """The integral of per-point terms (axis 0) over the environment."""
+        return self.weights @ terms if self.exact else terms.mean(axis=0)
+
+    def stderr(self, terms: np.ndarray):
+        """The Monte-Carlo standard error of the integral; None when exact."""
+        if not self.exact and len(terms) > 1:
+            return terms.std(axis=0, ddof=1) / np.sqrt(len(terms))
+        return None
 
 
-def _mc_points(d: DrivingSystem, mc_samples: int, seed: int, minimum: int,
-               what: str) -> list[EnvPoint]:
-    """The Monte-Carlo sample; ``what`` names the caller in the error."""
+def _route(nc: NormalizedCocycle, mc_samples: int, seed: int, minimum: int,
+           what: str) -> _Route:
+    """The one choice among the routes: every point weighted by its
+    probability under finite driving; the probe point times the exact
+    cylinder factor for a constant table over a Bernoulli shift (the fibre
+    density is point-independent there); otherwise the mean over a
+    Monte-Carlo sample.  ``what`` names the caller in the error."""
+    c = nc.cocycle
+    d = c.driving
+    if d.kind != BERNOULLI:
+        return _Route("finite-sum", points(d), lambda env, w: bool(env[w.index]),
+                      d.probs, extra=lambda env_a, env_b, factor: dict(
+                          driving_not_mixing=not (env_a.all() and env_b.all())))
+    if c.is_constant:
+        def factor(cons_a, cons_b, horizon):  # P(sigma^-n E_A and E_B), exact
+            merged = (intersect_constraints(shifted_constraints(cons_a, n), cons_b)
+                      for n in range(horizon + 1))
+            return np.array([0.0 if m is None else cylinder_probability(d, m)
+                             for m in merged])
+
+        def extra(cons_a, cons_b, env):
+            # the shifted constraints clear the static ones from here on
+            start = max(0, max(cons_b) - min(cons_a) + 1) if cons_a and cons_b else 0
+            return dict(env_factor=env, factorizes_from=start)
+        return _Route("cylinder-product", [_h_probe_point(nc, seed)],
+                      lambda env, w: True, np.ones(1), factor, extra)
     if mc_samples < minimum:
         raise PreconditionError(
             f"{what} over bernoulli driving with a point-dependent table "
             f"needs mc_samples > {minimum - 1}")
-    return sample_env(d, mc_samples, seed)
+    return _Route("monte-carlo", sample_env(d, mc_samples, seed),
+                  lambda env, w: constraints_satisfied(w, env), None)
+
+
+def _walk(nc: NormalizedCocycle, route: _Route, env_b, cells_b: np.ndarray,
+          reads, horizon: int) -> tuple[np.ndarray, bool]:
+    """The per-point terms of the joint measures nu(Theta^-n A and B) for one
+    start set B and the reads A = (E_A, F_A, factor): per[r, i, n] is the
+    mass that 1_{F_B} h(omega_i), pushed n steps, puts on F_A when
+    sigma^n omega_i lies in E_A, times factor[n]; 0 when omega_i is not in
+    E_B.  Only the points in E_B are pulled back, and their orbits walk in
+    lockstep, their states pushed as one stack per distinct step kernel.
+    Also returns whether every pullback converged."""
+    c = nc.cocycle
+    rows = [i for i, w in enumerate(route.points) if route.inside(env_b, w)]
+    pulled = [nc.h.result_at(route.points[i]) for i in rows]
+    states = np.zeros((len(rows), c.n))
+    for state, res in zip(states, pulled):
+        state[cells_b] = res.density.mass[cells_b]
+    walks = [orbit(c, route.points[i], horizon) for i in rows]
+    per = np.zeros((len(reads), len(route.points), horizon + 1))
+    for n in range(horizon + 1):
+        steps = [next(walk) for walk in walks]
+        for r, (env_a, cells_a, factor) in enumerate(reads):
+            inside = [route.inside(env_a, pt) for pt, _ in steps]
+            per[r, rows, n] = factor[n] * np.where(
+                inside, states[:, cells_a].sum(axis=1), 0.0)
+        if n < horizon:
+            groups = {}
+            for k, (_, P) in enumerate(steps):
+                groups.setdefault(id(P), (P, []))[1].append(k)
+            for P, members in groups.values():
+                states[members] = mass_apply(states[members], P.kernel)
+    return per, all(res.converged for res in pulled)
+
+
+def _nu_terms(nc: NormalizedCocycle, route: _Route, env,
+              pset: ProductSet) -> tuple[np.ndarray, bool]:
+    """The per-point terms of nu(E x F): the walk from E x F, read at n = 0."""
+    read = (env, pset.cells, route.factor(env, env, 0))
+    per, converged = _walk(nc, route, env, pset.cells, [read], 0)
+    return per[0, :, 0], converged
 
 
 @dataclasses.dataclass(frozen=True)
@@ -174,28 +260,13 @@ def nu_measure(nc: NormalizedCocycle, pset: ProductSet,
     Monte Carlo with a standard error otherwise.
     """
     c = nc.cocycle
-    d = c.driving
-    env = _env_part(d, pset, c.n)
-    if d.kind != BERNOULLI:
-        in_e = np.flatnonzero(env)
-        h_mass, converged = _fibre_masses(nc, [point(d, int(p)) for p in in_e])
-        value = 0.0
-        for p, mass in zip(in_e, h_mass):
-            value += float(d.probs[p]) * float(mass[pset.cells].sum())
-        return NuResult(value=value, exact=True, stderr=None,
-                        method="finite-sum", h_converged=converged)
-    if c.is_constant:
-        h_mass, converged = _fibre_masses(nc, [_h_probe_point(nc, seed)])
-        return NuResult(value=cylinder_probability(d, env)
-                        * float(h_mass[0, pset.cells].sum()),
-                        exact=True, stderr=None, method="cylinder-product",
-                        h_converged=converged)
-    samples = _mc_points(d, mc_samples, seed, 1, "nu")
-    h_mass, converged = _fibre_masses(nc, samples)
-    vals = _masses_in(env, pset.cells, samples, h_mass)
-    stderr = float(vals.std(ddof=1) / np.sqrt(mc_samples)) if mc_samples > 1 else None
-    return NuResult(value=float(vals.mean()), exact=False, stderr=stderr,
-                    method="monte-carlo", h_converged=converged)
+    env = _env_part(c.driving, pset, c.n)
+    route = _route(nc, mc_samples, seed, 1, "nu")
+    terms, converged = _nu_terms(nc, route, env, pset)
+    stderr = route.stderr(terms)
+    return NuResult(value=float(route.integral(terms)), exact=route.exact,
+                    stderr=None if stderr is None else float(stderr),
+                    method=route.method, h_converged=converged)
 
 
 @dataclasses.dataclass(eq=False)
@@ -231,101 +302,20 @@ def skew_mixing_curve(nc: NormalizedCocycle, a: ProductSet, b: ProductSet,
     if not tol > 0:
         raise PreconditionError(f"tol must be > 0, got {tol}")
 
-    if c.driving.kind != BERNOULLI:
-        route = _skew_finite(nc, a, b, env_a, env_b, horizon)
-    elif c.is_constant:
-        route = _skew_cylinder(nc, a, b, env_a, env_b, horizon, seed)
-    else:
-        route = _skew_monte_carlo(nc, a, b, env_a, env_b, horizon,
-                                  mc_samples, seed)
-    joint, product, fields = route
+    route = _route(nc, mc_samples, seed, 2, "skew mixing")
+    factor = route.factor(env_a, env_b, horizon)
+    per, converged = _walk(nc, route, env_b, b.cells,
+                           [(env_a, a.cells, factor)], horizon)
+    (terms_a, conv_a), (terms_b, conv_b) = (
+        _nu_terms(nc, route, env, s) for env, s in ((env_a, a), (env_b, b)))
+    joint = route.integral(per[0])
+    product = float(route.integral(terms_a)) * float(route.integral(terms_b))
     disc = joint - product
     return SkewMixingReport(
-        horizon=horizon, tol=tol, joint=joint, product=product,
-        discrepancy=disc,
+        horizon=horizon, tol=tol, joint=joint, product=product, discrepancy=disc,
         decayed=bool(curve_decayed(np.abs(disc), tol, tail_fraction)),
-        **fields)
-
-
-def _skew_finite(nc, a, b, mask_a, mask_b, horizon):
-    c = nc.cocycle
-    d = c.driving
-    h_mass, converged = _fibre_masses(nc, points(d))
-
-    nu_a, nu_b = (float(sum(d.probs[p] * h_mass[p, s.cells].sum()
-                            for p in np.flatnonzero(mask)))
-                  for s, mask in ((a, mask_a), (b, mask_b)))
-
-    joint = np.zeros(horizon + 1)
-    for p in np.flatnonzero(mask_b):
-        start = np.zeros(c.n)
-        start[b.cells] = h_mass[p, b.cells]  # mass of 1_{F_B} h_omega
-        pushes = push_orbit(c, point(d, int(p)), start, horizon)
-        for n, (pt, state) in enumerate(pushes):
-            if mask_a[pt.index]:
-                joint[n] += d.probs[p] * state[a.cells].sum()
-    return joint, nu_a * nu_b, dict(
-        method="finite-sum", h_converged=converged,
-        driving_not_mixing=not (mask_a.all() and mask_b.all()))
-
-
-def _skew_cylinder(nc, a, b, cons_a, cons_b, horizon, seed):
-    c = nc.cocycle
-    d = c.driving
-    probe = _h_probe_point(nc, seed)
-    h_mass, converged = _fibre_masses(nc, [probe])
-    h_mass = h_mass[0]
-
-    prob_a = cylinder_probability(d, cons_a)
-    prob_b = cylinder_probability(d, cons_b)
-    env = np.empty(horizon + 1)
-    for n in range(horizon + 1):
-        merged = intersect_constraints(shifted_constraints(cons_a, n), cons_b)
-        env[n] = 0.0 if merged is None else cylinder_probability(d, merged)
-    if cons_a and cons_b:
-        factor_from = max(0, max(cons_b) - min(cons_a) + 1)
-    else:
-        factor_from = 0
-
-    mu_a = float(h_mass[a.cells].sum())
-    start = np.zeros(c.n)
-    start[b.cells] = h_mass[b.cells]
-    fiber = np.array([state[a.cells].sum() for _, state in
-                      push_orbit(c, probe, start, horizon)])
-    product = prob_a * mu_a * prob_b * float(h_mass[b.cells].sum())
-    return env * fiber, product, dict(
-        method="cylinder-product", h_converged=converged, env_factor=env,
-        factorizes_from=factor_from)
-
-
-def _skew_monte_carlo(nc, a, b, cons_a, cons_b, horizon, mc_samples, seed):
-    c = nc.cocycle
-    d = c.driving
-    samples = _mc_points(d, mc_samples, seed, 2, "skew mixing")
-    fibres, converged = _fibre_masses(nc, samples)
-    nu_a_terms = _masses_in(cons_a, a.cells, samples, fibres)
-    nu_b_terms = _masses_in(cons_b, b.cells, samples, fibres)
-    # the orbits of the samples in B walk in lockstep; their fibre states
-    # are the rows of one stack, pushed together per distinct step kernel
-    rows = np.flatnonzero([constraints_satisfied(w, cons_b) for w in samples])
-    walks = [orbit(c, samples[i], horizon) for i in rows]
-    states = np.zeros((rows.size, c.n))
-    states[:, b.cells] = fibres[rows][:, b.cells]
-    per = np.zeros((mc_samples, horizon + 1))
-    for n in range(horizon + 1):
-        steps = [next(walk) for walk in walks]
-        per[rows, n] = _masses_in(cons_a, a.cells, [pt for pt, _ in steps],
-                                  states)
-        if n < horizon:
-            groups = {}
-            for r, (_, P) in enumerate(steps):
-                groups.setdefault(id(P), (P, []))[1].append(r)
-            for P, members in groups.values():
-                states[members] = mass_apply(states[members], P.kernel)
-    stderr = per.std(axis=0, ddof=1) / np.sqrt(mc_samples)
-    product = float(nu_a_terms.mean() * nu_b_terms.mean())
-    return per.mean(axis=0), product, dict(
-        method="monte-carlo", h_converged=converged, stderr=stderr)
+        method=route.method, h_converged=converged and conv_a and conv_b,
+        stderr=route.stderr(per[0]), **route.extra(env_a, env_b, factor))
 
 
 def set_picture_joint(nc: NormalizedCocycle, a: ProductSet, b: ProductSet,
@@ -385,52 +375,26 @@ def theta_invariance(nc: NormalizedCocycle, psets,
                      mc_samples: int = 0, seed: int = 0) -> InvarianceReport:
     """Check nu(Theta^-1 A) = nu(A) on the given product sets.
 
-    The pullback fiber measure mu_omega((T_omega)^-1 F) is the pushed
-    invariant density's mass on F, so the residual is exactly the
-    equivariance defect of the fiber densities weighted over the sets.
+    Both sides read the joint measure against the whole space, at n = 1 and
+    n = 0, on one walk of h: the pullback fiber measure mu_omega((T_omega)^-1
+    F) is the pushed invariant density's mass on F, so the residual is
+    exactly the equivariance defect of the fiber densities weighted over the
+    sets.
     """
     c = nc.cocycle
-    d = c.driving
     if not psets:
         raise PreconditionError("theta invariance needs at least one product set")
-    envs = [_env_part(d, pset, c.n) for pset in psets]
-    gaps = []
-    stderr = None
-    if d.kind != BERNOULLI:
-        h_mass, converged = _fibre_masses(nc, points(d))
-        pushed = [mass_apply(h, c.table[p].kernel) for p, h in enumerate(h_mass)]
-        for pset, mask in zip(psets, envs):
-            direct = 0.0
-            pulled = 0.0
-            for p in range(d.n_points):
-                if mask[p]:
-                    direct += d.probs[p] * h_mass[p, pset.cells].sum()
-                if mask[int(d.sigma[p])]:
-                    pulled += d.probs[p] * pushed[p][pset.cells].sum()
-            gaps.append(abs(direct - pulled))
-        exact = True
-    elif c.is_constant:
-        h_mass, converged = _fibre_masses(nc, [_h_probe_point(nc, seed)])
-        kernel = next(iter(c.table.values())).kernel
-        pushed = mass_apply(h_mass[0], kernel)
-        for pset, cons in zip(psets, envs):
-            env = cylinder_probability(d, cons)
-            direct = env * h_mass[0, pset.cells].sum()
-            pulled = env * pushed[pset.cells].sum()
-            gaps.append(abs(direct - pulled))
-        exact = True
-    else:
-        samples = _mc_points(d, mc_samples, seed, 2, "invariance")
-        h_mass, converged = _fibre_masses(nc, samples)
-        pushed = np.array([mass_apply(h, c.operator_at(w).kernel)
-                           for h, w in zip(h_mass, samples)])
-        nexts = [advance(d, w, 1) for w in samples]
-        diffs = np.array([_masses_in(cons, pset.cells, nexts, pushed)
-                          - _masses_in(cons, pset.cells, samples, h_mass)
-                          for pset, cons in zip(psets, envs)])
-        gaps = np.abs(diffs.mean(axis=1)).tolist()
-        stderr = float((diffs.std(axis=1, ddof=1) / np.sqrt(mc_samples)).max())
-        exact = False
-    per_set = np.array(gaps)
+    envs = [_env_part(c.driving, pset, c.n) for pset in psets]
+    route = _route(nc, mc_samples, seed, 2, "invariance")
+    cells = np.arange(c.n)
+    whole = _env_part(c.driving, ProductSet(cells=cells))
+    reads = [(env, pset.cells, route.factor(env, whole, 1))
+             for pset, env in zip(psets, envs)]
+    per, converged = _walk(nc, route, whole, cells, reads, 1)
+    diffs = (per[:, :, 1] - per[:, :, 0]).T  # per point, per set
+    per_set = np.abs(route.integral(diffs))
+    stderr = route.stderr(diffs)
     return InvarianceReport(residual=float(per_set.max()), per_set=per_set,
-                            exact=exact, stderr=stderr, h_converged=converged)
+                            exact=route.exact,
+                            stderr=None if stderr is None else float(stderr.max()),
+                            h_converged=converged)

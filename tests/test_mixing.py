@@ -483,7 +483,7 @@ def test_batched_rate_fits_match_scalar_fits(rows):
                 == getattr(own, name).tobytes()
 
 
-@pytest.mark.parametrize("shape", [(2, 0), (0,)])
+@pytest.mark.parametrize("shape", [(2, 0), (0,), ()])
 def test_curve_readers_need_a_curve_entry(shape):
     with pytest.raises(PreconditionError, match="at least one entry"):
         fit_geometric_rates(np.zeros(shape))

@@ -619,6 +619,81 @@ def test_cli_bad_analysis_value_exit_two(tmp_path, capsys, case, command):
     assert not out.exists()
 
 
+# a malformed number or map block in a scenario: case -> (block, the block that replaces
+# it in doubling_exact, words of the error, the key among them)
+MALFORMED_SCENARIOS = {
+    "N-word": ("space", {"N": "x"}, "space.N must be an integer, got 'x'"),
+    "N-fraction": ("space", {"N": 4.5}, "space.N must be an integer, got 4.5"),
+    "weights-words": ("space", {"N": 4, "weights": ["a", "b", "c", "d"]},
+                      "space.weights[0] must be a number, got 'a'"),
+    "table-feature-word": ("cocycle", {"table": {"x": "P0"}},
+                           "cocycle.table feature must be an integer, got 'x'"),
+    "rotation-q-zero": ("driving", {"kind": "finite_rotation", "q": 0},
+                        "driving: a finite rotation needs q >= 1 points"),
+    "rotation-q-bool": ("driving", {"kind": "finite_rotation", "q": True},
+                        "driving.q must be an integer, got True"),
+    "sigma-scalar": ("driving", {"kind": "finite_permutation", "sigma": 3},
+                     "driving.sigma must be a list, got 3"),
+    "p-scalar": ("driving", {"kind": "bernoulli", "p": 0.5},
+                 "driving.p must be a list, got 0.5"),
+    "horizon-fraction": ("analysis", {"horizon": 12.7},
+                         "analysis.horizon must be an integer, got 12.7"),
+    "map-bits-fraction": ("operators", {"P0": {"map": {"kind": "baker_cyclic",
+                                                       "bits": 4.5}}},
+                          "operators.P0.map.bits must be an integer, got 4.5"),
+    "kernel-bool": ("operators", {"P0": {"kernel": [[True, False]] * 64}},
+                    "operators.P0.kernel[0][0] must be a number, got True"),
+    "map-params-list": ("operators", {"P0": {"map": {"kind": "doubling",
+                                                     "params": [1, 2]}}},
+                        "operators.P0.map.params must be a mapping, got list"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_SCENARIOS)
+def test_cli_malformed_scenario_number_exit_two(tmp_path, capsys, case):
+    block, node, words = MALFORMED_SCENARIOS[case]
+    doc = yaml.safe_load((SCENARIOS / "doubling_exact.yaml").read_text())
+    doc[block] = node
+    out = tmp_path / "x.csv"
+    assert main(["run-exactness", "--scenario",
+                 write(tmp_path, yaml.safe_dump(doc)), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert words in err
+    assert not out.exists()
+
+
+# a malformed side a in a sets file: case -> (its YAML, words of the error)
+MALFORMED_SETS = {
+    "cells-word": ("{cells: [a]}", "side a cells[0] must be an integer, got 'a'"),
+    "cells-fraction": ("{cells: [0.5]}",
+                       "side a cells[0] must be an integer, got 0.5"),
+    "cells-scalar": ("{cells: 5}", "side a cells must be a list, got 5"),
+    "range-one-bound": ("{cells: {range: [0]}}",
+                        "side a cells.range [0] does not fit in 256 cells"),
+    "constraint-coordinate-word": (
+        "{cells: [0], env_constraints: {x: 1}}",
+        "side a env_constraints coordinate must be an integer, got 'x'"),
+    "indices-scalar": ("{cells: [0], env_indices: 3}",
+                       "side a env_indices must be a list, got 3"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_SETS)
+def test_cli_malformed_sets_number_exit_two(tmp_path, capsys, case):
+    side, words = MALFORMED_SETS[case]
+    sets = write(tmp_path, f"sets:\n  - {{id: bad, a: {side}, b: {{cells: [1]}}}}\n",
+                 name="sets.yaml")
+    out = tmp_path / "x.csv"
+    assert main(["run-skew", "--scenario",
+                 str(SCENARIOS / "bernoulli_doubling.yaml"), "--sets", sets,
+                 "--horizon", "4", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert f"set pair 'bad' {words}" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("output", ["results", "{dir: x}"])
 def test_output_block_is_ignored(tmp_path, capsys, output):
     path = write(tmp_path, MINIMAL + f"output: {output}\n")
@@ -655,7 +730,8 @@ def test_cli_skew_reads_the_scenario_tail_fraction(tmp_path, capsys,
 
 def test_unreadable_analysis_value_is_a_scenario_error(tmp_path):
     path = with_value(tmp_path, "block3cycle.yaml", "analysis", "rmax", NAN)
-    with pytest.raises(ScenarioError, match="analysis value"):
+    with pytest.raises(ScenarioError,
+                       match="analysis.rmax must be an integer, got nan"):
         load_scenario(path)
 
 

@@ -22,7 +22,14 @@ from cocyclelab.cocycle import (
     build_invariant_density_map,
     orbit,
 )
-from cocyclelab.driving import bernoulli_shift, finite_rotation, sample_env
+from cocyclelab.driving import (
+    BERNOULLI,
+    bernoulli_shift,
+    finite_permutation,
+    finite_rotation,
+    points,
+    sample_env,
+)
 from cocyclelab.measure import (
     FiniteMeasureSpace,
     MarkovMatrix,
@@ -215,29 +222,73 @@ def test_skew_curve_monte_carlo_matches_nu_at_zero():
 
 
 def monte_carlo_loop(nc, a, b, horizon, mc_samples, seed):
-    """Reference Monte-Carlo curve: one sample at a time, one fibre state
-    pushed one step kernel at a time."""
+    """Reference curve: one environment point at a time, one fibre state
+    pushed one step kernel at a time.  Finite driving weights every point by
+    its probability (no standard error); Bernoulli driving averages a
+    Monte-Carlo sample."""
     c = nc.cocycle
-    per = np.zeros((mc_samples, horizon + 1))
-    for i, w in enumerate(sample_env(c.driving, mc_samples, seed)):
-        if not constraints_satisfied(w, b.env_constraints):
+    d = c.driving
+    if d.kind == BERNOULLI:
+        omegas = sample_env(d, mc_samples, seed)
+
+        def inside(w, s):
+            return constraints_satisfied(w, s.env_constraints)
+    else:
+        omegas = points(d)
+
+        def inside(w, s):
+            return s.env_indices is None or w.index in s.env_indices
+    per = np.zeros((len(omegas), horizon + 1))
+    for i, w in enumerate(omegas):
+        if not inside(w, b):
             continue
         state = np.zeros(c.n)
         state[b.cells] = nc.h.at(w).mass[b.cells]
         for n, (pt, P) in enumerate(orbit(c, w, horizon)):
-            if constraints_satisfied(pt, a.env_constraints):
+            if inside(pt, a):
                 per[i, n] = state[a.cells].sum()
             if n < horizon:
                 state = mass_apply(state, P.kernel)
+    if d.kind != BERNOULLI:
+        return sum(p * row for p, row in zip(d.probs, per)), None
     return per.mean(axis=0), per.std(axis=0, ddof=1) / np.sqrt(mc_samples)
 
 
 @st.composite
-def product_set(draw, n):
+def product_set(draw, n, q=None):
+    """Cells of an n-cell fibre times cylinder constraints of a two-symbol
+    shift, or, given q, point indices of a q-point driving."""
     cells = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
+    if q is not None:
+        idx = draw(st.none() | st.lists(st.integers(0, q - 1), max_size=q))
+        return ProductSet(cells=cells, env_indices=idx)
     cons = draw(st.dictionaries(st.integers(-2, 3), st.integers(0, 1),
                                 max_size=2))
     return ProductSet(cells=cells, env_constraints=cons or None)
+
+
+def random_kernels(seed, n, count=2):
+    rng = np.random.default_rng(seed)
+    raw = (rng.random((count, n, n)) * (rng.random((count, n, n)) < 0.6)
+           + np.eye(n))
+    return [k / k.sum(axis=1, keepdims=True) for k in raw]
+
+
+@st.composite
+def finite_nc(draw, n):
+    """A q-point rotation, or q fixed points with random probabilities, with
+    a table alternating two random kernels."""
+    q = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        d = finite_rotation(q)
+    else:
+        p = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random(q)
+        d = finite_permutation(np.arange(q), p / p.sum())
+    space = FiniteMeasureSpace.uniform(n)
+    ops = [MarkovMatrix(space, k)
+           for k in random_kernels(draw(st.integers(0, 2**32 - 1)), n)]
+    return normalized(CocycleFamily(driving=d,
+                                    table={i: ops[i % 2] for i in range(q)}))
 
 
 @given(st.integers(2, 8).flatmap(
@@ -248,15 +299,59 @@ def test_monte_carlo_curve_matches_the_per_sample_loop(sets, kernel_seed,
                                                        horizon, mc_samples,
                                                        seed):
     n, a, b = sets
-    rng = np.random.default_rng(kernel_seed)
-    raw = rng.random((2, n, n)) * (rng.random((2, n, n)) < 0.6) + np.eye(n)
-    nc = bernoulli_nc([k / k.sum(axis=1, keepdims=True) for k in raw])
+    nc = bernoulli_nc(random_kernels(kernel_seed, n))
     rep = skew_mixing_curve(nc, a, b, horizon, 1e-3, mc_samples=mc_samples,
                             seed=seed)
     joint, stderr = monte_carlo_loop(nc, a, b, horizon, mc_samples, seed)
     assert rep.method == "monte-carlo"
     np.testing.assert_allclose(rep.joint, joint, rtol=0, atol=1e-15)
     np.testing.assert_allclose(rep.stderr, stderr, rtol=0, atol=1e-15)
+
+
+@given(st.data(), st.integers(2, 8), st.integers(0, 12))
+def test_finite_curve_matches_the_per_point_loop(data, n, horizon):
+    nc = data.draw(finite_nc(n))
+    q = nc.cocycle.driving.n_points
+    a, b = (data.draw(product_set(n, q)) for _ in range(2))
+    rep = skew_mixing_curve(nc, a, b, horizon, 1e-3)
+    joint, _ = monte_carlo_loop(nc, a, b, horizon, 0, 0)
+    assert rep.method == "finite-sum" and rep.stderr is None
+    np.testing.assert_allclose(rep.joint, joint, rtol=0, atol=1e-15)
+
+
+ROUTES = ("finite-sum", "cylinder-product", "monte-carlo")
+
+
+@given(st.data(), st.sampled_from(ROUTES), st.integers(2, 6),
+       st.integers(0, 2**32 - 1), st.integers(2, 16), st.integers(0, 2**20))
+def test_nu_and_invariance_are_readings_of_the_joint_measure(
+        data, route, n, kernel_seed, mc_samples, seed):
+    # nu(A) is the joint measure of A against the whole space at n = 0, and
+    # nu(Theta^-1 A) the same reading at n = 1
+    if route == "finite-sum":
+        nc = data.draw(finite_nc(n))
+        q = nc.cocycle.driving.n_points
+    else:
+        kernels = random_kernels(kernel_seed, n)
+        probs = data.draw(st.sampled_from([(0.5, 0.5), (0.3, 0.7)]))
+        nc = bernoulli_nc(kernels if route == "monte-carlo" else kernels[:1] * 2,
+                          probs)
+        q = None
+    a, b = (data.draw(product_set(n, q)) for _ in range(2))
+    whole = ProductSet(cells=range(n))
+    kw = dict(mc_samples=mc_samples, seed=seed)
+    rep = skew_mixing_curve(nc, a, b, 3, 1e-3, **kw)
+    nu_a, nu_b = (nu_measure(nc, s, **kw) for s in (a, b))
+    assert rep.method == nu_a.method == route
+    assert rep.product == nu_a.value * nu_b.value
+    for s, nu in ((a, nu_a), (b, nu_b)):
+        reading = skew_mixing_curve(nc, s, whole, 1, 1e-3, **kw).joint
+        assert abs(nu.value - reading[0]) <= 1e-15
+        residual = theta_invariance(nc, [s], **kw).per_set[0]
+        if route == "cylinder-product":
+            assert residual == abs(reading[1] - reading[0])
+        else:
+            assert abs(residual - abs(reading[1] - reading[0])) <= 1e-15
 
 
 @pytest.mark.parametrize("route", ["finite-sum", "cylinder-product",
