@@ -35,8 +35,10 @@ from cocyclelab.measure import (
     PreconditionError,
     issparse,
     mass_apply,
+    require_tolerance,
 )
 
+# masses at or below this count as outside a support
 SUPPORT_FLOOR = 1e-12
 
 
@@ -83,16 +85,14 @@ def _not_found(r, burn_in, residual, reason, supports=(), densities=()):
 
 def detect_periodicity(c: CocycleFamily, omega: EnvPoint, horizon: int,
                        r_max: int, tol: float = 1e-10,
-                       f0: Density | None = None,
-                       support_floor: float = SUPPORT_FLOOR) -> PeriodicDecomposition:
+                       f0: Density | None = None) -> PeriodicDecomposition:
     """Detect an asymptotic periodic decomposition along the orbit of omega.
 
     ``compose`` keeps the burn-in product as CSR while N >= 512 and nnz <=
     N^2 / 32; the detector reads it densely, so it is meant for moderate cell
     counts.  Components are labeled canonically by their smallest cell index.
     """
-    if not tol > 0:
-        raise PreconditionError(f"structure tolerance must be > 0, got {tol}")
+    require_tolerance(tol)
     if r_max < 0:
         raise PreconditionError(f"r_max must be >= 0, got {r_max}")
     n = c.n
@@ -107,7 +107,7 @@ def detect_periodicity(c: CocycleFamily, omega: EnvPoint, horizon: int,
 
     # cells are linked when one row reaches both: the components of the
     # bipartite row-cell graph, numbered by their smallest cell
-    reach = M > support_floor
+    reach = M > SUPPORT_FLOOR
     links = sp.csr_matrix(reach)
     _, label = connected_components(sp.bmat([[None, links], [links.T, None]]),
                                     directed=False)
@@ -151,7 +151,7 @@ def detect_periodicity(c: CocycleFamily, omega: EnvPoint, horizon: int,
     push_residual = 0.0
     pushed_profiles = [mass_apply(p, step_kernel) for p in profiles]
     for i, pushed in enumerate(pushed_profiles):
-        landing = np.unique(comp_of_cell[np.flatnonzero(pushed > support_floor)])
+        landing = np.unique(comp_of_cell[np.flatnonzero(pushed > SUPPORT_FLOOR)])
         if landing.size != 1 or landing[0] < 0:
             return _not_found(r, burn, float("nan"),
                               "pushed profile does not land in a single component",
@@ -245,15 +245,14 @@ class QCReport:
     quasi_constrictive: bool    # positive escape at the smallest probed eps
 
 
-def _greedy_packs(ms: np.ndarray, ws: np.ndarray, eps_values: np.ndarray,
-                  support_floor: float):
+def _greedy_packs(ms: np.ndarray, ws: np.ndarray, eps_values: np.ndarray):
     """Greedy packs of the sorted rows ``ms`` per eps: take cells heaviest
-    first, stop at the first mass <= support_floor, skip a cell whose weight
+    first, stop at the first mass <= SUPPORT_FLOOR, skip a cell whose weight
     ``ws`` (in the rows' order) would lift the union above eps.  One pass per
     sorted position adds in take order.  Returns the captures (rows, eps)
     and the taken (positions, rows, eps)."""
     limit = eps_values + 1e-15
-    alive = np.logical_and.accumulate(~(ms <= support_floor), axis=1).T
+    alive = np.logical_and.accumulate(~(ms <= SUPPORT_FLOOR), axis=1).T
     taken = np.zeros(alive.shape + limit.shape, dtype=bool)
     total = np.zeros(taken.shape[1:])
     captured = np.zeros(taken.shape[1:])
@@ -265,8 +264,7 @@ def _greedy_packs(ms: np.ndarray, ws: np.ndarray, eps_values: np.ndarray,
 
 
 def quasi_constrictive_probe(c: CocycleFamily, omega: EnvPoint, horizon: int,
-                             eps_values,
-                             support_floor: float = SUPPORT_FLOOR) -> QCReport:
+                             eps_values) -> QCReport:
     """Probe constrictivity: the worst-case terminal mass a small cell union
     can capture, maximized over initial densities and late times.
 
@@ -293,7 +291,7 @@ def quasi_constrictive_probe(c: CocycleFamily, omega: EnvPoint, horizon: int,
             order = np.argsort(-mass, axis=1)
             captured, taken = _greedy_packs(
                 np.take_along_axis(mass, order, axis=1),
-                w[order], eps_values, support_floor)
+                w[order], eps_values)
             for e_id, eps in enumerate(eps_values):
                 j = int(captured[:, e_id].argmax())
                 if best[e_id] is None or captured[j, e_id] > best[e_id].captured:

@@ -10,6 +10,9 @@ in mass-row convention, so mass vectors evolve by right multiplication in
 orbit order and the cocycle law reads
 K^(n+m)(omega) = K^(m)(omega) K^(n)(sigma^m omega).
 
+Every walk steps through ``orbit``, which yields the points sigma^t omega
+only; a walk looks up a point's kernel only when it steps from that point.
+
 Invariant density maps are built by pulling a seed density back along the
 orbit: h(omega) = limit of the n-step push of f0 started at sigma^{-n} omega,
 certified by the L1 Cauchy increment between consecutive pullback depths.
@@ -87,24 +90,22 @@ class CocycleFamily:
 
 
 def orbit(c: CocycleFamily, omega: EnvPoint, n: int):
-    """The orbit pairs (sigma^t omega, P(sigma^t omega)) for t = 0, 1, ..., n,
-    or t = 0, -1, ..., n when n < 0 (the driving is invertible).
+    """The orbit points sigma^t omega for t = 0, 1, ..., n, or t = 0, -1,
+    ..., n when n < 0 (the driving is invertible), and no kernels.
 
-    The walk advances one step at a time, and only when the next pair is
+    The walk advances one step at a time, and only when the next point is
     asked for, so a caller that stops early pays for no further steps.
     """
     c.check_point(omega)
     step = 1 if n >= 0 else -1
-    pt = omega
-    for _ in range(abs(n)):
-        yield pt, c.operator_at(pt)
-        pt = advance(c.driving, pt, step)
-    yield pt, c.operator_at(pt)
+    return itertools.accumulate(itertools.repeat(step, abs(n)),
+                                lambda pt, s: advance(c.driving, pt, s),
+                                initial=omega)
 
 
 def orbit_kernels(c: CocycleFamily, omega: EnvPoint, n: int):
     """The per-step kernels K(sigma^t omega) for t = 0..n-1."""
-    return [P.kernel for _, P in orbit(c, omega, max(n, 0))][:-1]
+    return [c.operator_at(pt).kernel for _, pt in zip(range(n), orbit(c, omega, n))]
 
 
 def push_orbit(c: CocycleFamily, omega: EnvPoint, mass: np.ndarray, n: int):
@@ -117,10 +118,10 @@ def push_orbit(c: CocycleFamily, omega: EnvPoint, mass: np.ndarray, n: int):
     """
     if n < 0:
         raise PreconditionError(f"cocycle steps run forward only, got n = {n}")
-    for t, (pt, P) in enumerate(orbit(c, omega, n)):
+    for t, pt in enumerate(orbit(c, omega, n)):
         yield pt, mass
         if t < n:
-            mass = mass_apply(mass, P.kernel)
+            mass = mass_apply(mass, c.operator_at(pt).kernel)
 
 
 def compose(c: CocycleFamily, omega: EnvPoint, n: int) -> MarkovMatrix:
@@ -161,7 +162,8 @@ def _pullback_depths(c: CocycleFamily, omega: EnvPoint, k_max: int,
             base = mass_apply(base, kernel)  # depth k is depth k-1 pushed once
             yield base
         return
-    backward = (P.kernel for _, P in itertools.islice(orbit(c, omega, -k_max), 1, None))
+    backward = (c.operator_at(pt).kernel
+                for pt in itertools.islice(orbit(c, omega, -k_max), 1, None))
     kernels = []  # B_1, ..., B_k as the walk reaches them
     while len(kernels) < k_max:
         lo = len(kernels)

@@ -10,6 +10,8 @@ import numpy as np
 
 from cocyclelab.measure import PreconditionError
 
+RATE_FLOOR = 1e-14  # curve values at or below it take no part in a rate fit
+
 
 def tail_start(length: int, tail_fraction: float = 0.1) -> int:
     """Index where the verdict window begins: the last ceil(length * frac)
@@ -61,10 +63,10 @@ class RateFit:
         return self.rate.size
 
 
-def fit_geometric_rates(values, floor: float = 1e-14) -> RateFit:
+def fit_geometric_rates(values) -> RateFit:
     """Least squares of log|value| against n along the last axis of a curve
     array, over each curve's decaying segment: the indices up to the last
-    point where the suffix envelope still exceeds the floor, skipping
+    point where the suffix envelope still exceeds RATE_FLOOR, skipping
     exact-zero crossings.  Curves that die instantly (fewer than two usable
     points) report rate 0.
 
@@ -82,8 +84,8 @@ def fit_geometric_rates(values, floor: float = 1e-14) -> RateFit:
     for start in range(0, m, 65536):
         rows = flat[start:start + 65536]
         env = suffix_envelope(rows)
-        last = np.sum(env > floor, axis=1) - 1  # -1 when nothing clears floor
-        mask = (rows > floor) & (x[None, :] <= last[:, None])
+        last = np.sum(env > RATE_FLOOR, axis=1) - 1  # -1: nothing clears it
+        mask = (rows > RATE_FLOOR) & (x[None, :] <= last[:, None])
         k = mask.sum(axis=1)
         usable = k >= 2
         y = np.where(mask, np.log(np.where(mask, rows, 1.0)), 0.0)

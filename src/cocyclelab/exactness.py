@@ -21,6 +21,10 @@ Three routes, kept separate and cross-checked:
   dynamics means the partition collapses to a single atom.  Kernels with
   fractional entries do not induce a partition and are rejected.
 
+``cell_map_orbit`` is the one walk that composes cell maps.  It pushes no
+mass, so the tail route and the skew set picture that read it stay
+independent of the norm route and the skew operator picture.
+
 The norm and dual verdicts are both reported, never merged; agreement is a
 flag the caller can assert.
 """
@@ -28,7 +32,6 @@ flag the caller can assert.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 
 import numpy as np
 
@@ -36,9 +39,7 @@ from cocyclelab.cocycle import CocycleFamily, orbit, orbit_kernels, push_orbit
 from cocyclelab.curves import curve_decayed
 from cocyclelab.driving import EnvPoint
 from cocyclelab.measure import (MarkovMatrix, PreconditionError,
-                                require_zero_mean)
-
-CELL_MAP_ATOL = 1e-9
+                                require_tolerance, require_zero_mean)
 
 
 def _require_horizon(horizon: int):
@@ -137,35 +138,40 @@ class TailPartitionReport:
     horizon: int
 
 
-def cell_map_destinations(P: MarkovMatrix, atol: float = CELL_MAP_ATOL) -> np.ndarray:
+def cell_map_destinations(P: MarkovMatrix) -> np.ndarray:
     """Destination cell of each source cell for a 0/1 kernel."""
-    if not P.is_cell_map(atol=atol):
+    if not P.is_cell_map():
         raise PreconditionError(
-            "tail partition test needs cell-map kernels (all entries 0 or 1); "
+            "the cell-map walk needs kernels with all entries 0 or 1; "
             "this kernel has fractional entries")
     dest = np.asarray(P.kernel @ np.arange(P.n, dtype=float)).ravel()
     return np.rint(dest).astype(np.int64)
+
+
+def cell_map_orbit(c: CocycleFamily, omega: EnvPoint, n: int):
+    """The pairs (sigma^t omega, dest_t) for t = 0, 1, ..., n, where
+    dest_t[i] is the cell that t steps of a cell-map cocycle send cell i to:
+    dest_{t+1} = d_t[dest_t] with d_t the destinations of K(sigma^t omega)."""
+    dest = np.arange(c.n, dtype=np.int64)
+    for t, pt in enumerate(orbit(c, omega, n)):
+        yield pt, dest
+        if t < n:
+            dest = cell_map_destinations(c.operator_at(pt))[dest]
 
 
 def tail_partition(c: CocycleFamily, omega: EnvPoint,
                    horizon: int) -> TailPartitionReport:
     """Preimage-partition coarsening along the orbit, for cell-map cocycles.
 
-    The n-step composition of cell maps is the composition of their index
-    maps; its preimage classes coarsen monotonically (that is checked, not
-    assumed), and triviality means a single atom by the horizon.
+    The atoms at step n are the nonempty preimage classes of the n-step
+    destinations; they coarsen monotonically (that is checked, not assumed),
+    and triviality means a single atom by the horizon.
     """
     _require_horizon(horizon)
-    c.check_point(omega)
-    step_dests = [cell_map_destinations(P) for _, P in
-                  itertools.islice(orbit(c, omega, horizon), horizon)]
-    dest = np.arange(c.n, dtype=np.int64)
     counts = np.empty(horizon + 1, dtype=np.int64)
-    counts[0] = c.n
-    for n, d_next in enumerate(step_dests, start=1):
-        dest = d_next[dest]
+    for n, (_, dest) in enumerate(cell_map_orbit(c, omega, horizon)):
         counts[n] = np.count_nonzero(np.bincount(dest, minlength=c.n))
-        if counts[n] > counts[n - 1]:
+        if n and counts[n] > counts[n - 1]:
             raise AssertionError("preimage partition refined instead of coarsening")
     return TailPartitionReport(atom_counts=counts,
                                trivial=bool(counts[-1] == 1),
@@ -201,14 +207,13 @@ def exactness_report(c: CocycleFamily, omega: EnvPoint, f_basis, g_basis,
     ``exact_verdict`` follows the norm route; ``routes_agree`` records
     whether the dual route reached the same conclusion on its basis.
     """
-    if not tol > 0:
-        raise PreconditionError(f"tol must be > 0, got {tol}")
+    require_tolerance(tol)
     norms = exactness_norms(c, omega, f_basis, horizon)
     dual = lin_dual_flatness(c, omega, g_basis, horizon)
     norms_decayed = bool(curve_decayed(norms.values, tol, tail_fraction).all())
     dual_decayed = bool(curve_decayed(dual.flatness, tol, tail_fraction).all())
     tail = None
-    if all(P.is_cell_map(atol=CELL_MAP_ATOL) for P in c.table.values()):
+    if all(P.is_cell_map() for P in c.table.values()):
         tail = tail_partition(c, omega, horizon)
     return ExactnessReport(
         horizon=horizon, tol=tol, tail_fraction=tail_fraction,

@@ -22,6 +22,7 @@ import numpy as np
 
 ROW_SUM_ATOL = 1e-12
 ENTRY_ATOL = 1e-12
+CELL_MAP_ATOL = 1e-9  # entry distance from 0 or 1 in a kernel moving whole cells
 
 # Kernel storage rule.  A one-row push through a kernel with 2 nonzeros per
 # row took, dense vs CSR: N = 256 15-22 vs 38-44 us, N = 512 66 vs 27-36 us,
@@ -142,10 +143,6 @@ class Density:
             d = cls(space, values / tm)
         return d
 
-    def support(self, floor: float = 0.0) -> np.ndarray:
-        """Cells where the density exceeds floor (boolean mask)."""
-        return np.abs(self.values) > floor
-
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class Observable:
@@ -225,6 +222,12 @@ def require_zero_mean(f: Density, what: str):
             f"total mass is {f.total_mass!r}")
 
 
+def require_tolerance(tol: float):
+    """Reject a verdict tolerance that is NaN, infinite or <= 0."""
+    if not 0 < tol < np.inf:
+        raise PreconditionError(f"tol must be finite and > 0, got {tol}")
+
+
 @dataclasses.dataclass(frozen=True)
 class MarkovCheckReport:
     n: int
@@ -233,13 +236,12 @@ class MarkovCheckReport:
     ok: bool
 
 
-def markov_check(kernel, row_sum_atol: float = ROW_SUM_ATOL,
-                 entry_atol: float = ENTRY_ATOL) -> MarkovCheckReport:
-    """Verify row-stochasticity: rows sum to 1 within tolerance, entries >= 0."""
+def markov_check(kernel) -> MarkovCheckReport:
+    """Rows sum to 1 within ROW_SUM_ATOL and entries are >= -ENTRY_ATOL."""
     sums = np.asarray(kernel.sum(axis=1)).ravel()
     max_err = float(np.abs(sums - 1.0).max())
     min_entry = float(kernel.min())  # counts a sparse kernel's implicit zeros
-    ok = max_err <= row_sum_atol and min_entry >= -entry_atol
+    ok = max_err <= ROW_SUM_ATOL and min_entry >= -ENTRY_ATOL
     return MarkovCheckReport(n=sums.size, max_row_sum_error=max_err,
                              min_entry=min_entry, ok=ok)
 
@@ -275,11 +277,12 @@ class MarkovMatrix:
     def n(self) -> int:
         return self.space.n
 
-    def is_cell_map(self, atol: float = 1e-9) -> bool:
-        """True when every entry is 0 or 1, i.e. the kernel permutes/collapses
-        whole cells and the Koopman dual maps indicators to indicator functions."""
+    def is_cell_map(self) -> bool:
+        """True when every entry is 0 or 1 within CELL_MAP_ATOL, i.e. the
+        kernel permutes/collapses whole cells and the Koopman dual maps
+        indicators to indicator functions."""
         k = self.kernel.data if issparse(self.kernel) else self.kernel
-        return bool(np.all(np.minimum(np.abs(k), np.abs(k - 1.0)) <= atol))
+        return bool(np.all(np.minimum(np.abs(k), np.abs(k - 1.0)) <= CELL_MAP_ATOL))
 
 
 def integrate(f: Density, g: Observable) -> float:

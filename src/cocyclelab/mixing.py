@@ -44,6 +44,7 @@ from cocyclelab.measure import (
     Observable,
     PreconditionError,
     mass_apply,  # unused here; the benchmark's tests read mixing.mass_apply
+    require_tolerance,
     require_zero_mean,
 )
 from cocyclelab.transfer import MapSpec, pf_exact
@@ -196,9 +197,6 @@ class MixingReport:
                                 # of that omega stays below tol (None: never)
     posterior_thresholds: dict  # (f_id, g_id) -> worst such n over omega
 
-    def curve(self, omega_id: int, f_id: int, g_id: int) -> np.ndarray:
-        return self.values[omega_id, f_id, g_id]
-
 
 def estimate_mixing(c: CocycleFamily, notion: str, f_basis, g_basis,
                     omega_samples, horizon: int, tol: float,
@@ -231,6 +229,7 @@ def estimate_mixing(c: CocycleFamily, notion: str, f_basis, g_basis,
             "density and one observable")
     if horizon < 0:
         raise PreconditionError(f"horizon must be >= 0, got {horizon}")
+    require_tolerance(tol)
     # equal points have equal orbits: push each distinct point once and
     # spread the results back over the samples through ``inverse``
     slot = {}

@@ -112,7 +112,6 @@ class Scenario:
     name: str
     space: FiniteMeasureSpace
     driving: DrivingSystem
-    operators: dict = field(repr=False)
     cocycle: CocycleFamily = field(repr=False)
     analysis: AnalysisConfig = AnalysisConfig()
 
@@ -270,7 +269,10 @@ def _build_cocycle(node, d: DrivingSystem, operators: dict) -> CocycleFamily:
     node = _require_mapping(node, "cocycle block")
     features = d.n_features
 
-    def resolve(name) -> MarkovMatrix:
+    def resolve(name, key: str) -> MarkovMatrix:
+        if isinstance(name, (list, dict)):  # unhashable: no operator name
+            raise ScenarioError(
+                f"{key} must be an operator name, got {type(name).__name__}")
         if name not in operators:
             raise UnresolvedReferenceError(
                 f"unresolved reference: operator {name!r} is not defined "
@@ -278,7 +280,7 @@ def _build_cocycle(node, d: DrivingSystem, operators: dict) -> CocycleFamily:
         return operators[name]
 
     if "constant" in node:
-        P = resolve(node["constant"])
+        P = resolve(node["constant"], "cocycle.constant")
         table = {f: P for f in range(features)}
     else:
         raw = _require_mapping(_get(node, "table", "cocycle block"),
@@ -290,7 +292,7 @@ def _build_cocycle(node, d: DrivingSystem, operators: dict) -> CocycleFamily:
                 raise ScenarioError(
                     f"cocycle table feature {f} is out of range "
                     f"(driving has {features} features)")
-            table[f] = resolve(name)
+            table[f] = resolve(name, f"cocycle.table[{f}]")
         missing = sorted(set(range(features)) - set(table))
         if missing:
             raise ScenarioError(
@@ -378,8 +380,8 @@ def load_scenario(path: str, flags: dict | None = None) -> Scenario:
                  for name, node in op_nodes.items()}
     cocycle = _build_cocycle(_get(doc, "cocycle", path), driving, operators)
     name = str(doc.get("name") or path.rsplit("/", 1)[-1].rsplit(".", 1)[0])
-    return Scenario(name=name, space=space, driving=driving,
-                    operators=operators, cocycle=cocycle, analysis=analysis)
+    return Scenario(name=name, space=space, driving=driving, cocycle=cocycle,
+                    analysis=analysis)
 
 
 # -- product-set files for the skew runner -----------------------------------

@@ -32,9 +32,11 @@ walk from A at n = 0; the invariance check reads the walk from the whole
 space at n = 0 and 1.
 
 For operator tables that move whole cells there is a second, set-theoretic
-route: pull the target cell set back through composed destination maps and
-measure the intersection directly.  It must agree with the operator route
-and is kept separate so the agreement stays checkable.
+route: pull the target cell set back through the n-step cell maps that
+``exactness.cell_map_orbit`` composes and measure the intersection directly.
+It integrates the environment as the operator picture does (finite sum or
+exact cylinder factor), but its fibre part pushes no mass, so its agreement
+with the operator route stays checkable.
 """
 
 from __future__ import annotations
@@ -52,13 +54,12 @@ from cocyclelab.driving import (
     EnvPoint,
     cylinder_probability,
     intersect_constraints,
-    point,
     points,
     sample_env,
     shifted_constraints,
 )
-from cocyclelab.exactness import cell_map_destinations
-from cocyclelab.measure import PreconditionError, mass_apply
+from cocyclelab.exactness import cell_map_orbit
+from cocyclelab.measure import PreconditionError, mass_apply, require_tolerance
 
 
 @dataclasses.dataclass(frozen=True)
@@ -131,20 +132,13 @@ def constraints_satisfied(omega: EnvPoint, constraints: dict | None) -> bool:
     return all(omega.symbol(k) == s for k, s in constraints.items())
 
 
-def _h_probe_point(nc: NormalizedCocycle, seed: int = 0) -> EnvPoint:
-    d = nc.cocycle.driving
-    if d.kind == BERNOULLI:
-        return sample_env(d, 1, seed)[0]
-    return point(d, 0)
-
-
 @dataclasses.dataclass(frozen=True)
 class _Route:
-    """How the operator picture integrates over the environment: the points
-    a walk may start from, whether a point lies in an environment part, and
-    the weights of the per-point terms (None: their mean, with a standard
-    error).  ``factor`` gives the exact environment factor of the joint
-    measure per n, and ``extra`` the route's own report fields."""
+    """How the operator and set pictures integrate over the environment:
+    the points a walk may start from, whether a point lies in an environment
+    part, and the weights of the per-point terms (None: their mean, with a
+    standard error).  ``factor`` gives the exact environment factor of the
+    joint measure per n, and ``extra`` the route's own report fields."""
 
     method: str
     points: list
@@ -192,7 +186,7 @@ def _route(nc: NormalizedCocycle, mc_samples: int, seed: int, minimum: int,
             # the shifted constraints clear the static ones from here on
             start = max(0, max(cons_b) - min(cons_a) + 1) if cons_a and cons_b else 0
             return dict(env_factor=env, factorizes_from=start)
-        return _Route("cylinder-product", [_h_probe_point(nc, seed)],
+        return _Route("cylinder-product", sample_env(d, 1, seed),
                       lambda env, w: True, np.ones(1), factor, extra)
     if mc_samples < minimum:
         raise PreconditionError(
@@ -220,14 +214,15 @@ def _walk(nc: NormalizedCocycle, route: _Route, env_b, cells_b: np.ndarray,
     walks = [orbit(c, route.points[i], horizon) for i in rows]
     per = np.zeros((len(reads), len(route.points), horizon + 1))
     for n in range(horizon + 1):
-        steps = [next(walk) for walk in walks]
+        pts = [next(walk) for walk in walks]
         for r, (env_a, cells_a, factor) in enumerate(reads):
-            inside = [route.inside(env_a, pt) for pt, _ in steps]
+            inside = [route.inside(env_a, pt) for pt in pts]
             per[r, rows, n] = factor[n] * np.where(
                 inside, states[:, cells_a].sum(axis=1), 0.0)
         if n < horizon:
             groups = {}
-            for k, (_, P) in enumerate(steps):
+            for k, pt in enumerate(pts):
+                P = c.operator_at(pt)
                 groups.setdefault(id(P), (P, []))[1].append(k)
             for P, members in groups.values():
                 states[members] = mass_apply(states[members], P.kernel)
@@ -299,8 +294,7 @@ def skew_mixing_curve(nc: NormalizedCocycle, a: ProductSet, b: ProductSet,
     env_a, env_b = (_env_part(c.driving, s, c.n) for s in (a, b))
     if horizon < 0:
         raise PreconditionError(f"horizon must be >= 0, got {horizon}")
-    if not tol > 0:
-        raise PreconditionError(f"tol must be > 0, got {tol}")
+    require_tolerance(tol)
 
     route = _route(nc, mc_samples, seed, 2, "skew mixing")
     factor = route.factor(env_a, env_b, horizon)
@@ -321,44 +315,28 @@ def skew_mixing_curve(nc: NormalizedCocycle, a: ProductSet, b: ProductSet,
 def set_picture_joint(nc: NormalizedCocycle, a: ProductSet, b: ProductSet,
                       horizon: int) -> np.ndarray:
     """The same joint-measure curve by direct set algebra, for operator
-    tables that move whole cells: pull F_A back through composed destination
-    maps, intersect with F_B, and measure the fibers.  Exact for finite
-    driving and for constant tables over bernoulli driving."""
+    tables that move whole cells: pull F_A back through the n-step cell maps
+    of ``cell_map_orbit``, intersect with F_B, and measure the fibre with h.
+    Each point of E_B counts by its probability while sigma^n omega lies in
+    E_A (finite driving); the probe point counts by the exact cylinder
+    factor (a constant table over bernoulli driving)."""
     c = nc.cocycle
-    d = c.driving
-    env_a, env_b = (_env_part(d, s, c.n) for s in (a, b))
-    in_a = np.zeros(c.n, dtype=bool)
-    in_a[a.cells] = True
-    in_b = np.zeros(c.n, dtype=bool)
-    in_b[b.cells] = True
-
-    if d.kind != BERNOULLI:
-        joint = np.zeros(horizon + 1)
-        for p in np.flatnonzero(env_b):
-            h_mass = nc.h.at(point(d, int(p))).mass
-            dest = np.arange(c.n)
-            for n, (pt, P) in enumerate(orbit(c, point(d, int(p)), horizon)):
-                if env_a[pt.index]:
-                    fiber_cells = in_b & in_a[dest]
-                    joint[n] += d.probs[p] * h_mass[fiber_cells].sum()
-                if n < horizon:
-                    dest = cell_map_destinations(P)[dest]
-        return joint
-
-    if not c.is_constant:
+    env_a, env_b = (_env_part(c.driving, s, c.n) for s in (a, b))
+    if c.driving.kind == BERNOULLI and not c.is_constant:
         raise PreconditionError(
             "the set picture over bernoulli driving is implemented for "
             "constant operator tables only")
-    h_mass = nc.h.at(_h_probe_point(nc)).mass
-    step = cell_map_destinations(next(iter(c.table.values())))
-    dest = np.arange(c.n)
-    joint = np.empty(horizon + 1)
-    for n in range(horizon + 1):
-        merged = intersect_constraints(shifted_constraints(env_a, n), env_b)
-        env = 0.0 if merged is None else cylinder_probability(d, merged)
-        joint[n] = env * h_mass[in_b & in_a[dest]].sum()
-        if n < horizon:
-            dest = step[dest]
+    route = _route(nc, 0, 0, 1, "the set picture")  # never Monte Carlo here
+    factor = route.factor(env_a, env_b, horizon)
+    in_a, in_b = (np.isin(np.arange(c.n), s.cells) for s in (a, b))
+    joint = np.zeros(horizon + 1)
+    for w, weight in zip(route.points, route.weights):
+        if not route.inside(env_b, w):
+            continue
+        h_mass = nc.h.at(w).mass
+        for n, (pt, dest) in enumerate(cell_map_orbit(c, w, horizon)):
+            if route.inside(env_a, pt):
+                joint[n] += weight * factor[n] * h_mass[in_b & in_a[dest]].sum()
     return joint
 
 

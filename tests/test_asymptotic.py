@@ -347,7 +347,7 @@ def test_components_match_a_merge_loop_on_relabelled_cells(r, block, seed):
         M, SUPPORT_FLOOR)
 
 
-def qc_probe_loop(c, omega, horizon, eps_values, support_floor=SUPPORT_FLOOR):
+def qc_probe_loop(c, omega, horizon, eps_values):
     """Reference probe: the greedy pack row by row, eps by eps, cell by
     cell, keeping the first maximum in (step, row) order."""
     eps_values = np.sort(np.asarray(eps_values, dtype=float))
@@ -364,7 +364,7 @@ def qc_probe_loop(c, omega, horizon, eps_values, support_floor=SUPPORT_FLOOR):
                     captured = 0.0
                     chosen = []
                     for cell in order[j]:
-                        if mass[j, cell] <= support_floor:
+                        if mass[j, cell] <= SUPPORT_FLOOR:
                             break
                         if total_w + w[cell] > eps + 1e-15:
                             continue

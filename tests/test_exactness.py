@@ -386,7 +386,7 @@ def test_atom_counts_match_unique_reference(seed, n, q, horizon):
     omega = point(c.driving, int(rng.integers(q)))
     dest = np.arange(n)
     expected = [n]
-    for pt, _ in list(orbit(c, omega, horizon))[:-1]:
+    for pt in list(orbit(c, omega, horizon))[:-1]:
         dest = dests[pt.index][dest]
         expected.append(np.unique(dest).size)
     rep = tail_partition(c, omega, horizon)

@@ -1,9 +1,19 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cocyclelab.asymptotic import detect_periodicity
+from cocyclelab.cocycle import (
+    CocycleFamily,
+    NormalizedCocycle,
+    build_invariant_density_map,
+)
+from cocyclelab.driving import point
+from cocyclelab.exactness import exactness_report
 from cocyclelab.measure import (
     SPARSE_FILL_DIVISOR,
     SPARSE_MIN_CELLS,
@@ -11,6 +21,7 @@ from cocyclelab.measure import (
     FiniteMeasureSpace,
     MarkovMatrix,
     Observable,
+    PreconditionError,
     SpaceMismatchError,
     StochasticityError,
     apply,
@@ -18,6 +29,11 @@ from cocyclelab.measure import (
     integrate,
     markov_check,
 )
+from cocyclelab.mixing import estimate_mixing, indicator_basis, zero_mean_basis
+from cocyclelab.scenario import load_scenario
+from cocyclelab.skew import ProductSet, skew_mixing_curve
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 # Doubling-map kernel on 4 uniform cells, rows derived by hand from the
 # preimage geometry: cell i maps onto cells (2i mod 4, 2i+1 mod 4), half each.
@@ -246,3 +262,36 @@ def test_prop_integrate_bilinear(case, a, b):
     lhs = integrate(Density(space, a * f.values + b * f2.values), g)
     rhs = a * integrate(f, g) + b * integrate(f2, g)
     assert lhs == pytest.approx(rhs, abs=1e-9)
+
+
+# -- the one tolerance rule of the verdict routes --------------------------------
+
+# verdict route -> call on a cocycle and a start point with the given tol
+TOL_ROUTES = {
+    "estimate_mixing": lambda c, w, tol: estimate_mixing(
+        c, "prior-hom", zero_mean_basis(c.space), indicator_basis(c.space),
+        [w], 5, tol),
+    "exactness_report": lambda c, w, tol: exactness_report(
+        c, w, zero_mean_basis(c.space), indicator_basis(c.space), 5, tol),
+    "skew_mixing_curve": lambda c, w, tol: skew_mixing_curve(
+        NormalizedCocycle(c, build_invariant_density_map(c)),
+        ProductSet(cells=[0]), ProductSet(cells=[1]), 5, tol),
+    "detect_periodicity": lambda c, w, tol: detect_periodicity(c, w, 8, 8, tol),
+}
+
+
+@pytest.mark.parametrize("route", TOL_ROUTES)
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+def test_verdict_routes_reject_a_tolerance_not_finite_and_positive(
+        monkeypatch, route, tol):
+    # on the identity every curve stays put, so an infinite tol would pass
+    c = load_scenario(str(SCENARIOS / "identity.yaml")).cocycle
+    w = point(c.driving, 0)
+
+    def no_walk(self, omega):
+        raise AssertionError("walked an orbit")
+
+    monkeypatch.setattr(CocycleFamily, "check_point", no_walk)
+    with pytest.raises(PreconditionError,
+                       match=f"tol must be finite and > 0, got {tol}"):
+        TOL_ROUTES[route](c, w, tol)

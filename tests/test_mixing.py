@@ -379,7 +379,7 @@ def reference_estimate(c, notion, f_basis, g_basis, omega_samples, horizon,
     values = np.empty((n_w, n_f, n_g, horizon + 1))
     for w, omega in enumerate(omega_samples):
         cur = fmass
-        for n, (pt, P) in enumerate(orbit(c, omega, horizon)):
+        for n, pt in enumerate(orbit(c, omega, horizon)):
             if inhom:
                 g_now = np.stack([g.at_feature(feature(c.driving, pt)).values
                                   for g in g_basis], axis=1)
@@ -387,7 +387,7 @@ def reference_estimate(c, notion, f_basis, g_basis, omega_samples, horizon,
                 g_now = np.stack([g.values for g in g_basis], axis=1)
             values[w, :, :, n] = cur @ g_now
             if n < horizon:
-                cur = mass_apply(cur, P.kernel)
+                cur = mass_apply(cur, c.operator_at(pt).kernel)
 
     def group(curves):
         firsts = [first_below(v, tol) for v in curves]

@@ -646,6 +646,10 @@ MALFORMED_SCENARIOS = {
     "map-params-list": ("operators", {"P0": {"map": {"kind": "doubling",
                                                      "params": [1, 2]}}},
                         "operators.P0.map.params must be a mapping, got list"),
+    "constant-name-list": ("cocycle", {"constant": ["P0"]},
+                           "cocycle.constant must be an operator name, got list"),
+    "table-name-list": ("cocycle", {"table": {0: ["P0"]}},
+                        "cocycle.table[0] must be an operator name, got list"),
 }
 
 

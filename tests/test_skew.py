@@ -7,6 +7,7 @@ cylinder parts {0: 0} and {0: 1} on a fair two-symbol shift, the environment
 factor reads 0, 1/4, 1/4, ... and factorizes exactly from n = 1 on.
 """
 
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import cocyclelab.cocycle
+import cocyclelab.exactness
+import cocyclelab.measure
 from cocyclelab.cli import main
 from cocyclelab.cocycle import (
     CocycleFamily,
@@ -25,17 +28,23 @@ from cocyclelab.cocycle import (
 from cocyclelab.driving import (
     BERNOULLI,
     bernoulli_shift,
+    cylinder_probability,
     finite_permutation,
     finite_rotation,
+    intersect_constraints,
+    point,
     points,
     sample_env,
+    shifted_constraints,
 )
+from cocyclelab.exactness import exactness_norms, tail_partition
 from cocyclelab.measure import (
     FiniteMeasureSpace,
     MarkovMatrix,
     PreconditionError,
     mass_apply,
 )
+from cocyclelab.mixing import zero_mean_basis
 from cocyclelab.skew import (
     InvarianceReport,
     NuResult,
@@ -244,11 +253,11 @@ def monte_carlo_loop(nc, a, b, horizon, mc_samples, seed):
             continue
         state = np.zeros(c.n)
         state[b.cells] = nc.h.at(w).mass[b.cells]
-        for n, (pt, P) in enumerate(orbit(c, w, horizon)):
+        for n, pt in enumerate(orbit(c, w, horizon)):
             if inside(pt, a):
                 per[i, n] = state[a.cells].sum()
             if n < horizon:
-                state = mass_apply(state, P.kernel)
+                state = mass_apply(state, c.operator_at(pt).kernel)
     if d.kind != BERNOULLI:
         return sum(p * row for p, row in zip(d.probs, per)), None
     return per.mean(axis=0), per.std(axis=0, ddof=1) / np.sqrt(mc_samples)
@@ -274,8 +283,17 @@ def random_kernels(seed, n, count=2):
     return [k / k.sum(axis=1, keepdims=True) for k in raw]
 
 
+def cell_map_kernels(seed, n, count=2):
+    """Random 0/1 kernels: each cell moves whole onto one random cell."""
+    rng = np.random.default_rng(seed)
+    kernels = np.zeros((count, n, n))
+    for k, dest in zip(kernels, rng.integers(0, n, (count, n))):
+        k[np.arange(n), dest] = 1.0
+    return list(kernels)
+
+
 @st.composite
-def finite_nc(draw, n):
+def finite_nc(draw, n, kernels=random_kernels):
     """A q-point rotation, or q fixed points with random probabilities, with
     a table alternating two random kernels."""
     q = draw(st.integers(1, 5))
@@ -286,7 +304,7 @@ def finite_nc(draw, n):
         d = finite_permutation(np.arange(q), p / p.sum())
     space = FiniteMeasureSpace.uniform(n)
     ops = [MarkovMatrix(space, k)
-           for k in random_kernels(draw(st.integers(0, 2**32 - 1)), n)]
+           for k in kernels(draw(st.integers(0, 2**32 - 1)), n)]
     return normalized(CocycleFamily(driving=d,
                                     table={i: ops[i % 2] for i in range(q)}))
 
@@ -357,7 +375,8 @@ def test_nu_and_invariance_are_readings_of_the_joint_measure(
 @pytest.mark.parametrize("route", ["finite-sum", "cylinder-product",
                                    "monte-carlo"])
 @pytest.mark.parametrize("horizon, tol", [(-1, 1e-3), (5, float("nan")),
-                                          (5, 0.0), (5, -1e-3)])
+                                          (5, float("inf")), (5, 0.0),
+                                          (5, -1e-3)])
 def test_skew_curve_rejects_a_bad_horizon_or_tol(monkeypatch, route, horizon,
                                                  tol):
     space = FiniteMeasureSpace.uniform(4)
@@ -407,10 +426,104 @@ def test_set_picture_matches_cylinder_route():
     assert rep.joint == pytest.approx(direct.tolist(), abs=1e-15)
 
 
+def set_picture_loop(nc, a, b, horizon):
+    """The set picture written out plainly: per point of E_B, compose the
+    step destinations (read off the 0/1 kernels by argmax) one at a time;
+    bernoulli driving takes the probe point times the cylinder factor."""
+    c = nc.cocycle
+    d = c.driving
+    in_a, in_b = (np.isin(np.arange(c.n), s.cells) for s in (a, b))
+    joint = np.zeros(horizon + 1)
+    if d.kind == BERNOULLI:
+        step = np.argmax(c.table[0].kernel, axis=1)
+        h_mass = nc.h.at(sample_env(d, 1, 0)[0]).mass
+        dest = np.arange(c.n)
+        for n in range(horizon + 1):
+            merged = intersect_constraints(
+                shifted_constraints(a.env_constraints or {}, n),
+                b.env_constraints or {})
+            env = 0.0 if merged is None else cylinder_probability(d, merged)
+            joint[n] = env * h_mass[in_b & in_a[dest]].sum()
+            dest = step[dest]
+        return joint
+    for p in range(d.n_points):
+        if b.env_indices is not None and p not in b.env_indices:
+            continue
+        h_mass = nc.h.at(point(d, p)).mass
+        dest, at = np.arange(c.n), p
+        for n in range(horizon + 1):
+            if a.env_indices is None or at in a.env_indices:
+                joint[n] += d.probs[p] * h_mass[in_b & in_a[dest]].sum()
+            dest = np.argmax(c.table[at].kernel, axis=1)[dest]
+            at = int(d.sigma[at])
+    return joint
+
+
+@given(st.data(), st.booleans(), st.integers(2, 8), st.integers(0, 2**32 - 1),
+       st.integers(0, 12))
+def test_set_picture_matches_the_per_point_destination_loop(
+        data, finite, n, kernel_seed, horizon):
+    if finite:
+        nc = data.draw(finite_nc(n, cell_map_kernels))
+        q = nc.cocycle.driving.n_points
+    else:
+        probs = data.draw(st.sampled_from([(0.5, 0.5), (0.3, 0.7)]))
+        nc = bernoulli_nc(cell_map_kernels(kernel_seed, n, 1) * 2, probs)
+        q = None
+    a, b = (data.draw(product_set(n, q)) for _ in range(2))
+    joint = set_picture_joint(nc, a, b, horizon)
+    assert joint.tobytes() == set_picture_loop(nc, a, b, horizon).tobytes()
+    operator = skew_mixing_curve(nc, a, b, horizon, 1e-3).joint
+    np.testing.assert_allclose(joint, operator, rtol=0, atol=1e-12)
+
+
+def patch_everywhere(monkeypatch, original, replacement):
+    """Replace a function in every cocyclelab module that binds it."""
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("cocyclelab"):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, replacement)
+
+
+def test_cell_map_walk_and_mass_pushes_stay_apart(monkeypatch):
+    # the tail route and the set picture push no mass; the norm route and
+    # the operator picture compose no cell maps
+    space = FiniteMeasureSpace.uniform(4)
+    perm = pf_exact(MapSpec("baker_cyclic", bits=2), space)
+    collapse = np.zeros((4, 4))
+    collapse[np.arange(4), np.arange(4) // 2] = 1.0
+    finite = normalized(CocycleFamily(driving=finite_rotation(2), table={
+        0: perm, 1: MarkovMatrix(space, collapse)}), k_max=32)
+    cylinder = bernoulli_nc([perm.kernel, perm.kernel])
+    a = ProductSet(cells=[0, 2])
+    b = ProductSet(cells=[0, 1])
+    w = point(finite.cocycle.driving, 0)
+    # the set picture reads h, whose pullback pushes mass: pull it back first
+    pictures = [set_picture_joint(nc, a, b, 6) for nc in (finite, cylinder)]
+    counts = tail_partition(finite.cocycle, w, 6).atom_counts
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called a route it must stay apart from")
+
+    with monkeypatch.context() as m:
+        for original in (cocyclelab.measure.mass_apply,
+                         cocyclelab.cocycle.push_orbit):
+            patch_everywhere(m, original, forbidden)
+        for nc, joint in zip((finite, cylinder), pictures):
+            assert set_picture_joint(nc, a, b, 6).tobytes() == joint.tobytes()
+        assert tail_partition(finite.cocycle, w, 6).atom_counts.tolist() == (
+            counts.tolist())
+    patch_everywhere(monkeypatch, cocyclelab.exactness.cell_map_orbit, forbidden)
+    exactness_norms(finite.cocycle, w, zero_mean_basis(space), 6)
+    for nc in (finite, cylinder):
+        skew_mixing_curve(nc, a, b, 6, 1e-3)
+
+
 def test_set_picture_rejects_fractional_kernels():
     nc = doubling_nc(8)
     left = ProductSet(cells=range(4))
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="fractional entries"):
         set_picture_joint(nc, left, left, horizon=3)
 
 
