@@ -66,6 +66,8 @@ class CocycleFamily:
                    if k not in self.table]
         if missing:
             raise ValueError(f"operator table missing features {missing}")
+        ops = {id(P): P for P in self.table.values()}
+        object.__setattr__(self, "_single", ops.popitem()[1] if len(ops) == 1 else None)
 
     @property
     def n(self) -> int:
@@ -77,10 +79,11 @@ class CocycleFamily:
 
     @property
     def is_constant(self) -> bool:
-        return len({id(P) for P in self.table.values()}) == 1
+        return self._single is not None
 
     def operator_at(self, omega: EnvPoint) -> MarkovMatrix:
-        return self.table[feature(self.driving, omega)]
+        # a constant table reads no feature, so a Bernoulli point resolves no symbol
+        return self._single or self.table[feature(self.driving, omega)]
 
     def check_point(self, omega: EnvPoint):
         if omega.system is not self.driving or (
@@ -157,7 +160,7 @@ def _pullback_depths(c: CocycleFamily, omega: EnvPoint, k_max: int,
                      base: np.ndarray):
     """The pullback masses of depths 1, 2, ..., k_max, lazily, in order."""
     if c.is_constant:
-        kernel = next(iter(c.table.values())).kernel
+        kernel = c.operator_at(omega).kernel
         for _ in range(k_max):
             base = mass_apply(base, kernel)  # depth k is depth k-1 pushed once
             yield base
@@ -193,6 +196,8 @@ def invariant_density_pullback(c: CocycleFamily, omega: EnvPoint, k_max: int,
     Failure to converge is reported through the certificate, never hidden.
     """
     c.check_point(omega)
+    if not 0 <= tol < np.inf:  # tol = 0 is legal: it runs to the depth cap
+        raise PreconditionError(f"pullback tol must be finite and >= 0, got {tol}")
     if f0 is None:
         f0 = Density.uniform(c.space)
     if f0.total_mass <= 0:

@@ -157,9 +157,6 @@ class EnvPoint:
             raise DrivingError("symbols are defined for bernoulli points only")
         return self.stream.symbol(self.origin + k)
 
-    def window_symbols(self, lo: int, hi: int) -> list[int]:
-        return [self.symbol(k) for k in range(lo, hi + 1)]
-
     def __eq__(self, other):
         if not isinstance(other, EnvPoint):
             return NotImplemented

@@ -82,10 +82,6 @@ class FiniteMeasureSpace:
     def uniform(cls, n: int) -> "FiniteMeasureSpace":
         return cls(np.full(n, 1.0 / n))
 
-    def measure(self, cells) -> float:
-        """Total weight of a cell subset (indices or boolean mask)."""
-        return float(self.weights[np.asarray(cells)].sum())
-
 
 def same_space(a: FiniteMeasureSpace, b: FiniteMeasureSpace) -> bool:
     return a is b or (a.n == b.n and np.array_equal(a.weights, b.weights))

@@ -12,10 +12,12 @@ environment,
 Observable families g are either step maps (one bounded observable per
 environment feature, measurable in the driving) or orbit schedules (a list of
 observables attached to the forward orbit of one base point, keyed by elapsed
-time; querying anywhere else is a schedule error).  Decay is judged per
-quantifier order: the prior notions ask for one threshold per environment
-point that works across the whole (f, g) basis, the posterior notions ask per
-pair; both are computed and reported, never merged.
+time; querying anywhere else is a schedule error).  The prior notions ask for
+one threshold per environment point across the whole (f, g) basis, the
+posterior notions one per pair.  On a finite sample the two orders are one
+conjunction, so they agree by construction and the report stores one
+verdict; comparing notions tests the homogeneous verdict against the
+travelling one.
 
 ``counterexample_run`` reproduces the separating example: the cyclic
 bit-shift baker cocycle with f the centered half-space indicator and the
@@ -35,7 +37,7 @@ import itertools
 
 import numpy as np
 
-from cocyclelab.cocycle import CocycleFamily, push_orbit
+from cocyclelab.cocycle import CocycleFamily, orbit, push_orbit
 from cocyclelab.curves import curve_decayed, suffix_envelope
 from cocyclelab.driving import EnvPoint, feature, finite_rotation
 from cocyclelab.measure import (
@@ -175,7 +177,7 @@ def step_map_basis(c: CocycleFamily, g_observables) -> list[ObservableMap]:
 
 @dataclasses.dataclass(eq=False)
 class MixingReport:
-    """Correlation curves plus both quantifier readings of the decay verdict.
+    """Correlation curves, the one decay verdict, and both orders' thresholds.
 
     values[w, i, j, n] is the curve for omega_samples[w], f_basis[i] and the
     j-th observable (fixed observables for the homogeneous notions, step maps
@@ -189,10 +191,6 @@ class MixingReport:
     tail_fraction: float
     values: np.ndarray
     decayed: bool
-    prior_decayed: bool         # per-omega grouping: every omega has one
-                                # tail bound covering its whole (f, g) basis
-    posterior_decayed: bool     # per-(f, g) grouping: every pair decays at
-                                # every sampled omega
     prior_thresholds: list      # per omega: first n from which every curve
                                 # of that omega stays below tol (None: never)
     posterior_thresholds: dict  # (f_id, g_id) -> worst such n over omega
@@ -230,31 +228,35 @@ def estimate_mixing(c: CocycleFamily, notion: str, f_basis, g_basis,
     if horizon < 0:
         raise PreconditionError(f"horizon must be >= 0, got {horizon}")
     require_tolerance(tol)
-    # equal points have equal orbits: push each distinct point once and
-    # spread the results back over the samples through ``inverse``
+    # equal points have equal orbits, and a push reads only the kernels its
+    # orbit meets: walk each distinct point once, then push the basis once
+    # per kernel sequence and read every member of the group off that push
     slot = {}
     inverse = np.array([slot.setdefault(pt, len(slot)) for pt in omega_samples],
                        dtype=np.intp)
-    distinct = list(slot)
+    walks = [list(orbit(c, omega, horizon)) for omega in slot]
+    groups = {}
+    for u, walk in enumerate(walks):
+        key = tuple(id(c.operator_at(pt)) for pt in walk[:-1])
+        groups.setdefault(key, []).append(u)
 
     fmass = np.stack([f.mass for f in f_basis])
-    uvalues = np.empty((len(distinct), len(f_basis), len(g_basis), horizon + 1))
+    uvalues = np.empty((len(walks), len(f_basis), len(g_basis), horizon + 1))
+    stacked = {}  # feature (None for fixed observables) -> (N, n_g) matrix
 
-    if inhom:
-        stacked = {}  # feature -> (N, n_g) matrix of the step maps there
-
-        def g_at(pt):
-            feat = feature(c.driving, pt)
-            if feat not in stacked:
-                stacked[feat] = np.stack(
-                    [g.at_feature(feat).values for g in g_basis], axis=1)
-            return stacked[feat]
-    else:
-        gvals = np.stack([g.values for g in g_basis], axis=1)
-
-    for u, omega in enumerate(distinct):
-        for n, (pt, cur) in enumerate(push_orbit(c, omega, fmass, horizon)):
-            uvalues[u, :, :, n] = cur @ (g_at(pt) if inhom else gvals)
+    for members in groups.values():
+        pushed = push_orbit(c, walks[members[0]][0], fmass, horizon)
+        for n, (_, cur) in enumerate(pushed):
+            reads = {}  # members that read one feature share one product
+            for u in members:
+                feat = feature(c.driving, walks[u][n]) if inhom else None
+                if feat not in reads:
+                    if feat not in stacked:
+                        stacked[feat] = np.stack(
+                            [(g if feat is None else g.at_feature(feat)).values
+                             for g in g_basis], axis=1)
+                    reads[feat] = cur @ stacked[feat]
+                uvalues[u, :, :, n] = reads[feat]
 
     # the two quantifier orders group the same curves differently, but on a
     # finite sample "every point, every pair" and "every pair, every point"
@@ -277,9 +279,7 @@ def estimate_mixing(c: CocycleFamily, notion: str, f_basis, g_basis,
 
     return MixingReport(notion=notion, horizon=horizon, tol=tol,
                         tail_fraction=tail_fraction, values=uvalues[inverse],
-                        decayed=verdict, prior_decayed=verdict,
-                        posterior_decayed=verdict,
-                        prior_thresholds=prior_thresholds,
+                        decayed=verdict, prior_thresholds=prior_thresholds,
                         posterior_thresholds=posterior_thresholds)
 
 

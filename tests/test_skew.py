@@ -196,6 +196,17 @@ def test_skew_curve_cylinder_exact_frozen():
     assert rep.decayed and not rep.driving_not_mixing
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+def test_skew_curve_rejects_a_pullback_tolerance_that_certifies_nothing(tol):
+    # with tol = inf the first pullback step would certify h_converged
+    P = pf_exact(MapSpec("doubling"), FiniteMeasureSpace.uniform(8))
+    c = CocycleFamily(driving=bernoulli_shift([0.5, 0.5]), table={0: P, 1: P})
+    a = ProductSet(cells=range(4), env_constraints={0: 0})
+    with pytest.raises(PreconditionError, match="pullback tol"):
+        skew_mixing_curve(NormalizedCocycle(c, build_invariant_density_map(
+            c, tol=tol)), a, a, horizon=4, tol=1e-9)
+
+
 def test_skew_cylinder_env_factorizes_past_width():
     bern = bernoulli_shift([0.5, 0.5])
     space = FiniteMeasureSpace.uniform(4)
