@@ -3,7 +3,7 @@
 After a burn-in, an asymptotically periodic operator sends every cell's
 indicator onto one of r disjoint density profiles g_1..g_r that a further
 step permutes among themselves.  The detector composes the cocycle for a
-burn-in window, clusters the rows of the composed kernel by support overlap,
+burn-in window, links the cells that one composed row reaches (``cell_labels``),
 reads the permutation off one extra step, and verifies the structure by
 residuals instead of trusting it: rows inside one component must share a
 profile, and each pushed profile must coincide with the profile it lands on.
@@ -63,6 +63,8 @@ class PeriodicDecomposition:
     def cycle_length(self, i: int) -> int:
         if self.rho is None:
             raise PreconditionError("no permutation: decomposition not found")
+        if not 0 <= i < self.r:
+            raise PreconditionError(f"component {i} outside 0..{self.r - 1}")
         seen = i
         length = 1
         while int(self.rho[seen]) != i:
@@ -75,12 +77,30 @@ class PeriodicDecomposition:
         return math.lcm(*(self.cycle_length(i) for i in range(self.r)))
 
 
-def _not_found(r, burn_in, residual, reason, supports=(), densities=()):
+def _not_found(r, burn_in, reason, supports=(), densities=(), residual=math.nan):
     return PeriodicDecomposition(found=False, r=r, rho=None,
                                  supports=list(supports),
                                  densities=list(densities), lambdas=None,
                                  burn_in=burn_in, residual=residual,
                                  reason=reason)
+
+
+def cell_labels(reach: np.ndarray) -> np.ndarray:
+    """Label each cell (column) of the bipartite row-cell graph ``reach`` by
+    the smallest cell of its component; a cell no row reaches keeps its own.
+    Star hooking (Shiloach & Vishkin, J. Algorithms 3, 1982): each round
+    hooks every root to the least label its star's cells share a row with,
+    then jumps pointers until every label is a root; labels only fall and
+    stay in their component.  Its int32 work arrays are half a float64 kernel."""
+    n = reach.shape[1]
+    label, old = np.arange(n, dtype=np.int32), None
+    while not np.array_equal(label, old):
+        old = label.copy()
+        row_min = np.where(reach, label, n).min(axis=1)
+        np.minimum.at(label, old, np.where(reach, row_min[:, None], n).min(axis=0))
+        while not np.array_equal(jumped := label[label], label):
+            label = jumped
+    return label
 
 
 def detect_periodicity(c: CocycleFamily, omega: EnvPoint, horizon: int,
@@ -90,35 +110,26 @@ def detect_periodicity(c: CocycleFamily, omega: EnvPoint, horizon: int,
 
     ``compose`` keeps the burn-in product as CSR while N >= 512 and nnz <=
     N^2 / 32; the detector reads it densely, so it is meant for moderate cell
-    counts.  Components are labeled canonically by their smallest cell index.
+    counts.  ``cell_labels`` numbers the components by their smallest cell.
     """
     require_tolerance(tol)
     if r_max < 0:
         raise PreconditionError(f"r_max must be >= 0, got {r_max}")
+    if horizon < 0:
+        raise PreconditionError(f"horizon must be >= 0, got {horizon}")
+    if f0 is not None and not np.isfinite(f0.values).all():
+        raise PreconditionError("f0 must be finite: it holds NaN or inf values")
     n = c.n
     burn = burn_in_steps(n, horizon)
     M = compose(c, omega, burn).kernel
     M = M.toarray() if issparse(M) else M
 
-    # imported here: scipy.sparse and csgraph (which pulls in
-    # scipy.sparse.linalg) would add about 0.3 s to every import of the package
-    import scipy.sparse as sp
-    from scipy.sparse.csgraph import connected_components
-
-    # cells are linked when one row reaches both: the components of the
-    # bipartite row-cell graph, numbered by their smallest cell
     reach = M > SUPPORT_FLOOR
-    links = sp.csr_matrix(reach)
-    _, label = connected_components(sp.bmat([[None, links], [links.T, None]]),
-                                    directed=False)
     hit = np.flatnonzero(reach.any(axis=0))
-    _, first, comp = np.unique(label[n + hit], return_index=True,
-                               return_inverse=True)
-    comp = np.argsort(np.argsort(first))[comp]
-    r = first.size
+    roots, comp = np.unique(cell_labels(reach)[hit], return_inverse=True)
+    r = roots.size
     if r > r_max:
-        return _not_found(r, burn, float("nan"),
-                          f"{r} components exceed the cap r_max={r_max}")
+        return _not_found(r, burn, f"{r} components exceed the cap r_max={r_max}")
     supports = [hit[comp == i] for i in range(r)]
 
     # every row's support sits inside exactly one component; rows of one
@@ -131,8 +142,7 @@ def detect_periodicity(c: CocycleFamily, omega: EnvPoint, horizon: int,
     for i in range(r):
         rows = M[row_comp == i]
         if rows.size == 0:
-            return _not_found(r, burn, float("nan"),
-                              "a component receives no mass", supports)
+            return _not_found(r, burn, "a component receives no mass", supports)
         profile = rows.mean(axis=0)
         within_residual = max(within_residual,
                               float(np.abs(rows - profile).sum(axis=1).max()))
@@ -149,29 +159,25 @@ def detect_periodicity(c: CocycleFamily, omega: EnvPoint, horizon: int,
     step_kernel = c.operator_at(end).kernel
     rho = np.full(r, -1)
     push_residual = 0.0
-    pushed_profiles = [mass_apply(p, step_kernel) for p in profiles]
-    for i, pushed in enumerate(pushed_profiles):
+    for i, profile in enumerate(profiles):
+        pushed = mass_apply(profile, step_kernel)
         landing = np.unique(comp_of_cell[np.flatnonzero(pushed > SUPPORT_FLOOR)])
         if landing.size != 1 or landing[0] < 0:
-            return _not_found(r, burn, float("nan"),
-                              "pushed profile does not land in a single component",
-                              supports)
+            return _not_found(r, burn, "pushed profile does not land in a "
+                              "single component", supports)
         rho[i] = landing[0]
-    if sorted(rho.tolist()) != list(range(r)):
-        return _not_found(r, burn, float("nan"),
-                          "component map is not a permutation", supports)
-    for i, pushed in enumerate(pushed_profiles):
         push_residual = max(push_residual,
-                            float(np.abs(pushed - profiles[int(rho[i])]).sum()))
+                            float(np.abs(pushed - profiles[rho[i]]).sum()))
+    if sorted(rho.tolist()) != list(range(r)):
+        return _not_found(r, burn, "component map is not a permutation", supports)
 
     residual = max(within_residual, push_residual)
-    space = c.space
-    densities = [Density.from_mass(space, p) for p in profiles]
+    densities = [Density.from_mass(c.space, p) for p in profiles]
 
     if residual > tol:
-        return _not_found(r, burn, residual,
+        return _not_found(r, burn,
                           f"structure residual {residual:.3e} above tolerance",
-                          supports, densities)
+                          supports, densities, residual)
     return PeriodicDecomposition(found=True, r=r, rho=rho, supports=supports,
                                  densities=densities, lambdas=lambdas,
                                  burn_in=burn, residual=residual)

@@ -8,16 +8,23 @@ doubling kernel the composed kernel is exactly uniform by the burn-in, so
 capture values of small cell unions are exact multiples of 1/8.
 """
 
+import time
+from unittest import mock
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, strategies as st
+from scipy.sparse.csgraph import connected_components
 
+from cocyclelab import asymptotic
 from cocyclelab.asymptotic import (
     SUPPORT_FLOOR,
     PeriodicDecomposition,
     QCReport,
     block_cycle_kernel,
     burn_in_steps,
+    cell_labels,
     detect_periodicity,
     invariant_density_from_decomposition,
     quasi_constrictive_probe,
@@ -47,15 +54,21 @@ def constant_cocycle(kernel_or_P, q=1):
                          table={i: P for i in range(q)})
 
 
-def detect(c, horizon=16, r_max=16, tol=1e-10):
-    return detect_periodicity(c, point(c.driving, 0), horizon, r_max, tol)
+def detect(c, horizon=16, r_max=16, tol=1e-10, f0=None):
+    return detect_periodicity(c, point(c.driving, 0), horizon, r_max, tol, f0)
 
 
 # -- detection -----------------------------------------------------------------
 
 
+SIX = FiniteMeasureSpace.uniform(6)
+
+
 @pytest.mark.parametrize("kw", [{"tol": float("nan")}, {"tol": 0.0},
-                                {"tol": -1e-10}, {"r_max": -1}])
+                                {"tol": -1e-10}, {"r_max": -1},
+                                {"horizon": -5},
+                                {"f0": Density(SIX, np.full(6, np.nan))},
+                                {"f0": Density(SIX, np.r_[np.inf, np.ones(5)])}])
 def test_detector_rejects_a_bad_tolerance_or_cap(kw):
     c = constant_cocycle(block_cycle_kernel(6, 3))
     with pytest.raises(PreconditionError):
@@ -230,6 +243,17 @@ def test_restricted_power_uses_cycle_length_per_component():
     assert res.values[0].tolist() == [1.0, 0.0, 0.0]
 
 
+@pytest.mark.parametrize("i", [-1, 3])
+def test_cycle_length_rejects_a_component_outside_the_range(i):
+    # -1 used to walk rho forever: rho only holds 0..r-1
+    c = constant_cocycle(block_cycle_kernel(6, 3))
+    dec = detect(c)
+    with pytest.raises(PreconditionError, match="outside 0..2"):
+        dec.cycle_length(i)
+    with pytest.raises(PreconditionError, match="outside 0..2"):
+        restricted_power_cocycle(c, dec, i)
+
+
 def test_restricted_power_rejects_leaking_support():
     c = constant_cocycle(np.full((4, 4), 0.25))
     space = c.space
@@ -345,6 +369,107 @@ def test_components_match_a_merge_loop_on_relabelled_cells(r, block, seed):
     assert dec.found and dec.r == r
     assert [s.tolist() for s in dec.supports] == merged_row_supports(
         M, SUPPORT_FLOOR)
+
+
+def csgraph_labels(reach):
+    """Reference labelling: scipy's connected components of the bipartite
+    row-cell graph, each reached cell labelled by its component's smallest
+    cell, every other cell by itself."""
+    n_rows, n = reach.shape
+    links = sp.csr_matrix(reach)
+    _, comp = connected_components(sp.bmat([[None, links], [links.T, None]]),
+                                   directed=False)
+    comp = comp[n_rows:]
+    label = np.arange(n)
+    for cells in (np.flatnonzero(comp == k) for k in np.unique(comp)):
+        if reach[:, cells].any():
+            label[cells] = cells[0]
+    return label
+
+
+@given(st.integers(min_value=1, max_value=60), st.integers(min_value=1, max_value=60),
+       st.sampled_from([0.0, 0.02, 0.08, 0.3]), st.booleans(),
+       st.integers(0, 2**20))
+def test_cell_labels_match_csgraph(n_rows, n, p, path, seed):
+    rng = np.random.default_rng(seed)
+    if path:
+        # random rows link a shuffled path of cells: long paths take the
+        # most rounds
+        k = min(n_rows, n - 1)
+        rows, cells = rng.permutation(n_rows)[:k], rng.permutation(n)
+        reach = np.zeros((n_rows, n), dtype=bool)
+        reach[rows, cells[:k]] = reach[rows, cells[1:k + 1]] = True
+    else:
+        reach = rng.random((n_rows, n)) < p
+    # empty rows and empty columns besides the ones chance leaves
+    reach[rng.random(n_rows) < 0.2] = False
+    reach[:, rng.random(n) < 0.2] = False
+    label = cell_labels(reach)
+    assert label.tolist() == csgraph_labels(reach).tolist()
+
+
+def test_cell_labels_join_a_shuffled_1024_cell_chain_quickly():
+    # row perm[k] reaches cells perm[k] and perm[k + 1]: one component of
+    # diameter about 2N in a random cell order, where plain min-label
+    # propagation needs hundreds of rounds (seconds); star hooking a handful
+    n = 1024
+    perm = np.random.default_rng(7).permutation(n)
+    reach = np.zeros((n, n), dtype=bool)
+    reach[perm, perm] = True
+    reach[perm[:-1], perm[1:]] = True
+    start = time.perf_counter()
+    label = cell_labels(reach)
+    assert time.perf_counter() - start < 1.0
+    assert (label == 0).all()
+
+
+def planted_block_permutation(sizes, n_transient, seed):
+    """Cells shuffled into blocks with a random positive profile each, plus
+    transient cells that no row reaches; every row of block i is the profile
+    of block pi(i), and every transient row that of block pi(0)."""
+    rng = np.random.default_rng(seed)
+    n_blocks, n = len(sizes), sum(sizes) + n_transient
+    cells = rng.permutation(n)
+    blocks = np.split(cells[:sum(sizes)], np.cumsum(sizes)[:-1])
+    pi = rng.permutation(n_blocks)
+    profiles = np.zeros((n_blocks, n))
+    for g, block in zip(profiles, blocks):
+        g[block] = rng.integers(1, 5, size=block.size)
+        g /= g.sum()
+    kernel = np.empty((n, n))
+    for i, block in enumerate(blocks):
+        kernel[block] = profiles[pi[i]]
+    kernel[cells[sum(sizes):]] = profiles[pi[0]]
+    return kernel, blocks, pi
+
+
+@given(st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=5),
+       st.integers(min_value=0, max_value=3), st.integers(0, 2**20),
+       st.integers(min_value=2, max_value=12))
+def test_detector_on_block_permutations_matches_the_csgraph_labelling(
+        sizes, n_transient, seed, horizon):
+    kernel, blocks, pi = planted_block_permutation(sizes, n_transient, seed)
+    c = constant_cocycle(kernel)
+    n, n_blocks = kernel.shape[0], len(sizes)
+    dec = detect(c, horizon=horizon, r_max=n)
+    with mock.patch.object(asymptotic, "cell_labels", csgraph_labels):
+        ref = detect(c, horizon=horizon, r_max=n)
+    # the planted truth: blocks numbered by their smallest cell, each sent
+    # to the block of pi
+    order = sorted(range(n_blocks), key=lambda i: blocks[i].min())
+    assert dec.found and dec.r == n_blocks
+    assert [s.tolist() for s in dec.supports] == [
+        sorted(blocks[i].tolist()) for i in order]
+    assert dec.rho.tolist() == [order.index(pi[i]) for i in order]
+    # the csgraph reference, byte for byte
+    assert ref.r == dec.r and ref.burn_in == dec.burn_in
+    assert [s.tobytes() for s in dec.supports] == [
+        s.tobytes() for s in ref.supports]
+    assert dec.rho.tobytes() == ref.rho.tobytes()
+    assert [d.values.tobytes() for d in dec.densities] == [
+        d.values.tobytes() for d in ref.densities]
+    assert dec.lambdas.tobytes() == ref.lambdas.tobytes()
+    assert dec.residual == ref.residual
 
 
 def qc_probe_loop(c, omega, horizon, eps_values):
