@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from cocyclelab.cocycle import CocycleFamily, compose, push_orbit
-from cocyclelab.driving import BERNOULLI, DrivingSystem, EnvPoint, point
+from cocyclelab.driving import BERNOULLI, DrivingSystem, EnvPoint, advance, point
 from cocyclelab.measure import (
     Density,
     FiniteMeasureSpace,
@@ -35,6 +35,7 @@ from cocyclelab.measure import (
     PreconditionError,
     issparse,
     mass_apply,
+    require_horizon,
     require_tolerance,
 )
 
@@ -115,14 +116,13 @@ def detect_periodicity(c: CocycleFamily, omega: EnvPoint, horizon: int,
     require_tolerance(tol)
     if r_max < 0:
         raise PreconditionError(f"r_max must be >= 0, got {r_max}")
-    if horizon < 0:
-        raise PreconditionError(f"horizon must be >= 0, got {horizon}")
+    require_horizon(horizon)
     if f0 is not None and not np.isfinite(f0.values).all():
         raise PreconditionError("f0 must be finite: it holds NaN or inf values")
     n = c.n
     burn = burn_in_steps(n, horizon)
-    M = compose(c, omega, burn).kernel
-    M = M.toarray() if issparse(M) else M
+    product = compose(c, omega, burn).kernel
+    M = product.toarray() if issparse(product) else product
 
     reach = M > SUPPORT_FLOOR
     hit = np.flatnonzero(reach.any(axis=0))
@@ -148,15 +148,13 @@ def detect_periodicity(c: CocycleFamily, omega: EnvPoint, horizon: int,
                               float(np.abs(rows - profile).sum(axis=1).max()))
         profiles.append(profile)
 
-    # the burn-in mass of f0 on each component; its push ends at
-    # sigma^burn omega, whose kernel is the one more step that the
-    # permutation is read off
+    # the burn-in mass of f0 on each component, pushed through the product
+    # as stored; the permutation is read off one more step, at sigma^burn omega
     if f0 is None:
         f0 = Density.uniform(c.space)
-    for end, mass in push_orbit(c, omega, f0.mass, burn):
-        pass
-    lambdas = np.array([float(mass[s].sum()) for s in supports])
-    step_kernel = c.operator_at(end).kernel
+    burnt = mass_apply(f0.mass, product)
+    lambdas = np.array([float(burnt[s].sum()) for s in supports])
+    step_kernel = c.operator_at(advance(c.driving, omega, burn)).kernel
     rho = np.full(r, -1)
     push_residual = 0.0
     for i, profile in enumerate(profiles):

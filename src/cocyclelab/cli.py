@@ -95,9 +95,8 @@ def _probed_points(scenario):
 
 def _bases(scenario):
     count = scenario.analysis.basis_count
-    f_basis = zero_mean_basis(scenario.space, count=count)
-    g_obs = indicator_basis(scenario.space, count=count)
-    return f_basis, g_obs
+    return (zero_mean_basis(scenario.space, count=count),
+            indicator_basis(scenario.space, count=count))
 
 
 def _g_basis_for(scenario, notion, g_obs):
@@ -108,19 +107,15 @@ def _g_basis_for(scenario, notion, g_obs):
 
 def cycle_notation(perm) -> str:
     """Permutation as disjoint cycles, fixed points included: '(0 2 1)(3)'."""
-    perm = [int(v) for v in perm]
-    seen, parts = set(), []
-    for i in range(len(perm)):
-        if i in seen:
-            continue
-        cyc = [i]
-        seen.add(i)
-        j = perm[i]
-        while j != i:
-            cyc.append(j)
+    perm, seen, parts = [int(v) for v in perm], set(), []
+    for start in range(len(perm)):
+        cyc, j = [], start
+        while j not in seen:  # each cycle starts at its smallest point
             seen.add(j)
+            cyc.append(j)
             j = perm[j]
-        parts.append("(" + " ".join(map(str, cyc)) + ")")
+        if cyc:
+            parts.append("(" + " ".join(map(str, cyc)) + ")")
     return "".join(parts)
 
 
@@ -244,109 +239,98 @@ def cmd_run_counterexample(args) -> int:
     return 0
 
 
-def cmd_report(args) -> int:
-    sc = load_scenario(args.scenario, vars(args))
+# the checks that read the periodicity detector's decomposition, in order
+PERIODICITY_CHECKS = ("periodicity-vs-exactness",
+                      "periodicity-vs-travelling-mixing",
+                      "periodicity-vs-hom-mixing", "restricted-power-exact")
+
+
+def _report_checks(sc):
+    """The cross-checks of `report` as rows (check, omega_id, ok, detail),
+    one at a time, with ok None for a SKIP."""
     a = sc.analysis
-    lines = []
-
-    def check(name, omega_id, ok, detail=""):
-        status = "PASS" if ok else "FAIL"
-        lines.append((name, omega_id, status, detail))
-        print(f"[{status}] {name} @ omega_{omega_id} {detail}")
-
-    def skip(name, omega_id, detail):
-        lines.append((name, omega_id, "SKIP", detail))
-        print(f"[SKIP] {name} @ omega_{omega_id} {detail}")
-
-    omegas = _env_points(sc)
-    heavy = _probed_points(sc)
+    omegas, heavy = _env_points(sc), _probed_points(sc)
     f_basis, g_obs = _bases(sc)
 
-    # mixing notions: on a finite sample prior and posterior are one
-    # conjunction, so one run per kind gives both orders, and the check
-    # compares the homogeneous verdict with the travelling one
-    verdicts = {}
-    for kind in ("hom", "inhom"):
-        rep = estimate_mixing(sc.cocycle, f"prior-{kind}", f_basis,
-                              _g_basis_for(sc, kind, g_obs), omegas,
-                              a.horizon, a.tol, tail_fraction=a.tail_fraction)
-        verdicts[f"prior-{kind}"] = verdicts[f"post-{kind}"] = rep.decayed
-    agree = len(set(verdicts.values())) == 1
-    check("mixing-notions-equivalent", "all", agree,
-          " ".join(f"{k}={v}" for k, v in verdicts.items()))
+    # on a finite sample prior and posterior are one conjunction, so one run
+    # per kind gives both orders: the check compares hom with inhom
+    hom, inhom = (estimate_mixing(
+        sc.cocycle, f"prior-{kind}", f_basis, _g_basis_for(sc, kind, g_obs),
+        omegas, a.horizon, a.tol, tail_fraction=a.tail_fraction).decayed
+        for kind in ("hom", "inhom"))
+    yield ("mixing-notions-equivalent", "all", hom == inhom,
+           f"prior-hom={hom} post-hom={hom} "
+           f"prior-inhom={inhom} post-inhom={inhom}")
 
     # exactness route agreement per probed point, tail route where defined
-    exact_by_omega = {}
+    exact = []
     for w, omega in enumerate(heavy):
         rep = exactness_report(sc.cocycle, omega, f_basis, g_obs, a.horizon,
                                a.tol, tail_fraction=a.tail_fraction)
-        exact_by_omega[w] = rep.exact_verdict
-        check("exactness-routes-agree", w, rep.routes_agree,
-              f"norm={rep.norms_decayed} dual={rep.dual_decayed}")
-        if rep.tail is not None:
-            check("tail-partition-matches", w,
-                  rep.tail.trivial == rep.exact_verdict,
-                  f"tail_trivial={rep.tail.trivial} exact={rep.exact_verdict}")
+        exact.append(rep.exact_verdict)
+        yield ("exactness-routes-agree", w, rep.routes_agree,
+               f"norm={rep.norms_decayed} dual={rep.dual_decayed}")
+        if rep.tail is None:
+            yield ("tail-partition-matches", w, None,
+                   "operators are not cell maps")
         else:
-            skip("tail-partition-matches", w, "operators are not cell maps")
+            yield ("tail-partition-matches", w,
+                   rep.tail.trivial == rep.exact_verdict,
+                   f"tail_trivial={rep.tail.trivial} exact={rep.exact_verdict}")
 
-    # asymptotic periodicity against exactness and the mixing verdicts; the
-    # detector reads the orbit after its burn-in, so a verdict window that
-    # starts earlier reads curves the detector does not see
-    finite = sc.driving.kind != BERNOULLI
+    # periodicity against exactness and mixing; a verdict window that starts
+    # before the detector's burn-in reads curves the detector does not see
+    vs_exact, vs_inhom, vs_hom, restricted = PERIODICITY_CHECKS
     window = tail_start(a.horizon + 1, a.tail_fraction)
     for w, omega in enumerate(heavy):
         dec = detect_periodicity(sc.cocycle, omega, a.horizon, a.rmax,
                                  tol=a.asymp_tol)
         if not dec.found:
-            skip("periodicity-vs-exactness", w, f"none found: {dec.reason}")
+            yield vs_exact, w, None, f"none found: {dec.reason}"
             continue
         if window < dec.burn_in:
-            for name in ("periodicity-vs-exactness",
-                         "periodicity-vs-travelling-mixing",
-                         "periodicity-vs-hom-mixing",
-                         "restricted-power-exact"):
-                skip(name, w, f"verdict window starts at n = {window}, before "
-                              f"the detector's burn-in of {dec.burn_in} steps")
+            for name in PERIODICITY_CHECKS:
+                yield (name, w, None,
+                       f"verdict window starts at n = {window}, before the "
+                       f"detector's burn-in of {dec.burn_in} steps")
             continue
         r_one = dec.r == 1
-        check("periodicity-vs-exactness", w, r_one == exact_by_omega[w],
-              f"r={dec.r} exact={exact_by_omega[w]}")
-        check("periodicity-vs-travelling-mixing", w,
-              r_one == verdicts["prior-inhom"] == verdicts["post-inhom"],
-              f"r={dec.r} prior-inhom={verdicts['prior-inhom']} "
-              f"post-inhom={verdicts['post-inhom']}")
-        if finite:
-            check("periodicity-vs-hom-mixing", w,
-                  r_one == verdicts["prior-hom"],
-                  f"r={dec.r} prior-hom={verdicts['prior-hom']}")
-            # restricted power on each multi-cell component must be exact
-            for i in range(dec.r):
-                if len(dec.supports[i]) < 2:
-                    continue
-                sub, cells = restricted_power_cocycle(sc.cocycle, dec, i)
-                sub_f = zero_mean_basis(sub.table[0].space)
-                sub_g = indicator_basis(sub.table[0].space)
-                sub_rep = exactness_report(
-                    sub, point(sub.driving, 0), sub_f, sub_g, a.horizon,
-                    a.tol, tail_fraction=a.tail_fraction)
-                check("restricted-power-exact", w, sub_rep.exact_verdict,
-                      f"component={i} cells={int(cells[0])}..{int(cells[-1])} "
-                      f"({len(cells)})")
-        else:
-            skip("periodicity-vs-hom-mixing", w,
-                 "finite driving only")
-            skip("restricted-power-exact", w, "finite driving only")
+        yield vs_exact, w, r_one == exact[w], f"r={dec.r} exact={exact[w]}"
+        yield (vs_inhom, w, r_one == inhom,
+               f"r={dec.r} prior-inhom={inhom} post-inhom={inhom}")
+        if sc.driving.kind == BERNOULLI:
+            yield vs_hom, w, None, "finite driving only"
+            yield restricted, w, None, "finite driving only"
+            continue
+        yield vs_hom, w, r_one == hom, f"r={dec.r} prior-hom={hom}"
+        # restricted power on each multi-cell component must be exact
+        for i in range(dec.r):
+            if len(dec.supports[i]) < 2:
+                continue
+            sub, cells = restricted_power_cocycle(sc.cocycle, dec, i)
+            sub_rep = exactness_report(
+                sub, point(sub.driving, omega.index),
+                zero_mean_basis(sub.space), indicator_basis(sub.space),
+                a.horizon, a.tol, tail_fraction=a.tail_fraction)
+            yield (restricted, w, sub_rep.exact_verdict,
+                   f"component={i} cells={int(cells[0])}..{int(cells[-1])} "
+                   f"({len(cells)})")
 
+
+def cmd_report(args) -> int:
+    sc = load_scenario(args.scenario, vars(args))
+    rows = []
+    for check, omega_id, ok, detail in _report_checks(sc):
+        status = "SKIP" if ok is None else "PASS" if ok else "FAIL"
+        rows.append((check, omega_id, status, detail))
+        print(f"[{status}] {check} @ omega_{omega_id} {detail}")
     if args.out:
         _write_csv(args.out, ("check", "omega_id", "status", "detail"),
-                   [(lines, ())])
-    failures = sum(status == "FAIL" for _, _, status, _ in lines)
-    if failures:
-        print(f"{sc.name}: {failures} consistency check(s) failed")
-        return 1
-    print(f"{sc.name}: all consistency checks passed")
-    return 0
+                   [(rows, ())])
+    failures = sum(status == "FAIL" for _, _, status, _ in rows)
+    print(f"{sc.name}: {failures} consistency check(s) failed" if failures
+          else f"{sc.name}: all consistency checks passed")
+    return 1 if failures else 0
 
 
 # -- argument parsing -----------------------------------------------------------

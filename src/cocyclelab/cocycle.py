@@ -111,20 +111,25 @@ def orbit_kernels(c: CocycleFamily, omega: EnvPoint, n: int):
     return [c.operator_at(pt).kernel for _, pt in zip(range(n), orbit(c, omega, n))]
 
 
+def push_kernels(mass: np.ndarray, kernels):
+    """``mass``, one row or a stack of rows, then its pushes through each
+    kernel in turn by ``mass_apply``; each push runs only when asked for."""
+    return itertools.accumulate(kernels, mass_apply, initial=mass)
+
+
 def push_orbit(c: CocycleFamily, omega: EnvPoint, mass: np.ndarray, n: int):
-    """The pairs (sigma^t omega, P^(t)(omega) mass) for t = 0, 1, ..., n:
-    ``mass``, one row or a stack of rows, pushed t steps along the orbit
-    through ``mass_apply``.
+    """The pairs (sigma^t omega, P^(t)(omega) mass) for t = 0, 1, ..., n,
+    pushed by ``push_kernels`` along the orbit.
 
     Each push runs only when the next pair is asked for, so a caller that
-    stops after the pair of step t has made exactly t pushes.
+    stops after the pair of step t has made exactly t pushes, and no kernel
+    is looked up at sigma^n omega.
     """
     if n < 0:
         raise PreconditionError(f"cocycle steps run forward only, got n = {n}")
-    for t, pt in enumerate(orbit(c, omega, n)):
-        yield pt, mass
-        if t < n:
-            mass = mass_apply(mass, c.operator_at(pt).kernel)
+    points, steps = itertools.tee(orbit(c, omega, n))
+    kernels = (c.operator_at(pt).kernel for pt in itertools.islice(steps, n))
+    return zip(points, push_kernels(mass, kernels))
 
 
 def compose(c: CocycleFamily, omega: EnvPoint, n: int) -> MarkovMatrix:

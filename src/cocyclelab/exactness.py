@@ -39,12 +39,8 @@ from cocyclelab.cocycle import CocycleFamily, orbit, orbit_kernels, push_orbit
 from cocyclelab.curves import curve_decayed
 from cocyclelab.driving import EnvPoint
 from cocyclelab.measure import (MarkovMatrix, PreconditionError,
-                                require_tolerance, require_zero_mean)
-
-
-def _require_horizon(horizon: int):
-    if horizon < 0:
-        raise PreconditionError(f"horizon must be >= 0, got {horizon}")
+                                require_horizon, require_tolerance,
+                                require_zero_mean)
 
 
 def _require_basis(basis, what: str):
@@ -67,7 +63,7 @@ def exactness_norms(c: CocycleFamily, omega: EnvPoint, f_basis,
     reported (it is zero in exact arithmetic).
     """
     _require_basis(f_basis, "density")
-    _require_horizon(horizon)
+    require_horizon(horizon)
     for f in f_basis:
         require_zero_mean(f, "an exactness norm curve")
     curves = np.empty((len(f_basis), horizon + 1))
@@ -110,7 +106,7 @@ def lin_dual_flatness(c: CocycleFamily, omega: EnvPoint, g_basis,
     horizon^2 / 2 pulls.
     """
     _require_basis(g_basis, "observable")
-    _require_horizon(horizon)
+    require_horizon(horizon)
     g_mat = np.stack([g.values for g in g_basis], axis=1)
     w = c.space.weights
     flat = np.empty((len(g_basis), horizon + 1))
@@ -167,7 +163,7 @@ def tail_partition(c: CocycleFamily, omega: EnvPoint,
     destinations; they coarsen monotonically (that is checked, not assumed),
     and triviality means a single atom by the horizon.
     """
-    _require_horizon(horizon)
+    require_horizon(horizon)
     counts = np.empty(horizon + 1, dtype=np.int64)
     for n, (_, dest) in enumerate(cell_map_orbit(c, omega, horizon)):
         counts[n] = np.count_nonzero(np.bincount(dest, minlength=c.n))

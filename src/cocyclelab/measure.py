@@ -218,6 +218,12 @@ def require_zero_mean(f: Density, what: str):
             f"total mass is {f.total_mass!r}")
 
 
+def require_horizon(horizon: int):
+    """Reject a negative step count."""
+    if horizon < 0:
+        raise PreconditionError(f"horizon must be >= 0, got {horizon}")
+
+
 def require_tolerance(tol: float):
     """Reject a verdict tolerance that is NaN, infinite or <= 0."""
     if not 0 < tol < np.inf:

@@ -37,7 +37,7 @@ import itertools
 
 import numpy as np
 
-from cocyclelab.cocycle import CocycleFamily, orbit, push_orbit
+from cocyclelab.cocycle import CocycleFamily, orbit, push_kernels, push_orbit
 from cocyclelab.curves import curve_decayed, suffix_envelope
 from cocyclelab.driving import EnvPoint, feature, finite_rotation
 from cocyclelab.measure import (
@@ -46,6 +46,7 @@ from cocyclelab.measure import (
     Observable,
     PreconditionError,
     mass_apply,  # unused here; the benchmark's tests read mixing.mass_apply
+    require_horizon,
     require_tolerance,
     require_zero_mean,
 )
@@ -225,8 +226,7 @@ def estimate_mixing(c: CocycleFamily, notion: str, f_basis, g_basis,
         raise PreconditionError(
             "mixing estimates need at least one environment point, one "
             "density and one observable")
-    if horizon < 0:
-        raise PreconditionError(f"horizon must be >= 0, got {horizon}")
+    require_horizon(horizon)
     require_tolerance(tol)
     # equal points have equal orbits, and a push reads only the kernels its
     # orbit meets: walk each distinct point once, then push the basis once
@@ -235,18 +235,16 @@ def estimate_mixing(c: CocycleFamily, notion: str, f_basis, g_basis,
     inverse = np.array([slot.setdefault(pt, len(slot)) for pt in omega_samples],
                        dtype=np.intp)
     walks = [list(orbit(c, omega, horizon)) for omega in slot]
-    groups = {}
+    groups = {}  # operators met along the walk (compared by identity) -> members
     for u, walk in enumerate(walks):
-        key = tuple(id(c.operator_at(pt)) for pt in walk[:-1])
-        groups.setdefault(key, []).append(u)
+        groups.setdefault(tuple(map(c.operator_at, walk[:-1])), []).append(u)
 
     fmass = np.stack([f.mass for f in f_basis])
     uvalues = np.empty((len(walks), len(f_basis), len(g_basis), horizon + 1))
     stacked = {}  # feature (None for fixed observables) -> (N, n_g) matrix
 
-    for members in groups.values():
-        pushed = push_orbit(c, walks[members[0]][0], fmass, horizon)
-        for n, (_, cur) in enumerate(pushed):
+    for ops, members in groups.items():
+        for n, cur in enumerate(push_kernels(fmass, (P.kernel for P in ops))):
             reads = {}  # members that read one feature share one product
             for u in members:
                 feat = feature(c.driving, walks[u][n]) if inhom else None

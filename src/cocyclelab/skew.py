@@ -59,7 +59,8 @@ from cocyclelab.driving import (
     shifted_constraints,
 )
 from cocyclelab.exactness import cell_map_orbit
-from cocyclelab.measure import PreconditionError, mass_apply, require_tolerance
+from cocyclelab.measure import (PreconditionError, mass_apply, require_horizon,
+                                require_tolerance)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -292,8 +293,7 @@ def skew_mixing_curve(nc: NormalizedCocycle, a: ProductSet, b: ProductSet,
     """
     c = nc.cocycle
     env_a, env_b = (_env_part(c.driving, s, c.n) for s in (a, b))
-    if horizon < 0:
-        raise PreconditionError(f"horizon must be >= 0, got {horizon}")
+    require_horizon(horizon)
     require_tolerance(tol)
 
     route = _route(nc, mc_samples, seed, 2, "skew mixing")

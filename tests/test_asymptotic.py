@@ -97,6 +97,21 @@ def test_planted_three_cycle_recovered_exactly():
         assert set(np.flatnonzero(g.values)) == set(dec.supports[i])
 
 
+def test_detector_reads_lambdas_and_rho_after_the_burn_in():
+    # five burn-in steps (horizon 10) alternate the block cycle P0 (block i
+    # to i + 1) and its reverse P1 = P0^T, so they end one block on, at
+    # sigma^5 omega_0 = omega_1, where the permutation is read off P1
+    kernel = block_cycle_kernel(6, 3)
+    c = CocycleFamily(driving=finite_rotation(2),
+                      table={0: MarkovMatrix(SIX, kernel),
+                             1: MarkovMatrix(SIX, kernel.T)})
+    f0 = Density.from_mass(SIX, np.array([0.3, 0.1, 0.2, 0.05, 0.25, 0.1]))
+    dec = detect(c, horizon=10, f0=f0)
+    assert dec.found and dec.burn_in == 5
+    assert dec.rho.tolist() == [2, 0, 1]
+    assert dec.lambdas.tolist() == pytest.approx([0.35, 0.4, 0.25], abs=1e-15)
+
+
 def test_uniformizer_single_profile():
     c = constant_cocycle(np.full((6, 6), 1.0 / 6))
     dec = detect(c)

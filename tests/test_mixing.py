@@ -25,6 +25,7 @@ from cocyclelab.curves import (
 from cocyclelab.driving import (
     DrivingError,
     EnvPoint,
+    advance,
     bernoulli_shift,
     feature,
     finite_rotation,
@@ -500,6 +501,51 @@ def test_estimator_pushes_once_per_kernel_sequence(monkeypatch, notion):
             words = {tuple(w.symbol(t) for t in range(horizon)) for w in omegas}
             assert 1 < len(words) < len(omegas)
             assert len(pushes) == horizon * len(words)
+
+
+@pytest.mark.parametrize("notion", NOTIONS)
+def test_estimator_walks_each_distinct_point_once(monkeypatch, notion):
+    # the grouping walk resolves every kernel that a group's push applies,
+    # so no orbit is walked a second time
+    steps = []
+    monkeypatch.setattr(cocyclelab.cocycle, "advance",
+                        lambda d, pt, n: steps.append(n) or advance(d, pt, n))
+    space = FiniteMeasureSpace.uniform(4)
+    P, Q = MarkovMatrix(space, DOUBLING4), MarkovMatrix(space, UNIFORMIZER4)
+    horizon = 5
+    shift, rotation = bernoulli_shift([0.5, 0.5]), finite_rotation(3)
+    for c, omegas in (
+            (CocycleFamily(driving=shift, table={0: P, 1: Q}),
+             sample_env(shift, 16, seed=3)),
+            (CocycleFamily(driving=rotation, table={0: P, 1: Q, 2: P}),
+             points(rotation))):
+        omegas = omegas + omegas[:2]
+        g_basis = indicator_basis(space)
+        if notion.endswith("inhom"):
+            g_basis = step_map_basis(c, g_basis)
+        steps.clear()
+        estimate_mixing(c, notion, zero_mean_basis(space), g_basis, omegas,
+                        horizon, 1e-6)
+        assert steps == [1] * (len(set(omegas)) * horizon)
+
+
+@given(repeated_omega_case())
+def test_travelling_curves_are_the_masked_homogeneous_curves(case):
+    # a step map reads its observable only where the orbit meets its
+    # feature, so each travelling curve is a homogeneous curve times the
+    # indicator of that feature along the orbit
+    c, _, omegas, horizon, _ = case
+    f_basis, g_obs = zero_mean_basis(c.space), indicator_basis(c.space)
+    hom = estimate_mixing(c, "prior-hom", f_basis, g_obs, omegas, horizon,
+                          1e-6).values
+    inhom = estimate_mixing(c, "prior-inhom", f_basis, step_map_basis(c, g_obs),
+                            omegas, horizon, 1e-6).values
+    feats = np.array([[feature(c.driving, pt) for pt in orbit(c, w, horizon)]
+                      for w in omegas])
+    mask = feats[:, None, :] == np.arange(c.driving.n_features)[:, None]
+    # step maps run feature outer, observable inner
+    masked = (hom[:, :, None] * mask[:, None, :, None, :]).reshape(inhom.shape)
+    np.testing.assert_allclose(inhom, masked, rtol=0, atol=1e-15)
 
 
 @given(st.lists(

@@ -814,6 +814,57 @@ def test_report_skips_periodicity_checks_before_the_burn_in(tmp_path, capsys):
     assert_window_skips(out, 4, 12)
 
 
+def test_cli_report_on_bernoulli_driving(tmp_path, capsys):
+    # sampled driving probes its first four samples; the homogeneous-mixing
+    # and restricted-power checks need a finite point set, so they are SKIPs
+    out = tmp_path / "report.csv"
+    assert main(["report", "--scenario",
+                 str(SCENARIOS / "bernoulli_doubling.yaml"),
+                 "--out", str(out)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    rows = rows_of(out)
+    assert printed[:-1] == [
+        f"[{r['status']}] {r['check']} @ omega_{r['omega_id']} {r['detail']}"
+        for r in rows]
+    assert printed[-1] == "bernoulli_doubling: all consistency checks passed"
+    probed = [r["omega_id"] for r in rows
+              if r["check"] == "exactness-routes-agree"]
+    assert probed == ["0", "1", "2", "3"]
+    skips = [(r["check"], r["omega_id"], r["status"]) for r in rows
+             if r["detail"] == "finite driving only"]
+    assert skips == [(name, str(w), "SKIP") for w in range(4)
+                     for name in PERIODICITY_CHECKS[2:]]
+
+
+# two fixed points: from omega_0 the cell map A swaps the blocks {0, 1} and
+# {2, 3} cell by cell, so A^2 is the identity; from omega_1 the block swap B
+# spreads each block uniformly onto the other, so B^2 restricted to a block
+# is uniform, hence exact
+TWO_FIXED_POINTS = """
+space: {N: 4}
+driving: {kind: finite_permutation, sigma: [0, 1]}
+operators:
+  A:
+    kernel: [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]]
+  B:
+    synthetic: {block_cycle: 2}
+cocycle:
+  table: {0: A, 1: B}
+"""
+
+
+def test_restricted_power_runs_from_the_probed_point(tmp_path):
+    # omega_0 has four one-cell components and no restricted power; omega_1
+    # has two blocks, whose restricted squares must start at omega_1
+    out = tmp_path / "report.csv"
+    assert main(["report", "--scenario", write(tmp_path, TWO_FIXED_POINTS),
+                 "--out", str(out)]) == 0
+    restricted = [(r["omega_id"], r["status"], r["detail"])
+                  for r in rows_of(out) if r["check"] == "restricted-power-exact"]
+    assert restricted == [("1", "PASS", "component=0 cells=0..1 (2)"),
+                          ("1", "PASS", "component=1 cells=2..3 (2)")]
+
+
 UNIFORM8 = """
 space: {N: 8}
 driving: {kind: finite_rotation, q: 1}
