@@ -22,7 +22,7 @@ import numpy as np
 from .asymptotic import detect_periodicity, quasi_constrictive_probe, \
     restricted_power_cocycle
 from .cocycle import NormalizedCocycle, build_invariant_density_map
-from .curves import tail_start
+from .curves import curve_decayed, tail_start
 from .driving import BERNOULLI, DrivingError, point, points, sample_env
 from .exactness import exactness_report
 from .measure import PreconditionError
@@ -254,10 +254,11 @@ def _report_checks(sc):
 
     # on a finite sample prior and posterior are one conjunction, so one run
     # per kind gives both orders: the check compares hom with inhom
-    hom, inhom = (estimate_mixing(
+    mixing = [estimate_mixing(
         sc.cocycle, f"prior-{kind}", f_basis, _g_basis_for(sc, kind, g_obs),
-        omegas, a.horizon, a.tol, tail_fraction=a.tail_fraction).decayed
-        for kind in ("hom", "inhom"))
+        omegas, a.horizon, a.tol, tail_fraction=a.tail_fraction)
+        for kind in ("hom", "inhom")]
+    hom, inhom = (rep.decayed for rep in mixing)
     yield ("mixing-notions-equivalent", "all", hom == inhom,
            f"prior-hom={hom} post-hom={hom} "
            f"prior-inhom={inhom} post-inhom={inhom}")
@@ -294,15 +295,20 @@ def _report_checks(sc):
                        f"verdict window starts at n = {window}, before the "
                        f"detector's burn-in of {dec.burn_in} steps")
             continue
+        # the point's decomposition meets the point's own mixing verdicts:
+        # heavy[w] is omegas[w], since bernoulli samples are prefix-stable
+        hom_w, inhom_w = (
+            bool(curve_decayed(rep.values[w], a.tol, a.tail_fraction).all())
+            for rep in mixing)
         r_one = dec.r == 1
         yield vs_exact, w, r_one == exact[w], f"r={dec.r} exact={exact[w]}"
-        yield (vs_inhom, w, r_one == inhom,
-               f"r={dec.r} prior-inhom={inhom} post-inhom={inhom}")
+        yield (vs_inhom, w, r_one == inhom_w,
+               f"r={dec.r} prior-inhom={inhom_w} post-inhom={inhom_w}")
         if sc.driving.kind == BERNOULLI:
             yield vs_hom, w, None, "finite driving only"
             yield restricted, w, None, "finite driving only"
             continue
-        yield vs_hom, w, r_one == hom, f"r={dec.r} prior-hom={hom}"
+        yield vs_hom, w, r_one == hom_w, f"r={dec.r} prior-hom={hom_w}"
         # restricted power on each multi-cell component must be exact
         for i in range(dec.r):
             if len(dec.supports[i]) < 2:

@@ -270,3 +270,8 @@ class NormalizedCocycle:
 
     cocycle: CocycleFamily
     h: InvariantDensityMap
+
+    def __post_init__(self):
+        if self.h.cocycle is not self.cocycle:
+            raise PreconditionError(
+                "the invariant density map was built for another cocycle")

@@ -3,9 +3,7 @@
 Three routes, kept separate and cross-checked:
 
 * norm route: for zero-mean densities f the curves ||P^(n)(omega) f||_1 are
-  non-increasing, and exactness means they all vanish in the limit.  A sign
-  witness pairs each pushed density with its own sign observable, recomputing
-  the norm through the duality pairing.
+  non-increasing, and exactness means they all vanish in the limit.
 
 * dual route: the adjoint orbit of an observable is the composed kernel
   applied to it, and exactness means every such orbit flattens to a constant.
@@ -48,33 +46,19 @@ def _require_basis(basis, what: str):
         raise PreconditionError(f"exactness curves need at least one {what}")
 
 
-@dataclasses.dataclass(frozen=True)
-class NormCurves:
-    values: np.ndarray       # (n_f, horizon + 1) L1 norms of pushed densities
-    sgn_witness_gap: float   # max |norm - sign-paired integral| over all (f, n)
-
-
 def exactness_norms(c: CocycleFamily, omega: EnvPoint, f_basis,
-                    horizon: int) -> NormCurves:
-    """L1-norm decay curves of pushed zero-mean densities.
-
-    Each norm is recomputed through the duality pairing with the pushed
-    density's own sign observable; the worst gap between the two readings is
-    reported (it is zero in exact arithmetic).
-    """
+                    horizon: int) -> np.ndarray:
+    """L1-norm decay curves of pushed zero-mean densities: entry [i, n] is
+    ||P^(n)(omega) f_basis[i]||_1, an (n_f, horizon + 1) array."""
     _require_basis(f_basis, "density")
     require_horizon(horizon)
     for f in f_basis:
         require_zero_mean(f, "an exactness norm curve")
     curves = np.empty((len(f_basis), horizon + 1))
-    gap = 0.0
     pushes = push_orbit(c, omega, np.stack([f.mass for f in f_basis]), horizon)
     for n, (_, mass) in enumerate(pushes):
-        norms = np.abs(mass).sum(axis=1)
-        witness = np.einsum("ij,ij->i", mass, np.sign(mass))
-        gap = max(gap, float(np.abs(norms - witness).max()))
-        curves[:, n] = norms
-    return NormCurves(values=curves, sgn_witness_gap=gap)
+        curves[:, n] = np.abs(mass).sum(axis=1)
+    return curves
 
 
 @dataclasses.dataclass(frozen=True)
@@ -188,10 +172,17 @@ class ExactnessReport:
     mean_distance_curves: np.ndarray
     norms_decayed: bool
     dual_decayed: bool
-    routes_agree: bool
-    exact_verdict: bool
-    sgn_witness_gap: float
     tail: TailPartitionReport | None
+
+    @property
+    def exact_verdict(self) -> bool:
+        """The exactness verdict, which follows the norm route."""
+        return self.norms_decayed
+
+    @property
+    def routes_agree(self) -> bool:
+        """Whether the dual route reached the norm route's verdict."""
+        return self.norms_decayed == self.dual_decayed
 
 
 def exactness_report(c: CocycleFamily, omega: EnvPoint, f_basis, g_basis,
@@ -206,16 +197,14 @@ def exactness_report(c: CocycleFamily, omega: EnvPoint, f_basis, g_basis,
     require_tolerance(tol)
     norms = exactness_norms(c, omega, f_basis, horizon)
     dual = lin_dual_flatness(c, omega, g_basis, horizon)
-    norms_decayed = bool(curve_decayed(norms.values, tol, tail_fraction).all())
-    dual_decayed = bool(curve_decayed(dual.flatness, tol, tail_fraction).all())
     tail = None
     if all(P.is_cell_map() for P in c.table.values()):
         tail = tail_partition(c, omega, horizon)
     return ExactnessReport(
         horizon=horizon, tol=tol, tail_fraction=tail_fraction,
-        norm_curves=norms.values, flatness_curves=dual.flatness,
+        norm_curves=norms, flatness_curves=dual.flatness,
         mean_distance_curves=dual.mean_distance,
-        norms_decayed=norms_decayed, dual_decayed=dual_decayed,
-        routes_agree=norms_decayed == dual_decayed,
-        exact_verdict=norms_decayed,
-        sgn_witness_gap=norms.sgn_witness_gap, tail=tail)
+        norms_decayed=bool(curve_decayed(norms, tol, tail_fraction).all()),
+        dual_decayed=bool(curve_decayed(dual.flatness, tol,
+                                        tail_fraction).all()),
+        tail=tail)

@@ -9,25 +9,22 @@ environment,
 
     C_inhom(n) = integral  P^(n)(omega) f  *  g(sigma^n omega)  dm.
 
-Observable families g are either step maps (one bounded observable per
-environment feature, measurable in the driving) or orbit schedules (a list of
-observables attached to the forward orbit of one base point, keyed by elapsed
-time; querying anywhere else is a schedule error).  The prior notions ask for
-one threshold per environment point across the whole (f, g) basis, the
-posterior notions one per pair.  On a finite sample the two orders are one
-conjunction, so they agree by construction and the report stores one
-verdict; comparing notions tests the homogeneous verdict against the
-travelling one.
+Observable families g are step maps: one bounded observable per environment
+feature, measurable in the driving.  The prior notions ask for one threshold
+per environment point across the whole (f, g) basis, the posterior notions
+one per pair.  On a finite sample the two orders are one conjunction, so
+they agree by construction and the report stores one verdict; comparing
+notions tests the homogeneous verdict against the travelling one.
 
 ``counterexample_run`` reproduces the separating example: the cyclic
-bit-shift baker cocycle with f the centered half-space indicator and the
-orbit schedule g_n = (transfer operator)^n applied to the half-space
-indicator.  The inhomogeneous correlation then equals the measure of the
-shifted half-space, exactly 1/2 at every step, while every fixed-observable
-correlation is bounded by one cell's measure; supports of the evolved
-half-space indicators stay exactly disjoint.  The finite model is periodic
-with period (bit count), so the identity is only claimed for horizons up to
-that period and the report says when the horizon was capped.
+bit-shift baker cocycle with f the centered half-space indicator and
+g_n = (transfer operator)^n applied to the half-space indicator, read off
+the same push as f.  The inhomogeneous correlation then equals the measure
+of the shifted half-space, exactly 1/2 at every step, while every
+fixed-observable correlation is bounded by one cell's measure; supports of
+the evolved half-space indicators stay exactly disjoint.  The finite model
+is periodic with period (bit count), so the identity is only claimed for
+horizons up to that period and the report says when the horizon was capped.
 """
 
 from __future__ import annotations
@@ -55,37 +52,14 @@ from cocyclelab.transfer import MapSpec, pf_exact
 NOTIONS = ("prior-hom", "post-hom", "prior-inhom", "post-inhom")
 
 
-class ScheduleError(PreconditionError):
-    """An orbit-schedule observable map was queried off its orbit."""
-
-
 @dataclasses.dataclass(frozen=True, eq=False)
 class ObservableMap:
-    """Environment-indexed observable family.
-
-    mode "step": ``table`` maps environment features to Observables;
-    features without an entry read as the zero observable.
-    mode "orbit": ``schedule[n]`` is the observable at sigma^n(base), valid
-    only on that orbit segment (elapsed time is the key, so the orbit is
-    treated as free even when the finite driving would revisit its points).
-    """
+    """Environment-indexed observable family: ``table`` maps environment
+    features to Observables; features without an entry read as the zero
+    observable."""
 
     space: FiniteMeasureSpace
-    mode: str
-    table: dict | None = None
-    base: EnvPoint | None = None
-    schedule: tuple | None = None
-
-    def __post_init__(self):
-        if self.mode == "step":
-            if self.table is None:
-                raise ValueError("step maps need a feature table")
-        elif self.mode == "orbit":
-            if self.base is None or not self.schedule:
-                raise ValueError("orbit maps need a base point and a schedule")
-            object.__setattr__(self, "schedule", tuple(self.schedule))
-        else:
-            raise ValueError(f"unknown observable-map mode {self.mode!r}")
+    table: dict
 
     def at_feature(self, feat: int) -> Observable:
         g = self.table.get(feat)
@@ -93,24 +67,9 @@ class ObservableMap:
             return Observable(self.space, np.zeros(self.space.n))
         return g
 
-    def at_orbit(self, base: EnvPoint, elapsed: int) -> Observable:
-        if base != self.base:
-            raise ScheduleError("orbit-schedule observable queried off its base point")
-        if not 0 <= elapsed < len(self.schedule):
-            raise ScheduleError(
-                f"orbit schedule covers 0..{len(self.schedule) - 1}, "
-                f"got elapsed time {elapsed}")
-        return self.schedule[elapsed]
-
 
 def step_map(space: FiniteMeasureSpace, table: dict) -> ObservableMap:
-    return ObservableMap(space=space, mode="step", table=dict(table))
-
-
-def orbit_schedule_map(space: FiniteMeasureSpace, base: EnvPoint,
-                       schedule) -> ObservableMap:
-    return ObservableMap(space=space, mode="orbit", base=base,
-                         schedule=tuple(schedule))
+    return ObservableMap(space=space, table=dict(table))
 
 
 def correlation_hom(c: CocycleFamily, omega: EnvPoint, f: Density,
@@ -128,11 +87,7 @@ def correlation_inhom(c: CocycleFamily, omega: EnvPoint, f: Density,
     require_zero_mean(f, "correlation decay")
     for pt, mass in push_orbit(c, omega, f.mass, n):
         pass
-    if g.mode == "orbit":
-        g_obs = g.at_orbit(omega, n)
-    else:
-        g_obs = g.at_feature(feature(c.driving, pt))
-    return float(np.dot(mass, g_obs.values))
+    return float(np.dot(mass, g.at_feature(feature(c.driving, pt)).values))
 
 
 # -- bases -------------------------------------------------------------------
@@ -214,7 +169,7 @@ def estimate_mixing(c: CocycleFamily, notion: str, f_basis, g_basis,
         require_zero_mean(f, "correlation decay")
     if inhom:
         for g in g_basis:
-            if not isinstance(g, ObservableMap) or g.mode != "step":
+            if not isinstance(g, ObservableMap):
                 raise PreconditionError(
                     "travelling notions take step observable maps")
     else:
@@ -283,8 +238,8 @@ def estimate_mixing(c: CocycleFamily, notion: str, f_basis, g_basis,
 
 # -- the travelling-observable counterexample ---------------------------------
 
-# the largest half bit count: 2^20 cells, where the orbit schedule of 21
-# observables already holds 176 MB
+# the largest half bit count: 2^20 cells, where each pushed three-row stack
+# holds 25 MB
 COUNTEREXAMPLE_MAX_K = 10
 
 
@@ -310,9 +265,9 @@ def counterexample_run(k: int, horizon: int | None = None) -> CounterexampleRepo
     """Travelling-vs-fixed observable separation on the cyclic bit-shift
     baker cocycle with 2k bits.
 
-    Builds the constant cocycle over a rotation driving, the centered density
-    f = 1_A - 1_{A^c} for the half space A = {leading bit 0}, and the orbit
-    schedule g_n = L^n 1_A.  The inhomogeneous correlation equals 1/2 exactly
+    Builds the constant cocycle over a one-point driving, the centered
+    density f = 1_A - 1_{A^c} for the half space A = {leading bit 0}, and
+    g_n = L^n 1_A.  The inhomogeneous correlation equals 1/2 exactly
     for every n while homogeneous correlations against cell indicators are
     bounded by 1/N; the evolved indicators L^n 1_A and L^n 1_{A^c} have
     exactly disjoint supports.  The model is periodic with period 2k, so
@@ -329,16 +284,15 @@ def counterexample_run(k: int, horizon: int | None = None) -> CounterexampleRepo
     n_cells = 1 << bits
     space = FiniteMeasureSpace.uniform(n_cells)
     P = pf_exact(MapSpec("baker_cyclic", bits=bits), space)
-    driving = finite_rotation(max(horizon, 1))
-    c = CocycleFamily(driving=driving,
-                      table={i: P for i in range(max(horizon, 1))})
+    driving = finite_rotation(1)
+    c = CocycleFamily(driving=driving, table={0: P})
     base = EnvPoint(system=driving, index=0)
 
     half = n_cells // 2
     a_cells = np.arange(half)
     f = Density(space, np.where(np.arange(n_cells) < half, 1.0, -1.0))
 
-    # evolve the indicator densities and the schedule with the same kernels
+    # push the indicator densities and f with the same kernels
     rows = np.stack([Density.indicator(space, a_cells).mass,
                      Density.indicator(space, np.arange(half, n_cells)).mass,
                      f.mass])
@@ -348,23 +302,13 @@ def counterexample_run(k: int, horizon: int | None = None) -> CounterexampleRepo
     overlaps = np.empty(horizon + 1)
     squares = np.empty(horizon + 1)
     contrast = np.empty(horizon + 1)
-    schedule = []
     for n, (_, (ind_a, ind_ac, fmass)) in enumerate(
             push_orbit(c, base, rows, horizon)):
         g_vals = ind_a / w  # L^n 1_A as an observable (0/1 valued)
-        schedule.append(Observable(space, g_vals))
         inhom[n] = float(np.dot(fmass, g_vals))
         overlaps[n] = float(np.sum((ind_a / w) * (ind_ac / w) * w))
         squares[n] = float(np.sum(g_vals * g_vals * w))
         contrast[n] = float(np.abs(fmass).max())
-
-    # the schedule is also exposed through the public correlation route;
-    # spot-check it agrees with the streamed values
-    gmap = orbit_schedule_map(space, base, schedule)
-    for n in (0, min(1, horizon), horizon):
-        probe = correlation_inhom(c, base, f, gmap, n)
-        if probe != inhom[n]:
-            raise AssertionError("schedule route disagrees with streamed route")
 
     return CounterexampleReport(bits=bits, n_cells=n_cells, horizon=horizon,
                                 horizon_capped=capped, inhom_values=inhom,

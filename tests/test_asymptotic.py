@@ -244,7 +244,7 @@ def test_restricted_square_of_block_swap_is_exact_in_one_step():
     assert sub.n == 2
     f = zero_mean_basis(sub.space)[0]
     res = exactness_norms(sub, point(sub.driving, 0), [f], horizon=3)
-    assert res.values[0].tolist() == [1.0, 0.0, 0.0, 0.0]
+    assert res[0].tolist() == [1.0, 0.0, 0.0, 0.0]
 
 
 def test_restricted_power_uses_cycle_length_per_component():
@@ -255,7 +255,7 @@ def test_restricted_power_uses_cycle_length_per_component():
     # the cube of the three-cycle holds each block; uniformization is immediate
     f = zero_mean_basis(sub.space)[0]
     res = exactness_norms(sub, point(sub.driving, 0), [f], horizon=2)
-    assert res.values[0].tolist() == [1.0, 0.0, 0.0]
+    assert res[0].tolist() == [1.0, 0.0, 0.0]
 
 
 @pytest.mark.parametrize("i", [-1, 3])

@@ -483,6 +483,24 @@ def test_normalized_cocycle_planted_fixed_density():
     assert np.allclose(nc.h.at(w).mass, u_mass, atol=1e-12)
 
 
+def test_normalized_cocycle_rejects_a_density_map_of_another_cocycle():
+    # the shift's density map holds the uniform density; the collapse's holds
+    # a point mass at cell 0, which the shift does not keep
+    space = make_space()
+    shift = constant_cocycle(
+        MarkovMatrix(space, np.roll(np.eye(4), 1, axis=1)))
+    collapse = constant_cocycle(rank_one(space, [1.0, 0.0, 0.0, 0.0]))
+    with pytest.raises(PreconditionError, match="another cocycle"):
+        NormalizedCocycle(cocycle=shift,
+                          h=build_invariant_density_map(collapse))
+    # a copy of the cocycle has its own driving, whose points the map caches
+    twin = constant_cocycle(shift.operator_at(point(shift.driving, 0)))
+    with pytest.raises(PreconditionError, match="another cocycle"):
+        NormalizedCocycle(cocycle=shift, h=build_invariant_density_map(twin))
+    nc = NormalizedCocycle(cocycle=shift, h=build_invariant_density_map(shift))
+    assert nc.h.cocycle is shift
+
+
 @pytest.mark.parametrize("other", [finite_rotation(3), finite_rotation(2)])
 def test_points_of_another_driving_are_rejected(other):
     # a point of another rotation, even one with the same number of points,

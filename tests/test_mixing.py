@@ -47,17 +47,16 @@ from cocyclelab.mixing import (
     NOTIONS,
     CounterexampleReport,
     ObservableMap,
-    ScheduleError,
     correlation_hom,
     correlation_inhom,
     counterexample_run,
     estimate_mixing,
     indicator_basis,
-    orbit_schedule_map,
     step_map,
     step_map_basis,
     zero_mean_basis,
 )
+from cocyclelab.transfer import MapSpec, bit_shift_permutation, pf_exact
 
 DOUBLING4 = np.array([
     [0.5, 0.5, 0.0, 0.0],
@@ -133,29 +132,10 @@ def test_step_map_missing_feature_reads_zero():
     assert correlation_inhom(c, omega, f, gmap, 0) == 0.5
 
 
-def test_orbit_schedule_errors():
-    c = constant_cocycle(DOUBLING4, q=2)
-    space = c.space
-    base = point(c.driving, 0)
-    sched = [Observable.constant(space, 1.0), Observable.constant(space, 2.0)]
-    gmap = orbit_schedule_map(space, base, sched)
-    f = Density.from_mass(space, [0.5, -0.5, 0.0, 0.0])
-    with pytest.raises(ScheduleError):
-        correlation_inhom(c, point(c.driving, 1), f, gmap, 0)  # off base
-    with pytest.raises(ScheduleError):
-        correlation_inhom(c, base, f, gmap, 2)  # past the schedule
-    # on-orbit query works and pairs the n-step push with schedule[n]
-    assert correlation_inhom(c, base, f, gmap, 0) == 0.0  # zero-mean vs const
-
-
 def test_observable_map_validation():
     space = FiniteMeasureSpace.uniform(4)
-    with pytest.raises(ValueError):
-        ObservableMap(space=space, mode="step")
-    with pytest.raises(ValueError):
-        ObservableMap(space=space, mode="orbit", base=None, schedule=())
-    with pytest.raises(ValueError):
-        ObservableMap(space=space, mode="sideways", table={})
+    with pytest.raises(TypeError):
+        ObservableMap(space=space)  # a step map needs a feature table
 
 
 # -- adjoint route agreement (dual composition gives the same correlations) ---
@@ -244,7 +224,7 @@ def test_step_map_basis_enumerates_feature_observable_pairs():
     maps = step_map_basis(c, obs)
     assert len(maps) == 4
     for m in maps:
-        assert m.mode == "step" and len(m.table) == 1
+        assert isinstance(m, ObservableMap) and len(m.table) == 1
     bern = CocycleFamily(
         driving=bernoulli_shift([0.5, 0.5]),
         table={0: MarkovMatrix(c.space, DOUBLING4),
@@ -663,6 +643,30 @@ def test_counterexample_scales_with_exact_half_correlation(k):
     # fixed-observable correlations never exceed one cell's measure
     assert np.all(rep.hom_contrast_max == 1.0 / n_cells)
     assert rep.passes
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_counterexample_matches_the_travelling_route(k):
+    # the generic route: a constant cocycle over a rotation whose point t
+    # carries the indicator of perm^t(A), built from the permutation, not
+    # from a push
+    rep = counterexample_run(k)
+    bits, n_cells = 2 * k, 1 << (2 * k)
+    space = FiniteMeasureSpace.uniform(n_cells)
+    P = pf_exact(MapSpec("baker_cyclic", bits=bits), space)
+    driving = finite_rotation(rep.horizon + 1)
+    c = CocycleFamily(driving=driving,
+                      table={t: P for t in range(rep.horizon + 1)})
+    perm, cells = bit_shift_permutation(bits), np.arange(n_cells // 2)
+    table = {}
+    for t in range(rep.horizon + 1):
+        table[t] = Observable.indicator(space, cells)
+        cells = perm[cells]
+    f = Density(space, np.where(np.arange(n_cells) < n_cells // 2, 1.0, -1.0))
+    g, omega = step_map(space, table), point(driving, 0)
+    values = [correlation_inhom(c, omega, f, g, n)
+              for n in range(rep.horizon + 1)]
+    assert np.array(values).tobytes() == rep.inhom_values.tobytes()
 
 
 def test_counterexample_horizon_capped_at_period():

@@ -865,6 +865,40 @@ def test_restricted_power_runs_from_the_probed_point(tmp_path):
                           ("1", "PASS", "component=1 cells=2..3 (2)")]
 
 
+# two fixed points: omega_0 sees the doubling kernel forever, so it mixes and
+# its decomposition has one component; omega_1 sees the identity, which
+# neither mixes nor merges any of its eight cells
+DOUBLING_AND_IDENTITY = """
+space: {N: 8}
+driving: {kind: finite_permutation, sigma: [0, 1]}
+operators:
+  D: {map: {kind: doubling}}
+  I: {synthetic: identity}
+cocycle:
+  table: {0: D, 1: I}
+"""
+
+
+def test_periodicity_checks_read_the_probed_points_own_mixing_verdict(
+        tmp_path):
+    out = tmp_path / "report.csv"
+    scenario = write(tmp_path, DOUBLING_AND_IDENTITY)
+    assert main(["report", "--scenario", scenario, "--out", str(out)]) == 0
+    rows = {(r["check"], r["omega_id"]): (r["status"], r["detail"])
+            for r in rows_of(out)}
+    # the verdict over both points is False, but omega_0's own curves decay
+    assert rows["mixing-notions-equivalent", "all"][1] == (
+        "prior-hom=False post-hom=False prior-inhom=False post-inhom=False")
+    assert rows["periodicity-vs-travelling-mixing", "0"] == (
+        "PASS", "r=1 prior-inhom=True post-inhom=True")
+    assert rows["periodicity-vs-hom-mixing", "0"] == (
+        "PASS", "r=1 prior-hom=True")
+    assert rows["periodicity-vs-travelling-mixing", "1"] == (
+        "PASS", "r=8 prior-inhom=False post-inhom=False")
+    assert rows["periodicity-vs-hom-mixing", "1"] == (
+        "PASS", "r=8 prior-hom=False")
+
+
 UNIFORM8 = """
 space: {N: 8}
 driving: {kind: finite_rotation, q: 1}
