@@ -22,7 +22,7 @@ import numpy as np
 from .asymptotic import detect_periodicity, quasi_constrictive_probe, \
     restricted_power_cocycle
 from .cocycle import NormalizedCocycle, build_invariant_density_map
-from .curves import curve_decayed, tail_start
+from .curves import tail_start
 from .driving import BERNOULLI, DrivingError, point, points, sample_env
 from .exactness import exactness_report
 from .measure import PreconditionError
@@ -297,9 +297,8 @@ def _report_checks(sc):
             continue
         # the point's decomposition meets the point's own mixing verdicts:
         # heavy[w] is omegas[w], since bernoulli samples are prefix-stable
-        hom_w, inhom_w = (
-            bool(curve_decayed(rep.values[w], a.tol, a.tail_fraction).all())
-            for rep in mixing)
+        hom_w, inhom_w = (bool(rep.prior_thresholds[w] <= window)
+                          for rep in mixing)
         r_one = dec.r == 1
         yield vs_exact, w, r_one == exact[w], f"r={dec.r} exact={exact[w]}"
         yield (vs_inhom, w, r_one == inhom_w,
@@ -313,7 +312,11 @@ def _report_checks(sc):
         for i in range(dec.r):
             if len(dec.supports[i]) < 2:
                 continue
-            sub, cells = restricted_power_cocycle(sc.cocycle, dec, i)
+            try:
+                sub, cells = restricted_power_cocycle(sc.cocycle, dec, i)
+            except PreconditionError as exc:
+                yield restricted, w, None, f"component={i}: {exc}"
+                continue
             sub_rep = exactness_report(
                 sub, point(sub.driving, omega.index),
                 zero_mean_basis(sub.space), indicator_basis(sub.space),

@@ -52,11 +52,11 @@ def exactness_norms(c: CocycleFamily, omega: EnvPoint, f_basis,
     ||P^(n)(omega) f_basis[i]||_1, an (n_f, horizon + 1) array."""
     _require_basis(f_basis, "density")
     require_horizon(horizon)
-    for f in f_basis:
-        require_zero_mean(f, "an exactness norm curve")
+    mass = np.stack([f.mass for f in f_basis])
+    require_zero_mean(mass, "an exactness norm curve")
     curves = np.empty((len(f_basis), horizon + 1))
-    pushes = push_orbit(c, omega, np.stack([f.mass for f in f_basis]), horizon)
-    for n, (_, mass) in enumerate(pushes):
+    # the loop rebinds `mass`, so no name holds the unpushed stack past step 1
+    for n, (_, mass) in enumerate(push_orbit(c, omega, mass, horizon)):
         curves[:, n] = np.abs(mass).sum(axis=1)
     return curves
 

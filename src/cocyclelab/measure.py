@@ -209,13 +209,16 @@ def mass_apply(mass: np.ndarray, kernel) -> np.ndarray:
     return np.asarray(mass @ kernel)
 
 
-def require_zero_mean(f: Density, what: str):
-    """Reject a density whose total mass is not zero relative to its L1 norm
-    (a NaN mass fails the comparison too)."""
-    if not abs(f.total_mass) <= 1e-9 * max(f.l1_norm, 1e-300):
+def require_zero_mean(mass, what: str):
+    """Reject a mass row, or a stack of rows, with a row whose total is not
+    zero relative to its L1 norm (a NaN total fails the comparison too)."""
+    mass = np.atleast_2d(mass)
+    totals = mass.sum(axis=1)
+    ok = np.abs(totals) <= 1e-9 * np.maximum(np.abs(mass).sum(axis=1), 1e-300)
+    if not ok.all():
         raise PreconditionError(
             f"{what} is posed for zero-mean densities; "
-            f"total mass is {f.total_mass!r}")
+            f"total mass is {float(totals[np.argmin(ok)])!r}")
 
 
 def require_horizon(horizon: int):

@@ -12,9 +12,9 @@ environment,
 Observable families g are step maps: one bounded observable per environment
 feature, measurable in the driving.  The prior notions ask for one threshold
 per environment point across the whole (f, g) basis, the posterior notions
-one per pair.  On a finite sample the two orders are one conjunction, so
-they agree by construction and the report stores one verdict; comparing
-notions tests the homogeneous verdict against the travelling one.
+one per pair.  Both are maxima of one settle index per curve, so on a finite
+sample the two orders are one conjunction and the verdict is read off them;
+comparing notions tests the homogeneous verdict against the travelling one.
 
 ``counterexample_run`` reproduces the separating example: the cyclic
 bit-shift baker cocycle with f the centered half-space indicator and
@@ -30,12 +30,11 @@ horizons up to that period and the report says when the horizon was capped.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 
 import numpy as np
 
 from cocyclelab.cocycle import CocycleFamily, orbit, push_kernels, push_orbit
-from cocyclelab.curves import curve_decayed, suffix_envelope
+from cocyclelab.curves import suffix_envelope, tail_start
 from cocyclelab.driving import EnvPoint, feature, finite_rotation
 from cocyclelab.measure import (
     Density,
@@ -75,7 +74,7 @@ def step_map(space: FiniteMeasureSpace, table: dict) -> ObservableMap:
 def correlation_hom(c: CocycleFamily, omega: EnvPoint, f: Density,
                     g: Observable, n: int) -> float:
     """integral P^(n)(omega) f * g dm for a fixed observable g."""
-    require_zero_mean(f, "correlation decay")
+    require_zero_mean(f.mass, "correlation decay")
     for _, mass in push_orbit(c, omega, f.mass, n):
         pass
     return float(np.dot(mass, g.values))
@@ -84,7 +83,7 @@ def correlation_hom(c: CocycleFamily, omega: EnvPoint, f: Density,
 def correlation_inhom(c: CocycleFamily, omega: EnvPoint, f: Density,
                       g: ObservableMap, n: int) -> float:
     """integral P^(n)(omega) f * g(sigma^n omega) dm for a travelling g."""
-    require_zero_mean(f, "correlation decay")
+    require_zero_mean(f.mass, "correlation decay")
     for pt, mass in push_orbit(c, omega, f.mass, n):
         pass
     return float(np.dot(mass, g.at_feature(feature(c.driving, pt)).values))
@@ -133,12 +132,14 @@ def step_map_basis(c: CocycleFamily, g_observables) -> list[ObservableMap]:
 
 @dataclasses.dataclass(eq=False)
 class MixingReport:
-    """Correlation curves, the one decay verdict, and both orders' thresholds.
+    """Correlation curves and both quantifier orders' thresholds, which give
+    the one decay verdict.
 
     values[w, i, j, n] is the curve for omega_samples[w], f_basis[i] and the
     j-th observable (fixed observables for the homogeneous notions, step maps
-    for the travelling ones).  The report fits no rates; a caller that wants
-    them calls ``fit_geometric_rates(report.values)``.
+    for the travelling ones).  A curve settles at the first n from which its
+    suffix envelope stays below tol (horizon + 1: never).  The report fits
+    no rates; a caller that wants them calls ``fit_geometric_rates``.
     """
 
     notion: str
@@ -146,10 +147,14 @@ class MixingReport:
     tol: float
     tail_fraction: float
     values: np.ndarray
-    decayed: bool
-    prior_thresholds: list      # per omega: first n from which every curve
-                                # of that omega stays below tol (None: never)
-    posterior_thresholds: dict  # (f_id, g_id) -> worst such n over omega
+    prior_thresholds: np.ndarray      # (n_omega,) latest settle per sample
+    posterior_thresholds: np.ndarray  # (n_f, n_g) latest settle per pair
+
+    @property
+    def decayed(self) -> bool:
+        """Every curve settles by the start of its verdict window."""
+        return bool(self.prior_thresholds.max()
+                    <= tail_start(self.horizon + 1, self.tail_fraction))
 
 
 def estimate_mixing(c: CocycleFamily, notion: str, f_basis, g_basis,
@@ -165,8 +170,6 @@ def estimate_mixing(c: CocycleFamily, notion: str, f_basis, g_basis,
         raise PreconditionError(f"unknown mixing notion {notion!r}; "
                                 f"expected one of {NOTIONS}")
     inhom = notion.endswith("inhom")
-    for f in f_basis:
-        require_zero_mean(f, "correlation decay")
     if inhom:
         for g in g_basis:
             if not isinstance(g, ObservableMap):
@@ -183,6 +186,9 @@ def estimate_mixing(c: CocycleFamily, notion: str, f_basis, g_basis,
             "density and one observable")
     require_horizon(horizon)
     require_tolerance(tol)
+    tail_start(horizon + 1, tail_fraction)  # rejects a bad tail_fraction
+    fmass = np.stack([f.mass for f in f_basis])
+    require_zero_mean(fmass, "correlation decay")
     # equal points have equal orbits, and a push reads only the kernels its
     # orbit meets: walk each distinct point once, then push the basis once
     # per kernel sequence and read every member of the group off that push
@@ -194,7 +200,6 @@ def estimate_mixing(c: CocycleFamily, notion: str, f_basis, g_basis,
     for u, walk in enumerate(walks):
         groups.setdefault(tuple(map(c.operator_at, walk[:-1])), []).append(u)
 
-    fmass = np.stack([f.mass for f in f_basis])
     uvalues = np.empty((len(walks), len(f_basis), len(g_basis), horizon + 1))
     stacked = {}  # feature (None for fixed observables) -> (N, n_g) matrix
 
@@ -211,29 +216,13 @@ def estimate_mixing(c: CocycleFamily, notion: str, f_basis, g_basis,
                     reads[feat] = cur @ stacked[feat]
                 uvalues[u, :, :, n] = reads[feat]
 
-    # the two quantifier orders group the same curves differently, but on a
-    # finite sample "every point, every pair" and "every pair, every point"
-    # are one conjunction, so prior and posterior verdicts coincide
-    verdict = bool(curve_decayed(uvalues, tol, tail_fraction).all())
-
-    # first index from which each curve's suffix envelope stays below tol
-    below = suffix_envelope(uvalues) < tol
-    ever = below.any(axis=-1)
-    first = below.argmax(axis=-1)
-
-    per_point = [t if ok else None for t, ok in zip(
-        first.max(axis=(1, 2)).tolist(), ever.all(axis=(1, 2)).tolist())]
-    prior_thresholds = [per_point[u] for u in inverse.tolist()]
-    posterior_thresholds = {
-        key: t if ok else None for key, t, ok in zip(
-            itertools.product(range(len(f_basis)), range(len(g_basis))),
-            first.max(axis=0).ravel().tolist(),
-            ever.all(axis=0).ravel().tolist())}
-
+    # each curve's settle index: the envelope only falls, so its steps below
+    # tol form a suffix whose length places the start (horizon + 1: never)
+    settle = horizon + 1 - (suffix_envelope(uvalues) < tol).sum(axis=-1)
     return MixingReport(notion=notion, horizon=horizon, tol=tol,
                         tail_fraction=tail_fraction, values=uvalues[inverse],
-                        decayed=verdict, prior_thresholds=prior_thresholds,
-                        posterior_thresholds=posterior_thresholds)
+                        prior_thresholds=settle.max(axis=(1, 2))[inverse],
+                        posterior_thresholds=settle.max(axis=0))
 
 
 # -- the travelling-observable counterexample ---------------------------------

@@ -315,6 +315,24 @@ def test_pullback_rejects_a_tolerance_that_certifies_nothing(monkeypatch, tol):
     assert invariant_density_pullback(c, w, 8, tol=0.0).steps >= 1
 
 
+@pytest.mark.parametrize("k_max", [2.5, float("inf"), float("nan"), -1, "8"])
+def test_pullback_rejects_a_depth_cap_that_is_not_a_count(monkeypatch, k_max):
+    pushes = []
+    monkeypatch.setattr(cocyclelab.cocycle, "mass_apply",
+                        lambda mass, kernel: pushes.append(1) or mass_apply(mass, kernel))
+    for kind in ("finite", "bernoulli"):
+        c, w = two_operator_cocycle(kind)
+        with pytest.raises(PreconditionError, match="k_max"):
+            invariant_density_pullback(c, w, k_max)
+        with pytest.raises(PreconditionError, match="k_max"):
+            build_invariant_density_map(c, k_max=k_max).at(w)
+    assert pushes == []
+    # a zero cap and a numpy integer stay legal
+    c, w = two_operator_cocycle("finite")
+    assert invariant_density_pullback(c, w, 0).steps == 0
+    assert invariant_density_pullback(c, w, np.int64(3)).steps >= 1
+
+
 # -- the row-by-row pullback against the bracket loop ----------------------------
 
 

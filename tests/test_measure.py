@@ -28,6 +28,7 @@ from cocyclelab.measure import (
     dual_apply,
     integrate,
     markov_check,
+    require_zero_mean,
 )
 from cocyclelab.mixing import estimate_mixing, indicator_basis, zero_mean_basis
 from cocyclelab.scenario import load_scenario
@@ -261,6 +262,19 @@ def test_prop_integrate_bilinear(case, a, b):
     lhs = integrate(Density(space, a * f.values + b * f2.values), g)
     rhs = a * integrate(f, g) + b * integrate(f2, g)
     assert lhs == pytest.approx(rhs, abs=1e-9)
+
+
+def test_zero_mean_check_reads_a_stack_of_rows():
+    good = np.array([[0.5, -0.5, 0.0], [0.0, 0.25, -0.25], [1.0, 0.0, -1.0]])
+    require_zero_mean(good, "a stack")
+    require_zero_mean(good[0], "a row")
+    with pytest.raises(PreconditionError, match="total mass is 0.5$"):
+        require_zero_mean(np.insert(good, 1, [0.5, 0.0, 0.0], axis=0), "a stack")
+    with pytest.raises(PreconditionError, match="total mass is nan$"):
+        require_zero_mean(np.insert(good, 2, [np.nan, 0.0, 0.0], axis=0),
+                          "a stack")
+    with pytest.raises(PreconditionError, match="zero-mean"):
+        require_zero_mean([0.25, 0.0, 0.0], "a row")
 
 
 # -- the one tolerance rule of the verdict routes --------------------------------

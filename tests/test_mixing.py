@@ -247,9 +247,10 @@ def test_estimator_mixing_verdict_on_doubling():
         assert rep.values.shape == (1, 3, 4, 13)
         # every zero-mean vector is annihilated by step 2 on this kernel
         assert np.all(rep.values[..., 2:] == 0.0)
-        assert all(t is not None and t <= 2 for t in rep.prior_thresholds)
-        assert all(t is not None and t <= 2
-                   for t in rep.posterior_thresholds.values())
+        assert rep.prior_thresholds.shape == (1,)
+        assert rep.posterior_thresholds.shape == (3, 4)
+        assert np.all(rep.prior_thresholds <= 2)
+        assert np.all(rep.posterior_thresholds <= 2)
 
 
 def test_estimator_inhom_verdicts_and_step_maps():
@@ -277,8 +278,9 @@ def test_estimator_flags_non_mixing_identity():
                           indicator_basis(c.space), points(c.driving),
                           horizon=20, tol=1e-6)
     assert not rep.decayed
-    assert rep.prior_thresholds == [None]
-    assert None in rep.posterior_thresholds.values()
+    # horizon + 1 marks a curve that never settles
+    assert rep.prior_thresholds.tolist() == [21]
+    assert (rep.posterior_thresholds == 21).any()
 
 
 def test_estimator_rejects_bad_inputs():
@@ -313,7 +315,7 @@ def test_estimator_report_matches_scalar_curve_helpers():
     n_w, n_f, n_g = rep.values.shape[:3]
 
     def group_threshold(fbs):
-        return None if any(fb is None for fb in fbs) else max(fbs)
+        return rep.horizon + 1 if None in fbs else max(fbs)
 
     for w in range(n_w):
         assert rep.prior_thresholds[w] == group_threshold(
@@ -372,7 +374,7 @@ def reference_estimate(c, notion, f_basis, g_basis, omega_samples, horizon,
 
     def group(curves):
         firsts = [first_below(v, tol) for v in curves]
-        return None if None in firsts else max(firsts)
+        return horizon + 1 if None in firsts else max(firsts)
 
     pairs = [(i, j) for i in range(n_f) for j in range(n_g)]
     decayed = {(w, i, j): curve_decayed(values[w, i, j], tol, tail_fraction)
@@ -382,9 +384,8 @@ def reference_estimate(c, notion, f_basis, g_basis, omega_samples, horizon,
         "decayed": all(decayed.values()),
         "prior_thresholds": [group(values[w, i, j] for i, j in pairs)
                              for w in range(n_w)],
-        "posterior_thresholds": {(i, j): group(values[w, i, j]
-                                               for w in range(n_w))
-                                 for i, j in pairs},
+        "posterior_thresholds": [[group(values[w, i, j] for w in range(n_w))
+                                  for j in range(n_g)] for i in range(n_f)],
     }
 
 
@@ -444,8 +445,8 @@ def test_estimator_fast_paths_match_reference_loop(case):
     assert rep.values.shape == ref["values"].shape
     assert rep.values.tobytes() == ref["values"].tobytes()
     assert rep.decayed == ref["decayed"]
-    assert rep.prior_thresholds == ref["prior_thresholds"]
-    assert rep.posterior_thresholds == ref["posterior_thresholds"]
+    assert rep.prior_thresholds.tolist() == ref["prior_thresholds"]
+    assert rep.posterior_thresholds.tolist() == ref["posterior_thresholds"]
     if notion.endswith("inhom"):
         j = len(g_basis) - 1
         for w, omega in enumerate(omegas):
@@ -453,6 +454,21 @@ def test_estimator_fast_paths_match_reference_loop(case):
                 want = [correlation_inhom(c, omega, f, g_basis[j], n)
                         for n in range(horizon + 1)]
                 assert rep.values[w, i, j] == pytest.approx(want, abs=1e-14)
+
+
+@given(repeated_omega_case())
+def test_verdict_and_both_orders_read_one_settle_index(case):
+    c, notion, omegas, horizon, tol = case
+    f_basis, g_basis = zero_mean_basis(c.space), indicator_basis(c.space)
+    if notion.endswith("inhom"):
+        g_basis = step_map_basis(c, g_basis)
+    rep = estimate_mixing(c, notion, f_basis, g_basis, omegas, horizon, tol)
+    window = tail_start(horizon + 1, rep.tail_fraction)
+    assert rep.decayed == bool(curve_decayed(rep.values, tol).all())
+    assert rep.prior_thresholds.max() == rep.posterior_thresholds.max()
+    for w in range(len(omegas)):
+        assert (rep.prior_thresholds[w] <= window) == bool(
+            curve_decayed(rep.values[w], tol).all())
 
 
 @pytest.mark.parametrize("notion", NOTIONS)

@@ -548,8 +548,10 @@ def test_prior_and_posterior_reports_of_one_kind_are_identical(tmp_path):
                            for order in ("prior", "post"))
             assert prior.values.tobytes() == post.values.tobytes()
             assert prior.decayed == post.decayed
-            assert prior.prior_thresholds == post.prior_thresholds
-            assert prior.posterior_thresholds == post.posterior_thresholds
+            assert np.array_equal(prior.prior_thresholds,
+                                  post.prior_thresholds)
+            assert np.array_equal(prior.posterior_thresholds,
+                                  post.posterior_thresholds)
 
 
 # -- analysis values checked at load -------------------------------------------
@@ -863,6 +865,50 @@ def test_restricted_power_runs_from_the_probed_point(tmp_path):
                   for r in rows_of(out) if r["check"] == "restricted-power-exact"]
     assert restricted == [("1", "PASS", "component=0 cells=0..1 (2)"),
                           ("1", "PASS", "component=1 cells=2..3 (2)")]
+
+
+# a rotation of period two alternating the block swap and the identity: each
+# point's decomposition has the two blocks, but the cycle-length power
+# composed from omega_0 (A, or A then B) swaps them, so no restricted power
+# is defined from either point
+SWAP_THEN_IDENTITY = """
+space: {N: 4}
+driving: {kind: finite_rotation, q: 2}
+operators:
+  A: {synthetic: {block_cycle: 2}}
+  B: {synthetic: identity}
+cocycle:
+  table: {0: A, 1: B}
+"""
+
+
+def test_restricted_power_on_a_support_that_is_not_invariant_is_a_skip(
+        tmp_path, capsys):
+    out = tmp_path / "report.csv"
+    assert main(["report", "--scenario", write(tmp_path, SWAP_THEN_IDENTITY),
+                 "--out", str(out)]) == 0
+    assert "all consistency checks passed" in capsys.readouterr().out
+    restricted = [(r["omega_id"], r["status"], r["detail"])
+                  for r in rows_of(out) if r["check"] == "restricted-power-exact"]
+    leak = ("component support is not invariant from every environment "
+            "point (mass leak 1.000e+00)")
+    assert restricted == [(w, "SKIP", f"component={i}: {leak}")
+                          for w in ("0", "1") for i in (0, 1)]
+
+
+@pytest.mark.parametrize("name", sorted(
+    f.name for f in SCENARIOS.glob("*.yaml") if not f.name.startswith("sets_")))
+def test_report_passes_on_every_shipped_scenario(tmp_path, capsys, name):
+    out = tmp_path / "report.csv"
+    assert main(["report", "--scenario", str(SCENARIOS / name),
+                 "--out", str(out)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert not any(line.startswith("[FAIL]") for line in printed)
+    rows = rows_of(out)
+    assert printed[:-1] == [
+        f"[{r['status']}] {r['check']} @ omega_{r['omega_id']} {r['detail']}"
+        for r in rows]
+    assert printed[-1].endswith(": all consistency checks passed")
 
 
 # two fixed points: omega_0 sees the doubling kernel forever, so it mixes and
