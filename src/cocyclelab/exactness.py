@@ -11,7 +11,12 @@ Three routes, kept separate and cross-checked:
   step kernel at a time, one pulled stack per start within one period of the
   kernel sequence (a constant table has period one), and we record
   per-observable flatness: the value spread max - min, plus the distance from
-  the measure-weighted mean as a second constant-reference reading.
+  the measure-weighted mean as a second constant-reference reading.  Like
+  the norm route's mass stack, the pulled stacks follow the kernel storage
+  rule (``stored_stack``): CSR through CSR kernels while at most 1/32 of the
+  stack is nonzero, densified once a step takes it past that fill.  That
+  exact conversion is all the two routes share; each keeps its own push or
+  pull and its own reading, which hold for either storage.
 
 * tail-partition route, for kernels that move whole cells (every entry 0 or
   1): the n-step composition is then itself a cell map, its preimage classes
@@ -30,15 +35,16 @@ flag the caller can assert.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
-from cocyclelab.cocycle import CocycleFamily, orbit, orbit_kernels, push_orbit
+from cocyclelab.cocycle import CocycleFamily, orbit, orbit_kernels, push_kernels
 from cocyclelab.curves import curve_decayed
 from cocyclelab.driving import EnvPoint
-from cocyclelab.measure import (MarkovMatrix, PreconditionError,
+from cocyclelab.measure import (MarkovMatrix, PreconditionError, issparse,
                                 require_horizon, require_tolerance,
-                                require_zero_mean)
+                                require_zero_mean, stored_stack)
 
 
 def _require_basis(basis, what: str):
@@ -54,10 +60,12 @@ def exactness_norms(c: CocycleFamily, omega: EnvPoint, f_basis,
     require_horizon(horizon)
     mass = np.stack([f.mass for f in f_basis])
     require_zero_mean(mass, "an exactness norm curve")
+    kernels = orbit_kernels(c, omega, horizon)
+    mass = stored_stack(mass, kernels[0]) if kernels else mass
     curves = np.empty((len(f_basis), horizon + 1))
     # the loop rebinds `mass`, so no name holds the unpushed stack past step 1
-    for n, (_, mass) in enumerate(push_orbit(c, omega, mass, horizon)):
-        curves[:, n] = np.abs(mass).sum(axis=1)
+    for n, mass in enumerate(push_kernels(mass, kernels)):
+        curves[:, n] = abs(mass).sum(axis=1)
     return curves
 
 
@@ -92,23 +100,37 @@ def lin_dual_flatness(c: CocycleFamily, omega: EnvPoint, g_basis,
     _require_basis(g_basis, "observable")
     require_horizon(horizon)
     g_mat = np.stack([g.values for g in g_basis], axis=1)
+    bad = ~np.isfinite(g_mat).all(axis=0)
+    if bad.any():
+        raise PreconditionError(
+            f"the dual route needs finite observables; g_basis[{np.argmax(bad)}] "
+            "holds NaN or inf values")
     w = c.space.weights
     flat = np.empty((len(g_basis), horizon + 1))
     dist = np.empty((len(g_basis), horizon + 1))
     kernels = orbit_kernels(c, omega, horizon)
     p = _kernel_period(kernels)
-    pulled = [g_mat] * p
+    pulled = [stored_stack(g_mat, kernels[0]) if kernels else g_mat] * p
     for n in range(horizon + 1):
         v = pulled[0]
         # max |v - mean| is reached at the max or at the min of v: rounding
         # is monotone and symmetric, so this equals abs(v - mean).max()
         hi, lo, mean = v.max(axis=0), v.min(axis=0), w @ v
+        if issparse(v):  # a CSR stack's max and min are 1-d sparse arrays
+            hi, lo = hi.toarray(), lo.toarray()
         flat[:, n] = hi - lo
         dist[:, n] = np.maximum(hi - mean, mean - lo)
         # step n + 1 reads the starts j <= horizon - n - 1
-        pulled = [np.asarray(kernels[j] @ pulled[(j + 1) % p])
+        pulled = [_pull(kernels[j], pulled[(j + 1) % p])
                   for j in range(min(p, horizon - n))]
     return DualFlatnessCurves(flatness=flat, mean_distance=dist)
+
+
+def _pull(kernel, v):
+    """K @ v for an observable stack v; a CSR product is stored by
+    ``stored_stack``, a dense one stays dense."""
+    out = kernel @ v
+    return stored_stack(out, kernel) if issparse(out) else np.asarray(out)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -133,10 +155,12 @@ def cell_map_orbit(c: CocycleFamily, omega: EnvPoint, n: int):
     dest_t[i] is the cell that t steps of a cell-map cocycle send cell i to:
     dest_{t+1} = d_t[dest_t] with d_t the destinations of K(sigma^t omega)."""
     dest = np.arange(c.n, dtype=np.int64)
+    # one resolve per distinct operator, keyed by identity (eq=False)
+    destinations = functools.cache(cell_map_destinations)
     for t, pt in enumerate(orbit(c, omega, n)):
         yield pt, dest
         if t < n:
-            dest = cell_map_destinations(c.operator_at(pt))[dest]
+            dest = destinations(c.operator_at(pt))[dest]
 
 
 def tail_partition(c: CocycleFamily, omega: EnvPoint,

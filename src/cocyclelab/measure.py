@@ -10,7 +10,11 @@ densities through ``integrate``.
 
 Kernels are stored by one rule (``stored_kernel``, in ``MarkovMatrix`` and
 ``kernel_matmul``): CSR when N >= 512 and nnz <= N^2 / 32, dense otherwise.
-scipy.sparse, 0.21 s of a cold start, is imported only to build CSR kernels.
+Mass and observable stacks follow the same rule (``stored_stack``): CSR only
+while the kernel they meet is CSR and at most 1/32 of the stack is nonzero;
+once a push takes a CSR stack past that fill it is densified, and a dense
+stack stays dense.  scipy.sparse, 0.21 s of a cold start, is imported only to
+build CSR kernels, so never below 512 cells.
 """
 
 from __future__ import annotations
@@ -204,8 +208,24 @@ def kernel_matmul(a, b):
     return stored_kernel(a @ b)
 
 
-def mass_apply(mass: np.ndarray, kernel) -> np.ndarray:
-    """Push a mass (row) vector or stacked rows through a kernel."""
+def stored_stack(stack, kernel):
+    """A mass or observable stack stored by the kernel rule: a ``csr_array``
+    when ``kernel`` is CSR and nnz <= stack size / SPARSE_FILL_DIVISOR, else
+    an ndarray."""
+    sparse = issparse(stack)
+    if issparse(kernel) and SPARSE_FILL_DIVISOR * (
+            stack.count_nonzero() if sparse
+            else np.count_nonzero(stack)) <= np.prod(stack.shape):
+        import scipy.sparse as sp
+        return sp.csr_array(stack, dtype=float)
+    return stack.toarray() if sparse else stack
+
+
+def mass_apply(mass, kernel):
+    """Push a mass (row) vector or stacked rows through a kernel.  A dense
+    input comes out dense; a CSR stack stays CSR by ``stored_stack``."""
+    if issparse(mass):
+        return stored_stack(mass @ kernel, kernel)
     return np.asarray(mass @ kernel)
 
 

@@ -11,13 +11,15 @@ preimage partition as 8, 4, 2, 1.
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import cocyclelab.exactness
 from cocyclelab.cocycle import (
     CocycleFamily,
     compose,
     orbit,
     orbit_kernels,
+    push_kernels,
 )
 from cocyclelab.curves import fit_geometric_rates
 from cocyclelab.driving import (
@@ -42,6 +44,7 @@ from cocyclelab.measure import (
     MarkovMatrix,
     Observable,
     PreconditionError,
+    kernel_from_entries,
     kernel_matmul,
 )
 from cocyclelab.mixing import correlation_hom, indicator_basis, zero_mean_basis
@@ -171,6 +174,30 @@ def test_tail_partition_identity_not_trivial():
     rep = tail_partition(c, point(c.driving, 0), horizon=4)
     assert np.all(rep.atom_counts == 4)
     assert not rep.trivial
+
+
+def test_tail_route_resolves_each_kernel_once(monkeypatch):
+    calls = []
+    resolve = cocyclelab.exactness.cell_map_destinations
+    monkeypatch.setattr(cocyclelab.exactness, "cell_map_destinations",
+                        lambda P: calls.append(P) or resolve(P))
+    space = FiniteMeasureSpace.uniform(8)
+    shift = MarkovMatrix(space, np.eye(8)[np.roll(np.arange(8), 1)])
+    collapse = cell_map_cocycle([i // 2 for i in range(8)]).table[0]
+    for table, distinct in (({0: shift}, 1), ({0: shift, 1: collapse}, 2)):
+        calls.clear()
+        c = CocycleFamily(driving=finite_rotation(len(table)), table=table)
+        tail_partition(c, point(c.driving, 0), horizon=40)
+        assert len(calls) == distinct
+        assert {id(P) for P in calls} == {id(P) for P in table.values()}
+
+
+def test_tail_route_rejects_a_fractional_kernel_met_on_the_walk():
+    space = FiniteMeasureSpace.uniform(4)
+    c = CocycleFamily(driving=finite_rotation(2), table={
+        0: MarkovMatrix(space, np.eye(4)), 1: MarkovMatrix(space, SWAP4)})
+    with pytest.raises(PreconditionError, match="fractional entries"):
+        tail_partition(c, point(c.driving, 0), horizon=3)
 
 
 # -- combined report -----------------------------------------------------------
@@ -363,6 +390,111 @@ def test_dual_pull_is_bit_identical_on_dyadic_kernels(kind, bits, q, horizon):
     assert res.mean_distance.tobytes() == dist.tobytes()
 
 
+# -- stack storage against a dense reference loop ---------------------------------
+
+
+def dense_reference(c, omega, f_basis, g_basis, horizon):
+    """Both routes with every stack and kernel dense: the norm curves push
+    the mass stack one step at a time, and the dual curves pull g through
+    K_{n-1}, ..., K_0 afresh at every n."""
+    kernels = [k.toarray() if sp.issparse(k) else k
+               for k in orbit_kernels(c, omega, horizon)]
+    mass = np.stack([f.mass for f in f_basis])
+    g_mat = np.stack([g.values for g in g_basis], axis=1)
+    w = c.space.weights
+    norms = np.empty((len(f_basis), horizon + 1))
+    flat = np.empty((len(g_basis), horizon + 1))
+    dist = np.empty((len(g_basis), horizon + 1))
+    for n in range(horizon + 1):
+        norms[:, n] = np.abs(mass).sum(axis=1)
+        v = g_mat
+        for K in reversed(kernels[:n]):
+            v = K @ v
+        flat[:, n] = v.max(axis=0) - v.min(axis=0)
+        dist[:, n] = np.abs(v - w @ v).max(axis=0)
+        if n < horizon:
+            mass = mass @ kernels[n]
+    return norms, flat, dist
+
+
+def storage_case_kernel(kind, n, rng):
+    """A kernel on n uniform cells; 'fractional' and 'wide' have random
+    entries, the other kinds only entries 0, 1 or multiples of 1/4."""
+    space = FiniteMeasureSpace.uniform(n)
+    if kind == "doubling":
+        return pf_exact(MapSpec("doubling"), space)
+    per_row = {"permutation": 1, "collapse": 1, "dyadic": 4,
+               "fractional": 3, "wide": 40}[kind]
+    rows = np.repeat(np.arange(n), per_row)
+    if kind == "permutation":
+        cols = rng.permutation(n)
+    elif kind == "collapse":
+        cols = rng.integers(0, n // 8, size=n)
+    else:
+        cols = rng.integers(0, n, size=rows.size)
+    if kind in ("fractional", "wide"):
+        values = rng.random(rows.size) + 0.05
+        values /= np.bincount(rows, weights=values)[rows]
+    else:
+        values = np.full(rows.size, 1.0 / per_row)
+    return MarkovMatrix(space, kernel_from_entries(n, rows, cols, values))
+
+
+# ulps of the allowance for fractional kernels: each loop evaluates every
+# curve entry in float64 with sums of at most n terms per step, so it is within
+# (t + 1) n u of the exact value at step t (u = eps / 2; the kernels are
+# L1 / sup-norm contractions, so earlier errors do not grow, and the reading
+# adds one more sum of n terms) plus 2u for the final subtraction; two loops
+# then differ by at most (t + 2) n eps, with ||f||_1 = ||g||_sup = 1 here
+def fractional_allowance(n, horizon):
+    return (np.arange(horizon + 1) + 2) * n * np.finfo(float).eps
+
+
+@settings(max_examples=25)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([512, 1024]),
+       st.lists(st.sampled_from(["permutation", "collapse", "dyadic",
+                                 "doubling", "fractional", "wide"]),
+                min_size=1, max_size=2),
+       st.booleans(), st.integers(0, 10))
+def test_stack_storage_matches_a_dense_reference(seed, n, kinds, dense_g,
+                                                 horizon):
+    rng = np.random.default_rng(seed)
+    table = {i: storage_case_kernel(kind, n, rng) for i, kind in enumerate(kinds)}
+    c = CocycleFamily(driving=finite_rotation(len(kinds)), table=table)
+    omega = point(c.driving, int(rng.integers(len(kinds))))
+    f_basis = zero_mean_basis(c.space, count=8)
+    # a dense observable puts the g stack past the fill from the start
+    g_basis = indicator_basis(c.space, count=6) + (
+        [Observable(c.space, np.arange(n) / n)] if dense_g else [])
+    norms, flat, dist = dense_reference(c, omega, f_basis, g_basis, horizon)
+    got_norms = exactness_norms(c, omega, f_basis, horizon)
+    got = lin_dual_flatness(c, omega, g_basis, horizon)
+    pairs = ((got_norms, norms), (got.flatness, flat), (got.mean_distance, dist))
+    if {"fractional", "wide"} & set(kinds):
+        allowance = fractional_allowance(n, horizon)
+        for a, b in pairs:
+            assert np.all(np.abs(a - b) <= allowance)
+    else:
+        # 0/1 and quarter entries keep every value a short dyadic: exact
+        for a, b in pairs:
+            assert a.tobytes() == b.tobytes()
+
+
+def test_doubling_norm_stack_crosses_the_fill_mid_horizon(monkeypatch):
+    c = doubling_cocycle(1024)
+    storages = []
+    monkeypatch.setattr(cocyclelab.exactness, "push_kernels", lambda mass, ks: (
+        storages.append(sp.issparse(m)) or m for m in push_kernels(mass, ks)))
+    omega = point(c.driving, 0)
+    f_basis = zero_mean_basis(c.space, count=32)
+    got = exactness_norms(c, omega, f_basis, 8)
+    # a difference of two cells spreads to 2^(t+1) cells; CSR while <= 32
+    assert storages == [True] * 5 + [False] * 4
+    norms, _, _ = dense_reference(c, omega, f_basis,
+                                  indicator_basis(c.space, count=1), 8)
+    assert got.tobytes() == norms.tobytes()
+
+
 # -- the tail count against np.unique --------------------------------------------
 
 
@@ -425,6 +557,17 @@ def test_tail_partition_rejects_a_negative_horizon():
     c = cell_map_cocycle([1, 2, 3, 0])
     with pytest.raises(PreconditionError, match="horizon"):
         tail_partition(c, point(c.driving, 0), -1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("route", ["report", "dual"])
+def test_dual_route_rejects_a_non_finite_observable(route, bad):
+    c = doubling_cocycle(16)
+    values = np.zeros(16)
+    values[5] = bad
+    g_basis = indicator_basis(c.space, count=2) + [Observable(c.space, values)]
+    with pytest.raises(PreconditionError, match=r"g_basis\[2\].*NaN or inf"):
+        run_route(route, c, zero_mean_basis(c.space), g_basis, 6)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan")])

@@ -27,8 +27,10 @@ from cocyclelab.measure import (
     apply,
     dual_apply,
     integrate,
+    mass_apply,
     markov_check,
     require_zero_mean,
+    stored_stack,
 )
 from cocyclelab.mixing import estimate_mixing, indicator_basis, zero_mean_basis
 from cocyclelab.scenario import load_scenario
@@ -202,6 +204,53 @@ def test_storage_rule(n, per_row, stored_sparse):
                            atol=1e-15)
         assert np.allclose(dual_apply(P, g).values, entries @ g.values, rtol=0,
                            atol=1e-15)
+
+
+def test_stack_storage_follows_the_kernel_rule():
+    n = SPARSE_MIN_CELLS
+    space = FiniteMeasureSpace.uniform(n)
+    csr = MarkovMatrix(space, spread_kernel(n, 2)).kernel
+    dense = MarkovMatrix(space, spread_kernel(n, n // SPARSE_FILL_DIVISOR + 1)).kernel
+    assert sp.issparse(csr) and not sp.issparse(dense)
+    rows = 4
+    at_fill = np.zeros((rows, n))
+    at_fill.ravel()[::SPARSE_FILL_DIVISOR] = 1.0    # rows * n / 32 nonzeros
+    past_fill = at_fill.copy()
+    past_fill[0, 1] = 1.0
+    stored = stored_stack(at_fill, csr)
+    assert isinstance(stored, sp.csr_array)
+    assert np.array_equal(stored.toarray(), at_fill)
+    assert stored_stack(past_fill, csr) is past_fill
+    assert stored_stack(at_fill, dense) is at_fill
+    # a CSR stack past the fill, or meeting a dense kernel, is densified
+    for stack, kernel in ((sp.csr_array(past_fill), csr), (stored, dense)):
+        out = stored_stack(stack, kernel)
+        assert isinstance(out, np.ndarray)
+        assert np.array_equal(out, stack.toarray())
+
+
+def test_mass_apply_keeps_a_csr_stack_until_it_passes_the_fill():
+    n = 1024
+    rows = np.arange(n)
+    doubling = np.zeros((n, n))
+    doubling[rows, 2 * rows % n] = doubling[rows, (2 * rows + 1) % n] = 0.5
+    K = MarkovMatrix(FiniteMeasureSpace.uniform(n), doubling).kernel
+    point_masses = np.eye(n)[[0, 100, 513, 1000]]
+    stack, dense = stored_stack(point_masses, K), point_masses
+    storages = []
+    for _ in range(8):
+        stack, dense = mass_apply(stack, K), mass_apply(dense, K)
+        storages.append(sp.issparse(stack))
+        assert isinstance(dense, np.ndarray)
+        got = stack.toarray() if sp.issparse(stack) else stack
+        assert got.tobytes() == dense.tobytes()
+    # 2^t nonzeros per row after t pushes: CSR while 2^t <= n / 32
+    assert storages == [True] * 5 + [False] * 3
+    # a dense stack stays dense even where a push leaves it sparse
+    collapse = np.zeros((n, n))
+    collapse[:, 0] = 1.0
+    out = mass_apply(dense, MarkovMatrix(FiniteMeasureSpace.uniform(n), collapse).kernel)
+    assert isinstance(out, np.ndarray) and np.count_nonzero(out) == 4
 
 
 def test_is_cell_map_detects_permutations(space4):
