@@ -37,6 +37,7 @@ from cocyclelab.measure import (
     mass_apply,
     require_horizon,
     require_tolerance,
+    single_blas_thread,
 )
 
 # masses at or below this count as outside a support
@@ -104,6 +105,7 @@ def cell_labels(reach: np.ndarray) -> np.ndarray:
     return label
 
 
+@single_blas_thread
 def detect_periodicity(c: CocycleFamily, omega: EnvPoint, horizon: int,
                        r_max: int, tol: float = 1e-10,
                        f0: Density | None = None) -> PeriodicDecomposition:
@@ -191,6 +193,7 @@ def invariant_density_from_decomposition(dec: PeriodicDecomposition) -> Density:
     return Density.from_mass(space, mass)
 
 
+@single_blas_thread
 def restricted_power_cocycle(c: CocycleFamily, dec: PeriodicDecomposition,
                              component: int):
     """The cycle-length power of the cocycle restricted to one component.
@@ -267,6 +270,7 @@ def _greedy_packs(ms: np.ndarray, ws: np.ndarray, eps_values: np.ndarray):
     return captured, taken
 
 
+@single_blas_thread
 def quasi_constrictive_probe(c: CocycleFamily, omega: EnvPoint, horizon: int,
                              eps_values) -> QCReport:
     """Probe constrictivity: the worst-case terminal mass a small cell union

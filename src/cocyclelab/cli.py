@@ -25,7 +25,7 @@ from .cocycle import NormalizedCocycle, build_invariant_density_map
 from .curves import tail_start
 from .driving import BERNOULLI, DrivingError, point, points, sample_env
 from .exactness import exactness_report
-from .measure import PreconditionError
+from .measure import PreconditionError, single_blas_thread
 from .mixing import (
     NOTIONS,
     counterexample_run,
@@ -396,6 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@single_blas_thread
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:

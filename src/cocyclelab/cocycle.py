@@ -42,6 +42,7 @@ from cocyclelab.measure import (
     kernel_matmul,
     mass_apply,
     same_space,
+    single_blas_thread,
 )
 
 
@@ -132,6 +133,7 @@ def push_orbit(c: CocycleFamily, omega: EnvPoint, mass: np.ndarray, n: int):
     return zip(points, push_kernels(mass, kernels))
 
 
+@single_blas_thread
 def compose(c: CocycleFamily, omega: EnvPoint, n: int) -> MarkovMatrix:
     """The n-step operator from omega; n = 0 gives the identity."""
     if n < 0:
@@ -184,6 +186,7 @@ def _pullback_depths(c: CocycleFamily, omega: EnvPoint, k_max: int,
         yield from stack[::-1]
 
 
+@single_blas_thread
 def invariant_density_pullback(c: CocycleFamily, omega: EnvPoint, k_max: int,
                                f0: Density | None = None,
                                tol: float = 1e-10) -> PullbackResult:
@@ -208,8 +211,9 @@ def invariant_density_pullback(c: CocycleFamily, omega: EnvPoint, k_max: int,
         raise PreconditionError(f"pullback tol must be finite and >= 0, got {tol}")
     if f0 is None:
         f0 = Density.uniform(c.space)
-    if f0.total_mass <= 0:
-        raise PreconditionError("pullback seed must carry positive mass")
+    if not 0 < f0.total_mass < np.inf:  # a NaN or inf entry fails it too
+        raise PreconditionError(
+            f"pullback seed must carry finite positive mass, got {f0.total_mass}")
     prev = f0.mass
     steps, inc = 0, np.inf
     for k, cur in enumerate(_pullback_depths(c, omega, k_max, prev), 1):
@@ -249,6 +253,7 @@ class InvariantDensityMap:
     def all_converged(self, omegas) -> bool:
         return all(self.result_at(w).converged for w in omegas)
 
+    @single_blas_thread
     def equivariance_residual(self, omegas) -> float:
         """max over the given points of || P(omega) h(omega) - h(sigma omega) ||_L1."""
         worst = 0.0

@@ -44,7 +44,8 @@ from cocyclelab.curves import curve_decayed
 from cocyclelab.driving import EnvPoint
 from cocyclelab.measure import (MarkovMatrix, PreconditionError, issparse,
                                 require_horizon, require_tolerance,
-                                require_zero_mean, stored_stack)
+                                require_zero_mean, single_blas_thread,
+                                stored_stack)
 
 
 def _require_basis(basis, what: str):
@@ -52,6 +53,7 @@ def _require_basis(basis, what: str):
         raise PreconditionError(f"exactness curves need at least one {what}")
 
 
+@single_blas_thread
 def exactness_norms(c: CocycleFamily, omega: EnvPoint, f_basis,
                     horizon: int) -> np.ndarray:
     """L1-norm decay curves of pushed zero-mean densities: entry [i, n] is
@@ -85,6 +87,7 @@ def _kernel_period(kernels) -> int:
                 max(h, 1))
 
 
+@single_blas_thread
 def lin_dual_flatness(c: CocycleFamily, omega: EnvPoint, g_basis,
                       horizon: int) -> DualFlatnessCurves:
     """Flattening of adjoint orbits K^(n)(omega) g, pulled one step kernel
@@ -115,15 +118,30 @@ def lin_dual_flatness(c: CocycleFamily, omega: EnvPoint, g_basis,
         v = pulled[0]
         # max |v - mean| is reached at the max or at the min of v: rounding
         # is monotone and symmetric, so this equals abs(v - mean).max()
-        hi, lo, mean = v.max(axis=0), v.min(axis=0), w @ v
-        if issparse(v):  # a CSR stack's max and min are 1-d sparse arrays
-            hi, lo = hi.toarray(), lo.toarray()
+        (hi, lo), mean = _column_extrema(v), w @ v
         flat[:, n] = hi - lo
         dist[:, n] = np.maximum(hi - mean, mean - lo)
         # step n + 1 reads the starts j <= horizon - n - 1
         pulled = [_pull(kernels[j], pulled[(j + 1) % p])
                   for j in range(min(p, horizon - n))]
     return DualFlatnessCurves(flatness=flat, mean_distance=dist)
+
+
+def _column_extrema(v):
+    """Column max and min of an (N, n_g) stack.  A CSR stack is read from its
+    stored entries, and a column storing fewer than N of them also counts
+    its implicit zeros; as in scipy's ``v.max(axis=0)``, a zero extremum
+    reads +0.0."""
+    if not issparse(v):
+        return v.max(axis=0), v.min(axis=0)
+    cols = v.shape[1]
+    hi, lo = np.full(cols, -np.inf), np.full(cols, np.inf)
+    np.maximum.at(hi, v.indices, v.data)
+    np.minimum.at(lo, v.indices, v.data)
+    gaps = np.bincount(v.indices, minlength=cols) < v.shape[0]
+    hi[gaps] = np.maximum(hi[gaps], 0.0)
+    lo[gaps] = np.minimum(lo[gaps], 0.0)
+    return hi + 0.0, lo + 0.0  # -0.0 + 0.0 is +0.0
 
 
 def _pull(kernel, v):
@@ -209,6 +227,7 @@ class ExactnessReport:
         return self.norms_decayed == self.dual_decayed
 
 
+@single_blas_thread
 def exactness_report(c: CocycleFamily, omega: EnvPoint, f_basis, g_basis,
                      horizon: int, tol: float,
                      tail_fraction: float = 0.1) -> ExactnessReport:

@@ -15,11 +15,23 @@ while the kernel they meet is CSR and at most 1/32 of the stack is nonzero;
 once a push takes a CSR stack past that fill it is densified, and a dense
 stack stays dense.  scipy.sparse, 0.21 s of a cold start, is imported only to
 build CSR kernels, so never below 512 cells.
+
+Threads: every public entry that runs a loop of products (``cli.main``, the
+mixing, exactness, periodicity, pullback and skew routes) is wrapped in
+``single_blas_thread``, so its products run on one OpenBLAS thread and the
+caller's thread count is restored when it returns or raises.  The pushes are
+small (N <= 512 dense, stacks of 1-64 rows), and a second BLAS thread spends
+CPU on them without saving wall time.  A generator (``orbit``,
+``push_kernels``, ``push_orbit``) iterated outside an entry runs on the
+caller's setting.  Like the pullback caches, the cap assumes one calling
+Python thread.
 """
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
+import functools
 import sys
 
 import numpy as np
@@ -179,6 +191,54 @@ def issparse(kernel) -> bool:
     nothing can be one before it is loaded."""
     sp = sys.modules.get("scipy.sparse")
     return sp is not None and sp.issparse(kernel)
+
+
+# thread-count functions of an OpenBLAS build: numpy 2 wheels, numpy 1
+# wheels, system builds
+_BLAS_THREAD_SYMBOLS = ("scipy_openblas_{}_num_threads64_",
+                        "openblas_{}_num_threads64_", "openblas_{}_num_threads")
+
+
+@functools.cache
+def _blas_threads():
+    """The (get, set) thread-count functions of the OpenBLAS that numpy
+    loaded, or None when none is found.  Looked up on first use, never at
+    import; dlsym on numpy's core extension also searches the libraries it
+    links, so nothing new is loaded."""
+    umath = (sys.modules.get("numpy._core._multiarray_umath")
+             or sys.modules.get("numpy.core._multiarray_umath"))
+    try:
+        lib = ctypes.CDLL(umath.__file__)
+    except OSError:
+        return None
+    for name in _BLAS_THREAD_SYMBOLS:
+        get = getattr(lib, name.format("get"), None)
+        set_ = getattr(lib, name.format("set"), None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+def single_blas_thread(fn):
+    """Run ``fn`` with OpenBLAS on one thread, then restore the caller's
+    count, whether ``fn`` returns or raises.  Does nothing when no OpenBLAS
+    is found or the caller already runs one thread, so a nested call costs
+    one read of the count.  Not for generators: it would cover only their
+    creation, not their iteration."""
+    @functools.wraps(fn)
+    def capped(*args, **kwargs):
+        threads = _blas_threads()
+        caller = threads[0]() if threads else 1
+        if caller <= 1:
+            return fn(*args, **kwargs)
+        threads[1](1)
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            threads[1](caller)
+    return capped
 
 
 def stored_kernel(kernel):

@@ -45,6 +45,7 @@ from cocyclelab.measure import (
     require_horizon,
     require_tolerance,
     require_zero_mean,
+    single_blas_thread,
 )
 from cocyclelab.transfer import MapSpec, pf_exact
 
@@ -71,6 +72,7 @@ def step_map(space: FiniteMeasureSpace, table: dict) -> ObservableMap:
     return ObservableMap(space=space, table=dict(table))
 
 
+@single_blas_thread
 def correlation_hom(c: CocycleFamily, omega: EnvPoint, f: Density,
                     g: Observable, n: int) -> float:
     """integral P^(n)(omega) f * g dm for a fixed observable g."""
@@ -80,6 +82,7 @@ def correlation_hom(c: CocycleFamily, omega: EnvPoint, f: Density,
     return float(np.dot(mass, g.values))
 
 
+@single_blas_thread
 def correlation_inhom(c: CocycleFamily, omega: EnvPoint, f: Density,
                       g: ObservableMap, n: int) -> float:
     """integral P^(n)(omega) f * g(sigma^n omega) dm for a travelling g."""
@@ -157,6 +160,7 @@ class MixingReport:
                     <= tail_start(self.horizon + 1, self.tail_fraction))
 
 
+@single_blas_thread
 def estimate_mixing(c: CocycleFamily, notion: str, f_basis, g_basis,
                     omega_samples, horizon: int, tol: float,
                     tail_fraction: float = 0.1) -> MixingReport:
@@ -250,6 +254,7 @@ class CounterexampleReport:
                 and bool(np.all(self.square_integrals == 0.5)))
 
 
+@single_blas_thread
 def counterexample_run(k: int, horizon: int | None = None) -> CounterexampleReport:
     """Travelling-vs-fixed observable separation on the cyclic bit-shift
     baker cocycle with 2k bits.

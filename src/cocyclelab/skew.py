@@ -60,7 +60,7 @@ from cocyclelab.driving import (
 )
 from cocyclelab.exactness import cell_map_orbit
 from cocyclelab.measure import (PreconditionError, mass_apply, require_horizon,
-                                require_tolerance)
+                                require_tolerance, single_blas_thread)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -247,6 +247,7 @@ class NuResult:
     h_converged: bool
 
 
+@single_blas_thread
 def nu_measure(nc: NormalizedCocycle, pset: ProductSet,
                mc_samples: int = 0, seed: int = 0) -> NuResult:
     """nu(E x F) = integral over E of mu_omega(F).
@@ -282,6 +283,7 @@ class SkewMixingReport:
     stderr: np.ndarray | None = None      # Monte-Carlo route only
 
 
+@single_blas_thread
 def skew_mixing_curve(nc: NormalizedCocycle, a: ProductSet, b: ProductSet,
                       horizon: int, tol: float, tail_fraction: float = 0.1,
                       mc_samples: int = 0, seed: int = 0) -> SkewMixingReport:
@@ -312,6 +314,7 @@ def skew_mixing_curve(nc: NormalizedCocycle, a: ProductSet, b: ProductSet,
         stderr=route.stderr(per[0]), **route.extra(env_a, env_b, factor))
 
 
+@single_blas_thread
 def set_picture_joint(nc: NormalizedCocycle, a: ProductSet, b: ProductSet,
                       horizon: int) -> np.ndarray:
     """The same joint-measure curve by direct set algebra, for operator
@@ -349,6 +352,7 @@ class InvarianceReport:
     h_converged: bool
 
 
+@single_blas_thread
 def theta_invariance(nc: NormalizedCocycle, psets,
                      mc_samples: int = 0, seed: int = 0) -> InvarianceReport:
     """Check nu(Theta^-1 A) = nu(A) on the given product sets.

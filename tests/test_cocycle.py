@@ -333,6 +333,22 @@ def test_pullback_rejects_a_depth_cap_that_is_not_a_count(monkeypatch, k_max):
     assert invariant_density_pullback(c, w, np.int64(3)).steps >= 1
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_pullback_rejects_a_seed_that_is_not_finite(monkeypatch, bad):
+    # a NaN seed used to run to the cap and return a NaN density
+    pushes = []
+    monkeypatch.setattr(cocyclelab.cocycle, "mass_apply",
+                        lambda mass, kernel: pushes.append(1) or mass_apply(mass, kernel))
+    for kind in ("finite", "bernoulli"):
+        c, w = two_operator_cocycle(kind)
+        f0 = Density(c.space, [bad, 1.0, 1.0, 1.0])
+        with pytest.raises(PreconditionError, match="finite positive mass"):
+            invariant_density_pullback(c, w, 8, f0=f0)
+        with pytest.raises(PreconditionError, match="finite positive mass"):
+            build_invariant_density_map(c, f0=f0).at(w)
+    assert pushes == []
+
+
 # -- the row-by-row pullback against the bracket loop ----------------------------
 
 

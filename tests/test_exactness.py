@@ -480,6 +480,22 @@ def test_stack_storage_matches_a_dense_reference(seed, n, kinds, dense_g,
             assert a.tobytes() == b.tobytes()
 
 
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 8),
+       st.booleans())
+def test_csr_column_extrema_match_scipy(seed, n, cols, explicit_zeros):
+    # signed, explicit and implicit zeros, full and empty columns
+    rng = np.random.default_rng(seed)
+    dense = rng.choice([0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 1e-300, -1e-300],
+                       size=(n, cols), p=[.3, .1, .1, .1, .1, .1, .1, .1])
+    dense[:, 0] = rng.choice([-1.0, 2.0], size=n)
+    v = sp.csr_array(dense)
+    if explicit_zeros:
+        v.data[rng.random(v.data.size) < 0.3] = rng.choice([0.0, -0.0])
+    hi, lo = cocyclelab.exactness._column_extrema(v)
+    assert hi.tobytes() == v.max(axis=0).toarray().tobytes()
+    assert lo.tobytes() == v.min(axis=0).toarray().tobytes()
+
+
 def test_doubling_norm_stack_crosses_the_fill_mid_horizon(monkeypatch):
     c = doubling_cocycle(1024)
     storages = []

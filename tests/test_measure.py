@@ -1,11 +1,14 @@
+import contextlib
+import importlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cocyclelab.measure
 from cocyclelab.asymptotic import detect_periodicity
 from cocyclelab.cocycle import (
     CocycleFamily,
@@ -30,6 +33,7 @@ from cocyclelab.measure import (
     mass_apply,
     markov_check,
     require_zero_mean,
+    single_blas_thread,
     stored_stack,
 )
 from cocyclelab.mixing import estimate_mixing, indicator_basis, zero_mean_basis
@@ -357,3 +361,119 @@ def test_verdict_routes_reject_a_tolerance_not_finite_and_positive(
     with pytest.raises(PreconditionError,
                        match=f"tol must be finite and > 0, got {tol}"):
         TOL_ROUTES[route](c, w, tol)
+
+
+# -- one BLAS thread per entry ------------------------------------------------------
+
+BLAS = cocyclelab.measure._blas_threads()
+needs_blas = pytest.mark.skipif(BLAS is None,
+                                reason="no OpenBLAS thread-count symbols found")
+
+
+@contextlib.contextmanager
+def caller_threads(count):
+    """Run the block with the caller's OpenBLAS count at ``count``."""
+    get, set_ = BLAS
+    before = get()
+    set_(count)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
+@single_blas_thread
+def blas_count_inside():
+    return BLAS[0]()
+
+
+@single_blas_thread
+def raises_inside(seen):
+    seen.append(BLAS[0]())
+    raise PreconditionError("inside")
+
+
+@needs_blas
+def test_single_blas_thread_caps_the_call_and_restores_the_caller():
+    with caller_threads(2):
+        assert blas_count_inside() == 1
+        assert BLAS[0]() == 2
+
+
+@needs_blas
+def test_single_blas_thread_restores_the_caller_after_a_raise():
+    seen = []
+    with caller_threads(2):
+        with pytest.raises(PreconditionError, match="inside"):
+            raises_inside(seen)
+        assert seen == [1] and BLAS[0]() == 2
+
+
+@needs_blas
+def test_a_nested_capped_call_sets_the_count_no_more_than_a_single_call(
+        monkeypatch):
+    get, set_ = BLAS
+    sets = []
+    monkeypatch.setattr(cocyclelab.measure, "_blas_threads",
+                        lambda: (get, lambda k: sets.append(k) or set_(k)))
+    outer = single_blas_thread(blas_count_inside)
+    with caller_threads(2):
+        assert blas_count_inside() == 1
+        assert sets == [1, 2]
+        sets.clear()
+        assert outer() == 1
+        assert sets == [1, 2] and get() == 2
+
+
+@needs_blas
+def test_single_blas_thread_does_nothing_when_the_lookup_finds_nothing(
+        monkeypatch):
+    monkeypatch.setattr(cocyclelab.measure, "_blas_threads", lambda: None)
+    with caller_threads(2):
+        assert blas_count_inside() == 2
+        with pytest.raises(PreconditionError):
+            raises_inside([])
+        assert BLAS[0]() == 2
+
+
+CAPPED_ENTRIES = [
+    ("cli", "main"),
+    ("mixing", "estimate_mixing"), ("mixing", "counterexample_run"),
+    ("mixing", "correlation_hom"), ("mixing", "correlation_inhom"),
+    ("exactness", "exactness_norms"), ("exactness", "lin_dual_flatness"),
+    ("exactness", "exactness_report"),
+    ("asymptotic", "detect_periodicity"),
+    ("asymptotic", "restricted_power_cocycle"),
+    ("asymptotic", "quasi_constrictive_probe"),
+    ("cocycle", "compose"), ("cocycle", "invariant_density_pullback"),
+    ("cocycle", "InvariantDensityMap.equivariance_residual"),
+    ("skew", "nu_measure"), ("skew", "skew_mixing_curve"),
+    ("skew", "set_picture_joint"), ("skew", "theta_invariance"),
+]
+
+
+@pytest.mark.parametrize("module, name", CAPPED_ENTRIES)
+def test_every_entry_that_loops_over_products_is_capped(module, name):
+    entry = importlib.import_module(f"cocyclelab.{module}")
+    for part in name.split("."):
+        entry = getattr(entry, part)
+    # a capped entry is the decorator's wrapper, as blas_count_inside is
+    assert entry.__code__ is blas_count_inside.__code__
+
+
+@needs_blas
+@settings(max_examples=30)
+@given(n=st.sampled_from([64, 256, 512]), rows=st.integers(1, 300),
+       seed=st.integers(0, 2**32 - 1))
+def test_pushes_are_bit_equal_on_one_thread_and_on_two(n, rows, seed):
+    # the sizes cross OpenBLAS's gemv path and its threaded-gemm threshold.
+    # Row stacks only: a pull K @ V through a wide V (193 or more columns at
+    # N >= 256) can round differently on one thread and on two.
+    rng = np.random.default_rng(seed)
+    kernel = rng.random((n, n))
+    kernel /= kernel.sum(axis=1, keepdims=True)
+    stack = rng.standard_normal((rows, n))
+    with caller_threads(2):
+        threaded = mass_apply(stack, kernel)
+        one_thread = single_blas_thread(mass_apply)(stack, kernel)
+    assert threaded.tobytes() == one_thread.tobytes()
