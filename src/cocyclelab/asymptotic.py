@@ -2,11 +2,11 @@
 
 After a burn-in, an asymptotically periodic operator sends every cell's
 indicator onto one of r disjoint density profiles g_1..g_r that a further
-step permutes among themselves.  The detector composes the cocycle for a
-burn-in window, links the cells that one composed row reaches (``cell_labels``),
-reads the permutation off one extra step, and verifies the structure by
-residuals instead of trusting it: rows inside one component must share a
-profile, and each pushed profile must coincide with the profile it lands on.
+step permutes among themselves.  The detector pushes the cell indicators to
+the verdict window's start, links the cells one pushed row reaches
+(``cell_labels``), reads the permutation off one extra step, and verifies the
+structure by residuals instead of trusting it: rows inside one component must
+share a profile, and each pushed profile must equal the one it lands on.
 Everything is reported (component count, permutation, profiles, weights,
 residual); ``found`` is claimed only when the structure checks pass within
 tolerance, and a component count above the caller's cap is reported as not
@@ -26,8 +26,9 @@ import math
 
 import numpy as np
 
-from cocyclelab.cocycle import CocycleFamily, compose, push_orbit
-from cocyclelab.driving import BERNOULLI, DrivingSystem, EnvPoint, advance, point
+from cocyclelab.cocycle import CocycleFamily, push_orbit
+from cocyclelab.curves import tail_start
+from cocyclelab.driving import BERNOULLI, DrivingSystem, EnvPoint, point
 from cocyclelab.measure import (
     Density,
     FiniteMeasureSpace,
@@ -38,16 +39,11 @@ from cocyclelab.measure import (
     require_horizon,
     require_tolerance,
     single_blas_thread,
+    stored_kernel,
 )
 
 # masses at or below this count as outside a support
 SUPPORT_FLOOR = 1e-12
-
-
-def burn_in_steps(n_cells: int, horizon: int) -> int:
-    """Default burn-in: twice the dyadic depth of the grid, capped at half
-    the horizon, at least one step."""
-    return max(1, min(2 * math.ceil(math.log2(max(n_cells, 2))), horizon // 2))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -108,12 +104,13 @@ def cell_labels(reach: np.ndarray) -> np.ndarray:
 @single_blas_thread
 def detect_periodicity(c: CocycleFamily, omega: EnvPoint, horizon: int,
                        r_max: int, tol: float = 1e-10,
-                       f0: Density | None = None) -> PeriodicDecomposition:
+                       f0: Density | None = None,
+                       tail_fraction: float = 0.1) -> PeriodicDecomposition:
     """Detect an asymptotic periodic decomposition along the orbit of omega.
 
-    ``compose`` keeps the burn-in product as CSR while N >= 512 and nnz <=
-    N^2 / 32; the detector reads it densely, so it is meant for moderate cell
-    counts.  ``cell_labels`` numbers the components by their smallest cell.
+    The burn-in ends at ``tail_start(horizon + 1, tail_fraction)``, where the
+    decay verdicts read; its product is pushed from the identity as stored,
+    CSR while N >= 512 and nnz <= N^2 / 32, and read densely.
     """
     require_tolerance(tol)
     if r_max < 0:
@@ -122,8 +119,9 @@ def detect_periodicity(c: CocycleFamily, omega: EnvPoint, horizon: int,
     if f0 is not None and not np.isfinite(f0.values).all():
         raise PreconditionError("f0 must be finite: it holds NaN or inf values")
     n = c.n
-    burn = burn_in_steps(n, horizon)
-    product = compose(c, omega, burn).kernel
+    burn = tail_start(horizon + 1, tail_fraction)
+    for late, product in push_orbit(c, omega, stored_kernel(np.eye(n)), burn):
+        pass
     M = product.toarray() if issparse(product) else product
 
     reach = M > SUPPORT_FLOOR
@@ -156,7 +154,7 @@ def detect_periodicity(c: CocycleFamily, omega: EnvPoint, horizon: int,
         f0 = Density.uniform(c.space)
     burnt = mass_apply(f0.mass, product)
     lambdas = np.array([float(burnt[s].sum()) for s in supports])
-    step_kernel = c.operator_at(advance(c.driving, omega, burn)).kernel
+    step_kernel = c.operator_at(late).kernel
     rho = np.full(r, -1)
     push_residual = 0.0
     for i, profile in enumerate(profiles):
@@ -199,10 +197,10 @@ def restricted_power_cocycle(c: CocycleFamily, dec: PeriodicDecomposition,
     """The cycle-length power of the cocycle restricted to one component.
 
     Defined for finite driving with supports that are invariant across
-    environment points (checked through mass conservation: from every point,
-    the composed cycle-length kernel must keep the component's mass inside
-    it).  Returns the restricted cocycle and the global cell indices of the
-    component.
+    environment points (checked through mass conservation: from every point
+    p, the cycle-length push of the component's cells, which ends at sigma^k
+    p, must keep their mass inside it).  Returns the restricted cocycle and
+    the global cell indices of the component.
     """
     if not dec.found:
         raise PreconditionError("no decomposition to restrict to")
@@ -215,16 +213,12 @@ def restricted_power_cocycle(c: CocycleFamily, dec: PeriodicDecomposition,
     w = c.space.weights[cells]
     sub_space = FiniteMeasureSpace(w / w.sum())
 
-    sigma_k = np.arange(c.driving.n_points)
-    for _ in range(k):
-        sigma_k = c.driving.sigma[sigma_k]
-    sub_driving = DrivingSystem(kind="finite_permutation", probs=c.driving.probs,
-                                sigma=sigma_k)
-
-    table = {}
+    table, sigma_k = {}, []
     for p in range(c.driving.n_points):
-        M = compose(c, point(c.driving, p), k).kernel
-        block = (M.toarray() if issparse(M) else M)[np.ix_(cells, cells)]
+        for end, rows in push_orbit(c, point(c.driving, p), np.eye(c.n)[cells], k):
+            pass
+        sigma_k.append(end.index)
+        block = rows[:, cells]
         leak = float(np.abs(block.sum(axis=1) - 1.0).max())
         if leak > 1e-9:
             raise PreconditionError(
@@ -232,6 +226,8 @@ def restricted_power_cocycle(c: CocycleFamily, dec: PeriodicDecomposition,
                 f"point (mass leak {leak:.3e})")
         table[p] = MarkovMatrix(sub_space, block / block.sum(axis=1, keepdims=True),
                                 exact=c.all_exact)
+    sub_driving = DrivingSystem(kind="finite_permutation", probs=c.driving.probs,
+                                sigma=sigma_k)
     return CocycleFamily(driving=sub_driving, table=table), cells
 
 
@@ -272,9 +268,10 @@ def _greedy_packs(ms: np.ndarray, ws: np.ndarray, eps_values: np.ndarray):
 
 @single_blas_thread
 def quasi_constrictive_probe(c: CocycleFamily, omega: EnvPoint, horizon: int,
-                             eps_values) -> QCReport:
+                             eps_values, tail_fraction: float = 0.1) -> QCReport:
     """Probe constrictivity: the worst-case terminal mass a small cell union
-    can capture, maximized over initial densities and late times.
+    can capture, maximized over initial densities and the late times from
+    ``tail_start(horizon + 1, tail_fraction)``, where the decay verdicts read.
 
     For each eps, the probe packs the heaviest cells of each pushed
     indicator (greedily, exact when weights are uniform) subject to the
@@ -286,15 +283,13 @@ def quasi_constrictive_probe(c: CocycleFamily, omega: EnvPoint, horizon: int,
     eps_values = np.sort(np.asarray(eps_values, dtype=float))
     if not (eps_values.size and np.isfinite(eps_values).all() and eps_values[0] > 0):
         raise PreconditionError(f"eps grid must be finite and > 0: {eps_values}")
-    if horizon < 1:
-        raise PreconditionError("the probe reads late times: need horizon >= 1")
-    n = c.n
+    if horizon < 0 or (burn := tail_start(horizon + 1, tail_fraction)) < 1:
+        raise PreconditionError("the probe reads late times: a window from n >= 1")
     w = c.space.weights
-    burn = max(horizon // 2, 1)
 
     best: list[QCWitness | None] = [None] * eps_values.size
     # rows: pushed cell indicators (unit mass each)
-    for step, (_, mass) in enumerate(push_orbit(c, omega, np.eye(n), horizon)):
+    for step, (_, mass) in enumerate(push_orbit(c, omega, np.eye(c.n), horizon)):
         if step >= burn:
             order = np.argsort(-mass, axis=1)
             captured, taken = _greedy_packs(

@@ -38,8 +38,8 @@ from .scenario import ScenarioError, load_product_sets, load_scenario
 from .skew import skew_mixing_curve
 
 # caps for the aggregate `report` command on sampled (bernoulli) driving,
-# where each probed point costs an exactness report and a composed burn-in
-# kernel; finite driving always enumerates every point
+# where each probed point costs an exactness report and a pushed burn-in;
+# finite driving always enumerates every point
 REPORT_HEAVY_OMEGAS = 4
 
 
@@ -167,7 +167,7 @@ def cmd_run_asymp(args) -> int:
     blocks = []
     for w, omega in enumerate(_probed_points(sc)):
         dec = detect_periodicity(sc.cocycle, omega, a.horizon, a.rmax,
-                                 tol=a.asymp_tol)
+                                 tol=a.asymp_tol, tail_fraction=a.tail_fraction)
         if dec.found:
             label = (w, dec.r, cycle_notation(dec.rho))
             print(f"{sc.name} omega_{w}: r={dec.r} rho={cycle_notation(dec.rho)} "
@@ -187,7 +187,7 @@ def cmd_run_qc(args) -> int:
     worst = np.zeros(len(eps_sorted))
     for omega in _probed_points(sc):
         rep = quasi_constrictive_probe(sc.cocycle, omega, sc.analysis.horizon,
-                                       eps_sorted)
+                                       eps_sorted, sc.analysis.tail_fraction)
         worst = np.maximum(worst, rep.deltas)
     _write_csv(args.out, ("eps", "delta"), [([()], (eps_sorted, worst))])
     verdict = worst[0] > 0.0
@@ -239,12 +239,6 @@ def cmd_run_counterexample(args) -> int:
     return 0
 
 
-# the checks that read the periodicity detector's decomposition, in order
-PERIODICITY_CHECKS = ("periodicity-vs-exactness",
-                      "periodicity-vs-travelling-mixing",
-                      "periodicity-vs-hom-mixing", "restricted-power-exact")
-
-
 def _report_checks(sc):
     """The cross-checks of `report` as rows (check, omega_id, ok, detail),
     one at a time, with ok None for a SKIP."""
@@ -279,35 +273,29 @@ def _report_checks(sc):
                    rep.tail.trivial == rep.exact_verdict,
                    f"tail_trivial={rep.tail.trivial} exact={rep.exact_verdict}")
 
-    # periodicity against exactness and mixing; a verdict window that starts
-    # before the detector's burn-in reads curves the detector does not see
-    vs_exact, vs_inhom, vs_hom, restricted = PERIODICITY_CHECKS
+    # periodicity against exactness and mixing, both read from the window
     window = tail_start(a.horizon + 1, a.tail_fraction)
     for w, omega in enumerate(heavy):
         dec = detect_periodicity(sc.cocycle, omega, a.horizon, a.rmax,
-                                 tol=a.asymp_tol)
+                                 tol=a.asymp_tol, tail_fraction=a.tail_fraction)
         if not dec.found:
-            yield vs_exact, w, None, f"none found: {dec.reason}"
-            continue
-        if window < dec.burn_in:
-            for name in PERIODICITY_CHECKS:
-                yield (name, w, None,
-                       f"verdict window starts at n = {window}, before the "
-                       f"detector's burn-in of {dec.burn_in} steps")
+            yield "periodicity-vs-exactness", w, None, f"none found: {dec.reason}"
             continue
         # the point's decomposition meets the point's own mixing verdicts:
         # heavy[w] is omegas[w], since bernoulli samples are prefix-stable
         hom_w, inhom_w = (bool(rep.prior_thresholds[w] <= window)
                           for rep in mixing)
         r_one = dec.r == 1
-        yield vs_exact, w, r_one == exact[w], f"r={dec.r} exact={exact[w]}"
-        yield (vs_inhom, w, r_one == inhom_w,
+        yield ("periodicity-vs-exactness", w, r_one == exact[w],
+               f"r={dec.r} exact={exact[w]}")
+        yield ("periodicity-vs-travelling-mixing", w, r_one == inhom_w,
                f"r={dec.r} prior-inhom={inhom_w} post-inhom={inhom_w}")
         if sc.driving.kind == BERNOULLI:
-            yield vs_hom, w, None, "finite driving only"
-            yield restricted, w, None, "finite driving only"
+            yield "periodicity-vs-hom-mixing", w, None, "finite driving only"
+            yield "restricted-power-exact", w, None, "finite driving only"
             continue
-        yield vs_hom, w, r_one == hom_w, f"r={dec.r} prior-hom={hom_w}"
+        yield ("periodicity-vs-hom-mixing", w, r_one == hom_w,
+               f"r={dec.r} prior-hom={hom_w}")
         # restricted power on each multi-cell component must be exact
         for i in range(dec.r):
             if len(dec.supports[i]) < 2:
@@ -315,13 +303,13 @@ def _report_checks(sc):
             try:
                 sub, cells = restricted_power_cocycle(sc.cocycle, dec, i)
             except PreconditionError as exc:
-                yield restricted, w, None, f"component={i}: {exc}"
+                yield "restricted-power-exact", w, None, f"component={i}: {exc}"
                 continue
             sub_rep = exactness_report(
                 sub, point(sub.driving, omega.index),
                 zero_mean_basis(sub.space), indicator_basis(sub.space),
                 a.horizon, a.tol, tail_fraction=a.tail_fraction)
-            yield (restricted, w, sub_rep.exact_verdict,
+            yield ("restricted-power-exact", w, sub_rep.exact_verdict,
                    f"component={i} cells={int(cells[0])}..{int(cells[-1])} "
                    f"({len(cells)})")
 

@@ -4,8 +4,8 @@ system, named Markov operators, and the cocycle table, plus analysis knobs.
 Layout (keys in parentheses are optional)::
 
     space:     N, (weights)
-    driving:   kind in {finite_rotation, finite_permutation, bernoulli},
-               (q) (sigma) (p) (seed) (samples)
+    driving:   kind: finite_rotation with q | finite_permutation with
+               sigma | bernoulli with p; (seed) (samples)
     operators: name -> one of
                  map:    {kind, (params: {bits, breakpoints, slopes,
                           intercepts})}          exact transfer kernel
@@ -16,10 +16,10 @@ Layout (keys in parentheses are optional)::
     analysis:  (horizon) (tol) (rmax) (eps) (tail_fraction) (basis_count)
                (asymp_tol)
 
-Every number goes through one strict reader, and an error names its key.
-One rule table checks the analysis values, ``driving.samples`` and
-``driving.seed`` included, at load.  A CLI flag that replaces one of them
-(``ANALYSIS_KEYS``) goes through the same table, and an error names it.
+Every number goes through one strict reader, a key that is not read is an
+error, and an error names its key.  One rule table checks the analysis values
+(``driving.samples`` and ``driving.seed`` too) at load, and so it checks a CLI
+flag that replaces one of them (``ANALYSIS_KEYS``); an error names the flag.
 
 Operators are built once per name and shared by reference, so a table whose
 entries all point at one name is recognized as a constant family.  All
@@ -64,7 +64,9 @@ class UnresolvedReferenceError(ScenarioError):
     """A name used in the scenario has no definition."""
 
 
-DRIVING_KINDS = ("finite_rotation", "finite_permutation", "bernoulli")
+# each driving kind and its key; seed and samples are ANALYSIS_KEYS
+DRIVING_KINDS = {"finite_rotation": "q", "finite_permutation": "sigma",
+                 "bernoulli": "p"}
 SYNTHETIC_KINDS = ("identity", "uniform", "block_cycle")
 
 # The longest horizon a scenario or a --horizon flag may ask for.  A curve
@@ -122,6 +124,12 @@ def _require_mapping(node, what: str) -> dict:
     return node
 
 
+def _require_known(keys, known, what: str):
+    """Reject a key the loader does not read, so that a typo is not ignored."""
+    if unknown := set(keys) - set(known):
+        raise ScenarioError(f"{what} has unknown keys {sorted(unknown, key=str)}")
+
+
 def _get(node: dict, key: str, what: str):
     if key not in node:
         raise ScenarioError(f"{what} is missing the required key {key!r}")
@@ -165,6 +173,7 @@ def _load_yaml(path: str, what: str) -> dict:
 
 def _build_space(node) -> FiniteMeasureSpace:
     node = _require_mapping(node, "space block")
+    _require_known(node, ("N", "weights"), "space block")
     n = _number(_get(node, "N", "space block"), "space.N", integer=True)
     if n < 1:
         raise ScenarioError("space.N must be a positive integer")
@@ -185,16 +194,15 @@ def _build_driving(node) -> DrivingSystem:
     kind = _get(node, "kind", "driving block")
     if kind not in DRIVING_KINDS:
         raise ScenarioError(
-            f"driving.kind must be one of {DRIVING_KINDS}, got {kind!r}")
+            f"driving.kind must be one of {tuple(DRIVING_KINDS)}, got {kind!r}")
+    key = DRIVING_KINDS[kind]
+    value = _get(node, key, f"{kind} driving")
     try:
         if kind == "finite_rotation":
-            q = _get(node, "q", "finite_rotation driving")
-            return finite_rotation(_number(q, "driving.q", integer=True))
+            return finite_rotation(_number(value, "driving.q", integer=True))
         if kind == "finite_permutation":
-            sigma = _get(node, "sigma", "finite_permutation driving")
-            return finite_permutation(_numbers(sigma, "driving.sigma", integer=True))
-        probs = _get(node, "p", "bernoulli driving")
-        return bernoulli_shift(_numbers(probs, "driving.p"))
+            return finite_permutation(_numbers(value, "driving.sigma", integer=True))
+        return bernoulli_shift(_numbers(value, "driving.p"))
     except ScenarioError:
         raise
     except ValueError as exc:
@@ -243,11 +251,14 @@ def _build_operator(name: str, node, space: FiniteMeasureSpace) -> MarkovMatrix:
     if len(sources) != 1:
         raise ScenarioError(
             f"operator {name!r} needs exactly one of map/kernel/synthetic")
+    _require_known(node, {sources[0], "ulam"} if sources[0] == "map"
+                   else sources, f"operator {name!r}")
     try:
         if sources[0] == "map":
             spec = _build_map_spec(node["map"], f"{key}.map")
             if "ulam" in node:
                 ulam = _require_mapping(node["ulam"], f"operator {name!r} ulam")
+                _require_known(ulam, ("samples", "seed"), f"operator {name!r} ulam")
                 return pf_ulam(spec, space, *(
                     _number(_get(ulam, k, "ulam block"), f"{key}.ulam.{k}",
                             integer=True) for k in ("samples", "seed")))
@@ -267,6 +278,7 @@ def _build_operator(name: str, node, space: FiniteMeasureSpace) -> MarkovMatrix:
 
 def _build_cocycle(node, d: DrivingSystem, operators: dict) -> CocycleFamily:
     node = _require_mapping(node, "cocycle block")
+    _require_known(node, ["constant" if "constant" in node else "table"], "cocycle block")
     features = d.n_features
 
     def resolve(name, key: str) -> MarkovMatrix:
@@ -310,6 +322,10 @@ def _build_analysis(doc: dict, flags: dict) -> AnalysisConfig:
     blocks = {"analysis": _require_mapping(doc.get("analysis") or {},
                                            "analysis block"),
               "driving": doc["driving"]}
+    driving_key = f"driving.{DRIVING_KINDS[blocks['driving']['kind']]}"
+    _require_known({f"{b}.{k}" for b, node in blocks.items() for k in node},
+                   {key for key, _ in ANALYSIS_KEYS.values()}
+                   | {"driving.kind", driving_key}, "scenario file")
     base, values, names = AnalysisConfig(), {}, {}
     for name, (key, flag) in ANALYSIS_KEYS.items():
         block, k = key.split(".")
@@ -372,6 +388,8 @@ def load_scenario(path: str, flags: dict | None = None) -> Scenario:
     dests to command-line values; each that is not None replaces the
     analysis field of ANALYSIS_KEYS that its flag names."""
     doc = _load_yaml(path, "scenario file")
+    _require_known(doc, ("name", "space", "driving", "operators", "cocycle",
+                         "analysis", "output"), "scenario file")  # output is unread
     space = _build_space(_get(doc, "space", path))
     driving = _build_driving(_get(doc, "driving", path))
     analysis = _build_analysis(doc, flags or {})
@@ -399,9 +417,7 @@ def _parse_cells(node, n: int, key: str) -> np.ndarray:
 
 def _parse_product_set(node, n: int, what: str) -> ProductSet:
     node = _require_mapping(node, what)
-    unknown = set(node) - {"cells", "env_indices", "env_constraints"}
-    if unknown:
-        raise ScenarioError(f"{what} has unknown keys {sorted(unknown)}")
+    _require_known(node, ("cells", "env_indices", "env_constraints"), what)
     kwargs = {"cells": _parse_cells(_get(node, "cells", what), n,
                                     f"{what} cells")}
     if "env_indices" in node:

@@ -23,7 +23,6 @@ from cocyclelab.asymptotic import (
     PeriodicDecomposition,
     QCReport,
     block_cycle_kernel,
-    burn_in_steps,
     cell_labels,
     detect_periodicity,
     invariant_density_from_decomposition,
@@ -31,6 +30,7 @@ from cocyclelab.asymptotic import (
     restricted_power_cocycle,
 )
 from cocyclelab.cocycle import CocycleFamily, compose
+from cocyclelab.curves import tail_start
 from cocyclelab.driving import bernoulli_shift, finite_rotation, point
 from cocyclelab.exactness import exactness_norms, exactness_report
 from cocyclelab.measure import (
@@ -75,11 +75,16 @@ def test_detector_rejects_a_bad_tolerance_or_cap(kw):
         detect(c, **kw)
 
 
-def test_burn_in_depth():
-    assert burn_in_steps(8, 40) == 6
-    assert burn_in_steps(8, 6) == 3
-    assert burn_in_steps(2, 40) == 2
-    assert burn_in_steps(4, 1) == 1
+def test_burn_in_is_the_verdict_window_start():
+    # found or not, the detector reads from where the decay verdicts read,
+    # the identity at horizon 0 included
+    c = constant_cocycle(block_cycle_kernel(6, 3))
+    for horizon in (0, 1, 2, 10, 40):
+        for tail_fraction in (0.1, 0.5, 1.0):
+            dec = detect_periodicity(c, point(c.driving, 0), horizon, 8,
+                                     tail_fraction=tail_fraction)
+            assert dec.burn_in == tail_start(horizon + 1, tail_fraction)
+    assert detect(c, horizon=0).burn_in == 0
 
 
 def test_planted_three_cycle_recovered_exactly():
@@ -98,16 +103,17 @@ def test_planted_three_cycle_recovered_exactly():
 
 
 def test_detector_reads_lambdas_and_rho_after_the_burn_in():
-    # five burn-in steps (horizon 10) alternate the block cycle P0 (block i
-    # to i + 1) and its reverse P1 = P0^T, so they end one block on, at
-    # sigma^5 omega_0 = omega_1, where the permutation is read off P1
+    # nine burn-in steps (horizon 10, window from n = 9) alternate the block
+    # cycle P0 (block i to i + 1) and its reverse P1 = P0^T, so they end one
+    # block on, at sigma^9 omega_0 = omega_1, where the permutation is read
+    # off P1
     kernel = block_cycle_kernel(6, 3)
     c = CocycleFamily(driving=finite_rotation(2),
                       table={0: MarkovMatrix(SIX, kernel),
                              1: MarkovMatrix(SIX, kernel.T)})
     f0 = Density.from_mass(SIX, np.array([0.3, 0.1, 0.2, 0.05, 0.25, 0.1]))
     dec = detect(c, horizon=10, f0=f0)
-    assert dec.found and dec.burn_in == 5
+    assert dec.found and dec.burn_in == 9
     assert dec.rho.tolist() == [2, 0, 1]
     assert dec.lambdas.tolist() == pytest.approx([0.35, 0.4, 0.25], abs=1e-15)
 
@@ -339,6 +345,16 @@ def test_qc_probe_rejects_bad_grid():
         quasi_constrictive_probe(c, point(c.driving, 0), 0, [0.5])
 
 
+@pytest.mark.parametrize("horizon, tail_fraction",
+                         [(-1, 0.1), (0, 0.1), (1, 1.0), (4, 1.0)])
+def test_qc_probe_rejects_a_window_that_starts_at_n_zero(horizon, tail_fraction):
+    # step 0 is the identity, where one cell captures each indicator whole
+    c = constant_cocycle(np.eye(4))
+    with pytest.raises(PreconditionError, match="a window from n >= 1"):
+        quasi_constrictive_probe(c, point(c.driving, 0), horizon, [0.5],
+                                 tail_fraction)
+
+
 # -- properties ------------------------------------------------------------------
 
 
@@ -487,12 +503,13 @@ def test_detector_on_block_permutations_matches_the_csgraph_labelling(
     assert dec.residual == ref.residual
 
 
-def qc_probe_loop(c, omega, horizon, eps_values):
+def qc_probe_loop(c, omega, horizon, eps_values, tail_fraction):
     """Reference probe: the greedy pack row by row, eps by eps, cell by
-    cell, keeping the first maximum in (step, row) order."""
+    cell, from the verdict window's start, keeping the first maximum in
+    (step, row) order."""
     eps_values = np.sort(np.asarray(eps_values, dtype=float))
     w = c.space.weights
-    burn = max(horizon // 2, 1)
+    burn = tail_start(horizon + 1, tail_fraction)
     mass = np.eye(c.n)
     best = [None] * eps_values.size
     for step in range(horizon + 1):
@@ -521,8 +538,10 @@ def qc_probe_loop(c, omega, horizon, eps_values):
 
 @given(st.integers(min_value=2, max_value=9), st.booleans(),
        st.integers(0, 2**20), st.integers(min_value=1, max_value=6),
-       st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=3))
-def test_qc_probe_matches_the_greedy_loop(n, uniform, seed, horizon, eps_ninths):
+       st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=3),
+       st.sampled_from([0.1, 0.5]))
+def test_qc_probe_matches_the_greedy_loop(n, uniform, seed, horizon, eps_ninths,
+                                          tail_fraction):
     rng = np.random.default_rng(seed)
     # entries on a coarse grid, with zeros, so sorted masses tie and the
     # support floor cuts rows short
@@ -535,8 +554,9 @@ def test_qc_probe_matches_the_greedy_loop(n, uniform, seed, horizon, eps_ninths)
     c = constant_cocycle(MarkovMatrix(space, kernel))
     # eps on multiples of 1/9 meets running weight sums exactly
     eps = [k / 9 for k in eps_ninths]
-    rep = quasi_constrictive_probe(c, point(c.driving, 0), horizon, eps)
-    ref = qc_probe_loop(c, point(c.driving, 0), horizon, eps)
+    rep = quasi_constrictive_probe(c, point(c.driving, 0), horizon, eps,
+                                   tail_fraction)
+    ref = qc_probe_loop(c, point(c.driving, 0), horizon, eps, tail_fraction)
     assert rep.deltas.tolist() == [1.0 - b[4] for b in ref]
     assert [(wit.eps, wit.source_cell, wit.n, wit.cells, wit.captured)
             for wit in rep.witnesses] == ref
