@@ -22,7 +22,7 @@ import numpy as np
 from .asymptotic import detect_periodicity, quasi_constrictive_probe, \
     restricted_power_cocycle
 from .cocycle import NormalizedCocycle, build_invariant_density_map
-from .curves import tail_start
+from .curves import decay_verdict
 from .driving import BERNOULLI, DrivingError, point, points, sample_env
 from .exactness import exactness_report
 from .measure import PreconditionError, single_blas_thread
@@ -152,8 +152,7 @@ def cmd_run_exactness(args) -> int:
         blocks += [([(w, "norm")], (ns, rep.norm_curves.max(axis=0))),
                    ([(w, "lin")], (ns, rep.flatness_curves.max(axis=0)))]
         if rep.tail is not None:
-            counts = rep.tail.atom_counts
-            blocks.append(([(w, "tail")], (np.arange(len(counts)), counts)))
+            blocks.append(([(w, "tail")], (ns, rep.tail.atom_counts)))
         print(f"{sc.name} omega_{w}: exact={rep.exact_verdict} "
               f"dual={rep.dual_decayed} routes_agree={rep.routes_agree}"
               + (f" tail_trivial={rep.tail.trivial}" if rep.tail else ""))
@@ -274,7 +273,6 @@ def _report_checks(sc):
                    f"tail_trivial={rep.tail.trivial} exact={rep.exact_verdict}")
 
     # periodicity against exactness and mixing, both read from the window
-    window = tail_start(a.horizon + 1, a.tail_fraction)
     for w, omega in enumerate(heavy):
         dec = detect_periodicity(sc.cocycle, omega, a.horizon, a.rmax,
                                  tol=a.asymp_tol, tail_fraction=a.tail_fraction)
@@ -283,8 +281,8 @@ def _report_checks(sc):
             continue
         # the point's decomposition meets the point's own mixing verdicts:
         # heavy[w] is omegas[w], since bernoulli samples are prefix-stable
-        hom_w, inhom_w = (bool(rep.prior_thresholds[w] <= window)
-                          for rep in mixing)
+        hom_w, inhom_w = (decay_verdict(rep.prior_thresholds[w], a.horizon,
+                                        a.tail_fraction) for rep in mixing)
         r_one = dec.r == 1
         yield ("periodicity-vs-exactness", w, r_one == exact[w],
                f"r={dec.r} exact={exact[w]}")

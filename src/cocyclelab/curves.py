@@ -1,6 +1,6 @@
-"""Decay-curve reading shared by the mixing, exactness and skew reports:
-tail windows, suffix envelopes and decay verdicts, each along the last axis
-of a curve array, plus geometric rate fits for callers that want them."""
+"""Decay-curve reading along the last axis of a curve array, shared by the
+mixing, exactness and skew reports: one decay verdict rule (a curve's settle
+index is at most its verdict window's start), plus geometric rate fits."""
 
 from __future__ import annotations
 
@@ -32,16 +32,18 @@ def suffix_envelope(values) -> np.ndarray:
     return np.maximum.accumulate(v[..., ::-1], axis=-1)[..., ::-1]
 
 
-def tail_max(values, tail_fraction: float = 0.1):
-    """max |value| over each curve's verdict window (last axis)."""
+def settle_index(values, tol: float) -> np.ndarray:
+    """Per curve: the first n from which |value| stays below tol, else its
+    length; the suffix envelope is below tol exactly from there on."""
     v = np.asarray(values, dtype=float)
-    length = v.shape[-1] if v.ndim else 0  # a 0-d value holds no curve entry
-    return np.abs(v[..., tail_start(length, tail_fraction):]).max(axis=-1)
+    if v.ndim == 0 or v.shape[-1] == 0:
+        raise PreconditionError("curves must have at least one entry")
+    return v.shape[-1] - (suffix_envelope(v) < tol).sum(axis=-1)
 
 
-def curve_decayed(values, tol: float, tail_fraction: float = 0.1):
-    """Per curve (last axis): does the verdict window stay below tol?"""
-    return tail_max(values, tail_fraction) < tol
+def decay_verdict(settle, horizon: int, tail_fraction: float = 0.1) -> bool:
+    """Every settle index lies at or before the verdict window's start."""
+    return bool(np.max(settle) <= tail_start(horizon + 1, tail_fraction))
 
 
 @dataclasses.dataclass(frozen=True, eq=False)

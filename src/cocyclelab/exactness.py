@@ -28,8 +28,9 @@ Three routes, kept separate and cross-checked:
 mass, so the tail route and the skew set picture that read it stay
 independent of the norm route and the skew operator picture.
 
-The norm and dual verdicts are both reported, never merged; agreement is a
-flag the caller can assert.
+The routes share only the verdict rule of ``curves`` applied to their
+finished curves.  The norm and dual verdicts are both reported, never merged;
+agreement is a flag the caller can assert.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import functools
 import numpy as np
 
 from cocyclelab.cocycle import CocycleFamily, orbit, orbit_kernels, push_kernels
-from cocyclelab.curves import curve_decayed
+from cocyclelab.curves import decay_verdict, settle_index, tail_start
 from cocyclelab.driving import EnvPoint
 from cocyclelab.measure import (MarkovMatrix, PreconditionError, issparse,
                                 require_horizon, require_tolerance,
@@ -154,8 +155,7 @@ def _pull(kernel, v):
 @dataclasses.dataclass(frozen=True)
 class TailPartitionReport:
     atom_counts: np.ndarray   # (horizon + 1,) partition sizes, non-increasing
-    trivial: bool             # one atom reached by the horizon
-    horizon: int
+    trivial: bool             # one atom from the verdict window's start on
 
 
 def cell_map_destinations(P: MarkovMatrix) -> np.ndarray:
@@ -181,23 +181,24 @@ def cell_map_orbit(c: CocycleFamily, omega: EnvPoint, n: int):
             dest = destinations(c.operator_at(pt))[dest]
 
 
-def tail_partition(c: CocycleFamily, omega: EnvPoint,
-                   horizon: int) -> TailPartitionReport:
+def tail_partition(c: CocycleFamily, omega: EnvPoint, horizon: int,
+                   tail_fraction: float = 0.1) -> TailPartitionReport:
     """Preimage-partition coarsening along the orbit, for cell-map cocycles.
 
     The atoms at step n are the nonempty preimage classes of the n-step
     destinations; they coarsen monotonically (that is checked, not assumed),
-    and triviality means a single atom by the horizon.
+    and triviality means one atom from the verdict window's start on.
     """
     require_horizon(horizon)
+    tail_start(horizon + 1, tail_fraction)  # rejects a bad tail_fraction
     counts = np.empty(horizon + 1, dtype=np.int64)
     for n, (_, dest) in enumerate(cell_map_orbit(c, omega, horizon)):
         counts[n] = np.count_nonzero(np.bincount(dest, minlength=c.n))
         if n and counts[n] > counts[n - 1]:
             raise AssertionError("preimage partition refined instead of coarsening")
-    return TailPartitionReport(atom_counts=counts,
-                               trivial=bool(counts[-1] == 1),
-                               horizon=horizon)
+    # counts - 1 is an integer: it is below 1 exactly where one atom is left
+    return TailPartitionReport(counts, decay_verdict(
+        settle_index(counts - 1, 1), horizon, tail_fraction))
 
 
 @dataclasses.dataclass(eq=False)
@@ -238,16 +239,17 @@ def exactness_report(c: CocycleFamily, omega: EnvPoint, f_basis, g_basis,
     whether the dual route reached the same conclusion on its basis.
     """
     require_tolerance(tol)
+    require_horizon(horizon)
+    tail_start(horizon + 1, tail_fraction)  # rejects a bad tail_fraction
     norms = exactness_norms(c, omega, f_basis, horizon)
     dual = lin_dual_flatness(c, omega, g_basis, horizon)
-    tail = None
-    if all(P.is_cell_map() for P in c.table.values()):
-        tail = tail_partition(c, omega, horizon)
+    tail = (tail_partition(c, omega, horizon, tail_fraction)
+            if all(P.is_cell_map() for P in c.table.values()) else None)
+    norms_decayed, dual_decayed = (
+        decay_verdict(settle_index(v, tol), horizon, tail_fraction)
+        for v in (norms, dual.flatness))
     return ExactnessReport(
         horizon=horizon, tol=tol, tail_fraction=tail_fraction,
         norm_curves=norms, flatness_curves=dual.flatness,
         mean_distance_curves=dual.mean_distance,
-        norms_decayed=bool(curve_decayed(norms, tol, tail_fraction).all()),
-        dual_decayed=bool(curve_decayed(dual.flatness, tol,
-                                        tail_fraction).all()),
-        tail=tail)
+        norms_decayed=norms_decayed, dual_decayed=dual_decayed, tail=tail)

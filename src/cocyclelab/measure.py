@@ -290,11 +290,11 @@ def mass_apply(mass, kernel):
 
 
 def require_zero_mean(mass, what: str):
-    """Reject a mass row, or a stack of rows, with a row whose total is not
-    zero relative to its L1 norm (a NaN total fails the comparison too)."""
+    """Reject a mass row, or a stack of rows, with a row whose L1 norm is not
+    finite (NaN or inf) or whose total is not zero relative to that norm."""
     mass = np.atleast_2d(mass)
-    totals = mass.sum(axis=1)
-    ok = np.abs(totals) <= 1e-9 * np.maximum(np.abs(mass).sum(axis=1), 1e-300)
+    totals, l1 = mass.sum(axis=1), np.abs(mass).sum(axis=1)
+    ok = np.isfinite(l1) & (np.abs(totals) <= 1e-9 * np.maximum(l1, 1e-300))
     if not ok.all():
         raise PreconditionError(
             f"{what} is posed for zero-mean densities; "

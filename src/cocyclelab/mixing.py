@@ -34,7 +34,7 @@ import dataclasses
 import numpy as np
 
 from cocyclelab.cocycle import CocycleFamily, orbit, push_kernels, push_orbit
-from cocyclelab.curves import suffix_envelope, tail_start
+from cocyclelab.curves import decay_verdict, settle_index, tail_start
 from cocyclelab.driving import EnvPoint, feature, finite_rotation
 from cocyclelab.measure import (
     Density,
@@ -140,8 +140,8 @@ class MixingReport:
 
     values[w, i, j, n] is the curve for omega_samples[w], f_basis[i] and the
     j-th observable (fixed observables for the homogeneous notions, step maps
-    for the travelling ones).  A curve settles at the first n from which its
-    suffix envelope stays below tol (horizon + 1: never).  The report fits
+    for the travelling ones).  Each curve is read as its ``settle_index``
+    (horizon + 1 when it never stays below tol).  The report fits
     no rates; a caller that wants them calls ``fit_geometric_rates``.
     """
 
@@ -156,8 +156,8 @@ class MixingReport:
     @property
     def decayed(self) -> bool:
         """Every curve settles by the start of its verdict window."""
-        return bool(self.prior_thresholds.max()
-                    <= tail_start(self.horizon + 1, self.tail_fraction))
+        return decay_verdict(self.prior_thresholds, self.horizon,
+                             self.tail_fraction)
 
 
 @single_blas_thread
@@ -174,15 +174,15 @@ def estimate_mixing(c: CocycleFamily, notion: str, f_basis, g_basis,
         raise PreconditionError(f"unknown mixing notion {notion!r}; "
                                 f"expected one of {NOTIONS}")
     inhom = notion.endswith("inhom")
-    if inhom:
-        for g in g_basis:
-            if not isinstance(g, ObservableMap):
-                raise PreconditionError(
-                    "travelling notions take step observable maps")
-    else:
-        for g in g_basis:
-            if not isinstance(g, Observable):
-                raise PreconditionError("homogeneous notions take fixed observables")
+    for j, g in enumerate(g_basis):
+        if not isinstance(g, ObservableMap if inhom else Observable):
+            raise PreconditionError(
+                "travelling notions take step observable maps" if inhom
+                else "homogeneous notions take fixed observables")
+        if not all(np.isfinite(h.values).all()
+                   for h in (g.table.values() if inhom else [g])):
+            raise PreconditionError(f"mixing estimates need finite observables; "
+                                    f"g_basis[{j}] holds NaN or inf values")
 
     if 0 in (len(omega_samples), len(f_basis), len(g_basis)):
         raise PreconditionError(
@@ -220,9 +220,7 @@ def estimate_mixing(c: CocycleFamily, notion: str, f_basis, g_basis,
                     reads[feat] = cur @ stacked[feat]
                 uvalues[u, :, :, n] = reads[feat]
 
-    # each curve's settle index: the envelope only falls, so its steps below
-    # tol form a suffix whose length places the start (horizon + 1: never)
-    settle = horizon + 1 - (suffix_envelope(uvalues) < tol).sum(axis=-1)
+    settle = settle_index(uvalues, tol)
     return MixingReport(notion=notion, horizon=horizon, tol=tol,
                         tail_fraction=tail_fraction, values=uvalues[inverse],
                         prior_thresholds=settle.max(axis=(1, 2))[inverse],

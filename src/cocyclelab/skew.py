@@ -47,7 +47,7 @@ from collections.abc import Callable
 import numpy as np
 
 from cocyclelab.cocycle import NormalizedCocycle, orbit
-from cocyclelab.curves import curve_decayed
+from cocyclelab.curves import decay_verdict, settle_index, tail_start
 from cocyclelab.driving import (
     BERNOULLI,
     DrivingSystem,
@@ -297,6 +297,7 @@ def skew_mixing_curve(nc: NormalizedCocycle, a: ProductSet, b: ProductSet,
     env_a, env_b = (_env_part(c.driving, s, c.n) for s in (a, b))
     require_horizon(horizon)
     require_tolerance(tol)
+    tail_start(horizon + 1, tail_fraction)  # rejects a bad tail_fraction
 
     route = _route(nc, mc_samples, seed, 2, "skew mixing")
     factor = route.factor(env_a, env_b, horizon)
@@ -309,7 +310,7 @@ def skew_mixing_curve(nc: NormalizedCocycle, a: ProductSet, b: ProductSet,
     disc = joint - product
     return SkewMixingReport(
         horizon=horizon, tol=tol, joint=joint, product=product, discrepancy=disc,
-        decayed=bool(curve_decayed(np.abs(disc), tol, tail_fraction)),
+        decayed=decay_verdict(settle_index(disc, tol), horizon, tail_fraction),
         method=route.method, h_converged=converged and conv_a and conv_b,
         stderr=route.stderr(per[0]), **route.extra(env_a, env_b, factor))
 

@@ -122,6 +122,21 @@ def _require_uniform(space: FiniteMeasureSpace, what: str):
         raise PreconditionError(f"{what} requires a uniform partition")
 
 
+def _planar_side(space: FiniteMeasureSpace, what: str) -> int:
+    """Side g of the uniform g x g grid that a planar map needs."""
+    _require_uniform(space, what)
+    g = math.isqrt(space.n)
+    if g * g != space.n:
+        raise PreconditionError(f"{what} needs N = g^2 grid cells")
+    return g
+
+
+def _planar_cell(x, y, g: int) -> np.ndarray:
+    """Grid cell of points of the unit square, x fastest."""
+    return np.minimum((x * g).astype(int), g - 1) \
+        + g * np.minimum((y * g).astype(int), g - 1)
+
+
 def pf_exact(spec: MapSpec, space: FiniteMeasureSpace) -> MarkovMatrix:
     """Exact transfer kernel; defined when the partition resolves the map.
 
@@ -168,11 +183,7 @@ def pf_ulam(spec: MapSpec, space: FiniteMeasureSpace, samples_per_cell: int,
         raise PreconditionError("need at least one sample per cell")
     n, s, dim = space.n, samples_per_cell, spec.dimension
     edges = _cell_edges(space)
-    if dim == 2:
-        _require_uniform(space, "pf_ulam on the unit square")
-        g = math.isqrt(n)
-        if g * g != n:
-            raise PreconditionError("planar maps need N = g^2 grid cells")
+    g = _planar_side(space, "pf_ulam on the unit square") if dim == 2 else None
     children = np.random.SeedSequence(seed).spawn(n)
     block = max(1, (1 << 14) // s)
     found = []  # (keys row * n + col, their counts) per block
@@ -185,10 +196,8 @@ def pf_ulam(spec: MapSpec, space: FiniteMeasureSpace, samples_per_cell: int,
                                                - edges[rows])[:, None]
             j = _locate(edges, map_point(spec, x))
         else:
-            x2, y2 = map_point(spec, ((rows % g)[:, None] + u[:, 0]) / g,
-                               ((rows // g)[:, None] + u[:, 1]) / g)
-            j = np.minimum((x2 * g).astype(int), g - 1) \
-                + g * np.minimum((y2 * g).astype(int), g - 1)
+            j = _planar_cell(*map_point(spec, ((rows % g)[:, None] + u[:, 0]) / g,
+                                        ((rows // g)[:, None] + u[:, 1]) / g), g)
         found.append(np.unique(rows[:, None] * n + j, return_counts=True))
     key, count = map(np.concatenate, zip(*found))
     kernel = kernel_from_entries(n, key // n, key % n, count / s)
@@ -213,26 +222,16 @@ def duality_residual(P: MarkovMatrix, spec: MapSpec, f: Density,
     sub = (np.arange(r) + 0.5) / r
     if spec.dimension == 1:
         edges = _cell_edges(space)
-        widths = space.weights
-        x = (edges[:-1, None] + widths[:, None] * sub[None, :]).ravel()
+        x = (edges[:-1, None] + space.weights[:, None] * sub[None, :]).ravel()
         fx = np.repeat(f.values, r)
-        quad_w = np.repeat(widths / r, r)
+        quad_w = np.repeat(space.weights / r, r)
         gx = g.values[_locate(edges, map_point(spec, x))]
         rhs = float(np.sum(quad_w * fx * gx))
     else:
-        _require_uniform(space, "duality_residual on the unit square")
-        gsz = math.isqrt(space.n)
-        if gsz * gsz != space.n:
-            raise PreconditionError("planar maps need N = g^2 grid cells")
-        axis = np.arange(gsz)
-        xs = ((axis[:, None] + sub[None, :]) / gsz).ravel()  # per-axis midpoints
-        X, Y = np.meshgrid(xs, xs, indexing="ij")
-        x2, y2 = map_point(spec, X.ravel(), Y.ravel())
-        j = np.minimum((x2 * gsz).astype(int), gsz - 1) \
-            + gsz * np.minimum((y2 * gsz).astype(int), gsz - 1)
-        m = gsz * r
-        src_ix = np.repeat(np.arange(m) // r, m)  # x-axis cell of each point
-        src_iy = np.tile(np.arange(m) // r, m)    # y-axis cell of each point
-        src_cell = src_ix + gsz * src_iy
-        rhs = float(np.sum(f.values[src_cell] * g.values[j]) / m**2)
+        gsz = _planar_side(space, "duality_residual on the unit square")
+        xs = ((np.arange(gsz)[:, None] + sub) / gsz).ravel()  # per-axis midpoints
+        X, Y = (a.ravel() for a in np.meshgrid(xs, xs, indexing="ij"))
+        j = _planar_cell(*map_point(spec, X, Y), gsz)
+        src_cell = _planar_cell(X, Y, gsz)  # the cell each midpoint lies in
+        rhs = float(np.sum(f.values[src_cell] * g.values[j]) / X.size)
     return abs(lhs - rhs)

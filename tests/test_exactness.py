@@ -46,8 +46,10 @@ from cocyclelab.measure import (
     PreconditionError,
     kernel_from_entries,
     kernel_matmul,
+    require_zero_mean,
 )
-from cocyclelab.mixing import correlation_hom, indicator_basis, zero_mean_basis
+from cocyclelab.mixing import (correlation_hom, estimate_mixing,
+                               indicator_basis, zero_mean_basis)
 from cocyclelab.transfer import MapSpec, pf_exact
 
 SWAP4 = np.array([
@@ -198,6 +200,45 @@ def test_tail_route_rejects_a_fractional_kernel_met_on_the_walk():
         0: MarkovMatrix(space, np.eye(4)), 1: MarkovMatrix(space, SWAP4)})
     with pytest.raises(PreconditionError, match="fractional entries"):
         tail_partition(c, point(c.driving, 0), horizon=3)
+
+
+@pytest.mark.parametrize("horizon, trivial", [(5, True), (4, False),
+                                              (3, False)])
+def test_tail_partition_reads_one_atom_from_the_window_start(horizon, trivial):
+    # 8, 4, 2, 1, ...: one atom from n = 3 on; with tail_fraction 0.5 the
+    # window starts at n = 3, 2 and 2, so the one atom at n = 3 counts only
+    # when the window starts there
+    c = cell_map_cocycle([i // 2 for i in range(8)])
+    rep = tail_partition(c, point(c.driving, 0), horizon, tail_fraction=0.5)
+    assert rep.trivial is trivial
+
+
+@pytest.mark.parametrize("horizon", [10, 11])
+def test_halving_map_tail_route_agrees_with_the_norm_route(horizon):
+    # i -> i // 2 on 1024 cells collapses to one atom exactly at n = 10; at
+    # horizon 10 the default window starts at n = 9, where two atoms are left
+    # and the norm curves have not yet reached zero
+    c = cell_map_cocycle([i // 2 for i in range(1024)])
+    rep = full_report(c, horizon=horizon)
+    assert rep.tail is not None and rep.routes_agree
+    assert rep.tail.trivial == rep.exact_verdict == (horizon == 11)
+
+
+@pytest.mark.parametrize("route", ["report", "tail"])
+@pytest.mark.parametrize("tail_fraction", [0.0, -0.5, 1.5, float("nan")])
+def test_routes_reject_a_bad_tail_fraction_before_walking(
+        monkeypatch, route, tail_fraction):
+    def no_walk(*args, **kwargs):
+        raise AssertionError("walked the orbit")
+
+    for name in ("orbit_kernels", "cell_map_orbit"):
+        monkeypatch.setattr(cocyclelab.exactness, name, no_walk)
+    c = cell_map_cocycle([i // 2 for i in range(8)])
+    with pytest.raises(PreconditionError, match="tail_fraction"):
+        if route == "report":
+            full_report(c, horizon=6, tail_fraction=tail_fraction)
+        else:
+            tail_partition(c, point(c.driving, 0), 6, tail_fraction)
 
 
 # -- combined report -----------------------------------------------------------
@@ -584,6 +625,28 @@ def test_dual_route_rejects_a_non_finite_observable(route, bad):
     g_basis = indicator_basis(c.space, count=2) + [Observable(c.space, values)]
     with pytest.raises(PreconditionError, match=r"g_basis\[2\].*NaN or inf"):
         run_route(route, c, zero_mean_basis(c.space), g_basis, 6)
+
+
+INF = float("inf")
+
+
+@pytest.mark.parametrize("row", [[INF, 0.0, 0.0, 0.0], [0.0, -INF, 0.0, 0.0]])
+def test_zero_mean_routes_reject_a_row_of_infinite_mass(row):
+    # inf <= 1e-9 * inf holds, so only a finiteness test keeps these out
+    c = doubling_cocycle(4)
+    omega = point(c.driving, 0)
+    f = Density.from_mass(c.space, row)
+    good = zero_mean_basis(c.space)[0].mass
+    with pytest.raises(PreconditionError, match="zero-mean"):
+        require_zero_mean(np.stack([good, f.mass]), "a stack")
+    with pytest.raises(PreconditionError, match="zero-mean"), \
+            np.errstate(over="ignore"):  # finite entries, an L1 norm of inf
+        require_zero_mean([1e308, 1e308, -1e308, -1e308], "a row")
+    with pytest.raises(PreconditionError, match="zero-mean"):
+        exactness_norms(c, omega, [f], 3)
+    with pytest.raises(PreconditionError, match="zero-mean"):
+        estimate_mixing(c, "prior-hom", [f], indicator_basis(c.space),
+                        [omega], 3, 1e-6)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan")])

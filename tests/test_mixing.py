@@ -14,12 +14,13 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 import cocyclelab.cocycle
+import cocyclelab.mixing
 from cocyclelab.cocycle import CocycleFamily, compose, orbit
 from cocyclelab.curves import (
-    curve_decayed,
+    decay_verdict,
     fit_geometric_rates,
+    settle_index,
     suffix_envelope,
-    tail_max,
     tail_start,
 )
 from cocyclelab.driving import (
@@ -73,6 +74,13 @@ def constant_cocycle(kernel, q=1):
     P = MarkovMatrix(space, kernel)
     driving = finite_rotation(q)
     return CocycleFamily(driving=driving, table={i: P for i in range(q)})
+
+
+def window_below(values, tol, tail_fraction=0.1):
+    """Reference verdict per curve (last axis): does the verdict window stay
+    below tol?"""
+    v = np.abs(np.asarray(values, dtype=float))
+    return v[..., tail_start(v.shape[-1], tail_fraction):].max(axis=-1) < tol
 
 
 def first_below(values, tol):
@@ -339,6 +347,27 @@ def test_estimator_rejects_empty_inputs_and_negative_horizon(drop):
                         args["omegas"], args["horizon"], 1e-6)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("notion", ["prior-hom", "post-inhom"])
+def test_estimator_rejects_a_non_finite_observable_before_walking(
+        monkeypatch, notion, bad):
+    def no_walk(*args, **kwargs):
+        raise AssertionError("walked the orbit")
+
+    monkeypatch.setattr(cocyclelab.mixing, "orbit", no_walk)
+    c = constant_cocycle(DOUBLING4, q=2)
+    values = np.zeros(4)
+    values[1] = bad
+    g_obs = indicator_basis(c.space)[:2] + [Observable(c.space, values)]
+    if notion.endswith("inhom"):
+        # the bad observable sits at feature 1 of the third step map
+        g_obs = [step_map(c.space, {0: g}) for g in g_obs[:2]] + [
+            step_map(c.space, {0: g_obs[0], 1: g_obs[2]})]
+    with pytest.raises(PreconditionError, match=r"g_basis\[2\].*NaN or inf"):
+        estimate_mixing(c, notion, zero_mean_basis(c.space), g_obs,
+                        points(c.driving), 4, 1e-6)
+
+
 def test_estimator_rejects_a_point_of_another_driving():
     # same seed and origin, other probabilities: the points differ, so the
     # foreign one cannot merge with a native one and its own walk rejects it
@@ -377,7 +406,7 @@ def reference_estimate(c, notion, f_basis, g_basis, omega_samples, horizon,
         return horizon + 1 if None in firsts else max(firsts)
 
     pairs = [(i, j) for i in range(n_f) for j in range(n_g)]
-    decayed = {(w, i, j): curve_decayed(values[w, i, j], tol, tail_fraction)
+    decayed = {(w, i, j): window_below(values[w, i, j], tol, tail_fraction)
                for w in range(n_w) for i, j in pairs}
     return {
         "values": values,
@@ -464,11 +493,14 @@ def test_verdict_and_both_orders_read_one_settle_index(case):
         g_basis = step_map_basis(c, g_basis)
     rep = estimate_mixing(c, notion, f_basis, g_basis, omegas, horizon, tol)
     window = tail_start(horizon + 1, rep.tail_fraction)
-    assert rep.decayed == bool(curve_decayed(rep.values, tol).all())
+    assert rep.decayed == bool(window_below(rep.values, tol).all())
     assert rep.prior_thresholds.max() == rep.posterior_thresholds.max()
     for w in range(len(omegas)):
         assert (rep.prior_thresholds[w] <= window) == bool(
-            curve_decayed(rep.values[w], tol).all())
+            window_below(rep.values[w], tol).all())
+        assert decay_verdict(rep.prior_thresholds[w], horizon,
+                             rep.tail_fraction) == bool(
+            window_below(rep.values[w], tol).all())
 
 
 @pytest.mark.parametrize("notion", NOTIONS)
@@ -567,7 +599,7 @@ def test_curve_readers_need_a_curve_entry(shape):
     with pytest.raises(PreconditionError, match="at least one entry"):
         fit_geometric_rates(np.zeros(shape))
     with pytest.raises(PreconditionError, match="at least one entry"):
-        curve_decayed(np.zeros(shape), 1e-6)
+        settle_index(np.zeros(shape), 1e-6)
 
 
 def reference_envelope(values):
@@ -576,8 +608,17 @@ def reference_envelope(values):
     return np.maximum.accumulate(v[::-1])[::-1]
 
 
-def reference_tail_max(values, tail_fraction):
-    """The one-curve tail maximum, written for 1-D input only."""
+def reference_settle(values, tol):
+    """The one-curve settle index, written for 1-D input only: walk back from
+    the end while |value| stays below tol."""
+    n = len(values)
+    while n and abs(values[n - 1]) < tol:
+        n -= 1
+    return n
+
+
+def reference_window_max(values, tail_fraction):
+    """The one-curve maximum over the verdict window, for 1-D input only."""
     v = np.asarray(values, dtype=float)
     return float(np.abs(v[tail_start(v.size, tail_fraction):]).max())
 
@@ -600,21 +641,21 @@ def curve_stack(draw):
 @given(curve_stack(),
        st.floats(0.0, 1.0, exclude_min=True),
        st.sampled_from([1e-12, 1e-6, 1e-3, 0.5, 2.0]))
-def test_curve_helpers_read_the_last_axis_like_the_one_curve_code(
+def test_settle_index_reads_the_last_axis_like_the_one_curve_code(
         values, tail_fraction, tol):
     env = suffix_envelope(values)
-    tails = tail_max(values, tail_fraction)
-    verdicts = curve_decayed(values, tol, tail_fraction)
+    settle = settle_index(values, tol)
+    horizon = values.shape[-1] - 1
     assert env.shape == values.shape
-    assert np.shape(tails) == np.shape(verdicts) == values.shape[:-1]
+    assert np.shape(settle) == values.shape[:-1]
     for idx in np.ndindex(values.shape[:-1]):
         assert env[idx].tobytes() == reference_envelope(values[idx]).tobytes()
-        assert tails[idx] == reference_tail_max(values[idx], tail_fraction)
-        assert verdicts[idx] == (
-            reference_tail_max(values[idx], tail_fraction) < tol)
-    if values.ndim == 1:
-        assert isinstance(tails, np.floating)
-        assert isinstance(verdicts, np.bool_)
+        assert settle[idx] == reference_settle(values[idx], tol)
+        # settling by the window start is the window's maximum below tol
+        assert decay_verdict(settle[idx], horizon, tail_fraction) == (
+            reference_window_max(values[idx], tail_fraction) < tol)
+    assert decay_verdict(settle, horizon, tail_fraction) == bool(
+        window_below(values, tol, tail_fraction).all())
 
 
 def test_estimator_rate_fit_on_geometric_curve():

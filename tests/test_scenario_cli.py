@@ -1027,6 +1027,34 @@ def test_periodicity_checks_read_the_probed_points_own_mixing_verdict(
         "PASS", "r=8 prior-hom=False")
 
 
+# i -> i // 2 on 16 cells: the preimage partition collapses to one atom at
+# n = 4; the kernel rows are written out as a 0/1 matrix
+HALVING16 = """
+space: {N: 16}
+driving: {kind: finite_rotation, q: 1}
+operators:
+  H:
+    kernel:
+""" + "".join(f"      - {[int(j == i // 2) for j in range(16)]}\n"
+              for i in range(16)) + """
+cocycle: {constant: H}
+analysis: {tail_fraction: 0.5}
+"""
+
+
+@pytest.mark.parametrize("horizon, exact", [(4, False), (5, False),
+                                            (6, False), (40, True)])
+def test_report_tail_route_reads_the_verdict_window(tmp_path, capsys, horizon,
+                                                    exact):
+    # at horizons 4-6 the window starts at n = 2, 3, 3, before the collapse:
+    # the tail route must not call the partition trivial from the last step
+    assert main(["report", "--scenario", write(tmp_path, HALVING16),
+                 "--horizon", str(horizon)]) == 0
+    out = capsys.readouterr().out
+    assert (f"[PASS] tail-partition-matches @ omega_0 tail_trivial={exact} "
+            f"exact={exact}") in out
+
+
 UNIFORM8 = """
 space: {N: 8}
 driving: {kind: finite_rotation, q: 1}

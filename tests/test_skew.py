@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import cocyclelab.cocycle
 import cocyclelab.exactness
 import cocyclelab.measure
+import cocyclelab.skew
 from cocyclelab.cli import main
 from cocyclelab.cocycle import (
     CocycleFamily,
@@ -405,6 +406,29 @@ def test_skew_curve_rejects_a_bad_horizon_or_tol(monkeypatch, route, horizon,
     with pytest.raises(PreconditionError, match="horizon" if horizon < 0
                        else "tol"):
         skew_mixing_curve(nc, s, s, horizon, tol, mc_samples=8, seed=1)
+
+
+@pytest.mark.parametrize("route", ["finite-sum", "cylinder-product",
+                                   "monte-carlo"])
+@pytest.mark.parametrize("tail_fraction", [0.0, -0.5, 1.5, float("nan")])
+def test_skew_curve_rejects_a_bad_tail_fraction_before_walking(
+        monkeypatch, route, tail_fraction):
+    space = FiniteMeasureSpace.uniform(4)
+    P = pf_exact(MapSpec("doubling"), space)
+    nc = {"finite-sum": lambda: doubling_nc(4, q=2),
+          "cylinder-product": lambda: bernoulli_nc([P.kernel, P.kernel]),
+          "monte-carlo": lambda: bernoulli_nc([P.kernel, UNIFORMIZER4])}[route]()
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("walked an orbit")
+
+    for name in ("invariant_density_pullback", "orbit"):
+        monkeypatch.setattr(cocyclelab.cocycle, name, no_walk)
+    monkeypatch.setattr(cocyclelab.skew, "orbit", no_walk)
+    s = ProductSet(cells=[0, 1])
+    with pytest.raises(PreconditionError, match="tail_fraction"):
+        skew_mixing_curve(nc, s, s, 5, 1e-3, tail_fraction=tail_fraction,
+                          mc_samples=8, seed=1)
 
 
 # -- set picture -----------------------------------------------------------------

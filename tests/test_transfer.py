@@ -11,9 +11,12 @@ from cocyclelab.measure import (
     SPARSE_MIN_CELLS,
     Density,
     FiniteMeasureSpace,
+    MarkovMatrix,
     Observable,
     PreconditionError,
     kernel_from_entries,
+    apply,
+    integrate,
     markov_check,
     stored_kernel,
 )
@@ -299,6 +302,50 @@ def test_duality_residual_rejects_bad_refinement():
     with pytest.raises(PreconditionError):
         duality_residual(P, MapSpec("doubling"), Density.uniform(space),
                          Observable.constant(space), refinement=0)
+
+
+def planar_residual_reference(P, f, g, r):
+    """The planar duality residual with each quadrature point's source cell
+    counted by integer indices and its target cell by the floor formula."""
+    gsz = math.isqrt(f.space.n)
+    sub = (np.arange(r) + 0.5) / r
+    xs = ((np.arange(gsz)[:, None] + sub[None, :]) / gsz).ravel()
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    x2, y2 = map_point(MapSpec("baker_planar"), X.ravel(), Y.ravel())
+    j = np.minimum((x2 * gsz).astype(int), gsz - 1) \
+        + gsz * np.minimum((y2 * gsz).astype(int), gsz - 1)
+    m = gsz * r
+    src = np.repeat(np.arange(m) // r, m) + gsz * np.tile(np.arange(m) // r, m)
+    rhs = float(np.sum(f.values[src] * g.values[j]) / m**2)
+    return abs(integrate(apply(P, f), g) - rhs)
+
+
+@pytest.mark.parametrize("gsz", [2, 3, 5, 8])
+@pytest.mark.parametrize("r", [1, 2, 3, 7])
+def test_planar_residual_reads_cells_like_the_index_reference(gsz, r):
+    space = FiniteMeasureSpace.uniform(gsz * gsz)
+    spec = MapSpec("baker_planar")
+    P = pf_ulam(spec, space, samples_per_cell=16, seed=gsz)
+    rng = np.random.default_rng(gsz * 10 + r)
+    f = Density(space, rng.normal(size=space.n))
+    g = Observable(space, rng.normal(size=space.n))
+    assert duality_residual(P, spec, f, g, refinement=r) \
+        == planar_residual_reference(P, f, g, r)
+
+
+@pytest.mark.parametrize("n, weights", [(15, None), (16, "skewed")])
+def test_planar_ulam_and_residual_name_the_caller_in_a_grid_error(n, weights):
+    space = (FiniteMeasureSpace.uniform(n) if weights is None else
+             FiniteMeasureSpace(np.r_[2.0, np.ones(n - 1)] / (n + 1)))
+    spec = MapSpec("baker_planar")
+    want = "needs N = g\\^2" if weights is None else "requires a uniform"
+    with pytest.raises(PreconditionError, match=f"^pf_ulam .*{want}"):
+        pf_ulam(spec, space, samples_per_cell=4, seed=0)
+    P = MarkovMatrix(space, np.eye(n))
+    with pytest.raises(PreconditionError,
+                       match=f"^duality_residual .*{want}"):
+        duality_residual(P, spec, Density.uniform(space),
+                         Observable.constant(space))
 
 
 # -- the dense build below the storage rule ------------------------------------
