@@ -21,7 +21,7 @@ import numpy as np
 
 from .asymptotic import detect_periodicity, quasi_constrictive_probe, \
     restricted_power_cocycle
-from .cocycle import NormalizedCocycle, build_invariant_density_map
+from .cocycle import NormalizedCocycle, build_invariant_density_map, kernel_groups
 from .curves import decay_verdict
 from .driving import BERNOULLI, DrivingError, point, points, sample_env
 from .exactness import exactness_report
@@ -38,8 +38,8 @@ from .scenario import ScenarioError, load_product_sets, load_scenario
 from .skew import skew_mixing_curve
 
 # caps for the aggregate `report` command on sampled (bernoulli) driving,
-# where each probed point costs an exactness report and a pushed burn-in;
-# finite driving always enumerates every point
+# where each probed kernel sequence costs an exactness report and a pushed
+# burn-in; finite driving always enumerates every point
 REPORT_HEAVY_OMEGAS = 4
 
 
@@ -51,10 +51,12 @@ def _record(fields) -> str:
 
 
 def _cells(column) -> list:
-    """A numeric column's CSV cells: floats as '.17g', integers by str."""
+    """A numeric column's cells in a block template: a 1-D column's values
+    as text (floats as '.17g', integers by str), a 2-D column's % slots."""
     a = np.asarray(column)
     spec = ".17g" if a.dtype.kind == "f" else ""
-    return [format(v, spec) for v in a.ravel().tolist()]
+    return ([f"%{spec or 's'}"] * a.shape[-1] if a.ndim == 2
+            else [format(v, spec) for v in a.tolist()])
 
 
 def _write_csv(path: str, header, blocks):
@@ -68,14 +70,13 @@ def _write_csv(path: str, header, blocks):
             if not columns:
                 fh.write("".join(map(_record, labels)))
                 continue
-            # the empty last field gives each quoted label its ',' separator
-            heads = [_record((*lab, ""))[:-1] if lab else "" for lab in labels]
-            width = np.shape(columns[0])[-1]
-            cells = [_cells(c) * (len(heads) if np.ndim(c) == 1 else 1)
-                     for c in columns]
-            fh.write("".join([
-                h + ",".join(row) + "\n" for h, row in
-                zip([h for h in heads for _ in range(width)], zip(*cells))]))
+            # one template per block; the empty last field gives a label its ','
+            heads = [_record((*lab, ""))[:-1].replace("%", "%%") if lab else ""
+                     for lab in labels]
+            rows = [",".join(r) + "\n" for r in zip(*map(_cells, columns))]
+            wide = [np.ravel(c).astype(object) for c in columns if np.ndim(c) == 2]
+            values = tuple(np.stack(wide, -1).ravel()) if wide else ()
+            fh.write("".join([h + r for h in heads for r in rows]) % values)
 
 
 def _env_points(scenario, count=None):
@@ -86,11 +87,19 @@ def _env_points(scenario, count=None):
     return points(d)
 
 
-def _probed_points(scenario):
-    """The points that the per-point routes probe: every point of finite
-    driving, the first REPORT_HEAVY_OMEGAS samples of bernoulli driving."""
-    return _env_points(scenario, count=min(REPORT_HEAVY_OMEGAS,
-                                           scenario.analysis.env_samples))
+def _per_probed_point(sc, route, *args, **kwargs):
+    """(omega, route(sc.cocycle, omega, *args, **kwargs)) for every point of
+    finite driving or the first REPORT_HEAVY_OMEGAS bernoulli samples, with
+    one run per group of points meeting the same operators at t = 0..horizon
+    (the detector reads sigma^burn omega, and burn can equal horizon)."""
+    omegas = _env_points(sc, min(REPORT_HEAVY_OMEGAS, sc.analysis.env_samples))
+    _, groups = kernel_groups(sc.cocycle, omegas, sc.analysis.horizon + 1)
+    first = {w: members[0] for members in groups.values() for w in members}
+    results = []
+    for w, omega in enumerate(omegas):
+        results.append(route(sc.cocycle, omega, *args, **kwargs)
+                       if first[w] == w else results[first[w]])
+        yield omega, results[w]
 
 
 def _bases(scenario):
@@ -146,9 +155,9 @@ def cmd_run_exactness(args) -> int:
     a = sc.analysis
     f_basis, g_obs = _bases(sc)
     ns, blocks = np.arange(a.horizon + 1), []
-    for w, omega in enumerate(_probed_points(sc)):
-        rep = exactness_report(sc.cocycle, omega, f_basis, g_obs, a.horizon,
-                               a.tol, tail_fraction=a.tail_fraction)
+    for w, (_, rep) in enumerate(_per_probed_point(
+            sc, exactness_report, f_basis, g_obs, a.horizon, a.tol,
+            tail_fraction=a.tail_fraction)):
         blocks += [([(w, "norm")], (ns, rep.norm_curves.max(axis=0))),
                    ([(w, "lin")], (ns, rep.flatness_curves.max(axis=0)))]
         if rep.tail is not None:
@@ -164,9 +173,9 @@ def cmd_run_asymp(args) -> int:
     sc = load_scenario(args.scenario, vars(args))
     a = sc.analysis
     blocks = []
-    for w, omega in enumerate(_probed_points(sc)):
-        dec = detect_periodicity(sc.cocycle, omega, a.horizon, a.rmax,
-                                 tol=a.asymp_tol, tail_fraction=a.tail_fraction)
+    for w, (_, dec) in enumerate(_per_probed_point(
+            sc, detect_periodicity, a.horizon, a.rmax, tol=a.asymp_tol,
+            tail_fraction=a.tail_fraction)):
         if dec.found:
             label = (w, dec.r, cycle_notation(dec.rho))
             print(f"{sc.name} omega_{w}: r={dec.r} rho={cycle_notation(dec.rho)} "
@@ -184,9 +193,9 @@ def cmd_run_qc(args) -> int:
     # delta per eps is the worst (largest) leftover over the probed points
     eps_sorted = sorted(set(sc.analysis.eps))
     worst = np.zeros(len(eps_sorted))
-    for omega in _probed_points(sc):
-        rep = quasi_constrictive_probe(sc.cocycle, omega, sc.analysis.horizon,
-                                       eps_sorted, sc.analysis.tail_fraction)
+    for _, rep in _per_probed_point(sc, quasi_constrictive_probe,
+                                    sc.analysis.horizon, eps_sorted,
+                                    sc.analysis.tail_fraction):
         worst = np.maximum(worst, rep.deltas)
     _write_csv(args.out, ("eps", "delta"), [([()], (eps_sorted, worst))])
     verdict = worst[0] > 0.0
@@ -242,7 +251,7 @@ def _report_checks(sc):
     """The cross-checks of `report` as rows (check, omega_id, ok, detail),
     one at a time, with ok None for a SKIP."""
     a = sc.analysis
-    omegas, heavy = _env_points(sc), _probed_points(sc)
+    omegas = _env_points(sc)
     f_basis, g_obs = _bases(sc)
 
     # on a finite sample prior and posterior are one conjunction, so one run
@@ -258,9 +267,9 @@ def _report_checks(sc):
 
     # exactness route agreement per probed point, tail route where defined
     exact = []
-    for w, omega in enumerate(heavy):
-        rep = exactness_report(sc.cocycle, omega, f_basis, g_obs, a.horizon,
-                               a.tol, tail_fraction=a.tail_fraction)
+    for w, (_, rep) in enumerate(_per_probed_point(
+            sc, exactness_report, f_basis, g_obs, a.horizon, a.tol,
+            tail_fraction=a.tail_fraction)):
         exact.append(rep.exact_verdict)
         yield ("exactness-routes-agree", w, rep.routes_agree,
                f"norm={rep.norms_decayed} dual={rep.dual_decayed}")
@@ -273,14 +282,14 @@ def _report_checks(sc):
                    f"tail_trivial={rep.tail.trivial} exact={rep.exact_verdict}")
 
     # periodicity against exactness and mixing, both read from the window
-    for w, omega in enumerate(heavy):
-        dec = detect_periodicity(sc.cocycle, omega, a.horizon, a.rmax,
-                                 tol=a.asymp_tol, tail_fraction=a.tail_fraction)
+    for w, (omega, dec) in enumerate(_per_probed_point(
+            sc, detect_periodicity, a.horizon, a.rmax, tol=a.asymp_tol,
+            tail_fraction=a.tail_fraction)):
         if not dec.found:
             yield "periodicity-vs-exactness", w, None, f"none found: {dec.reason}"
             continue
         # the point's decomposition meets the point's own mixing verdicts:
-        # heavy[w] is omegas[w], since bernoulli samples are prefix-stable
+        # probed point w is omegas[w]: bernoulli samples are prefix-stable
         hom_w, inhom_w = (decay_verdict(rep.prior_thresholds[w], a.horizon,
                                         a.tail_fraction) for rep in mixing)
         r_one = dec.r == 1

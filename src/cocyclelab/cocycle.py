@@ -107,6 +107,16 @@ def orbit(c: CocycleFamily, omega: EnvPoint, n: int):
                                 initial=omega)
 
 
+def kernel_groups(c: CocycleFamily, omegas, steps: int):
+    """The walks sigma^t omegas[i], t = 0..steps (equal points share one), and
+    the point indices grouped by the operators met at t < steps, by identity."""
+    walked = {pt: list(orbit(c, pt, steps)) for pt in dict.fromkeys(omegas)}
+    groups = {}
+    for i, pt in enumerate(omegas):
+        groups.setdefault(tuple(map(c.operator_at, walked[pt][:-1])), []).append(i)
+    return [walked[pt] for pt in omegas], groups
+
+
 def orbit_kernels(c: CocycleFamily, omega: EnvPoint, n: int):
     """The per-step kernels K(sigma^t omega) for t = 0..n-1."""
     return [c.operator_at(pt).kernel for _, pt in zip(range(n), orbit(c, omega, n))]

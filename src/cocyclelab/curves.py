@@ -34,11 +34,12 @@ def suffix_envelope(values) -> np.ndarray:
 
 def settle_index(values, tol: float) -> np.ndarray:
     """Per curve: the first n from which |value| stays below tol, else its
-    length; the suffix envelope is below tol exactly from there on."""
+    length; one past the last entry not below tol (NaN included), 0 if none."""
     v = np.asarray(values, dtype=float)
     if v.ndim == 0 or v.shape[-1] == 0:
         raise PreconditionError("curves must have at least one entry")
-    return v.shape[-1] - (suffix_envelope(v) < tol).sum(axis=-1)
+    above = ~(np.abs(v) < tol)
+    return (v.shape[-1] - above[..., ::-1].argmax(axis=-1)) * above.any(axis=-1)
 
 
 def decay_verdict(settle, horizon: int, tail_fraction: float = 0.1) -> bool:

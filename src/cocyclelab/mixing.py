@@ -33,7 +33,8 @@ import dataclasses
 
 import numpy as np
 
-from cocyclelab.cocycle import CocycleFamily, orbit, push_kernels, push_orbit
+from cocyclelab.cocycle import (CocycleFamily, kernel_groups, push_kernels,
+                                push_orbit)
 from cocyclelab.curves import decay_verdict, settle_index, tail_start
 from cocyclelab.driving import EnvPoint, feature, finite_rotation
 from cocyclelab.measure import (
@@ -72,11 +73,18 @@ def step_map(space: FiniteMeasureSpace, table: dict) -> ObservableMap:
     return ObservableMap(space=space, table=dict(table))
 
 
+def _require_finite(g, name: str):  # an observable, or every step-map entry
+    if not all(np.isfinite(h.values).all() for h in (
+            g.table.values() if isinstance(g, ObservableMap) else [g])):
+        raise PreconditionError(f"{name} must be finite: it holds NaN or inf values")
+
+
 @single_blas_thread
 def correlation_hom(c: CocycleFamily, omega: EnvPoint, f: Density,
                     g: Observable, n: int) -> float:
     """integral P^(n)(omega) f * g dm for a fixed observable g."""
     require_zero_mean(f.mass, "correlation decay")
+    _require_finite(g, "g")
     for _, mass in push_orbit(c, omega, f.mass, n):
         pass
     return float(np.dot(mass, g.values))
@@ -87,6 +95,7 @@ def correlation_inhom(c: CocycleFamily, omega: EnvPoint, f: Density,
                       g: ObservableMap, n: int) -> float:
     """integral P^(n)(omega) f * g(sigma^n omega) dm for a travelling g."""
     require_zero_mean(f.mass, "correlation decay")
+    _require_finite(g, "g")
     for pt, mass in push_orbit(c, omega, f.mass, n):
         pass
     return float(np.dot(mass, g.at_feature(feature(c.driving, pt)).values))
@@ -179,10 +188,7 @@ def estimate_mixing(c: CocycleFamily, notion: str, f_basis, g_basis,
             raise PreconditionError(
                 "travelling notions take step observable maps" if inhom
                 else "homogeneous notions take fixed observables")
-        if not all(np.isfinite(h.values).all()
-                   for h in (g.table.values() if inhom else [g])):
-            raise PreconditionError(f"mixing estimates need finite observables; "
-                                    f"g_basis[{j}] holds NaN or inf values")
+        _require_finite(g, f"g_basis[{j}]")
 
     if 0 in (len(omega_samples), len(f_basis), len(g_basis)):
         raise PreconditionError(
@@ -193,37 +199,30 @@ def estimate_mixing(c: CocycleFamily, notion: str, f_basis, g_basis,
     tail_start(horizon + 1, tail_fraction)  # rejects a bad tail_fraction
     fmass = np.stack([f.mass for f in f_basis])
     require_zero_mean(fmass, "correlation decay")
-    # equal points have equal orbits, and a push reads only the kernels its
-    # orbit meets: walk each distinct point once, then push the basis once
-    # per kernel sequence and read every member of the group off that push
-    slot = {}
-    inverse = np.array([slot.setdefault(pt, len(slot)) for pt in omega_samples],
-                       dtype=np.intp)
-    walks = [list(orbit(c, omega, horizon)) for omega in slot]
-    groups = {}  # operators met along the walk (compared by identity) -> members
-    for u, walk in enumerate(walks):
-        groups.setdefault(tuple(map(c.operator_at, walk[:-1])), []).append(u)
-
-    uvalues = np.empty((len(walks), len(f_basis), len(g_basis), horizon + 1))
-    stacked = {}  # feature (None for fixed observables) -> (N, n_g) matrix
-
+    # a curve reads only the operators and the features (none for fixed
+    # observables) its orbit meets: walk each distinct point once, push once
+    # per operator sequence, read each (step, feature) product once
+    walks, groups = kernel_groups(c, omega_samples, horizon)
+    paths = [tuple(feature(c.driving, pt) for pt in w) if inhom
+             else (None,) * (horizon + 1) for w in walks]
+    observables = {f: np.stack([(g if f is None else g.at_feature(f)).values
+                                for g in g_basis], axis=1)
+                   for f in set().union(*paths)}
+    rows, pos = {}, np.empty(len(omega_samples), dtype=np.intp)
+    for ops, members in groups.items():  # a row per (operators, feature path)
+        pos[members] = [rows.setdefault((ops, paths[u]), len(rows)) for u in members]
+    curves = np.empty((horizon + 1, len(rows), len(f_basis), len(g_basis)))
     for ops, members in groups.items():
+        mine = {paths[u]: pos[u] for u in members}  # the group's rows
         for n, cur in enumerate(push_kernels(fmass, (P.kernel for P in ops))):
-            reads = {}  # members that read one feature share one product
-            for u in members:
-                feat = feature(c.driving, walks[u][n]) if inhom else None
-                if feat not in reads:
-                    if feat not in stacked:
-                        stacked[feat] = np.stack(
-                            [(g if feat is None else g.at_feature(feat)).values
-                             for g in g_basis], axis=1)
-                    reads[feat] = cur @ stacked[feat]
-                uvalues[u, :, :, n] = reads[feat]
-
-    settle = settle_index(uvalues, tol)
+            reads = {f: cur @ observables[f] for f in {p[n] for p in mine}}
+            for p, row in mine.items():
+                curves[n, row] = reads[p[n]]
+    curves = np.moveaxis(curves, 0, -1).copy()  # n innermost; frees the buffer
+    settle = settle_index(curves, tol)
     return MixingReport(notion=notion, horizon=horizon, tol=tol,
-                        tail_fraction=tail_fraction, values=uvalues[inverse],
-                        prior_thresholds=settle.max(axis=(1, 2))[inverse],
+                        tail_fraction=tail_fraction, values=curves[pos],
+                        prior_thresholds=settle.max(axis=(1, 2))[pos],
                         posterior_thresholds=settle.max(axis=0))
 
 

@@ -12,6 +12,7 @@ from cocyclelab.cocycle import (
     build_invariant_density_map,
     compose,
     invariant_density_pullback,
+    kernel_groups,
     orbit,
     orbit_kernels,
     push_orbit,
@@ -23,6 +24,7 @@ from cocyclelab.driving import (
     finite_permutation,
     finite_rotation,
     point,
+    points,
     sample_env,
 )
 from cocyclelab.measure import (
@@ -235,6 +237,46 @@ def test_prop_push_orbit_is_t_explicit_pushes(case):
         assert pt == advance(c.driving, omega, t)
         assert pushed.tobytes() == expected.tobytes()
         expected = mass_apply(expected, c.operator_at(pt).kernel)
+
+
+@st.composite
+def grouping_case(draw):
+    """A table of at most two distinct operators (features may share one
+    object) over a rotation or a Bernoulli shift, a list of points with
+    repeats, and a step count."""
+    space = FiniteMeasureSpace.uniform(3)
+    ops = [MarkovMatrix(space, np.eye(3)), MarkovMatrix(space, np.eye(3))]
+    if draw(st.sampled_from(["rotation", "bernoulli"])) == "rotation":
+        d = finite_rotation(draw(st.integers(1, 4)))
+        pool = points(d)
+    else:
+        d = bernoulli_shift([0.5, 0.5])
+        pool = sample_env(d, 6, draw(st.integers(0, 2**20)))
+    table = {i: ops[draw(st.integers(0, 1))] for i in range(d.n_features)}
+    omegas = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+    return CocycleFamily(driving=d, table=table), omegas, draw(st.integers(0, 6))
+
+
+@given(grouping_case())
+def test_prop_kernel_groups_hold_the_points_that_meet_one_operator_sequence(case):
+    # the two operators are equal matrices, so only identity tells them apart
+    c, omegas, steps = case
+    walks, groups = kernel_groups(c, omegas, steps)
+    assert [list(w) for w in walks] == [list(orbit(c, w, steps)) for w in omegas]
+    assert sorted(i for members in groups.values() for i in members) == list(
+        range(len(omegas)))
+
+    def meets(i):
+        return [c.operator_at(pt) for pt in walks[i][:steps]]
+
+    for ops, members in groups.items():
+        assert members == sorted(members)
+        for i in members:
+            assert all(a is b for a, b in zip(meets(i), ops, strict=True))
+    keys = list(groups)
+    for x in range(len(keys)):
+        for y in range(x + 1, len(keys)):
+            assert not all(a is b for a, b in zip(keys[x], keys[y]))
 
 
 @pytest.mark.parametrize("kind", ["finite", "bernoulli"])

@@ -111,6 +111,21 @@ def test_hom_correlation_requires_zero_mean():
         correlation_hom(c, point(c.driving, 0), f, g, 1)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_correlations_reject_a_non_finite_observable(bad):
+    # a NaN or inf observable used to come back as a nan correlation; a step
+    # map is checked at every table entry, also one the orbit never reads
+    c = constant_cocycle(DOUBLING4, q=2)
+    f = Density.from_mass(c.space, [0.5, -0.5, 0.0, 0.0])
+    g = Observable(c.space, [bad, 0.0, 0.0, 0.0])
+    omega = point(c.driving, 0)
+    with pytest.raises(PreconditionError, match=r"^g must be finite.*NaN or inf"):
+        correlation_hom(c, omega, f, g, 2)
+    ok = Observable.indicator(c.space, [0])
+    with pytest.raises(PreconditionError, match=r"^g must be finite.*NaN or inf"):
+        correlation_inhom(c, omega, f, step_map(c.space, {0: ok, 1: g}), 2)
+
+
 def test_inhom_step_map_reduces_to_hom_when_constant():
     # two genuinely different operators, but the same observable at both
     # features: the travelling correlation must coincide with the fixed one
@@ -354,7 +369,7 @@ def test_estimator_rejects_a_non_finite_observable_before_walking(
     def no_walk(*args, **kwargs):
         raise AssertionError("walked the orbit")
 
-    monkeypatch.setattr(cocyclelab.mixing, "orbit", no_walk)
+    monkeypatch.setattr(cocyclelab.cocycle, "orbit", no_walk)
     c = constant_cocycle(DOUBLING4, q=2)
     values = np.zeros(4)
     values[1] = bad
@@ -656,6 +671,17 @@ def test_settle_index_reads_the_last_axis_like_the_one_curve_code(
             reference_window_max(values[idx], tail_fraction) < tol)
     assert decay_verdict(settle, horizon, tail_fraction) == bool(
         window_below(values, tol, tail_fraction).all())
+
+
+@given(st.lists(st.lists(st.sampled_from(
+           [0.0, 1e-9, -1e-9, 1.0, np.nan, np.inf, -np.inf]),
+           min_size=8, max_size=8), min_size=1, max_size=3),
+       st.sampled_from([1e-6, 0.5, 2.0]))
+def test_settle_index_reads_a_non_finite_entry_as_not_settled(rows, tol):
+    # NaN is not below tol, so a NaN entry keeps its curve unsettled as an
+    # inf entry does; each row of the stack walks back like one curve
+    settle = settle_index(np.array(rows), tol)
+    assert settle.tolist() == [reference_settle(r, tol) for r in rows]
 
 
 def test_estimator_rate_fit_on_geometric_curve():

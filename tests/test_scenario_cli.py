@@ -13,6 +13,8 @@ import pytest
 import yaml
 from hypothesis import given, strategies as st
 
+import cocyclelab.cli
+from cocyclelab.asymptotic import detect_periodicity
 from cocyclelab.cli import (
     _bases,
     _env_points,
@@ -23,7 +25,7 @@ from cocyclelab.cli import (
     main,
 )
 from cocyclelab.cocycle import NormalizedCocycle, build_invariant_density_map
-from cocyclelab.driving import BERNOULLI
+from cocyclelab.driving import BERNOULLI, sample_env
 from cocyclelab.exactness import exactness_report
 from cocyclelab.mixing import COUNTEREXAMPLE_MAX_K, estimate_mixing
 from cocyclelab.scenario import (
@@ -918,6 +920,75 @@ def test_report_reads_periodicity_where_the_verdicts_read(tmp_path, capsys):
             if r["check"] == "periodicity-vs-exactness"] == [
         (str(w), "PASS", "r=1 exact=True") for w in range(4)]
     assert not any(r["status"] == "FAIL" for r in rows)
+
+
+# one operator over a fair coin: every probed orbit meets the same kernels
+BERNOULLI_CONSTANT = """
+space: {N: 16}
+driving: {kind: bernoulli, p: [0.5, 0.5], samples: 8}
+operators:
+  P0:
+    map: {kind: doubling}
+cocycle: {constant: P0}
+"""
+
+
+@pytest.mark.parametrize("name, runs, probed", [
+    ("bernoulli_constant", 1, 4), ("rotation_two_ops", 2, 2)])
+def test_report_runs_per_point_routes_once_per_kernel_sequence(
+        tmp_path, monkeypatch, name, runs, probed):
+    # the four Bernoulli points share one kernel sequence; the two rotation
+    # points meet P0 and U in opposite orders, so each runs its own routes
+    calls = {"exactness": [], "periodicity": []}
+
+    def counting(kind, route):
+        def counted(c, *args, **kwargs):
+            calls[kind].append(c)
+            return route(c, *args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(cocyclelab.cli, "exactness_report",
+                        counting("exactness", exactness_report))
+    monkeypatch.setattr(cocyclelab.cli, "detect_periodicity",
+                        counting("periodicity", detect_periodicity))
+    path = (write(tmp_path, BERNOULLI_CONSTANT) if name == "bernoulli_constant"
+            else str(SCENARIOS / f"{name}.yaml"))
+    out = tmp_path / "report.csv"
+    assert main(["report", "--scenario", path, "--out", str(out)]) == 0
+    c = calls["periodicity"][0]
+    assert len(calls["periodicity"]) == runs
+    # a restricted power runs its exactness report on its own cocycle
+    assert sum(x is c for x in calls["exactness"]) == runs
+    rows = rows_of(out)
+    for check in ("exactness-routes-agree", "periodicity-vs-exactness"):
+        assert [r["omega_id"] for r in rows if r["check"] == check] == [
+            str(w) for w in range(probed)]
+
+
+def test_a_constant_table_gives_bit_equal_routes_at_distinct_points(tmp_path):
+    # the premise of running a route once per kernel sequence: the exactness
+    # report and the detector read a point only through its operators
+    sc = load_scenario(write(tmp_path, BERNOULLI_CONSTANT))
+    a = sc.analysis
+    pts = sample_env(sc.driving, 2, a.env_seed)
+    assert pts[0] != pts[1]
+    f_basis, g_obs = _bases(sc)
+    reps = [exactness_report(sc.cocycle, w, f_basis, g_obs, a.horizon, a.tol,
+                             tail_fraction=a.tail_fraction) for w in pts]
+    decs = [detect_periodicity(sc.cocycle, w, a.horizon, a.rmax,
+                               tol=a.asymp_tol, tail_fraction=a.tail_fraction)
+            for w in pts]
+    assert decs[0].found
+
+    def arrays(rep, dec):
+        return [rep.norm_curves, rep.flatness_curves, rep.mean_distance_curves,
+                dec.rho, dec.lambdas, np.array([dec.residual, dec.burn_in]),
+                *dec.supports, *(d.mass for d in dec.densities)]
+
+    first, second = (arrays(r, d) for r, d in zip(reps, decs))
+    assert len(first) == len(second)
+    for x, y in zip(first, second):
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
 
 # two fixed points: from omega_0 the cell map A swaps the blocks {0, 1} and
