@@ -34,7 +34,7 @@ from cocyclelab.measure import (
     FiniteMeasureSpace,
     MarkovMatrix,
     PreconditionError,
-    issparse,
+    dense,
     mass_apply,
     require_horizon,
     require_tolerance,
@@ -122,7 +122,7 @@ def detect_periodicity(c: CocycleFamily, omega: EnvPoint, horizon: int,
     burn = tail_start(horizon + 1, tail_fraction)
     for late, product in push_orbit(c, omega, stored_kernel(np.eye(n)), burn):
         pass
-    M = product.toarray() if issparse(product) else product
+    M = dense(product)
 
     reach = M > SUPPORT_FLOOR
     hit = np.flatnonzero(reach.any(axis=0))

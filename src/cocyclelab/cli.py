@@ -139,10 +139,9 @@ def cmd_run_mixing(args) -> int:
     g_basis = _g_basis_for(sc, args.notion, g_obs)
     rep = estimate_mixing(sc.cocycle, args.notion, f_basis, g_basis, omegas,
                           a.horizon, a.tol, tail_fraction=a.tail_fraction)
-    ns = np.arange(a.horizon + 1)
-    blocks = (([(args.notion, w, i, j) for j in range(len(g_basis))],
-               (ns, rep.values[w, i]))
-              for w in range(len(omegas)) for i in range(len(f_basis)))
+    ns, (n_w, n_f, n_g, _) = np.arange(a.horizon + 1), rep.values.shape
+    blocks = (([(args.notion, w, i, j) for j in range(n_g)],
+               (ns, rep.values[w, i])) for w in range(n_w) for i in range(n_f))
     _write_csv(args.out, ("notion", "omega_id", "f_id", "g_id", "n", "value"),
                blocks)
     print(f"{sc.name}: {args.notion} decayed={rep.decayed} "

@@ -38,11 +38,11 @@ from cocyclelab.measure import (
     MarkovMatrix,
     PreconditionError,
     apply,
-    kernel_from_entries,
     kernel_matmul,
     mass_apply,
     same_space,
     single_blas_thread,
+    stored_entries,
 )
 
 
@@ -150,7 +150,7 @@ def compose(c: CocycleFamily, omega: EnvPoint, n: int) -> MarkovMatrix:
         raise PreconditionError("cocycle steps run forward only (n >= 0)")
     # int32 cells: from 512 cells on, the CSR arrays of scipy's eye_array
     cells = np.arange(c.n, dtype=np.int32)
-    kernel = kernel_from_entries(c.n, cells, cells, np.ones(c.n))
+    kernel = stored_entries((c.n, c.n), c.n, cells, cells, np.ones(c.n))
     for step in orbit_kernels(c, omega, n):
         kernel = kernel_matmul(kernel, step)
     return MarkovMatrix(c.space, kernel, exact=c.all_exact)

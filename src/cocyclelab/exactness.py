@@ -11,18 +11,20 @@ Three routes, kept separate and cross-checked:
   step kernel at a time, one pulled stack per start within one period of the
   kernel sequence (a constant table has period one), and we record
   per-observable flatness: the value spread max - min, plus the distance from
-  the measure-weighted mean as a second constant-reference reading.  Like
-  the norm route's mass stack, the pulled stacks follow the kernel storage
-  rule (``stored_stack``): CSR through CSR kernels while at most 1/32 of the
-  stack is nonzero, densified once a step takes it past that fill.  That
-  exact conversion is all the two routes share; each keeps its own push or
-  pull and its own reading, which hold for either storage.
+  the measure-weighted mean as a second constant-reference reading.
 
 * tail-partition route, for kernels that move whole cells (every entry 0 or
   1): the n-step composition is then itself a cell map, its preimage classes
   form a partition that can only coarsen with n, and exactness of the cell
   dynamics means the partition collapses to a single atom.  Kernels with
   fractional entries do not induce a partition and are rejected.
+
+The norm route reads a (k, N) mass stack and the dual route an (N, k)
+observable stack, each checked once, as the bases build them.  Pushed and
+pulled stacks follow ``stored_stack``: CSR through CSR kernels while at most
+1/32 of the stack is nonzero, densified past that fill.  That conversion is
+all the two routes share; each keeps its own push or pull and its own
+reading, which hold for either storage.
 
 ``cell_map_orbit`` is the one walk that composes cell maps.  It pushes no
 mass, so the tail route and the skew set picture that read it stay
@@ -44,29 +46,25 @@ from cocyclelab.cocycle import CocycleFamily, orbit, orbit_kernels, push_kernels
 from cocyclelab.curves import decay_verdict, settle_index, tail_start
 from cocyclelab.driving import EnvPoint
 from cocyclelab.measure import (MarkovMatrix, PreconditionError, issparse,
-                                require_horizon, require_tolerance,
+                                require_finite_columns, require_horizon,
+                                require_stack, require_tolerance,
                                 require_zero_mean, single_blas_thread,
                                 stored_stack)
-
-
-def _require_basis(basis, what: str):
-    if len(basis) == 0:
-        raise PreconditionError(f"exactness curves need at least one {what}")
 
 
 @single_blas_thread
 def exactness_norms(c: CocycleFamily, omega: EnvPoint, f_basis,
                     horizon: int) -> np.ndarray:
     """L1-norm decay curves of pushed zero-mean densities: entry [i, n] is
-    ||P^(n)(omega) f_basis[i]||_1, an (n_f, horizon + 1) array."""
-    _require_basis(f_basis, "density")
+    ||P^(n)(omega) f_i||_1 for row i of the (n_f, N) mass stack ``f_basis``,
+    an (n_f, horizon + 1) array."""
+    require_stack(f_basis, c.n, 1, "an exactness norm curve")
+    require_zero_mean(f_basis, "an exactness norm curve")
     require_horizon(horizon)
-    mass = np.stack([f.mass for f in f_basis])
-    require_zero_mean(mass, "an exactness norm curve")
     kernels = orbit_kernels(c, omega, horizon)
-    mass = stored_stack(mass, kernels[0]) if kernels else mass
-    curves = np.empty((len(f_basis), horizon + 1))
-    # the loop rebinds `mass`, so no name holds the unpushed stack past step 1
+    mass = stored_stack(f_basis, kernels[0]) if kernels else f_basis
+    curves = np.empty((f_basis.shape[0], horizon + 1))
+    # the loop rebinds `mass`, so no pushed or converted stack outlives its step
     for n, mass in enumerate(push_kernels(mass, kernels)):
         curves[:, n] = abs(mass).sum(axis=1)
     return curves
@@ -91,8 +89,9 @@ def _kernel_period(kernels) -> int:
 @single_blas_thread
 def lin_dual_flatness(c: CocycleFamily, omega: EnvPoint, g_basis,
                       horizon: int) -> DualFlatnessCurves:
-    """Flattening of adjoint orbits K^(n)(omega) g, pulled one step kernel
-    at a time without composing kernels.
+    """Flattening of adjoint orbits K^(n)(omega) g for the columns g of the
+    (N, n_g) observable stack ``g_basis``, pulled one step kernel at a time
+    without composing kernels.
 
     ``pulled[j]`` holds K_j K_{j+1} ... K_{j+n-1} g for the starts j within one
     period p of the kernel sequence, so that pulled[0] is K^(n)(omega) g and
@@ -101,20 +100,15 @@ def lin_dual_flatness(c: CocycleFamily, omega: EnvPoint, g_basis,
     still reads are pulled, so an aperiodic sequence costs at most about
     horizon^2 / 2 pulls.
     """
-    _require_basis(g_basis, "observable")
+    require_stack(g_basis, c.n, 0, "the dual route")
+    require_finite_columns(g_basis, "the dual route")
     require_horizon(horizon)
-    g_mat = np.stack([g.values for g in g_basis], axis=1)
-    bad = ~np.isfinite(g_mat).all(axis=0)
-    if bad.any():
-        raise PreconditionError(
-            f"the dual route needs finite observables; g_basis[{np.argmax(bad)}] "
-            "holds NaN or inf values")
     w = c.space.weights
-    flat = np.empty((len(g_basis), horizon + 1))
-    dist = np.empty((len(g_basis), horizon + 1))
+    flat = np.empty((g_basis.shape[1], horizon + 1))
+    dist = np.empty((g_basis.shape[1], horizon + 1))
     kernels = orbit_kernels(c, omega, horizon)
     p = _kernel_period(kernels)
-    pulled = [stored_stack(g_mat, kernels[0]) if kernels else g_mat] * p
+    pulled = [stored_stack(g_basis, kernels[0]) if kernels else g_basis] * p
     for n in range(horizon + 1):
         v = pulled[0]
         # max |v - mean| is reached at the max or at the min of v: rounding

@@ -10,11 +10,12 @@ densities through ``integrate``.
 
 Kernels are stored by one rule (``stored_kernel``, in ``MarkovMatrix`` and
 ``kernel_matmul``): CSR when N >= 512 and nnz <= N^2 / 32, dense otherwise.
-Mass and observable stacks follow the same rule (``stored_stack``): CSR only
-while the kernel they meet is CSR and at most 1/32 of the stack is nonzero;
-once a push takes a CSR stack past that fill it is densified, and a dense
-stack stays dense.  scipy.sparse, 0.21 s of a cold start, is imported only to
-build CSR kernels, so never below 512 cells.
+A basis is one (k, N) mass or (N, k) observable stack, built from its entries
+by the same rule (``stored_entries``) and checked once in either storage.
+A pushed or pulled stack stays CSR only while the kernel it meets is CSR and
+at most 1/32 of the stack is nonzero (``stored_stack``); past that fill it is
+densified, and a dense stack stays dense.  scipy.sparse, 0.21 s of a cold
+start, is imported only for CSR kernels and stacks, never below 512 cells.
 
 Threads: every public entry that runs a loop of products (``cli.main``, the
 mixing, exactness, periodicity, pullback and skew routes) is wrapped in
@@ -60,10 +61,14 @@ class PreconditionError(ValueError):
     """An operation's stated precondition does not hold for these inputs."""
 
 
+def _frozen(a):
+    """``a`` itself, marked read-only."""
+    a.setflags(write=False)
+    return a
+
+
 def _readonly(a):
-    out = np.array(a, dtype=float)
-    out.setflags(write=False)
-    return out
+    return _frozen(np.array(a, dtype=float))
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -174,12 +179,6 @@ class Observable:
         return float(np.abs(self.values).max())
 
     @classmethod
-    def indicator(cls, space: FiniteMeasureSpace, cells) -> "Observable":
-        values = np.zeros(space.n)
-        values[np.asarray(cells)] = 1.0
-        return cls(space, values)
-
-    @classmethod
     def constant(cls, space: FiniteMeasureSpace, c: float = 1.0) -> "Observable":
         return cls(space, np.full(space.n, float(c)))
 
@@ -241,26 +240,42 @@ def single_blas_thread(fn):
     return capped
 
 
-def stored_kernel(kernel):
-    """The kernel as a ``csr_array`` when N >= SPARSE_MIN_CELLS and nnz <=
-    N^2 / SPARSE_FILL_DIVISOR, else as an ndarray (read-only if converted)."""
-    n = kernel.shape[0]
-    if n >= SPARSE_MIN_CELLS and SPARSE_FILL_DIVISOR * (
-            kernel.count_nonzero() if issparse(kernel)
-            else np.count_nonzero(kernel)) <= n * n:
+def dense(stack):
+    """The stack as an ndarray: a CSR stack converted (read-only, as
+    ``MarkovMatrix`` keeps a kernel), a dense one as is."""
+    return _frozen(stack.toarray()) if issparse(stack) else stack
+
+
+def _by_fill(a, may_be_csr: bool):
+    """``a`` as a ``csr_array`` when ``may_be_csr`` and nnz <= a's size /
+    SPARSE_FILL_DIVISOR, else as an ndarray (by ``dense``): the one storage
+    rule, for kernels and stacks alike."""
+    if may_be_csr and SPARSE_FILL_DIVISOR * (
+            a.count_nonzero() if issparse(a)
+            else np.count_nonzero(a)) <= np.prod(a.shape):
         import scipy.sparse as sp
-        return sp.csr_array(kernel, dtype=float)
-    return _readonly(kernel.toarray()) if issparse(kernel) else kernel
+        return sp.csr_array(a, dtype=float)
+    return dense(a)
 
 
-def kernel_from_entries(n: int, rows, cols, values):
-    """The n x n kernel with ``values`` summed at (``rows``, ``cols``), by the
-    storage rule; below SPARSE_MIN_CELLS dense, as the CSR build's toarray()."""
-    if n < SPARSE_MIN_CELLS:
-        return np.bincount(rows * n + cols, weights=values,
-                           minlength=n * n).reshape(n, n)
+def stored_kernel(kernel):
+    """The kernel by the storage rule: CSR when N >= SPARSE_MIN_CELLS and
+    nnz <= N^2 / SPARSE_FILL_DIVISOR."""
+    return _by_fill(kernel, kernel.shape[0] >= SPARSE_MIN_CELLS)
+
+
+def stored_entries(shape, cells: int, rows, cols, values):
+    """The kernel or basis stack of ``shape`` with ``values`` summed at
+    (``rows``, ``cols``), by the storage rule for ``cells`` cells: CSR when
+    cells >= SPARSE_MIN_CELLS and nnz <= its size / SPARSE_FILL_DIVISOR, else
+    a read-only ndarray; below SPARSE_MIN_CELLS dense, as the CSR build's
+    toarray(), without scipy.sparse."""
+    if cells < SPARSE_MIN_CELLS:
+        return _frozen(np.bincount(rows * shape[1] + cols, weights=values,
+                                   minlength=shape[0] * shape[1]
+                                   ).reshape(shape))
     import scipy.sparse as sp
-    return stored_kernel(sp.csr_array((values, (rows, cols)), shape=(n, n)))
+    return _by_fill(sp.csr_array((values, (rows, cols)), shape=shape), True)
 
 
 def kernel_matmul(a, b):
@@ -269,16 +284,9 @@ def kernel_matmul(a, b):
 
 
 def stored_stack(stack, kernel):
-    """A mass or observable stack stored by the kernel rule: a ``csr_array``
-    when ``kernel`` is CSR and nnz <= stack size / SPARSE_FILL_DIVISOR, else
-    an ndarray."""
-    sparse = issparse(stack)
-    if issparse(kernel) and SPARSE_FILL_DIVISOR * (
-            stack.count_nonzero() if sparse
-            else np.count_nonzero(stack)) <= np.prod(stack.shape):
-        import scipy.sparse as sp
-        return sp.csr_array(stack, dtype=float)
-    return stack.toarray() if sparse else stack
+    """A pushed or pulled mass or observable stack by the storage rule: CSR
+    only while ``kernel`` is CSR."""
+    return _by_fill(stack, issparse(kernel))
 
 
 def mass_apply(mass, kernel):
@@ -290,9 +298,9 @@ def mass_apply(mass, kernel):
 
 
 def require_zero_mean(mass, what: str):
-    """Reject a mass row, or a stack of rows, with a row whose L1 norm is not
-    finite (NaN or inf) or whose total is not zero relative to that norm."""
-    mass = np.atleast_2d(mass)
+    """Reject a mass row, or a dense or CSR stack of rows, with a row whose L1
+    norm is not finite or whose total is not zero relative to that norm."""
+    mass = mass if issparse(mass) else np.atleast_2d(mass)
     with np.errstate(over="ignore", invalid="ignore"):  # the test below rejects
         totals, l1 = mass.sum(axis=1), np.abs(mass).sum(axis=1)
     ok = np.isfinite(l1) & (np.abs(totals) <= 1e-9 * np.maximum(l1, 1e-300))
@@ -300,6 +308,28 @@ def require_zero_mean(mass, what: str):
         raise PreconditionError(
             f"{what} is posed for zero-mean densities; "
             f"total mass is {float(totals[np.argmin(ok)])!r}")
+
+
+def require_stack(stack, n: int, cells_axis: int, what: str):
+    """Reject a basis that is not one 2-d ndarray or ``csr_array`` with ``n``
+    cells along ``cells_axis`` and at least one element."""
+    sp = sys.modules.get("scipy.sparse")
+    shape = stack.shape if type(stack) is np.ndarray or (
+        sp is not None and type(stack) is sp.csr_array) else ()
+    if len(shape) != 2 or shape[cells_axis] != n or 0 in shape:
+        raise PreconditionError(
+            f"{what} needs a basis stack with at least one element and {n} "
+            f"cells along axis {cells_axis}; got {shape or type(stack).__name__}")
+
+
+def require_finite_columns(stack, what: str):
+    """Reject a dense or CSR (N, k) observable stack holding NaN or inf,
+    naming its first such column j as g_basis[j]."""
+    bad = (stack.indices[~np.isfinite(stack.data)] if issparse(stack)
+           else np.flatnonzero(~np.isfinite(stack).all(axis=0)))
+    if bad.size:
+        raise PreconditionError(f"{what} needs finite observables; "
+                                f"g_basis[{bad.min()}] holds NaN or inf values")
 
 
 def require_horizon(horizon: int):

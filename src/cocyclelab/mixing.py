@@ -42,11 +42,16 @@ from cocyclelab.measure import (
     FiniteMeasureSpace,
     Observable,
     PreconditionError,
+    dense,
     mass_apply,  # unused here; the benchmark's tests read mixing.mass_apply
+    require_finite_columns,
     require_horizon,
+    require_stack,
     require_tolerance,
     require_zero_mean,
     single_blas_thread,
+    stored_entries,
+    stored_stack,
 )
 from cocyclelab.transfer import MapSpec, pf_exact
 
@@ -113,31 +118,35 @@ def _evenly_spaced(size: int, count: int | None) -> np.ndarray:
 
 
 def zero_mean_basis(space: FiniteMeasureSpace, count: int | None = None):
-    """Normalized differences of consecutive cell indicators (masses +1/2 and
-    -1/2), spanning the zero-mean densities on the grid; ``count`` keeps an
-    evenly spaced subset."""
+    """The (k, N) mass stack of normalized differences of consecutive cell
+    indicators (masses +1/2 and -1/2), spanning the zero-mean densities on
+    the grid; ``count`` keeps an evenly spaced subset.  Entries are stored as
+    ``Density.from_mass(space, m).mass`` stores them, (m / w) * w."""
     n = space.n
     if n < 2:
         raise PreconditionError("zero-mean basis needs at least two cells")
-    out = []
-    for j in _evenly_spaced(n - 1, count):
-        mass = np.zeros(n)
-        mass[j], mass[j + 1] = 0.5, -0.5
-        out.append(Density.from_mass(space, mass))
-    return out
+    j = _evenly_spaced(n - 1, count)
+    cols = np.stack([j, j + 1], axis=1).ravel()
+    w = space.weights[cols]
+    return stored_entries((j.size, n), n, np.repeat(np.arange(j.size), 2),
+                          cols, np.tile([0.5, -0.5], j.size) / w * w)
 
 
 def indicator_basis(space: FiniteMeasureSpace, count: int | None = None):
-    return [Observable.indicator(space, [j])
-            for j in _evenly_spaced(space.n, count)]
+    """The (N, k) observable stack of single-cell indicators; ``count`` keeps
+    an evenly spaced subset."""
+    cells = _evenly_spaced(space.n, count)
+    return stored_entries((space.n, cells.size), space.n, cells,
+                          np.arange(cells.size), np.ones(cells.size))
 
 
 def step_map_basis(c: CocycleFamily, g_observables) -> list[ObservableMap]:
-    """One step map per (feature, observable): g at that feature, zero
-    elsewhere.  Spans the simple environment-indexed families the travelling
-    notions quantify over."""
+    """One step map per (feature, column g of the (N, k) stack): g at that
+    feature, zero elsewhere.  Spans the simple environment-indexed families
+    the travelling notions quantify over."""
+    obs = [Observable(c.space, g) for g in dense(g_observables).T]
     return [step_map(c.space, {p: g}) for p in range(c.driving.n_features)
-            for g in g_observables]
+            for g in obs]
 
 
 # -- estimator ----------------------------------------------------------------
@@ -147,11 +156,11 @@ class MixingReport:
     """Correlation curves and both quantifier orders' thresholds, which give
     the one decay verdict.
 
-    values[w, i, j, n] is the curve for omega_samples[w], f_basis[i] and the
-    j-th observable (fixed observables for the homogeneous notions, step maps
-    for the travelling ones).  Each curve is read as its ``settle_index``
-    (horizon + 1 when it never stays below tol).  The report fits
-    no rates; a caller that wants them calls ``fit_geometric_rates``.
+    values[w, i, j, n] is the curve for omega_samples[w], row i of f_basis
+    and the j-th observable (a stack column for the homogeneous notions, a
+    step map for the travelling ones).  Each curve is read as its
+    ``settle_index`` (horizon + 1 when it never stays below tol).  The report
+    fits no rates; a caller that wants them calls ``fit_geometric_rates``.
     """
 
     notion: str
@@ -176,46 +185,51 @@ def estimate_mixing(c: CocycleFamily, notion: str, f_basis, g_basis,
     """Correlation curves over the sampled environment points and bases,
     with the decay verdict in the requested quantifier order.
 
-    g_basis holds Observables for the homogeneous notions and step
-    ObservableMaps for the travelling ones.
+    f_basis is an (n_f, N) mass stack.  g_basis is an (N, n_g) observable
+    stack for the homogeneous notions and a list of step ObservableMaps for
+    the travelling ones.
     """
     if notion not in NOTIONS:
         raise PreconditionError(f"unknown mixing notion {notion!r}; "
                                 f"expected one of {NOTIONS}")
     inhom = notion.endswith("inhom")
-    for j, g in enumerate(g_basis):
-        if not isinstance(g, ObservableMap if inhom else Observable):
-            raise PreconditionError(
-                "travelling notions take step observable maps" if inhom
-                else "homogeneous notions take fixed observables")
-        _require_finite(g, f"g_basis[{j}]")
-
-    if 0 in (len(omega_samples), len(f_basis), len(g_basis)):
+    if not inhom:
+        require_stack(g_basis, c.n, 0, "correlation decay")
+        require_finite_columns(g_basis, "correlation decay")
+    elif not isinstance(g_basis, (list, tuple)) or not g_basis or not all(
+            isinstance(g, ObservableMap) for g in g_basis):
         raise PreconditionError(
-            "mixing estimates need at least one environment point, one "
-            "density and one observable")
+            "travelling notions take a nonempty list of step observable maps")
+    else:
+        for j, g in enumerate(g_basis):
+            _require_finite(g, f"g_basis[{j}]")
+    require_stack(f_basis, c.n, 1, "correlation decay")
+    require_zero_mean(f_basis, "correlation decay")
+    if not len(omega_samples):
+        raise PreconditionError(
+            "mixing estimates need at least one environment point")
     require_horizon(horizon)
     require_tolerance(tol)
     tail_start(horizon + 1, tail_fraction)  # rejects a bad tail_fraction
-    fmass = np.stack([f.mass for f in f_basis])
-    require_zero_mean(fmass, "correlation decay")
     # a curve reads only the operators and the features (none for fixed
     # observables) its orbit meets: walk each distinct point once, push once
     # per operator sequence, read each (step, feature) product once
     walks, groups = kernel_groups(c, omega_samples, horizon)
     paths = [tuple(feature(c.driving, pt) for pt in w) if inhom
              else (None,) * (horizon + 1) for w in walks]
-    observables = {f: np.stack([(g if f is None else g.at_feature(f)).values
-                                for g in g_basis], axis=1)
+    observables = {f: g_basis if f is None else np.stack(
+        [g.at_feature(f).values for g in g_basis], axis=1)
                    for f in set().union(*paths)}
     rows, pos = {}, np.empty(len(omega_samples), dtype=np.intp)
     for ops, members in groups.items():  # a row per (operators, feature path)
         pos[members] = [rows.setdefault((ops, paths[u]), len(rows)) for u in members]
-    curves = np.empty((horizon + 1, len(rows), len(f_basis), len(g_basis)))
+    curves = np.empty((horizon + 1, len(rows), f_basis.shape[0],
+                       len(g_basis) if inhom else g_basis.shape[1]))
     for ops, members in groups.items():
         mine = {paths[u]: pos[u] for u in members}  # the group's rows
-        for n, cur in enumerate(push_kernels(fmass, (P.kernel for P in ops))):
-            reads = {f: cur @ observables[f] for f in {p[n] for p in mine}}
+        start = stored_stack(f_basis, ops[0].kernel) if ops else f_basis
+        for n, cur in enumerate(push_kernels(start, (P.kernel for P in ops))):
+            reads = {f: dense(cur @ observables[f]) for f in {p[n] for p in mine}}
             for p, row in mine.items():
                 curves[n, row] = reads[p[n]]
     curves = np.moveaxis(curves, 0, -1).copy()  # n innermost; frees the buffer

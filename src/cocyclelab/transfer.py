@@ -5,7 +5,7 @@ partition is dyadically aligned (doubling, cyclic bit-shift baker).
 ``pf_ulam`` estimates the kernel for any pointwise map by seeded Monte-Carlo:
 uniform draws inside each cell (stratified by cell, one independent derived
 seed per row), counting which target cell the mapped point lands in.  Both
-build index arrays through ``measure.kernel_from_entries``: CSR when N >= 512
+build index arrays through ``measure.stored_entries``: CSR when N >= 512
 and nnz <= N^2 / 32, else dense, filled without importing scipy.sparse.
 ``duality_residual`` checks the discrete kernel against the
 underlying map through the adjoint pairing, using midpoint quadrature on a
@@ -27,7 +27,7 @@ from cocyclelab.measure import (
     PreconditionError,
     apply,
     integrate,
-    kernel_from_entries,
+    stored_entries,
 )
 
 MAP_KINDS = ("doubling", "tent", "piecewise_linear", "baker_cyclic",
@@ -160,7 +160,8 @@ def pf_exact(spec: MapSpec, space: FiniteMeasureSpace) -> MarkovMatrix:
                 f"baker_cyclic with {spec.bits} bits needs N = {1 << spec.bits}")
         cols, value = bit_shift_permutation(spec.bits)[:, None], 1.0
     rows = np.repeat(np.arange(n), cols.shape[1])
-    k = kernel_from_entries(n, rows, cols.ravel(), np.full(rows.size, value))
+    k = stored_entries((n, n), n, rows, cols.ravel(),
+                       np.full(rows.size, value))
     return MarkovMatrix(space, k, exact=True)
 
 
@@ -200,7 +201,7 @@ def pf_ulam(spec: MapSpec, space: FiniteMeasureSpace, samples_per_cell: int,
                                         ((rows // g)[:, None] + u[:, 1]) / g), g)
         found.append(np.unique(rows[:, None] * n + j, return_counts=True))
     key, count = map(np.concatenate, zip(*found))
-    kernel = kernel_from_entries(n, key // n, key % n, count / s)
+    kernel = stored_entries((n, n), n, key // n, key % n, count / s)
     return MarkovMatrix(space, kernel, exact=False)
 
 

@@ -248,8 +248,8 @@ def test_restricted_square_of_block_swap_is_exact_in_one_step():
     sub, cells = restricted_power_cocycle(c, dec, 0)
     assert cells.tolist() == [0, 1]
     assert sub.n == 2
-    f = zero_mean_basis(sub.space)[0]
-    res = exactness_norms(sub, point(sub.driving, 0), [f], horizon=3)
+    f = zero_mean_basis(sub.space)[:1]
+    res = exactness_norms(sub, point(sub.driving, 0), f, horizon=3)
     assert res[0].tolist() == [1.0, 0.0, 0.0, 0.0]
 
 
@@ -259,8 +259,8 @@ def test_restricted_power_uses_cycle_length_per_component():
     sub, cells = restricted_power_cocycle(c, dec, 1)
     assert cells.tolist() == [3, 4, 5]
     # the cube of the three-cycle holds each block; uniformization is immediate
-    f = zero_mean_basis(sub.space)[0]
-    res = exactness_norms(sub, point(sub.driving, 0), [f], horizon=2)
+    f = zero_mean_basis(sub.space)[:1]
+    res = exactness_norms(sub, point(sub.driving, 0), f, horizon=2)
     assert res[0].tolist() == [1.0, 0.0, 0.0]
 
 

@@ -8,6 +8,8 @@ spread reads 1, 1/2, 1/4, 0, ... and adjacent-difference norms read
 preimage partition as 8, 4, 2, 1.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -44,9 +46,10 @@ from cocyclelab.measure import (
     MarkovMatrix,
     Observable,
     PreconditionError,
-    kernel_from_entries,
+    dense,
     kernel_matmul,
     require_zero_mean,
+    stored_entries,
 )
 from cocyclelab.mixing import (correlation_hom, estimate_mixing,
                                indicator_basis, zero_mean_basis)
@@ -84,20 +87,21 @@ def cell_map_cocycle(dest):
 def test_norm_curves_doubling_frozen():
     c = doubling_cocycle(8)
     f = Density.from_mass(c.space, [0.5, -0.5, 0, 0, 0, 0, 0, 0])
-    res = exactness_norms(c, point(c.driving, 0), [f], horizon=5)
+    res = exactness_norms(c, point(c.driving, 0), f.mass[None], horizon=5)
     assert res[0].tolist() == [1.0, 1.0, 1.0, 0.0, 0.0, 0.0]
 
 
 def test_norm_curves_reject_nonzero_mean():
     c = doubling_cocycle(4)
     with pytest.raises(PreconditionError):
-        exactness_norms(c, point(c.driving, 0), [Density.uniform(c.space)], 3)
+        exactness_norms(c, point(c.driving, 0),
+                        Density.uniform(c.space).mass[None], 3)
 
 
 def test_norm_curves_block_swap_oscillate():
     c = constant_cocycle(MarkovMatrix(FiniteMeasureSpace.uniform(4), SWAP4))
     f = Density.from_mass(c.space, [0, 0.5, -0.5, 0])
-    res = exactness_norms(c, point(c.driving, 0), [f], horizon=6)
+    res = exactness_norms(c, point(c.driving, 0), f.mass[None], horizon=6)
     assert np.all(res[0] == 1.0)
 
 
@@ -106,8 +110,8 @@ def test_norm_curves_block_swap_oscillate():
 
 def test_dual_flatness_doubling_frozen():
     c = doubling_cocycle(8)
-    g = Observable.indicator(c.space, [0])
-    res = lin_dual_flatness(c, point(c.driving, 0), [g], horizon=5)
+    res = lin_dual_flatness(c, point(c.driving, 0),
+                            indicator_basis(c.space, count=1), horizon=5)
     assert res.flatness[0].tolist() == [1.0, 0.5, 0.25, 0.0, 0.0, 0.0]
     # weighted-mean distance is sandwiched by the spread
     assert np.all(res.mean_distance <= res.flatness + 1e-15)
@@ -126,7 +130,7 @@ def test_dual_flatness_matches_composed_operator():
     c = CocycleFamily(driving=finite_rotation(2), table={0: P, 1: Q})
     g = Observable(space, np.array([1.0, -2.0, 0.5, 3.0]))
     omega = point(c.driving, 0)
-    res = lin_dual_flatness(c, omega, [g], horizon=4)
+    res = lin_dual_flatness(c, omega, g.values[:, None], horizon=4)
     for n in range(5):
         v = np.asarray(compose(c, omega, n).kernel @ g.values)
         assert res.flatness[0, n] == pytest.approx(v.max() - v.min(), abs=1e-14)
@@ -343,10 +347,10 @@ def test_flatness_bounded_by_initial_spread_and_sandwich(c, horizon):
 
 @given(random_cocycle(), st.integers(min_value=0, max_value=5))
 def test_correlations_bounded_by_norm_times_sup(c, n):
-    f = zero_mean_basis(c.space)[0]
+    f = Density.from_mass(c.space, zero_mean_basis(c.space)[0])
     g = Observable(c.space, np.linspace(-1.0, 1.0, c.n))
     omega = point(c.driving, 0)
-    res = exactness_norms(c, omega, [f], horizon=n)
+    res = exactness_norms(c, omega, f.mass[None], horizon=n)
     corr = correlation_hom(c, omega, f, g, n)
     assert abs(corr) <= res[0, n] * g.sup_norm + 1e-12
 
@@ -356,15 +360,15 @@ def test_correlations_bounded_by_norm_times_sup(c, n):
 
 def composed_dual_reference(c, omega, g_basis, horizon):
     """The dual route written with composed kernels: append one step kernel
-    to the n-step kernel at every n and apply it to the observables."""
-    g_mat = np.stack([g.values for g in g_basis], axis=1)
+    to the n-step kernel at every n and apply it to the observables, the
+    columns of the dense (N, k) stack ``g_basis``."""
     w = c.space.weights
-    flat = np.empty((len(g_basis), horizon + 1))
-    dist = np.empty((len(g_basis), horizon + 1))
+    flat = np.empty((g_basis.shape[1], horizon + 1))
+    dist = np.empty((g_basis.shape[1], horizon + 1))
     kernels = orbit_kernels(c, omega, horizon)
     composed = np.eye(c.n)
     for n in range(horizon + 1):
-        v = np.asarray(composed @ g_mat)
+        v = np.asarray(composed @ g_basis)
         flat[:, n] = v.max(axis=0) - v.min(axis=0)
         dist[:, n] = np.abs(v - w @ v).max(axis=0)
         if n < horizon:
@@ -402,8 +406,8 @@ def dual_case(draw):
         table = {0: P, 1: Q}
         (omega,) = sample_env(d, 1, draw(st.integers(0, 2**20)))
     c = CocycleFamily(driving=d, table=table)
-    g_basis = [Observable(space, rng.normal(size=space.n)),
-               Observable.indicator(space, [0])]
+    g_basis = np.column_stack([rng.normal(size=space.n),
+                               Density.indicator(space, [0]).values])
     return c, omega, g_basis
 
 
@@ -423,8 +427,8 @@ def test_dual_pull_is_bit_identical_on_dyadic_kernels(kind, bits, q, horizon):
     spec = MapSpec(kind, bits=bits) if kind == "baker_cyclic" else MapSpec(kind)
     c = constant_cocycle(pf_exact(spec, space), q)
     omega = point(c.driving, 0)
-    g_basis = indicator_basis(space) + [
-        Observable(space, np.arange(space.n) / space.n)]
+    g_basis = np.column_stack([indicator_basis(space),
+                               np.arange(space.n) / space.n])
     flat, dist = composed_dual_reference(c, omega, g_basis, horizon)
     res = lin_dual_flatness(c, omega, g_basis, horizon)
     assert res.flatness.tobytes() == flat.tobytes()
@@ -438,14 +442,12 @@ def dense_reference(c, omega, f_basis, g_basis, horizon):
     """Both routes with every stack and kernel dense: the norm curves push
     the mass stack one step at a time, and the dual curves pull g through
     K_{n-1}, ..., K_0 afresh at every n."""
-    kernels = [k.toarray() if sp.issparse(k) else k
-               for k in orbit_kernels(c, omega, horizon)]
-    mass = np.stack([f.mass for f in f_basis])
-    g_mat = np.stack([g.values for g in g_basis], axis=1)
+    kernels = [dense(k) for k in orbit_kernels(c, omega, horizon)]
+    mass, g_mat = dense(f_basis), dense(g_basis)
     w = c.space.weights
-    norms = np.empty((len(f_basis), horizon + 1))
-    flat = np.empty((len(g_basis), horizon + 1))
-    dist = np.empty((len(g_basis), horizon + 1))
+    norms = np.empty((mass.shape[0], horizon + 1))
+    flat = np.empty((g_mat.shape[1], horizon + 1))
+    dist = np.empty((g_mat.shape[1], horizon + 1))
     for n in range(horizon + 1):
         norms[:, n] = np.abs(mass).sum(axis=1)
         v = g_mat
@@ -478,7 +480,7 @@ def storage_case_kernel(kind, n, rng):
         values /= np.bincount(rows, weights=values)[rows]
     else:
         values = np.full(rows.size, 1.0 / per_row)
-    return MarkovMatrix(space, kernel_from_entries(n, rows, cols, values))
+    return MarkovMatrix(space, stored_entries((n, n), n, rows, cols, values))
 
 
 # ulps of the allowance for fractional kernels: each loop evaluates every
@@ -505,8 +507,10 @@ def test_stack_storage_matches_a_dense_reference(seed, n, kinds, dense_g,
     omega = point(c.driving, int(rng.integers(len(kinds))))
     f_basis = zero_mean_basis(c.space, count=8)
     # a dense observable puts the g stack past the fill from the start
-    g_basis = indicator_basis(c.space, count=6) + (
-        [Observable(c.space, np.arange(n) / n)] if dense_g else [])
+    g_basis = indicator_basis(c.space, count=6)
+    if dense_g:
+        g_basis = sp.hstack([g_basis, (np.arange(n) / n)[:, None]],
+                            format="csr")
     norms, flat, dist = dense_reference(c, omega, f_basis, g_basis, horizon)
     got_norms = exactness_norms(c, omega, f_basis, horizon)
     got = lin_dual_flatness(c, omega, g_basis, horizon)
@@ -552,6 +556,24 @@ def test_doubling_norm_stack_crosses_the_fill_mid_horizon(monkeypatch):
     assert got.tobytes() == norms.tobytes()
 
 
+def test_large_grid_report_builds_no_dense_basis():
+    # a dense (32, 2^16) float stack alone is 16 MB; the CSR bases, the
+    # pushed and pulled stacks and the tail route's int64 arrays stay far
+    # below that
+    space = FiniteMeasureSpace.uniform(1 << 16)
+    c = constant_cocycle(pf_exact(MapSpec("baker_cyclic", bits=16), space))
+    tracemalloc.start()
+    try:
+        rep = exactness_report(c, point(c.driving, 0),
+                               zero_mean_basis(space, count=32),
+                               indicator_basis(space, count=32), 40, 1e-8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.routes_agree and not rep.exact_verdict
+    assert peak < 8 * 2**20
+
+
 # -- the tail count against np.unique --------------------------------------------
 
 
@@ -595,10 +617,38 @@ def run_route(route, c, f_basis, g_basis, horizon):
                                           ("norms", "f"), ("dual", "g")])
 def test_routes_reject_an_empty_basis(route, empty):
     c = doubling_cocycle(4)
-    f_basis = [] if empty == "f" else zero_mean_basis(c.space)
-    g_basis = [] if empty == "g" else indicator_basis(c.space)
+    f_basis = np.empty((0, 4)) if empty == "f" else zero_mean_basis(c.space)
+    g_basis = np.empty((4, 0)) if empty == "g" else indicator_basis(c.space)
     with pytest.raises(PreconditionError, match="at least one"):
         run_route(route, c, f_basis, g_basis, 3)
+
+
+# stacks the routes do not read: an np.matrix or a legacy csr_matrix sums to
+# (k, 1) columns, a COO stack has no row index, a list is not a stack
+OTHER_STACKS = {"csr_matrix": sp.csr_matrix, "np.matrix": np.asmatrix,
+                "coo_array": sp.coo_array, "list": list}
+
+
+@pytest.mark.filterwarnings("ignore::PendingDeprecationWarning")  # np.matrix
+@pytest.mark.parametrize("kind", sorted(OTHER_STACKS))
+@pytest.mark.parametrize("route, which", [("report", "f"), ("report", "g"),
+                                          ("norms", "f"), ("dual", "g"),
+                                          ("estimator", "f"),
+                                          ("estimator", "g")])
+def test_routes_reject_a_basis_of_another_type(route, which, kind):
+    c = doubling_cocycle(4)
+    f_basis, g_basis = zero_mean_basis(c.space), indicator_basis(c.space)
+    if which == "f":
+        f_basis = OTHER_STACKS[kind](f_basis)
+    else:
+        g_basis = OTHER_STACKS[kind](g_basis)
+    named = "basis stack.*" + ("list" if kind == "list" else kind.split(".")[-1])
+    with pytest.raises(PreconditionError, match=named):
+        if route == "estimator":
+            estimate_mixing(c, "prior-hom", f_basis, g_basis,
+                            [point(c.driving, 0)], 3, 1e-6)
+        else:
+            run_route(route, c, f_basis, g_basis, 3)
 
 
 @pytest.mark.parametrize("horizon", [-1, -3])
@@ -622,9 +672,51 @@ def test_dual_route_rejects_a_non_finite_observable(route, bad):
     c = doubling_cocycle(16)
     values = np.zeros(16)
     values[5] = bad
-    g_basis = indicator_basis(c.space, count=2) + [Observable(c.space, values)]
+    g_basis = np.column_stack([indicator_basis(c.space, count=2), values])
     with pytest.raises(PreconditionError, match=r"g_basis\[2\].*NaN or inf"):
         run_route(route, c, zero_mean_basis(c.space), g_basis, 6)
+
+
+def stored_as(storage, stack):
+    return sp.csr_array(stack) if storage == "csr" else np.asarray(stack)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("storage", ["dense", "csr"])
+def test_observable_checks_read_either_storage(storage, bad):
+    c = doubling_cocycle(16)
+    g_basis = np.column_stack([indicator_basis(c.space, count=3),
+                               np.zeros(16)])
+    g_basis[5, 3] = bad
+    g_basis = stored_as(storage, g_basis)
+    f_basis = zero_mean_basis(c.space)
+    named = r"g_basis\[3\].*NaN or inf"
+    for route in ("report", "dual"):
+        with pytest.raises(PreconditionError, match=named):
+            run_route(route, c, f_basis, g_basis, 6)
+    with pytest.raises(PreconditionError, match=named):
+        estimate_mixing(c, "prior-hom", f_basis, g_basis,
+                        [point(c.driving, 0)], 6, 1e-6)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "mean"])
+@pytest.mark.parametrize("storage", ["dense", "csr"])
+def test_zero_mean_checks_read_either_storage(storage, bad):
+    c = doubling_cocycle(16)
+    f_basis = np.array(zero_mean_basis(c.space, count=4))
+    if bad == "mean":
+        f_basis[2, 0] += 0.25
+    else:
+        f_basis[2, 7] = bad
+    f_basis = stored_as(storage, f_basis)
+    with pytest.raises(PreconditionError, match="zero-mean"):
+        require_zero_mean(f_basis, "a stack")
+    for route in ("report", "norms"):
+        with pytest.raises(PreconditionError, match="zero-mean"):
+            run_route(route, c, f_basis, indicator_basis(c.space), 6)
+    with pytest.raises(PreconditionError, match="zero-mean"):
+        estimate_mixing(c, "prior-hom", f_basis, indicator_basis(c.space),
+                        [point(c.driving, 0)], 6, 1e-6)
 
 
 INF = float("inf")
@@ -637,16 +729,17 @@ def test_zero_mean_routes_reject_a_row_of_infinite_mass(row):
     c = doubling_cocycle(4)
     omega = point(c.driving, 0)
     f = Density.from_mass(c.space, row)
-    good = zero_mean_basis(c.space)[0].mass
+    good = zero_mean_basis(c.space)[0]
     with pytest.raises(PreconditionError, match="zero-mean"):
         require_zero_mean(np.stack([good, f.mass]), "a stack")
     with pytest.raises(PreconditionError, match="zero-mean"):
         # finite entries, an L1 norm of inf
         require_zero_mean([1e308, 1e308, -1e308, -1e308], "a row")
     with pytest.raises(PreconditionError, match="zero-mean"):
-        exactness_norms(c, omega, [f], 3)
+        exactness_norms(c, omega, f.mass[None], 3)
     with pytest.raises(PreconditionError, match="zero-mean"):
-        estimate_mixing(c, "prior-hom", [f], indicator_basis(c.space),
+        estimate_mixing(c, "prior-hom", f.mass[None],
+                        indicator_basis(c.space),
                         [omega], 3, 1e-6)
 
 

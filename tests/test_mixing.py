@@ -11,7 +11,8 @@ permutation is [0, 2, 1, 3]; pushing 1_{cells 0,1} once gives mass
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+import scipy.sparse as sp
+from hypothesis import assume, given, settings, strategies as st
 
 import cocyclelab.cocycle
 import cocyclelab.mixing
@@ -35,11 +36,13 @@ from cocyclelab.driving import (
     sample_env,
 )
 from cocyclelab.measure import (
+    SPARSE_MIN_CELLS,
     Density,
     FiniteMeasureSpace,
     MarkovMatrix,
     Observable,
     PreconditionError,
+    dense,
     dual_apply,
     integrate,
     mass_apply,
@@ -97,7 +100,7 @@ def test_hom_correlation_doubling_frozen_curve():
     c = constant_cocycle(DOUBLING4)
     space = c.space
     f = Density.from_mass(space, [0.5, -0.5, 0.0, 0.0])
-    g = Observable.indicator(space, [0])
+    g = Observable(space, Density.indicator(space, [0]).values)
     omega = point(c.driving, 0)
     curve = [correlation_hom(c, omega, f, g, n) for n in range(5)]
     assert curve == [0.5, 0.25, 0.0, 0.0, 0.0]
@@ -106,7 +109,7 @@ def test_hom_correlation_doubling_frozen_curve():
 def test_hom_correlation_requires_zero_mean():
     c = constant_cocycle(DOUBLING4)
     f = Density.uniform(c.space)
-    g = Observable.indicator(c.space, [0])
+    g = Observable(c.space, Density.indicator(c.space, [0]).values)
     with pytest.raises(PreconditionError):
         correlation_hom(c, point(c.driving, 0), f, g, 1)
 
@@ -121,7 +124,7 @@ def test_correlations_reject_a_non_finite_observable(bad):
     omega = point(c.driving, 0)
     with pytest.raises(PreconditionError, match=r"^g must be finite.*NaN or inf"):
         correlation_hom(c, omega, f, g, 2)
-    ok = Observable.indicator(c.space, [0])
+    ok = Observable(c.space, Density.indicator(c.space, [0]).values)
     with pytest.raises(PreconditionError, match=r"^g must be finite.*NaN or inf"):
         correlation_inhom(c, omega, f, step_map(c.space, {0: ok, 1: g}), 2)
 
@@ -147,7 +150,8 @@ def test_step_map_missing_feature_reads_zero():
     c = constant_cocycle(DOUBLING4, q=2)
     space = c.space
     f = Density.from_mass(space, [0.5, -0.5, 0.0, 0.0])
-    gmap = step_map(space, {0: Observable.indicator(space, [0])})
+    gmap = step_map(space, {
+        0: Observable(space, Density.indicator(space, [0]).values)})
     omega = point(c.driving, 0)
     # starting at index 0, odd elapsed times sit at feature 1 -> zero observable
     assert correlation_inhom(c, omega, f, gmap, 1) == 0.0
@@ -208,12 +212,11 @@ def test_hom_correlation_matches_dual_route(case):
 def test_zero_mean_basis_properties():
     space = FiniteMeasureSpace(np.array([0.1, 0.2, 0.3, 0.4]))
     basis = zero_mean_basis(space)
-    assert len(basis) == 3
-    for f in basis:
-        assert abs(f.total_mass) <= 1e-15
-        assert f.l1_norm == pytest.approx(1.0)
+    assert basis.shape == (3, 4)
+    assert np.all(np.abs(basis.sum(axis=1)) <= 1e-15)
+    assert np.abs(basis).sum(axis=1) == pytest.approx(1.0)
     few = zero_mean_basis(space, count=2)
-    assert len(few) == 2
+    assert few.shape == (2, 4)
     with pytest.raises(PreconditionError):
         zero_mean_basis(FiniteMeasureSpace.uniform(1))
 
@@ -221,10 +224,51 @@ def test_zero_mean_basis_properties():
 def test_indicator_basis_subsetting():
     space = FiniteMeasureSpace.uniform(10)
     full = indicator_basis(space)
-    assert len(full) == 10
+    assert full.shape == (10, 10)
     sub = indicator_basis(space, count=4)
-    assert len(sub) == 4
-    assert all(g.values.sum() == 1.0 for g in sub)
+    assert sub.shape == (10, 4)
+    assert np.all(sub.sum(axis=0) == 1.0)
+
+
+def list_built_stacks(space, count):
+    """The bases as lists of Density and Observable objects, stacked as the
+    routes stacked them: np.stack over the masses, and over the observable
+    values as columns."""
+    def spaced(size):
+        if count is None or count >= size:
+            return np.arange(size)
+        return np.unique(np.linspace(0, size - 1, count).round().astype(int))
+
+    densities = []
+    for j in spaced(space.n - 1):
+        mass = np.zeros(space.n)
+        mass[j], mass[j + 1] = 0.5, -0.5
+        densities.append(Density.from_mass(space, mass))
+    observables = [Observable(space, Density.indicator(space, [j]).values)
+                   for j in spaced(space.n)]
+    return (np.stack([f.mass for f in densities]),
+            np.stack([g.values for g in observables], axis=1))
+
+
+@settings(max_examples=40)
+@given(st.sampled_from([2, 3, 7, 64, 511, 512, 700, 2048]),
+       st.integers(0, 2**32 - 1), st.one_of(st.none(), st.integers(1, 40)))
+def test_basis_stacks_hold_the_list_built_bytes(n, seed, count):
+    raw = np.random.default_rng(seed).random(n) + 0.01
+    space = FiniteMeasureSpace(raw / raw.sum())
+    old_f, old_g = list_built_stacks(space, count)
+    for new, old in ((zero_mean_basis(space, count), old_f),
+                     (indicator_basis(space, count), old_g)):
+        # CSR from 512 cells on: every element has at most two nonzeros
+        assert sp.issparse(new) == (n >= SPARSE_MIN_CELLS)
+        if sp.issparse(new):
+            ref = sp.csr_array(old)
+            assert new.has_canonical_format
+            assert new.data.tobytes() == ref.data.tobytes()
+            assert np.array_equal(new.indices, ref.indices)
+            assert np.array_equal(new.indptr, ref.indptr)
+        assert new.shape == old.shape
+        assert dense(new).tobytes() == old.tobytes()
 
 
 @pytest.mark.parametrize("basis", [zero_mean_basis, indicator_basis])
@@ -288,7 +332,8 @@ def test_estimator_inhom_verdicts_and_step_maps():
     assert rep.decayed
     # route agreement against the scalar correlation
     for w, omega in enumerate(points(c.driving)):
-        for i, f in enumerate(f_basis):
+        for i, mass in enumerate(f_basis):
+            f = Density.from_mass(space, mass)
             for j, g in enumerate(g_basis):
                 want = [correlation_inhom(c, omega, f, g, n) for n in (0, 1, 5)]
                 got = [rep.values[w, i, j, n] for n in (0, 1, 5)]
@@ -319,8 +364,8 @@ def test_estimator_rejects_bad_inputs():
         estimate_mixing(c, "prior-hom", f_basis,
                         step_map_basis(c, g_obs), omegas, 4, 1e-6)
     with pytest.raises(PreconditionError):
-        estimate_mixing(c, "prior-hom", [Density.uniform(c.space)], g_obs,
-                        omegas, 4, 1e-6)
+        estimate_mixing(c, "prior-hom", Density.uniform(c.space).mass[None],
+                        g_obs, omegas, 4, 1e-6)
     assert set(NOTIONS) == {"prior-hom", "post-hom", "prior-inhom",
                             "post-inhom"}
 
@@ -356,7 +401,8 @@ def test_estimator_rejects_empty_inputs_and_negative_horizon(drop):
     c = constant_cocycle(DOUBLING4)
     args = {"omegas": points(c.driving), "f_basis": zero_mean_basis(c.space),
             "g_basis": indicator_basis(c.space), "horizon": 4}
-    args[drop] = -1 if drop == "horizon" else []
+    args[drop] = {"horizon": -1, "omegas": [], "f_basis": np.empty((0, 4)),
+                  "g_basis": np.empty((4, 0))}[drop]
     with pytest.raises(PreconditionError):
         estimate_mixing(c, "prior-hom", args["f_basis"], args["g_basis"],
                         args["omegas"], args["horizon"], 1e-6)
@@ -373,11 +419,12 @@ def test_estimator_rejects_a_non_finite_observable_before_walking(
     c = constant_cocycle(DOUBLING4, q=2)
     values = np.zeros(4)
     values[1] = bad
-    g_obs = indicator_basis(c.space)[:2] + [Observable(c.space, values)]
+    g_obs = np.column_stack([indicator_basis(c.space)[:, :2], values])
     if notion.endswith("inhom"):
         # the bad observable sits at feature 1 of the third step map
-        g_obs = [step_map(c.space, {0: g}) for g in g_obs[:2]] + [
-            step_map(c.space, {0: g_obs[0], 1: g_obs[2]})]
+        cols = [Observable(c.space, v) for v in g_obs.T]
+        g_obs = [step_map(c.space, {0: g}) for g in cols[:2]] + [
+            step_map(c.space, {0: cols[0], 1: cols[2]})]
     with pytest.raises(PreconditionError, match=r"g_basis\[2\].*NaN or inf"):
         estimate_mixing(c, notion, zero_mean_basis(c.space), g_obs,
                         points(c.driving), 4, 1e-6)
@@ -401,17 +448,17 @@ def reference_estimate(c, notion, f_basis, g_basis, omega_samples, horizon,
     """The estimator written out plainly: one orbit per sample, the
     observables stacked afresh at every step."""
     inhom = notion.endswith("inhom")
-    n_w, n_f, n_g = len(omega_samples), len(f_basis), len(g_basis)
-    fmass = np.stack([f.mass for f in f_basis])
+    n_w, n_f = len(omega_samples), f_basis.shape[0]
+    n_g = len(g_basis) if inhom else g_basis.shape[1]
     values = np.empty((n_w, n_f, n_g, horizon + 1))
     for w, omega in enumerate(omega_samples):
-        cur = fmass
+        cur = f_basis
         for n, pt in enumerate(orbit(c, omega, horizon)):
             if inhom:
                 g_now = np.stack([g.at_feature(feature(c.driving, pt)).values
                                   for g in g_basis], axis=1)
             else:
-                g_now = np.stack([g.values for g in g_basis], axis=1)
+                g_now = np.array(g_basis)
             values[w, :, :, n] = cur @ g_now
             if n < horizon:
                 cur = mass_apply(cur, c.operator_at(pt).kernel)
@@ -483,7 +530,8 @@ def test_estimator_fast_paths_match_reference_loop(case):
     if notion.endswith("inhom"):
         # the last map reads a different observable at features 0 and 1
         g_basis = step_map_basis(c, g_obs) + [step_map(space, {
-            0: g_obs[0], 1: Observable(space, np.linspace(-1.0, 1.0, space.n))})]
+            0: Observable(space, g_obs[:, 0]),
+            1: Observable(space, np.linspace(-1.0, 1.0, space.n))})]
     rep = estimate_mixing(c, notion, f_basis, g_basis, omegas, horizon, tol)
     ref = reference_estimate(c, notion, f_basis, g_basis, omegas, horizon, tol)
     assert rep.values.shape == ref["values"].shape
@@ -494,7 +542,8 @@ def test_estimator_fast_paths_match_reference_loop(case):
     if notion.endswith("inhom"):
         j = len(g_basis) - 1
         for w, omega in enumerate(omegas):
-            for i, f in enumerate(f_basis):
+            for i, mass in enumerate(f_basis):
+                f = Density.from_mass(space, mass)
                 want = [correlation_inhom(c, omega, f, g_basis[j], n)
                         for n in range(horizon + 1)]
                 assert rep.values[w, i, j] == pytest.approx(want, abs=1e-14)
@@ -693,7 +742,8 @@ def test_estimator_rate_fit_on_geometric_curve():
     ])
     c = constant_cocycle(kernel)
     f = Density.from_mass(c.space, [0.5, -0.5, 0.0])
-    rep = estimate_mixing(c, "post-hom", [f], indicator_basis(c.space),
+    rep = estimate_mixing(c, "post-hom", f.mass[None],
+                          indicator_basis(c.space),
                           points(c.driving), horizon=25, tol=1e-6)
     assert rep.decayed
     fit = fit_geometric_rates(rep.values)
@@ -743,7 +793,7 @@ def test_counterexample_matches_the_travelling_route(k):
     perm, cells = bit_shift_permutation(bits), np.arange(n_cells // 2)
     table = {}
     for t in range(rep.horizon + 1):
-        table[t] = Observable.indicator(space, cells)
+        table[t] = Observable(space, Density.indicator(space, cells).values)
         cells = perm[cells]
     f = Density(space, np.where(np.arange(n_cells) < n_cells // 2, 1.0, -1.0))
     g, omega = step_map(space, table), point(driving, 0)

@@ -1218,7 +1218,7 @@ EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
                1.0000000000000001e-05, 1e16, 9999999999999998.0,
                1.0000000000000002e16, 1e17, 0.1, 1 / 3, -1.5,
                float("inf"), -float("inf"), float("nan")]
-LABEL_TEXT = st.text(alphabet=[",", '"', "\n", "\r", " ", "a", "é", "0"],
+LABEL_TEXT = st.text(alphabet=[",", '"', "\n", "\r", " ", "a", "%", "é", "0"],
                      max_size=6)
 
 
@@ -1274,9 +1274,10 @@ def test_cli_mixing_csv_bytes(tmp_path, scenario, notion):
     rep = estimate_mixing(sc.cocycle, notion, f_basis, g_basis, omegas, 6,
                           sc.analysis.tol,
                           tail_fraction=sc.analysis.tail_fraction)
+    n_w, n_f, n_g, n_n = rep.values.shape
     rows = [(notion, w, i, j, n, rep.values[w, i, j, n])
-            for w in range(len(omegas)) for i in range(len(f_basis))
-            for j in range(len(g_basis)) for n in range(7)]
+            for w in range(n_w) for i in range(n_f)
+            for j in range(n_g) for n in range(n_n)]
     reference_csv(tmp_path / "ref.csv",
                   ("notion", "omega_id", "f_id", "g_id", "n", "value"), rows)
     assert out.read_bytes() == (tmp_path / "ref.csv").read_bytes()

@@ -14,10 +14,10 @@ from cocyclelab.measure import (
     MarkovMatrix,
     Observable,
     PreconditionError,
-    kernel_from_entries,
     apply,
     integrate,
     markov_check,
+    stored_entries,
     stored_kernel,
 )
 from cocyclelab.transfer import (
@@ -256,7 +256,7 @@ def test_duality_residual_exact_doubling():
     space = FiniteMeasureSpace.uniform(16)
     P = pf_exact(MapSpec("doubling"), space)
     f = Density.from_mass(space, np.r_[1.0, -1.0, np.zeros(14)])
-    g = Observable.indicator(space, [0])
+    g = Observable(space, Density.indicator(space, [0]).values)
     assert duality_residual(P, MapSpec("doubling"), f, g, refinement=8) <= 1e-12
 
 
@@ -351,10 +351,10 @@ def test_planar_ulam_and_residual_name_the_caller_in_a_grid_error(n, weights):
 # -- the dense build below the storage rule ------------------------------------
 
 
-def csr_then_stored(n, rows, cols, values):
+def csr_then_stored(shape, cells, rows, cols, values):
     """Reference build: COO -> CSR, then the storage rule (as MarkovMatrix
     applies it), for every N."""
-    return stored_kernel(sp.csr_array((values, (rows, cols)), shape=(n, n)))
+    return stored_kernel(sp.csr_array((values, (rows, cols)), shape=shape))
 
 
 def same_stored_kernel(got, ref):
@@ -377,7 +377,7 @@ EXACT_CASES = ([("doubling", None, n) for n in [1] + STORAGE_SIZES if not n & (n
 def test_pf_exact_kernel_bytes_equal_the_csr_build(monkeypatch, kind, bits, n):
     spec, space = MapSpec(kind, bits=bits), FiniteMeasureSpace.uniform(n)
     got = pf_exact(spec, space).kernel
-    monkeypatch.setattr(cocyclelab.transfer, "kernel_from_entries",
+    monkeypatch.setattr(cocyclelab.transfer, "stored_entries",
                         csr_then_stored)
     ref = pf_exact(spec, space).kernel
     assert isinstance(ref, sp.csr_array if n >= SPARSE_MIN_CELLS else np.ndarray)
@@ -389,7 +389,7 @@ def test_pf_exact_kernel_bytes_equal_the_csr_build(monkeypatch, kind, bits, n):
 def test_pf_ulam_kernel_bytes_equal_the_csr_build(monkeypatch, n, kind, samples):
     spec, space = MapSpec(kind), FiniteMeasureSpace.uniform(n)
     got = pf_ulam(spec, space, samples, seed=n)
-    monkeypatch.setattr(cocyclelab.transfer, "kernel_from_entries",
+    monkeypatch.setattr(cocyclelab.transfer, "stored_entries",
                         csr_then_stored)
     same_stored_kernel(got.kernel, pf_ulam(spec, space, samples, seed=n).kernel)
 
@@ -399,6 +399,6 @@ def test_kernel_from_entries_sums_repeated_positions(n):
     rows = np.array([0, 0, 1, 1, 1] + list(range(2, n)))
     cols = np.array([1, 1, 0, 2, 2] + list(range(2, n)))
     values = np.array([0.25, 0.75, 0.5, 0.25, 0.25] + [1.0] * (n - 2))
-    same_stored_kernel(kernel_from_entries(n, rows, cols, values),
-                       csr_then_stored(n, rows, cols, values))
+    same_stored_kernel(stored_entries((n, n), n, rows, cols, values),
+                       csr_then_stored((n, n), n, rows, cols, values))
 
