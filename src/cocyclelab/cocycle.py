@@ -38,11 +38,11 @@ from cocyclelab.measure import (
     MarkovMatrix,
     PreconditionError,
     apply,
+    indicator_rows,
     kernel_matmul,
     mass_apply,
     same_space,
     single_blas_thread,
-    stored_entries,
 )
 
 
@@ -148,9 +148,7 @@ def compose(c: CocycleFamily, omega: EnvPoint, n: int) -> MarkovMatrix:
     """The n-step operator from omega; n = 0 gives the identity."""
     if n < 0:
         raise PreconditionError("cocycle steps run forward only (n >= 0)")
-    # int32 cells: from 512 cells on, the CSR arrays of scipy's eye_array
-    cells = np.arange(c.n, dtype=np.int32)
-    kernel = stored_entries((c.n, c.n), c.n, cells, cells, np.ones(c.n))
+    kernel = indicator_rows(np.arange(c.n), c.n)
     for step in orbit_kernels(c, omega, n):
         kernel = kernel_matmul(kernel, step)
     return MarkovMatrix(c.space, kernel, exact=c.all_exact)

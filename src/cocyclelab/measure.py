@@ -11,7 +11,8 @@ densities through ``integrate``.
 Kernels are stored by one rule (``stored_kernel``, in ``MarkovMatrix`` and
 ``kernel_matmul``): CSR when N >= 512 and nnz <= N^2 / 32, dense otherwise.
 A basis is one (k, N) mass or (N, k) observable stack, built from its entries
-by the same rule (``stored_entries``) and checked once in either storage.
+by the same rule (``stored_entries``, or ``indicator_rows`` for cell
+indicators) and checked once in either storage.
 A pushed or pulled stack stays CSR only while the kernel it meets is CSR and
 at most 1/32 of the stack is nonzero (``stored_stack``); past that fill it is
 densified, and a dense stack stays dense.  scipy.sparse, 0.21 s of a cold
@@ -249,12 +250,16 @@ def dense(stack):
 def _by_fill(a, may_be_csr: bool):
     """``a`` as a ``csr_array`` when ``may_be_csr`` and nnz <= a's size /
     SPARSE_FILL_DIVISOR, else as an ndarray (by ``dense``): the one storage
-    rule, for kernels and stacks alike."""
+    rule, for kernels and stacks alike.  A CSR result has sorted indices, so
+    a push sums each row in ascending cell order, as a dense push does; a
+    CSR product (``csr_matmat``) leaves its rows unsorted."""
     if may_be_csr and SPARSE_FILL_DIVISOR * (
             a.count_nonzero() if issparse(a)
             else np.count_nonzero(a)) <= np.prod(a.shape):
         import scipy.sparse as sp
-        return sp.csr_array(a, dtype=float)
+        stored = sp.csr_array(a, dtype=float)
+        stored.sort_indices()
+        return stored
     return dense(a)
 
 
@@ -276,6 +281,15 @@ def stored_entries(shape, cells: int, rows, cols, values):
                                    ).reshape(shape))
     import scipy.sparse as sp
     return _by_fill(sp.csr_array((values, (rows, cols)), shape=shape), True)
+
+
+def indicator_rows(cells, n: int):
+    """The (len(cells), n) stack of cell-indicator mass rows, a 1 at (k,
+    cells[k]), by ``stored_entries`` for n cells; int32 indices, as scipy's
+    eye_array has, so rows of the identity equal its CSR rows."""
+    cells = np.asarray(cells, dtype=np.int32)
+    return stored_entries((cells.size, n), n, np.arange(cells.size, dtype=np.int32),
+                          cells, np.ones(cells.size))
 
 
 def kernel_matmul(a, b):

@@ -9,6 +9,7 @@ capture values of small cell unions are exact multiples of 1/8.
 """
 
 import time
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -29,7 +30,7 @@ from cocyclelab.asymptotic import (
     quasi_constrictive_probe,
     restricted_power_cocycle,
 )
-from cocyclelab.cocycle import CocycleFamily, compose
+from cocyclelab.cocycle import CocycleFamily, compose, push_orbit
 from cocyclelab.curves import tail_start
 from cocyclelab.driving import bernoulli_shift, finite_rotation, point
 from cocyclelab.exactness import exactness_norms, exactness_report
@@ -38,7 +39,10 @@ from cocyclelab.measure import (
     FiniteMeasureSpace,
     MarkovMatrix,
     PreconditionError,
+    dense,
     mass_apply,
+    single_blas_thread,
+    stored_kernel,
 )
 from cocyclelab.mixing import indicator_basis, zero_mean_basis
 from cocyclelab.transfer import MapSpec, pf_exact
@@ -560,3 +564,205 @@ def test_qc_probe_matches_the_greedy_loop(n, uniform, seed, horizon, eps_ninths,
     assert rep.deltas.tolist() == [1.0 - b[4] for b in ref]
     assert [(wit.eps, wit.source_cell, wit.n, wit.cells, wit.captured)
             for wit in rep.witnesses] == ref
+
+
+# -- the row-block burn-in against the whole stack --------------------------------
+
+
+@single_blas_thread
+def detect_whole_stack(c, omega, horizon, r_max, tol=1e-10, f0=None,
+                       tail_fraction=0.1):
+    """Reference detector: the burn-in as one push of the stored identity
+    along the orbit, read as a whole (rows by their largest entry, the
+    within-component residual over all of a component's rows at once).  On
+    one BLAS thread, as the detector: gemm's bits depend on the count."""
+    n = c.n
+    burn = tail_start(horizon + 1, tail_fraction)
+    for late, product in push_orbit(c, omega, stored_kernel(np.eye(n)), burn):
+        pass
+    M = dense(product)
+    reach = M > SUPPORT_FLOOR
+    hit = np.flatnonzero(reach.any(axis=0))
+    roots, comp = np.unique(cell_labels(reach)[hit], return_inverse=True)
+    r = roots.size
+    if r > r_max:
+        return asymptotic._not_found(
+            r, burn, f"{r} components exceed the cap r_max={r_max}")
+    supports = [hit[comp == i] for i in range(r)]
+    comp_of_cell = np.full(n, -1)
+    comp_of_cell[hit] = comp
+    profiles, within = [], 0.0
+    row_comp = comp_of_cell[np.argmax(M, axis=1)]
+    for i in range(r):
+        rows = M[row_comp == i]
+        if rows.size == 0:
+            return asymptotic._not_found(r, burn, "a component receives no mass",
+                                         supports)
+        profile = rows.mean(axis=0)
+        within = max(within, float(np.abs(rows - profile).sum(axis=1).max()))
+        profiles.append(profile)
+    f0 = Density.uniform(c.space) if f0 is None else f0
+    burnt = mass_apply(f0.mass, product)
+    lambdas = np.array([float(burnt[s].sum()) for s in supports])
+    step_kernel = c.operator_at(late).kernel
+    rho, pushed_residual = np.full(r, -1), 0.0
+    for i, profile in enumerate(profiles):
+        pushed = mass_apply(profile, step_kernel)
+        landing = np.unique(comp_of_cell[np.flatnonzero(pushed > SUPPORT_FLOOR)])
+        if landing.size != 1 or landing[0] < 0:
+            return asymptotic._not_found(r, burn, "pushed profile does not land "
+                                         "in a single component", supports)
+        rho[i] = landing[0]
+        pushed_residual = max(pushed_residual,
+                              float(np.abs(pushed - profiles[rho[i]]).sum()))
+    if sorted(rho.tolist()) != list(range(r)):
+        return asymptotic._not_found(r, burn, "component map is not a permutation",
+                                     supports)
+    residual = max(within, pushed_residual)
+    densities = [Density.from_mass(c.space, p) for p in profiles]
+    if residual > tol:
+        return asymptotic._not_found(
+            r, burn, f"structure residual {residual:.3e} above tolerance",
+            supports, densities, residual)
+    return PeriodicDecomposition(found=True, r=r, rho=rho, supports=supports,
+                                 densities=densities, lambdas=lambdas,
+                                 burn_in=burn, residual=residual)
+
+
+def table_kernel(kind, n, rng):
+    """A kernel on n cells: a cell map, a relabelled block cycle (a cyclic
+    permutation when r = n), a sparse kernel with 2-5 random weights per row
+    or a dense one; from 512 cells on the first three are stored as CSR
+    (the block cycle when its blocks hold at most n / 32 cells)."""
+    if kind == "cell map":
+        return sp.csr_array((np.ones(n), (np.arange(n), rng.integers(0, n, n))),
+                            shape=(n, n))
+    if kind == "block cycle":
+        perm = rng.permutation(n)
+        r = int(rng.choice([n, max(n // 16, 1), int(rng.integers(1, n + 1))]))
+        return block_cycle_kernel(n, r)[np.ix_(perm, perm)]
+    if kind == "sparse":
+        per = rng.integers(2, 6, size=n)
+        rows = np.repeat(np.arange(n), per)
+        weights = rng.integers(1, 8, size=rows.size).astype(float)
+        kernel = sp.csr_array((weights, (rows, rng.integers(0, n, rows.size))),
+                              shape=(n, n))
+        return sp.csr_array(kernel.multiply(1.0 / kernel.sum(axis=1)[:, None]))
+    kernel = rng.integers(0, 4, size=(n, n)).astype(float)
+    kernel[np.arange(n), rng.integers(0, n, size=n)] += 1.0
+    return kernel / kernel.sum(axis=1, keepdims=True)
+
+
+def same_decomposition(dec, ref):
+    """Every field bit for bit, the burn-in masses within 1e-15."""
+    assert (dec.found, dec.r, dec.burn_in, dec.reason) == (
+        ref.found, ref.r, ref.burn_in, ref.reason)
+    assert (dec.rho is None) == (ref.rho is None)
+    if dec.rho is not None:
+        assert dec.rho.tobytes() == ref.rho.tobytes()
+    assert [s.tobytes() for s in dec.supports] == [
+        s.tobytes() for s in ref.supports]
+    assert [d.values.tobytes() for d in dec.densities] == [
+        d.values.tobytes() for d in ref.densities]
+    assert np.array_equal(dec.residual, ref.residual, equal_nan=True)
+    assert (dec.lambdas is None) == (ref.lambdas is None)
+    if dec.lambdas is not None:
+        assert np.abs(dec.lambdas - ref.lambdas).max() <= 1e-15
+
+
+@given(st.sampled_from([127, 128, 129, 511, 512, 513, 639, 640, 641]),
+       st.lists(st.sampled_from(["cell map", "block cycle", "sparse", "dense"]),
+                min_size=1, max_size=3),
+       st.integers(0, 9), st.integers(0, 2**20), st.booleans())
+def test_row_block_burn_in_matches_the_whole_stack(n, kinds, horizon, seed,
+                                                   cap_at_n):
+    rng = np.random.default_rng(seed)
+    space = FiniteMeasureSpace.uniform(n)
+    # a dense kernel past 512 cells costs a gemm per step: at most one there
+    if n >= 512 and kinds.count("dense") > 1:
+        kinds = [k for k in kinds if k != "dense"] + ["dense"]
+    c = CocycleFamily(driving=finite_rotation(len(kinds)), table={
+        i: MarkovMatrix(space, table_kernel(kind, n, rng))
+        for i, kind in enumerate(kinds)})
+    omega = point(c.driving, int(rng.integers(len(kinds))))
+    f0 = Density.from_mass(space, rng.dirichlet(np.ones(n)))
+    r_max = n if cap_at_n else 8
+    dec = detect_periodicity(c, omega, horizon, r_max, f0=f0)
+    same_decomposition(dec, detect_whole_stack(c, omega, horizon, r_max, f0=f0))
+
+
+def test_detector_holds_one_dense_product():
+    # the (1024, 1024) float product is 8 MB, and cell_labels adds 4 MB of
+    # int32 temporaries; a second dense product would lift the peak past 16 MB
+    space = FiniteMeasureSpace.uniform(1024)
+    c = constant_cocycle(pf_exact(MapSpec("doubling"), space))
+    tracemalloc.start()
+    try:
+        dec = detect_periodicity(c, point(c.driving, 0), 40, 8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dec.found and dec.r == 1
+    assert peak < 16 * 2**20
+
+
+@single_blas_thread
+def restricted_tables_from_identity_slices(c, dec, component):
+    """Reference restricted power: each point's cycle-length push of the dense
+    identity rows of the component's cells, normalised on those cells."""
+    k, cells = dec.cycle_length(component), dec.supports[component]
+    tables, sigma = [], []
+    for p in range(c.driving.n_points):
+        for end, rows in push_orbit(c, point(c.driving, p), np.eye(c.n)[cells], k):
+            pass
+        sigma.append(end.index)
+        block = rows[:, cells]
+        tables.append(block / block.sum(axis=1, keepdims=True))
+    return tables, sigma
+
+
+def planted_block_cocycle(n, kinds, seed):
+    """Equal blocks of n / 16 shuffled cells, cycled by one permutation pi at
+    every point; per point, rows of block i are a bijection onto block
+    pi(i) ("bijection"), random weights on 4 of its cells ("sparse") or on all
+    of them ("profile").  From 512 cells on the first two are CSR and the
+    third is dense.  Returns the cocycle and its planted decomposition."""
+    rng = np.random.default_rng(seed)
+    space = FiniteMeasureSpace.uniform(n)
+    blocks = np.split(rng.permutation(n), 16)
+    pi = rng.permutation(16)
+    table = {}
+    for p, kind in enumerate(kinds):
+        kernel = np.zeros((n, n))
+        for block, target in zip(blocks, (blocks[j] for j in pi)):
+            if kind == "bijection":
+                kernel[block, rng.permutation(target)] = 1.0
+                continue
+            for row in block:
+                cols = target if kind == "profile" else rng.choice(target, 4, False)
+                kernel[row, cols] = rng.integers(1, 8, size=cols.size)
+        table[p] = MarkovMatrix(space, kernel / kernel.sum(axis=1, keepdims=True))
+    c = CocycleFamily(driving=finite_rotation(len(kinds)), table=table)
+    order = sorted(range(16), key=lambda i: blocks[i].min())
+    dec = PeriodicDecomposition(
+        found=True, r=16, rho=np.array([order.index(pi[i]) for i in order]),
+        supports=[np.sort(blocks[i]) for i in order],
+        densities=[Density.indicator(space, blocks[i], normalized=True)
+                   for i in order],
+        lambdas=np.full(16, 1 / 16), burn_in=1, residual=0.0)
+    return c, dec
+
+
+@pytest.mark.parametrize("n", [64, 1024])
+@pytest.mark.parametrize("kinds", [("bijection", "sparse"),
+                                   ("sparse", "profile", "bijection"),
+                                   ("profile",)])
+def test_restricted_power_tables_equal_the_identity_slice_build(n, kinds):
+    c, dec = planted_block_cocycle(n, kinds, seed=n + len(kinds))
+    for component in range(0, 16, 5):
+        sub, cells = restricted_power_cocycle(c, dec, component)
+        tables, sigma = restricted_tables_from_identity_slices(c, dec, component)
+        assert cells.tobytes() == dec.supports[component].tobytes()
+        assert sub.driving.sigma.tolist() == sigma
+        assert [sub.table[p].kernel.tobytes() for p in range(len(kinds))] == [
+            MarkovMatrix(sub.space, t).kernel.tobytes() for t in tables]

@@ -257,6 +257,27 @@ def test_mass_apply_keeps_a_csr_stack_until_it_passes_the_fill():
     assert isinstance(out, np.ndarray) and np.count_nonzero(out) == 4
 
 
+def test_a_pushed_csr_stack_has_sorted_indices():
+    # a CSR product leaves its rows unsorted; the stored stack sums each row
+    # in ascending cell order, so CSR and dense pushes agree bit for bit
+    n = 1024
+    rng = np.random.default_rng(3)
+    rows = np.repeat(np.arange(n), 3)
+    weights = rng.integers(1, 8, size=rows.size).astype(float)
+    kernel = sp.csr_array((weights, (rows, rng.integers(0, n, rows.size))),
+                          shape=(n, n))
+    K = MarkovMatrix(FiniteMeasureSpace.uniform(n),
+                     kernel.multiply(1.0 / kernel.sum(axis=1)[:, None])).kernel
+    point_masses = np.eye(n)[rng.integers(0, n, 64)]
+    stack, dense = stored_stack(point_masses, K), point_masses
+    for _ in range(3):
+        stack, dense = mass_apply(stack, K), mass_apply(dense, K)
+        assert isinstance(stack, sp.csr_array) and stack.has_sorted_indices
+        for lo, hi in zip(stack.indptr[:-1], stack.indptr[1:]):
+            assert (np.diff(stack.indices[lo:hi]) > 0).all()
+        assert stack.toarray().tobytes() == dense.tobytes()
+
+
 def test_is_cell_map_detects_permutations(space4):
     perm = np.eye(4)[[1, 0, 3, 2]]
     assert MarkovMatrix(space4, perm).is_cell_map()
