@@ -39,8 +39,7 @@ def main(argv=None) -> int:
         a = sc.analysis
         f_basis, g_obs = _bases(sc)
         rep = estimate_mixing(sc.cocycle, "prior-hom", f_basis, g_obs,
-                              _env_points(sc), a.horizon, a.tol,
-                              tail_fraction=a.tail_fraction)
+                              _env_points(sc), a.horizon, a.tol)
         fits = fit_geometric_rates(rep.values)
         usable = fits.n_points >= 2
         if rep.decayed and usable.any():

@@ -129,17 +129,16 @@ def _burn_in_product(kernels, n: int) -> np.ndarray:
 @single_blas_thread
 def detect_periodicity(c: CocycleFamily, omega: EnvPoint, horizon: int,
                        r_max: int, tol: float = 1e-10,
-                       f0: Density | None = None,
-                       tail_fraction: float = 0.1) -> PeriodicDecomposition:
+                       f0: Density | None = None) -> PeriodicDecomposition:
     """Detect an asymptotic periodic decomposition along the orbit of omega.
 
-    The burn-in ends at ``tail_start(horizon + 1, tail_fraction)``, where the
-    decay verdicts read.  One orbit walk gives its kernels and the point
-    whose kernel is read next.  The burn-in product is one dense (N, N)
-    array, filled by pushing ROW_BLOCK cell indicators at a time through
-    those kernels, stored by the stack rule; a walk that meets a dense
-    kernel pushes all N as one block.  It is read in place: the residual
-    over row blocks, the burn-in masses of f0 as one push through it.
+    The burn-in ends at ``tail_start(horizon + 1)``, where the decay verdicts
+    read.  One orbit walk gives its kernels and the point whose kernel is
+    read next.  The burn-in product is one dense (N, N) array, filled by
+    pushing ROW_BLOCK cell indicators at a time through those kernels,
+    stored by the stack rule; a walk that meets a dense kernel pushes all N
+    as one block.  It is read in place: the residual over row blocks, the
+    burn-in masses of f0 as one push through it.
     """
     require_tolerance(tol)
     if r_max < 0:
@@ -148,7 +147,7 @@ def detect_periodicity(c: CocycleFamily, omega: EnvPoint, horizon: int,
     if f0 is not None and not np.isfinite(f0.values).all():
         raise PreconditionError("f0 must be finite: it holds NaN or inf values")
     n = c.n
-    burn = tail_start(horizon + 1, tail_fraction)
+    burn = tail_start(horizon + 1)
     *steps, late = orbit(c, omega, burn)
     kernels = [c.operator_at(pt).kernel for pt in steps]
     M = _burn_in_product(kernels, n)
@@ -301,10 +300,10 @@ def _greedy_packs(ms: np.ndarray, ws: np.ndarray, eps_values: np.ndarray):
 
 @single_blas_thread
 def quasi_constrictive_probe(c: CocycleFamily, omega: EnvPoint, horizon: int,
-                             eps_values, tail_fraction: float = 0.1) -> QCReport:
+                             eps_values) -> QCReport:
     """Probe constrictivity: the worst-case terminal mass a small cell union
     can capture, maximized over initial densities and the late times from
-    ``tail_start(horizon + 1, tail_fraction)``, where the decay verdicts read.
+    ``tail_start(horizon + 1)``, where the decay verdicts read.
 
     For each eps, the probe packs the heaviest cells of each pushed
     indicator (greedily, exact when weights are uniform) subject to the
@@ -316,8 +315,10 @@ def quasi_constrictive_probe(c: CocycleFamily, omega: EnvPoint, horizon: int,
     eps_values = np.sort(np.asarray(eps_values, dtype=float))
     if not (eps_values.size and np.isfinite(eps_values).all() and eps_values[0] > 0):
         raise PreconditionError(f"eps grid must be finite and > 0: {eps_values}")
-    if horizon < 0 or (burn := tail_start(horizon + 1, tail_fraction)) < 1:
-        raise PreconditionError("the probe reads late times: a window from n >= 1")
+    if horizon < 1:  # from horizon 1 on the window leaves n = 0 out
+        raise PreconditionError(
+            f"the probe reads late times: horizon must be >= 1, got {horizon}")
+    burn = tail_start(horizon + 1)
     w = c.space.weights
 
     best: list[QCWitness | None] = [None] * eps_values.size

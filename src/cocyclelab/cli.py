@@ -138,7 +138,7 @@ def cmd_run_mixing(args) -> int:
     f_basis, g_obs = _bases(sc)
     g_basis = _g_basis_for(sc, args.notion, g_obs)
     rep = estimate_mixing(sc.cocycle, args.notion, f_basis, g_basis, omegas,
-                          a.horizon, a.tol, tail_fraction=a.tail_fraction)
+                          a.horizon, a.tol)
     ns, (n_w, n_f, n_g, _) = np.arange(a.horizon + 1), rep.values.shape
     blocks = (([(args.notion, w, i, j) for j in range(n_g)],
                (ns, rep.values[w, i])) for w in range(n_w) for i in range(n_f))
@@ -155,8 +155,7 @@ def cmd_run_exactness(args) -> int:
     f_basis, g_obs = _bases(sc)
     ns, blocks = np.arange(a.horizon + 1), []
     for w, (_, rep) in enumerate(_per_probed_point(
-            sc, exactness_report, f_basis, g_obs, a.horizon, a.tol,
-            tail_fraction=a.tail_fraction)):
+            sc, exactness_report, f_basis, g_obs, a.horizon, a.tol)):
         blocks += [([(w, "norm")], (ns, rep.norm_curves.max(axis=0))),
                    ([(w, "lin")], (ns, rep.flatness_curves.max(axis=0)))]
         if rep.tail is not None:
@@ -173,8 +172,7 @@ def cmd_run_asymp(args) -> int:
     a = sc.analysis
     blocks = []
     for w, (_, dec) in enumerate(_per_probed_point(
-            sc, detect_periodicity, a.horizon, a.rmax, tol=a.asymp_tol,
-            tail_fraction=a.tail_fraction)):
+            sc, detect_periodicity, a.horizon, a.rmax, tol=a.asymp_tol)):
         if dec.found:
             label = (w, dec.r, cycle_notation(dec.rho))
             print(f"{sc.name} omega_{w}: r={dec.r} rho={cycle_notation(dec.rho)} "
@@ -193,8 +191,7 @@ def cmd_run_qc(args) -> int:
     eps_sorted = sorted(set(sc.analysis.eps))
     worst = np.zeros(len(eps_sorted))
     for _, rep in _per_probed_point(sc, quasi_constrictive_probe,
-                                    sc.analysis.horizon, eps_sorted,
-                                    sc.analysis.tail_fraction):
+                                    sc.analysis.horizon, eps_sorted):
         worst = np.maximum(worst, rep.deltas)
     _write_csv(args.out, ("eps", "delta"), [([()], (eps_sorted, worst))])
     verdict = worst[0] > 0.0
@@ -212,7 +209,6 @@ def cmd_run_skew(args) -> int:
     ns, blocks = np.arange(an.horizon + 1), []
     for pair_id, a, b in pairs:
         rep = skew_mixing_curve(nc, a, b, an.horizon, an.tol,
-                                tail_fraction=an.tail_fraction,
                                 mc_samples=an.env_samples, seed=an.env_seed)
         product = np.full(ns.size, rep.product)
         blocks.append(([(pair_id,)], (ns, rep.joint, product, rep.discrepancy)))
@@ -257,8 +253,7 @@ def _report_checks(sc):
     # per kind gives both orders: the check compares hom with inhom
     mixing = [estimate_mixing(
         sc.cocycle, f"prior-{kind}", f_basis, _g_basis_for(sc, kind, g_obs),
-        omegas, a.horizon, a.tol, tail_fraction=a.tail_fraction)
-        for kind in ("hom", "inhom")]
+        omegas, a.horizon, a.tol) for kind in ("hom", "inhom")]
     hom, inhom = (rep.decayed for rep in mixing)
     yield ("mixing-notions-equivalent", "all", hom == inhom,
            f"prior-hom={hom} post-hom={hom} "
@@ -267,8 +262,7 @@ def _report_checks(sc):
     # exactness route agreement per probed point, tail route where defined
     exact = []
     for w, (_, rep) in enumerate(_per_probed_point(
-            sc, exactness_report, f_basis, g_obs, a.horizon, a.tol,
-            tail_fraction=a.tail_fraction)):
+            sc, exactness_report, f_basis, g_obs, a.horizon, a.tol)):
         exact.append(rep.exact_verdict)
         yield ("exactness-routes-agree", w, rep.routes_agree,
                f"norm={rep.norms_decayed} dual={rep.dual_decayed}")
@@ -282,15 +276,14 @@ def _report_checks(sc):
 
     # periodicity against exactness and mixing, both read from the window
     for w, (omega, dec) in enumerate(_per_probed_point(
-            sc, detect_periodicity, a.horizon, a.rmax, tol=a.asymp_tol,
-            tail_fraction=a.tail_fraction)):
+            sc, detect_periodicity, a.horizon, a.rmax, tol=a.asymp_tol)):
         if not dec.found:
             yield "periodicity-vs-exactness", w, None, f"none found: {dec.reason}"
             continue
         # the point's decomposition meets the point's own mixing verdicts:
         # probed point w is omegas[w]: bernoulli samples are prefix-stable
-        hom_w, inhom_w = (decay_verdict(rep.prior_thresholds[w], a.horizon,
-                                        a.tail_fraction) for rep in mixing)
+        hom_w, inhom_w = (decay_verdict(rep.prior_thresholds[w], a.horizon)
+                          for rep in mixing)
         r_one = dec.r == 1
         yield ("periodicity-vs-exactness", w, r_one == exact[w],
                f"r={dec.r} exact={exact[w]}")
@@ -314,7 +307,7 @@ def _report_checks(sc):
             sub_rep = exactness_report(
                 sub, point(sub.driving, omega.index),
                 zero_mean_basis(sub.space), indicator_basis(sub.space),
-                a.horizon, a.tol, tail_fraction=a.tail_fraction)
+                a.horizon, a.tol)
             yield ("restricted-power-exact", w, sub_rep.exact_verdict,
                    f"component={i} cells={int(cells[0])}..{int(cells[-1])} "
                    f"({len(cells)})")

@@ -1,6 +1,11 @@
 """Decay-curve reading along the last axis of a curve array, shared by the
 mixing, exactness and skew reports: one decay verdict rule (a curve's settle
-index is at most its verdict window's start), plus geometric rate fits."""
+index is at most its verdict window's start), plus geometric rate fits.
+
+The verdict window of a curve over n = 0..horizon is its last tenth,
+``WINDOW_FRACTION``: the last max(1, ceil((horizon + 1) / 10)) entries.  It
+depends on the horizon alone, and for every horizon of 1 or more it leaves
+n = 0 out."""
 
 from __future__ import annotations
 
@@ -11,18 +16,15 @@ import numpy as np
 from cocyclelab.measure import PreconditionError
 
 RATE_FLOOR = 1e-14  # curve values at or below it take no part in a rate fit
+WINDOW_FRACTION = 0.1  # the verdict window: the last tenth of a curve
 
 
-def tail_start(length: int, tail_fraction: float = 0.1) -> int:
-    """Index where the verdict window begins: the last ceil(length * frac)
-    entries of the curve."""
+def tail_start(length: int) -> int:
+    """Index where the verdict window begins: the last
+    max(1, ceil(length * WINDOW_FRACTION)) entries of the curve."""
     if length < 1:
         raise PreconditionError("curves must have at least one entry")
-    if not 0 < tail_fraction <= 1:
-        raise PreconditionError(
-            f"tail_fraction must lie in (0, 1], got {tail_fraction}")
-    width = max(1, int(np.ceil(length * tail_fraction)))
-    return length - width
+    return length - max(1, int(np.ceil(length * WINDOW_FRACTION)))
 
 
 def suffix_envelope(values) -> np.ndarray:
@@ -42,9 +44,9 @@ def settle_index(values, tol: float) -> np.ndarray:
     return (v.shape[-1] - above[..., ::-1].argmax(axis=-1)) * above.any(axis=-1)
 
 
-def decay_verdict(settle, horizon: int, tail_fraction: float = 0.1) -> bool:
+def decay_verdict(settle, horizon: int) -> bool:
     """Every settle index lies at or before the verdict window's start."""
-    return bool(np.max(settle) <= tail_start(horizon + 1, tail_fraction))
+    return bool(np.max(settle) <= tail_start(horizon + 1))
 
 
 @dataclasses.dataclass(frozen=True, eq=False)

@@ -43,7 +43,7 @@ import functools
 import numpy as np
 
 from cocyclelab.cocycle import CocycleFamily, orbit, orbit_kernels, push_kernels
-from cocyclelab.curves import decay_verdict, settle_index, tail_start
+from cocyclelab.curves import decay_verdict, settle_index
 from cocyclelab.driving import EnvPoint
 from cocyclelab.measure import (MarkovMatrix, PreconditionError, issparse,
                                 require_finite_columns, require_horizon,
@@ -175,8 +175,8 @@ def cell_map_orbit(c: CocycleFamily, omega: EnvPoint, n: int):
             dest = destinations(c.operator_at(pt))[dest]
 
 
-def tail_partition(c: CocycleFamily, omega: EnvPoint, horizon: int,
-                   tail_fraction: float = 0.1) -> TailPartitionReport:
+def tail_partition(c: CocycleFamily, omega: EnvPoint,
+                   horizon: int) -> TailPartitionReport:
     """Preimage-partition coarsening along the orbit, for cell-map cocycles.
 
     The atoms at step n are the nonempty preimage classes of the n-step
@@ -184,7 +184,6 @@ def tail_partition(c: CocycleFamily, omega: EnvPoint, horizon: int,
     and triviality means one atom from the verdict window's start on.
     """
     require_horizon(horizon)
-    tail_start(horizon + 1, tail_fraction)  # rejects a bad tail_fraction
     counts = np.empty(horizon + 1, dtype=np.int64)
     for n, (_, dest) in enumerate(cell_map_orbit(c, omega, horizon)):
         counts[n] = np.count_nonzero(np.bincount(dest, minlength=c.n))
@@ -192,7 +191,7 @@ def tail_partition(c: CocycleFamily, omega: EnvPoint, horizon: int,
             raise AssertionError("preimage partition refined instead of coarsening")
     # counts - 1 is an integer: it is below 1 exactly where one atom is left
     return TailPartitionReport(counts, decay_verdict(
-        settle_index(counts - 1, 1), horizon, tail_fraction))
+        settle_index(counts - 1, 1), horizon))
 
 
 @dataclasses.dataclass(eq=False)
@@ -203,7 +202,6 @@ class ExactnessReport:
 
     horizon: int
     tol: float
-    tail_fraction: float
     norm_curves: np.ndarray
     flatness_curves: np.ndarray
     mean_distance_curves: np.ndarray
@@ -224,8 +222,7 @@ class ExactnessReport:
 
 @single_blas_thread
 def exactness_report(c: CocycleFamily, omega: EnvPoint, f_basis, g_basis,
-                     horizon: int, tol: float,
-                     tail_fraction: float = 0.1) -> ExactnessReport:
+                     horizon: int, tol: float) -> ExactnessReport:
     """Run the norm and dual routes side by side; add the tail-partition
     route when every operator moves whole cells.
 
@@ -234,16 +231,15 @@ def exactness_report(c: CocycleFamily, omega: EnvPoint, f_basis, g_basis,
     """
     require_tolerance(tol)
     require_horizon(horizon)
-    tail_start(horizon + 1, tail_fraction)  # rejects a bad tail_fraction
     norms = exactness_norms(c, omega, f_basis, horizon)
     dual = lin_dual_flatness(c, omega, g_basis, horizon)
-    tail = (tail_partition(c, omega, horizon, tail_fraction)
+    tail = (tail_partition(c, omega, horizon)
             if all(P.is_cell_map() for P in c.table.values()) else None)
     norms_decayed, dual_decayed = (
-        decay_verdict(settle_index(v, tol), horizon, tail_fraction)
+        decay_verdict(settle_index(v, tol), horizon)
         for v in (norms, dual.flatness))
     return ExactnessReport(
-        horizon=horizon, tol=tol, tail_fraction=tail_fraction,
+        horizon=horizon, tol=tol,
         norm_curves=norms, flatness_curves=dual.flatness,
         mean_distance_curves=dual.mean_distance,
         norms_decayed=norms_decayed, dual_decayed=dual_decayed, tail=tail)

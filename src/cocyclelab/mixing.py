@@ -35,7 +35,7 @@ import numpy as np
 
 from cocyclelab.cocycle import (CocycleFamily, kernel_groups, push_kernels,
                                 push_orbit)
-from cocyclelab.curves import decay_verdict, settle_index, tail_start
+from cocyclelab.curves import decay_verdict, settle_index
 from cocyclelab.driving import EnvPoint, feature, finite_rotation
 from cocyclelab.measure import (
     Density,
@@ -166,7 +166,6 @@ class MixingReport:
     notion: str
     horizon: int
     tol: float
-    tail_fraction: float
     values: np.ndarray
     prior_thresholds: np.ndarray      # (n_omega,) latest settle per sample
     posterior_thresholds: np.ndarray  # (n_f, n_g) latest settle per pair
@@ -174,14 +173,12 @@ class MixingReport:
     @property
     def decayed(self) -> bool:
         """Every curve settles by the start of its verdict window."""
-        return decay_verdict(self.prior_thresholds, self.horizon,
-                             self.tail_fraction)
+        return decay_verdict(self.prior_thresholds, self.horizon)
 
 
 @single_blas_thread
 def estimate_mixing(c: CocycleFamily, notion: str, f_basis, g_basis,
-                    omega_samples, horizon: int, tol: float,
-                    tail_fraction: float = 0.1) -> MixingReport:
+                    omega_samples, horizon: int, tol: float) -> MixingReport:
     """Correlation curves over the sampled environment points and bases,
     with the decay verdict in the requested quantifier order.
 
@@ -210,7 +207,6 @@ def estimate_mixing(c: CocycleFamily, notion: str, f_basis, g_basis,
             "mixing estimates need at least one environment point")
     require_horizon(horizon)
     require_tolerance(tol)
-    tail_start(horizon + 1, tail_fraction)  # rejects a bad tail_fraction
     # a curve reads only the operators and the features (none for fixed
     # observables) its orbit meets: walk each distinct point once, push once
     # per operator sequence, read each (step, feature) product once
@@ -235,7 +231,7 @@ def estimate_mixing(c: CocycleFamily, notion: str, f_basis, g_basis,
     curves = np.moveaxis(curves, 0, -1).copy()  # n innermost; frees the buffer
     settle = settle_index(curves, tol)
     return MixingReport(notion=notion, horizon=horizon, tol=tol,
-                        tail_fraction=tail_fraction, values=curves[pos],
+                        values=curves[pos],
                         prior_thresholds=settle.max(axis=(1, 2))[pos],
                         posterior_thresholds=settle.max(axis=0))
 

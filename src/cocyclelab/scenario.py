@@ -13,8 +13,7 @@ Layout (keys in parentheses are optional)::
                  kernel: [[...], ...]             explicit row-stochastic matrix
                  synthetic: identity | uniform | {block_cycle: r}
     cocycle:   table: {feature -> operator name}  or  constant: name
-    analysis:  (horizon) (tol) (rmax) (eps) (tail_fraction) (basis_count)
-               (asymp_tol)
+    analysis:  (horizon) (tol) (rmax) (eps) (basis_count) (asymp_tol)
 
 Every number goes through one strict reader, a key that is not read is an
 error, and an error names its key.  One rule table checks the analysis values
@@ -43,7 +42,6 @@ import numpy as np
 import yaml
 
 from .cocycle import CocycleFamily
-from .curves import tail_start
 from .driving import (
     DrivingSystem,
     bernoulli_shift,
@@ -85,7 +83,6 @@ class AnalysisConfig:
     tol: float = 1e-6
     rmax: int = 8
     eps: tuple = (0.25, 0.125)
-    tail_fraction: float = 0.1
     basis_count: int | None = None
     env_samples: int = 64
     env_seed: int = 0
@@ -101,7 +98,6 @@ ANALYSIS_KEYS = {
     "tol": ("analysis.tol", "--tol"),
     "rmax": ("analysis.rmax", "--rmax"),
     "eps": ("analysis.eps", "--eps"),
-    "tail_fraction": ("analysis.tail_fraction", None),
     "basis_count": ("analysis.basis_count", None),
     "env_samples": ("driving.samples", "--mc-samples"),
     "env_seed": ("driving.seed", "--seed-override"),
@@ -355,7 +351,6 @@ def _check_analysis(cfg: AnalysisConfig, names: dict):
     set it; an error names the value as `names` does."""
     # the comparisons are written so that NaN fails them
     checks = (
-        (0 < cfg.tail_fraction <= 1, "tail_fraction", "lie in (0, 1]"),
         (cfg.basis_count is None or cfg.basis_count >= 1, "basis_count",
          "be >= 1"),
         (0 < cfg.tol < np.inf, "tol", "be finite and > 0"),
@@ -373,14 +368,6 @@ def _check_analysis(cfg: AnalysisConfig, names: dict):
             value = getattr(cfg, name)
             raise ScenarioError(f"{names[name]} must {rule}, got "
                                 f"{list(value) if name == 'eps' else value}")
-    # a window that holds n = 0 reads every curve before it can decay;
-    # horizon 0 has no other entry and is exempt
-    h = cfg.horizon
-    if h >= 1 and tail_start(h + 1, cfg.tail_fraction) == 0:
-        raise ScenarioError(
-            f"{names['tail_fraction']} {cfg.tail_fraction} puts n = 0 in the "
-            f"verdict window at horizon {h}; it must be at most "
-            f"{h}/{h + 1}")
 
 
 def load_scenario(path: str, flags: dict | None = None) -> Scenario:

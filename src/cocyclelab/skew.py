@@ -47,7 +47,7 @@ from collections.abc import Callable
 import numpy as np
 
 from cocyclelab.cocycle import NormalizedCocycle, orbit
-from cocyclelab.curves import decay_verdict, settle_index, tail_start
+from cocyclelab.curves import decay_verdict, settle_index
 from cocyclelab.driving import (
     BERNOULLI,
     DrivingSystem,
@@ -285,8 +285,8 @@ class SkewMixingReport:
 
 @single_blas_thread
 def skew_mixing_curve(nc: NormalizedCocycle, a: ProductSet, b: ProductSet,
-                      horizon: int, tol: float, tail_fraction: float = 0.1,
-                      mc_samples: int = 0, seed: int = 0) -> SkewMixingReport:
+                      horizon: int, tol: float, *, mc_samples: int = 0,
+                      seed: int = 0) -> SkewMixingReport:
     """Joint-measure curve nu(Theta^-n A and B) against nu(A) nu(B).
 
     In the operator picture the fiber part of the joint measure pushes the
@@ -297,7 +297,6 @@ def skew_mixing_curve(nc: NormalizedCocycle, a: ProductSet, b: ProductSet,
     env_a, env_b = (_env_part(c.driving, s, c.n) for s in (a, b))
     require_horizon(horizon)
     require_tolerance(tol)
-    tail_start(horizon + 1, tail_fraction)  # rejects a bad tail_fraction
 
     route = _route(nc, mc_samples, seed, 2, "skew mixing")
     factor = route.factor(env_a, env_b, horizon)
@@ -310,7 +309,7 @@ def skew_mixing_curve(nc: NormalizedCocycle, a: ProductSet, b: ProductSet,
     disc = joint - product
     return SkewMixingReport(
         horizon=horizon, tol=tol, joint=joint, product=product, discrepancy=disc,
-        decayed=decay_verdict(settle_index(disc, tol), horizon, tail_fraction),
+        decayed=decay_verdict(settle_index(disc, tol), horizon),
         method=route.method, h_converged=converged and conv_a and conv_b,
         stderr=route.stderr(per[0]), **route.extra(env_a, env_b, factor))
 

@@ -66,11 +66,14 @@ class MapSpec:
             b = np.asarray(self.breakpoints, dtype=float)
             s = np.asarray(self.slopes, dtype=float)
             c = np.asarray(self.intercepts, dtype=float)
+            # written so that NaN fails: a NaN breakpoint has no order
             if b.ndim != 1 or b.size < 2 or b[0] != 0.0 or b[-1] != 1.0 \
-                    or np.any(np.diff(b) <= 0):
+                    or not np.all(np.diff(b) > 0):
                 raise ValueError("breakpoints must increase from 0 to 1")
             if s.shape != (b.size - 1,) or c.shape != s.shape:
                 raise ValueError("need one slope and one intercept per piece")
+            if not (np.isfinite(s).all() and np.isfinite(c).all()):
+                raise ValueError("slopes and intercepts must be finite")
             object.__setattr__(self, "breakpoints", b)
             object.__setattr__(self, "slopes", s)
             object.__setattr__(self, "intercepts", c)

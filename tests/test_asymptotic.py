@@ -83,11 +83,9 @@ def test_burn_in_is_the_verdict_window_start():
     # found or not, the detector reads from where the decay verdicts read,
     # the identity at horizon 0 included
     c = constant_cocycle(block_cycle_kernel(6, 3))
-    for horizon in (0, 1, 2, 10, 40):
-        for tail_fraction in (0.1, 0.5, 1.0):
-            dec = detect_periodicity(c, point(c.driving, 0), horizon, 8,
-                                     tail_fraction=tail_fraction)
-            assert dec.burn_in == tail_start(horizon + 1, tail_fraction)
+    for horizon in (0, 1, 2, 10, 11, 40):
+        dec = detect_periodicity(c, point(c.driving, 0), horizon, 8)
+        assert dec.burn_in == tail_start(horizon + 1)
     assert detect(c, horizon=0).burn_in == 0
 
 
@@ -349,14 +347,28 @@ def test_qc_probe_rejects_bad_grid():
         quasi_constrictive_probe(c, point(c.driving, 0), 0, [0.5])
 
 
-@pytest.mark.parametrize("horizon, tail_fraction",
-                         [(-1, 0.1), (0, 0.1), (1, 1.0), (4, 1.0)])
-def test_qc_probe_rejects_a_window_that_starts_at_n_zero(horizon, tail_fraction):
-    # step 0 is the identity, where one cell captures each indicator whole
+@pytest.mark.parametrize("horizon", [-1, 0])
+def test_qc_probe_rejects_a_window_that_starts_at_n_zero(horizon):
+    # step 0 is the identity, where one cell captures each indicator whole;
+    # only horizon 0 puts it in the window
     c = constant_cocycle(np.eye(4))
-    with pytest.raises(PreconditionError, match="a window from n >= 1"):
-        quasi_constrictive_probe(c, point(c.driving, 0), horizon, [0.5],
-                                 tail_fraction)
+    with pytest.raises(PreconditionError,
+                       match=rf"horizon must be >= 1, got {horizon}"):
+        quasi_constrictive_probe(c, point(c.driving, 0), horizon, [0.5])
+    rep = quasi_constrictive_probe(c, point(c.driving, 0), 1, [0.5])
+    assert [wit.n for wit in rep.witnesses] == [1]
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 10, 11, 21, 40])
+def test_qc_probe_reads_from_the_verdict_window_start(horizon):
+    # the identity captures each indicator whole at every step, so the first
+    # maximum in step order is the first step of the window, which holds the
+    # last max(1, ceil((horizon + 1) / 10)) steps
+    c = constant_cocycle(np.eye(4))
+    rep = quasi_constrictive_probe(c, point(c.driving, 0), horizon, [0.5])
+    start = tail_start(horizon + 1)
+    assert start == horizon + 1 - max(1, -(-(horizon + 1) // 10))
+    assert [(wit.n, wit.captured) for wit in rep.witnesses] == [(start, 1.0)]
 
 
 # -- properties ------------------------------------------------------------------
@@ -507,13 +519,13 @@ def test_detector_on_block_permutations_matches_the_csgraph_labelling(
     assert dec.residual == ref.residual
 
 
-def qc_probe_loop(c, omega, horizon, eps_values, tail_fraction):
+def qc_probe_loop(c, omega, horizon, eps_values):
     """Reference probe: the greedy pack row by row, eps by eps, cell by
     cell, from the verdict window's start, keeping the first maximum in
     (step, row) order."""
     eps_values = np.sort(np.asarray(eps_values, dtype=float))
     w = c.space.weights
-    burn = tail_start(horizon + 1, tail_fraction)
+    burn = tail_start(horizon + 1)
     mass = np.eye(c.n)
     best = [None] * eps_values.size
     for step in range(horizon + 1):
@@ -541,11 +553,9 @@ def qc_probe_loop(c, omega, horizon, eps_values, tail_fraction):
 
 
 @given(st.integers(min_value=2, max_value=9), st.booleans(),
-       st.integers(0, 2**20), st.integers(min_value=1, max_value=6),
-       st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=3),
-       st.sampled_from([0.1, 0.5]))
-def test_qc_probe_matches_the_greedy_loop(n, uniform, seed, horizon, eps_ninths,
-                                          tail_fraction):
+       st.integers(0, 2**20), st.integers(min_value=1, max_value=12),
+       st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=3))
+def test_qc_probe_matches_the_greedy_loop(n, uniform, seed, horizon, eps_ninths):
     rng = np.random.default_rng(seed)
     # entries on a coarse grid, with zeros, so sorted masses tie and the
     # support floor cuts rows short
@@ -558,9 +568,8 @@ def test_qc_probe_matches_the_greedy_loop(n, uniform, seed, horizon, eps_ninths,
     c = constant_cocycle(MarkovMatrix(space, kernel))
     # eps on multiples of 1/9 meets running weight sums exactly
     eps = [k / 9 for k in eps_ninths]
-    rep = quasi_constrictive_probe(c, point(c.driving, 0), horizon, eps,
-                                   tail_fraction)
-    ref = qc_probe_loop(c, point(c.driving, 0), horizon, eps, tail_fraction)
+    rep = quasi_constrictive_probe(c, point(c.driving, 0), horizon, eps)
+    ref = qc_probe_loop(c, point(c.driving, 0), horizon, eps)
     assert rep.deltas.tolist() == [1.0 - b[4] for b in ref]
     assert [(wit.eps, wit.source_cell, wit.n, wit.cells, wit.captured)
             for wit in rep.witnesses] == ref
@@ -570,14 +579,13 @@ def test_qc_probe_matches_the_greedy_loop(n, uniform, seed, horizon, eps_ninths,
 
 
 @single_blas_thread
-def detect_whole_stack(c, omega, horizon, r_max, tol=1e-10, f0=None,
-                       tail_fraction=0.1):
+def detect_whole_stack(c, omega, horizon, r_max, tol=1e-10, f0=None):
     """Reference detector: the burn-in as one push of the stored identity
     along the orbit, read as a whole (rows by their largest entry, the
     within-component residual over all of a component's rows at once).  On
     one BLAS thread, as the detector: gemm's bits depend on the count."""
     n = c.n
-    burn = tail_start(horizon + 1, tail_fraction)
+    burn = tail_start(horizon + 1)
     for late, product in push_orbit(c, omega, stored_kernel(np.eye(n)), burn):
         pass
     M = dense(product)

@@ -206,14 +206,13 @@ def test_tail_route_rejects_a_fractional_kernel_met_on_the_walk():
         tail_partition(c, point(c.driving, 0), horizon=3)
 
 
-@pytest.mark.parametrize("horizon, trivial", [(5, True), (4, False),
-                                              (3, False)])
+@pytest.mark.parametrize("horizon, trivial", [(3, True), (2, False),
+                                              (1, False), (10, True)])
 def test_tail_partition_reads_one_atom_from_the_window_start(horizon, trivial):
-    # 8, 4, 2, 1, ...: one atom from n = 3 on; with tail_fraction 0.5 the
-    # window starts at n = 3, 2 and 2, so the one atom at n = 3 counts only
-    # when the window starts there
+    # 8, 4, 2, 1, ...: one atom from n = 3 on; the window starts at n = 3, 2,
+    # 1 and 9, so the atoms count as trivial only from a start at n >= 3
     c = cell_map_cocycle([i // 2 for i in range(8)])
-    rep = tail_partition(c, point(c.driving, 0), horizon, tail_fraction=0.5)
+    rep = tail_partition(c, point(c.driving, 0), horizon)
     assert rep.trivial is trivial
 
 
@@ -226,23 +225,6 @@ def test_halving_map_tail_route_agrees_with_the_norm_route(horizon):
     rep = full_report(c, horizon=horizon)
     assert rep.tail is not None and rep.routes_agree
     assert rep.tail.trivial == rep.exact_verdict == (horizon == 11)
-
-
-@pytest.mark.parametrize("route", ["report", "tail"])
-@pytest.mark.parametrize("tail_fraction", [0.0, -0.5, 1.5, float("nan")])
-def test_routes_reject_a_bad_tail_fraction_before_walking(
-        monkeypatch, route, tail_fraction):
-    def no_walk(*args, **kwargs):
-        raise AssertionError("walked the orbit")
-
-    for name in ("orbit_kernels", "cell_map_orbit"):
-        monkeypatch.setattr(cocyclelab.exactness, name, no_walk)
-    c = cell_map_cocycle([i // 2 for i in range(8)])
-    with pytest.raises(PreconditionError, match="tail_fraction"):
-        if route == "report":
-            full_report(c, horizon=6, tail_fraction=tail_fraction)
-        else:
-            tail_partition(c, point(c.driving, 0), 6, tail_fraction)
 
 
 # -- combined report -----------------------------------------------------------
@@ -664,6 +646,27 @@ def test_tail_partition_rejects_a_negative_horizon():
     c = cell_map_cocycle([1, 2, 3, 0])
     with pytest.raises(PreconditionError, match="horizon"):
         tail_partition(c, point(c.driving, 0), -1)
+
+
+@pytest.mark.parametrize("horizon", [-1, -3])
+@pytest.mark.parametrize("route", ["report", "norms", "dual", "tail"])
+def test_routes_reject_a_negative_horizon_before_walking(monkeypatch, route,
+                                                         horizon):
+    # a negative step count names a backward walk on an invertible driving;
+    # each route rejects it before asking for the first orbit point
+    c = cell_map_cocycle([1, 2, 3, 0])
+
+    def no_walk(self, omega):
+        raise AssertionError("walked an orbit")
+
+    monkeypatch.setattr(CocycleFamily, "check_point", no_walk)
+    with pytest.raises(PreconditionError, match=f"horizon must be >= 0, got "
+                       f"{horizon}"):
+        if route == "tail":
+            tail_partition(c, point(c.driving, 0), horizon)
+        else:
+            run_route(route, c, zero_mean_basis(c.space),
+                      indicator_basis(c.space), horizon)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

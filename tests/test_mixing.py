@@ -60,6 +60,7 @@ from cocyclelab.mixing import (
     step_map_basis,
     zero_mean_basis,
 )
+from cocyclelab.scenario import MAX_HORIZON
 from cocyclelab.transfer import MapSpec, bit_shift_permutation, pf_exact
 
 DOUBLING4 = np.array([
@@ -79,11 +80,11 @@ def constant_cocycle(kernel, q=1):
     return CocycleFamily(driving=driving, table={i: P for i in range(q)})
 
 
-def window_below(values, tol, tail_fraction=0.1):
+def window_below(values, tol):
     """Reference verdict per curve (last axis): does the verdict window stay
     below tol?"""
     v = np.abs(np.asarray(values, dtype=float))
-    return v[..., tail_start(v.shape[-1], tail_fraction):].max(axis=-1) < tol
+    return v[..., tail_start(v.shape[-1]):].max(axis=-1) < tol
 
 
 def first_below(values, tol):
@@ -278,11 +279,15 @@ def test_bases_reject_a_count_below_one(basis, count):
         basis(FiniteMeasureSpace.uniform(6), count=count)
 
 
-@pytest.mark.parametrize("frac", [float("nan"), -0.5, 0.0, 1.5])
-def test_tail_start_rejects_a_fraction_outside_the_unit_interval(frac):
-    with pytest.raises(PreconditionError, match="tail_fraction"):
-        tail_start(10, frac)
-    assert tail_start(10, 1.0) == 0 and tail_start(10, 0.1) == 9
+def test_verdict_window_is_the_last_tenth_of_every_curve():
+    # the float rule against integer arithmetic on every length a horizon
+    # the loader accepts can give
+    for length in range(1, MAX_HORIZON + 2):
+        assert tail_start(length) == length - max(1, -(-length // 10))
+    # no horizon of 1 or more reads n = 0 in its window
+    assert all(tail_start(h + 1) >= 1 for h in range(1, MAX_HORIZON + 1))
+    with pytest.raises(PreconditionError, match="at least one entry"):
+        tail_start(0)
 
 
 def test_step_map_basis_enumerates_feature_observable_pairs():
@@ -444,7 +449,7 @@ def test_estimator_rejects_a_point_of_another_driving():
 
 
 def reference_estimate(c, notion, f_basis, g_basis, omega_samples, horizon,
-                       tol, tail_fraction=0.1):
+                       tol):
     """The estimator written out plainly: one orbit per sample, the
     observables stacked afresh at every step."""
     inhom = notion.endswith("inhom")
@@ -468,7 +473,7 @@ def reference_estimate(c, notion, f_basis, g_basis, omega_samples, horizon,
         return horizon + 1 if None in firsts else max(firsts)
 
     pairs = [(i, j) for i in range(n_f) for j in range(n_g)]
-    decayed = {(w, i, j): window_below(values[w, i, j], tol, tail_fraction)
+    decayed = {(w, i, j): window_below(values[w, i, j], tol)
                for w in range(n_w) for i, j in pairs}
     return {
         "values": values,
@@ -515,7 +520,7 @@ def repeated_omega_case(draw):
         omegas = pts + [pts[draw(st.integers(0, len(pts) - 1))]]
         omegas = draw(st.permutations(omegas))
     notion = draw(st.sampled_from(NOTIONS))
-    horizon = draw(st.integers(min_value=0, max_value=6))
+    horizon = draw(st.integers(min_value=0, max_value=12))  # windows of 1-2
     tol = draw(st.sampled_from([1e-12, 1e-4, 1e-2, 0.2]))
     return c, notion, omegas, horizon, tol
 
@@ -556,14 +561,13 @@ def test_verdict_and_both_orders_read_one_settle_index(case):
     if notion.endswith("inhom"):
         g_basis = step_map_basis(c, g_basis)
     rep = estimate_mixing(c, notion, f_basis, g_basis, omegas, horizon, tol)
-    window = tail_start(horizon + 1, rep.tail_fraction)
+    window = tail_start(horizon + 1)
     assert rep.decayed == bool(window_below(rep.values, tol).all())
     assert rep.prior_thresholds.max() == rep.posterior_thresholds.max()
     for w in range(len(omegas)):
         assert (rep.prior_thresholds[w] <= window) == bool(
             window_below(rep.values[w], tol).all())
-        assert decay_verdict(rep.prior_thresholds[w], horizon,
-                             rep.tail_fraction) == bool(
+        assert decay_verdict(rep.prior_thresholds[w], horizon) == bool(
             window_below(rep.values[w], tol).all())
 
 
@@ -681,18 +685,19 @@ def reference_settle(values, tol):
     return n
 
 
-def reference_window_max(values, tail_fraction):
+def reference_window_max(values):
     """The one-curve maximum over the verdict window, for 1-D input only."""
     v = np.asarray(values, dtype=float)
-    return float(np.abs(v[tail_start(v.size, tail_fraction):]).max())
+    return float(np.abs(v[tail_start(v.size):]).max())
 
 
 @st.composite
 def curve_stack(draw):
-    """0-3 leading axes over curves of length 1-20 with exact zeros, sign
-    changes and magnitudes spread over several decades."""
+    """0-3 leading axes over curves of length 1-40 with exact zeros, sign
+    changes and magnitudes spread over several decades; from 11 entries on
+    the verdict window holds more than one entry."""
     shape = tuple(draw(st.lists(st.integers(1, 3), max_size=3))) \
-        + (draw(st.integers(1, 20)),)
+        + (draw(st.integers(1, 40)),)
     entry = st.one_of(st.just(0.0),
                       st.builds(lambda x, k: x * 10.0 ** -k,
                                 st.floats(-4.0, 4.0, allow_nan=False),
@@ -702,11 +707,8 @@ def curve_stack(draw):
     return np.array(flat).reshape(shape)
 
 
-@given(curve_stack(),
-       st.floats(0.0, 1.0, exclude_min=True),
-       st.sampled_from([1e-12, 1e-6, 1e-3, 0.5, 2.0]))
-def test_settle_index_reads_the_last_axis_like_the_one_curve_code(
-        values, tail_fraction, tol):
+@given(curve_stack(), st.sampled_from([1e-12, 1e-6, 1e-3, 0.5, 2.0]))
+def test_settle_index_reads_the_last_axis_like_the_one_curve_code(values, tol):
     env = suffix_envelope(values)
     settle = settle_index(values, tol)
     horizon = values.shape[-1] - 1
@@ -716,10 +718,10 @@ def test_settle_index_reads_the_last_axis_like_the_one_curve_code(
         assert env[idx].tobytes() == reference_envelope(values[idx]).tobytes()
         assert settle[idx] == reference_settle(values[idx], tol)
         # settling by the window start is the window's maximum below tol
-        assert decay_verdict(settle[idx], horizon, tail_fraction) == (
-            reference_window_max(values[idx], tail_fraction) < tol)
-    assert decay_verdict(settle, horizon, tail_fraction) == bool(
-        window_below(values, tol, tail_fraction).all())
+        assert decay_verdict(settle[idx], horizon) == (
+            reference_window_max(values[idx]) < tol)
+    assert decay_verdict(settle, horizon) == bool(
+        window_below(values, tol).all())
 
 
 @given(st.lists(st.lists(st.sampled_from(

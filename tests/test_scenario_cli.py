@@ -87,8 +87,11 @@ def test_minimal_doubling_scenario(tmp_path):
      "space block has unknown keys ['weigths']"),
     (MINIMAL.replace("{constant: P0}", "{tabel: {0: P0}, constant: P0}"),
      "cocycle block has unknown keys ['tabel']"),
+    # the verdict window is the last tenth of every curve; no key moves it
+    (MINIMAL + "analysis: {tail_fraction: 0.1}\n",
+     "scenario file has unknown keys ['analysis.tail_fraction']"),
 ], ids=["analysis", "operator", "driving", "ulam-without-map", "ulam-block",
-        "top-level", "space", "cocycle"])
+        "top-level", "space", "cocycle", "window-fraction"])
 def test_a_key_the_loader_does_not_read_is_an_error(tmp_path, capsys, text,
                                                     message):
     # a typo would otherwise run with the default it meant to replace
@@ -512,6 +515,17 @@ def test_cli_bad_horizon_or_tol_exit_two(tmp_path, capsys, command, flags):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_cli_qc_at_horizon_zero_exit_two(tmp_path, capsys):
+    # the probe reads late times, and only n = 0 lies in the window there
+    rc = main(["run-qc", "--scenario", str(SCENARIOS / "blockswap.yaml"),
+               "--horizon", "0", "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "horizon must be >= 1, got 0" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_cli_horizon_at_the_cap_is_valid(tmp_path):
     out = tmp_path / "mx.csv"
     rc = main(["run-mixing", "--scenario", str(SCENARIOS / "blockswap.yaml"),
@@ -611,10 +625,10 @@ def test_prior_and_posterior_reports_of_one_kind_are_identical(tmp_path):
 NAN = float("nan")
 INF = float("inf")
 BAD_VALUES = {  # id -> (scenario, block, key, value)
-    "tail-nan": ("block3cycle.yaml", "analysis", "tail_fraction", NAN),
-    "tail-negative": ("block3cycle.yaml", "analysis", "tail_fraction", -0.5),
+    "basis-zero": ("block3cycle.yaml", "analysis", "basis_count", 0),
     "basis-negative": ("block3cycle.yaml", "analysis", "basis_count", -1),
     "asymp-tol-nan": ("block3cycle.yaml", "analysis", "asymp_tol", NAN),
+    "asymp-tol-negative": ("block3cycle.yaml", "analysis", "asymp_tol", -0.5),
     "asymp-tol-inf": ("block3cycle.yaml", "analysis", "asymp_tol", INF),
     "tol-inf": ("block3cycle.yaml", "analysis", "tol", INF),
     "tol-nan": ("block3cycle.yaml", "analysis", "tol", NAN),
@@ -633,8 +647,8 @@ BAD_VALUES = {  # id -> (scenario, block, key, value)
     "horizon-negative": ("blockswap.yaml", "analysis", "horizon", -1),
 }
 # each value with a command that used to crash on it or run with it
-BAD_RUNS = [("tail-nan", "report"), ("tail-nan", "run-exactness"),
-            ("tail-negative", "report"), ("basis-negative", "report"),
+BAD_RUNS = [("basis-zero", "report"), ("basis-zero", "run-exactness"),
+            ("asymp-tol-negative", "report"), ("basis-negative", "report"),
             ("asymp-tol-nan", "run-asymp"), ("rmax-negative", "report"),
             ("samples-negative", "report"), ("samples-zero", "run-exactness"),
             ("eps-nan", "run-qc"), ("eps-inf", "run-qc"),
@@ -672,6 +686,15 @@ def test_cli_bad_analysis_value_exit_two(tmp_path, capsys, case, command):
     assert not out.exists()
 
 
+def ulam_piecewise(**params):
+    """An operators block whose P0 is the Ulam kernel of the identity as a
+    piecewise-linear map, with `params` replacing its pieces."""
+    pieces = {"breakpoints": [0.0, 1.0], "slopes": [1.0], "intercepts": [0.0]}
+    return {"P0": {"map": {"kind": "piecewise_linear",
+                           "params": {**pieces, **params}},
+                   "ulam": {"samples": 16, "seed": 0}}}
+
+
 # a malformed number or map block in a scenario: case -> (block, the block that replaces
 # it in doubling_exact, words of the error, the key among them)
 MALFORMED_SCENARIOS = {
@@ -703,6 +726,17 @@ MALFORMED_SCENARIOS = {
                            "cocycle.constant must be an operator name, got list"),
     "table-name-list": ("cocycle", {"table": {0: ["P0"]}},
                         "cocycle.table[0] must be an operator name, got list"),
+    # a NaN slope once sent every Ulam sample to the last cell, and `report`
+    # passed every check on that kernel
+    "map-slope-nan": ("operators", ulam_piecewise(slopes=[NAN]),
+                      "bad map spec ('piecewise_linear'): slopes and "
+                      "intercepts must be finite"),
+    "map-intercept-inf": ("operators", ulam_piecewise(intercepts=[INF]),
+                          "bad map spec ('piecewise_linear'): slopes and "
+                          "intercepts must be finite"),
+    "map-breakpoint-nan": ("operators", ulam_piecewise(
+        breakpoints=[0.0, NAN, 1.0], slopes=[1.0, 1.0], intercepts=[0.0, 0.5]),
+        "bad map spec ('piecewise_linear'): breakpoints must increase"),
 }
 
 
@@ -778,29 +812,52 @@ def test_output_block_is_ignored(tmp_path, capsys, output):
     assert "Traceback" not in capsys.readouterr().err
 
 
-def test_cli_mixing_reads_the_scenario_tail_fraction(tmp_path, capsys):
-    # the verdict window starts at n = 4, before the 64-cell exact doubling
-    # kernel has flattened every curve (it needs six steps)
-    path = with_value(tmp_path, "doubling_exact.yaml", "analysis",
-                      "tail_fraction", 0.9)
-    assert main(["run-mixing", "--scenario", path, "--notion", "prior-hom",
-                 "--out", str(tmp_path / "m.csv")]) == 0
-    assert "decayed=False" in capsys.readouterr().out
-    assert main(["run-exactness", "--scenario", path,
-                 "--out", str(tmp_path / "e.csv")]) == 0
-    assert "exact=False" in capsys.readouterr().out
+@pytest.mark.parametrize("command, horizon, verdict", [
+    ("run-mixing", 5, "decayed=False"), ("run-mixing", 6, "decayed=True"),
+    ("run-exactness", 5, "exact=False"), ("run-exactness", 6, "exact=True")])
+def test_cli_mixing_and_exactness_read_their_window_from_the_horizon(
+        tmp_path, capsys, command, horizon, verdict):
+    # the window at horizons 5 and 6 is the last step alone; the 64-cell
+    # exact doubling kernel flattens every curve in six steps
+    argv = [command, "--scenario", str(SCENARIOS / "doubling_exact.yaml"),
+            "--horizon", str(horizon), "--out", str(tmp_path / "x.csv")]
+    if command == "run-mixing":
+        argv += ["--notion", "prior-hom"]
+    assert main(argv) == 0
+    assert verdict in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("tail_fraction, decayed", [(0.1, True), (0.9, False)])
-def test_cli_skew_reads_the_scenario_tail_fraction(tmp_path, capsys,
-                                                   tail_fraction, decayed):
-    path = with_value(tmp_path, "bernoulli_doubling.yaml", "analysis",
-                      "tail_fraction", tail_fraction)
-    assert main(["run-skew", "--scenario", path,
+@pytest.mark.parametrize("horizon, decayed", [(4, False), (10, False),
+                                              (20, True), (40, True)])
+def test_cli_skew_reads_its_window_from_the_horizon(tmp_path, capsys, horizon,
+                                                    decayed):
+    assert main(["run-skew", "--scenario",
+                 str(SCENARIOS / "bernoulli_doubling.yaml"),
                  "--sets", str(SCENARIOS / "sets_halves.yaml"),
+                 "--horizon", str(horizon),
                  "--out", str(tmp_path / "s.csv")]) == 0
     out = capsys.readouterr().out
     assert out.count(f"decayed={decayed}") == 3
+
+
+@pytest.mark.parametrize("command", ["run-mixing", "run-exactness", "run-skew",
+                                     "run-qc", "report"])
+def test_cli_scenario_setting_a_window_fraction_exit_two(tmp_path, capsys,
+                                                         command):
+    # the verdict window is fixed; a scenario that still sets its fraction
+    # names the key instead of running with a value it does not read
+    path = with_value(tmp_path, "bernoulli_doubling.yaml", "analysis",
+                      "tail_fraction", 0.1)
+    out = tmp_path / "x.csv"
+    argv = [command, "--scenario", path, "--out", str(out)]
+    if command == "run-mixing":
+        argv += ["--notion", "prior-hom"]
+    if command == "run-skew":
+        argv += ["--sets", str(SCENARIOS / "sets_halves.yaml")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: scenario file has unknown keys ['analysis.tail_fraction']\n")
+    assert not out.exists()
 
 
 def test_unreadable_analysis_value_is_a_scenario_error(tmp_path):
@@ -810,23 +867,6 @@ def test_unreadable_analysis_value_is_a_scenario_error(tmp_path):
         load_scenario(path)
 
 
-@pytest.mark.parametrize("tail_fraction", [1.0, 0.99])
-def test_tail_window_holding_n_zero_is_rejected(tmp_path, capsys,
-                                                tail_fraction):
-    # ceil(41 * fraction) > 40 puts n = 0 in every verdict window, so
-    # `report` would fail its cross-checks on an exact cocycle
-    path = with_value(tmp_path, "doubling_exact.yaml", "analysis",
-                      "tail_fraction", tail_fraction)
-    with pytest.raises(ScenarioError,
-                       match=r"analysis\.tail_fraction .* horizon 40"):
-        load_scenario(path)
-    assert main(["report", "--scenario", path]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "Traceback" not in err
-    # the largest fraction that leaves n = 0 out still loads
-    largest = with_value(tmp_path, "doubling_exact.yaml", "analysis",
-                         "tail_fraction", 40 / 41)
-    assert load_scenario(largest).analysis.tail_fraction == 40 / 41
 
 
 PERIODICITY_CHECKS = ["periodicity-vs-exactness",
@@ -858,16 +898,18 @@ def assert_no_periodicity_found(path):
 
 
 def test_report_reads_periodicity_from_an_early_window_start(tmp_path, capsys):
-    # a window from n = 4 reads the 64-cell exact doubling curves before they
-    # flatten (six steps); the detector reads from n = 4 too, where each
-    # cell's mass covers one of four 16-cell blocks, and one more step
-    # spreads a block's profile over two blocks
-    path = with_value(tmp_path, "doubling_exact.yaml", "analysis",
-                      "tail_fraction", 0.9)
+    # at horizon 4 the window is n = 4, which reads the 64-cell exact
+    # doubling curves before they flatten (six steps); the detector reads
+    # from n = 4 too, where each cell's mass covers one of four 16-cell
+    # blocks, and one more step spreads a block's profile over two blocks
     out = tmp_path / "report.csv"
-    assert main(["report", "--scenario", path, "--out", str(out)]) == 0
+    assert main(["report", "--scenario", str(SCENARIOS / "doubling_exact.yaml"),
+                 "--horizon", "4", "--out", str(out)]) == 0
     assert "all consistency checks passed" in capsys.readouterr().out
     assert_no_periodicity_found(out)
+    details = {r["check"]: r["detail"] for r in rows_of(out)}
+    assert "prior-hom=False" in details["mixing-notions-equivalent"]
+    assert details["exactness-routes-agree"] == "norm=False dual=False"
 
 
 def test_cli_report_on_bernoulli_driving(tmp_path, capsys):
@@ -973,11 +1015,10 @@ def test_a_constant_table_gives_bit_equal_routes_at_distinct_points(tmp_path):
     pts = sample_env(sc.driving, 2, a.env_seed)
     assert pts[0] != pts[1]
     f_basis, g_obs = _bases(sc)
-    reps = [exactness_report(sc.cocycle, w, f_basis, g_obs, a.horizon, a.tol,
-                             tail_fraction=a.tail_fraction) for w in pts]
-    decs = [detect_periodicity(sc.cocycle, w, a.horizon, a.rmax,
-                               tol=a.asymp_tol, tail_fraction=a.tail_fraction)
+    reps = [exactness_report(sc.cocycle, w, f_basis, g_obs, a.horizon, a.tol)
             for w in pts]
+    decs = [detect_periodicity(sc.cocycle, w, a.horizon, a.rmax,
+                               tol=a.asymp_tol) for w in pts]
     assert decs[0].found
 
     def arrays(rep, dec):
@@ -1098,28 +1139,29 @@ def test_periodicity_checks_read_the_probed_points_own_mixing_verdict(
         "PASS", "r=8 prior-hom=False")
 
 
-# i -> i // 2 on 16 cells: the preimage partition collapses to one atom at
-# n = 4; the kernel rows are written out as a 0/1 matrix
-HALVING16 = """
-space: {N: 16}
+# x -> x / 2 on 1024 cells: one Ulam sample per cell lands in cell i // 2,
+# so the kernel is the exact cell map, and the preimage partition collapses
+# to one atom at n = 10; the three basis differences include cells 511 and
+# 512, the last pair to merge, so the norm route also settles at n = 10
+HALVING1024 = """
+space: {N: 1024}
 driving: {kind: finite_rotation, q: 1}
 operators:
   H:
-    kernel:
-""" + "".join(f"      - {[int(j == i // 2) for j in range(16)]}\n"
-              for i in range(16)) + """
+    map: {kind: piecewise_linear, breakpoints: [0.0, 1.0], slopes: [0.5],
+          intercepts: [0.0]}
+    ulam: {samples: 1, seed: 0}
 cocycle: {constant: H}
-analysis: {tail_fraction: 0.5}
+analysis: {basis_count: 3}
 """
 
 
-@pytest.mark.parametrize("horizon, exact", [(4, False), (5, False),
-                                            (6, False), (40, True)])
+@pytest.mark.parametrize("horizon, exact", [(10, False), (11, True)])
 def test_report_tail_route_reads_the_verdict_window(tmp_path, capsys, horizon,
                                                     exact):
-    # at horizons 4-6 the window starts at n = 2, 3, 3, before the collapse:
+    # at horizon 10 the window is n = 9..10 and starts before the collapse:
     # the tail route must not call the partition trivial from the last step
-    assert main(["report", "--scenario", write(tmp_path, HALVING16),
+    assert main(["report", "--scenario", write(tmp_path, HALVING1024),
                  "--horizon", str(horizon)]) == 0
     out = capsys.readouterr().out
     assert (f"[PASS] tail-partition-matches @ omega_0 tail_trivial={exact} "
@@ -1132,29 +1174,23 @@ driving: {kind: finite_rotation, q: 1}
 operators:
   U: {synthetic: uniform}
 cocycle: {constant: U}
-analysis: {tail_fraction: 0.6}
 """
 
 
-@pytest.mark.parametrize("command, horizon, code", [
-    ("run-mixing", 0, 0), ("run-mixing", 1, 2), ("run-mixing", 2, 0),
-    ("report", 1, 2), ("report", 2, 0)])
-def test_horizon_override_is_held_to_the_verdict_window_rule(
-        tmp_path, capsys, command, horizon, code):
-    # tail_fraction 0.6 loads at horizon 40, but at horizon 1 the verdict
-    # window is ceil(2 * 0.6) = 2 entries long and so holds n = 0; the
-    # uniform kernel is exact after one step, which horizon 2 shows
+@pytest.mark.parametrize("command", ["run-mixing", "report"])
+def test_horizon_one_reads_its_window_from_n_one(tmp_path, capsys, command):
+    # the window at horizon 1 is n = 1 alone; the uniform kernel is exact
+    # after one step, so every curve has decayed there
     out = tmp_path / "x.csv"
     argv = [command, "--scenario", write(tmp_path, UNIFORM8),
-            "--horizon", str(horizon), "--out", str(out)]
+            "--horizon", "1", "--out", str(out)]
     if command == "run-mixing":
         argv += ["--notion", "prior-hom"]
-    assert main(argv) == code
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    if code == 2:
-        assert re.search(r"analysis\.tail_fraction 0\.6 .* horizon 1", err)
-        assert not out.exists()
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert ("decayed=True" if command == "run-mixing"
+            else "all consistency checks passed") in captured.out
 
 
 def test_report_at_horizon_zero_reads_periodicity_at_n_zero(tmp_path, capsys):
@@ -1272,8 +1308,7 @@ def test_cli_mixing_csv_bytes(tmp_path, scenario, notion):
     f_basis, g_obs = _bases(sc)
     g_basis = _g_basis_for(sc, notion, g_obs)
     rep = estimate_mixing(sc.cocycle, notion, f_basis, g_basis, omegas, 6,
-                          sc.analysis.tol,
-                          tail_fraction=sc.analysis.tail_fraction)
+                          sc.analysis.tol)
     n_w, n_f, n_g, n_n = rep.values.shape
     rows = [(notion, w, i, j, n, rep.values[w, i, j, n])
             for w in range(n_w) for i in range(n_f)
@@ -1294,8 +1329,7 @@ def test_cli_exactness_csv_bytes(tmp_path, scenario):
     rows = []
     for w, omega in enumerate(_env_points(sc)):
         rep = exactness_report(sc.cocycle, omega, f_basis, g_obs, 12,
-                               sc.analysis.tol,
-                               tail_fraction=sc.analysis.tail_fraction)
+                               sc.analysis.tol)
         rows += [(w, "norm", n, rep.norm_curves[:, n].max())
                  for n in range(13)]
         rows += [(w, "lin", n, rep.flatness_curves[:, n].max())
@@ -1322,7 +1356,6 @@ def test_cli_skew_csv_bytes_with_a_quoted_pair_id(tmp_path):
     rows = []
     for pair_id, a, b in load_product_sets(sets, sc.space.n):
         rep = skew_mixing_curve(nc, a, b, 8, sc.analysis.tol,
-                                tail_fraction=sc.analysis.tail_fraction,
                                 mc_samples=sc.analysis.env_samples,
                                 seed=sc.analysis.env_seed)
         rows += [(pair_id, n, rep.joint[n], rep.product, rep.discrepancy[n])
@@ -1353,10 +1386,10 @@ def test_module_entry_point_exit_codes(tmp_path):
     assert out.read_text().startswith("n,value\n1,0.5\n")
     bad = run_module("run-exactness", "--scenario",
                      with_value(tmp_path, "block3cycle.yaml", "analysis",
-                                "tail_fraction", NAN),
+                                "tol", NAN),
                      "--out", str(tmp_path / "x.csv"))
     assert bad.returncode == 2
-    assert "analysis.tail_fraction" in bad.stderr
+    assert "analysis.tol" in bad.stderr
     assert "Traceback" not in bad.stderr
     unwritable = run_module("run-counterexample", "--k", "2", "--out",
                             str(tmp_path / "no-such-dir" / "ce.csv"))

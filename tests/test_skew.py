@@ -397,28 +397,6 @@ def test_skew_curve_rejects_a_bad_horizon_or_tol(monkeypatch, route, horizon,
           "cylinder-product": lambda: bernoulli_nc([P.kernel, P.kernel]),
           "monte-carlo": lambda: bernoulli_nc([P.kernel, UNIFORMIZER4])}[route]()
 
-    def no_pullback(*args, **kwargs):
-        raise AssertionError("pulled back a fibre density")
-
-    monkeypatch.setattr(cocyclelab.cocycle, "invariant_density_pullback",
-                        no_pullback)
-    s = ProductSet(cells=[0, 1])
-    with pytest.raises(PreconditionError, match="horizon" if horizon < 0
-                       else "tol"):
-        skew_mixing_curve(nc, s, s, horizon, tol, mc_samples=8, seed=1)
-
-
-@pytest.mark.parametrize("route", ["finite-sum", "cylinder-product",
-                                   "monte-carlo"])
-@pytest.mark.parametrize("tail_fraction", [0.0, -0.5, 1.5, float("nan")])
-def test_skew_curve_rejects_a_bad_tail_fraction_before_walking(
-        monkeypatch, route, tail_fraction):
-    space = FiniteMeasureSpace.uniform(4)
-    P = pf_exact(MapSpec("doubling"), space)
-    nc = {"finite-sum": lambda: doubling_nc(4, q=2),
-          "cylinder-product": lambda: bernoulli_nc([P.kernel, P.kernel]),
-          "monte-carlo": lambda: bernoulli_nc([P.kernel, UNIFORMIZER4])}[route]()
-
     def no_walk(*args, **kwargs):
         raise AssertionError("walked an orbit")
 
@@ -426,9 +404,16 @@ def test_skew_curve_rejects_a_bad_tail_fraction_before_walking(
         monkeypatch.setattr(cocyclelab.cocycle, name, no_walk)
     monkeypatch.setattr(cocyclelab.skew, "orbit", no_walk)
     s = ProductSet(cells=[0, 1])
-    with pytest.raises(PreconditionError, match="tail_fraction"):
-        skew_mixing_curve(nc, s, s, 5, 1e-3, tail_fraction=tail_fraction,
-                          mc_samples=8, seed=1)
+    with pytest.raises(PreconditionError, match="horizon" if horizon < 0
+                       else "tol"):
+        skew_mixing_curve(nc, s, s, horizon, tol, mc_samples=8, seed=1)
+
+
+def test_skew_curve_takes_samples_and_seed_by_keyword_only():
+    # a positional call cannot read a seed as a sample count
+    s = ProductSet(cells=[0, 1])
+    with pytest.raises(TypeError, match="positional"):
+        skew_mixing_curve(doubling_nc(4, q=2), s, s, 5, 1e-3, 8, 1)
 
 
 # -- set picture -----------------------------------------------------------------

@@ -129,6 +129,25 @@ def test_mapspec_validation():
         MapSpec("no_such_map")
 
 
+@pytest.mark.parametrize("bad, words", [
+    ({"slopes": [np.nan]}, "finite"),
+    ({"slopes": [np.inf]}, "finite"),
+    ({"intercepts": [np.nan]}, "finite"),
+    ({"intercepts": [-np.inf]}, "finite"),
+    ({"breakpoints": [0.0, np.nan, 1.0], "slopes": [1.0, 1.0],
+      "intercepts": [0.0, 0.5]}, "increase"),
+    ({"breakpoints": [0.0, np.inf, 1.0], "slopes": [1.0, 1.0],
+      "intercepts": [0.0, 0.5]}, "increase"),
+], ids=["slope-nan", "slope-inf", "intercept-nan", "intercept-neg-inf",
+        "breakpoint-nan", "breakpoint-inf"])
+def test_mapspec_rejects_non_finite_pieces(bad, words):
+    # an interior NaN breakpoint has no order, so np.diff(b) <= 0 alone
+    # misses it
+    one = {"breakpoints": [0.0, 1.0], "slopes": [1.0], "intercepts": [0.0]}
+    with pytest.raises(ValueError, match=words):
+        MapSpec("piecewise_linear", **{**one, **bad})
+
+
 def test_pf_ulam_identity_map_is_identity_kernel():
     space = FiniteMeasureSpace.uniform(8)
     P = pf_ulam(IDENTITY_MAP, space, samples_per_cell=50, seed=0)
