@@ -40,7 +40,8 @@ def settle_index(values, tol: float) -> np.ndarray:
     v = np.asarray(values, dtype=float)
     if v.ndim == 0 or v.shape[-1] == 0:
         raise PreconditionError("curves must have at least one entry")
-    above = ~(np.abs(v) < tol)
+    above = v >= tol  # |v| < tol read without an np.abs(v) temporary
+    above |= ~(v > -tol)  # NaN included
     return (v.shape[-1] - above[..., ::-1].argmax(axis=-1)) * above.any(axis=-1)
 
 

@@ -18,13 +18,15 @@ comparing notions tests the homogeneous verdict against the travelling one.
 
 ``counterexample_run`` reproduces the separating example: the cyclic
 bit-shift baker cocycle with f the centered half-space indicator and
-g_n = (transfer operator)^n applied to the half-space indicator, read off
-the same push as f.  The inhomogeneous correlation then equals the measure
-of the shifted half-space, exactly 1/2 at every step, while every
-fixed-observable correlation is bounded by one cell's measure; supports of
-the evolved half-space indicators stay exactly disjoint.  The finite model
-is periodic with period (bit count), so the identity is only claimed for
-horizons up to that period and the report says when the horizon was capped.
+g_n = (transfer operator)^n applied to the half-space indicator; the baker
+is a cell permutation, so both move by relabelling cells, with no kernel
+built and scipy.sparse never loaded.  The inhomogeneous correlation then
+equals the measure of the shifted half-space, exactly 1/2 at every step,
+while every fixed-observable correlation is bounded by one cell's measure;
+supports of the evolved half-space indicators stay exactly disjoint.  The
+finite model is periodic with period (bit count), so the identity is only
+claimed for horizons up to that period and the report says when the horizon
+was capped.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import numpy as np
 from cocyclelab.cocycle import (CocycleFamily, kernel_groups, push_kernels,
                                 push_orbit)
 from cocyclelab.curves import decay_verdict, settle_index
-from cocyclelab.driving import EnvPoint, feature, finite_rotation
+from cocyclelab.driving import EnvPoint, feature
 from cocyclelab.measure import (
     Density,
     FiniteMeasureSpace,
@@ -53,7 +55,7 @@ from cocyclelab.measure import (
     stored_entries,
     stored_stack,
 )
-from cocyclelab.transfer import MapSpec, pf_exact
+from cocyclelab.transfer import bit_shift_permutation
 
 NOTIONS = ("prior-hom", "post-hom", "prior-inhom", "post-inhom")
 
@@ -219,19 +221,19 @@ def estimate_mixing(c: CocycleFamily, notion: str, f_basis, g_basis,
     rows, pos = {}, np.empty(len(omega_samples), dtype=np.intp)
     for ops, members in groups.items():  # a row per (operators, feature path)
         pos[members] = [rows.setdefault((ops, paths[u]), len(rows)) for u in members]
-    curves = np.empty((horizon + 1, len(rows), f_basis.shape[0],
-                       len(g_basis) if inhom else g_basis.shape[1]))
+    curves = np.empty((len(rows), f_basis.shape[0],
+                       len(g_basis) if inhom else g_basis.shape[1], horizon + 1))
     for ops, members in groups.items():
         mine = {paths[u]: pos[u] for u in members}  # the group's rows
         start = stored_stack(f_basis, ops[0].kernel) if ops else f_basis
         for n, cur in enumerate(push_kernels(start, (P.kernel for P in ops))):
             reads = {f: dense(cur @ observables[f]) for f in {p[n] for p in mine}}
             for p, row in mine.items():
-                curves[n, row] = reads[p[n]]
-    curves = np.moveaxis(curves, 0, -1).copy()  # n innermost; frees the buffer
+                curves[row, ..., n] = reads[p[n]]
     settle = settle_index(curves, tol)
+    identity = pos.size == len(rows) and (pos == np.arange(pos.size)).all()
     return MixingReport(notion=notion, horizon=horizon, tol=tol,
-                        values=curves[pos],
+                        values=curves if identity else curves[pos],
                         prior_thresholds=settle.max(axis=(1, 2))[pos],
                         posterior_thresholds=settle.max(axis=0))
 
@@ -266,50 +268,47 @@ def counterexample_run(k: int, horizon: int | None = None) -> CounterexampleRepo
     """Travelling-vs-fixed observable separation on the cyclic bit-shift
     baker cocycle with 2k bits.
 
-    Builds the constant cocycle over a one-point driving, the centered
-    density f = 1_A - 1_{A^c} for the half space A = {leading bit 0}, and
-    g_n = L^n 1_A.  The inhomogeneous correlation equals 1/2 exactly
-    for every n while homogeneous correlations against cell indicators are
-    bounded by 1/N; the evolved indicators L^n 1_A and L^n 1_{A^c} have
-    exactly disjoint supports.  The model is periodic with period 2k, so
-    horizons beyond 2k are capped (reported via horizon_capped).
+    The baker's transfer operator relabels cells, P f = f o T^-1, so the
+    centered density f = 1_A - 1_{A^c} for the half space A = {leading bit 0}
+    and the indicators of A and A^c (giving g_n = L^n 1_A) move by the
+    bit-shift permutation; no kernel is built.  The inhomogeneous correlation
+    equals 1/2 exactly for every n while homogeneous correlations against
+    cell indicators are bounded by 1/N; L^n 1_A and L^n 1_{A^c} have exactly
+    disjoint supports.  The model is periodic with period 2k, so horizons
+    beyond 2k are capped (reported via horizon_capped).
     """
-    if not 1 <= k <= COUNTEREXAMPLE_MAX_K:
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) \
+            or not 1 <= k <= COUNTEREXAMPLE_MAX_K:
         raise PreconditionError(
-            f"k must lie in 1..{COUNTEREXAMPLE_MAX_K} (the model has 4^k "
-            f"cells), got {k}")
-    bits = 2 * k
-    period = bits
+            f"k must be an integer in 1..{COUNTEREXAMPLE_MAX_K} (the model has "
+            f"4^k cells), got {k!r}")
+    bits = period = 2 * int(k)
     capped = horizon is not None and horizon > period
     horizon = period if horizon is None or capped else horizon
+    require_horizon(horizon)
     n_cells = 1 << bits
     space = FiniteMeasureSpace.uniform(n_cells)
-    P = pf_exact(MapSpec("baker_cyclic", bits=bits), space)
-    driving = finite_rotation(1)
-    c = CocycleFamily(driving=driving, table={0: P})
-    base = EnvPoint(system=driving, index=0)
 
     half = n_cells // 2
-    a_cells = np.arange(half)
     f = Density(space, np.where(np.arange(n_cells) < half, 1.0, -1.0))
-
-    # push the indicator densities and f with the same kernels
-    rows = np.stack([Density.indicator(space, a_cells).mass,
+    # the indicator densities and f move together, one relabelling a step
+    rows = np.stack([Density.indicator(space, np.arange(half)).mass,
                      Density.indicator(space, np.arange(half, n_cells)).mass,
                      f.mass])
+    pushed, perm = np.empty_like(rows), bit_shift_permutation(bits)
     w = space.weights
 
-    inhom = np.empty(horizon + 1)
-    overlaps = np.empty(horizon + 1)
-    squares = np.empty(horizon + 1)
-    contrast = np.empty(horizon + 1)
-    for n, (_, (ind_a, ind_ac, fmass)) in enumerate(
-            push_orbit(c, base, rows, horizon)):
+    inhom, overlaps, squares, contrast = np.empty((4, horizon + 1))
+    for n in range(horizon + 1):
+        ind_a, ind_ac, fmass = rows
         g_vals = ind_a / w  # L^n 1_A as an observable (0/1 valued)
         inhom[n] = float(np.dot(fmass, g_vals))
         overlaps[n] = float(np.sum((ind_a / w) * (ind_ac / w) * w))
         squares[n] = float(np.sum(g_vals * g_vals * w))
         contrast[n] = float(np.abs(fmass).max())
+        if n < horizon:  # the mass of cell i moves to cell perm[i]
+            pushed[:, perm] = rows
+            rows, pushed = pushed, rows
 
     return CounterexampleReport(bits=bits, n_cells=n_cells, horizon=horizon,
                                 horizon_capped=capped, inhom_values=inhom,

@@ -1,7 +1,9 @@
 """Cold start: scipy.sparse is imported only where a CSR kernel is built, so
 importing the package and running a small-scenario command, the periodicity
-detector of ``report`` and ``run-asymp`` included, leave it unloaded; and the
-OpenBLAS thread-count functions are looked up on first use, not at import.
+detector of ``report`` and ``run-asymp`` included, leave it unloaded, as does
+``run-counterexample`` at any k, which relabels cells and builds no kernel;
+and the OpenBLAS thread-count functions are looked up on first use, not at
+import.
 Each check runs in a fresh interpreter, since any earlier test may have
 loaded it."""
 
@@ -47,6 +49,7 @@ def test_importing_the_cli_leaves_scipy_sparse_unloaded():
       "--notion", "prior-hom"], False),
     (["report", "--scenario", "scenarios/doubling_exact.yaml"], False),
     (["run-asymp", "--scenario", "scenarios/block3cycle.yaml"], False),
+    (["run-counterexample", "--k", "8"], False),
 ])
 def test_scipy_sparse_is_loaded_only_where_it_runs(tmp_path, command, loaded):
     # the detector (report, run-asymp) labels its row-cell graph in numpy

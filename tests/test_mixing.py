@@ -9,6 +9,8 @@ permutation is [0, 2, 1, 3]; pushing 1_{cells 0,1} once gives mass
 (1/4, 0, 1/4, 0) and the half-space correlations work out to exactly 1/2.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -16,7 +18,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import cocyclelab.cocycle
 import cocyclelab.mixing
-from cocyclelab.cocycle import CocycleFamily, compose, orbit
+from cocyclelab.cocycle import CocycleFamily, compose, orbit, push_orbit
 from cocyclelab.curves import (
     decay_verdict,
     fit_geometric_rates,
@@ -44,8 +46,10 @@ from cocyclelab.measure import (
     PreconditionError,
     dense,
     dual_apply,
+    indicator_rows,
     integrate,
     mass_apply,
+    single_blas_thread,
 )
 from cocyclelab.mixing import (
     NOTIONS,
@@ -725,12 +729,14 @@ def test_settle_index_reads_the_last_axis_like_the_one_curve_code(values, tol):
 
 
 @given(st.lists(st.lists(st.sampled_from(
-           [0.0, 1e-9, -1e-9, 1.0, np.nan, np.inf, -np.inf]),
+           [0.0, -0.0, 1e-9, -1e-9, 1.0, np.nan, np.inf, -np.inf,
+            1e-6, -1e-6, 0.5, -0.5, 2.0, -2.0]),
            min_size=8, max_size=8), min_size=1, max_size=3),
        st.sampled_from([1e-6, 0.5, 2.0]))
 def test_settle_index_reads_a_non_finite_entry_as_not_settled(rows, tol):
     # NaN is not below tol, so a NaN entry keeps its curve unsettled as an
-    # inf entry does; each row of the stack walks back like one curve
+    # inf entry does, and so does an entry of magnitude exactly tol; each row
+    # of the stack walks back like one curve
     settle = settle_index(np.array(rows), tol)
     assert settle.tolist() == [reference_settle(r, tol) for r in rows]
 
@@ -751,6 +757,25 @@ def test_estimator_rate_fit_on_geometric_curve():
     fit = fit_geometric_rates(rep.values)
     assert fit.rate[0, 0, 0] == pytest.approx(0.25, rel=1e-6)
     assert fit.r_squared[0, 0, 0] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_estimator_holds_one_copy_of_its_curves():
+    # the halving map i -> i // 2 on 1024 cells with full bases: 1023 x 1024
+    # curves over n = 0..10, 88 MB; a step-major buffer copied to n-innermost,
+    # or a second copy for an identity sample order, lifted the peak to 2.27x
+    n = 1024
+    c = constant_cocycle(indicator_rows(np.arange(n) // 2, n))
+    f, g = zero_mean_basis(c.space), indicator_basis(c.space)
+    tracemalloc.start()
+    try:
+        rep = estimate_mixing(c, "prior-hom", f, g, [point(c.driving, 0)], 10,
+                              1e-6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.values.shape == (1, n - 1, n, 11)
+    assert not rep.decayed  # the partition reaches one atom only at n = 10
+    assert peak < 1.6 * rep.values.nbytes
 
 
 # -- counterexample ------------------------------------------------------------
@@ -802,6 +827,68 @@ def test_counterexample_matches_the_travelling_route(k):
     values = [correlation_inhom(c, omega, f, g, n)
               for n in range(rep.horizon + 1)]
     assert np.array(values).tobytes() == rep.inhom_values.tobytes()
+
+
+@single_blas_thread
+def pushed_counterexample(k, horizon):
+    """Reference counterexample arrays: the rows 1_A, 1_Ac and f pushed
+    through the baker's exact transfer kernel along a one-point orbit, the
+    route the report took before it walked the permutation."""
+    bits, n_cells = 2 * k, 1 << (2 * k)
+    space = FiniteMeasureSpace.uniform(n_cells)
+    P = pf_exact(MapSpec("baker_cyclic", bits=bits), space)
+    c = CocycleFamily(driving=finite_rotation(1), table={0: P})
+    half = n_cells // 2
+    f = Density(space, np.where(np.arange(n_cells) < half, 1.0, -1.0))
+    rows = np.stack([Density.indicator(space, np.arange(half)).mass,
+                     Density.indicator(space, np.arange(half, n_cells)).mass,
+                     f.mass])
+    w = space.weights
+    out = np.empty((4, horizon + 1))
+    for n, (_, (ind_a, ind_ac, fmass)) in enumerate(
+            push_orbit(c, point(c.driving, 0), rows, horizon)):
+        g_vals = ind_a / w
+        out[:, n] = (float(np.dot(fmass, g_vals)),
+                     float(np.sum((ind_a / w) * (ind_ac / w) * w)),
+                     float(np.sum(g_vals * g_vals * w)),
+                     float(np.abs(fmass).max()))
+    return out
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("horizon", [None, 1, 50])
+def test_counterexample_relabelling_matches_the_kernel_push_bit_for_bit(
+        k, horizon):
+    # default horizon (the period), a short one and one capped at the period;
+    # up to k = 4 the kernel is dense, so the push is a BLAS product
+    rep = counterexample_run(k, horizon=horizon)
+    assert rep.horizon_capped == (horizon == 50)
+    expected = pushed_counterexample(k, rep.horizon)
+    for got, want in zip((rep.inhom_values, rep.disjoint_overlaps,
+                          rep.square_integrals, rep.hom_contrast_max),
+                         expected):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("k", [2.0, 2.5, True, "2", None])
+def test_counterexample_rejects_a_k_that_is_not_an_integer(k):
+    # 2.0 and 2.5 used to fail inside the bit shift, and True ran as k = 1
+    with pytest.raises(PreconditionError, match="k must be an integer in 1.."):
+        counterexample_run(k)
+
+
+def test_counterexample_takes_a_numpy_integer_k():
+    a, b = counterexample_run(np.int64(2)), counterexample_run(2)
+    assert a.bits == b.bits == 4
+    assert a.inhom_values.tobytes() == b.inhom_values.tobytes()
+
+
+@pytest.mark.parametrize("horizon", [-1, -5])
+def test_counterexample_rejects_a_negative_horizon(horizon):
+    # a relabelling loop over range(horizon + 1) alone would return empty
+    # arrays that pass
+    with pytest.raises(PreconditionError, match="horizon must be >= 0"):
+        counterexample_run(2, horizon=horizon)
 
 
 def test_counterexample_horizon_capped_at_period():
