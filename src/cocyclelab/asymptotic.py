@@ -9,8 +9,8 @@ structure by residuals instead of trusting it: rows inside one component must
 share a profile, and each pushed profile must equal the one it lands on.
 Everything is reported (component count, permutation, profiles, weights,
 residual); ``found`` is claimed only when the structure checks pass within
-tolerance, and a component count above the caller's cap is reported as not
-found rather than truncated.
+the structure tolerance its kernels set, and a component count above the
+caller's cap is reported as not found rather than truncated.
 
 ``quasi_constrictive_probe`` gives numerical evidence for constrictivity:
 the terminal mass that small cell unions can capture from any initial
@@ -39,7 +39,6 @@ from cocyclelab.measure import (
     issparse,
     mass_apply,
     require_horizon,
-    require_tolerance,
     single_blas_thread,
 )
 
@@ -52,6 +51,10 @@ SUPPORT_FLOOR = 1e-12
 # 14.0 MB 0.07-0.09 s, 512 20.0 MB, all N rows at once 33.1 MB 0.08-0.10 s.
 ROW_BLOCK = 128
 
+# The structure residual the detector accepts; at horizon 40 the shipped exact
+# scenarios leave 0, the Monte-Carlo (Ulam) ones 1e-15 to 3.2e-10.
+EXACT_STRUCTURE_TOL, ESTIMATED_STRUCTURE_TOL = 1e-10, 1e-6
+
 
 @dataclasses.dataclass(frozen=True)
 class PeriodicDecomposition:
@@ -63,6 +66,7 @@ class PeriodicDecomposition:
     lambdas: np.ndarray | None  # burn-in mass of f0 on each component
     burn_in: int
     residual: float
+    tol: float                 # the structure tolerance applied
     reason: str | None = None
 
     def cycle_length(self, i: int) -> int:
@@ -82,11 +86,11 @@ class PeriodicDecomposition:
         return math.lcm(*(self.cycle_length(i) for i in range(self.r)))
 
 
-def _not_found(r, burn_in, reason, supports=(), densities=(), residual=math.nan):
+def _not_found(r, burn_in, tol, reason, supports=(), densities=(), residual=math.nan):
     return PeriodicDecomposition(found=False, r=r, rho=None,
                                  supports=list(supports),
                                  densities=list(densities), lambdas=None,
-                                 burn_in=burn_in, residual=residual,
+                                 burn_in=burn_in, residual=residual, tol=tol,
                                  reason=reason)
 
 
@@ -128,11 +132,12 @@ def _burn_in_product(kernels, n: int) -> np.ndarray:
 
 @single_blas_thread
 def detect_periodicity(c: CocycleFamily, omega: EnvPoint, horizon: int,
-                       r_max: int, tol: float = 1e-10,
-                       f0: Density | None = None) -> PeriodicDecomposition:
+                       r_max: int, f0: Density | None = None) -> PeriodicDecomposition:
     """Detect an asymptotic periodic decomposition along the orbit of omega.
 
-    The burn-in ends at ``tail_start(horizon + 1)``, where the decay verdicts
+    The structure tolerance is EXACT_STRUCTURE_TOL when every operator is
+    exact, else ESTIMATED_STRUCTURE_TOL; the decomposition records it.  The
+    burn-in ends at ``tail_start(horizon + 1)``, where the decay verdicts
     read.  One orbit walk gives its kernels and the point whose kernel is
     read next.  The burn-in product is one dense (N, N) array, filled by
     pushing ROW_BLOCK cell indicators at a time through those kernels,
@@ -140,13 +145,12 @@ def detect_periodicity(c: CocycleFamily, omega: EnvPoint, horizon: int,
     as one block.  It is read in place: the residual over row blocks, the
     burn-in masses of f0 as one push through it.
     """
-    require_tolerance(tol)
     if r_max < 0:
         raise PreconditionError(f"r_max must be >= 0, got {r_max}")
     require_horizon(horizon)
     if f0 is not None and not np.isfinite(f0.values).all():
         raise PreconditionError("f0 must be finite: it holds NaN or inf values")
-    n = c.n
+    n, tol = c.n, EXACT_STRUCTURE_TOL if c.all_exact else ESTIMATED_STRUCTURE_TOL
     burn = tail_start(horizon + 1)
     *steps, late = orbit(c, omega, burn)
     kernels = [c.operator_at(pt).kernel for pt in steps]
@@ -157,7 +161,7 @@ def detect_periodicity(c: CocycleFamily, omega: EnvPoint, horizon: int,
     roots, comp = np.unique(cell_labels(reach)[hit], return_inverse=True)
     r = roots.size
     if r > r_max:
-        return _not_found(r, burn, f"{r} components exceed the cap r_max={r_max}")
+        return _not_found(r, burn, tol, f"{r} components exceed the cap r_max={r_max}")
     supports = [hit[comp == i] for i in range(r)]
 
     # every row's support sits inside exactly one component, the one of its
@@ -165,14 +169,13 @@ def detect_periodicity(c: CocycleFamily, omega: EnvPoint, horizon: int,
     # unit-mass profile
     comp_of_cell = np.full(n, -1)
     comp_of_cell[hit] = comp
-    profiles = []
-    within_residual = 0.0
+    profiles, within_residual = [], 0.0
     row_comp = comp_of_cell[np.argmax(reach, axis=1)]
     for i in range(r):
         mine = row_comp == i
         rows = M if mine.all() else M[mine]
         if rows.size == 0:
-            return _not_found(r, burn, "a component receives no mass", supports)
+            return _not_found(r, burn, tol, "a component receives no mass", supports)
         profile = rows.mean(axis=0)
         for lo in range(0, len(rows), ROW_BLOCK):
             spread = np.abs(rows[lo:lo + ROW_BLOCK] - profile).sum(axis=1).max()
@@ -186,30 +189,29 @@ def detect_periodicity(c: CocycleFamily, omega: EnvPoint, horizon: int,
     burnt = f0.mass @ M
     lambdas = np.array([float(burnt[s].sum()) for s in supports])
     step_kernel = c.operator_at(late).kernel
-    rho = np.full(r, -1)
-    push_residual = 0.0
+    rho, push_residual = np.full(r, -1), 0.0
     for i, profile in enumerate(profiles):
         pushed = mass_apply(profile, step_kernel)
         landing = np.unique(comp_of_cell[np.flatnonzero(pushed > SUPPORT_FLOOR)])
         if landing.size != 1 or landing[0] < 0:
-            return _not_found(r, burn, "pushed profile does not land in a "
+            return _not_found(r, burn, tol, "pushed profile does not land in a "
                               "single component", supports)
         rho[i] = landing[0]
         push_residual = max(push_residual,
                             float(np.abs(pushed - profiles[rho[i]]).sum()))
     if sorted(rho.tolist()) != list(range(r)):
-        return _not_found(r, burn, "component map is not a permutation", supports)
+        return _not_found(r, burn, tol, "component map is not a permutation", supports)
 
     residual = max(within_residual, push_residual)
     densities = [Density.from_mass(c.space, p) for p in profiles]
 
     if residual > tol:
-        return _not_found(r, burn,
+        return _not_found(r, burn, tol,
                           f"structure residual {residual:.3e} above tolerance",
                           supports, densities, residual)
     return PeriodicDecomposition(found=True, r=r, rho=rho, supports=supports,
                                  densities=densities, lambdas=lambdas,
-                                 burn_in=burn, residual=residual)
+                                 burn_in=burn, residual=residual, tol=tol)
 
 
 def invariant_density_from_decomposition(dec: PeriodicDecomposition) -> Density:

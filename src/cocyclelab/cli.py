@@ -87,8 +87,8 @@ def _env_points(scenario, count=None):
     return points(d)
 
 
-def _per_probed_point(sc, route, *args, **kwargs):
-    """(omega, route(sc.cocycle, omega, *args, **kwargs)) for every point of
+def _per_probed_point(sc, route, *args):
+    """(omega, route(sc.cocycle, omega, *args)) for every point of
     finite driving or the first REPORT_HEAVY_OMEGAS bernoulli samples, with
     one run per group of points meeting the same operators at t = 0..horizon
     (the detector reads sigma^burn omega, and burn can equal horizon)."""
@@ -97,7 +97,7 @@ def _per_probed_point(sc, route, *args, **kwargs):
     first = {w: members[0] for members in groups.values() for w in members}
     results = []
     for w, omega in enumerate(omegas):
-        results.append(route(sc.cocycle, omega, *args, **kwargs)
+        results.append(route(sc.cocycle, omega, *args)
                        if first[w] == w else results[first[w]])
         yield omega, results[w]
 
@@ -169,10 +169,9 @@ def cmd_run_exactness(args) -> int:
 
 def cmd_run_asymp(args) -> int:
     sc = load_scenario(args.scenario, vars(args))
-    a = sc.analysis
-    blocks = []
+    a, blocks = sc.analysis, []
     for w, (_, dec) in enumerate(_per_probed_point(
-            sc, detect_periodicity, a.horizon, a.rmax, tol=a.asymp_tol)):
+            sc, detect_periodicity, a.horizon, a.rmax)):
         if dec.found:
             label = (w, dec.r, cycle_notation(dec.rho))
             print(f"{sc.name} omega_{w}: r={dec.r} rho={cycle_notation(dec.rho)} "
@@ -276,7 +275,7 @@ def _report_checks(sc):
 
     # periodicity against exactness and mixing, both read from the window
     for w, (omega, dec) in enumerate(_per_probed_point(
-            sc, detect_periodicity, a.horizon, a.rmax, tol=a.asymp_tol)):
+            sc, detect_periodicity, a.horizon, a.rmax)):
         if not dec.found:
             yield "periodicity-vs-exactness", w, None, f"none found: {dec.reason}"
             continue

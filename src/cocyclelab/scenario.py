@@ -7,18 +7,19 @@ Layout (keys in parentheses are optional)::
     driving:   kind: finite_rotation with q | finite_permutation with
                sigma | bernoulli with p; (seed) (samples)
     operators: name -> one of
-                 map:    {kind, (params: {bits, breakpoints, slopes,
-                          intercepts})}          exact transfer kernel
+                 map:    {kind, (bits | breakpoints, slopes,
+                          intercepts)}            exact transfer kernel
                  + ulam: {samples, seed}          Monte-Carlo Ulam kernel
                  kernel: [[...], ...]             explicit row-stochastic matrix
                  synthetic: identity | uniform | {block_cycle: r}
     cocycle:   table: {feature -> operator name}  or  constant: name
-    analysis:  (horizon) (tol) (rmax) (eps) (basis_count) (asymp_tol)
+    analysis:  (horizon) (tol) (rmax) (eps) (basis_count)
 
-Every number goes through one strict reader, a key that is not read is an
-error, and an error names its key.  One rule table checks the analysis values
-(``driving.samples`` and ``driving.seed`` too) at load, and so it checks a CLI
-flag that replaces one of them (``ANALYSIS_KEYS``); an error names the flag.
+Every number goes through one strict reader, a key that is not read (a map
+parameter that its kind does not read too) is an error, and an error names
+its key.  One rule table checks the analysis values (``driving.samples`` and
+``driving.seed`` too) at load, and so it checks a CLI flag that replaces one
+of them (``ANALYSIS_KEYS``); an error names the flag.
 
 Operators are built once per name and shared by reference, so a table whose
 entries all point at one name is recognized as a constant family.  All
@@ -50,7 +51,7 @@ from .driving import (
 )
 from .measure import FiniteMeasureSpace, MarkovMatrix
 from .skew import ProductSet
-from .transfer import MapSpec, pf_exact, pf_ulam
+from .transfer import MAP_PARAMS, MapSpec, pf_exact, pf_ulam
 
 
 class ScenarioError(ValueError):
@@ -86,9 +87,6 @@ class AnalysisConfig:
     basis_count: int | None = None
     env_samples: int = 64
     env_seed: int = 0
-    # structure residual accepted by the periodicity detector; Monte-Carlo
-    # kernels need a looser value than the exact-model default
-    asymp_tol: float = 1e-10
 
 
 # Each analysis field: the scenario key that sets it, and the command-line
@@ -101,7 +99,6 @@ ANALYSIS_KEYS = {
     "basis_count": ("analysis.basis_count", None),
     "env_samples": ("driving.samples", "--mc-samples"),
     "env_seed": ("driving.seed", "--seed-override"),
-    "asymp_tol": ("analysis.asymp_tol", None),
 }
 
 
@@ -208,15 +205,14 @@ def _build_driving(node) -> DrivingSystem:
 def _build_map_spec(node, key: str) -> MapSpec:
     node = _require_mapping(node, "operator map block")
     kind = _get(node, "kind", "map block")
-    params = dict(_require_mapping(node.get("params") or {}, f"{key}.params"))
-    params.update({k: v for k, v in node.items() if k not in ("kind", "params")})
-    for k, v in params.items():
-        if k in ("bits", "breakpoints", "slopes", "intercepts"):
-            read = _number if k == "bits" else _numbers
-            params[k] = read(v, f"{key}.{k}", integer=k == "bits")
+    if not (isinstance(kind, str) and kind in MAP_PARAMS):
+        raise ScenarioError(f"{key}.kind: unknown map kind {kind!r}")
+    _require_known(node, ("kind", *MAP_PARAMS[kind]), key)
+    params = {k: (_number if k == "bits" else _numbers)(v, f"{key}.{k}", k == "bits")
+              for k, v in node.items() if k != "kind"}
     try:
         return MapSpec(kind, **params)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ScenarioError(f"bad map spec ({kind!r}): {exc}")
 
 
@@ -354,7 +350,6 @@ def _check_analysis(cfg: AnalysisConfig, names: dict):
         (cfg.basis_count is None or cfg.basis_count >= 1, "basis_count",
          "be >= 1"),
         (0 < cfg.tol < np.inf, "tol", "be finite and > 0"),
-        (0 < cfg.asymp_tol < np.inf, "asymp_tol", "be finite and > 0"),
         (cfg.rmax >= 0, "rmax", "be >= 0"),
         (bool(cfg.eps) and all(0 < v < np.inf for v in cfg.eps), "eps",
          "be nonempty, finite and > 0"),
@@ -376,7 +371,7 @@ def load_scenario(path: str, flags: dict | None = None) -> Scenario:
     analysis field of ANALYSIS_KEYS that its flag names."""
     doc = _load_yaml(path, "scenario file")
     _require_known(doc, ("name", "space", "driving", "operators", "cocycle",
-                         "analysis", "output"), "scenario file")  # output is unread
+                         "analysis"), "scenario file")
     space = _build_space(_get(doc, "space", path))
     driving = _build_driving(_get(doc, "driving", path))
     analysis = _build_analysis(doc, flags or {})
@@ -425,16 +420,16 @@ def _parse_product_set(node, n: int, what: str) -> ProductSet:
 def load_product_sets(path: str, n_cells: int) -> list:
     """Parse a sets file into (pair_id, A, B) triples."""
     doc = _load_yaml(path, "sets file")
+    _require_known(doc, ("sets",), "sets file")
     entries = _get(doc, "sets", path)
     if not isinstance(entries, list) or not entries:
         raise ScenarioError("sets file needs a non-empty 'sets' list")
     out = []
     for i, entry in enumerate(entries):
         entry = _require_mapping(entry, f"sets[{i}]")
+        _require_known(entry, ("id", "a", "b"), f"sets[{i}]")
         pair_id = str(entry.get("id", i))
-        a = _parse_product_set(_get(entry, "a", f"sets[{i}]"), n_cells,
-                               f"set pair {pair_id!r} side a")
-        b = _parse_product_set(_get(entry, "b", f"sets[{i}]"), n_cells,
-                               f"set pair {pair_id!r} side b")
-        out.append((pair_id, a, b))
+        sides = [_parse_product_set(_get(entry, s, f"sets[{i}]"), n_cells,
+                                    f"set pair {pair_id!r} side {s}") for s in "ab"]
+        out.append((pair_id, *sides))
     return out

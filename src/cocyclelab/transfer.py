@@ -30,8 +30,8 @@ from cocyclelab.measure import (
     stored_entries,
 )
 
-MAP_KINDS = ("doubling", "tent", "piecewise_linear", "baker_cyclic",
-             "baker_planar")
+MAP_PARAMS = {"doubling": (), "tent": (), "baker_planar": (), "baker_cyclic": ("bits",),
+              "piecewise_linear": ("breakpoints", "slopes", "intercepts")}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -57,7 +57,7 @@ class MapSpec:
     intercepts: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in MAP_KINDS:
+        if self.kind not in MAP_PARAMS:
             raise ValueError(f"unknown map kind {self.kind!r}")
         if self.kind == "baker_cyclic":
             if not self.bits or self.bits < 2 or self.bits % 2:

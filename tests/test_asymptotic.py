@@ -20,6 +20,8 @@ from scipy.sparse.csgraph import connected_components
 
 from cocyclelab import asymptotic
 from cocyclelab.asymptotic import (
+    ESTIMATED_STRUCTURE_TOL,
+    EXACT_STRUCTURE_TOL,
     SUPPORT_FLOOR,
     PeriodicDecomposition,
     QCReport,
@@ -58,8 +60,8 @@ def constant_cocycle(kernel_or_P, q=1):
                          table={i: P for i in range(q)})
 
 
-def detect(c, horizon=16, r_max=16, tol=1e-10, f0=None):
-    return detect_periodicity(c, point(c.driving, 0), horizon, r_max, tol, f0)
+def detect(c, horizon=16, r_max=16, f0=None):
+    return detect_periodicity(c, point(c.driving, 0), horizon, r_max, f0)
 
 
 # -- detection -----------------------------------------------------------------
@@ -68,12 +70,10 @@ def detect(c, horizon=16, r_max=16, tol=1e-10, f0=None):
 SIX = FiniteMeasureSpace.uniform(6)
 
 
-@pytest.mark.parametrize("kw", [{"tol": float("nan")}, {"tol": 0.0},
-                                {"tol": -1e-10}, {"r_max": -1},
-                                {"horizon": -5},
+@pytest.mark.parametrize("kw", [{"r_max": -1}, {"horizon": -5},
                                 {"f0": Density(SIX, np.full(6, np.nan))},
                                 {"f0": Density(SIX, np.r_[np.inf, np.ones(5)])}])
-def test_detector_rejects_a_bad_tolerance_or_cap(kw):
+def test_detector_rejects_a_bad_cap_horizon_or_f0(kw):
     c = constant_cocycle(block_cycle_kernel(6, 3))
     with pytest.raises(PreconditionError):
         detect(c, **kw)
@@ -168,18 +168,27 @@ def test_permutation_kernel_singletons_and_period():
 
 
 def test_slow_kernel_reports_honest_residual():
+    # the lazy kernel's rows meet 1/3 as 0.25^n: at burn-in 11 (horizon 12)
+    # the residual 3.2e-7 lies between the two structure tolerances, so the
+    # same rows are found as a Monte-Carlo estimate and not as exact rows
     lazy = np.array([
         [0.50, 0.25, 0.25],
         [0.25, 0.50, 0.25],
         [0.25, 0.25, 0.50],
     ])
-    c = constant_cocycle(lazy)
-    strict = detect(c, horizon=8, tol=1e-10)
-    assert not strict.found
+    exact, estimated = (MarkovMatrix(FiniteMeasureSpace.uniform(3), lazy,
+                                     exact=flag) for flag in (True, False))
+    strict = detect(constant_cocycle(exact), horizon=12)
+    assert not strict.found and strict.tol == EXACT_STRUCTURE_TOL
     assert "residual" in strict.reason
-    assert 0 < strict.residual < 0.1
-    loose = detect(c, horizon=8, tol=0.1)
-    assert loose.found and loose.r == 1
+    assert EXACT_STRUCTURE_TOL < strict.residual < ESTIMATED_STRUCTURE_TOL
+    for table in ({0: estimated}, {0: exact, 1: estimated}):
+        # one Monte-Carlo operator in the table sets the looser tolerance
+        c = CocycleFamily(driving=finite_rotation(len(table)), table=table)
+        loose = detect(c, horizon=12)
+        assert loose.found and loose.r == 1
+        assert loose.tol == ESTIMATED_STRUCTURE_TOL
+        assert loose.residual == strict.residual
 
 
 def test_detected_profiles_are_fixed_by_period_steps():
@@ -202,7 +211,7 @@ def periodicity_vs_exactness(c, horizon, r_max):
     single periodic profile coincides with exactness; None when nothing was
     found."""
     omega = point(c.driving, 0)
-    dec = detect_periodicity(c, omega, horizon, r_max, 1e-10)
+    dec = detect_periodicity(c, omega, horizon, r_max)
     rep = exactness_report(c, omega, zero_mean_basis(c.space),
                            indicator_basis(c.space), horizon, 1e-8)
     consistent = (dec.r == 1) == rep.exact_verdict if dec.found else None
@@ -285,7 +294,7 @@ def test_restricted_power_rejects_leaking_support():
         supports=[np.array([0, 1]), np.array([2, 3])],
         densities=[Density.indicator(space, [0, 1], normalized=True),
                    Density.indicator(space, [2, 3], normalized=True)],
-        lambdas=np.array([0.5, 0.5]), burn_in=1, residual=0.0)
+        lambdas=np.array([0.5, 0.5]), burn_in=1, residual=0.0, tol=1e-10)
     with pytest.raises(PreconditionError, match="not invariant"):
         restricted_power_cocycle(c, fake, 0)
 
@@ -300,7 +309,7 @@ def test_restricted_power_rejects_bernoulli_driving():
         supports=[np.array([0, 1]), np.array([2, 3])],
         densities=[Density.indicator(space, [0, 1], normalized=True),
                    Density.indicator(space, [2, 3], normalized=True)],
-        lambdas=np.array([0.5, 0.5]), burn_in=1, residual=0.0)
+        lambdas=np.array([0.5, 0.5]), burn_in=1, residual=0.0, tol=1e-10)
     with pytest.raises(PreconditionError, match="finite driving"):
         restricted_power_cocycle(c, fake, 0)
 
@@ -579,12 +588,12 @@ def test_qc_probe_matches_the_greedy_loop(n, uniform, seed, horizon, eps_ninths)
 
 
 @single_blas_thread
-def detect_whole_stack(c, omega, horizon, r_max, tol=1e-10, f0=None):
+def detect_whole_stack(c, omega, horizon, r_max, f0=None):
     """Reference detector: the burn-in as one push of the stored identity
     along the orbit, read as a whole (rows by their largest entry, the
     within-component residual over all of a component's rows at once).  On
     one BLAS thread, as the detector: gemm's bits depend on the count."""
-    n = c.n
+    n, tol = c.n, EXACT_STRUCTURE_TOL if c.all_exact else ESTIMATED_STRUCTURE_TOL
     burn = tail_start(horizon + 1)
     for late, product in push_orbit(c, omega, stored_kernel(np.eye(n)), burn):
         pass
@@ -595,7 +604,7 @@ def detect_whole_stack(c, omega, horizon, r_max, tol=1e-10, f0=None):
     r = roots.size
     if r > r_max:
         return asymptotic._not_found(
-            r, burn, f"{r} components exceed the cap r_max={r_max}")
+            r, burn, tol, f"{r} components exceed the cap r_max={r_max}")
     supports = [hit[comp == i] for i in range(r)]
     comp_of_cell = np.full(n, -1)
     comp_of_cell[hit] = comp
@@ -604,8 +613,8 @@ def detect_whole_stack(c, omega, horizon, r_max, tol=1e-10, f0=None):
     for i in range(r):
         rows = M[row_comp == i]
         if rows.size == 0:
-            return asymptotic._not_found(r, burn, "a component receives no mass",
-                                         supports)
+            return asymptotic._not_found(r, burn, tol,
+                                         "a component receives no mass", supports)
         profile = rows.mean(axis=0)
         within = max(within, float(np.abs(rows - profile).sum(axis=1).max()))
         profiles.append(profile)
@@ -618,23 +627,23 @@ def detect_whole_stack(c, omega, horizon, r_max, tol=1e-10, f0=None):
         pushed = mass_apply(profile, step_kernel)
         landing = np.unique(comp_of_cell[np.flatnonzero(pushed > SUPPORT_FLOOR)])
         if landing.size != 1 or landing[0] < 0:
-            return asymptotic._not_found(r, burn, "pushed profile does not land "
-                                         "in a single component", supports)
+            return asymptotic._not_found(r, burn, tol, "pushed profile does not "
+                                         "land in a single component", supports)
         rho[i] = landing[0]
         pushed_residual = max(pushed_residual,
                               float(np.abs(pushed - profiles[rho[i]]).sum()))
     if sorted(rho.tolist()) != list(range(r)):
-        return asymptotic._not_found(r, burn, "component map is not a permutation",
-                                     supports)
+        return asymptotic._not_found(r, burn, tol,
+                                     "component map is not a permutation", supports)
     residual = max(within, pushed_residual)
     densities = [Density.from_mass(c.space, p) for p in profiles]
     if residual > tol:
         return asymptotic._not_found(
-            r, burn, f"structure residual {residual:.3e} above tolerance",
+            r, burn, tol, f"structure residual {residual:.3e} above tolerance",
             supports, densities, residual)
     return PeriodicDecomposition(found=True, r=r, rho=rho, supports=supports,
                                  densities=densities, lambdas=lambdas,
-                                 burn_in=burn, residual=residual)
+                                 burn_in=burn, residual=residual, tol=tol)
 
 
 def table_kernel(kind, n, rng):
@@ -663,8 +672,8 @@ def table_kernel(kind, n, rng):
 
 def same_decomposition(dec, ref):
     """Every field bit for bit, the burn-in masses within 1e-15."""
-    assert (dec.found, dec.r, dec.burn_in, dec.reason) == (
-        ref.found, ref.r, ref.burn_in, ref.reason)
+    assert (dec.found, dec.r, dec.burn_in, dec.tol, dec.reason) == (
+        ref.found, ref.r, ref.burn_in, ref.tol, ref.reason)
     assert (dec.rho is None) == (ref.rho is None)
     if dec.rho is not None:
         assert dec.rho.tobytes() == ref.rho.tobytes()
@@ -757,7 +766,7 @@ def planted_block_cocycle(n, kinds, seed):
         supports=[np.sort(blocks[i]) for i in order],
         densities=[Density.indicator(space, blocks[i], normalized=True)
                    for i in order],
-        lambdas=np.full(16, 1 / 16), burn_in=1, residual=0.0)
+        lambdas=np.full(16, 1 / 16), burn_in=1, residual=0.0, tol=1e-10)
     return c, dec
 
 

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cocyclelab.measure
-from cocyclelab.asymptotic import detect_periodicity
 from cocyclelab.cocycle import (
     CocycleFamily,
     NormalizedCocycle,
@@ -363,7 +362,6 @@ TOL_ROUTES = {
     "skew_mixing_curve": lambda c, w, tol: skew_mixing_curve(
         NormalizedCocycle(c, build_invariant_density_map(c)),
         ProductSet(cells=[0]), ProductSet(cells=[1]), 5, tol),
-    "detect_periodicity": lambda c, w, tol: detect_periodicity(c, w, 8, 8, tol),
 }
 
 

@@ -789,6 +789,7 @@ def test_counterexample_smallest_case_exact():
     assert rep.disjoint_overlaps.tolist() == [0.0, 0.0, 0.0]
     assert rep.square_integrals.tolist() == [0.5, 0.5, 0.5]
     assert rep.hom_contrast_max.tolist() == [0.25, 0.25, 0.25]
+    assert rep.hom_values.tolist() == [0.5, 0.0, 0.5]
     assert rep.passes
 
 
@@ -802,7 +803,24 @@ def test_counterexample_scales_with_exact_half_correlation(k):
     assert np.all(rep.square_integrals == 0.5)
     # fixed-observable correlations never exceed one cell's measure
     assert np.all(rep.hom_contrast_max == 1.0 / n_cells)
+    # the shifted half-space meets A in half of A off the period: 1/4 - 1/4
+    assert rep.hom_values.tolist() == [0.5] + [0.0] * (2 * k - 1) + [0.5]
     assert rep.passes
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_counterexample_fails_on_a_relabelling_that_is_not_the_baker(
+        monkeypatch, k):
+    # the identity keeps every relabelling-invariant array at its baker
+    # value; only the fixed half-space correlation, stuck at 1/2, tells
+    monkeypatch.setattr(cocyclelab.mixing, "bit_shift_permutation",
+                        lambda bits: np.arange(1 << bits))
+    rep = counterexample_run(k)
+    assert np.all(rep.inhom_values == 0.5)
+    assert np.all(rep.disjoint_overlaps == 0.0)
+    assert np.all(rep.square_integrals == 0.5)
+    assert np.all(rep.hom_values == 0.5)
+    assert not rep.passes
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -844,14 +862,15 @@ def pushed_counterexample(k, horizon):
                      Density.indicator(space, np.arange(half, n_cells)).mass,
                      f.mass])
     w = space.weights
-    out = np.empty((4, horizon + 1))
+    out = np.empty((5, horizon + 1))
     for n, (_, (ind_a, ind_ac, fmass)) in enumerate(
             push_orbit(c, point(c.driving, 0), rows, horizon)):
         g_vals = ind_a / w
         out[:, n] = (float(np.dot(fmass, g_vals)),
                      float(np.sum((ind_a / w) * (ind_ac / w) * w)),
                      float(np.sum(g_vals * g_vals * w)),
-                     float(np.abs(fmass).max()))
+                     float(np.abs(fmass).max()),
+                     float(fmass[:half].sum()))
     return out
 
 
@@ -865,7 +884,8 @@ def test_counterexample_relabelling_matches_the_kernel_push_bit_for_bit(
     assert rep.horizon_capped == (horizon == 50)
     expected = pushed_counterexample(k, rep.horizon)
     for got, want in zip((rep.inhom_values, rep.disjoint_overlaps,
-                          rep.square_integrals, rep.hom_contrast_max),
+                          rep.square_integrals, rep.hom_contrast_max,
+                          rep.hom_values),
                          expected):
         assert got.tobytes() == want.tobytes()
 

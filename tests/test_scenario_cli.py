@@ -338,10 +338,12 @@ def test_cli_asymp_csv(tmp_path):
 @pytest.mark.parametrize("name, horizon", [
     ("doubling_ulam", 20), ("tent_ulam", 20), ("baker_planar_ulam", 20),
     ("bernoulli_doubling", 30)])
-def test_ulam_asymp_tol_holds_below_the_default_horizon(tmp_path, name, horizon):
+def test_ulam_structure_tol_holds_below_the_default_horizon(tmp_path, name,
+                                                            horizon):
     # a shorter horizon starts the verdict window, and so ends the burn-in,
     # earlier, which leaves a larger structure residual on a Monte-Carlo
-    # kernel; the shipped asymp_tol still finds the one component there
+    # kernel; the Monte-Carlo structure tolerance still finds the one
+    # component there
     out = tmp_path / "as.csv"
     assert main(["run-asymp", "--scenario", str(SCENARIOS / f"{name}.yaml"),
                  "--horizon", str(horizon), "--out", str(out)]) == 0
@@ -627,9 +629,6 @@ INF = float("inf")
 BAD_VALUES = {  # id -> (scenario, block, key, value)
     "basis-zero": ("block3cycle.yaml", "analysis", "basis_count", 0),
     "basis-negative": ("block3cycle.yaml", "analysis", "basis_count", -1),
-    "asymp-tol-nan": ("block3cycle.yaml", "analysis", "asymp_tol", NAN),
-    "asymp-tol-negative": ("block3cycle.yaml", "analysis", "asymp_tol", -0.5),
-    "asymp-tol-inf": ("block3cycle.yaml", "analysis", "asymp_tol", INF),
     "tol-inf": ("block3cycle.yaml", "analysis", "tol", INF),
     "tol-nan": ("block3cycle.yaml", "analysis", "tol", NAN),
     "tol-zero": ("block3cycle.yaml", "analysis", "tol", 0.0),
@@ -648,11 +647,10 @@ BAD_VALUES = {  # id -> (scenario, block, key, value)
 }
 # each value with a command that used to crash on it or run with it
 BAD_RUNS = [("basis-zero", "report"), ("basis-zero", "run-exactness"),
-            ("asymp-tol-negative", "report"), ("basis-negative", "report"),
-            ("asymp-tol-nan", "run-asymp"), ("rmax-negative", "report"),
+            ("basis-negative", "report"), ("rmax-negative", "report"),
             ("samples-negative", "report"), ("samples-zero", "run-exactness"),
             ("eps-nan", "run-qc"), ("eps-inf", "run-qc"),
-            ("eps-negative", "report"), ("asymp-tol-inf", "report"),
+            ("eps-negative", "report"),
             ("tol-inf", "report"), ("tol-nan", "run-exactness"),
             ("tol-zero", "run-qc"), ("seed-negative", "report"),
             ("seed-negative", "run-exactness"), ("horizon-huge", "run-exactness"),
@@ -690,8 +688,7 @@ def ulam_piecewise(**params):
     """An operators block whose P0 is the Ulam kernel of the identity as a
     piecewise-linear map, with `params` replacing its pieces."""
     pieces = {"breakpoints": [0.0, 1.0], "slopes": [1.0], "intercepts": [0.0]}
-    return {"P0": {"map": {"kind": "piecewise_linear",
-                           "params": {**pieces, **params}},
+    return {"P0": {"map": {"kind": "piecewise_linear", **pieces, **params},
                    "ulam": {"samples": 16, "seed": 0}}}
 
 
@@ -719,9 +716,8 @@ MALFORMED_SCENARIOS = {
                           "operators.P0.map.bits must be an integer, got 4.5"),
     "kernel-bool": ("operators", {"P0": {"kernel": [[True, False]] * 64}},
                     "operators.P0.kernel[0][0] must be a number, got True"),
-    "map-params-list": ("operators", {"P0": {"map": {"kind": "doubling",
-                                                     "params": [1, 2]}}},
-                        "operators.P0.map.params must be a mapping, got list"),
+    "map-slopes-scalar": ("operators", ulam_piecewise(slopes=1.0),
+                          "operators.P0.map.slopes must be a list, got 1.0"),
     "constant-name-list": ("cocycle", {"constant": ["P0"]},
                            "cocycle.constant must be an operator name, got list"),
     "table-name-list": ("cocycle", {"table": {0: ["P0"]}},
@@ -803,13 +799,89 @@ def test_cli_sets_file_errors_name_the_sets_file(tmp_path, capsys, broken):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("output", ["results", "{dir: x}"])
-def test_output_block_is_ignored(tmp_path, capsys, output):
-    path = write(tmp_path, MINIMAL + f"output: {output}\n")
-    assert load_scenario(path).space.n == 64
-    assert main(["run-asymp", "--scenario", path,
-                 "--out", str(tmp_path / "a.csv")]) == 0
-    assert "Traceback" not in capsys.readouterr().err
+# a setting that no scenario key sets, and a map parameter that its kind
+# does not read: case -> (scenario, the path of the key in it, its value,
+# the error, a command); any value of a key that is not read is an error
+UNREAD_KEYS = {
+    "asymp-tol-shipped": ("doubling_ulam.yaml", ("analysis", "asymp_tol"), 1e-6,
+                          "scenario file has unknown keys ['analysis.asymp_tol']",
+                          "run-asymp"),
+    "asymp-tol-nan": ("block3cycle.yaml", ("analysis", "asymp_tol"), NAN,
+                      "scenario file has unknown keys ['analysis.asymp_tol']",
+                      "run-asymp"),
+    "asymp-tol-negative": ("block3cycle.yaml", ("analysis", "asymp_tol"), -0.5,
+                           "scenario file has unknown keys "
+                           "['analysis.asymp_tol']", "report"),
+    "asymp-tol-inf": ("block3cycle.yaml", ("analysis", "asymp_tol"), INF,
+                      "scenario file has unknown keys ['analysis.asymp_tol']",
+                      "report"),
+    "map-params": ("baker_cyclic.yaml", ("operators", "P0", "map"),
+                   {"kind": "baker_cyclic", "params": {"bits": 4}},
+                   "operators.P0.map has unknown keys ['params']",
+                   "run-exactness"),
+    "map-bits-on-doubling": ("doubling_exact.yaml", ("operators", "P0", "map"),
+                             {"kind": "doubling", "bits": 4},
+                             "operators.P0.map has unknown keys ['bits']",
+                             "report"),
+    "output-word": ("doubling_exact.yaml", ("output",), "results",
+                    "scenario file has unknown keys ['output']", "run-asymp"),
+    "output-block": ("doubling_exact.yaml", ("output",), {"dir": "x"},
+                     "scenario file has unknown keys ['output']", "run-asymp"),
+}
+
+
+@pytest.mark.parametrize("case", UNREAD_KEYS)
+def test_a_removed_setting_or_unread_map_parameter_exits_two(tmp_path, capsys,
+                                                              case):
+    scenario, (*parents, key), value, message, command = UNREAD_KEYS[case]
+    doc = yaml.safe_load((SCENARIOS / scenario).read_text())
+    node = doc
+    for k in parents:
+        node = node[k]
+    node[key] = value
+    path, out = write(tmp_path, yaml.safe_dump(doc)), tmp_path / "x.csv"
+    with pytest.raises(ScenarioError, match=re.escape(message)):
+        load_scenario(path)
+    assert main([command, "--scenario", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+# a sets-file key the loader does not read: case -> (sets file, the error)
+UNREAD_SETS_KEYS = {
+    "id-typo": ("sets:\n  - {Id: halves, a: {cells: [0]}, b: {cells: [1]}}\n",
+                "sets[0] has unknown keys ['Id']"),
+    "entry-key": ("sets:\n  - {id: halves, note: x, a: {cells: [0]}, "
+                  "b: {cells: [1]}}\n", "sets[0] has unknown keys ['note']"),
+    "top-level": ("extra_top: 1\nsets:\n  - {id: halves, a: {cells: [0]}, "
+                  "b: {cells: [1]}}\n",
+                  "sets file has unknown keys ['extra_top']"),
+}
+
+
+@pytest.mark.parametrize("case", UNREAD_SETS_KEYS)
+def test_a_sets_file_key_the_loader_does_not_read_exits_two(tmp_path, capsys,
+                                                            case):
+    # a typo once ran with the pair named by its index
+    text, message = UNREAD_SETS_KEYS[case]
+    sets, out = write(tmp_path, text, name="sets.yaml"), tmp_path / "x.csv"
+    with pytest.raises(ScenarioError, match=re.escape(message)):
+        load_product_sets(sets, 256)
+    assert main(["run-skew", "--scenario",
+                 str(SCENARIOS / "bernoulli_doubling.yaml"), "--sets", sets,
+                 "--horizon", "4", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_the_readme_scenario_example_runs(tmp_path, capsys):
+    # the documented format stays in step with the loader as keys go
+    section = (REPO / "README.md").read_text().split("## Scenario files")[1]
+    example = section.split("```yaml\n")[1].split("```")[0]
+    path = write(tmp_path, example)
+    assert load_scenario(path).name == "rotation_two_ops"
+    assert main(["report", "--scenario", path]) == 0
+    assert "all consistency checks passed" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command, horizon, verdict", [
@@ -1017,8 +1089,7 @@ def test_a_constant_table_gives_bit_equal_routes_at_distinct_points(tmp_path):
     f_basis, g_obs = _bases(sc)
     reps = [exactness_report(sc.cocycle, w, f_basis, g_obs, a.horizon, a.tol)
             for w in pts]
-    decs = [detect_periodicity(sc.cocycle, w, a.horizon, a.rmax,
-                               tol=a.asymp_tol) for w in pts]
+    decs = [detect_periodicity(sc.cocycle, w, a.horizon, a.rmax) for w in pts]
     assert decs[0].found
 
     def arrays(rep, dec):
