@@ -4,9 +4,11 @@
 partition is dyadically aligned (doubling, cyclic bit-shift baker).
 ``pf_ulam`` estimates the kernel for any pointwise map by seeded Monte-Carlo:
 uniform draws inside each cell (stratified by cell, one independent derived
-seed per row), counting which target cell the mapped point lands in.  Both
-build index arrays through ``measure.stored_entries``: CSR when N >= 512
-and nnz <= N^2 / 32, else dense, filled without importing scipy.sparse.
+seed per row, drawn into one block buffer in the stream of
+``default_rng(child)``), counting which target cell the mapped point lands in,
+found by floor-and-check (``_locate``).  Both build index arrays through
+``measure.stored_entries``: CSR when N >= 512 and nnz <= N^2 / 32, else
+dense, filled without importing scipy.sparse.
 ``duality_residual`` checks the discrete kernel against the
 underlying map through the adjoint pairing, using midpoint quadrature on a
 refined partition.
@@ -59,6 +61,10 @@ class MapSpec:
     def __post_init__(self):
         if self.kind not in MAP_PARAMS:
             raise ValueError(f"unknown map kind {self.kind!r}")
+        if extra := [f.name for f in dataclasses.fields(self)[1:]
+                     if getattr(self, f.name) is not None
+                     and f.name not in MAP_PARAMS[self.kind]]:
+            raise ValueError(f"map kind {self.kind!r} does not read {extra}")
         if self.kind == "baker_cyclic":
             if not self.bits or self.bits < 2 or self.bits % 2:
                 raise ValueError("baker_cyclic needs an even bit count >= 2")
@@ -102,7 +108,8 @@ def map_point(spec: MapSpec, x, y=None):
         return (np.clip(2.0 * x - b, 0.0, _TOP),
                 np.clip((ybr + b) / 2.0, 0.0, _TOP))
     if spec.kind == "doubling":
-        out = (2.0 * x) % 1.0
+        out = 2.0 * x
+        out -= np.floor(out)  # the bits of (2x) % 1 for every x, at less cost
     elif spec.kind == "tent":
         out = 1.0 - np.abs(1.0 - 2.0 * x)
     elif spec.kind == "piecewise_linear":
@@ -173,8 +180,28 @@ def _cell_edges(space: FiniteMeasureSpace) -> np.ndarray:
 
 
 def _locate(edges: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return np.clip(np.searchsorted(edges, x, side="right") - 1, 0,
-                   edges.size - 2)
+    """Cell of each point, clip(searchsorted(edges, x, "right") - 1, 0, N - 1):
+    the guess floor(x N) stands where edges[i] <= x < edges[i + 1] (on uniform
+    cells all points but roundings at an edge), and only the points it misses
+    go through ``searchsorted``, so any weights give the same cells."""
+    n = edges.size - 1
+    i = (x * n).astype(np.intp)
+    np.clip(i, 0, n - 1, out=i)
+    hit = edges[i] <= x
+    hit &= x < edges[1:][i]
+    if not hit.all():
+        miss = ~hit
+        i[miss] = np.clip(np.searchsorted(edges, x[miss], side="right") - 1,
+                          0, n - 1)
+    return i
+
+
+def _count(value, name: str, least: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or value < least:
+        raise PreconditionError(
+            f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 def pf_ulam(spec: MapSpec, space: FiniteMeasureSpace, samples_per_cell: int,
@@ -182,19 +209,24 @@ def pf_ulam(spec: MapSpec, space: FiniteMeasureSpace, samples_per_cell: int,
     """Monte-Carlo Ulam kernel: row i estimates the split of cell i's mass
     over target cells from independent uniform draws inside cell i (one
     derived seed per row), counted in blocks of about 2^14 draws into index
-    arrays that a CSR kernel is built from without visiting its N^2 zeros."""
-    if samples_per_cell < 1:
-        raise PreconditionError("need at least one sample per cell")
-    n, s, dim = space.n, samples_per_cell, spec.dimension
+    arrays that a CSR kernel is built from without visiting its N^2 zeros.
+    Each row's generator fills its slice of one block buffer with the stream
+    of ``default_rng(child).random((dim, s))``, and mapped points find their
+    cell by floor-and-check (``_locate``).  samples_per_cell >= 1 and
+    seed >= 0 must be integers, numpy ones included."""
+    s = _count(samples_per_cell, "samples_per_cell", 1)
+    n, dim = space.n, spec.dimension
     edges = _cell_edges(space)
     g = _planar_side(space, "pf_ulam on the unit square") if dim == 2 else None
-    children = np.random.SeedSequence(seed).spawn(n)
+    children = np.random.SeedSequence(_count(seed, "seed", 0)).spawn(n)
     block = max(1, (1 << 14) // s)
+    buf = np.empty((min(block, n), dim, s))
     found = []  # (keys row * n + col, their counts) per block
     for start in range(0, n, block):
         rows = np.arange(start, min(start + block, n))
-        u = np.stack([np.random.default_rng(children[i]).random((dim, s))
-                      for i in rows])
+        u = buf[:rows.size]
+        for k, i in enumerate(rows):
+            np.random.Generator(np.random.PCG64(children[i])).random(out=u[k])
         if dim == 1:
             x = edges[rows, None] + u[:, 0] * (edges[rows + 1]
                                                - edges[rows])[:, None]

@@ -823,6 +823,10 @@ UNREAD_KEYS = {
                              {"kind": "doubling", "bits": 4},
                              "operators.P0.map has unknown keys ['bits']",
                              "report"),
+    "map-slopes-on-doubling": ("doubling_exact.yaml", ("operators", "P0", "map"),
+                               {"kind": "doubling", "slopes": [2.0]},
+                               "operators.P0.map has unknown keys ['slopes']",
+                               "report"),
     "output-word": ("doubling_exact.yaml", ("output",), "results",
                     "scenario file has unknown keys ['output']", "run-asymp"),
     "output-block": ("doubling_exact.yaml", ("output",), {"dir": "x"},

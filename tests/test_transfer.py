@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,7 +22,10 @@ from cocyclelab.measure import (
     stored_kernel,
 )
 from cocyclelab.transfer import (
+    _TOP,
     MapSpec,
+    _cell_edges,
+    _locate,
     bit_shift_permutation,
     duality_residual,
     map_point,
@@ -148,6 +152,21 @@ def test_mapspec_rejects_non_finite_pieces(bad, words):
         MapSpec("piecewise_linear", **{**one, **bad})
 
 
+@pytest.mark.parametrize("kind, extra, unread", [
+    ("doubling", {"bits": 4, "slopes": [2.0]}, ["bits", "slopes"]),
+    ("tent", {"intercepts": [0.0]}, ["intercepts"]),
+    ("baker_planar", {"bits": 2}, ["bits"]),
+    ("baker_cyclic", {"bits": 4, "breakpoints": [0.0, 1.0]}, ["breakpoints"]),
+    ("piecewise_linear", {"breakpoints": [0.0, 1.0], "slopes": [1.0],
+                          "intercepts": [0.0], "bits": 2}, ["bits"]),
+])
+def test_mapspec_rejects_fields_its_kind_does_not_read(kind, extra, unread):
+    # map_point, pf_exact and pf_ulam would ignore them
+    with pytest.raises(ValueError, match=re.escape(
+            f"map kind {kind!r} does not read {unread}")):
+        MapSpec(kind, **extra)
+
+
 def test_pf_ulam_identity_map_is_identity_kernel():
     space = FiniteMeasureSpace.uniform(8)
     P = pf_ulam(IDENTITY_MAP, space, samples_per_cell=50, seed=0)
@@ -160,6 +179,29 @@ def test_pf_ulam_identity_on_nonuniform_space():
     space = FiniteMeasureSpace(w)
     P = pf_ulam(IDENTITY_MAP, space, samples_per_cell=100, seed=1)
     assert np.array_equal(P.kernel, np.eye(4))
+
+
+@pytest.mark.parametrize("samples, seed, name", [
+    (4, None, "seed"), (4, -1, "seed"), (4, 1.5, "seed"), (4, True, "seed"),
+    (4, np.float64(2.0), "seed"), (4, "7", "seed"),
+    (2.5, 0, "samples_per_cell"), (True, 0, "samples_per_cell"),
+    (0, 0, "samples_per_cell"), (np.int64(-3), 0, "samples_per_cell"),
+], ids=["seed-none", "seed-negative", "seed-fraction", "seed-bool",
+        "seed-numpy-float", "seed-str", "samples-fraction", "samples-bool",
+        "samples-zero", "samples-numpy-negative"])
+def test_pf_ulam_rejects_a_seed_or_sample_count_that_is_not_a_count(
+        samples, seed, name):
+    # seed=None would draw OS entropy, a new kernel on every call
+    with pytest.raises(PreconditionError, match=f"^{name} must be an integer"):
+        pf_ulam(MapSpec("doubling"), FiniteMeasureSpace.uniform(8), samples,
+                seed)
+
+
+def test_pf_ulam_takes_numpy_integers():
+    space = FiniteMeasureSpace.uniform(16)
+    P = pf_ulam(MapSpec("tent"), space, np.int32(5), np.uint64(2**40))
+    assert P.kernel.tobytes() == pf_ulam(MapSpec("tent"), space, 5,
+                                         2**40).kernel.tobytes()
 
 
 def dense_ulam_reference(spec, space, s, seed):
@@ -233,6 +275,49 @@ def test_pf_ulam_matches_dense_row_loop(case):
                                      <= n * n)
     got = P.kernel.toarray() if sp.issparse(P.kernel) else P.kernel
     assert got.tobytes() == expect.tobytes()
+
+
+@st.composite
+def cell_edges(draw):
+    """Edges of uniform or random cells, the random ones scaled so that the
+    last edge may end a few ulps below 1.0 (or above it)."""
+    n = draw(st.sampled_from([1, 2, 3, 7, 10, 64, 255, 256, 700, 1024, 4096]))
+    if draw(st.booleans()):
+        return _cell_edges(FiniteMeasureSpace.uniform(n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = rng.random(n) + draw(st.sampled_from([1e-3, 0.1, 1.0]))
+    w = w / w.sum() * (1.0 + draw(st.integers(-8, 2)) * 2.0**-53)
+    return _cell_edges(FiniteMeasureSpace(w))
+
+
+@settings(max_examples=60, deadline=None)
+@given(cell_edges(), st.integers(0, 2**32 - 1))
+def test_locate_matches_searchsorted(edges, seed):
+    points = np.concatenate([
+        edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+        [0.0, _TOP], np.random.default_rng(seed).random(500)])
+    n = edges.size - 1
+    expect = np.clip(np.searchsorted(edges, points, side="right") - 1, 0, n - 1)
+    got = _locate(edges, points)
+    assert got.dtype == expect.dtype and np.array_equal(got, expect)
+    assert np.array_equal(_locate(edges, points.reshape(-1, 1)),
+                          expect.reshape(-1, 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False,
+                          min_value=-1e300, max_value=1e300), max_size=50),
+       st.integers(0, 2**32 - 1))
+def test_doubling_branch_equals_twice_mod_one(xs, seed):
+    # on [0, 1), where every draw lies, and outside it too
+    x = np.concatenate([[0.0, -0.0, 0.5, np.nextafter(0.5, 0.0), _TOP, 1.0,
+                         -0.3, 1e-300], xs,
+                        np.random.default_rng(seed).random(200)])
+    expect = np.clip((2.0 * x) % 1.0, 0.0, _TOP)
+    assert map_point(MapSpec("doubling"), x).tobytes() == expect.tobytes()
+    for v in x[:8]:  # 0-d inputs take the same branch
+        got = np.asarray(map_point(MapSpec("doubling"), v))
+        assert got.tobytes() == np.clip((2.0 * v) % 1.0, 0.0, _TOP).tobytes()
 
 
 def test_pf_ulam_doubling_close_to_exact():
