@@ -19,6 +19,8 @@ import dataclasses
 
 import numpy as np
 
+from cocyclelab.seeding import spawned_words
+
 FINITE_KINDS = ("finite_permutation", "finite_rotation")
 BERNOULLI = "bernoulli_shift"
 
@@ -208,22 +210,29 @@ def feature(d: DrivingSystem, omega: EnvPoint) -> int:
     return omega.symbol(0)
 
 
+def _natural(value, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or value < 0:
+        raise DrivingError(f"{name} must be an integer >= 0, got {value!r}")
+    return int(value)
+
+
 def sample_env(d: DrivingSystem, count: int, seed: int) -> list[EnvPoint]:
     """i.i.d. sample of environment points from the invariant measure.
 
-    Deterministic given the seed; bernoulli points get independent derived
-    stream seeds, and their symbols are resolved when first read.
+    Deterministic given the seed; count and seed must be integers >= 0,
+    numpy ones included.  Bernoulli point i gets the stream seed
+    ``SeedSequence(seed).spawn(count)[i].generate_state(1, np.uint64)[0]``,
+    all of them from one ``seeding.spawned_words`` call, and its symbols are
+    resolved when first read.
     """
-    if count < 0:
-        raise DrivingError(f"sample count must be nonnegative, got {count}")
-    if seed < 0:
-        raise DrivingError(f"sample seed must be nonnegative, got {seed}")
+    count = _natural(count, "count")
+    seed = _natural(seed, "seed")
     if d.kind in FINITE_KINDS:
         rng = np.random.default_rng(seed)
         idx = rng.choice(d.n_points, size=count, p=d.probs)
         return [EnvPoint(system=d, index=int(i)) for i in idx]
-    seeds = [int(child.generate_state(1, np.uint64)[0])
-             for child in np.random.SeedSequence(seed).spawn(count)]
+    seeds = spawned_words(seed, count, 1)[:, 0].tolist()
     return [EnvPoint(system=d, stream=_SymbolStream(s, d._cum)) for s in seeds]
 
 

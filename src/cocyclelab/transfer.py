@@ -4,11 +4,12 @@
 partition is dyadically aligned (doubling, cyclic bit-shift baker).
 ``pf_ulam`` estimates the kernel for any pointwise map by seeded Monte-Carlo:
 uniform draws inside each cell (stratified by cell, one independent derived
-seed per row, drawn into one block buffer in the stream of
-``default_rng(child)``), counting which target cell the mapped point lands in,
-found by floor-and-check (``_locate``).  Both build index arrays through
-``measure.stored_entries``: CSR when N >= 512 and nnz <= N^2 / 32, else
-dense, filled without importing scipy.sparse.
+seed per row: the stream of ``default_rng(child)`` for the row's spawned
+child, its PCG64 state set from ``seeding.spawned_words`` on one reused
+generator that draws into one block buffer), counting which target cell the
+mapped point lands in, found by floor-and-check (``_locate``).  Both build
+index arrays through ``measure.stored_entries``: CSR when N >= 512 and
+nnz <= N^2 / 32, else dense, filled without importing scipy.sparse.
 ``duality_residual`` checks the discrete kernel against the
 underlying map through the adjoint pairing, using midpoint quadrature on a
 refined partition.
@@ -31,6 +32,7 @@ from cocyclelab.measure import (
     integrate,
     stored_entries,
 )
+from cocyclelab.seeding import spawned_words
 
 MAP_PARAMS = {"doubling": (), "tent": (), "baker_planar": (), "baker_cyclic": ("bits",),
               "piecewise_linear": ("breakpoints", "slopes", "intercepts")}
@@ -204,29 +206,50 @@ def _count(value, name: str, least: int) -> int:
     return int(value)
 
 
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _pcg64_state(w0: int, w1: int, w2: int, w3: int) -> dict:
+    """The state ``PCG64(child)`` starts from, given the child's
+    ``generate_state(4, np.uint64)`` words: numpy's
+    pcg_setseq_128_srandom_r with initstate w0:w1 and initseq w2:w3."""
+    inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+    state = ((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) & _MASK128
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
+
+
 def pf_ulam(spec: MapSpec, space: FiniteMeasureSpace, samples_per_cell: int,
             seed: int) -> MarkovMatrix:
     """Monte-Carlo Ulam kernel: row i estimates the split of cell i's mass
     over target cells from independent uniform draws inside cell i (one
     derived seed per row), counted in blocks of about 2^14 draws into index
     arrays that a CSR kernel is built from without visiting its N^2 zeros.
-    Each row's generator fills its slice of one block buffer with the stream
-    of ``default_rng(child).random((dim, s))``, and mapped points find their
-    cell by floor-and-check (``_locate``).  samples_per_cell >= 1 and
-    seed >= 0 must be integers, numpy ones included."""
+    Row i draws the stream of ``default_rng(SeedSequence(seed).spawn(N)[i])
+    .random((dim, s))``: ``spawned_words`` derives every row's seed words in
+    one vectorised hash, and one reused generator takes each row's PCG64
+    state (``_pcg64_state``) and fills the row's slice of one block buffer.
+    Mapped points find their cell by floor-and-check (``_locate``).
+    samples_per_cell >= 1 and seed >= 0 must be integers, numpy ones
+    included."""
     s = _count(samples_per_cell, "samples_per_cell", 1)
+    seed = _count(seed, "seed", 0)
     n, dim = space.n, spec.dimension
     edges = _cell_edges(space)
     g = _planar_side(space, "pf_ulam on the unit square") if dim == 2 else None
-    children = np.random.SeedSequence(_count(seed, "seed", 0)).spawn(n)
+    words = spawned_words(seed, n, 4).tolist()
+    bit_gen = np.random.PCG64(seed)  # every row sets its own state
+    gen = np.random.Generator(bit_gen)
     block = max(1, (1 << 14) // s)
     buf = np.empty((min(block, n), dim, s))
     found = []  # (keys row * n + col, their counts) per block
     for start in range(0, n, block):
         rows = np.arange(start, min(start + block, n))
         u = buf[:rows.size]
-        for k, i in enumerate(rows):
-            np.random.Generator(np.random.PCG64(children[i])).random(out=u[k])
+        for k, row_words in enumerate(words[start:start + rows.size]):
+            bit_gen.state = _pcg64_state(*row_words)
+            gen.random(out=u[k])
         if dim == 1:
             x = edges[rows, None] + u[:, 0] * (edges[rows + 1]
                                                - edges[rows])[:, None]

@@ -123,6 +123,38 @@ def test_sample_env_rejects_a_negative_seed(d):
         sample_env(d, 2, -1)
 
 
+@pytest.mark.parametrize("d", [finite_rotation(3), bernoulli_shift([0.5, 0.5])],
+                         ids=["finite", "bernoulli"])
+@pytest.mark.parametrize("count, seed, name", [
+    (1.5, 0, "count"), (None, 0, "count"), ("3", 0, "count"),
+    (True, 0, "count"), (np.float64(2.0), 0, "count"),
+    (2, 1.5, "seed"), (2, None, "seed"), (2, "7", "seed"), (2, True, "seed"),
+    (2, np.float64(2.0), "seed"),
+], ids=["count-fraction", "count-none", "count-str", "count-bool",
+        "count-numpy-float", "seed-fraction", "seed-none", "seed-str",
+        "seed-bool", "seed-numpy-float"])
+def test_sample_env_rejects_a_count_or_seed_that_is_not_an_integer(
+        d, count, seed, name):
+    # seed=None would draw OS entropy, a new sample on every call
+    with pytest.raises(DrivingError, match=f"^{name} must be an integer >= 0"):
+        sample_env(d, count, seed)
+
+
+@pytest.mark.parametrize("d", [finite_rotation(3), bernoulli_shift([0.5, 0.5])],
+                         ids=["finite", "bernoulli"])
+def test_sample_env_takes_numpy_integers(d):
+    assert sample_env(d, np.int32(4), np.uint64(2**40)) \
+        == sample_env(d, 4, 2**40)
+
+
+@given(st.integers(0, 2**160), st.integers(0, 40))
+def test_bernoulli_stream_seeds_are_the_spawned_children_words(seed, count):
+    pts = sample_env(bernoulli_shift([0.5, 0.5]), count, seed)
+    assert [p.stream.seed for p in pts] == [
+        int(child.generate_state(1, np.uint64)[0])
+        for child in np.random.SeedSequence(seed).spawn(count)]
+
+
 def philox_symbol(seed, cum, k):
     """Reference: one generator advanced to coordinate k's own block."""
     bg = np.random.Philox(key=seed)
