@@ -38,6 +38,7 @@ from cocyclelab.measure import (
     indicator_rows,
     issparse,
     mass_apply,
+    require_count,
     require_horizon,
     single_blas_thread,
 )
@@ -68,6 +69,12 @@ class PeriodicDecomposition:
     residual: float
     tol: float                 # the structure tolerance applied
     reason: str | None = None
+
+    def __post_init__(self):  # a cycle that never returns would loop forever
+        if self.found and (self.rho is None or not np.array_equal(
+                np.sort(self.rho), np.arange(self.r))):
+            raise PreconditionError(
+                f"rho must be a permutation of 0..{self.r - 1}, got {self.rho}")
 
     def cycle_length(self, i: int) -> int:
         if self.rho is None:
@@ -145,8 +152,7 @@ def detect_periodicity(c: CocycleFamily, omega: EnvPoint, horizon: int,
     as one block.  It is read in place: the residual over row blocks, the
     burn-in masses of f0 as one push through it.
     """
-    if r_max < 0:
-        raise PreconditionError(f"r_max must be >= 0, got {r_max}")
+    require_count(r_max, "r_max", 0)
     require_horizon(horizon)
     if f0 is not None and not np.isfinite(f0.values).all():
         raise PreconditionError("f0 must be finite: it holds NaN or inf values")
@@ -317,9 +323,7 @@ def quasi_constrictive_probe(c: CocycleFamily, omega: EnvPoint, horizon: int,
     eps_values = np.sort(np.asarray(eps_values, dtype=float))
     if not (eps_values.size and np.isfinite(eps_values).all() and eps_values[0] > 0):
         raise PreconditionError(f"eps grid must be finite and > 0: {eps_values}")
-    if horizon < 1:  # from horizon 1 on the window leaves n = 0 out
-        raise PreconditionError(
-            f"the probe reads late times: horizon must be >= 1, got {horizon}")
+    require_count(horizon, "horizon", 1)  # from 1 on the window leaves n = 0 out
     burn = tail_start(horizon + 1)
     w = c.space.weights
 

@@ -41,6 +41,7 @@ from cocyclelab.measure import (
     indicator_rows,
     kernel_matmul,
     mass_apply,
+    require_count,
     same_space,
     single_blas_thread,
 )
@@ -211,10 +212,8 @@ def invariant_density_pullback(c: CocycleFamily, omega: EnvPoint, k_max: int,
 
     Failure to converge is reported through the certificate, never hidden.
     """
+    require_count(k_max, "k_max", 0)  # the pullback depth cap
     c.check_point(omega)
-    if not isinstance(k_max, (int, np.integer)) or k_max < 0:
-        raise PreconditionError(
-            f"pullback depth cap k_max must be an integer >= 0, got {k_max!r}")
     if not 0 <= tol < np.inf:  # tol = 0 is legal: it runs to the depth cap
         raise PreconditionError(f"pullback tol must be finite and >= 0, got {tol}")
     if f0 is None:

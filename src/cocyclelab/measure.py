@@ -337,19 +337,28 @@ def require_stack(stack, n: int, cells_axis: int, what: str):
 
 
 def require_finite_columns(stack, what: str):
-    """Reject a dense or CSR (N, k) observable stack holding NaN or inf,
-    naming its first such column j as g_basis[j]."""
-    bad = (stack.indices[~np.isfinite(stack.data)] if issparse(stack)
-           else np.flatnonzero(~np.isfinite(stack).all(axis=0)))
+    """Reject a dense or CSR (..., N, k) observable stack holding NaN or inf,
+    naming its first such column j, over every leading axis, as g_basis[j]."""
+    bad = (stack.indices[~np.isfinite(stack.data)] if issparse(stack) else
+           np.flatnonzero(~np.isfinite(stack).all(axis=tuple(range(stack.ndim - 1)))))
     if bad.size:
         raise PreconditionError(f"{what} needs finite observables; "
                                 f"g_basis[{bad.min()}] holds NaN or inf values")
 
 
+def require_count(value, name: str, least: int) -> int:
+    """The one rule for a step count, cap or sample count: an integer (numpy
+    ones included, bool not) of at least ``least``, returned as an int."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or value < least:
+        raise PreconditionError(
+            f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 def require_horizon(horizon: int):
-    """Reject a negative step count."""
-    if horizon < 0:
-        raise PreconditionError(f"horizon must be >= 0, got {horizon}")
+    """Reject a step count that is not an integer >= 0."""
+    require_count(horizon, "horizon", 0)
 
 
 def require_tolerance(tol: float):

@@ -9,12 +9,14 @@ environment,
 
     C_inhom(n) = integral  P^(n)(omega) f  *  g(sigma^n omega)  dm.
 
-Observable families g are step maps: one bounded observable per environment
-feature, measurable in the driving.  The prior notions ask for one threshold
-per environment point across the whole (f, g) basis, the posterior notions
-one per pair.  Both are maxima of one settle index per curve, so on a finite
-sample the two orders are one conjunction and the verdict is read off them;
-comparing notions tests the homogeneous verdict against the travelling one.
+A travelling observable family is one dense (n_features, N, n_g) array g,
+bounded and measurable in the driving: slice g[p] is the (N, n_g) observable
+stack read where the environment has feature p, the layout of a fixed stack.
+The prior notions ask for one threshold per environment point across the
+whole (f, g) basis, the posterior notions one per pair.  Both are maxima of
+one settle index per curve, so on a finite sample the two orders are one
+conjunction and the verdict is read off them; comparing notions tests the
+homogeneous verdict against the travelling one.
 
 ``counterexample_run`` reproduces the separating example: the cyclic
 bit-shift baker cocycle with f the centered half-space indicator and
@@ -47,6 +49,7 @@ from cocyclelab.measure import (
     PreconditionError,
     dense,
     mass_apply,  # unused here; the benchmark's tests read mixing.mass_apply
+    require_count,
     require_finite_columns,
     require_horizon,
     require_stack,
@@ -61,29 +64,8 @@ from cocyclelab.transfer import bit_shift_permutation
 NOTIONS = ("prior-hom", "post-hom", "prior-inhom", "post-inhom")
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
-class ObservableMap:
-    """Environment-indexed observable family: ``table`` maps environment
-    features to Observables; features without an entry read as the zero
-    observable."""
-
-    space: FiniteMeasureSpace
-    table: dict
-
-    def at_feature(self, feat: int) -> Observable:
-        g = self.table.get(feat)
-        if g is None:
-            return Observable(self.space, np.zeros(self.space.n))
-        return g
-
-
-def step_map(space: FiniteMeasureSpace, table: dict) -> ObservableMap:
-    return ObservableMap(space=space, table=dict(table))
-
-
-def _require_finite(g, name: str):  # an observable, or every step-map entry
-    if not all(np.isfinite(h.values).all() for h in (
-            g.table.values() if isinstance(g, ObservableMap) else [g])):
+def _require_finite(values, name: str):
+    if not np.isfinite(values).all():
         raise PreconditionError(f"{name} must be finite: it holds NaN or inf values")
 
 
@@ -92,7 +74,7 @@ def correlation_hom(c: CocycleFamily, omega: EnvPoint, f: Density,
                     g: Observable, n: int) -> float:
     """integral P^(n)(omega) f * g dm for a fixed observable g."""
     require_zero_mean(f.mass, "correlation decay")
-    _require_finite(g, "g")
+    _require_finite(g.values, "g")
     for _, mass in push_orbit(c, omega, f.mass, n):
         pass
     return float(np.dot(mass, g.values))
@@ -100,22 +82,21 @@ def correlation_hom(c: CocycleFamily, omega: EnvPoint, f: Density,
 
 @single_blas_thread
 def correlation_inhom(c: CocycleFamily, omega: EnvPoint, f: Density,
-                      g: ObservableMap, n: int) -> float:
-    """integral P^(n)(omega) f * g(sigma^n omega) dm for a travelling g."""
+                      g: np.ndarray, n: int) -> float:
+    """integral P^(n)(omega) f * g(sigma^n omega) dm for a travelling g, an
+    (n_features, N) array whose row p is the observable at feature p."""
     require_zero_mean(f.mass, "correlation decay")
     _require_finite(g, "g")
     for pt, mass in push_orbit(c, omega, f.mass, n):
         pass
-    return float(np.dot(mass, g.at_feature(feature(c.driving, pt)).values))
+    return float(np.dot(mass, g[feature(c.driving, pt)]))
 
 
 # -- bases -------------------------------------------------------------------
 
 def _evenly_spaced(size: int, count: int | None) -> np.ndarray:
     """``count`` evenly spaced indices of range(size), or all of them."""
-    if count is not None and count < 1:
-        raise PreconditionError(f"basis count must be >= 1, got {count}")
-    if count is None or count >= size:
+    if count is None or require_count(count, "basis count", 1) >= size:
         return np.arange(size)
     return np.unique(np.linspace(0, size - 1, count).round().astype(int))
 
@@ -143,13 +124,17 @@ def indicator_basis(space: FiniteMeasureSpace, count: int | None = None):
                           np.arange(cells.size), np.ones(cells.size))
 
 
-def step_map_basis(c: CocycleFamily, g_observables) -> list[ObservableMap]:
-    """One step map per (feature, column g of the (N, k) stack): g at that
-    feature, zero elsewhere.  Spans the simple environment-indexed families
+def step_map_basis(c: CocycleFamily, g_observables) -> np.ndarray:
+    """The (n_features, N, n_features * k) travelling basis of the (N, k)
+    observable stack: column p * k + i holds column i at feature p and zeros
+    at every other feature.  Spans the simple environment-indexed families
     the travelling notions quantify over."""
-    obs = [Observable(c.space, g) for g in dense(g_observables).T]
-    return [step_map(c.space, {p: g}) for p in range(c.driving.n_features)
-            for g in obs]
+    g = dense(g_observables)
+    n_feat, k = c.driving.n_features, g.shape[1]
+    out = np.zeros((n_feat, c.n, n_feat * k))
+    for p in range(n_feat):
+        out[p, :, p * k:(p + 1) * k] = g
+    return out
 
 
 # -- estimator ----------------------------------------------------------------
@@ -160,10 +145,10 @@ class MixingReport:
     the one decay verdict.
 
     values[w, i, j, n] is the curve for omega_samples[w], row i of f_basis
-    and the j-th observable (a stack column for the homogeneous notions, a
-    step map for the travelling ones).  Each curve is read as its
-    ``settle_index`` (horizon + 1 when it never stays below tol).  The report
-    fits no rates; a caller that wants them calls ``fit_geometric_rates``.
+    and column j of the observable stack (of each feature's slice g_basis[p]
+    for the travelling notions).  Each curve is read as its ``settle_index``
+    (horizon + 1 when it never stays below tol).  The report fits no rates;
+    a caller that wants them calls ``fit_geometric_rates``.
     """
 
     notion: str
@@ -186,8 +171,9 @@ def estimate_mixing(c: CocycleFamily, notion: str, f_basis, g_basis,
     with the decay verdict in the requested quantifier order.
 
     f_basis is an (n_f, N) mass stack.  g_basis is an (N, n_g) observable
-    stack for the homogeneous notions and a list of step ObservableMaps for
-    the travelling ones.
+    stack for the homogeneous notions and a dense (n_features, N, n_g) array
+    for the travelling ones, read at step n as the stack g_basis[p] of the
+    feature p that the orbit meets there.
     """
     if notion not in NOTIONS:
         raise PreconditionError(f"unknown mixing notion {notion!r}; "
@@ -195,14 +181,13 @@ def estimate_mixing(c: CocycleFamily, notion: str, f_basis, g_basis,
     inhom = notion.endswith("inhom")
     if not inhom:
         require_stack(g_basis, c.n, 0, "correlation decay")
-        require_finite_columns(g_basis, "correlation decay")
-    elif not isinstance(g_basis, (list, tuple)) or not g_basis or not all(
-            isinstance(g, ObservableMap) for g in g_basis):
+    elif type(g_basis) is not np.ndarray or g_basis.ndim != 3 or \
+            g_basis.shape[:2] != (c.driving.n_features, c.n) or 0 in g_basis.shape:
         raise PreconditionError(
-            "travelling notions take a nonempty list of step observable maps")
-    else:
-        for j, g in enumerate(g_basis):
-            _require_finite(g, f"g_basis[{j}]")
+            f"travelling notions take an (n_features, N, n_g) array of shape "
+            f"({c.driving.n_features}, {c.n}, >= 1); got "
+            f"{getattr(g_basis, 'shape', type(g_basis).__name__)}")
+    require_finite_columns(g_basis, "correlation decay")
     require_stack(f_basis, c.n, 1, "correlation decay")
     require_zero_mean(f_basis, "correlation decay")
     if not len(omega_samples):
@@ -216,14 +201,12 @@ def estimate_mixing(c: CocycleFamily, notion: str, f_basis, g_basis,
     walks, groups = kernel_groups(c, omega_samples, horizon)
     paths = [tuple(feature(c.driving, pt) for pt in w) if inhom
              else (None,) * (horizon + 1) for w in walks]
-    observables = {f: g_basis if f is None else np.stack(
-        [g.at_feature(f).values for g in g_basis], axis=1)
+    observables = {f: g_basis if f is None else g_basis[f]
                    for f in set().union(*paths)}
     rows, pos = {}, np.empty(len(omega_samples), dtype=np.intp)
     for ops, members in groups.items():  # a row per (operators, feature path)
         pos[members] = [rows.setdefault((ops, paths[u]), len(rows)) for u in members]
-    curves = np.empty((len(rows), f_basis.shape[0],
-                       len(g_basis) if inhom else g_basis.shape[1], horizon + 1))
+    curves = np.empty((len(rows), f_basis.shape[0], g_basis.shape[-1], horizon + 1))
     for ops, members in groups.items():
         mine = {paths[u]: pos[u] for u in members}  # the group's rows
         start = stored_stack(f_basis, ops[0].kernel) if ops else f_basis
@@ -286,9 +269,8 @@ def counterexample_run(k: int, horizon: int | None = None) -> CounterexampleRepo
             f"k must be an integer in 1..{COUNTEREXAMPLE_MAX_K} (the model has "
             f"4^k cells), got {k!r}")
     bits = period = 2 * int(k)
-    capped = horizon is not None and horizon > period
+    capped = horizon is not None and require_count(horizon, "horizon", 0) > period
     horizon = period if horizon is None or capped else horizon
-    require_horizon(horizon)
     n_cells = 1 << bits
     space = FiniteMeasureSpace.uniform(n_cells)
 

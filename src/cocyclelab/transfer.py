@@ -30,6 +30,7 @@ from cocyclelab.measure import (
     PreconditionError,
     apply,
     integrate,
+    require_count,
     stored_entries,
 )
 from cocyclelab.seeding import spawned_words
@@ -198,14 +199,6 @@ def _locate(edges: np.ndarray, x: np.ndarray) -> np.ndarray:
     return i
 
 
-def _count(value, name: str, least: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
-            or value < least:
-        raise PreconditionError(
-            f"{name} must be an integer >= {least}, got {value!r}")
-    return int(value)
-
-
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
 
@@ -233,8 +226,8 @@ def pf_ulam(spec: MapSpec, space: FiniteMeasureSpace, samples_per_cell: int,
     Mapped points find their cell by floor-and-check (``_locate``).
     samples_per_cell >= 1 and seed >= 0 must be integers, numpy ones
     included."""
-    s = _count(samples_per_cell, "samples_per_cell", 1)
-    seed = _count(seed, "seed", 0)
+    s = require_count(samples_per_cell, "samples_per_cell", 1)
+    seed = require_count(seed, "seed", 0)
     n, dim = space.n, spec.dimension
     edges = _cell_edges(space)
     g = _planar_side(space, "pf_ulam on the unit square") if dim == 2 else None
@@ -273,11 +266,9 @@ def duality_residual(P: MarkovMatrix, spec: MapSpec, f: Density,
     kernels of cell-aligned maps give residuals at float-rounding scale;
     Ulam kernels give residuals that shrink under partition refinement.
     """
-    if refinement < 1:
-        raise PreconditionError("refinement must be >= 1")
+    r = require_count(refinement, "refinement", 1)
     space = f.space
     lhs = integrate(apply(P, f), g)
-    r = refinement
     sub = (np.arange(r) + 0.5) / r
     if spec.dimension == 1:
         edges = _cell_edges(space)

@@ -314,6 +314,19 @@ def test_restricted_power_rejects_bernoulli_driving():
         restricted_power_cocycle(c, fake, 0)
 
 
+@pytest.mark.parametrize("rho", [[0, 0], [1, 1], [1, 2], [0], None])
+def test_found_decomposition_rejects_a_rho_that_is_not_a_permutation(rho):
+    # rho = [0, 0] used to build, and its period then looped forever
+    space = FiniteMeasureSpace.uniform(4)
+    with pytest.raises(PreconditionError, match=r"rho must be a permutation of 0\.\.1"):
+        PeriodicDecomposition(
+            found=True, r=2, rho=None if rho is None else np.array(rho),
+            supports=[np.array([0, 1]), np.array([2, 3])],
+            densities=[Density.indicator(space, [0, 1], normalized=True),
+                       Density.indicator(space, [2, 3], normalized=True)],
+            lambdas=np.array([0.5, 0.5]), burn_in=1, residual=0.0, tol=1e-10)
+
+
 # -- constrictivity probe --------------------------------------------------------
 
 
@@ -362,7 +375,7 @@ def test_qc_probe_rejects_a_window_that_starts_at_n_zero(horizon):
     # only horizon 0 puts it in the window
     c = constant_cocycle(np.eye(4))
     with pytest.raises(PreconditionError,
-                       match=rf"horizon must be >= 1, got {horizon}"):
+                       match=rf"horizon must be an integer >= 1, got {horizon}"):
         quasi_constrictive_probe(c, point(c.driving, 0), horizon, [0.5])
     rep = quasi_constrictive_probe(c, point(c.driving, 0), 1, [0.5])
     assert [wit.n for wit in rep.witnesses] == [1]

@@ -660,7 +660,7 @@ def test_routes_reject_a_negative_horizon_before_walking(monkeypatch, route,
         raise AssertionError("walked an orbit")
 
     monkeypatch.setattr(CocycleFamily, "check_point", no_walk)
-    with pytest.raises(PreconditionError, match=f"horizon must be >= 0, got "
+    with pytest.raises(PreconditionError, match=f"horizon must be an integer >= 0, got "
                        f"{horizon}"):
         if route == "tail":
             tail_partition(c, point(c.driving, 0), horizon)

@@ -9,13 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cocyclelab.measure
+from cocyclelab.asymptotic import detect_periodicity, quasi_constrictive_probe
 from cocyclelab.cocycle import (
     CocycleFamily,
     NormalizedCocycle,
     build_invariant_density_map,
+    invariant_density_pullback,
 )
 from cocyclelab.driving import point
-from cocyclelab.exactness import exactness_report
+from cocyclelab.exactness import exactness_report, tail_partition
 from cocyclelab.measure import (
     SPARSE_FILL_DIVISOR,
     SPARSE_MIN_CELLS,
@@ -35,9 +37,15 @@ from cocyclelab.measure import (
     single_blas_thread,
     stored_stack,
 )
-from cocyclelab.mixing import estimate_mixing, indicator_basis, zero_mean_basis
+from cocyclelab.mixing import (
+    counterexample_run,
+    estimate_mixing,
+    indicator_basis,
+    zero_mean_basis,
+)
 from cocyclelab.scenario import load_scenario
 from cocyclelab.skew import ProductSet, skew_mixing_curve
+from cocyclelab.transfer import MapSpec, duality_residual, pf_exact
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -380,6 +388,67 @@ def test_verdict_routes_reject_a_tolerance_not_finite_and_positive(
     with pytest.raises(PreconditionError,
                        match=f"tol must be finite and > 0, got {tol}"):
         TOL_ROUTES[route](c, w, tol)
+
+
+# -- the one integer rule for step counts and caps ---------------------------------
+
+# route -> (call on a cocycle and a start point with the given count, least)
+COUNT_ROUTES = {
+    "estimate_mixing": (lambda c, w, n: estimate_mixing(
+        c, "prior-hom", zero_mean_basis(c.space), indicator_basis(c.space),
+        [w], n, 1e-6), 0),
+    "exactness_report": (lambda c, w, n: exactness_report(
+        c, w, zero_mean_basis(c.space), indicator_basis(c.space), n, 1e-6), 0),
+    "tail_partition": (lambda c, w, n: tail_partition(c, w, n), 0),
+    "detect_periodicity": (lambda c, w, n: detect_periodicity(c, w, n, 8), 0),
+    "detect_periodicity.r_max": (
+        lambda c, w, n: detect_periodicity(c, w, 5, n), 0),
+    "quasi_constrictive_probe": (
+        lambda c, w, n: quasi_constrictive_probe(c, w, n, [0.5]), 1),
+    "skew_mixing_curve": (lambda c, w, n: skew_mixing_curve(
+        NormalizedCocycle(c, build_invariant_density_map(c)),
+        ProductSet(cells=[0]), ProductSet(cells=[1]), n, 1e-6), 0),
+    "invariant_density_pullback.k_max": (
+        lambda c, w, n: invariant_density_pullback(c, w, n), 0),
+    "zero_mean_basis.count": (lambda c, w, n: zero_mean_basis(c.space, n), 1),
+    "indicator_basis.count": (lambda c, w, n: indicator_basis(c.space, n), 1),
+    "counterexample_run": (lambda c, w, n: counterexample_run(1, horizon=n), 0),
+    "duality_residual.refinement": (lambda c, w, n: duality_residual(
+        pf_exact(MapSpec("doubling"), c.space), MapSpec("doubling"),
+        Density.uniform(c.space), Observable.constant(c.space), n), 1),
+}
+# routes where None is legal: every basis element, the period as horizon
+NONE_LEGAL = {"zero_mean_basis.count", "indicator_basis.count",
+              "counterexample_run"}
+
+
+@pytest.mark.parametrize("route,bad", [
+    (route, bad) for route in COUNT_ROUTES for bad in (2.5, True, None, "3")
+    if not (bad is None and route in NONE_LEGAL)])
+def test_count_routes_reject_a_value_that_is_not_an_integer(
+        monkeypatch, route, bad):
+    # True used to run as 1, 2.5 as a float step count, and None or "3"
+    # ended in a bare TypeError
+    c = load_scenario(str(SCENARIOS / "identity.yaml")).cocycle
+    w = point(c.driving, 0)
+    call, least = COUNT_ROUTES[route]
+
+    def no_walk(self, omega):
+        raise AssertionError("walked an orbit")
+
+    monkeypatch.setattr(CocycleFamily, "check_point", no_walk)
+    with pytest.raises(PreconditionError,
+                       match=rf"must be an integer >= {least}, got {bad!r}"):
+        call(c, w, bad)
+
+
+@pytest.mark.parametrize("route", COUNT_ROUTES)
+def test_count_routes_take_numpy_integers(route):
+    c = load_scenario(str(SCENARIOS / "identity.yaml")).cocycle
+    w = point(c.driving, 0)
+    call, _ = COUNT_ROUTES[route]
+    for value in (np.int64(3), np.uint8(3)):
+        call(c, w, value)
 
 
 # -- one BLAS thread per entry ------------------------------------------------------

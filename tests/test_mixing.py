@@ -1,4 +1,4 @@
-"""Tests for correlation estimators, observable maps, and the
+"""Tests for correlation estimators, travelling observable bases, and the
 travelling-observable counterexample.
 
 Hand-computed oracle used below: on the 4-cell dyadic doubling kernel the
@@ -54,13 +54,11 @@ from cocyclelab.measure import (
 from cocyclelab.mixing import (
     NOTIONS,
     CounterexampleReport,
-    ObservableMap,
     correlation_hom,
     correlation_inhom,
     counterexample_run,
     estimate_mixing,
     indicator_basis,
-    step_map,
     step_map_basis,
     zero_mean_basis,
 )
@@ -121,8 +119,9 @@ def test_hom_correlation_requires_zero_mean():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_correlations_reject_a_non_finite_observable(bad):
-    # a NaN or inf observable used to come back as a nan correlation; a step
-    # map is checked at every table entry, also one the orbit never reads
+    # a NaN or inf observable used to come back as a nan correlation; a
+    # travelling one is checked at every feature, also one the orbit never
+    # reads
     c = constant_cocycle(DOUBLING4, q=2)
     f = Density.from_mass(c.space, [0.5, -0.5, 0.0, 0.0])
     g = Observable(c.space, [bad, 0.0, 0.0, 0.0])
@@ -131,7 +130,7 @@ def test_correlations_reject_a_non_finite_observable(bad):
         correlation_hom(c, omega, f, g, 2)
     ok = Observable(c.space, Density.indicator(c.space, [0]).values)
     with pytest.raises(PreconditionError, match=r"^g must be finite.*NaN or inf"):
-        correlation_inhom(c, omega, f, step_map(c.space, {0: ok, 1: g}), 2)
+        correlation_inhom(c, omega, f, np.stack([ok.values, g.values]), 2)
 
 
 def test_inhom_step_map_reduces_to_hom_when_constant():
@@ -144,7 +143,7 @@ def test_inhom_step_map_reduces_to_hom_when_constant():
     c = CocycleFamily(driving=driving, table={0: P, 1: Q})
     f = Density.from_mass(space, [0.5, -0.5, 0.0, 0.0])
     g = Observable(space, np.array([1.0, -1.0, 0.5, 0.0]))
-    gmap = step_map(space, {0: g, 1: g})
+    gmap = np.stack([g.values, g.values])
     omega = point(driving, 0)
     for n in range(6):
         assert correlation_inhom(c, omega, f, gmap, n) == pytest.approx(
@@ -155,19 +154,12 @@ def test_step_map_missing_feature_reads_zero():
     c = constant_cocycle(DOUBLING4, q=2)
     space = c.space
     f = Density.from_mass(space, [0.5, -0.5, 0.0, 0.0])
-    gmap = step_map(space, {
-        0: Observable(space, Density.indicator(space, [0]).values)})
+    gmap = np.stack([Density.indicator(space, [0]).values, np.zeros(4)])
     omega = point(c.driving, 0)
-    # starting at index 0, odd elapsed times sit at feature 1 -> zero observable
+    # starting at index 0, odd elapsed times sit at feature 1 -> zero row
     assert correlation_inhom(c, omega, f, gmap, 1) == 0.0
     assert correlation_inhom(c, omega, f, gmap, 3) == 0.0
     assert correlation_inhom(c, omega, f, gmap, 0) == 0.5
-
-
-def test_observable_map_validation():
-    space = FiniteMeasureSpace.uniform(4)
-    with pytest.raises(TypeError):
-        ObservableMap(space=space)  # a step map needs a feature table
 
 
 # -- adjoint route agreement (dual composition gives the same correlations) ---
@@ -295,17 +287,27 @@ def test_verdict_window_is_the_last_tenth_of_every_curve():
 
 
 def test_step_map_basis_enumerates_feature_observable_pairs():
-    c = constant_cocycle(DOUBLING4, q=2)
-    obs = indicator_basis(c.space, count=2)
-    maps = step_map_basis(c, obs)
-    assert len(maps) == 4
-    for m in maps:
-        assert isinstance(m, ObservableMap) and len(m.table) == 1
-    bern = CocycleFamily(
-        driving=bernoulli_shift([0.5, 0.5]),
-        table={0: MarkovMatrix(c.space, DOUBLING4),
-               1: MarkovMatrix(c.space, UNIFORMIZER4)})
-    assert len(step_map_basis(bern, obs)) == 4
+    # column p * k + i holds column i of the stack at feature p, zero at
+    # every other feature
+    c = constant_cocycle(DOUBLING4, q=3)
+    obs = np.arange(8.0).reshape(4, 2) + 1.0
+    g = step_map_basis(c, obs)
+    assert type(g) is np.ndarray and g.shape == (3, 4, 6)
+    for p in range(3):
+        for q in range(3):
+            block = g[p, :, 2 * q:2 * q + 2]
+            assert block.tobytes() == (obs if p == q else np.zeros((4, 2))).tobytes()
+    # a CSR stack reads as its dense columns
+    big = FiniteMeasureSpace.uniform(SPARSE_MIN_CELLS)
+    csr = indicator_basis(big, count=3)
+    assert sp.issparse(csr)
+    identity = MarkovMatrix(big, np.eye(big.n))
+    bern = CocycleFamily(driving=bernoulli_shift([0.5, 0.5]),
+                         table={0: identity, 1: identity})
+    g = step_map_basis(bern, csr)
+    assert g.shape == (2, big.n, 6)
+    assert g[0, :, :3].tobytes() == g[1, :, 3:].tobytes() == dense(csr).tobytes()
+    assert not g[0, :, 3:].any() and not g[1, :, :3].any()
 
 
 # -- estimator -----------------------------------------------------------------
@@ -343,8 +345,9 @@ def test_estimator_inhom_verdicts_and_step_maps():
     for w, omega in enumerate(points(c.driving)):
         for i, mass in enumerate(f_basis):
             f = Density.from_mass(space, mass)
-            for j, g in enumerate(g_basis):
-                want = [correlation_inhom(c, omega, f, g, n) for n in (0, 1, 5)]
+            for j in range(g_basis.shape[2]):
+                want = [correlation_inhom(c, omega, f, g_basis[..., j], n)
+                        for n in (0, 1, 5)]
                 got = [rep.values[w, i, j, n] for n in (0, 1, 5)]
                 assert got == pytest.approx(want, abs=1e-14)
 
@@ -430,13 +433,56 @@ def test_estimator_rejects_a_non_finite_observable_before_walking(
     values[1] = bad
     g_obs = np.column_stack([indicator_basis(c.space)[:, :2], values])
     if notion.endswith("inhom"):
-        # the bad observable sits at feature 1 of the third step map
-        cols = [Observable(c.space, v) for v in g_obs.T]
-        g_obs = [step_map(c.space, {0: g}) for g in cols[:2]] + [
-            step_map(c.space, {0: cols[0], 1: cols[2]})]
+        # the bad observable sits at feature 1 of the third column
+        g_obs = np.stack([g_obs, g_obs])
+        g_obs[0, :, 2], g_obs[1, :, :2] = g_obs[0, :, 0], 0.0
     with pytest.raises(PreconditionError, match=r"g_basis\[2\].*NaN or inf"):
         estimate_mixing(c, notion, zero_mean_basis(c.space), g_obs,
                         points(c.driving), 4, 1e-6)
+
+
+TRAVELLING_MISFITS = {
+    "2-d stack": lambda g: g[0],
+    "list of arrays": list,
+    "feature count": lambda g: g[:1],
+    "cell count": lambda g: g[:, :3],
+    "no columns": lambda g: g[..., :0],
+    "csr": lambda g: sp.csr_array(g[0]),
+}
+
+
+@pytest.mark.parametrize("misfit", TRAVELLING_MISFITS)
+@pytest.mark.parametrize("notion", ["prior-inhom", "post-inhom"])
+def test_estimator_rejects_a_travelling_basis_that_is_not_one_array(
+        monkeypatch, notion, misfit):
+    def no_walk(*args, **kwargs):
+        raise AssertionError("walked the orbit")
+
+    monkeypatch.setattr(cocyclelab.cocycle, "orbit", no_walk)
+    c = constant_cocycle(DOUBLING4, q=2)
+    g_basis = TRAVELLING_MISFITS[misfit](step_map_basis(c, indicator_basis(c.space)))
+    with pytest.raises(PreconditionError, match=r"travelling notions take an "
+                       r"\(n_features, N, n_g\) array of shape \(2, 4, >= 1\)"):
+        estimate_mixing(c, notion, zero_mean_basis(c.space), g_basis,
+                        points(c.driving), 4, 1e-6)
+
+
+@pytest.mark.parametrize("column", [0, 5])
+def test_estimator_names_a_nan_at_a_feature_the_orbit_never_meets(
+        monkeypatch, column):
+    # horizon 0 from point 0 reads feature 0 only; column 0 is zero at
+    # feature 1 and column 5 holds an indicator there
+    def no_walk(*args, **kwargs):
+        raise AssertionError("walked the orbit")
+
+    monkeypatch.setattr(cocyclelab.cocycle, "orbit", no_walk)
+    c = constant_cocycle(DOUBLING4, q=2)
+    g_basis = step_map_basis(c, indicator_basis(c.space))
+    g_basis[1, 2, column] = np.nan
+    with pytest.raises(PreconditionError,
+                       match=rf"g_basis\[{column}\] holds NaN or inf"):
+        estimate_mixing(c, "prior-inhom", zero_mean_basis(c.space), g_basis,
+                        [point(c.driving, 0)], 0, 1e-6)
 
 
 def test_estimator_rejects_a_point_of_another_driving():
@@ -455,17 +501,15 @@ def test_estimator_rejects_a_point_of_another_driving():
 def reference_estimate(c, notion, f_basis, g_basis, omega_samples, horizon,
                        tol):
     """The estimator written out plainly: one orbit per sample, the
-    observables stacked afresh at every step."""
+    observables read afresh at every step."""
     inhom = notion.endswith("inhom")
-    n_w, n_f = len(omega_samples), f_basis.shape[0]
-    n_g = len(g_basis) if inhom else g_basis.shape[1]
+    n_w, n_f, n_g = len(omega_samples), f_basis.shape[0], g_basis.shape[-1]
     values = np.empty((n_w, n_f, n_g, horizon + 1))
     for w, omega in enumerate(omega_samples):
         cur = f_basis
         for n, pt in enumerate(orbit(c, omega, horizon)):
             if inhom:
-                g_now = np.stack([g.at_feature(feature(c.driving, pt)).values
-                                  for g in g_basis], axis=1)
+                g_now = g_basis[feature(c.driving, pt)]
             else:
                 g_now = np.array(g_basis)
             values[w, :, :, n] = cur @ g_now
@@ -537,10 +581,11 @@ def test_estimator_fast_paths_match_reference_loop(case):
     g_obs = indicator_basis(space)
     g_basis = g_obs
     if notion.endswith("inhom"):
-        # the last map reads a different observable at features 0 and 1
-        g_basis = step_map_basis(c, g_obs) + [step_map(space, {
-            0: Observable(space, g_obs[:, 0]),
-            1: Observable(space, np.linspace(-1.0, 1.0, space.n))})]
+        # the last column reads a different observable at features 0 and 1
+        last = np.zeros((c.driving.n_features, space.n, 1))
+        last[0, :, 0] = g_obs[:, 0]
+        last[1:2, :, 0] = np.linspace(-1.0, 1.0, space.n)
+        g_basis = np.concatenate([step_map_basis(c, g_obs), last], axis=2)
     rep = estimate_mixing(c, notion, f_basis, g_basis, omegas, horizon, tol)
     ref = reference_estimate(c, notion, f_basis, g_basis, omegas, horizon, tol)
     assert rep.values.shape == ref["values"].shape
@@ -549,13 +594,12 @@ def test_estimator_fast_paths_match_reference_loop(case):
     assert rep.prior_thresholds.tolist() == ref["prior_thresholds"]
     assert rep.posterior_thresholds.tolist() == ref["posterior_thresholds"]
     if notion.endswith("inhom"):
-        j = len(g_basis) - 1
         for w, omega in enumerate(omegas):
             for i, mass in enumerate(f_basis):
                 f = Density.from_mass(space, mass)
-                want = [correlation_inhom(c, omega, f, g_basis[j], n)
+                want = [correlation_inhom(c, omega, f, g_basis[..., -1], n)
                         for n in range(horizon + 1)]
-                assert rep.values[w, i, j] == pytest.approx(want, abs=1e-14)
+                assert rep.values[w, i, -1] == pytest.approx(want, abs=1e-14)
 
 
 @given(repeated_omega_case())
@@ -631,7 +675,7 @@ def test_estimator_walks_each_distinct_point_once(monkeypatch, notion):
 
 @given(repeated_omega_case())
 def test_travelling_curves_are_the_masked_homogeneous_curves(case):
-    # a step map reads its observable only where the orbit meets its
+    # a step map column reads its observable only where the orbit meets its
     # feature, so each travelling curve is a homogeneous curve times the
     # indicator of that feature along the orbit
     c, _, omegas, horizon, _ = case
@@ -836,12 +880,12 @@ def test_counterexample_matches_the_travelling_route(k):
     c = CocycleFamily(driving=driving,
                       table={t: P for t in range(rep.horizon + 1)})
     perm, cells = bit_shift_permutation(bits), np.arange(n_cells // 2)
-    table = {}
+    g = np.empty((rep.horizon + 1, n_cells))
     for t in range(rep.horizon + 1):
-        table[t] = Observable(space, Density.indicator(space, cells).values)
+        g[t] = Density.indicator(space, cells).values
         cells = perm[cells]
     f = Density(space, np.where(np.arange(n_cells) < n_cells // 2, 1.0, -1.0))
-    g, omega = step_map(space, table), point(driving, 0)
+    omega = point(driving, 0)
     values = [correlation_inhom(c, omega, f, g, n)
               for n in range(rep.horizon + 1)]
     assert np.array(values).tobytes() == rep.inhom_values.tobytes()
@@ -907,7 +951,7 @@ def test_counterexample_takes_a_numpy_integer_k():
 def test_counterexample_rejects_a_negative_horizon(horizon):
     # a relabelling loop over range(horizon + 1) alone would return empty
     # arrays that pass
-    with pytest.raises(PreconditionError, match="horizon must be >= 0"):
+    with pytest.raises(PreconditionError, match="horizon must be an integer >= 0"):
         counterexample_run(2, horizon=horizon)
 
 

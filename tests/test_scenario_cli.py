@@ -524,7 +524,7 @@ def test_cli_qc_at_horizon_zero_exit_two(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
-    assert "horizon must be >= 1, got 0" in err
+    assert "horizon must be an integer >= 1, got 0" in err
     assert not (tmp_path / "x.csv").exists()
 
 
