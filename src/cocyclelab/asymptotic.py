@@ -26,9 +26,9 @@ import math
 
 import numpy as np
 
-from cocyclelab.cocycle import CocycleFamily, orbit, push_kernels, push_orbit
+from cocyclelab.cocycle import CocycleFamily, orbit_kernels, push_kernels
 from cocyclelab.curves import tail_start
-from cocyclelab.driving import BERNOULLI, DrivingSystem, EnvPoint, point
+from cocyclelab.driving import BERNOULLI, DrivingSystem, EnvPoint, advance, points
 from cocyclelab.measure import (
     Density,
     FiniteMeasureSpace,
@@ -145,12 +145,13 @@ def detect_periodicity(c: CocycleFamily, omega: EnvPoint, horizon: int,
     The structure tolerance is EXACT_STRUCTURE_TOL when every operator is
     exact, else ESTIMATED_STRUCTURE_TOL; the decomposition records it.  The
     burn-in ends at ``tail_start(horizon + 1)``, where the decay verdicts
-    read.  One orbit walk gives its kernels and the point whose kernel is
-    read next.  The burn-in product is one dense (N, N) array, filled by
-    pushing ROW_BLOCK cell indicators at a time through those kernels,
-    stored by the stack rule; a walk that meets a dense kernel pushes all N
-    as one block.  It is read in place: the residual over row blocks, the
-    burn-in masses of f0 as one push through it.
+    read.  One ``orbit_kernels`` walk of burn + 1 steps gives the burn-in
+    kernels and, last, the step kernel the permutation is read through.
+    The burn-in product is one dense (N, N) array, filled by pushing
+    ROW_BLOCK cell indicators at a time through those kernels, stored by the
+    stack rule; a walk that meets a dense kernel pushes all N as one block.
+    It is read in place: the residual over row blocks, the burn-in masses of
+    f0 as one push through it.
     """
     require_count(r_max, "r_max", 0)
     require_horizon(horizon)
@@ -158,8 +159,7 @@ def detect_periodicity(c: CocycleFamily, omega: EnvPoint, horizon: int,
         raise PreconditionError("f0 must be finite: it holds NaN or inf values")
     n, tol = c.n, EXACT_STRUCTURE_TOL if c.all_exact else ESTIMATED_STRUCTURE_TOL
     burn = tail_start(horizon + 1)
-    *steps, late = orbit(c, omega, burn)
-    kernels = [c.operator_at(pt).kernel for pt in steps]
+    *kernels, step_kernel = orbit_kernels(c, omega, burn + 1)
     M = _burn_in_product(kernels, n)
 
     reach = M > SUPPORT_FLOOR
@@ -194,7 +194,6 @@ def detect_periodicity(c: CocycleFamily, omega: EnvPoint, horizon: int,
         f0 = Density.uniform(c.space)
     burnt = f0.mass @ M
     lambdas = np.array([float(burnt[s].sum()) for s in supports])
-    step_kernel = c.operator_at(late).kernel
     rho, push_residual = np.full(r, -1), 0.0
     for i, profile in enumerate(profiles):
         pushed = mass_apply(profile, step_kernel)
@@ -253,11 +252,11 @@ def restricted_power_cocycle(c: CocycleFamily, dec: PeriodicDecomposition,
     sub_space = FiniteMeasureSpace(w / w.sum())
 
     table, sigma_k = {}, []
-    for p in range(c.driving.n_points):
-        for end, rows in push_orbit(c, point(c.driving, p),
-                                    dense(indicator_rows(cells, c.n)), k):
+    for p, start in enumerate(points(c.driving)):
+        for rows in push_kernels(dense(indicator_rows(cells, c.n)),
+                                 orbit_kernels(c, start, k)):
             pass
-        sigma_k.append(end.index)
+        sigma_k.append(advance(c.driving, start, k).index)
         block = rows[:, cells]
         leak = float(np.abs(block.sum(axis=1) - 1.0).max())
         if leak > 1e-9:
@@ -329,7 +328,8 @@ def quasi_constrictive_probe(c: CocycleFamily, omega: EnvPoint, horizon: int,
 
     best: list[QCWitness | None] = [None] * eps_values.size
     # rows: pushed cell indicators (unit mass each)
-    for step, (_, mass) in enumerate(push_orbit(c, omega, np.eye(c.n), horizon)):
+    for step, mass in enumerate(push_kernels(np.eye(c.n),
+                                             orbit_kernels(c, omega, horizon))):
         if step >= burn:
             order = np.argsort(-mass, axis=1)
             captured, taken = _greedy_packs(

@@ -10,12 +10,13 @@ in mass-row convention, so mass vectors evolve by right multiplication in
 orbit order and the cocycle law reads
 K^(n+m)(omega) = K^(m)(omega) K^(n)(sigma^m omega).
 
-Every walk steps through ``orbit``, which yields the points sigma^t omega
-only; a walk looks up a point's kernel only when it steps from that point.
-
-Invariant density maps are built by pulling a seed density back along the
-orbit: h(omega) = limit of the n-step push of f0 started at sigma^{-n} omega,
-certified by the L1 Cauchy increment between consecutive pullback depths.
+Every walk steps through ``orbit``, which yields the points only.  A forward
+push reads its factors from ``orbit_kernels`` and pushes by ``push_kernels``.
+Four walks keep their own loops: ``kernel_groups`` keys points by the
+operators they meet; the invariant-density pullback pushes a seed from
+sigma^{-k} omega for growing k, so it walks backward; the skew walk stacks
+the pushes of many points per step; and ``exactness.cell_map_orbit`` pushes
+no mass, so the routes it serves stay independent of the mass pushes.
 """
 
 from __future__ import annotations
@@ -80,6 +81,10 @@ class CocycleFamily:
         return all(P.exact for P in self.table.values())
 
     @property
+    def moves_whole_cells(self) -> bool:  # the cell-map walk's condition
+        return all(P.is_cell_map() for P in self.table.values())
+
+    @property
     def is_constant(self) -> bool:
         return self._single is not None
 
@@ -111,6 +116,7 @@ def orbit(c: CocycleFamily, omega: EnvPoint, n: int):
 def kernel_groups(c: CocycleFamily, omegas, steps: int):
     """The walks sigma^t omegas[i], t = 0..steps (equal points share one), and
     the point indices grouped by the operators met at t < steps, by identity."""
+    require_count(steps, "steps", 0)
     walked = {pt: list(orbit(c, pt, steps)) for pt in dict.fromkeys(omegas)}
     groups = {}
     for i, pt in enumerate(omegas):
@@ -119,7 +125,9 @@ def kernel_groups(c: CocycleFamily, omegas, steps: int):
 
 
 def orbit_kernels(c: CocycleFamily, omega: EnvPoint, n: int):
-    """The per-step kernels K(sigma^t omega) for t = 0..n-1."""
+    """The per-step kernels K(sigma^t omega) for t = 0..n-1, the factors of
+    the n-step operator in orbit order."""
+    require_count(n, "n", 0)
     return [c.operator_at(pt).kernel for _, pt in zip(range(n), orbit(c, omega, n))]
 
 
@@ -129,26 +137,9 @@ def push_kernels(mass: np.ndarray, kernels):
     return itertools.accumulate(kernels, mass_apply, initial=mass)
 
 
-def push_orbit(c: CocycleFamily, omega: EnvPoint, mass: np.ndarray, n: int):
-    """The pairs (sigma^t omega, P^(t)(omega) mass) for t = 0, 1, ..., n,
-    pushed by ``push_kernels`` along the orbit.
-
-    Each push runs only when the next pair is asked for, so a caller that
-    stops after the pair of step t has made exactly t pushes, and no kernel
-    is looked up at sigma^n omega.
-    """
-    if n < 0:
-        raise PreconditionError(f"cocycle steps run forward only, got n = {n}")
-    points, steps = itertools.tee(orbit(c, omega, n))
-    kernels = (c.operator_at(pt).kernel for pt in itertools.islice(steps, n))
-    return zip(points, push_kernels(mass, kernels))
-
-
 @single_blas_thread
 def compose(c: CocycleFamily, omega: EnvPoint, n: int) -> MarkovMatrix:
     """The n-step operator from omega; n = 0 gives the identity."""
-    if n < 0:
-        raise PreconditionError("cocycle steps run forward only (n >= 0)")
     kernel = indicator_rows(np.arange(c.n), c.n)
     for step in orbit_kernels(c, omega, n):
         kernel = kernel_matmul(kernel, step)

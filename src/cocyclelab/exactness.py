@@ -152,12 +152,17 @@ class TailPartitionReport:
     trivial: bool             # one atom from the verdict window's start on
 
 
-def cell_map_destinations(P: MarkovMatrix) -> np.ndarray:
-    """Destination cell of each source cell for a 0/1 kernel."""
-    if not P.is_cell_map():
+def require_cell_maps(c: CocycleFamily):
+    """Reject a table with a kernel that is not a cell map, before the
+    cell-map walk starts, at any horizon."""
+    if not c.moves_whole_cells:
         raise PreconditionError(
             "the cell-map walk needs kernels with all entries 0 or 1; "
-            "this kernel has fractional entries")
+            "this table has fractional entries")
+
+
+def cell_map_destinations(P: MarkovMatrix) -> np.ndarray:
+    """Destination cell of each source cell for a 0/1 kernel."""
     dest = np.asarray(P.kernel @ np.arange(P.n, dtype=float)).ravel()
     return np.rint(dest).astype(np.int64)
 
@@ -184,6 +189,7 @@ def tail_partition(c: CocycleFamily, omega: EnvPoint,
     and triviality means one atom from the verdict window's start on.
     """
     require_horizon(horizon)
+    require_cell_maps(c)
     counts = np.empty(horizon + 1, dtype=np.int64)
     for n, (_, dest) in enumerate(cell_map_orbit(c, omega, horizon)):
         counts[n] = np.count_nonzero(np.bincount(dest, minlength=c.n))
@@ -233,8 +239,7 @@ def exactness_report(c: CocycleFamily, omega: EnvPoint, f_basis, g_basis,
     require_horizon(horizon)
     norms = exactness_norms(c, omega, f_basis, horizon)
     dual = lin_dual_flatness(c, omega, g_basis, horizon)
-    tail = (tail_partition(c, omega, horizon)
-            if all(P.is_cell_map() for P in c.table.values()) else None)
+    tail = tail_partition(c, omega, horizon) if c.moves_whole_cells else None
     norms_decayed, dual_decayed = (
         decay_verdict(settle_index(v, tol), horizon)
         for v in (norms, dual.flatness))

@@ -23,10 +23,9 @@ mixing, exactness, periodicity, pullback and skew routes) is wrapped in
 ``single_blas_thread``, so its products run on one OpenBLAS thread and the
 caller's thread count is restored when it returns or raises.  The pushes are
 small (N <= 512 dense, stacks of 1-64 rows), and a second BLAS thread spends
-CPU on them without saving wall time.  A generator (``orbit``,
-``push_kernels``, ``push_orbit``) iterated outside an entry runs on the
-caller's setting.  Like the pullback caches, the cap assumes one calling
-Python thread.
+CPU on them without saving wall time.  A generator (``orbit`` or
+``push_kernels``) iterated outside an entry runs on the caller's setting.
+Like the pullback caches, the cap assumes one calling Python thread.
 """
 
 from __future__ import annotations

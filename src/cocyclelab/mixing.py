@@ -38,10 +38,10 @@ import dataclasses
 
 import numpy as np
 
-from cocyclelab.cocycle import (CocycleFamily, kernel_groups, push_kernels,
-                                push_orbit)
+from cocyclelab.cocycle import (CocycleFamily, kernel_groups, orbit_kernels,
+                                push_kernels)
 from cocyclelab.curves import decay_verdict, settle_index
-from cocyclelab.driving import EnvPoint, feature
+from cocyclelab.driving import EnvPoint, advance, feature
 from cocyclelab.measure import (
     Density,
     FiniteMeasureSpace,
@@ -75,7 +75,7 @@ def correlation_hom(c: CocycleFamily, omega: EnvPoint, f: Density,
     """integral P^(n)(omega) f * g dm for a fixed observable g."""
     require_zero_mean(f.mass, "correlation decay")
     _require_finite(g.values, "g")
-    for _, mass in push_orbit(c, omega, f.mass, n):
+    for mass in push_kernels(f.mass, orbit_kernels(c, omega, n)):
         pass
     return float(np.dot(mass, g.values))
 
@@ -87,9 +87,9 @@ def correlation_inhom(c: CocycleFamily, omega: EnvPoint, f: Density,
     (n_features, N) array whose row p is the observable at feature p."""
     require_zero_mean(f.mass, "correlation decay")
     _require_finite(g, "g")
-    for pt, mass in push_orbit(c, omega, f.mass, n):
+    for mass in push_kernels(f.mass, orbit_kernels(c, omega, n)):
         pass
-    return float(np.dot(mass, g[feature(c.driving, pt)]))
+    return float(np.dot(mass, g[feature(c.driving, advance(c.driving, omega, n))]))
 
 
 # -- bases -------------------------------------------------------------------

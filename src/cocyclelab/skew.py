@@ -58,7 +58,7 @@ from cocyclelab.driving import (
     sample_env,
     shifted_constraints,
 )
-from cocyclelab.exactness import cell_map_orbit
+from cocyclelab.exactness import cell_map_orbit, require_cell_maps
 from cocyclelab.measure import (PreconditionError, mass_apply, require_horizon,
                                 require_tolerance, single_blas_thread)
 
@@ -325,6 +325,8 @@ def set_picture_joint(nc: NormalizedCocycle, a: ProductSet, b: ProductSet,
     factor (a constant table over bernoulli driving)."""
     c = nc.cocycle
     env_a, env_b = (_env_part(c.driving, s, c.n) for s in (a, b))
+    require_horizon(horizon)
+    require_cell_maps(c)
     if c.driving.kind == BERNOULLI and not c.is_constant:
         raise PreconditionError(
             "the set picture over bernoulli driving is implemented for "

@@ -263,8 +263,10 @@ def duality_residual(P: MarkovMatrix, spec: MapSpec, f: Density,
     The first integral pairs through the kernel; the second is midpoint
     quadrature of the underlying map on each cell refined `refinement`-fold
     (per axis in dimension 2), locating g's cell at the mapped point.  Exact
-    kernels of cell-aligned maps give residuals at float-rounding scale;
-    Ulam kernels give residuals that shrink under partition refinement.
+    kernels give rounding-scale residuals unless a mapped midpoint meets a
+    cell edge, where g o T jumps: at an odd refinement r ``doubling`` maps
+    each cell's middle point onto one, an O(1/r) residual.  Ulam kernels
+    give residuals that shrink under partition refinement.
     """
     r = require_count(refinement, "refinement", 1)
     space = f.space

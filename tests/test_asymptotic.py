@@ -32,9 +32,9 @@ from cocyclelab.asymptotic import (
     quasi_constrictive_probe,
     restricted_power_cocycle,
 )
-from cocyclelab.cocycle import CocycleFamily, compose, push_orbit
+from cocyclelab.cocycle import CocycleFamily, compose, orbit, push_kernels
 from cocyclelab.curves import tail_start
-from cocyclelab.driving import bernoulli_shift, finite_rotation, point
+from cocyclelab.driving import advance, bernoulli_shift, finite_rotation, point
 from cocyclelab.exactness import exactness_norms, exactness_report
 from cocyclelab.measure import (
     Density,
@@ -604,11 +604,14 @@ def test_qc_probe_matches_the_greedy_loop(n, uniform, seed, horizon, eps_ninths)
 def detect_whole_stack(c, omega, horizon, r_max, f0=None):
     """Reference detector: the burn-in as one push of the stored identity
     along the orbit, read as a whole (rows by their largest entry, the
-    within-component residual over all of a component's rows at once).  On
-    one BLAS thread, as the detector: gemm's bits depend on the count."""
+    within-component residual over all of a component's rows at once).  It
+    walks the orbit itself, so it does not read ``orbit_kernels``.  On one
+    BLAS thread, as the detector: gemm's bits depend on the count."""
     n, tol = c.n, EXACT_STRUCTURE_TOL if c.all_exact else ESTIMATED_STRUCTURE_TOL
     burn = tail_start(horizon + 1)
-    for late, product in push_orbit(c, omega, stored_kernel(np.eye(n)), burn):
+    *steps, late = orbit(c, omega, burn)
+    for product in push_kernels(stored_kernel(np.eye(n)),
+                                [c.operator_at(pt).kernel for pt in steps]):
         pass
     M = dense(product)
     reach = M > SUPPORT_FLOOR
@@ -739,13 +742,16 @@ def test_detector_holds_one_dense_product():
 @single_blas_thread
 def restricted_tables_from_identity_slices(c, dec, component):
     """Reference restricted power: each point's cycle-length push of the dense
-    identity rows of the component's cells, normalised on those cells."""
+    identity rows of the component's cells, normalised on those cells, along
+    an orbit it steps by ``advance`` itself."""
     k, cells = dec.cycle_length(component), dec.supports[component]
     tables, sigma = [], []
     for p in range(c.driving.n_points):
-        for end, rows in push_orbit(c, point(c.driving, p), np.eye(c.n)[cells], k):
+        walk = [advance(c.driving, point(c.driving, p), t) for t in range(k + 1)]
+        for rows in push_kernels(np.eye(c.n)[cells],
+                                 [c.operator_at(pt).kernel for pt in walk[:-1]]):
             pass
-        sigma.append(end.index)
+        sigma.append(walk[-1].index)
         block = rows[:, cells]
         tables.append(block / block.sum(axis=1, keepdims=True))
     return tables, sigma

@@ -15,7 +15,7 @@ from cocyclelab.cocycle import (
     kernel_groups,
     orbit,
     orbit_kernels,
-    push_orbit,
+    push_kernels,
 )
 from cocyclelab.driving import (
     DrivingError,
@@ -179,8 +179,8 @@ def test_orbit_and_a_zero_step_push_resolve_no_symbol(n):
     # the walk yields points only; a kernel is looked up only to step from it
     c, w = two_operator_cocycle("bernoulli")
     assert len(list(orbit(c, w, n))) == abs(n) + 1
-    ((pt, mass),) = push_orbit(c, w, np.ones((2, c.n)), 0)
-    assert pt == w and mass.shape == (2, c.n)
+    (mass,) = push_kernels(np.ones((2, c.n)), orbit_kernels(c, w, 0))
+    assert mass.shape == (2, c.n)
     assert w.stream.cache == {}
 
 
@@ -190,8 +190,10 @@ def test_a_constant_table_resolves_no_symbol():
     d = bernoulli_shift([0.5, 0.5])
     c = CocycleFamily(driving=d, table={0: P, 1: P})
     (w,) = sample_env(d, 1, seed=5)
-    walk = list(push_orbit(c, w, np.full(c.n, 0.25), 10))
-    assert len(walk) == 11 and all(c.operator_at(pt) is P for pt, _ in walk)
+    kernels = orbit_kernels(c, w, 10)
+    assert len(kernels) == 10 and all(k is P.kernel for k in kernels)
+    assert len(list(push_kernels(np.full(c.n, 0.25), kernels))) == 11
+    assert all(c.operator_at(pt) is P for pt in orbit(c, w, 10))
     assert w.stream.cache == {}
 
 
@@ -228,14 +230,14 @@ def push_case(draw):
 
 
 @given(push_case())
-def test_prop_push_orbit_is_t_explicit_pushes(case):
+def test_prop_pushes_through_orbit_kernels_are_t_explicit_pushes(case):
     c, omega, mass, n = case
-    pairs = list(push_orbit(c, omega, mass, n))
-    assert len(pairs) == n + 1
+    pushes = list(push_kernels(mass, orbit_kernels(c, omega, n)))
+    assert len(pushes) == n + 1
     expected = mass
-    for t, (pt, pushed) in enumerate(pairs):
-        assert pt == advance(c.driving, omega, t)
+    for t, pushed in enumerate(pushes):
         assert pushed.tobytes() == expected.tobytes()
+        pt = advance(c.driving, omega, t)
         expected = mass_apply(expected, c.operator_at(pt).kernel)
 
 
@@ -281,7 +283,7 @@ def test_prop_kernel_groups_hold_the_points_that_meet_one_operator_sequence(case
 
 @pytest.mark.parametrize("kind", ["finite", "bernoulli"])
 @pytest.mark.parametrize("stop", [0, 1, 4])
-def test_push_orbit_pushes_only_when_asked(monkeypatch, kind, stop):
+def test_push_kernels_pushes_only_when_asked(monkeypatch, kind, stop):
     c, w = two_operator_cocycle(kind)
     calls = []
 
@@ -290,16 +292,33 @@ def test_push_orbit_pushes_only_when_asked(monkeypatch, kind, stop):
         return mass_apply(mass, kernel)
 
     monkeypatch.setattr(cocyclelab.cocycle, "mass_apply", counting)
-    pushes = push_orbit(c, w, Density.uniform(c.space).mass, 10)
+    pushes = push_kernels(Density.uniform(c.space).mass, orbit_kernels(c, w, 10))
     for _ in range(stop + 1):
         next(pushes)
     assert len(calls) == stop
 
 
-def test_push_orbit_runs_forward_only():
+WALK_HELPERS = {
+    "orbit_kernels": lambda c, w, n: orbit_kernels(c, w, n),
+    "kernel_groups": lambda c, w, n: kernel_groups(c, [w], n),
+    "compose": lambda c, w, n: compose(c, w, n),
+}
+
+
+@pytest.mark.parametrize("helper", WALK_HELPERS)
+@pytest.mark.parametrize("bad", [-1, True, 2.5, None, "3"])
+def test_walk_helpers_run_forward_by_an_integer_step_count(monkeypatch, helper, bad):
+    # -1 used to give no kernels (orbit_kernels) or walk backward
+    # (kernel_groups), True one step; the count is checked before any step
     c, w = two_operator_cocycle("finite")
-    with pytest.raises(PreconditionError, match="forward only"):
-        next(push_orbit(c, w, Density.uniform(c.space).mass, -1))
+
+    def no_step(*args):
+        raise AssertionError("advanced the driving")
+
+    monkeypatch.setattr(cocyclelab.cocycle, "advance", no_step)
+    with pytest.raises(PreconditionError,
+                       match=rf"must be an integer >= 0, got {bad!r}"):
+        WALK_HELPERS[helper](c, w, bad)
 
 
 def test_table_must_cover_all_features():

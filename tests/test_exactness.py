@@ -38,6 +38,7 @@ from cocyclelab.exactness import (
     exactness_norms,
     exactness_report,
     lin_dual_flatness,
+    require_cell_maps,
     tail_partition,
 )
 from cocyclelab.measure import (
@@ -155,9 +156,11 @@ def test_cell_map_destinations_and_rejection():
     c = cell_map_cocycle([1, 2, 3, 0])
     P = c.table[0]
     assert cell_map_destinations(P).tolist() == [1, 2, 3, 0]
-    swap = MarkovMatrix(FiniteMeasureSpace.uniform(4), SWAP4)
-    with pytest.raises(PreconditionError):
-        cell_map_destinations(swap)
+    require_cell_maps(c)
+    swap = constant_cocycle(MarkovMatrix(FiniteMeasureSpace.uniform(4), SWAP4))
+    assert not swap.moves_whole_cells
+    with pytest.raises(PreconditionError, match="fractional entries"):
+        require_cell_maps(swap)
 
 
 def test_tail_partition_pair_collapse_coarsens_to_trivial():

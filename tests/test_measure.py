@@ -44,7 +44,7 @@ from cocyclelab.mixing import (
     zero_mean_basis,
 )
 from cocyclelab.scenario import load_scenario
-from cocyclelab.skew import ProductSet, skew_mixing_curve
+from cocyclelab.skew import ProductSet, set_picture_joint, skew_mixing_curve
 from cocyclelab.transfer import MapSpec, duality_residual, pf_exact
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -408,6 +408,9 @@ COUNT_ROUTES = {
     "skew_mixing_curve": (lambda c, w, n: skew_mixing_curve(
         NormalizedCocycle(c, build_invariant_density_map(c)),
         ProductSet(cells=[0]), ProductSet(cells=[1]), n, 1e-6), 0),
+    "set_picture_joint": (lambda c, w, n: set_picture_joint(
+        NormalizedCocycle(c, build_invariant_density_map(c)),
+        ProductSet(cells=[0]), ProductSet(cells=[1]), n), 0),
     "invariant_density_pullback.k_max": (
         lambda c, w, n: invariant_density_pullback(c, w, n), 0),
     "zero_mean_basis.count": (lambda c, w, n: zero_mean_basis(c.space, n), 1),

@@ -528,7 +528,8 @@ def test_cell_map_walk_and_mass_pushes_stay_apart(monkeypatch):
 
     with monkeypatch.context() as m:
         for original in (cocyclelab.measure.mass_apply,
-                         cocyclelab.cocycle.push_orbit):
+                         cocyclelab.cocycle.push_kernels,
+                         cocyclelab.cocycle.orbit_kernels):
             patch_everywhere(m, original, forbidden)
         for nc, joint in zip((finite, cylinder), pictures):
             assert set_picture_joint(nc, a, b, 6).tobytes() == joint.tobytes()
@@ -545,6 +546,38 @@ def test_set_picture_rejects_fractional_kernels():
     left = ProductSet(cells=range(4))
     with pytest.raises(PreconditionError, match="fractional entries"):
         set_picture_joint(nc, left, left, horizon=3)
+
+
+@pytest.mark.parametrize("horizon", [0, 1])
+def test_cell_map_routes_reject_a_fractional_table_at_every_horizon(horizon):
+    # at horizon 0 the walk resolves no kernel, and both routes used to
+    # answer there (one atom count of 4, a joint curve [0.5])
+    space = FiniteMeasureSpace.uniform(4)
+    nc = normalized(CocycleFamily(driving=finite_rotation(1), table={
+        0: MarkovMatrix(space, UNIFORMIZER4)}))
+    half = ProductSet(cells=[0, 1])
+    with pytest.raises(PreconditionError, match="fractional entries"):
+        tail_partition(nc.cocycle, point(nc.cocycle.driving, 0), horizon)
+    with pytest.raises(PreconditionError, match="fractional entries"):
+        set_picture_joint(nc, half, half, horizon)
+
+
+@pytest.mark.parametrize("horizon", [-1, -4])
+def test_set_picture_rejects_a_negative_horizon_before_walking(monkeypatch,
+                                                               horizon):
+    # -1 used to end in a bare IndexError
+    space = FiniteMeasureSpace.uniform(4)
+    nc = normalized(CocycleFamily(driving=finite_rotation(2), table={
+        0: MarkovMatrix(space, np.eye(4)), 1: MarkovMatrix(space, np.eye(4)[::-1])}))
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("walked an orbit")
+
+    monkeypatch.setattr(cocyclelab.skew, "cell_map_orbit", no_walk)
+    s = ProductSet(cells=[0, 1])
+    with pytest.raises(PreconditionError,
+                       match=f"horizon must be an integer >= 0, got {horizon}"):
+        set_picture_joint(nc, s, s, horizon)
 
 
 # -- invariance ------------------------------------------------------------------

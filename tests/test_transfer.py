@@ -400,6 +400,24 @@ def test_duality_residual_exact_baker():
     assert duality_residual(P, MapSpec("baker_cyclic", bits=4), f, g) <= 1e-12
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_exact_duality_residual_is_rounding_where_no_midpoint_maps_to_an_edge(seed):
+    # doubling sends the middle sub-point of a cell onto a cell edge at every
+    # odd refinement, so only its even refinements read at rounding scale
+    space = FiniteMeasureSpace.uniform(16)
+    rng = np.random.default_rng(seed)
+    f = Density(space, rng.normal(size=16))
+    g = Observable(space, rng.normal(size=16))
+    for spec in (MapSpec("doubling"), MapSpec("baker_cyclic", bits=4)):
+        P = pf_exact(spec, space)
+        for r in range(1, 9):
+            residual = duality_residual(P, spec, f, g, refinement=r)
+            if spec.kind == "doubling" and r % 2:
+                assert residual > 1e-3
+            else:
+                assert residual <= 1e-15
+
+
 def test_duality_residual_decreases_under_refinement():
     spec = MapSpec("doubling")
 
