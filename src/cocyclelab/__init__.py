@@ -1,23 +1,5 @@
-"""Numerical laboratory for Markov operator cocycles on finite measure spaces."""
+"""Numerical laboratory for Markov operator cocycles on finite measure spaces.
 
-from cocyclelab.measure import (
-    Density,
-    FiniteMeasureSpace,
-    MarkovMatrix,
-    Observable,
-    apply,
-    dual_apply,
-    integrate,
-    markov_check,
-)
-
-__all__ = [
-    "Density",
-    "FiniteMeasureSpace",
-    "MarkovMatrix",
-    "Observable",
-    "apply",
-    "dual_apply",
-    "integrate",
-    "markov_check",
-]
+The package root re-exports nothing: import from its modules.  The scalar
+references the tests hold the routes against live in ``tests/references.py``.
+"""

@@ -57,6 +57,26 @@ ROW_BLOCK = 128
 EXACT_STRUCTURE_TOL, ESTIMATED_STRUCTURE_TOL = 1e-10, 1e-6
 
 
+def is_permutation(perm, r: int) -> bool:
+    """True when ``perm`` holds each of 0..r-1 exactly once."""
+    return perm is not None and np.array_equal(np.sort(perm), np.arange(r))
+
+
+def permutation_cycles(perm) -> list:
+    """The cycles of a permutation of 0..r-1, fixed points included, each a
+    list that starts at its smallest point, in order of that point."""
+    perm, seen, cycles = [int(v) for v in perm], set(), []
+    for start in range(len(perm)):
+        cycle, j = [], start
+        while j not in seen:
+            seen.add(j)
+            cycle.append(j)
+            j = perm[j]
+        if cycle:
+            cycles.append(cycle)
+    return cycles
+
+
 @dataclasses.dataclass(frozen=True)
 class PeriodicDecomposition:
     found: bool
@@ -71,26 +91,24 @@ class PeriodicDecomposition:
     reason: str | None = None
 
     def __post_init__(self):  # a cycle that never returns would loop forever
-        if self.found and (self.rho is None or not np.array_equal(
-                np.sort(self.rho), np.arange(self.r))):
+        if self.found and not is_permutation(self.rho, self.r):
             raise PreconditionError(
                 f"rho must be a permutation of 0..{self.r - 1}, got {self.rho}")
 
-    def cycle_length(self, i: int) -> int:
+    def _cycles(self) -> list:
         if self.rho is None:
             raise PreconditionError("no permutation: decomposition not found")
-        if not 0 <= i < self.r:
+        return permutation_cycles(self.rho)
+
+    def cycle_length(self, i: int) -> int:
+        cycles = self._cycles()
+        if i not in range(self.r):
             raise PreconditionError(f"component {i} outside 0..{self.r - 1}")
-        seen = i
-        length = 1
-        while int(self.rho[seen]) != i:
-            seen = int(self.rho[seen])
-            length += 1
-        return length
+        return next(len(cycle) for cycle in cycles if i in cycle)
 
     @property
     def period(self) -> int:
-        return math.lcm(*(self.cycle_length(i) for i in range(self.r)))
+        return math.lcm(*map(len, self._cycles()))
 
 
 def _not_found(r, burn_in, tol, reason, supports=(), densities=(), residual=math.nan):
@@ -204,7 +222,7 @@ def detect_periodicity(c: CocycleFamily, omega: EnvPoint, horizon: int,
         rho[i] = landing[0]
         push_residual = max(push_residual,
                             float(np.abs(pushed - profiles[rho[i]]).sum()))
-    if sorted(rho.tolist()) != list(range(r)):
+    if not is_permutation(rho, r):
         return _not_found(r, burn, tol, "component map is not a permutation", supports)
 
     residual = max(within_residual, push_residual)
@@ -353,7 +371,7 @@ def block_cycle_kernel(n_cells: int, r: int) -> np.ndarray:
     uniformized within a block and advanced one block cyclically per step.
     The decomposition is exact after a single step: r profiles (uniform on
     each block) permuted by the cycle i -> i+1 (mod r)."""
-    if not 1 <= r <= n_cells:
+    if require_count(r, "r", 1) > n_cells:
         raise PreconditionError("need 1 <= r <= n_cells")
     edges = np.linspace(0, n_cells, r + 1).round().astype(int)
     blocks = [np.arange(edges[i], edges[i + 1]) for i in range(r)]

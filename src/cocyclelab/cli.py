@@ -19,8 +19,8 @@ import sys
 
 import numpy as np
 
-from .asymptotic import detect_periodicity, quasi_constrictive_probe, \
-    restricted_power_cocycle
+from .asymptotic import detect_periodicity, permutation_cycles, \
+    quasi_constrictive_probe, restricted_power_cocycle
 from .cocycle import NormalizedCocycle, build_invariant_density_map, kernel_groups
 from .curves import decay_verdict
 from .driving import BERNOULLI, DrivingError, point, points, sample_env
@@ -116,16 +116,8 @@ def _g_basis_for(scenario, notion, g_obs):
 
 def cycle_notation(perm) -> str:
     """Permutation as disjoint cycles, fixed points included: '(0 2 1)(3)'."""
-    perm, seen, parts = [int(v) for v in perm], set(), []
-    for start in range(len(perm)):
-        cyc, j = [], start
-        while j not in seen:  # each cycle starts at its smallest point
-            seen.add(j)
-            cyc.append(j)
-            j = perm[j]
-        if cyc:
-            parts.append("(" + " ".join(map(str, cyc)) + ")")
-    return "".join(parts)
+    return "".join("(" + " ".join(map(str, cycle)) + ")"
+                   for cycle in permutation_cycles(perm))
 
 
 # -- subcommands ----------------------------------------------------------------

@@ -38,7 +38,6 @@ from cocyclelab.measure import (
     FiniteMeasureSpace,
     MarkovMatrix,
     PreconditionError,
-    apply,
     indicator_rows,
     kernel_matmul,
     mass_apply,
@@ -247,19 +246,6 @@ class InvariantDensityMap:
 
     def at(self, omega: EnvPoint) -> Density:
         return self.result_at(omega).density
-
-    def all_converged(self, omegas) -> bool:
-        return all(self.result_at(w).converged for w in omegas)
-
-    @single_blas_thread
-    def equivariance_residual(self, omegas) -> float:
-        """max over the given points of || P(omega) h(omega) - h(sigma omega) ||_L1."""
-        worst = 0.0
-        for w in omegas:
-            pushed = apply(self.cocycle.operator_at(w), self.at(w))
-            nxt = self.at(advance(self.cocycle.driving, w, 1))
-            worst = max(worst, float(np.abs(pushed.mass - nxt.mass).sum()))
-        return worst
 
 
 def build_invariant_density_map(c: CocycleFamily, k_max: int = 64,

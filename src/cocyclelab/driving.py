@@ -32,6 +32,16 @@ class DrivingError(ValueError):
 SYMBOL_BLOCK = 64  # block 0 spans coordinates -32..31 around the origin
 
 
+def _integer(value, name: str, least: int | None = None) -> int:
+    """The one integer rule of the driving: an int (numpy ones included, bool
+    not) of at least ``least`` when given, else a DrivingError naming it."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or (least is not None and value < least):
+        bound = "" if least is None else f" >= {least}"
+        raise DrivingError(f"{name} must be an integer{bound}, got {value!r}")
+    return int(value)
+
+
 def _zigzag(k: int) -> int:
     return 2 * k if k >= 0 else -2 * k - 1
 
@@ -89,7 +99,9 @@ class DrivingSystem:
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
         if self.kind in FINITE_KINDS:
-            s = np.array(self.sigma, dtype=int)
+            entries = self.sigma if np.ndim(self.sigma) else [self.sigma]
+            s = np.array([_integer(v, f"sigma[{i}]", 0)
+                          for i, v in enumerate(entries)], dtype=int)
             if sorted(s.tolist()) != list(range(p.size)):
                 raise DrivingError("sigma must be a permutation of the point indices")
             if not np.allclose(p, p[s], atol=1e-12):
@@ -124,14 +136,13 @@ class DrivingSystem:
 
 
 def finite_permutation(sigma, probs=None) -> DrivingSystem:
-    sigma = np.asarray(sigma, dtype=int)
     if probs is None:
-        probs = np.full(sigma.size, 1.0 / sigma.size)
+        probs = np.full(np.size(sigma), 1.0 / np.size(sigma))
     return DrivingSystem(kind="finite_permutation", probs=probs, sigma=sigma)
 
 
 def finite_rotation(q: int, probs=None) -> DrivingSystem:
-    if q < 1:
+    if _integer(q, "q", 0) < 1:
         raise DrivingError(f"a finite rotation needs q >= 1 points, got {q}")
     sigma = (np.arange(q) + 1) % q
     if probs is None:
@@ -179,7 +190,7 @@ def point(d: DrivingSystem, index: int) -> EnvPoint:
     """The finite-driving point with the given index."""
     if d.kind not in FINITE_KINDS:
         raise DrivingError("point(index) is defined for finite driving only")
-    if not 0 <= index < d.n_points:
+    if _integer(index, "point index", 0) >= d.n_points:
         raise DrivingError(f"point index {index} out of range")
     return EnvPoint(system=d, index=int(index))
 
@@ -210,13 +221,6 @@ def feature(d: DrivingSystem, omega: EnvPoint) -> int:
     return omega.symbol(0)
 
 
-def _natural(value, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
-            or value < 0:
-        raise DrivingError(f"{name} must be an integer >= 0, got {value!r}")
-    return int(value)
-
-
 def sample_env(d: DrivingSystem, count: int, seed: int) -> list[EnvPoint]:
     """i.i.d. sample of environment points from the invariant measure.
 
@@ -226,8 +230,8 @@ def sample_env(d: DrivingSystem, count: int, seed: int) -> list[EnvPoint]:
     all of them from one ``seeding.spawned_words`` call, and its symbols are
     resolved when first read.
     """
-    count = _natural(count, "count")
-    seed = _natural(seed, "seed")
+    count = _integer(count, "count", 0)
+    seed = _integer(seed, "seed", 0)
     if d.kind in FINITE_KINDS:
         rng = np.random.default_rng(seed)
         idx = rng.choice(d.n_points, size=count, p=d.probs)
@@ -242,7 +246,8 @@ def cylinder_probability(d: DrivingSystem, constraints: dict[int, int]) -> float
         raise DrivingError("cylinders are defined for bernoulli driving only")
     out = 1.0
     for k, s in constraints.items():
-        if not 0 <= s < d.n_features:
+        _integer(k, "cylinder coordinate")
+        if _integer(s, f"symbol at coordinate {k}", 0) >= d.n_features:
             raise DrivingError(f"symbol {s} out of range at coordinate {k}")
         out *= float(d.probs[s])
     return out

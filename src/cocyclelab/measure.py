@@ -135,10 +135,6 @@ class Density:
     def total_mass(self) -> float:
         return float(self.mass.sum())
 
-    @property
-    def l1_norm(self) -> float:
-        return float(np.abs(self.mass).sum())
-
     @classmethod
     def from_mass(cls, space: FiniteMeasureSpace, mass) -> "Density":
         return cls(space, np.asarray(mass, dtype=float) / space.weights)
@@ -173,14 +169,6 @@ class Observable:
         if v.shape != (self.space.n,):
             raise SpaceMismatchError(f"observable has {v.size} values for {self.space.n} cells")
         object.__setattr__(self, "values", v)
-
-    @property
-    def sup_norm(self) -> float:
-        return float(np.abs(self.values).max())
-
-    @classmethod
-    def constant(cls, space: FiniteMeasureSpace, c: float = 1.0) -> "Observable":
-        return cls(space, np.full(space.n, float(c)))
 
 
 # -- kernel helpers (dense ndarray or scipy.sparse, same call sites) --------
@@ -433,13 +421,3 @@ def apply(P: MarkovMatrix, f: Density) -> Density:
     """Push a density forward: mass_out = mass_in @ K."""
     _require_same_space(P.space, f.space, "apply")
     return Density.from_mass(f.space, mass_apply(f.mass, P.kernel))
-
-
-def dual_apply(P: MarkovMatrix, g: Observable) -> Observable:
-    """Koopman/adjoint action on observables: (P* g)[i] = sum_j K[i, j] g[j].
-
-    Adjoint identity holds exactly at the arithmetic level:
-    integrate(apply(P, f), g) == integrate(f, dual_apply(P, g)).
-    """
-    _require_same_space(P.space, g.space, "dual_apply")
-    return Observable(g.space, np.asarray(P.kernel @ g.values))

@@ -38,14 +38,12 @@ import dataclasses
 
 import numpy as np
 
-from cocyclelab.cocycle import (CocycleFamily, kernel_groups, orbit_kernels,
-                                push_kernels)
+from cocyclelab.cocycle import CocycleFamily, kernel_groups, push_kernels
 from cocyclelab.curves import decay_verdict, settle_index
-from cocyclelab.driving import EnvPoint, advance, feature
+from cocyclelab.driving import feature
 from cocyclelab.measure import (
     Density,
     FiniteMeasureSpace,
-    Observable,
     PreconditionError,
     dense,
     mass_apply,  # unused here; the benchmark's tests read mixing.mass_apply
@@ -62,34 +60,6 @@ from cocyclelab.measure import (
 from cocyclelab.transfer import bit_shift_permutation
 
 NOTIONS = ("prior-hom", "post-hom", "prior-inhom", "post-inhom")
-
-
-def _require_finite(values, name: str):
-    if not np.isfinite(values).all():
-        raise PreconditionError(f"{name} must be finite: it holds NaN or inf values")
-
-
-@single_blas_thread
-def correlation_hom(c: CocycleFamily, omega: EnvPoint, f: Density,
-                    g: Observable, n: int) -> float:
-    """integral P^(n)(omega) f * g dm for a fixed observable g."""
-    require_zero_mean(f.mass, "correlation decay")
-    _require_finite(g.values, "g")
-    for mass in push_kernels(f.mass, orbit_kernels(c, omega, n)):
-        pass
-    return float(np.dot(mass, g.values))
-
-
-@single_blas_thread
-def correlation_inhom(c: CocycleFamily, omega: EnvPoint, f: Density,
-                      g: np.ndarray, n: int) -> float:
-    """integral P^(n)(omega) f * g(sigma^n omega) dm for a travelling g, an
-    (n_features, N) array whose row p is the observable at feature p."""
-    require_zero_mean(f.mass, "correlation decay")
-    _require_finite(g, "g")
-    for mass in push_kernels(f.mass, orbit_kernels(c, omega, n)):
-        pass
-    return float(np.dot(mass, g[feature(c.driving, advance(c.driving, omega, n))]))
 
 
 # -- bases -------------------------------------------------------------------

@@ -82,13 +82,26 @@ class ProductSet:
         if self.env_indices is not None and self.env_constraints is not None:
             raise ValueError("a product set takes point indices or cylinder "
                              "constraints, not both")
-        cells = np.unique(np.asarray(self.cells, dtype=np.int64))
+        cells = np.unique(_integers(self.cells, "cells"))
         if cells.size == 0:
             raise ValueError("the cell part of a product set must be nonempty")
         object.__setattr__(self, "cells", cells)
         if self.env_indices is not None:
-            object.__setattr__(self, "env_indices",
-                               tuple(sorted(set(int(i) for i in self.env_indices))))
+            object.__setattr__(self, "env_indices", tuple(np.unique(
+                _integers(self.env_indices, "env_indices")).tolist()))
+        if self.env_constraints is not None:
+            _integers(list(self.env_constraints), "env_constraints coordinates")
+            _integers(list(self.env_constraints.values()), "env_constraints symbols")
+
+
+def _integers(values, what: str) -> np.ndarray:
+    """``values`` as an int64 array when each is an integer, numpy ones
+    included and bool not; anything else is a ValueError naming ``what``."""
+    items = np.array(values, dtype=object).ravel().tolist()
+    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+               for v in items):
+        raise ValueError(f"product set {what} must be integers, got {values!r}")
+    return np.array(items, dtype=np.int64)
 
 
 def _env_part(d: DrivingSystem, pset: ProductSet, n_cells: int | None = None):

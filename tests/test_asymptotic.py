@@ -29,6 +29,8 @@ from cocyclelab.asymptotic import (
     cell_labels,
     detect_periodicity,
     invariant_density_from_decomposition,
+    is_permutation,
+    permutation_cycles,
     quasi_constrictive_probe,
     restricted_power_cocycle,
 )
@@ -273,6 +275,32 @@ def test_restricted_power_uses_cycle_length_per_component():
     f = zero_mean_basis(sub.space)[:1]
     res = exactness_norms(sub, point(sub.driving, 0), f, horizon=2)
     assert res[0].tolist() == [1.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("bad", [1.5, True, "2", None],
+                         ids=["fraction", "bool", "str", "none"])
+def test_block_cycle_kernel_reads_r_by_the_integer_rule(bad):
+    # 2.5 used to fail with a bare numpy TypeError, and True built r = 1
+    with pytest.raises(PreconditionError, match=f"^r must be an integer >= 1, got {bad!r}"):
+        block_cycle_kernel(4, bad)
+
+
+@pytest.mark.parametrize("perm, cycles", [
+    ([0], [[0]]),
+    ([1, 2, 0, 3], [[0, 1, 2], [3]]),
+    ([3, 0, 4, 1, 2], [[0, 3, 1], [2, 4]]),
+    (np.array([2, 3, 0, 1]), [[0, 2], [1, 3]]),
+])
+def test_permutation_cycles_start_at_their_smallest_point_in_its_order(perm, cycles):
+    assert permutation_cycles(perm) == cycles
+
+
+@pytest.mark.parametrize("perm, r, want", [
+    ([1, 0], 2, True), (np.array([2, 0, 1]), 3, True), ([1, 0], 3, False),
+    ([0, 0, 1], 3, False), ([0, 1, 3], 3, False), (None, 2, False),
+])
+def test_is_permutation(perm, r, want):
+    assert is_permutation(perm, r) is want
 
 
 @pytest.mark.parametrize("i", [-1, 3])

@@ -140,6 +140,27 @@ def test_sample_env_rejects_a_count_or_seed_that_is_not_an_integer(
         sample_env(d, count, seed)
 
 
+NOT_INTEGERS = pytest.mark.parametrize("bad", [1.5, True, "2", None],
+                                       ids=["fraction", "bool", "str", "none"])
+
+
+@NOT_INTEGERS
+@pytest.mark.parametrize("call, name", [
+    (lambda bad: point(finite_rotation(3), bad), "point index"),
+    (lambda bad: finite_rotation(bad), "q"),
+    (lambda bad: finite_permutation([1, bad]), r"sigma\[1\]"),
+    (lambda bad: cylinder_probability(bernoulli_shift([0.5, 0.5]), {bad: 0}),
+     "cylinder coordinate"),
+    (lambda bad: cylinder_probability(bernoulli_shift([0.5, 0.5]), {0: bad}),
+     "symbol at coordinate 0"),
+], ids=["point", "rotation", "sigma", "coordinate", "symbol"])
+def test_integer_inputs_are_read_by_one_rule_not_truncated(call, name, bad):
+    # 1.5 used to be read as 1 and True as 1, or failed with a bare numpy
+    # TypeError or IndexError
+    with pytest.raises(DrivingError, match=f"^{name} must be an integer"):
+        call(bad)
+
+
 @pytest.mark.parametrize("d", [finite_rotation(3), bernoulli_shift([0.5, 0.5])],
                          ids=["finite", "bernoulli"])
 def test_sample_env_takes_numpy_integers(d):

@@ -28,7 +28,6 @@ from cocyclelab.curves import (
 )
 from cocyclelab.driving import (
     DrivingError,
-    EnvPoint,
     advance,
     bernoulli_shift,
     feature,
@@ -45,7 +44,6 @@ from cocyclelab.measure import (
     Observable,
     PreconditionError,
     dense,
-    dual_apply,
     indicator_rows,
     integrate,
     mass_apply,
@@ -54,8 +52,6 @@ from cocyclelab.measure import (
 from cocyclelab.mixing import (
     NOTIONS,
     CounterexampleReport,
-    correlation_hom,
-    correlation_inhom,
     counterexample_run,
     estimate_mixing,
     indicator_basis,
@@ -64,6 +60,7 @@ from cocyclelab.mixing import (
 )
 from cocyclelab.scenario import MAX_HORIZON
 from cocyclelab.transfer import MapSpec, bit_shift_permutation, pf_exact
+from references import correlation_inhom, dual_apply
 
 DOUBLING4 = np.array([
     [0.5, 0.5, 0.0, 0.0],
@@ -99,13 +96,27 @@ def first_below(values, tol):
 # -- plain correlations --------------------------------------------------------
 
 
+def hom_curve(c, omega, f, g, horizon):
+    """The estimator's homogeneous curve for one density and one fixed
+    observable."""
+    return estimate_mixing(c, "prior-hom", f.mass[None], g.values[:, None],
+                           [omega], horizon, 1e-9).values[0, 0, 0]
+
+
+def fixed(c, g):
+    """A fixed observable as a travelling one: the same row at every
+    feature."""
+    return np.tile(g.values, (c.driving.n_features, 1))
+
+
 def test_hom_correlation_doubling_frozen_curve():
     c = constant_cocycle(DOUBLING4)
     space = c.space
     f = Density.from_mass(space, [0.5, -0.5, 0.0, 0.0])
     g = Observable(space, Density.indicator(space, [0]).values)
     omega = point(c.driving, 0)
-    curve = [correlation_hom(c, omega, f, g, n) for n in range(5)]
+    assert hom_curve(c, omega, f, g, 4).tolist() == [0.5, 0.25, 0.0, 0.0, 0.0]
+    curve = [correlation_inhom(c, omega, f, fixed(c, g), n) for n in range(5)]
     assert curve == [0.5, 0.25, 0.0, 0.0, 0.0]
 
 
@@ -114,7 +125,7 @@ def test_hom_correlation_requires_zero_mean():
     f = Density.uniform(c.space)
     g = Observable(c.space, Density.indicator(c.space, [0]).values)
     with pytest.raises(PreconditionError):
-        correlation_hom(c, point(c.driving, 0), f, g, 1)
+        hom_curve(c, point(c.driving, 0), f, g, 1)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -127,7 +138,7 @@ def test_correlations_reject_a_non_finite_observable(bad):
     g = Observable(c.space, [bad, 0.0, 0.0, 0.0])
     omega = point(c.driving, 0)
     with pytest.raises(PreconditionError, match=r"^g must be finite.*NaN or inf"):
-        correlation_hom(c, omega, f, g, 2)
+        correlation_inhom(c, omega, f, fixed(c, g), 2)
     ok = Observable(c.space, Density.indicator(c.space, [0]).values)
     with pytest.raises(PreconditionError, match=r"^g must be finite.*NaN or inf"):
         correlation_inhom(c, omega, f, np.stack([ok.values, g.values]), 2)
@@ -145,9 +156,10 @@ def test_inhom_step_map_reduces_to_hom_when_constant():
     g = Observable(space, np.array([1.0, -1.0, 0.5, 0.0]))
     gmap = np.stack([g.values, g.values])
     omega = point(driving, 0)
+    hom = hom_curve(c, omega, f, g, 5)
     for n in range(6):
         assert correlation_inhom(c, omega, f, gmap, n) == pytest.approx(
-            correlation_hom(c, omega, f, g, n), abs=1e-15)
+            hom[n], abs=1e-15)
 
 
 def test_step_map_missing_feature_reads_zero():
@@ -198,7 +210,7 @@ def small_cocycle_case(draw):
 def test_hom_correlation_matches_dual_route(case):
     c, f, g, n, start = case
     omega = point(c.driving, start)
-    direct = correlation_hom(c, omega, f, g, n)
+    direct = hom_curve(c, omega, f, g, n)[n]
     dual = integrate(f, dual_apply(compose(c, omega, n), g))
     assert abs(direct - dual) <= 1e-10
 

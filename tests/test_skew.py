@@ -101,6 +101,21 @@ def test_product_set_validation_and_normalization():
         ProductSet(cells=[])
 
 
+@pytest.mark.parametrize("bad", [1.5, True, "2", None],
+                         ids=["fraction", "bool", "str", "none"])
+@pytest.mark.parametrize("part, make", [
+    ("cells", lambda bad: {"cells": [0, bad]}),
+    ("env_indices", lambda bad: {"cells": [0], "env_indices": (0, bad)}),
+    ("coordinates", lambda bad: {"cells": [0], "env_constraints": {bad: 0}}),
+    ("symbols", lambda bad: {"cells": [0], "env_constraints": {0: bad}}),
+], ids=["cells", "env_indices", "coordinates", "symbols"])
+def test_product_set_rejects_entries_that_are_not_integers(part, make, bad):
+    # cells [1.5, True] used to be stored as [1], env_indices (0.7,) as (0,),
+    # and a constraint {0: 1.5} made the Monte-Carlo nu silently 0.0
+    with pytest.raises(ValueError, match=f"^product set .*{part} must be integers"):
+        ProductSet(**make(bad))
+
+
 def test_env_probability_exact():
     rot = finite_rotation(4)
     assert env_probability(rot, ProductSet(cells=[0], env_indices=(1, 3))) == 0.5

@@ -450,7 +450,7 @@ def test_duality_residual_rejects_bad_refinement():
     P = pf_exact(MapSpec("doubling"), space)
     with pytest.raises(PreconditionError):
         duality_residual(P, MapSpec("doubling"), Density.uniform(space),
-                         Observable.constant(space), refinement=0)
+                         Observable(space, np.ones(space.n)), refinement=0)
 
 
 def planar_residual_reference(P, f, g, r):
@@ -494,7 +494,7 @@ def test_planar_ulam_and_residual_name_the_caller_in_a_grid_error(n, weights):
     with pytest.raises(PreconditionError,
                        match=f"^duality_residual .*{want}"):
         duality_residual(P, spec, Density.uniform(space),
-                         Observable.constant(space))
+                         Observable(space, np.ones(space.n)))
 
 
 # -- the dense build below the storage rule ------------------------------------
