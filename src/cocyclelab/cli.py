@@ -43,11 +43,19 @@ from .skew import skew_mixing_curve
 REPORT_HEAVY_OMEGAS = 4
 
 
-def _record(fields) -> str:
-    """One CSV line as the csv module quotes it, newline included."""
+def _records(rows) -> list:
+    """Each row as one CSV line as the csv module quotes it, newline
+    included.  One writer quotes every row, and its text is split at the
+    buffer offsets taken after each row, so a row whose field holds a
+    newline stays one piece."""
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow(fields)
-    return buf.getvalue()
+    writer = csv.writer(buf, lineterminator="\n")
+    ends = [0]
+    for row in rows:
+        writer.writerow(row)
+        ends.append(buf.tell())
+    text = buf.getvalue()
+    return [text[a:b] for a, b in zip(ends, ends[1:])]
 
 
 def _cells(column) -> list:
@@ -65,18 +73,20 @@ def _write_csv(path: str, header, blocks):
     each 2-D one, k outer and m inner; a block without columns is its
     labels.  The bytes equal the csv module's, written row by row."""
     with open(path, "w", newline="") as fh:
-        fh.write(_record(header))
+        fh.write(_records([header])[0])
         for labels, columns in blocks:
             if not columns:
-                fh.write("".join(map(_record, labels)))
+                fh.write("".join(_records(labels)))
                 continue
             # one template per block; the empty last field gives a label its ','
-            heads = [_record((*lab, ""))[:-1].replace("%", "%%") if lab else ""
-                     for lab in labels]
+            quoted = _records((*lab, "") for lab in labels)
+            heads = [rec[:-1].replace("%", "%%") if lab else ""
+                     for lab, rec in zip(labels, quoted)]
             rows = [",".join(r) + "\n" for r in zip(*map(_cells, columns))]
             wide = [np.ravel(c).astype(object) for c in columns if np.ndim(c) == 2]
             values = tuple(np.stack(wide, -1).ravel()) if wide else ()
-            fh.write("".join([h + r for h in heads for r in rows]) % values)
+            if rows:  # a block of width 0 has no lines
+                fh.write("".join([h + h.join(rows) for h in heads]) % values)
 
 
 def _env_points(scenario, count=None):

@@ -38,6 +38,7 @@ from cocyclelab.measure import (
     FiniteMeasureSpace,
     MarkovMatrix,
     PreconditionError,
+    gather_apply,
     indicator_rows,
     kernel_matmul,
     mass_apply,
@@ -158,7 +159,10 @@ class PullbackResult:
 
 
 # pullback depths pushed together: at N = 256 one stacked push costs about
-# 4 us per row for 8 rows against 14-18 us for a single row
+# 4 us per row for 8 rows against 14-18 us for a single row.  The block path
+# pushes through a kernel's column gathers when it has them (at most N / 64
+# sources in any column), and then 8 rows at N = 256 and 2 sources per
+# column take about 12 us against 18-27 us dense.
 PULLBACK_BLOCK = 8
 
 
@@ -171,17 +175,19 @@ def _pullback_depths(c: CocycleFamily, omega: EnvPoint, k_max: int,
             base = mass_apply(base, kernel)  # depth k is depth k-1 pushed once
             yield base
         return
-    backward = (c.operator_at(pt).kernel
+    backward = (c.operator_at(pt)
                 for pt in itertools.islice(orbit(c, omega, -k_max), 1, None))
-    kernels = []  # B_1, ..., B_k as the walk reaches them
-    while len(kernels) < k_max:
-        lo = len(kernels)
-        kernels.extend(itertools.islice(backward, PULLBACK_BLOCK))
+    ops = []  # B_1, ..., B_k as the walk reaches them
+    while len(ops) < k_max:
+        lo = len(ops)
+        ops.extend(itertools.islice(backward, PULLBACK_BLOCK))
         stack = np.empty((0, base.size))  # depths, deepest first
-        for j in range(len(kernels), 0, -1):
+        for j in range(len(ops), 0, -1):
             if j > lo:
                 stack = np.vstack([stack, base])
-            stack = mass_apply(stack, kernels[j - 1])
+            gathers = ops[j - 1].column_gathers
+            stack = (mass_apply(stack, ops[j - 1].kernel) if gathers is None
+                     else gather_apply(stack, gathers))
         yield from stack[::-1]
 
 
@@ -199,6 +205,13 @@ def invariant_density_pullback(c: CocycleFamily, omega: EnvPoint, k_max: int,
     seed rows of a block's depths as one stack, each row joining just before
     its own B_j.  The increments are read in depth order, so the walk stops
     at the same depth but may overshoot it by up to 7 backward steps.
+
+    The block path makes about k^2 / 2 row pushes to reach depth k, so it
+    pushes each stack through B_j's ``column_gathers`` when B_j has them (a
+    dense kernel with at most N / GATHER_WIDTH_DIVISOR sources in any
+    column) and by ``mass_apply`` otherwise; only the rounding inside each
+    push differs.  The constant-table path makes one push per depth and
+    keeps ``mass_apply`` and its exact bits.
 
     Failure to converge is reported through the certificate, never hidden.
     """

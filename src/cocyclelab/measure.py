@@ -18,6 +18,14 @@ at most 1/32 of the stack is nonzero (``stored_stack``); past that fill it is
 densified, and a dense stack stays dense.  scipy.sparse, 0.21 s of a cold
 start, is imported only for CSR kernels and stacks, never below 512 cells.
 
+A dense kernel whose widest column holds w nonzeros with
+w * GATHER_WIDTH_DIVISOR <= N also has column gathers
+(``MarkovMatrix.column_gathers``), kept on the kernel object, and
+``gather_apply`` pushes dense rows through them at O(w N) cost; it equals
+``mass_apply`` up to rounding.  Only the invariant-density pullback's block
+path pushes by gathers, since only it pushes thin kernels often enough to
+pay; every other push keeps ``mass_apply`` and its bits.
+
 Threads: every public entry that runs a loop of products (``cli.main``, the
 mixing, exactness, periodicity, pullback and skew routes) is wrapped in
 ``single_blas_thread``, so its products run on one OpenBLAS thread and the
@@ -47,6 +55,14 @@ CELL_MAP_ATOL = 1e-9  # entry distance from 0 or 1 in a kernel moving whole cell
 # dense time at N = 512-2048 (float64, one core of a 2-core Xeon VM).
 SPARSE_MIN_CELLS = 512
 SPARSE_FILL_DIVISOR = 32
+
+# Column-gather rule.  An 8-row push through a dense kernel with w nonzeros
+# in each column took, dense vs gathers: N = 256 w = 2 27 vs 12 us, w = 4
+# 18-27 vs 19 us, w = 8 18-27 vs 31 us; N = 384 w = 6 101 vs 39 us (one
+# core of a 2-core VM).  Gathers are built when the widest column holds w
+# nonzeros with w * GATHER_WIDTH_DIVISOR <= N.  The rule still admits w = 2
+# at N = 128, where gathers took 8.5 us against 7.4 us dense.
+GATHER_WIDTH_DIVISOR = 64
 
 
 class SpaceMismatchError(ValueError):
@@ -144,17 +160,11 @@ class Density:
         return cls(space, np.ones(space.n))
 
     @classmethod
-    def indicator(cls, space: FiniteMeasureSpace, cells, normalized: bool = False) -> "Density":
-        """Density 1_E of a cell union E, optionally normalized to unit mass."""
+    def indicator(cls, space: FiniteMeasureSpace, cells) -> "Density":
+        """Density 1_E of a cell union E."""
         values = np.zeros(space.n)
         values[np.asarray(cells)] = 1.0
-        d = cls(space, values)
-        if normalized:
-            tm = d.total_mass
-            if tm <= 0:
-                raise ValueError("cannot normalize an empty indicator")
-            d = cls(space, values / tm)
-        return d
+        return cls(space, values)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -298,6 +308,18 @@ def mass_apply(mass, kernel):
     return np.asarray(mass @ kernel)
 
 
+def gather_apply(mass, gathers):
+    """Push a dense mass row or stack of rows through a kernel by its
+    ``column_gathers``: one take of the w N sources, one multiply, and a
+    sum over the w slots in source order that starts from +0.0, as a dense
+    push does, so an empty column gives +0.0.  Equals ``mass_apply`` up to
+    rounding."""
+    sources, weights = gathers
+    picked = np.take(mass, sources, axis=-1)  # (..., w, N)
+    picked *= weights
+    return np.add.reduce(picked, axis=-2, initial=0.0)
+
+
 def require_zero_mean(mass, what: str):
     """Reject a mass row, or a dense or CSR stack of rows, with a row whose L1
     norm is not finite or whose total is not zero relative to that norm."""
@@ -402,6 +424,29 @@ class MarkovMatrix:
     @property
     def n(self) -> int:
         return self.space.n
+
+    @functools.cached_property
+    def column_gathers(self):
+        """The kernel as column gathers ``(sources, weights)``, two (w, N)
+        arrays: down column j, the source cells i with K[i, j] != 0 in
+        ascending order and their weights K[i, j], padded with cell 0 at
+        weight 0 to the width w of the widest column.  None for a CSR kernel
+        or when w * GATHER_WIDTH_DIVISOR > N.  Built on first use and kept
+        on this object, so it lives and dies with the kernel."""
+        k = self.kernel
+        if issparse(k):
+            return None
+        counts = np.count_nonzero(k, axis=0)
+        width = int(counts.max())
+        if width * GATHER_WIDTH_DIVISOR > self.n:
+            return None
+        cols, rows = np.nonzero(k.T)  # column-major: rows ascend per column
+        slots = np.arange(cols.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        sources = np.zeros((width, self.n), dtype=np.intp)
+        weights = np.zeros((width, self.n))
+        sources[slots, cols] = rows
+        weights[slots, cols] = k[rows, cols]
+        return _frozen(sources), _frozen(weights)
 
     def is_cell_map(self) -> bool:
         """True when every entry is 0 or 1 within CELL_MAP_ATOL, i.e. the

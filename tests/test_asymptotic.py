@@ -66,6 +66,12 @@ def detect(c, horizon=16, r_max=16, f0=None):
     return detect_periodicity(c, point(c.driving, 0), horizon, r_max, f0)
 
 
+def unit_indicator(space, cells):
+    """The density 1_E / m(E) of a cell union E, of unit mass."""
+    d = Density.indicator(space, cells)
+    return Density(space, d.values / d.total_mass)
+
+
 # -- detection -----------------------------------------------------------------
 
 
@@ -320,8 +326,8 @@ def test_restricted_power_rejects_leaking_support():
     fake = PeriodicDecomposition(
         found=True, r=2, rho=np.array([1, 0]),
         supports=[np.array([0, 1]), np.array([2, 3])],
-        densities=[Density.indicator(space, [0, 1], normalized=True),
-                   Density.indicator(space, [2, 3], normalized=True)],
+        densities=[unit_indicator(space, [0, 1]),
+                   unit_indicator(space, [2, 3])],
         lambdas=np.array([0.5, 0.5]), burn_in=1, residual=0.0, tol=1e-10)
     with pytest.raises(PreconditionError, match="not invariant"):
         restricted_power_cocycle(c, fake, 0)
@@ -335,8 +341,8 @@ def test_restricted_power_rejects_bernoulli_driving():
     fake = PeriodicDecomposition(
         found=True, r=2, rho=np.array([1, 0]),
         supports=[np.array([0, 1]), np.array([2, 3])],
-        densities=[Density.indicator(space, [0, 1], normalized=True),
-                   Density.indicator(space, [2, 3], normalized=True)],
+        densities=[unit_indicator(space, [0, 1]),
+                   unit_indicator(space, [2, 3])],
         lambdas=np.array([0.5, 0.5]), burn_in=1, residual=0.0, tol=1e-10)
     with pytest.raises(PreconditionError, match="finite driving"):
         restricted_power_cocycle(c, fake, 0)
@@ -350,8 +356,8 @@ def test_found_decomposition_rejects_a_rho_that_is_not_a_permutation(rho):
         PeriodicDecomposition(
             found=True, r=2, rho=None if rho is None else np.array(rho),
             supports=[np.array([0, 1]), np.array([2, 3])],
-            densities=[Density.indicator(space, [0, 1], normalized=True),
-                       Density.indicator(space, [2, 3], normalized=True)],
+            densities=[unit_indicator(space, [0, 1]),
+                       unit_indicator(space, [2, 3])],
             lambdas=np.array([0.5, 0.5]), burn_in=1, residual=0.0, tol=1e-10)
 
 
@@ -811,7 +817,7 @@ def planted_block_cocycle(n, kinds, seed):
     dec = PeriodicDecomposition(
         found=True, r=16, rho=np.array([order.index(pi[i]) for i in order]),
         supports=[np.sort(blocks[i]) for i in order],
-        densities=[Density.indicator(space, blocks[i], normalized=True)
+        densities=[unit_indicator(space, blocks[i])
                    for i in order],
         lambdas=np.full(16, 1 / 16), burn_in=1, residual=0.0, tol=1e-10)
     return c, dec

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -37,7 +40,12 @@ from cocyclelab.measure import (
     stored_kernel,
 )
 from cocyclelab.skew import ProductSet, nu_measure
-from cocyclelab.transfer import MapSpec, bit_shift_permutation, pf_exact
+from cocyclelab.transfer import (
+    MapSpec,
+    bit_shift_permutation,
+    pf_exact,
+    pf_ulam,
+)
 from references import equivariance_residual
 
 
@@ -518,6 +526,77 @@ def test_pullback_matches_the_bracket_loop_at_depth_37(seed):
     f0 = Density.from_mass(space, rng.random(4) + 0.1)
     (omega,) = sample_env(c.driving, 1, seed)
     assert_pullback_matches_the_bracket_loop(c, omega, f0, 0.0, 37)
+
+
+def ulam_table(n, laziness=0.0):
+    """The doubling and tent Ulam kernels on n uniform cells, each mixed
+    with the identity at weight ``laziness``."""
+    space = FiniteMeasureSpace.uniform(n)
+    return {s: MarkovMatrix(space, laziness * np.eye(n) + (1 - laziness)
+                            * pf_ulam(MapSpec(kind), space, 16, s).kernel)
+            for s, kind in enumerate(("doubling", "tent"))}
+
+
+def spy(monkeypatch, name):
+    """Record the kernel argument of every call of cocycle's ``name``."""
+    seen = []
+    real = getattr(cocyclelab.cocycle, name)
+
+    def recording(mass, kernel_or_gathers):
+        seen.append(kernel_or_gathers)
+        return real(mass, kernel_or_gathers)
+
+    monkeypatch.setattr(cocyclelab.cocycle, name, recording)
+    return seen
+
+
+@pytest.mark.parametrize("tol, laziness, k_max", [(1e-10, 0.0, 64),
+                                                  (0.0, 0.75, 30)])
+def test_ulam_pullback_gathers_and_matches_the_bracket_loop(
+        monkeypatch, tol, laziness, k_max):
+    # 256 cells, two inverse branches per map: at most 2 sources per column,
+    # 3 with the identity mixed in, within 256 / GATHER_WIDTH_DIVISOR.
+    # With tol = 0 the lazy kernels keep every increment above rounding.
+    c = CocycleFamily(driving=bernoulli_shift([0.5, 0.5]),
+                      table=ulam_table(256, laziness))
+    gathered = spy(monkeypatch, "gather_apply")
+    f0 = Density.from_mass(c.space, np.random.default_rng(5).random(256) + 0.1)
+    (omega,) = sample_env(c.driving, 1, 11)
+    assert_pullback_matches_the_bracket_loop(c, omega, f0, tol, k_max)
+    forms = [P.column_gathers for P in c.table.values()]
+    assert gathered and all(any(g is f for f in forms) for g in gathered)
+
+
+def test_a_kernel_wider_than_the_gather_cutoff_keeps_the_dense_push(
+        monkeypatch):
+    thin = ulam_table(256)[0]
+    kernel = np.array(thin.kernel)
+    kernel[:8] = 0.0  # cells 0..7 spread evenly over cells 0..7
+    kernel[:8, :8] = 1 / 8
+    wide = MarkovMatrix(thin.space, kernel, exact=False)
+    assert wide.column_gathers is None
+    c = CocycleFamily(driving=bernoulli_shift([0.5, 0.5]),
+                      table={0: thin, 1: wide})
+    gathered = spy(monkeypatch, "gather_apply")
+    dense_pushed = spy(monkeypatch, "mass_apply")
+    f0 = Density.uniform(c.space)
+    (omega,) = sample_env(c.driving, 1, 2)
+    assert_pullback_matches_the_bracket_loop(c, omega, f0, 1e-10, 64)
+    assert gathered and all(g is thin.column_gathers for g in gathered)
+    assert dense_pushed and all(k is wide.kernel for k in dense_pushed)
+
+
+def test_column_gathers_die_with_their_kernel():
+    c = CocycleFamily(driving=bernoulli_shift([0.5, 0.5]),
+                      table=ulam_table(256))
+    h = build_invariant_density_map(c)
+    (omega,) = sample_env(c.driving, 1, 3)
+    assert h.result_at(omega).converged
+    refs = [weakref.ref(P) for P in c.table.values()]
+    assert all(r().column_gathers is not None for r in refs)
+    del c, h
+    gc.collect()
+    assert all(r() is None for r in refs)
 
 
 def test_nu_over_a_proper_part_pulls_back_only_its_points(monkeypatch):

@@ -1,7 +1,9 @@
 """Cold start: scipy.sparse is imported only where a CSR kernel is built, so
 importing the package and running a small-scenario command, the periodicity
 detector of ``report`` and ``run-asymp`` included, leave it unloaded, as does
-``run-counterexample`` at any k, which relabels cells and builds no kernel;
+``run-counterexample`` at any k, which relabels cells and builds no kernel,
+and a point-dependent Bernoulli Monte-Carlo curve at 256 cells, whose
+pullbacks push by column gathers;
 and the OpenBLAS thread-count functions are looked up on first use, not at
 import.
 Each check runs in a fresh interpreter, since any earlier test may have
@@ -56,6 +58,31 @@ def test_scipy_sparse_is_loaded_only_where_it_runs(tmp_path, command, loaded):
     out = fresh_python("-c", RUN_CLI, *command,
                        "--out", str(tmp_path / "out.csv"))
     assert out[-2:] == [str(loaded), "0"]
+
+
+# a point-dependent table over a Bernoulli shift at N = 256: the Monte-Carlo
+# skew route pulls back every sampled point through the kernels' column
+# gathers, which numpy builds and pushes alone
+RUN_BERNOULLI_MC = """
+import sys
+from cocyclelab import cocycle, driving, measure, skew, transfer
+space = measure.FiniteMeasureSpace.uniform(256)
+table = {s: transfer.pf_ulam(transfer.MapSpec(kind), space, 16, s)
+         for s, kind in enumerate(("doubling", "tent"))}
+c = cocycle.CocycleFamily(driving=driving.bernoulli_shift([0.5, 0.5]),
+                          table=table)
+nc = cocycle.NormalizedCocycle(cocycle=c,
+                               h=cocycle.build_invariant_density_map(c))
+half = skew.ProductSet(range(128))
+rep = skew.skew_mixing_curve(nc, half, half, 4, 1e-6, mc_samples=8, seed=1)
+gathers = all(P.column_gathers is not None for P in table.values())
+print("scipy.sparse" in sys.modules, rep.method, rep.h_converged, gathers)
+"""
+
+
+def test_a_bernoulli_monte_carlo_curve_leaves_scipy_sparse_unloaded():
+    assert fresh_python("-c", RUN_BERNOULLI_MC) == ["False", "monte-carlo",
+                                                     "True", "True"]
 
 
 # reports the lookups made by the import, then runs the CLI in-process from a

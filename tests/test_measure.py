@@ -19,6 +19,7 @@ from cocyclelab.cocycle import (
 from cocyclelab.driving import point
 from cocyclelab.exactness import exactness_report, tail_partition
 from cocyclelab.measure import (
+    GATHER_WIDTH_DIVISOR,
     SPARSE_FILL_DIVISOR,
     SPARSE_MIN_CELLS,
     Density,
@@ -29,6 +30,7 @@ from cocyclelab.measure import (
     SpaceMismatchError,
     StochasticityError,
     apply,
+    gather_apply,
     integrate,
     mass_apply,
     markov_check,
@@ -291,10 +293,79 @@ def test_is_cell_map_detects_permutations(space4):
     assert not MarkovMatrix(space4, DOUBLING4).is_cell_map()
 
 
-def test_density_indicator_normalization(space4):
-    d = Density.indicator(space4, [0, 1], normalized=True)
-    assert d.total_mass == pytest.approx(1.0)
-    assert np.allclose(d.values, [2.0, 2.0, 0.0, 0.0])
+def test_density_indicator_marks_its_cells(space4):
+    d = Density.indicator(space4, [0, 1])
+    assert d.total_mass == 0.5
+    assert d.values.tolist() == [1.0, 1.0, 0.0, 0.0]
+
+
+# -- column gathers -----------------------------------------------------------------
+
+
+@st.composite
+def thin_push_case(draw):
+    """A dense kernel that sends each cell through 1 or 2 random
+    permutations, so no column holds more than N / GATHER_WIDTH_DIVISOR
+    sources, with column 0 left empty when drawn; and a 1-D mass row or a
+    stack of 1-8 rows with negative entries, half of them of zero total
+    mass."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.sampled_from([128, 256, 320]))
+    maps = draw(st.integers(1, n // GATHER_WIDTH_DIVISOR // 2))
+    targets = np.stack([rng.permutation(n) for _ in range(maps)])
+    empty = draw(st.booleans())
+    if empty:  # column 0 hands its sources to column 1
+        targets[targets == 0] = 1
+    kernel = np.zeros((n, n))
+    np.add.at(kernel, (np.broadcast_to(np.arange(n), targets.shape), targets),
+              rng.random(targets.shape) + 0.1)
+    kernel /= kernel.sum(axis=1, keepdims=True)
+    rows = draw(st.integers(0, 8))  # 0 draws a 1-D row
+    mass = rng.standard_normal((rows, n) if rows else n)
+    if rows:
+        mass[::2] -= mass[::2].mean(axis=1, keepdims=True)
+    return MarkovMatrix(FiniteMeasureSpace.uniform(n), kernel), mass, empty
+
+
+@given(thin_push_case())
+def test_column_gathers_push_as_the_dense_kernel(case):
+    P, mass, empty = case
+    sources, weights = P.column_gathers
+    # the form holds the kernel: sources ascend down each column, and the
+    # padding slots carry weight 0
+    rebuilt = np.zeros((P.n, P.n))
+    np.add.at(rebuilt, (sources, np.arange(P.n)), weights)
+    assert rebuilt.tobytes() == P.kernel.tobytes()
+    filled = weights != 0
+    assert np.all(np.diff(sources, axis=0)[filled[1:]] > 0)
+    got = gather_apply(mass, P.column_gathers)
+    want = mass_apply(mass, P.kernel)
+    assert got.shape == want.shape
+    # each push rounds at most N eps of the L1 mass of its row
+    atol = P.n * np.finfo(float).eps * np.abs(mass).sum(axis=-1, keepdims=True)
+    assert np.all(np.abs(got - want) <= atol)
+    if empty:  # an empty column sums from +0.0, as a dense push does
+        assert not np.signbit(got[..., 0]).any()
+
+
+def test_column_gathers_are_built_for_thin_dense_kernels_only():
+    n = 256
+    width = n // GATHER_WIDTH_DIVISOR
+    space = FiniteMeasureSpace.uniform(n)
+
+    def widened(sources):  # cells 1..sources - 1 send half their mass to 0
+        kernel = np.eye(n)
+        cells = np.arange(1, sources)
+        kernel[cells, cells] = kernel[cells, 0] = 0.5
+        return MarkovMatrix(space, kernel)
+
+    assert widened(width).column_gathers[0].shape == (width, n)
+    assert widened(width + 1).column_gathers is None
+    csr = MarkovMatrix(FiniteMeasureSpace.uniform(SPARSE_MIN_CELLS),
+                       sp.eye_array(SPARSE_MIN_CELLS, format="csr"))
+    assert sp.issparse(csr.kernel) and csr.column_gathers is None
+    assert MarkovMatrix(FiniteMeasureSpace.uniform(4),
+                        DOUBLING4).column_gathers is None
 
 
 def test_values_are_readonly(space4):

@@ -799,6 +799,54 @@ def test_cli_sets_file_errors_name_the_sets_file(tmp_path, capsys, broken):
     assert not out.exists()
 
 
+# -- the libyaml loader against the pure-Python one --------------------------------
+
+needs_libyaml = pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"),
+                                   reason="PyYAML is built without libyaml")
+
+
+@needs_libyaml
+@pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.yaml")),
+                         ids=lambda p: p.name)
+def test_shipped_files_load_alike_under_both_loaders(path):
+    text = path.read_text()
+    assert yaml.load(text, yaml.CSafeLoader) == yaml.load(text, yaml.SafeLoader)
+
+
+@pytest.mark.parametrize("loader", [
+    pytest.param("CSafeLoader", marks=needs_libyaml), "SafeLoader"])
+@pytest.mark.parametrize("kind", ["scenario", "sets"])
+def test_unparsable_file_exits_two_under_either_loader(tmp_path, capsys,
+                                                       monkeypatch, loader,
+                                                       kind):
+    if loader == "SafeLoader":  # as on a PyYAML built without libyaml
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    used = []
+    real_load = yaml.load
+
+    def spying(stream, Loader):
+        used.append(Loader.__name__)
+        return real_load(stream, Loader)
+
+    monkeypatch.setattr(yaml, "load", spying)
+    bad = write(tmp_path, "sets: [oops\n", name="bad.yaml")
+    if kind == "scenario":
+        argv = ["run-asymp", "--scenario", bad]
+        words = f"parse error in scenario file {bad}"
+    else:
+        argv = ["run-skew", "--scenario",
+                str(SCENARIOS / "bernoulli_doubling.yaml"), "--sets", bad,
+                "--horizon", "4"]
+        words = f"parse error in sets file {bad}"
+    out = tmp_path / "x.csv"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert words in err
+    assert used[-1] == loader
+    assert not out.exists()
+
+
 # a setting that no scenario key sets, and a map parameter that its kind
 # does not read: case -> (scenario, the path of the key in it, its value,
 # the error, a command); any value of a key that is not read is an error
@@ -1367,6 +1415,20 @@ def test_block_writer_matches_the_row_writer(tmp_path_factory, blocks,
     _write_csv(str(d / "new.csv"), header, blocks)
     reference_csv(str(d / "old.csv"), header, block_rows(blocks))
     assert (d / "new.csv").read_bytes() == (d / "old.csv").read_bytes()
+
+
+def test_block_writer_keeps_awkward_labels_whole(tmp_path):
+    # one writer quotes every head, so a newline inside a label must not
+    # split it, and a '%' must not reach the block template as a slot
+    labels = [("a\nb", 1), ('say "hi"', 2), ("x,y", 3), ("50%", 4), ("", 5),
+              ("%s\r\n%", 6)]
+    blocks = [(labels, (np.arange(3), np.arange(18.0).reshape(6, 3) / 7)),
+              ([(), ("%d\n",)], ())]
+    header = ("label", "id", "n", "value")
+    _write_csv(str(tmp_path / "new.csv"), header, blocks)
+    reference_csv(str(tmp_path / "old.csv"), header, block_rows(blocks))
+    assert (tmp_path / "new.csv").read_bytes() == \
+        (tmp_path / "old.csv").read_bytes()
 
 
 @pytest.mark.parametrize("notion", ["prior-hom", "post-hom", "prior-inhom",
